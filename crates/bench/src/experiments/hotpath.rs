@@ -11,7 +11,7 @@
 //!   parallel output against the serial run. The NVMe disk model is used so
 //!   the CPU-bound phases dominate, as they do on the machines where
 //!   parallel conversion matters.
-//! * **cache** — [`SharedCache`] insert/get churn at full capacity across a
+//! * **cache** — [`MemStore`] insert/get churn at full capacity across a
 //!   16× range of cache sizes. Every insert evicts, so this measures the
 //!   eviction path directly; with the ordered index the per-op cost is
 //!   O(log n) and ops/s stays flat as the cache grows (the scan-based
@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use gear_client::{EvictionPolicy, SharedCache};
+use gear_store::{EvictionPolicy, MemStore};
 use gear_compress::{compress_with, crc32, Level, Lzss, BLOCK_SIZE};
 use gear_core::{Converter, ConverterOptions};
 use gear_fs::{FsTree, UnionFs};
@@ -357,7 +357,7 @@ fn run_cache(quick: bool) -> Vec<CachePoint> {
     let mut points = Vec::new();
     for entries in sizes {
         let capacity = entries as u64 * CACHE_ENTRY_BYTES;
-        let mut cache = SharedCache::with_policy(EvictionPolicy::Lru, Some(capacity));
+        let mut cache = MemStore::with_policy(EvictionPolicy::Lru, Some(capacity));
         for key in &keys[..entries] {
             cache.insert(*key, body.clone());
         }

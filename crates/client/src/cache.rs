@@ -1,30 +1,15 @@
-//! The level-1 shared file cache (paper §III-D1) — a façade over
-//! [`gear_store`].
+//! Builds the level-1 shared file cache (paper §III-D1) a [`ClientConfig`]
+//! asks for, out of [`gear_store`]'s stores:
 //!
-//! The cache implementations used to live here; they are now the
-//! [`gear_store`] crate's [`MemStore`] / [`Sharded`] stores, shared with the
-//! registry and the P2P cluster. This module keeps the historical names as
-//! aliases and adds [`store_for`], which builds whichever [`BlobStore`] a
-//! [`ClientConfig`] asks for:
-//!
-//! * `tier: None` (the default) — a flat [`MemStore`], bit-for-bit the
-//!   historical `SharedCache` behaviour (same ticks, same victims, zero
-//!   staged I/O time);
+//! * `tier: None` (the default) — a flat [`MemStore`] (zero staged I/O
+//!   time);
 //! * `tier: Some(..)` — a [`TieredStore`]: bounded L1 memory over the
 //!   configured [`gear_simnet::DiskModel`], whose staged read/write time the
 //!   client drains into each deployment's timeline.
 
-use gear_store::{BlobStore, StoreSnapshot, TieredStore};
-
-pub use gear_store::{EvictionPolicy, MemStore, Sharded, StoreStats};
+use gear_store::{BlobStore, MemStore, SnapshotError, StoreSnapshot, TieredStore};
 
 use crate::config::ClientConfig;
-
-/// The level-1 shared cache (historical name for [`MemStore`]).
-pub type SharedCache = MemStore;
-
-/// The sharded shared cache (historical name for [`Sharded<MemStore>`]).
-pub type ShardedCache = Sharded<MemStore>;
 
 /// Builds the blob store `config` asks for (see the module docs).
 pub fn store_for(config: &ClientConfig) -> Box<dyn BlobStore> {
@@ -44,28 +29,22 @@ pub fn store_for(config: &ClientConfig) -> Box<dyn BlobStore> {
 /// Rehydrates the blob store a live-upgrade handoff snapshot describes —
 /// the restore side of [`store_for`]. The restored store behaves
 /// tick-for-tick identically to the one snapshotted (see
-/// [`gear_store::snapshot`]). `config` is only sanity-checked: the snapshot
-/// shape must match what [`store_for`] would build for it, so an upgraded
-/// binary cannot silently resume a flat cache as a tiered one.
+/// [`gear_store::snapshot`]).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the snapshot shape contradicts `config.tier`.
-pub fn restore_store_for(config: &ClientConfig, snapshot: &StoreSnapshot) -> Box<dyn BlobStore> {
+/// [`SnapshotError::ShapeMismatch`] when the snapshot is not of the store
+/// [`store_for`] would build for `config`: an upgraded binary must not
+/// silently resume a flat cache as a tiered one.
+pub fn restore_store_for(
+    config: &ClientConfig,
+    snapshot: &StoreSnapshot,
+) -> Result<Box<dyn BlobStore>, SnapshotError> {
     match (config.tier, snapshot) {
         (None, StoreSnapshot::Mem(_)) | (Some(_), StoreSnapshot::Tiered(_)) => {
-            snapshot.restore()
+            Ok(snapshot.restore())
         }
-        (tier, snapshot) => panic!(
-            "handoff shape mismatch: config tier {:?} cannot resume a {} snapshot",
-            tier,
-            match snapshot {
-                StoreSnapshot::Mem(_) => "flat memory",
-                StoreSnapshot::Disk(_) => "disk",
-                StoreSnapshot::Tiered(_) => "tiered",
-                StoreSnapshot::Sharded(_) => "sharded",
-            },
-        ),
+        _ => Err(SnapshotError::ShapeMismatch),
     }
 }
 
@@ -84,6 +63,17 @@ mod tests {
         assert!(store.get(fp).is_some());
         assert_eq!(store.drain_cost(), std::time::Duration::ZERO);
         assert_eq!(store.tier_bytes(), (4, 0), "all bytes resident in memory");
+    }
+
+    #[test]
+    fn restoring_the_wrong_store_kind_is_a_typed_error() {
+        let flat = store_for(&ClientConfig::default()).snapshot();
+        let tiered = ClientConfig::default().with_tier(TierConfig::default());
+        assert!(restore_store_for(&ClientConfig::default(), &flat).is_ok());
+        assert!(matches!(
+            restore_store_for(&tiered, &flat),
+            Err(SnapshotError::ShapeMismatch)
+        ));
     }
 
     #[test]

@@ -3,8 +3,7 @@
 use std::time::Duration;
 
 use gear_simnet::{DiskModel, Link};
-
-use crate::cache::EvictionPolicy;
+use gear_store::EvictionPolicy;
 
 /// Local-operation costs shared by all engines, so that comparisons between
 /// Gear, Docker, and Slacker differ only in *what* they do, never in how the
@@ -52,7 +51,7 @@ impl Default for Costs {
     }
 }
 
-/// Concurrency policy of the fetch engine (see `crate::fetch`).
+/// Concurrency policy of the fetch engine (see [`replay`](crate::replay())).
 ///
 /// `streams = 1` (the default) keeps every registry request strictly
 /// sequential — bit-for-bit the historical deployment times. More streams

@@ -1,6 +1,5 @@
 //! The Gear client: Gear Driver + Gear File Viewer + three-level storage.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
@@ -14,13 +13,13 @@ use gear_hash::{Digest, Fingerprint};
 use gear_image::ImageRef;
 use gear_corpus::StartupTrace;
 use gear_registry::{DockerRegistry, GearFileStore};
-use gear_simnet::{FaultKind, FaultPlan, NetMetrics, RetryPolicy};
+use gear_simnet::{BudgetExhausted, FaultInjector, FaultPlan, NetMetrics, RetryPolicy};
 use gear_store::{BlobStore, StoreStats};
 use gear_telemetry::Telemetry;
 
 use crate::cache::store_for;
 use crate::config::ClientConfig;
-use crate::fetch::{FaultState, FetchScheduler};
+use crate::replay::{price_batch, replay, Lane, RegistryChain, Session};
 use crate::report::DeploymentReport;
 use crate::timeline::TimelineEvent;
 
@@ -90,6 +89,12 @@ impl From<FsError> for DeployError {
     }
 }
 
+impl From<BudgetExhausted> for DeployError {
+    fn from(e: BudgetExhausted) -> Self {
+        DeployError::FaultBudgetExhausted { attempts: e.attempts }
+    }
+}
+
 /// Level-2 state: one installed Gear index.
 #[derive(Debug)]
 struct InstalledIndex {
@@ -102,84 +107,6 @@ struct InstalledIndex {
 struct Container {
     image: ImageRef,
     mount: UnionFs,
-}
-
-/// One fetch performed by the materializer during a read.
-#[derive(Debug, Clone)]
-enum FetchEvent {
-    CacheHit { bytes: u64 },
-    Downloaded { fingerprint: Fingerprint, content: Bytes, transfer_bytes: u64 },
-    Missing,
-}
-
-/// Materializer backed by the shared cache and the Gear Registry. Events are
-/// recorded so the caller can charge simulated time afterwards — and, under
-/// fault injection, so the caller can insert a download into the shared
-/// cache *only after* the simulated request actually succeeded. A per-read
-/// scratch map dedups repeated fingerprints within one read so the
-/// accounting matches what cache admission would have produced.
-struct CacheAndRegistry<'a> {
-    cache: RefCell<&'a mut dyn BlobStore>,
-    store: &'a GearFileStore,
-    events: RefCell<Vec<FetchEvent>>,
-    fetched: RefCell<HashMap<Fingerprint, Bytes>>,
-    /// Route registry fetches through the chunk verb (`download_chunk`),
-    /// so ranged reads of chunked files account as chunk traffic, not
-    /// whole-file traffic.
-    chunked: bool,
-}
-
-impl<'a> CacheAndRegistry<'a> {
-    fn new(cache: &'a mut dyn BlobStore, store: &'a GearFileStore) -> Self {
-        CacheAndRegistry {
-            cache: RefCell::new(cache),
-            store,
-            events: RefCell::new(Vec::new()),
-            fetched: RefCell::new(HashMap::new()),
-            chunked: false,
-        }
-    }
-
-    /// A session whose registry fetches use the chunk verb.
-    fn chunked(cache: &'a mut dyn BlobStore, store: &'a GearFileStore) -> Self {
-        CacheAndRegistry { chunked: true, ..Self::new(cache, store) }
-    }
-}
-
-impl Materializer for CacheAndRegistry<'_> {
-    fn fetch(&self, fingerprint: Fingerprint, _size: u64) -> Result<Bytes, String> {
-        if let Some(content) = self.cache.borrow_mut().get(fingerprint) {
-            self.events.borrow_mut().push(FetchEvent::CacheHit { bytes: content.len() as u64 });
-            return Ok(content);
-        }
-        if let Some(content) = self.fetched.borrow().get(&fingerprint) {
-            // Already downloaded earlier in this read; a committed cache
-            // would have served it, so account it as a hit.
-            self.events.borrow_mut().push(FetchEvent::CacheHit { bytes: content.len() as u64 });
-            return Ok(content.clone());
-        }
-        let found = if self.chunked {
-            self.store.download_chunk(fingerprint)
-        } else {
-            self.store.download(fingerprint)
-        };
-        match found {
-            Some(content) => {
-                let transfer = self.store.transfer_size(fingerprint).unwrap_or(content.len() as u64);
-                self.events.borrow_mut().push(FetchEvent::Downloaded {
-                    fingerprint,
-                    content: content.clone(),
-                    transfer_bytes: transfer,
-                });
-                self.fetched.borrow_mut().insert(fingerprint, content.clone());
-                Ok(content)
-            }
-            None => {
-                self.events.borrow_mut().push(FetchEvent::Missing);
-                Err(format!("gear file {fingerprint} not in cache or registry"))
-            }
-        }
-    }
 }
 
 /// The Gear deployment client (paper §III-D): pulls tiny index images,
@@ -195,8 +122,8 @@ pub struct GearClient {
     blobs: HashSet<Digest>,
     metrics: NetMetrics,
     next_id: u64,
-    /// Active fault injection, if any (see [`GearClient::inject_faults`]).
-    faults: Option<FaultState>,
+    /// Fault injection, inactive unless [`GearClient::inject_faults`] ran.
+    faults: FaultInjector,
     telemetry: Telemetry,
 }
 
@@ -248,7 +175,7 @@ impl GearClient {
             blobs: HashSet::new(),
             metrics: NetMetrics::new(),
             next_id: 0,
-            faults: None,
+            faults: FaultInjector::default(),
             telemetry: Telemetry::noop(),
         }
     }
@@ -283,11 +210,12 @@ impl GearClient {
     ///
     /// # Errors
     ///
-    /// [`gear_store::SnapshotError`] when the cache bytes are corrupt.
+    /// [`gear_store::SnapshotError`] when the cache bytes are corrupt or hold
+    /// a different kind of store than the handoff's configuration describes.
     pub fn resume(handoff: ClientHandoff) -> Result<Self, gear_store::SnapshotError> {
         let snapshot = gear_store::StoreSnapshot::from_bytes(&handoff.cache)?;
         let mut client = GearClient::with_store(
-            crate::cache::restore_store_for(&handoff.config, &snapshot),
+            crate::cache::restore_store_for(&handoff.config, &snapshot)?,
             handoff.config,
         );
         for (reference, index) in handoff.indexes {
@@ -309,9 +237,7 @@ impl GearClient {
     /// `cache.*` / `net.*` keys, and the container mount, fetch scheduler,
     /// and fault plan report through the same recorder.
     pub fn set_recorder(&mut self, telemetry: Telemetry) {
-        if let Some(state) = &mut self.faults {
-            state.plan.set_recorder(telemetry.clone());
-        }
+        self.faults.set_recorder(telemetry.clone());
         self.telemetry = telemetry;
     }
 
@@ -329,61 +255,37 @@ impl GearClient {
     /// in the shared cache.
     pub fn inject_faults(&mut self, mut plan: FaultPlan, policy: RetryPolicy) {
         plan.set_recorder(self.telemetry.clone());
-        self.faults = Some(FaultState { plan, policy, retries: 0 });
+        self.faults.inject(plan, policy);
     }
 
     /// Deactivates fault injection.
     pub fn clear_faults(&mut self) {
-        self.faults = None;
+        self.faults.clear();
     }
 
     /// Failed request attempts retried since [`GearClient::inject_faults`].
     pub fn fault_retries(&self) -> u64 {
-        self.faults.as_ref().map_or(0, |state| state.retries)
+        self.faults.retries()
     }
 
-    /// Prices one registry request of `scaled_bytes` under the active fault
-    /// plan: the nominal request time, plus per-attempt fault costs (drops
-    /// and over-budget stalls cost the per-attempt timeout; corruption and
-    /// truncation cost a full wasted transfer) and backoff between attempts.
-    ///
-    /// Associated function (not `&mut self`) so callers holding disjoint
-    /// field borrows can still charge requests.
-    fn charged_request(
-        faults: &mut Option<FaultState>,
-        config: ClientConfig,
-        scaled_bytes: u64,
-    ) -> Result<Duration, DeployError> {
-        let nominal = config.request_time(scaled_bytes);
-        let Some(state) = faults else {
-            return Ok(nominal);
-        };
-        let attempts = state.policy.max_attempts.max(1);
-        let mut elapsed = Duration::ZERO;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                elapsed += state.policy.backoff(attempt);
-            }
-            match state.plan.next_fault() {
-                None => return Ok(elapsed + nominal),
-                Some(FaultKind::Stall(extra))
-                    if nominal + extra <= state.policy.timeout =>
-                {
-                    // Late but within the per-attempt budget: delivered.
-                    return Ok(elapsed + nominal + extra);
-                }
-                Some(FaultKind::Drop) | Some(FaultKind::Stall(_)) => {
-                    elapsed += state.policy.timeout;
-                    state.retries += 1;
-                }
-                Some(FaultKind::Corrupt) | Some(FaultKind::Truncate) => {
-                    // The bytes crossed the wire but failed verification.
-                    elapsed += nominal;
-                    state.retries += 1;
-                }
-            }
-        }
-        Err(DeployError::FaultBudgetExhausted { attempts })
+    /// One pull-phase request of `bytes` from the index registry: charged
+    /// serially under the active fault plan (plus `local` work on the
+    /// response) and appended to `report`.
+    fn pull_step(
+        &mut self,
+        report: &mut DeploymentReport,
+        bytes: u64,
+        local: Duration,
+        event: TimelineEvent,
+    ) -> Result<(), DeployError> {
+        let nominal = self.config.request_time(bytes);
+        let took = self.faults.request(nominal)?.total(nominal) + local;
+        report.timeline.push(report.pull, took, event);
+        report.pull += took;
+        report.bytes_pulled += bytes;
+        report.requests += 1;
+        self.metrics.download(bytes);
+        Ok(())
     }
 
     /// The client's configuration.
@@ -459,232 +361,74 @@ impl GearClient {
             .set_trace_id(gear_telemetry::trace_id_for(&reference.to_string(), self.next_id));
 
         // ---- pull phase: fetch the (tiny) index image ----------------------
-        let mut pull = Duration::ZERO;
-        if !self.indexes.contains_key(reference) {
-            let manifest = docker
-                .manifest(reference)
-                .ok_or_else(|| DeployError::ImageNotFound(reference.clone()))?;
-            let manifest_bytes = manifest.to_json().len() as u64;
-            let took = Self::charged_request(&mut self.faults, self.config, manifest_bytes)?;
-            report
-                .timeline
-                .push(pull, took, TimelineEvent::Manifest { bytes: manifest_bytes });
-            pull += took;
-            report.bytes_pulled += manifest_bytes;
-            report.requests += 1;
-            self.metrics.download(manifest_bytes);
-
-            for desc in &manifest.layers {
-                if self.blobs.contains(&desc.digest) {
-                    continue;
+        let tree = match self.indexes.get(reference) {
+            Some(installed) => Arc::clone(&installed.tree),
+            None => {
+                let manifest = docker
+                    .manifest(reference)
+                    .ok_or_else(|| DeployError::ImageNotFound(reference.clone()))?;
+                let bytes = manifest.to_json().len() as u64;
+                self.pull_step(
+                    &mut report,
+                    bytes,
+                    Duration::ZERO,
+                    TimelineEvent::Manifest { bytes },
+                )?;
+                for desc in &manifest.layers {
+                    if self.blobs.contains(&desc.digest) {
+                        continue;
+                    }
+                    // The index is metadata, not image content: its size is not
+                    // scaled up — it is already "paper scale" (a few hundred KB).
+                    let bytes = desc.size;
+                    let decompress = self.config.decompress(bytes);
+                    self.pull_step(&mut report, bytes, decompress, TimelineEvent::Index { bytes })?;
+                    self.blobs.insert(desc.digest);
                 }
-                // The index is metadata, not image content: its size is not
-                // scaled up — it is already "paper scale" (a few hundred KB).
-                let took = Self::charged_request(&mut self.faults, self.config, desc.size)?
-                    + self.config.decompress(desc.size);
-                report.timeline.push(pull, took, TimelineEvent::Index { bytes: desc.size });
-                pull += took;
-                report.bytes_pulled += desc.size;
-                report.requests += 1;
-                self.metrics.download(desc.size);
-                self.blobs.insert(desc.digest);
+                let image = docker
+                    .image(reference)
+                    .ok_or_else(|| DeployError::ImageNotFound(reference.clone()))?;
+                let gear = GearImage::from_index_image(&image).map_err(DeployError::BadIndex)?;
+                self.install_index(reference.clone(), gear.into_index())
             }
-            let image = docker
-                .image(reference)
-                .ok_or_else(|| DeployError::ImageNotFound(reference.clone()))?;
-            let gear = GearImage::from_index_image(&image).map_err(DeployError::BadIndex)?;
-            self.install_index(reference.clone(), gear.into_index());
-        }
-        report.pull = pull;
+        };
 
         // ---- run phase: launch + replay the startup trace ------------------
-        let installed = self.indexes.get(reference).expect("installed above");
-        let tree = Arc::clone(&installed.tree);
-        let mut mount = UnionFs::new(vec![tree]);
-        mount.set_recorder(self.telemetry.clone());
-        let mut run = Duration::ZERO;
-        let launch = self.config.costs.container_start + self.config.costs.mount_setup;
-        report.timeline.push(pull, launch, TimelineEvent::Launch);
-        run += launch;
-
-        if self.config.fetch.streams > 1 {
-            // Concurrent fetch engine: resolve the whole trace through ONE
-            // materializer session — single-flight dedup across reads, so a
-            // fingerprint missed by several reads is downloaded exactly once
-            // — then price all downloads as one bounded-window stream
-            // schedule instead of a serial chain of requests.
-            let mut per_read: Vec<(String, Vec<FetchEvent>)> =
-                Vec::with_capacity(trace.reads.len());
-            {
-                let session = CacheAndRegistry::new(self.cache.as_mut(), store);
-                for path in &trace.reads {
-                    let read = mount.read(path, &session);
-                    let events = session.events.replace(Vec::new());
-                    read?;
-                    per_read.push((path.clone(), events));
-                }
-            }
-            let mut downloads: Vec<(Fingerprint, Bytes, u64, u64, String)> = Vec::new();
-            for (path, events) in per_read {
-                for event in events {
-                    match event {
-                        FetchEvent::CacheHit { bytes } => {
-                            report.cache_hits += 1;
-                            let took = self.config.costs.hard_link
-                                + self.config.local_read(self.config.scaled(bytes));
-                            report.timeline.push(
-                                pull + run,
-                                took,
-                                TimelineEvent::CacheHit { path: path.clone(), bytes },
-                            );
-                            run += took;
-                        }
-                        FetchEvent::Downloaded { fingerprint, content, transfer_bytes } => {
-                            let scaled_transfer = self.config.scaled(transfer_bytes);
-                            let scaled_raw = self.config.scaled(content.len() as u64);
-                            downloads.push((
-                                fingerprint,
-                                content,
-                                scaled_transfer,
-                                scaled_raw,
-                                path.clone(),
-                            ));
-                        }
-                        FetchEvent::Missing => {}
-                    }
-                }
-            }
-            if !downloads.is_empty() {
-                let config = self.config;
-                let payloads: Vec<u64> = downloads.iter().map(|d| d.2).collect();
-                // A file reaches the cache only once its request survived
-                // the fault plan; exhaustion aborts with the failing file
-                // (and everything after it) never inserted.
-                let cache = &mut self.cache;
-                // Park the cursor at the batch's start so the scheduler's
-                // transfer span lands inside the ParallelFetch window.
-                self.telemetry.set_now(base + pull + run);
-                let outcome = FetchScheduler::from_config(&config)
-                    .with_recorder(self.telemetry.clone())
-                    .run(
-                        &config,
-                        &mut self.faults,
-                        &payloads,
-                        |i| {
-                            let (fp, content, ..) = &downloads[i];
-                            cache.put(*fp, content.clone());
-                        },
-                    )?;
-                let batch_bytes: u64 = payloads.iter().sum();
-                let took = outcome.network + outcome.serial_delay;
-                report.timeline.push(
-                    pull + run,
-                    took,
-                    TimelineEvent::ParallelFetch {
-                        files: downloads.len() as u64,
-                        bytes: batch_bytes,
-                    },
-                );
-                run += took;
-                report.peak_buffered_bytes =
-                    report.peak_buffered_bytes.max(outcome.peak_buffered_bytes);
-                for (_, _, scaled_transfer, scaled_raw, path) in &downloads {
-                    report.files_fetched += 1;
-                    report.requests += 1;
-                    report.bytes_pulled += *scaled_transfer;
-                    self.metrics.download(*scaled_transfer);
-                    let took = config.decompress(*scaled_transfer)
-                        + config.disk.io_time(*scaled_raw, 1)
-                        + config.local_read(*scaled_raw);
-                    report.timeline.push(
-                        pull + run,
-                        took,
-                        TimelineEvent::RegistryFetch {
-                            path: path.clone(),
-                            bytes: *scaled_transfer,
-                        },
-                    );
-                    run += took;
-                }
-            }
-        } else {
-            for path in &trace.reads {
-                let session = CacheAndRegistry::new(self.cache.as_mut(), store);
-                let read = mount.read(path, &session);
-                let CacheAndRegistry { events, .. } = session;
-                let events = events.into_inner();
-                read?;
-                for event in events {
-                    match event {
-                        FetchEvent::CacheHit { bytes } => {
-                            report.cache_hits += 1;
-                            let took = self.config.costs.hard_link
-                                + self.config.local_read(self.config.scaled(bytes));
-                            report.timeline.push(
-                                pull + run,
-                                took,
-                                TimelineEvent::CacheHit { path: path.clone(), bytes },
-                            );
-                            run += took;
-                        }
-                        FetchEvent::Downloaded { fingerprint, content, transfer_bytes } => {
-                            let scaled_transfer = self.config.scaled(transfer_bytes);
-                            let scaled_raw = self.config.scaled(content.len() as u64);
-                            // Charge the (possibly faulty) request first: if the
-                            // retry budget is exhausted the deploy aborts and the
-                            // file never reaches the shared cache.
-                            let request = Self::charged_request(
-                                &mut self.faults,
-                                self.config,
-                                scaled_transfer,
-                            )?;
-                            self.cache.put(fingerprint, content);
-                            report.files_fetched += 1;
-                            report.requests += 1;
-                            report.bytes_pulled += scaled_transfer;
-                            self.metrics.download(scaled_transfer);
-                            let took = request
-                                + self.config.decompress(scaled_transfer)
-                                + self
-                                    .config
-                                    .disk
-                                    .io_time(scaled_raw.min(scaled_transfer.max(scaled_raw)), 1)
-                                + self.config.local_read(scaled_raw);
-                            report.timeline.push(
-                                pull + run,
-                                took,
-                                TimelineEvent::RegistryFetch {
-                                    path: path.clone(),
-                                    bytes: scaled_transfer,
-                                },
-                            );
-                            run += took;
-                        }
-                        FetchEvent::Missing => {}
-                    }
-                }
+        let mut chain = RegistryChain {
+            config: self.config,
+            own: self.cache.as_mut(),
+            registry: store,
+            faults: &mut self.faults,
+            metrics: &mut self.metrics,
+            chunked: false,
+        };
+        let replayed = replay::<_, DeployError>(
+            &self.config,
+            tree,
+            trace,
+            &mut chain,
+            &self.telemetry,
+            &mut report.timeline,
+            report.pull,
+        )?;
+        for (_, charge) in &replayed.charges {
+            if charge.lane == Lane::Local {
+                report.cache_hits += 1;
+            } else {
+                report.files_fetched += 1;
+                report.requests += 1;
+                report.bytes_pulled += charge.bytes;
             }
         }
-        // Fold the blob store's staged tier I/O (L2 reads, write-through
-        // traffic) into the deployment. A pure memory cache stages nothing,
-        // so the event — and any timeline change — only appears when
-        // `ClientConfig::tier` is set.
-        let staged = self.cache.drain_cost();
-        if !staged.is_zero() {
-            report.timeline.push(pull + run, staged, TimelineEvent::TierIo);
-            run += staged;
-        }
-        let task = trace.task.compute_time();
-        report.timeline.push(pull + run, task, TimelineEvent::Task);
-        run += task;
-        report.run = run;
+        report.run = replayed.run;
+        report.peak_buffered_bytes = replayed.peak_buffered_bytes;
         report.retries = self.fault_retries() - retries_before;
-        report.resolve_cache_hits = mount.stats().resolve_cache_hits;
+        report.resolve_cache_hits = replayed.mount.stats().resolve_cache_hits;
         report.pinned_bytes = self.cache.stats().pinned_bytes;
 
         let id = ContainerId::from_raw(self.next_id);
         self.next_id += 1;
-        self.containers.insert(id, Container { image: reference.clone(), mount });
+        self.containers.insert(id, Container { image: reference.clone(), mount: replayed.mount });
         if self.telemetry.enabled() {
             self.record_deploy(&report, base, metrics_before, cache_before);
         }
@@ -785,72 +529,65 @@ impl GearClient {
         let empty = StartupTrace { reads: Vec::new(), task: trace.task };
         let (warmup, mut report) = self.deploy(reference, &empty, docker, store)?;
         self.destroy(warmup);
-        report.reference = reference.clone();
-        let index = self
-            .indexes
-            .get(reference)
-            .map(|i| Arc::clone(&i.index))
-            .expect("installed by deploy");
+        let index =
+            self.index(reference).ok_or_else(|| DeployError::ImageNotFound(reference.clone()))?;
 
         // Collect the fingerprints the trace needs that are not yet cached.
-        let mut wanted: Vec<(Fingerprint, u64)> = Vec::new();
+        let mut wanted: Vec<Fingerprint> = Vec::new();
         let mut seen = HashSet::new();
         for path in &trace.reads {
-            if let Some((fp, size)) = index.file_at(path) {
+            if let Some((fp, _)) = index.file_at(path) {
                 if seen.insert(fp) && !self.cache.contains(fp) {
-                    wanted.push((fp, size));
+                    wanted.push(fp);
                 }
             }
         }
 
-        // One pipelined batch over the link, priced by the stream scheduler
-        // (`pipeline` requests deep, bounded buffer window). Under fault
-        // injection each file is still one request: its drop timeouts and
-        // backoffs gate the batch serially, while wasted (corrupt/truncate)
-        // attempts occupy the *batched* schedule — so fault overhead is
-        // charged against the pipelined cost, not against a hypothetical
-        // un-batched request. A file is committed to the cache only after
-        // its request survived the fault plan.
+        // One pipelined batch over the link (`pipeline` requests deep,
+        // bounded buffer window). Under fault injection each file is still
+        // one request: its drop timeouts and backoffs gate the batch
+        // serially, while wasted (corrupt/truncate) attempts occupy the
+        // *batched* schedule — so fault overhead is charged against the
+        // pipelined cost, not against a hypothetical un-batched request. A
+        // file is committed to the cache only after its request survived
+        // the fault plan.
         if !wanted.is_empty() {
-            let mut contents: Vec<(Fingerprint, Bytes)> = Vec::with_capacity(wanted.len());
-            let mut payloads: Vec<u64> = Vec::with_capacity(wanted.len());
-            for (fp, _) in &wanted {
-                let content = store.download(*fp).ok_or_else(|| {
+            let config = self.config;
+            let mut chain = RegistryChain {
+                config,
+                own: self.cache.as_mut(),
+                registry: store,
+                faults: &mut self.faults,
+                metrics: &mut self.metrics,
+                chunked: false,
+            };
+            let mut charges = Vec::with_capacity(wanted.len());
+            for fp in wanted {
+                let (content, charge) = chain.download(fp)?.ok_or_else(|| {
                     DeployError::Fs(FsError::Materialize {
                         path: fp.to_string(),
                         reason: "not in registry".to_owned(),
                     })
                 })?;
-                payloads.push(
-                    self.config
-                        .scaled(store.transfer_size(*fp).unwrap_or(content.len() as u64)),
-                );
-                contents.push((*fp, content));
+                chain.own.put(fp, content);
+                charges.push(charge);
             }
-            let config = self.config;
-            let cache = &mut self.cache;
-            let outcome = FetchScheduler::with_streams(&config, pipeline.max(1) as usize)
-                .with_recorder(self.telemetry.clone())
-                .run(&config, &mut self.faults, &payloads, |i| {
-                    let (fp, content) = &contents[i];
-                    cache.put(*fp, content.clone());
-                })?;
-            let batch_bytes: u64 = payloads.iter().sum();
+            let (wait, peak) =
+                price_batch(&config, pipeline.max(1) as usize, charges.iter(), &self.telemetry);
+            let batch_bytes: u64 = charges.iter().map(|charge| charge.bytes).sum();
+            let files = charges.len() as u64;
             // Staged tier writes from the batch's cache inserts are part of
             // the prefetch cost (zero for an untiered cache).
-            let batch_cost = outcome.network
-                + outcome.serial_delay
+            let batch_cost = wait
                 + config.decompress(batch_bytes)
-                + config.disk.io_time(batch_bytes, wanted.len() as u64)
+                + config.disk.io_time(batch_bytes, files)
                 + self.cache.drain_cost();
             report.pull += batch_cost;
             self.telemetry.advance(batch_cost);
-            report.files_fetched += wanted.len() as u64;
-            report.requests += wanted.len() as u64;
+            report.files_fetched += files;
+            report.requests += files;
             report.bytes_pulled += batch_bytes;
-            report.peak_buffered_bytes =
-                report.peak_buffered_bytes.max(outcome.peak_buffered_bytes);
-            self.metrics.download(batch_bytes);
+            report.peak_buffered_bytes = report.peak_buffered_bytes.max(peak);
         }
 
         // Now the actual deployment runs entirely from the warm cache.
@@ -880,53 +617,61 @@ impl GearClient {
         store: &GearFileStore,
     ) -> Result<Duration, DeployError> {
         let config = self.config;
-        let container =
-            self.containers.get_mut(&id).ok_or(DeployError::NoSuchContainer(id))?;
         let mut elapsed = Duration::ZERO;
         for _ in 0..ops {
             for path in op_reads {
-                let session = CacheAndRegistry::new(self.cache.as_mut(), store);
-                let read = container.mount.read(path, &session);
-                let CacheAndRegistry { events, .. } = session;
-                let events = events.into_inner();
-                let content = read?;
+                let (content, wait) =
+                    self.read_through(id, store, false, |mount, m| mount.read(path, m))?;
                 // Every op pays the local read, exactly as Docker does; only
-                // a first-touch download additionally pays the network. All
-                // of one op's misses go through the fetch scheduler as one
-                // batch (identical to serial charging at `streams = 1`).
-                elapsed += config.local_read(config.scaled(content.len() as u64));
-                let downloads: Vec<(Fingerprint, Bytes, u64)> = events
-                    .into_iter()
-                    .filter_map(|event| match event {
-                        FetchEvent::Downloaded { fingerprint, content, transfer_bytes } => {
-                            Some((fingerprint, content, config.scaled(transfer_bytes)))
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                if !downloads.is_empty() {
-                    let payloads: Vec<u64> = downloads.iter().map(|d| d.2).collect();
-                    let cache = &mut self.cache;
-                    let outcome = FetchScheduler::from_config(&config)
-                        .with_recorder(self.telemetry.clone())
-                        .run(
-                            &config,
-                            &mut self.faults,
-                            &payloads,
-                            |i| {
-                                let (fp, content, _) = &downloads[i];
-                                cache.put(*fp, content.clone());
-                            },
-                        )?;
-                    elapsed += outcome.network + outcome.serial_delay;
-                }
-                // Tier I/O staged while serving this path (L2 hits and
-                // first-touch write-through) is part of the op's latency.
-                elapsed += self.cache.drain_cost();
+                // a first-touch download additionally pays the network. Tier
+                // I/O staged while serving this path (L2 hits and first-touch
+                // write-through) is part of the op's latency.
+                elapsed += config.local_read(config.scaled(content.len() as u64))
+                    + wait
+                    + self.cache.drain_cost();
             }
             elapsed += op_compute;
         }
         Ok(elapsed)
+    }
+
+    /// One read on container `id`'s mount through the client's source
+    /// chain: the read's result and how long its misses — priced as one
+    /// batch, so a `BigFile` range spanning K chunks is one pipelined fetch
+    /// rather than K serial round-trips — made it wait. A `chunked` read
+    /// fetches through the chunk verb and counts its chunk hits and misses.
+    fn read_through<T>(
+        &mut self,
+        id: ContainerId,
+        store: &GearFileStore,
+        chunked: bool,
+        read: impl FnOnce(&mut UnionFs, &dyn Materializer) -> Result<T, FsError>,
+    ) -> Result<(T, Duration), DeployError> {
+        let container =
+            self.containers.get_mut(&id).ok_or(DeployError::NoSuchContainer(id))?;
+        let mut chain = RegistryChain {
+            config: self.config,
+            own: self.cache.as_mut(),
+            registry: store,
+            faults: &mut self.faults,
+            metrics: &mut self.metrics,
+            chunked,
+        };
+        let session = Session::new(&mut chain);
+        let out = session.read::<_, DeployError>(0, |m| read(&mut container.mount, m))?;
+        let charges = session.take_charges();
+        let (wait, _) = price_batch(
+            &self.config,
+            self.config.fetch.streams,
+            charges.iter().map(|(_, charge)| charge),
+            &self.telemetry,
+        );
+        if chunked && self.telemetry.enabled() {
+            let hits = charges.iter().filter(|(_, c)| c.lane == Lane::Local).count();
+            self.telemetry.count("client.chunk_hits", hits as u64);
+            self.telemetry.count("client.chunk_misses", (charges.len() - hits) as u64);
+        }
+        Ok((out, wait))
     }
 
     /// Reads a byte range from a file in a running container, fetching only
@@ -944,53 +689,10 @@ impl GearClient {
         len: u64,
         store: &GearFileStore,
     ) -> Result<Bytes, DeployError> {
-        let config = self.config;
-        let container =
-            self.containers.get_mut(&id).ok_or(DeployError::NoSuchContainer(id))?;
-        let session = CacheAndRegistry::chunked(self.cache.as_mut(), store);
-        let read = container.mount.read_range(path, offset, len, &session);
-        let CacheAndRegistry { events, .. } = session;
-        let events = events.into_inner();
-        let content = read?;
-        // Chunk misses of one ranged read are coalesced into a single
-        // scheduled batch — a `BigFile` range spanning K chunks issues them
-        // as one pipelined fetch rather than K serial round-trips.
-        let hits = events
-            .iter()
-            .filter(|event| matches!(event, FetchEvent::CacheHit { .. }))
-            .count() as u64;
-        let downloads: Vec<(Fingerprint, Bytes, u64)> = events
-            .into_iter()
-            .filter_map(|event| match event {
-                FetchEvent::Downloaded { fingerprint, content, transfer_bytes } => {
-                    Some((fingerprint, content, config.scaled(transfer_bytes)))
-                }
-                _ => None,
-            })
-            .collect();
-        if self.telemetry.enabled() {
-            self.telemetry.count("client.chunk_hits", hits);
-            self.telemetry.count("client.chunk_misses", downloads.len() as u64);
-            self.telemetry.observe("client.range_bytes", content.len() as u64);
-        }
-        if !downloads.is_empty() {
-            let payloads: Vec<u64> = downloads.iter().map(|d| d.2).collect();
-            let cache = &mut self.cache;
-            FetchScheduler::from_config(&config)
-                .with_recorder(self.telemetry.clone())
-                .run(
-                    &config,
-                    &mut self.faults,
-                    &payloads,
-                    |i| {
-                        let (fp, content, _) = &downloads[i];
-                        cache.put(*fp, content.clone());
-                    },
-                )?;
-            for (_, _, scaled) in &downloads {
-                self.metrics.download(*scaled);
-            }
-        }
+        let (content, _) = self.read_through(id, store, true, |mount, m| {
+            mount.read_range(path, offset, len, m)
+        })?;
+        self.telemetry.observe("client.range_bytes", content.len() as u64);
         // Ranged reads return content, not a priced duration; drop the
         // staged tier time so it cannot leak into a later deployment.
         let _ = self.cache.drain_cost();
@@ -1080,12 +782,15 @@ impl GearClient {
         self.containers.len()
     }
 
-    fn install_index(&mut self, reference: ImageRef, index: GearIndex) {
+    /// Pins and installs `index`, returning its mount tree.
+    fn install_index(&mut self, reference: ImageRef, index: GearIndex) -> Arc<FsTree> {
         for (fp, _) in index.referenced_files() {
             self.cache.pin(fp);
         }
         let tree = Arc::new(index.to_tree());
-        self.indexes.insert(reference, InstalledIndex { index: Arc::new(index), tree });
+        let installed = InstalledIndex { index: Arc::new(index), tree: Arc::clone(&tree) };
+        self.indexes.insert(reference, installed);
+        tree
     }
 }
 
@@ -1095,6 +800,7 @@ mod tests {
     use gear_core::{publish, Converter};
     use gear_corpus::{StartupTrace, TaskKind};
     use gear_image::ImageBuilder;
+    use gear_simnet::FaultKind;
 
     fn setup(
         files: &[(&str, &[u8])],
@@ -1308,34 +1014,6 @@ mod tests {
                 .any(|(_, _, e)| matches!(e, TimelineEvent::ParallelFetch { files: 30, .. })),
             "the batch shows up as one parallel-fetch event"
         );
-    }
-
-    #[test]
-    fn concurrent_deploy_single_flights_duplicate_reads() {
-        let (docker, store, r) = setup(&[("app/lib", b"shared once")], "svc:1");
-        let mut client = GearClient::new(ClientConfig::default().with_streams(4));
-        let (_, report) = client
-            .deploy(&r, &trace(&["app/lib", "app/lib", "app/lib"]), &docker, &store)
-            .unwrap();
-        assert_eq!(report.files_fetched, 1, "one download despite three reads");
-        // manifest + index + exactly one file request.
-        assert_eq!(client.metrics().requests_down, 3);
-        assert_eq!(client.cache_bytes(), b"shared once".len() as u64, "one cache insert");
-    }
-
-    #[test]
-    fn concurrent_abort_leaves_no_partial_cache_entries() {
-        let (docker, store, r) = setup(&[("a", b"first"), ("b", b"second")], "svc:1");
-        let mut client = GearClient::new(ClientConfig::default().with_streams(4));
-        // Requests 0-1 (manifest, index) clean; 2 (file a) clean; 3+ drop.
-        client.inject_faults(
-            FaultPlan::new(0).fail_requests(3, u64::MAX, FaultKind::Drop),
-            RetryPolicy::standard(5),
-        );
-        let err = client.deploy(&r, &trace(&["a", "b"]), &docker, &store).unwrap_err();
-        assert!(matches!(err, DeployError::FaultBudgetExhausted { attempts: 4 }));
-        // File "a" survived its request and is complete; "b" never landed.
-        assert_eq!(client.cache_bytes(), b"first".len() as u64);
     }
 
     #[test]

@@ -2,12 +2,16 @@
 //!
 //! This crate is the deployment half of the Gear framework (paper §III-D):
 //!
-//! * [`SharedCache`] — the level-1 shared file cache: Gear files from every
-//!   image, deduplicated by fingerprint, with FIFO/LRU replacement; files
-//!   linked from installed indexes are pinned.
+//! * [`store_for`] — the level-1 shared file cache: a [`gear_store`] blob
+//!   store holding Gear files from every image, deduplicated by fingerprint,
+//!   with FIFO/LRU replacement; files linked from installed indexes are
+//!   pinned.
 //! * [`GearClient`] — the Gear Driver + Gear File Viewer: pulls an index
 //!   image, union-mounts it over a writable layer, and materializes files on
 //!   demand from cache or the Gear Registry (three-level storage).
+//! * [`replay`] — the run phase itself: the one replay-and-price path that
+//!   [`GearClient`] and `gear-p2p`'s cluster nodes both deploy through,
+//!   differing only in the [`Sources`] chain a cache miss walks.
 //! * [`DockerClient`] — the stock Docker baseline: full image pull into an
 //!   Overlay2 store, then launch.
 //! * [`SlackerClient`] — the block-level lazy baseline of the paper's
@@ -52,18 +56,18 @@
 mod cache;
 mod config;
 mod docker;
-mod fetch;
 mod gear;
+mod replay;
 mod report;
 mod slacker;
 mod timeline;
 
-pub use cache::{
-    restore_store_for, store_for, EvictionPolicy, SharedCache, ShardedCache, StoreStats,
-};
+pub use cache::{restore_store_for, store_for};
 pub use config::{ClientConfig, Costs, FetchConfig, TierConfig};
 pub use docker::DockerClient;
 pub use gear::{ClientHandoff, ContainerId, DeployError, GearClient};
+pub use gear_store::{EvictionPolicy, StoreStats};
+pub use replay::{replay, FetchCharge, Fetched, Lane, RegistryChain, Replayed, Sources};
 pub use report::{DeploymentReport, LaneTail};
 pub use slacker::SlackerClient;
 pub use timeline::{Timeline, TimelineEvent};

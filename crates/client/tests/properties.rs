@@ -1,9 +1,41 @@
-//! Property-based tests on the shared cache's replacement invariants.
+//! Property-based tests on the shared cache's replacement invariants and
+//! the deploy path's fault handling.
+
+use std::time::Duration;
 
 use bytes::Bytes;
-use gear_client::{ClientConfig, DeployError, EvictionPolicy, GearClient, SharedCache};
+use gear_client::{ClientConfig, DeployError, EvictionPolicy, GearClient};
 use gear_hash::Fingerprint;
+use gear_simnet::{FaultKind, FaultPlan, RetryPolicy};
+use gear_store::MemStore;
 use proptest::prelude::*;
+
+/// The serial retry loop, restated independently of the production one in
+/// `gear_simnet::FaultInjector`: what charging one registry request of
+/// `scaled_bytes` costs under `plan`, or `None` once the budget is spent.
+fn charged_request_reference(
+    plan: &mut FaultPlan,
+    policy: &RetryPolicy,
+    config: &ClientConfig,
+    scaled_bytes: u64,
+) -> Option<Duration> {
+    let nominal = config.request_time(scaled_bytes);
+    let mut elapsed = Duration::ZERO;
+    for attempt in 0..policy.max_attempts.max(1) {
+        if attempt > 0 {
+            elapsed += policy.backoff(attempt);
+        }
+        match plan.next_fault() {
+            None => return Some(elapsed + nominal),
+            Some(FaultKind::Stall(extra)) if nominal + extra <= policy.timeout => {
+                return Some(elapsed + nominal + extra);
+            }
+            Some(FaultKind::Drop) | Some(FaultKind::Stall(_)) => elapsed += policy.timeout,
+            Some(FaultKind::Corrupt) | Some(FaultKind::Truncate) => elapsed += nominal,
+        }
+    }
+    None
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -137,7 +169,7 @@ proptest! {
         lru in any::<bool>(),
     ) {
         let policy = if lru { EvictionPolicy::Lru } else { EvictionPolicy::Fifo };
-        let mut cache = SharedCache::with_policy(policy, Some(capacity));
+        let mut cache = MemStore::with_policy(policy, Some(capacity));
         let mut model = ScanModelCache::new(policy, capacity);
         for op in ops {
             match op {
@@ -184,7 +216,7 @@ proptest! {
         lru in any::<bool>(),
     ) {
         let policy = if lru { EvictionPolicy::Lru } else { EvictionPolicy::Fifo };
-        let mut cache = SharedCache::with_policy(policy, Some(capacity));
+        let mut cache = MemStore::with_policy(policy, Some(capacity));
         let mut pinned: std::collections::HashSet<u8> = Default::default();
         for op in ops {
             match op {
@@ -211,7 +243,7 @@ proptest! {
         protected in any::<u8>(),
         pressure in proptest::collection::vec((any::<u8>(), 1u16..128), 1..64),
     ) {
-        let mut cache = SharedCache::with_policy(EvictionPolicy::Lru, Some(1024));
+        let mut cache = MemStore::with_policy(EvictionPolicy::Lru, Some(1024));
         prop_assume!(cache.insert(fp(protected), body(protected, 100)));
         cache.pin(fp(protected));
         for (k, len) in pressure {
@@ -226,7 +258,7 @@ proptest! {
     /// and hit/miss counters account for every lookup.
     #[test]
     fn accounting_is_exact(ops in proptest::collection::vec(any_op(), 0..150)) {
-        let mut cache = SharedCache::new(); // unbounded
+        let mut cache = MemStore::new(); // unbounded
         let mut model: std::collections::HashMap<u8, Bytes> = Default::default();
         let mut expect_hits = 0u64;
         let mut expect_misses = 0u64;
@@ -262,13 +294,20 @@ proptest! {
         prop_assert_eq!(cache.bytes(), model_bytes);
     }
 
-    /// A deployment aborted by fault-budget exhaustion never leaves a
-    /// partial entry in the shared cache: whatever request the failure
-    /// burst lands on, every cached file is one that was fully (and
-    /// successfully) transferred, and the byte accounting matches exactly.
+    /// Fault handling is the same at every stream count and equals serial
+    /// charging. Every request (manifest, index layer, then one per file)
+    /// draws from one scripted plan — a transient fault, then a burst that
+    /// drops everything from `fail_from` on — in submission order, so
+    /// replaying the plan through `charged_request_reference` predicts which
+    /// request, if any, exhausts the budget. An aborted deployment leaves
+    /// exactly the files requested before that one in the shared cache,
+    /// complete; a deployment at `streams = 1` that survives takes exactly
+    /// the sum of the reference prices plus local work.
     #[test]
     fn aborted_deploys_leave_no_partial_cache_entries(
-        fail_from in 0u64..8,
+        streams in 1usize..=8,
+        fail_from in 0u64..12,
+        transient in (0u64..8, prop_oneof![Just(FaultKind::Drop), Just(FaultKind::Corrupt)]),
         sizes in proptest::collection::vec(8u16..2048, 2..6),
     ) {
         use gear_core::{publish, Converter};
@@ -276,7 +315,6 @@ proptest! {
         use gear_fs::FsTree;
         use gear_image::{ImageBuilder, ImageRef};
         use gear_registry::{DockerRegistry, GearFileStore};
-        use gear_simnet::{FaultKind, FaultPlan, RetryPolicy};
 
         let mut tree = FsTree::new();
         let mut contents: Vec<(String, Bytes)> = Vec::new();
@@ -298,28 +336,71 @@ proptest! {
             task: TaskKind::Echo,
         };
 
-        // Fail every request from `fail_from` on: the deploy aborts there
-        // (or succeeds outright if the burst starts past its last request).
-        let mut client = GearClient::new(ClientConfig::default());
-        client.inject_faults(
-            FaultPlan::new(0).fail_requests(fail_from, u64::MAX, FaultKind::Drop),
-            RetryPolicy::standard(0),
-        );
+        let config = ClientConfig::default().with_streams(streams);
+        let policy = RetryPolicy::standard(0);
+        let plan = FaultPlan::new(0)
+            .fail_requests(transient.0, transient.0, transient.1)
+            .fail_requests(fail_from, u64::MAX, FaultKind::Drop);
+
+        // The oracle: walk the deployment's requests through the reference
+        // loop. `survivors` counts the files delivered before the budget
+        // ran out (if it did); `expected` sums prices and local work.
+        let manifest = docker.manifest(&r).unwrap();
+        let mut oracle = plan.clone();
+        let mut exhausted = false;
+        let mut expected = config.costs.container_start
+            + config.costs.mount_setup
+            + TaskKind::Echo.compute_time();
+        let mut price = |bytes: u64, local: Duration| {
+            match charged_request_reference(&mut oracle, &policy, &config, bytes) {
+                Some(took) if !exhausted => expected += took + local,
+                _ => exhausted = true,
+            }
+            !exhausted
+        };
+        price(manifest.to_json().len() as u64, Duration::ZERO);
+        for layer in &manifest.layers {
+            price(layer.size, config.decompress(layer.size));
+        }
+        let mut survivors = 0;
+        for (_, content) in &contents {
+            let raw = content.len() as u64;
+            let wire = store.transfer_size(Fingerprint::of(content)).unwrap();
+            let local = config.decompress(wire)
+                + config.disk.io_time(raw, 1)
+                + config.local_read(raw);
+            if price(wire, local) {
+                survivors += 1;
+            }
+        }
+
+        let mut client = GearClient::new(config);
+        client.inject_faults(plan, policy);
         match client.deploy(&r, &trace, &docker, &store) {
-            Ok((_, report)) => prop_assert_eq!(report.files_fetched, contents.len() as u64),
-            Err(DeployError::FaultBudgetExhausted { .. }) => {}
+            Ok((_, report)) => {
+                prop_assert!(!exhausted, "the oracle predicted an abort");
+                prop_assert_eq!(report.files_fetched, contents.len() as u64);
+                if streams == 1 {
+                    prop_assert_eq!(report.total(), expected, "serial charging, bit for bit");
+                }
+            }
+            Err(DeployError::FaultBudgetExhausted { .. }) => {
+                prop_assert!(exhausted, "the oracle predicted success");
+            }
             Err(other) => prop_assert!(false, "unexpected deploy error: {}", other),
         }
-        // Whatever happened, the cache holds only complete, correct files.
+        // Whatever happened, the cache holds exactly the files whose
+        // requests survived, each complete.
         let mut expected_bytes = 0u64;
-        let stats = client.cache_stats();
-        for (_, content) in &contents {
-            if client.cache_contains(Fingerprint::of(content)) {
+        for (i, (_, content)) in contents.iter().enumerate() {
+            let cached = client.cache_contains(Fingerprint::of(content));
+            prop_assert_eq!(cached, i < survivors, "file {} of {} survivors", i, survivors);
+            if cached {
                 expected_bytes += content.len() as u64;
             }
         }
         prop_assert_eq!(client.cache_bytes(), expected_bytes, "cache bytes must be consistent");
-        prop_assert_eq!(stats.evictions, 0, "unbounded cache never evicts");
+        prop_assert_eq!(client.cache_stats().evictions, 0, "unbounded cache never evicts");
     }
 
     /// Single-flight dedup: however many concurrent reads miss on the same
@@ -339,7 +420,6 @@ proptest! {
         use gear_fs::FsTree;
         use gear_image::{ImageBuilder, ImageRef};
         use gear_registry::{DockerRegistry, GearFileStore};
-        use gear_simnet::{FaultKind, FaultPlan, RetryPolicy};
 
         // `readers` distinct paths, one shared content → one fingerprint.
         let shared = Bytes::from(vec![0x5A; len as usize]);

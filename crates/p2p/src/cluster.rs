@@ -1,21 +1,24 @@
 //! The cluster: per-node caches + indexes, peer-first fetch policy.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use gear_client::{store_for, ClientConfig, Timeline, TimelineEvent};
-use gear_core::{GearImage, GearIndex};
+use gear_client::{
+    replay, store_for, ClientConfig, FetchCharge, Fetched, Lane, RegistryChain, Sources, Timeline,
+    TimelineEvent,
+};
+use gear_core::{GearImage, GearIndex, IndexError};
 use gear_corpus::StartupTrace;
-use gear_fs::{FsError, FsTree, UnionFs};
+use gear_fs::{FsError, FsTree};
 use gear_hash::Fingerprint;
 use gear_image::ImageRef;
 use gear_registry::{DockerRegistry, GearFileStore};
-use gear_simnet::{FaultKind, FaultPlan, Link, RetryPolicy, StreamConfig};
-use gear_store::BlobStore;
+use gear_simnet::{BudgetExhausted, FaultInjector, FaultPlan, Link, NetMetrics, RetryPolicy};
+use gear_store::{BlobStore, SnapshotError};
 use gear_telemetry::{FleetCollector, Telemetry};
 
 use crate::directory::PeerDirectory;
@@ -28,10 +31,14 @@ pub type NodeId = usize;
 pub enum ClusterError {
     /// Node id out of range.
     NoSuchNode(NodeId),
-    /// The index image is missing or malformed in the registry.
+    /// The index image is not in the registry.
     ImageNotFound(ImageRef),
+    /// The pulled image is not a Gear index image.
+    BadIndex(IndexError),
     /// A trace path could not be served.
     Fs(FsError),
+    /// A node's cache snapshot could not be rehydrated during an upgrade.
+    Snapshot(SnapshotError),
     /// Injected faults exhausted the retry budget on a registry transfer
     /// (peers had already been tried; the registry was the last resort).
     FaultBudgetExhausted {
@@ -45,7 +52,9 @@ impl fmt::Display for ClusterError {
         match self {
             ClusterError::NoSuchNode(n) => write!(f, "no such node: {n}"),
             ClusterError::ImageNotFound(r) => write!(f, "image {r} not found"),
+            ClusterError::BadIndex(e) => write!(f, "invalid Gear index image: {e}"),
             ClusterError::Fs(e) => write!(f, "file system error: {e}"),
+            ClusterError::Snapshot(e) => write!(f, "node upgrade failed: {e}"),
             ClusterError::FaultBudgetExhausted { attempts } => {
                 write!(f, "injected faults exhausted the retry budget ({attempts} attempts)")
             }
@@ -53,7 +62,22 @@ impl fmt::Display for ClusterError {
     }
 }
 
-impl Error for ClusterError {}
+impl Error for ClusterError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            ClusterError::BadIndex(e) => Some(e),
+            ClusterError::Fs(e) => Some(e),
+            ClusterError::Snapshot(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<BudgetExhausted> for ClusterError {
+    fn from(e: BudgetExhausted) -> Self {
+        ClusterError::FaultBudgetExhausted { attempts: e.attempts }
+    }
+}
 
 impl From<FsError> for ClusterError {
     fn from(e: FsError) -> Self {
@@ -70,12 +94,12 @@ pub struct ClusterConfig {
     pub peer_link: Link,
     /// Node↔registry link (typically a slower WAN uplink shared by all).
     pub registry_link: Link,
-    /// Per-node client cost model (disk, local costs, byte scaling).
+    /// Per-node client cost model (disk, local costs, byte scaling, and the
+    /// fetch policy: with `client.fetch.streams > 1` a deploying node keeps
+    /// that many transfers in flight, each peer holder an independent lane
+    /// beside the shared uplink). `client.link` is unused — nodes reach the
+    /// registry over `registry_link`.
     pub client: ClientConfig,
-    /// Maximum concurrent transfers a deploying node fans out across
-    /// distinct sources (each peer holder is an independent lane; registry
-    /// transfers share the uplink). `1` fetches holder-by-holder.
-    pub fan_out: usize,
 }
 
 impl ClusterConfig {
@@ -87,7 +111,6 @@ impl ClusterConfig {
             peer_link: Link::mbps(10_000.0).with_rtt(Duration::from_micros(80)),
             registry_link: Link::paper_testbed(),
             client: ClientConfig::default(),
-            fan_out: 1,
         }
     }
 
@@ -99,20 +122,12 @@ impl ClusterConfig {
             peer_link: Link::mbps(1_000.0),
             registry_link: Link::mbps(20.0),
             client: ClientConfig::default(),
-            fan_out: 1,
         }
     }
 
     /// Replaces the per-node client config (e.g. to set the byte scale).
     pub fn with_client(mut self, client: ClientConfig) -> Self {
         self.client = client;
-        self
-    }
-
-    /// Sets how many transfers a deploying node keeps in flight (clamped to
-    /// at least 1).
-    pub fn with_fan_out(mut self, fan_out: usize) -> Self {
-        self.fan_out = fan_out.max(1);
         self
     }
 }
@@ -142,48 +157,6 @@ pub struct NodeDeployment {
     pub timeline: Timeline,
 }
 
-/// Cluster-wide fault-injection state (see [`Cluster::inject_faults`]).
-#[derive(Debug)]
-struct FaultState {
-    plan: FaultPlan,
-    policy: RetryPolicy,
-    retries: u64,
-}
-
-/// Where a fetched file came from — the "lane" its transfer occupies when
-/// deploys fan out.
-#[derive(Debug, Clone, Copy)]
-enum Lane {
-    /// The node's own cache: no transfer.
-    Local,
-    /// A peer holder: its lane is serial per holder, parallel across
-    /// holders.
-    Peer(NodeId),
-    /// The registry uplink, shared by all registry transfers.
-    Registry,
-}
-
-/// One fetch's cost, decomposed so serial and fanned-out deployments can
-/// price the same side effects differently.
-#[derive(Debug, Clone, Copy)]
-struct FetchCharge {
-    lane: Lane,
-    /// Bytes this fetch reports in its timeline event: logical size for a
-    /// local hit, scaled wire bytes for peer and registry transfers.
-    bytes: u64,
-    /// Time occupying a peer holder's lane (clean transfer + in-budget
-    /// stall). Zero for registry fetches — their lane is priced from
-    /// `payload` by a stream schedule over the shared uplink.
-    lane_time: Duration,
-    /// Scaled wire bytes of a registry transfer (zero otherwise).
-    payload: u64,
-    /// Time that blocks the deployment regardless of fan-out: wasted
-    /// attempts, timeouts, backoffs, and registry stalls.
-    serial: Duration,
-    /// Local post-transfer work: hard links, decompression, disk writes.
-    post: Duration,
-}
-
 #[derive(Debug)]
 struct Node {
     /// Per-node blob store, built by [`store_for`] from the cluster's
@@ -204,9 +177,10 @@ pub struct Cluster {
     config: ClusterConfig,
     nodes: Vec<Node>,
     directory: PeerDirectory,
-    registry_egress: u64,
+    /// What crossed the registry uplink, cluster-wide.
+    uplink: NetMetrics,
     peer_traffic: u64,
-    faults: Option<FaultState>,
+    faults: FaultInjector,
     telemetry: Telemetry,
     /// Per-node telemetry shards, when the cluster records into a fleet
     /// collector: node `n` feeds shard `n`, and node replacement
@@ -225,9 +199,9 @@ impl Cluster {
             config,
             nodes,
             directory: PeerDirectory::new(),
-            registry_egress: 0,
+            uplink: NetMetrics::new(),
             peer_traffic: 0,
-            faults: None,
+            faults: FaultInjector::default(),
             telemetry: Telemetry::noop(),
             fleet: None,
         }
@@ -237,9 +211,7 @@ impl Cluster {
     /// `p2p` span tree, fetch sources feed `p2p.*` counters, and peer
     /// degradations under fault injection emit instant events.
     pub fn set_recorder(&mut self, telemetry: Telemetry) {
-        if let Some(state) = &mut self.faults {
-            state.plan.set_recorder(telemetry.clone());
-        }
+        self.faults.set_recorder(telemetry.clone());
         self.telemetry = telemetry;
     }
 
@@ -271,17 +243,17 @@ impl Cluster {
     /// [`ClusterError::FaultBudgetExhausted`].
     pub fn inject_faults(&mut self, mut plan: FaultPlan, policy: RetryPolicy) {
         plan.set_recorder(self.telemetry.clone());
-        self.faults = Some(FaultState { plan, policy, retries: 0 });
+        self.faults.inject(plan, policy);
     }
 
     /// Deactivates fault injection.
     pub fn clear_faults(&mut self) {
-        self.faults = None;
+        self.faults.clear();
     }
 
     /// Failed transfer attempts retried since [`Cluster::inject_faults`].
     pub fn fault_retries(&self) -> u64 {
-        self.faults.as_ref().map_or(0, |state| state.retries)
+        self.faults.retries()
     }
 
     /// Number of nodes.
@@ -297,7 +269,7 @@ impl Cluster {
     /// Total bytes the registry served to this cluster (paper scale) — the
     /// number P2P distribution exists to minimize.
     pub fn registry_egress(&self) -> u64 {
-        self.registry_egress
+        self.uplink.bytes_down
     }
 
     /// Total node-to-node bytes (paper scale).
@@ -315,9 +287,10 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NoSuchNode`], [`ClusterError::ImageNotFound`], or
-    /// [`ClusterError::Fs`] if a trace path cannot be served (e.g. the file
-    /// is in neither any cache nor the registry).
+    /// [`ClusterError::NoSuchNode`], [`ClusterError::ImageNotFound`],
+    /// [`ClusterError::BadIndex`], [`ClusterError::FaultBudgetExhausted`],
+    /// or [`ClusterError::Fs`] if a trace path cannot be served (e.g. the
+    /// file is in neither any cache nor the registry).
     pub fn deploy_on(
         &mut self,
         node: NodeId,
@@ -329,146 +302,95 @@ impl Cluster {
         if node >= self.nodes.len() {
             return Err(ClusterError::NoSuchNode(node));
         }
-        let client = self.config.client;
+        let uplink = self.config.client.with_link(self.config.registry_link);
         let retries_before = self.fault_retries();
         let base = self.telemetry.now();
-        let mut total = Duration::ZERO;
+        let mut timeline = Timeline::new();
+
+        // --- pull: install the index if missing -----------------------------
+        let mut pull = Duration::ZERO;
+        let tree = match self.nodes[node].indexes.get(reference) {
+            Some((_, tree)) => Arc::clone(tree),
+            None => {
+                let image = index_registry
+                    .image(reference)
+                    .ok_or_else(|| ClusterError::ImageNotFound(reference.clone()))?;
+                let index = GearImage::from_index_image(&image)
+                    .map_err(ClusterError::BadIndex)?
+                    .into_index();
+                let index_bytes = index.serialized_len();
+                let nominal = uplink.request_time(index_bytes);
+                pull = self.faults.request(nominal)?.total(nominal);
+                timeline.push(Duration::ZERO, pull, TimelineEvent::Index { bytes: index_bytes });
+                self.uplink.download(index_bytes);
+                for (fp, _) in index.referenced_files() {
+                    self.nodes[node].cache.pin(fp);
+                }
+                let tree = Arc::new(index.to_tree());
+                let installed = (Arc::new(index), Arc::clone(&tree));
+                self.nodes[node].indexes.insert(reference.clone(), installed);
+                tree
+            }
+        };
+
+        // --- run: the shared replay over this node's source chain -----------
+        let (before, rest) = self.nodes.split_at_mut(node);
+        let Some((own, after)) = rest.split_first_mut() else {
+            return Err(ClusterError::NoSuchNode(node));
+        };
+        let mut chain = NodeChain {
+            base: RegistryChain {
+                config: uplink,
+                own: own.cache.as_mut(),
+                registry: file_store,
+                faults: &mut self.faults,
+                metrics: &mut self.uplink,
+                chunked: false,
+            },
+            node,
+            before,
+            after,
+            directory: &mut self.directory,
+            peer: self.config.client.with_link(self.config.peer_link),
+            peer_traffic: &mut self.peer_traffic,
+            telemetry: &self.telemetry,
+        };
+        // The replay itself records nothing: the finished timeline is
+        // replayed into the recorder below, and the scratch mount's `fs.*`
+        // counters describe no container anyone keeps.
+        let quiet = Telemetry::noop();
+        let replayed = replay::<_, ClusterError>(
+            &uplink, tree, trace, &mut chain, &quiet, &mut timeline, pull,
+        )?;
+
         let mut report = NodeDeployment {
             node,
-            total: Duration::ZERO,
+            total: pull + replayed.run,
             local_files: 0,
             peer_files: 0,
             registry_files: 0,
             peer_bytes: 0,
             registry_bytes: 0,
-            retries: 0,
-            timeline: Timeline::new(),
+            retries: self.fault_retries() - retries_before,
+            timeline,
         };
-
-        // --- pull: install the index if missing -----------------------------
-        if !self.nodes[node].indexes.contains_key(reference) {
-            let image = index_registry
-                .image(reference)
-                .ok_or_else(|| ClusterError::ImageNotFound(reference.clone()))?;
-            let gear = GearImage::from_index_image(&image)
-                .map_err(|_| ClusterError::ImageNotFound(reference.clone()))?;
-            let index = gear.into_index();
-            let index_bytes = index.serialized_len();
-            let nominal = self.registry_link_time(index_bytes);
-            let took = self.charged_registry_transfer(nominal)?;
-            report.timeline.push(total, took, TimelineEvent::Index { bytes: index_bytes });
-            total += took;
-            self.registry_egress += index_bytes;
-            for (fp, _) in index.referenced_files() {
-                self.nodes[node].cache.pin(fp);
-            }
-            let tree = Arc::new(index.to_tree());
-            self.nodes[node].indexes.insert(reference.clone(), (Arc::new(index), tree));
-        }
-
-        // --- run: replay the trace ------------------------------------------
-        let tree = Arc::clone(&self.nodes[node].indexes[reference].1);
-        let mut mount = UnionFs::new(vec![tree]);
-        mount.set_recorder(self.telemetry.clone());
-        let launch = client.costs.container_start + client.costs.mount_setup;
-        report.timeline.push(total, launch, TimelineEvent::Launch);
-        total += launch;
-
-        let index = Arc::clone(&self.nodes[node].indexes[reference].0);
-        let fan_out = self.config.fan_out.max(1);
-        let mut charges: Vec<FetchCharge> = Vec::new();
-        for path in &trace.reads {
-            // Resolve the fingerprint through the index, then fetch through
-            // the cluster policy; the mount serves metadata/symlinks.
-            let Some((fp, size)) = index.file_at(path) else {
-                if let Some(chunks) = index.chunks_at(path) {
-                    // Chunk-granularity file: pull every chunk through the
-                    // same local → peer → registry lane policy. Chunks are
-                    // first-class blobs, so peer hits, dedup, and fault
-                    // degradation all work per chunk, and a second node can
-                    // source a big file chunk-by-chunk from its neighbours.
-                    self.telemetry.count("p2p.chunk_fetches", chunks.len() as u64);
-                    for chunk in chunks {
-                        let (content, charge) = self.fetch(
-                            node,
-                            chunk.fingerprint,
-                            chunk.size,
-                            file_store,
-                            &mut report,
-                        )?;
-                        let at = total;
-                        let mut took =
-                            client.local_read(client.scaled(content.len() as u64));
-                        if fan_out > 1 {
-                            took += charge.serial + charge.post;
-                            charges.push(charge);
-                        } else {
-                            took += self.charge_total(&charge);
-                        }
-                        report.timeline.push(at, took, Self::fetch_event(path, &charge));
-                        total += took;
-                    }
-                    continue;
+        for (_, charge) in &replayed.charges {
+            match charge.lane {
+                Lane::Local => report.local_files += 1,
+                Lane::Peer(_) => {
+                    report.peer_files += 1;
+                    report.peer_bytes += charge.bytes;
                 }
-                // Not a regular file: let the mount handle (symlink/dir) or
-                // surface NotFound.
-                mount.metadata(path)?;
-                continue;
-            };
-            let (content, charge) = self.fetch(node, fp, size, file_store, &mut report)?;
-            let at = total;
-            let mut took = client.local_read(client.scaled(content.len() as u64));
-            if fan_out > 1 {
-                // Transfers overlap (priced below); everything local or
-                // fault-bound still gates the deployment serially.
-                took += charge.serial + charge.post;
-                charges.push(charge);
-            } else {
-                took += self.charge_total(&charge);
+                Lane::Registry => {
+                    report.registry_files += 1;
+                    report.registry_bytes += charge.bytes;
+                }
             }
-            report.timeline.push(at, took, Self::fetch_event(path, &charge));
-            total += took;
         }
-        if fan_out > 1 {
-            let makespan = self.fan_out_makespan(&charges, fan_out);
-            if !makespan.is_zero() {
-                report.timeline.push(
-                    total,
-                    makespan,
-                    TimelineEvent::ParallelFetch {
-                        files: charges.len() as u64,
-                        bytes: charges.iter().map(|c| c.payload).sum(),
-                    },
-                );
-            }
-            total += makespan;
-        }
-        let task = trace.task.compute_time();
-        report.timeline.push(total, task, TimelineEvent::Task);
-        total += task;
-        report.total = total;
-        report.retries = self.fault_retries() - retries_before;
         if self.telemetry.enabled() {
             self.record_deployment(&report, reference, base);
         }
         Ok(report)
-    }
-
-    /// The timeline event describing where one fetch was served from.
-    fn fetch_event(path: &str, charge: &FetchCharge) -> TimelineEvent {
-        match charge.lane {
-            Lane::Local => {
-                TimelineEvent::CacheHit { path: path.to_owned(), bytes: charge.bytes }
-            }
-            Lane::Peer(peer) => TimelineEvent::PeerFetch {
-                path: path.to_owned(),
-                bytes: charge.bytes,
-                peer: peer as u64,
-            },
-            Lane::Registry => {
-                TimelineEvent::RegistryFetch { path: path.to_owned(), bytes: charge.bytes }
-            }
-        }
     }
 
     /// Replays a finished node deployment into the telemetry recorder (same
@@ -494,7 +416,7 @@ impl Cluster {
         t.count("p2p.registry_files", report.registry_files);
         t.count("p2p.registry_bytes", report.registry_bytes);
         t.count("p2p.retries", report.retries);
-        t.gauge_set("p2p.registry_egress", self.registry_egress);
+        t.gauge_set("p2p.registry_egress", self.uplink.bytes_down);
         t.gauge_set("p2p.peer_traffic", self.peer_traffic);
         t.sketch("p2p.deploy_nanos", report.total.as_nanos() as u64);
         for (_, took, event) in report.timeline.entries() {
@@ -517,13 +439,15 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NoSuchNode`].
+    /// [`ClusterError::NoSuchNode`]; [`ClusterError::Snapshot`] when the
+    /// handoff bytes do not rehydrate (the node keeps its old store).
     pub fn upgrade_node(&mut self, node: NodeId) -> Result<usize, ClusterError> {
         let n = self.nodes.get_mut(node).ok_or(ClusterError::NoSuchNode(node))?;
         let bytes = n.cache.snapshot().to_bytes();
-        let snapshot = gear_store::StoreSnapshot::from_bytes(&bytes)
-            .expect("snapshot bytes produced in-process always decode");
-        n.cache = gear_client::restore_store_for(&self.config.client, &snapshot);
+        let snapshot =
+            gear_store::StoreSnapshot::from_bytes(&bytes).map_err(ClusterError::Snapshot)?;
+        n.cache = gear_client::restore_store_for(&self.config.client, &snapshot)
+            .map_err(ClusterError::Snapshot)?;
         // The replacement process starts with a clean flight recorder:
         // pre-upgrade samples must not blur post-upgrade tails.
         self.reset_telemetry_shard(node);
@@ -554,185 +478,78 @@ impl Cluster {
         self.nodes[node].indexes.clear();
         self.reset_telemetry_shard(node);
     }
+}
 
-    // --- internals ----------------------------------------------------------
+/// A deploying node's source chain: own store → peer holders (directory
+/// order, one attempt each — real P2P clients switch peers rather than
+/// hammer a bad one) → registry. Every file the node admits is announced, so
+/// each unique file crosses the uplink at most once cluster-wide.
+struct NodeChain<'a> {
+    /// Own store and registry: the first and last step.
+    base: RegistryChain<'a>,
+    node: NodeId,
+    /// The other nodes: ids below and above `node`.
+    before: &'a mut [Node],
+    after: &'a mut [Node],
+    directory: &'a mut PeerDirectory,
+    /// The node cost model over the peer link.
+    peer: ClientConfig,
+    peer_traffic: &'a mut u64,
+    telemetry: &'a Telemetry,
+}
 
-    fn registry_link_time(&self, bytes: u64) -> Duration {
-        let link = self.config.registry_link;
-        (link.rtt + link.request_overhead)
-            .mul_f64(self.config.client.request_amplification.max(0.0))
-            + link.bandwidth.transfer_time(bytes)
-    }
-
-    fn peer_link_time(&self, bytes: u64) -> Duration {
-        let link = self.config.peer_link;
-        (link.rtt + link.request_overhead)
-            .mul_f64(self.config.client.request_amplification.max(0.0))
-            + link.bandwidth.transfer_time(bytes)
-    }
-
-    /// Draws one fault for a transfer whose clean duration is `nominal`.
-    /// `Ok(extra)` means the transfer succeeded with `extra` stall time;
-    /// `Err(wasted)` means it failed after `wasted` simulated time (a drop
-    /// or over-budget stall burns the per-attempt timeout; corruption and
-    /// truncation burn a full wasted transfer).
-    fn attempt(faults: &mut Option<FaultState>, nominal: Duration) -> Result<Duration, Duration> {
-        let Some(state) = faults else {
-            return Ok(Duration::ZERO);
+impl NodeChain<'_> {
+    fn peer_cache(&mut self, peer: NodeId) -> &mut dyn BlobStore {
+        let node = if peer < self.node {
+            &mut self.before[peer]
+        } else {
+            &mut self.after[peer - self.node - 1]
         };
-        match state.plan.next_fault() {
-            None => Ok(Duration::ZERO),
-            Some(FaultKind::Stall(extra)) if nominal + extra <= state.policy.timeout => Ok(extra),
-            Some(FaultKind::Drop) | Some(FaultKind::Stall(_)) => {
-                state.retries += 1;
-                Err(state.policy.timeout)
-            }
-            Some(FaultKind::Corrupt) | Some(FaultKind::Truncate) => {
-                state.retries += 1;
-                Err(nominal)
-            }
-        }
+        node.cache.as_mut()
     }
 
-    /// Charges one registry transfer of clean duration `nominal` under the
-    /// full retry budget (the registry is the last resort — there is no one
-    /// left to degrade to).
-    fn charged_registry_transfer(&mut self, nominal: Duration) -> Result<Duration, ClusterError> {
-        Ok(self.charged_registry_serial(nominal)? + nominal)
+    fn admit(&mut self, fingerprint: Fingerprint, content: Bytes) {
+        if self.base.own.put(fingerprint, content) {
+            self.directory.announce(fingerprint, self.node);
+        }
     }
+}
 
-    /// The serial part of one registry transfer under the retry budget:
-    /// wasted attempts, backoffs, and in-budget stall extras. The full
-    /// charge is this plus `nominal` (which fanned-out deploys price
-    /// through the uplink stream schedule instead).
-    fn charged_registry_serial(&mut self, nominal: Duration) -> Result<Duration, ClusterError> {
-        let attempts = match &self.faults {
-            None => return Ok(Duration::ZERO),
-            Some(state) => state.policy.max_attempts.max(1),
-        };
-        let mut serial = Duration::ZERO;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                if let Some(state) = &self.faults {
-                    serial += state.policy.backoff(attempt);
-                }
-            }
-            match Self::attempt(&mut self.faults, nominal) {
-                Ok(extra) => return Ok(serial + extra),
-                Err(wasted) => serial += wasted,
-            }
+impl Sources for NodeChain<'_> {
+    fn fetch(&mut self, fingerprint: Fingerprint) -> Result<Fetched, BudgetExhausted> {
+        if let Some(hit) = self.base.hit(fingerprint) {
+            return Ok(Some(hit));
         }
-        Err(ClusterError::FaultBudgetExhausted { attempts })
-    }
-
-    /// Recomposes a [`FetchCharge`] into the holder-by-holder serial price
-    /// (what `fan_out == 1` deployments pay per file).
-    fn charge_total(&self, charge: &FetchCharge) -> Duration {
-        let lane = match charge.lane {
-            Lane::Registry => self.registry_link_time(charge.payload),
-            Lane::Local | Lane::Peer(_) => charge.lane_time,
-        };
-        charge.serial + lane + charge.post
-    }
-
-    /// Prices the transfer portion of `charges` with up to `fan_out`
-    /// streams in flight: each distinct peer holder is an independent lane
-    /// served serially, all registry transfers share the uplink through a
-    /// `fan_out`-deep stream schedule, and the lanes are packed
-    /// longest-first onto `fan_out` slots — the makespan is what the
-    /// deploying node actually waits for the network.
-    fn fan_out_makespan(&self, charges: &[FetchCharge], fan_out: usize) -> Duration {
-        let mut peer_lanes: BTreeMap<NodeId, Duration> = BTreeMap::new();
-        let mut registry_payloads: Vec<u64> = Vec::new();
-        for charge in charges {
-            match charge.lane {
-                Lane::Peer(holder) => {
-                    *peer_lanes.entry(holder).or_insert(Duration::ZERO) += charge.lane_time;
-                }
-                Lane::Registry => registry_payloads.push(charge.payload),
-                Lane::Local => {}
-            }
-        }
-        let mut lanes: Vec<Duration> = peer_lanes.into_values().collect();
-        if !registry_payloads.is_empty() {
-            let link = self.config.registry_link;
-            let fixed = (link.rtt + link.request_overhead)
-                .mul_f64(self.config.client.request_amplification.max(0.0));
-            lanes.push(
-                link.stream_schedule(fixed, &registry_payloads, StreamConfig::concurrent(fan_out))
-                    .duration,
-            );
-        }
-        // Longest-processing-time first keeps the packing deterministic and
-        // near-optimal.
-        lanes.sort_unstable_by(|a, b| b.cmp(a));
-        let mut slots = vec![Duration::ZERO; fan_out];
-        for lane in lanes {
-            if let Some(slot) = slots.iter_mut().min() {
-                *slot += lane;
-            }
-        }
-        slots.into_iter().max().unwrap_or(Duration::ZERO)
-    }
-
-    fn fetch(
-        &mut self,
-        node: NodeId,
-        fingerprint: Fingerprint,
-        size: u64,
-        store: &GearFileStore,
-        report: &mut NodeDeployment,
-    ) -> Result<(Bytes, FetchCharge), ClusterError> {
-        let client = self.config.client;
-        // 1. Own cache. A tiered store may stage disk time for an L2 hit;
-        // that is local post-transfer work (zero for a flat memory cache).
-        if let Some(content) = self.nodes[node].cache.get(fingerprint) {
-            let tier_io = self.nodes[node].cache.drain_cost();
-            report.local_files += 1;
-            let charge = FetchCharge {
-                lane: Lane::Local,
-                bytes: content.len() as u64,
-                lane_time: Duration::ZERO,
-                payload: 0,
-                serial: Duration::ZERO,
-                post: client.costs.hard_link + tier_io,
-            };
-            return Ok((content, charge));
-        }
-        let mut serial = Duration::ZERO;
-        // 2. Peers, in load-spreading order. A faulty transfer gets one
-        // attempt per holder — real P2P clients switch peers rather than
-        // hammer a bad one — and degrades to the next, then to the registry.
-        for peer in self.directory.holders_except(fingerprint, node) {
-            let Some(content) = self.nodes[peer].cache.get(fingerprint) else {
+        // What failed peer attempts burnt before some source delivered.
+        let mut lost = Duration::ZERO;
+        for peer in self.directory.holders_except(fingerprint, self.node) {
+            let cache = self.peer_cache(peer);
+            let Some(content) = cache.get(fingerprint) else {
                 // Stale directory entry (peer evicted): try the next holder.
                 self.directory.withdraw(fingerprint, peer);
                 continue;
             };
             // Serving from a tiered peer may stage disk time on the peer's
             // side; it occupies that holder's lane along with the transfer.
-            let peer_tier_io = self.nodes[peer].cache.drain_cost();
-            let scaled = client.scaled(content.len() as u64);
-            let nominal = self.peer_link_time(scaled);
-            match Self::attempt(&mut self.faults, nominal) {
+            let peer_tier_io = cache.drain_cost();
+            let bytes = self.peer.scaled(content.len() as u64);
+            let nominal = self.peer.request_time(bytes);
+            match self.base.faults.attempt(nominal) {
                 Ok(extra) => {
-                    self.peer_traffic += scaled;
-                    report.peer_files += 1;
-                    report.peer_bytes += scaled;
-                    self.admit(node, fingerprint, content.clone());
-                    let tier_io = self.nodes[node].cache.drain_cost();
+                    *self.peer_traffic += bytes;
+                    self.admit(fingerprint, content.clone());
                     let charge = FetchCharge {
-                        lane: Lane::Peer(peer),
-                        bytes: scaled,
+                        lane: Lane::Peer(peer as u64),
+                        bytes,
+                        delay: lost,
+                        transfers: 0,
                         lane_time: nominal + extra + peer_tier_io,
-                        payload: 0,
-                        serial,
-                        post: client.disk.io_time(scaled, 1) + tier_io,
+                        post: self.peer.disk.io_time(bytes, 1) + self.peer.local_read(bytes),
                     };
-                    return Ok((content, charge));
+                    return Ok(Some((content, charge)));
                 }
                 Err(wasted) => {
-                    serial += wasted;
+                    lost += wasted.total(nominal);
                     // A failed peer attempt degrades to the next holder (and
                     // eventually the registry) — worth a mark on the trace.
                     if self.telemetry.enabled() {
@@ -742,38 +559,16 @@ impl Cluster {
                 }
             }
         }
-        // 3. The registry.
-        let content = store.download(fingerprint).ok_or_else(|| {
-            ClusterError::Fs(FsError::Materialize {
-                path: fingerprint.to_string(),
-                reason: "not in any cache or the registry".to_owned(),
-            })
-        })?;
-        let transfer = client.scaled(store.transfer_size(fingerprint).unwrap_or(size));
-        let nominal = self.registry_link_time(transfer);
-        serial += self.charged_registry_serial(nominal)?;
-        self.registry_egress += transfer;
-        report.registry_files += 1;
-        report.registry_bytes += transfer;
-        self.admit(node, fingerprint, content.clone());
-        let tier_io = self.nodes[node].cache.drain_cost();
-        let charge = FetchCharge {
-            lane: Lane::Registry,
-            bytes: transfer,
-            lane_time: Duration::ZERO,
-            payload: transfer,
-            serial,
-            post: client.decompress(transfer)
-                + client.disk.io_time(client.scaled(content.len() as u64), 1)
-                + tier_io,
-        };
-        Ok((content, charge))
+        let mut fetched = self.base.download(fingerprint)?;
+        if let Some((content, charge)) = &mut fetched {
+            charge.delay += lost;
+            self.admit(fingerprint, content.clone());
+        }
+        Ok(fetched)
     }
 
-    fn admit(&mut self, node: NodeId, fingerprint: Fingerprint, content: Bytes) {
-        if self.nodes[node].cache.put(fingerprint, content) {
-            self.directory.announce(fingerprint, node);
-        }
+    fn drain_cost(&mut self) -> Duration {
+        self.base.drain_cost()
     }
 }
 
@@ -783,6 +578,7 @@ mod tests {
     use gear_core::{publish, Converter};
     use gear_corpus::TaskKind;
     use gear_image::ImageBuilder;
+    use gear_simnet::FaultKind;
 
     fn published(files: &[(&str, &[u8])]) -> (DockerRegistry, GearFileStore, ImageRef) {
         let mut tree = FsTree::new();
@@ -1098,8 +894,12 @@ mod tests {
         (reg, store, all, singles)
     }
 
+    fn edge_with_streams(nodes: usize, streams: usize) -> ClusterConfig {
+        ClusterConfig::edge(nodes).with_client(ClientConfig::default().with_streams(streams))
+    }
+
     #[test]
-    fn fan_out_beats_serial_across_distinct_holders() {
+    fn streams_beat_serial_across_distinct_holders() {
         let files: Vec<(String, Vec<u8>)> =
             (0..4).map(|i| (format!("f{i}"), vec![i as u8 + 1; 400_000])).collect();
         let refs: Vec<(&str, &[u8])> =
@@ -1108,8 +908,8 @@ mod tests {
         let paths: Vec<&str> = files.iter().map(|(p, _)| p.as_str()).collect();
         let t = trace(&paths);
 
-        let deploy_with = |fan_out: usize| {
-            let mut cluster = Cluster::new(ClusterConfig::edge(5).with_fan_out(fan_out));
+        let deploy_with = |streams: usize| {
+            let mut cluster = Cluster::new(edge_with_streams(5, streams));
             for (i, r) in singles.iter().enumerate() {
                 let path = [paths[i]];
                 cluster.deploy_on(i, r, &trace(&path), &reg, &store).unwrap();
@@ -1130,9 +930,10 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_overlaps_registry_fixed_costs() {
-        // No peers at all: fan-out still helps by pipelining the uplink's
-        // per-request fixed costs, exactly like the client fetch engine.
+    fn streams_overlap_registry_fixed_costs() {
+        // No peers at all: streams still help by pipelining the uplink's
+        // per-request fixed costs — the node prices the batch as a
+        // standalone client does.
         let files: Vec<(String, Vec<u8>)> =
             (0..6).map(|i| (format!("f{i}"), vec![i as u8 + 1; 50_000])).collect();
         let refs: Vec<(&str, &[u8])> =
@@ -1141,8 +942,8 @@ mod tests {
         let paths: Vec<&str> = files.iter().map(|(p, _)| p.as_str()).collect();
         let t = trace(&paths);
 
-        let deploy_with = |fan_out: usize| {
-            let mut cluster = Cluster::new(ClusterConfig::edge(1).with_fan_out(fan_out));
+        let deploy_with = |streams: usize| {
+            let mut cluster = Cluster::new(edge_with_streams(1, streams));
             cluster.deploy_on(0, &r, &t, &reg, &store).unwrap()
         };
         let serial = deploy_with(1);
@@ -1159,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn more_fan_out_is_never_slower() {
+    fn more_streams_are_never_slower() {
         let files: Vec<(String, Vec<u8>)> =
             (0..3).map(|i| (format!("f{i}"), vec![i as u8 + 1; 120_000])).collect();
         let refs: Vec<(&str, &[u8])> =
@@ -1168,8 +969,8 @@ mod tests {
         let paths: Vec<&str> = files.iter().map(|(p, _)| p.as_str()).collect();
 
         let mut previous = Duration::MAX;
-        for fan_out in [1usize, 2, 4, 8] {
-            let mut cluster = Cluster::new(ClusterConfig::edge(4).with_fan_out(fan_out));
+        for streams in [1usize, 2, 4, 8] {
+            let mut cluster = Cluster::new(edge_with_streams(4, streams));
             for (i, r) in singles.iter().enumerate() {
                 let path = [paths[i]];
                 cluster.deploy_on(i, r, &trace(&path), &reg, &store).unwrap();
@@ -1177,7 +978,7 @@ mod tests {
             let report = cluster.deploy_on(3, &all, &trace(&paths), &reg, &store).unwrap();
             assert!(
                 report.total <= previous,
-                "fan_out {fan_out} slower: {:?} > {:?}",
+                "{streams} streams slower: {:?} > {:?}",
                 report.total,
                 previous
             );
@@ -1186,11 +987,11 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_fault_injection_is_deterministic() {
+    fn multi_stream_fault_injection_is_deterministic() {
         let (reg, store, r) = published(&[("a", &[1u8; 9_000]), ("b", &[2u8; 9_000])]);
         let t = trace(&["a", "b"]);
         let deploy_once = || {
-            let mut cluster = Cluster::new(ClusterConfig::edge(2).with_fan_out(4));
+            let mut cluster = Cluster::new(edge_with_streams(2, 4));
             cluster.deploy_on(0, &r, &t, &reg, &store).unwrap();
             cluster.inject_faults(FaultPlan::new(77).with_drop(0.4), RetryPolicy::standard(77));
             cluster.deploy_on(1, &r, &t, &reg, &store).unwrap()
@@ -1255,6 +1056,20 @@ mod tests {
         assert!(matches!(
             cluster.deploy_on(0, &ghost, &trace(&[]), &reg, &store),
             Err(ClusterError::ImageNotFound(_))
+        ));
+    }
+
+    #[test]
+    fn non_index_image_rejected() {
+        let mut tree = FsTree::new();
+        tree.create_file("plain", Bytes::from_static(b"not an index")).unwrap();
+        let r: ImageRef = "plain:1".parse().unwrap();
+        let mut reg = DockerRegistry::new();
+        reg.push_image(&ImageBuilder::new(r.clone()).layer_from_tree(&tree).build());
+        let mut cluster = Cluster::new(ClusterConfig::lan(1));
+        assert!(matches!(
+            cluster.deploy_on(0, &r, &trace(&[]), &reg, &GearFileStore::new()),
+            Err(ClusterError::BadIndex(_))
         ));
     }
 }

@@ -209,7 +209,9 @@ pub struct FleetReport {
     pub shard_rejections: u64,
     /// Requests a down shard refused (served by a replica instead).
     pub shard_down_refusals: u64,
-    /// max/min of per-shard admitted requests (∞ if a shard served none).
+    /// max/min of per-shard admitted requests, over the shards no scripted
+    /// outage took down during the run (a down shard admits nothing for
+    /// reasons balance does not measure); ∞ if one of those served none.
     pub shard_balance: f64,
     /// Bytes that crossed site uplinks (registry traffic).
     pub registry_bytes: u64,
@@ -255,6 +257,8 @@ pub struct FleetSim {
     retries: u64,
     overload_rejections: u64,
     down_refusals: u64,
+    /// Shards a scripted outage takes down at some point of the run.
+    outage_shards: Vec<u32>,
     processed: u64,
 }
 
@@ -318,6 +322,7 @@ impl FleetSim {
             retries: 0,
             overload_rejections: 0,
             down_refusals: 0,
+            outage_shards: Vec::new(),
             processed: 0,
         }
     }
@@ -369,6 +374,7 @@ impl FleetSim {
     /// Schedules a registry shard outage over `[from, to)`: the shard
     /// refuses admission (typed `Down`) and replicas carry its keys.
     pub fn schedule_shard_outage(&mut self, shard: u32, from: Duration, to: Duration) {
+        self.outage_shards.push(shard);
         self.queue.push(from, Event::SetShardDown { shard, down: true });
         self.queue.push(to, Event::SetShardDown { shard, down: false });
     }
@@ -630,7 +636,11 @@ impl FleetSim {
             None => (Duration::ZERO, Duration::ZERO, Duration::ZERO, Duration::ZERO, 0),
         };
         let stats = self.store.shard_stats();
-        let admitted: Vec<u64> = stats.iter().map(|s| s.admitted).collect();
+        let admitted: Vec<u64> = (0u32..)
+            .zip(&stats)
+            .filter(|(shard, _)| !self.outage_shards.contains(shard))
+            .map(|(_, s)| s.admitted)
+            .collect();
         let shard_balance = match (admitted.iter().max(), admitted.iter().min()) {
             (Some(&hi), Some(&lo)) if lo > 0 => hi as f64 / lo as f64,
             (Some(&hi), _) if hi > 0 => f64::INFINITY,
@@ -742,6 +752,7 @@ mod tests {
         assert_eq!(report.lost, 0, "replicas must absorb the outage");
         assert_eq!(report.completed, 320);
         assert!(report.shard_down_refusals > 0, "the down shard was actually consulted");
+        assert!(report.shard_balance.is_finite(), "balance is over the shards that stayed up");
     }
 
     #[test]

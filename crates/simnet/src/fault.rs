@@ -4,10 +4,11 @@
 //! and how: the response is dropped, stalled, bit-flipped, or truncated.
 //! Decisions are a pure function of the plan's seed and the request index, so
 //! a run is exactly reproducible — same seed, same faults, same simulated
-//! timings. [`FaultyLink`] wraps a [`Link`] with a plan and prices failed
-//! attempts in simulated time; [`RetryPolicy`] describes how a client spends
-//! its retry budget (attempts, per-attempt timeout, exponential backoff with
-//! seeded jitter).
+//! timings. [`RetryPolicy`] describes how a client spends its retry budget
+//! (attempts, per-attempt timeout, exponential backoff with seeded jitter)
+//! and [`FaultInjector`] prices a request's failed attempts in simulated
+//! time; [`FaultyLink`] pairs a [`Link`] with a plan for the wire-protocol
+//! transport.
 
 use std::time::Duration;
 
@@ -264,21 +265,130 @@ impl RetryPolicy {
     }
 }
 
-/// Outcome of one request over a [`FaultyLink`]: the injected fault (if any)
-/// and the simulated time the attempt cost, successful or not.
+/// What the fault plan made of a request, decomposed so a caller can price
+/// the two parts differently: `delay` only blocks the requester, while each
+/// of the `transfers` occupies the wire for the request's nominal time (and
+/// may overlap other requests in a multi-stream schedule).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkOutcome {
-    /// The fault injected into this request, or `None` on clean delivery.
-    pub fault: Option<FaultKind>,
-    /// Simulated time the attempt took. Failed attempts still cost time:
-    /// a drop costs the give-up timeout, a stall costs the transfer plus the
-    /// stall, corruption and truncation cost the full transfer.
-    pub elapsed: Duration,
+pub struct RequestCharge {
+    /// Time blocked outside the wire: drop timeouts, over-budget stalls,
+    /// in-budget stall extras, and retry backoffs.
+    pub delay: Duration,
+    /// Times the payload crossed the wire: the delivered attempt plus every
+    /// corrupted or truncated one that failed verification afterwards.
+    pub transfers: u32,
 }
 
-/// A [`Link`] that misbehaves according to a [`FaultPlan`], charging
-/// simulated time for failed attempts exactly as a real client would
-/// experience them.
+impl RequestCharge {
+    /// The charge of a request no fault touched.
+    pub const CLEAN: RequestCharge = RequestCharge { delay: Duration::ZERO, transfers: 1 };
+
+    /// The serial price: every transfer back to back, plus the delay.
+    pub fn total(&self, nominal: Duration) -> Duration {
+        self.delay + nominal * self.transfers
+    }
+}
+
+/// A request consumed every attempt its [`RetryPolicy`] allowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BudgetExhausted {
+    /// Attempts the policy allowed (all consumed).
+    pub attempts: u32,
+}
+
+/// One requester's fault-injection state — an optional [`FaultPlan`] with
+/// the [`RetryPolicy`] spent against it — and the single place a faulty
+/// request is decomposed into simulated time. Inactive (the default), every
+/// request is [`RequestCharge::CLEAN`] and no plan is consulted.
+#[derive(Debug, Default)]
+pub struct FaultInjector {
+    active: Option<(FaultPlan, RetryPolicy)>,
+    retries: u64,
+}
+
+impl FaultInjector {
+    /// Starts drawing every request from `plan`, retrying under `policy`;
+    /// the retry counter restarts at zero.
+    pub fn inject(&mut self, plan: FaultPlan, policy: RetryPolicy) {
+        *self = FaultInjector { active: Some((plan, policy)), retries: 0 };
+    }
+
+    /// Stops injecting faults.
+    pub fn clear(&mut self) {
+        *self = FaultInjector::default();
+    }
+
+    /// Points the active plan's fault reports at `telemetry`.
+    pub fn set_recorder(&mut self, telemetry: Telemetry) {
+        if let Some((plan, _)) = &mut self.active {
+            plan.set_recorder(telemetry);
+        }
+    }
+
+    /// Failed attempts since [`FaultInjector::inject`] (zero when inactive).
+    pub fn retries(&self) -> u64 {
+        self.retries
+    }
+
+    /// One attempt at a transfer of clean duration `nominal` — all a caller
+    /// that switches source instead of retrying spends. `Ok(extra)` delivers
+    /// it `extra` late; `Err` is what losing it burnt: the timeout for a
+    /// drop or over-budget stall, one wasted transfer for corruption or
+    /// truncation.
+    pub fn attempt(&mut self, nominal: Duration) -> Result<Duration, RequestCharge> {
+        let Some((plan, policy)) = &mut self.active else {
+            return Ok(Duration::ZERO);
+        };
+        let lost = match plan.next_fault() {
+            None => return Ok(Duration::ZERO),
+            // Late but within the per-attempt budget: delivered.
+            Some(FaultKind::Stall(extra)) if nominal + extra <= policy.timeout => {
+                return Ok(extra)
+            }
+            Some(FaultKind::Drop | FaultKind::Stall(_)) => {
+                RequestCharge { delay: policy.timeout, transfers: 0 }
+            }
+            Some(FaultKind::Corrupt | FaultKind::Truncate) => {
+                RequestCharge { delay: Duration::ZERO, transfers: 1 }
+            }
+        };
+        self.retries += 1;
+        Err(lost)
+    }
+
+    /// One request of clean duration `nominal` under the full retry budget,
+    /// with backoff before every retry.
+    ///
+    /// # Errors
+    ///
+    /// [`BudgetExhausted`] when every allowed attempt failed.
+    pub fn request(&mut self, nominal: Duration) -> Result<RequestCharge, BudgetExhausted> {
+        let Some((_, policy)) = self.active else {
+            return Ok(RequestCharge::CLEAN);
+        };
+        let attempts = policy.max_attempts.max(1);
+        let mut charge = RequestCharge { delay: Duration::ZERO, transfers: 0 };
+        for attempt in 0..attempts {
+            charge.delay += policy.backoff(attempt);
+            match self.attempt(nominal) {
+                Ok(extra) => {
+                    charge.delay += extra;
+                    charge.transfers += 1;
+                    return Ok(charge);
+                }
+                Err(lost) => {
+                    charge.delay += lost.delay;
+                    charge.transfers += lost.transfers;
+                }
+            }
+        }
+        Err(BudgetExhausted { attempts })
+    }
+}
+
+/// A [`Link`] paired with the [`FaultPlan`] its requests draw from and the
+/// give-up timeout a dropped response costs; the wire-protocol transport
+/// prices each attempt from these parts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultyLink {
     link: Link,
@@ -322,20 +432,6 @@ impl FaultyLink {
     /// The healthy price of one request moving `payload_bytes`.
     pub fn transfer(&self, payload_bytes: u64) -> Duration {
         self.link.request_time(payload_bytes)
-    }
-
-    /// Performs one request of `payload_bytes`, drawing the next fault from
-    /// the plan and pricing the attempt in simulated time.
-    pub fn request(&mut self, payload_bytes: u64) -> LinkOutcome {
-        let fault = self.plan.next_fault();
-        let elapsed = match fault {
-            None | Some(FaultKind::Corrupt) | Some(FaultKind::Truncate) => {
-                self.link.request_time(payload_bytes)
-            }
-            Some(FaultKind::Stall(extra)) => self.link.request_time(payload_bytes) + extra,
-            Some(FaultKind::Drop) => self.give_up,
-        };
-        LinkOutcome { fault, elapsed }
     }
 }
 
@@ -413,30 +509,42 @@ mod tests {
     }
 
     #[test]
-    fn faulty_link_charges_failed_attempts() {
-        let link = Link::mbps(100.0);
-        let plan = FaultPlan::new(0)
-            .fail_requests(0, 0, FaultKind::Drop)
-            .fail_requests(1, 1, FaultKind::Stall(Duration::from_millis(300)))
-            .fail_requests(2, 2, FaultKind::Corrupt);
-        let mut faulty = FaultyLink::new(link, plan).with_give_up(Duration::from_millis(500));
-        let clean = link.request_time(10_000);
+    fn injector_decomposes_a_faulty_request() {
+        let nominal = Duration::from_millis(10);
+        let stall = Duration::from_millis(300);
+        let policy = RetryPolicy::standard(3);
+        let mut faults = FaultInjector::default();
+        assert_eq!(faults.request(nominal), Ok(RequestCharge::CLEAN), "inactive is clean");
 
-        let dropped = faulty.request(10_000);
-        assert_eq!(dropped.fault, Some(FaultKind::Drop));
-        assert_eq!(dropped.elapsed, Duration::from_millis(500));
+        faults.inject(
+            FaultPlan::new(0)
+                .fail_requests(0, 0, FaultKind::Drop)
+                .fail_requests(1, 1, FaultKind::Corrupt)
+                .fail_requests(2, 2, FaultKind::Stall(stall)),
+            policy,
+        );
+        // Drop (timeout), backoff, corrupt (wasted transfer), backoff,
+        // in-budget stall (delivered late).
+        let charge = faults.request(nominal).unwrap();
+        assert_eq!(charge.transfers, 2);
+        assert_eq!(charge.delay, policy.timeout + policy.backoff(1) + policy.backoff(2) + stall);
+        assert_eq!(charge.total(nominal), charge.delay + nominal * 2);
+        assert_eq!(faults.retries(), 2);
+    }
 
-        let stalled = faulty.request(10_000);
-        assert_eq!(stalled.elapsed, clean + Duration::from_millis(300));
-
-        let corrupted = faulty.request(10_000);
-        assert_eq!(corrupted.fault, Some(FaultKind::Corrupt));
-        assert_eq!(corrupted.elapsed, clean, "bytes still crossed the wire");
-
-        let ok = faulty.request(10_000);
-        assert_eq!(ok.fault, None);
-        assert_eq!(ok.elapsed, clean);
-        assert_eq!(faulty.plan().injected(), 3);
+    #[test]
+    fn injector_exhausts_the_budget_and_counts_every_failure() {
+        let mut faults = FaultInjector::default();
+        faults.inject(FaultPlan::new(1).with_drop(1.0), RetryPolicy::standard(1));
+        let timeout = RequestCharge { delay: Duration::from_secs(2), transfers: 0 };
+        assert_eq!(faults.attempt(Duration::from_millis(1)), Err(timeout), "no retry");
+        assert_eq!(
+            faults.request(Duration::from_millis(1)),
+            Err(BudgetExhausted { attempts: 4 })
+        );
+        assert_eq!(faults.retries(), 5);
+        faults.clear();
+        assert_eq!(faults.retries(), 0);
     }
 
     #[test]

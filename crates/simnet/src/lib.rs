@@ -12,7 +12,9 @@
 //! * [`NetMetrics`] — byte/request accounting (bandwidth experiments, Fig. 8).
 //! * [`FaultPlan`] / [`FaultyLink`] — seeded, deterministic fault injection
 //!   (drops, stalls, corruption, truncation) with failed attempts priced in
-//!   simulated time; [`RetryPolicy`] describes a client's retry budget.
+//!   simulated time; [`RetryPolicy`] describes a client's retry budget and
+//!   [`FaultInjector`] is the one place a faulty request is decomposed into
+//!   blocking delay and wire transfers.
 //! * [`EventQueue`] / [`FifoLane`] — the event-driven core for fleet-scale
 //!   runs: a deterministic binary-heap event queue keyed on sim-time plus
 //!   per-link FIFO lanes, replacing eager whole-transfer pricing so that
@@ -49,7 +51,9 @@ pub use clock::VirtualClock;
 pub use crash::{CrashPlan, CrashPoint};
 pub use disk::DiskModel;
 pub use event::{EventQueue, FifoLane, LaneSlot};
-pub use fault::{FaultKind, FaultPlan, FaultyLink, LinkOutcome, RetryPolicy};
+pub use fault::{
+    BudgetExhausted, FaultInjector, FaultKind, FaultPlan, FaultyLink, RequestCharge, RetryPolicy,
+};
 pub use link::{Bandwidth, Link};
 pub use metrics::NetMetrics;
 pub use stream::{StreamConfig, StreamSchedule};

@@ -49,15 +49,6 @@ pub struct Link {
     pub rtt: Duration,
     /// Fixed server/client processing overhead per request.
     pub request_overhead: Duration,
-    /// Concurrent transfers the link endpoint keeps in flight (`1` =
-    /// strictly sequential requests). Streams share `bandwidth` fairly but
-    /// overlap their fixed costs; see [`Link::stream_schedule`].
-    #[serde(default = "default_streams")]
-    pub streams: usize,
-}
-
-fn default_streams() -> usize {
-    1
 }
 
 impl Link {
@@ -68,7 +59,6 @@ impl Link {
             bandwidth: Bandwidth::mbps(mbps),
             rtt: Duration::from_micros(200),
             request_overhead: Duration::from_micros(500),
-            streams: 1,
         }
     }
 
@@ -101,32 +91,9 @@ impl Link {
         self
     }
 
-    /// Returns a copy keeping `streams` transfers in flight (clamped to
-    /// at least 1).
-    pub fn with_streams(mut self, streams: usize) -> Self {
-        self.streams = streams.max(1);
-        self
-    }
-
     /// Total time for one request transferring `payload_bytes`.
     pub fn request_time(&self, payload_bytes: u64) -> Duration {
         self.rtt + self.request_overhead + self.bandwidth.transfer_time(payload_bytes)
-    }
-
-    /// Time for `count` requests whose payloads sum to `total_bytes`, with
-    /// `pipeline` requests kept in flight (fixed costs overlap; the shared
-    /// link serializes payload bytes).
-    ///
-    /// `pipeline = 1` is strictly sequential. Docker pulls layers with 3
-    /// parallel downloads; block stores pipeline reads aggressively.
-    pub fn batch_time(&self, count: u64, total_bytes: u64, pipeline: u32) -> Duration {
-        if count == 0 {
-            return Duration::ZERO;
-        }
-        let pipeline = pipeline.max(1) as u64;
-        let fixed = self.rtt + self.request_overhead;
-        let effective_rounds = count.div_ceil(pipeline);
-        fixed * (effective_rounds as u32) + self.bandwidth.transfer_time(total_bytes)
     }
 }
 
@@ -148,22 +115,6 @@ mod tests {
         let t = link.request_time(1_000_000);
         assert!(t > Duration::from_secs(1));
         assert!(t < Duration::from_millis(1010));
-    }
-
-    #[test]
-    fn batch_pipelining_reduces_fixed_costs() {
-        let link = Link::mbps(100.0);
-        let sequential = link.batch_time(100, 1_000_000, 1);
-        let pipelined = link.batch_time(100, 1_000_000, 16);
-        assert!(pipelined < sequential);
-        // Payload time is identical; only fixed costs shrink.
-        let payload = link.bandwidth.transfer_time(1_000_000);
-        assert!(pipelined >= payload);
-    }
-
-    #[test]
-    fn zero_requests_cost_nothing() {
-        assert_eq!(Link::mbps(10.0).batch_time(0, 0, 4), Duration::ZERO);
     }
 
     #[test]

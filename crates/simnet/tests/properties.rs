@@ -2,7 +2,9 @@
 
 use std::time::Duration;
 
-use gear_simnet::{Bandwidth, DiskModel, FaultKind, FaultPlan, FaultyLink, Link, VirtualClock};
+use gear_simnet::{
+    Bandwidth, DiskModel, FaultInjector, FaultKind, FaultPlan, Link, RetryPolicy, VirtualClock,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -16,16 +18,11 @@ proptest! {
         prop_assert!(faster.transfer_time(hi) <= bw.transfer_time(hi));
     }
 
-    /// A request is never cheaper than its raw payload transfer, and
-    /// batching with pipelining never beats the pure payload bound.
+    /// A request is never cheaper than its raw payload transfer.
     #[test]
-    fn request_lower_bounds(bytes in 0u64..100_000_000, count in 1u64..500, pipeline in 1u32..64, mbps in 1.0f64..1_000.0) {
+    fn request_lower_bounds(bytes in 0u64..100_000_000, mbps in 1.0f64..1_000.0) {
         let link = Link::mbps(mbps);
         prop_assert!(link.request_time(bytes) >= link.bandwidth.transfer_time(bytes));
-        let batch = link.batch_time(count, bytes, pipeline);
-        prop_assert!(batch >= link.bandwidth.transfer_time(bytes));
-        // Deeper pipelines never slow a batch down.
-        prop_assert!(link.batch_time(count, bytes, pipeline + 1) <= batch);
     }
 
     /// Disk I/O time decomposes additively over (bytes, files).
@@ -89,10 +86,15 @@ proptest! {
             if faulted > 0 {
                 plan = FaultPlan::new(0).fail_requests(0, faulted - 1, kind);
             }
-            let mut link = FaultyLink::new(Link::mbps(100.0), plan);
+            let mut faults = FaultInjector::default();
+            faults.inject(plan, RetryPolicy::none());
+            let nominal = Link::mbps(100.0).request_time(payload);
             let mut total = Duration::ZERO;
             for _ in 0..requests {
-                total += link.request(payload).elapsed;
+                total += match faults.attempt(nominal) {
+                    Ok(extra) => nominal + extra,
+                    Err(lost) => lost.total(nominal),
+                };
             }
             total
         };

@@ -6,8 +6,8 @@
 //! trait keyed by [`Fingerprint`], with composable implementations:
 //!
 //! * [`MemStore`] — the capacity-bounded in-memory cache with O(log n)
-//!   BTreeSet-indexed eviction (FIFO/LRU) and pinning, absorbing the old
-//!   `gear-client` `SharedCache`;
+//!   BTreeSet-indexed eviction (FIFO/LRU) and pinning — the client's
+//!   level-1 shared cache;
 //! * [`DiskStore`] — a [`MemStore`] whose reads and writes accrue simulated
 //!   I/O time from a deterministic [`DiskModel`], so tier placement has
 //!   priced latency ([`BlobStore::drain_cost`] hands the accrued time to the
@@ -15,8 +15,7 @@
 //! * [`TieredStore`] — L1 memory over L2 modeled disk with write-through and
 //!   promotion-on-hit policies;
 //! * [`Sharded`] — a generic wrapper splitting any store into independently
-//!   locked shards selected by fingerprint prefix, replacing the old
-//!   `ShardedCache`.
+//!   locked shards selected by fingerprint prefix.
 //!
 //! The crate is dependency-free in the external sense: it builds from the
 //! workspace (`gear-hash`, `gear-simnet`, `gear-par`) and the vendored

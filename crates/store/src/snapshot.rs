@@ -117,6 +117,9 @@ pub enum SnapshotError {
     ChecksumMismatch,
     /// A tag or field held an impossible value.
     Malformed,
+    /// The snapshot is well-formed but holds a different kind of store than
+    /// the configuration resuming it describes.
+    ShapeMismatch,
 }
 
 impl fmt::Display for SnapshotError {
@@ -127,6 +130,9 @@ impl fmt::Display for SnapshotError {
             SnapshotError::BadVersion(v) => write!(f, "unsupported snapshot version {v}"),
             SnapshotError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
             SnapshotError::Malformed => write!(f, "malformed snapshot field"),
+            SnapshotError::ShapeMismatch => {
+                write!(f, "snapshot store kind does not match the configuration")
+            }
         }
     }
 }
