@@ -2,24 +2,24 @@
 //!
 //! `repro --json` writes one `BENCH_<name>.json` per experiment — the
 //! rendered table plus flat `key → value` metrics — so the perf trajectory
-//! is tracked across commits. A recorded [`Baseline`]
-//! (`ci/bench-baseline-quick.json`) lets the CI smoke job fail when the
-//! `streams = 1` deployment times drift from the checked-in Fig. 9 numbers.
+//! is tracked across commits. Every gate the harness enforces is a
+//! [`Bound`] on one of those metrics: an experiment's [`Outcome`] carries
+//! the invariants that must hold on every run and the bounds
+//! `--record-baseline` writes for it, a recorded [`Baseline`]
+//! (`ci/bench-baseline-quick.json`) is nothing but such bounds keyed
+//! `<experiment>/<metric key>`, and [`check`] is the only comparison.
 
+use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use crate::experiments::chunking::Chunking;
-use crate::experiments::concurrency::Concurrency;
-use crate::experiments::crash::Crash;
-use crate::experiments::fig9::Fig9;
-use crate::experiments::fleet::Fleet;
-use crate::experiments::hotpath::Hotpath;
-use crate::experiments::tails::Tails;
-use crate::experiments::tiering::Tiering;
+/// Fractional slack a ceiling allows before [`check`] reports it — the only
+/// tolerance in the harness. Floors get none: they are hand-set loose
+/// constants or exact `== 1` flags, not recordings of a measured value.
+pub const BASELINE_TOLERANCE: f64 = 0.01;
 
 /// One named scalar measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -35,7 +35,92 @@ impl Metric {
     pub fn new(key: impl Into<String>, value: f64) -> Self {
         Metric { key: key.into(), value }
     }
+
+    /// A `0.0` / `1.0` metric for a boolean verdict.
+    pub fn flag(key: impl Into<String>, value: bool) -> Self {
+        Metric::new(key, if value { 1.0 } else { 0.0 })
+    }
 }
+
+/// A floor and/or ceiling on one metric — the one shape every gate takes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Bound {
+    /// Metric key: as the experiment emits it inside an [`Outcome`],
+    /// prefixed `<experiment>/` inside a [`Baseline`].
+    pub key: String,
+    /// The value must not fall below this.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub min: Option<f64>,
+    /// The value must not exceed this by more than [`BASELINE_TOLERANCE`].
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub max: Option<f64>,
+}
+
+impl Bound {
+    /// A lower bound.
+    pub fn floor(key: impl Into<String>, min: f64) -> Self {
+        Bound { key: key.into(), min: Some(min), max: None }
+    }
+
+    /// An upper bound.
+    pub fn ceiling(key: impl Into<String>, max: f64) -> Self {
+        Bound { key: key.into(), min: None, max: Some(max) }
+    }
+
+    /// How `experiment`'s `metrics` break this bound, if they do: the metric
+    /// named `key` is missing, below the floor, or above the ceiling.
+    /// Better-than-recorded values pass.
+    fn violation(&self, experiment: &str, key: &str, metrics: &[Metric]) -> Option<String> {
+        let Some(metric) = metrics.iter().find(|m| m.key == key) else {
+            return Some(format!("{experiment}/{key}: missing from the run"));
+        };
+        let value = metric.value;
+        match (self.min, self.max) {
+            (Some(min), _) if value < min => {
+                Some(format!("{experiment}/{key}: {value:.6} below floor {min:.6}"))
+            }
+            (_, Some(max)) if value > max * (1.0 + BASELINE_TOLERANCE) => Some(format!(
+                "{experiment}/{key}: {value:.6} above ceiling {max:.6} ({:.1}% tolerance)",
+                BASELINE_TOLERANCE * 100.0,
+            )),
+            _ => None,
+        }
+    }
+}
+
+/// One ceiling per metric for which `max` returns a value — `Some(m.value)`
+/// records a simulated measurement, `Some(0.0)` states a must-be-zero
+/// invariant.
+pub fn ceilings(metrics: &[Metric], max: impl Fn(&Metric) -> Option<f64>) -> Vec<Bound> {
+    metrics.iter().filter_map(|m| max(m).map(|max| Bound::ceiling(m.key.as_str(), max))).collect()
+}
+
+/// What one experiment run hands the harness.
+#[derive(Debug, Clone, Default)]
+pub struct Outcome {
+    /// The rendered table, exactly as printed to stdout.
+    pub text: String,
+    /// Flat scalar metrics (empty for experiments that only render text).
+    pub metrics: Vec<Metric>,
+    /// Bounds on `metrics` that must hold on every run, baseline or not —
+    /// losing a blob or drifting between fixed-seed runs is never an
+    /// acceptable trade for speed.
+    pub invariants: Vec<Bound>,
+    /// Bounds on `metrics` that `--record-baseline` writes: simulated times
+    /// as ceilings at the measured value, wall-clock and ratio metrics as
+    /// fixed floors.
+    pub recorded: Vec<Bound>,
+}
+
+impl Outcome {
+    /// An outcome that is only the result's rendered table.
+    pub fn text(result: &impl fmt::Display) -> Self {
+        Outcome { text: result.to_string(), ..Outcome::default() }
+    }
+}
+
+/// One finished experiment: its `repro` name and what it produced.
+pub type Run = (&'static str, Outcome);
 
 /// A per-experiment result file (`BENCH_<name>.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -53,9 +138,15 @@ pub struct BenchArtifact {
 }
 
 impl BenchArtifact {
-    /// Creates an artifact with no metrics yet.
-    pub fn new(name: &str, scale_denom: u64, seed: u64, text: String) -> Self {
-        BenchArtifact { name: name.to_owned(), scale_denom, seed, metrics: Vec::new(), text }
+    /// The artifact for one finished experiment.
+    pub fn new(name: &str, scale_denom: u64, seed: u64, outcome: &Outcome) -> Self {
+        BenchArtifact {
+            name: name.to_owned(),
+            scale_denom,
+            seed,
+            metrics: outcome.metrics.clone(),
+            text: outcome.text.clone(),
+        }
     }
 
     /// The file this artifact is written to.
@@ -77,436 +168,30 @@ impl BenchArtifact {
     }
 }
 
-/// Flattens a Fig. 9 result into metrics.
-pub fn fig9_metrics(fig9: &Fig9) -> Vec<Metric> {
-    let mut metrics = Vec::new();
-    for run in &fig9.runs {
-        let (docker, cold, warm) = run.overall();
-        let (warm_speedup, cold_speedup) = run.speedups();
-        metrics.push(Metric::new(format!("{}/docker_secs", run.label), docker.as_secs_f64()));
-        metrics.push(Metric::new(format!("{}/cold_secs", run.label), cold.as_secs_f64()));
-        metrics.push(Metric::new(format!("{}/warm_secs", run.label), warm.as_secs_f64()));
-        metrics.push(Metric::new(format!("{}/cold_speedup", run.label), cold_speedup));
-        metrics.push(Metric::new(format!("{}/warm_speedup", run.label), warm_speedup));
-    }
-    metrics
-}
-
-/// Flattens a concurrency sweep into metrics.
-pub fn concurrency_metrics(concurrency: &Concurrency) -> Vec<Metric> {
-    let mut metrics = Vec::new();
-    for sweep in &concurrency.sweeps {
-        for point in &sweep.points {
-            let prefix = format!("{}/streams{}", sweep.label, point.streams);
-            metrics.push(Metric::new(format!("{prefix}/cold_secs"), point.cold.as_secs_f64()));
-            metrics.push(Metric::new(format!("{prefix}/warm_secs"), point.warm.as_secs_f64()));
-        }
-    }
-    metrics
-}
-
-/// Flattens a hot-path benchmark into metrics.
-pub fn hotpath_metrics(hotpath: &Hotpath) -> Vec<Metric> {
-    let mut metrics = Vec::new();
-    for point in &hotpath.convert {
-        let prefix = format!("convert/threads{}", point.threads);
-        metrics.push(Metric::new(format!("{prefix}/modeled_secs"), point.modeled.as_secs_f64()));
-        metrics.push(Metric::new(format!("{prefix}/modeled_speedup"), point.modeled_speedup));
-        metrics.push(Metric::new(format!("{prefix}/wall_secs"), point.wall.as_secs_f64()));
-        metrics.push(Metric::new(format!("{prefix}/throughput_mb_s"), point.throughput_mb_s));
-        metrics.push(Metric::new(
-            format!("{prefix}/bit_identical"),
-            if point.bit_identical { 1.0 } else { 0.0 },
-        ));
-    }
-    for point in &hotpath.cache {
-        metrics.push(Metric::new(
-            format!("cache/entries{}/ops_per_sec", point.entries),
-            point.ops_per_sec,
-        ));
-    }
-    metrics.push(Metric::new("cache/flatness", hotpath.cache_flatness()));
-    metrics.push(Metric::new("union/cold_lookups_per_sec", hotpath.union.cold_lookups_per_sec));
-    metrics.push(Metric::new("union/warm_lookups_per_sec", hotpath.union.warm_lookups_per_sec));
-    metrics.push(Metric::new("union/warm_over_cold", hotpath.union.warm_over_cold));
-    metrics
-        .push(Metric::new("union/resolve_cache_hits", hotpath.union.resolve_cache_hits as f64));
-    for point in &hotpath.compress {
-        let prefix = format!("compress/{}/workers{}", point.level, point.workers);
-        metrics.push(Metric::new(format!("{prefix}/real_mb_s"), point.real_mb_s));
-        metrics.push(Metric::new(format!("{prefix}/modeled_mb_s"), point.modeled_mb_s));
-        metrics.push(Metric::new(format!("{prefix}/modeled_speedup"), point.modeled_speedup));
-        metrics.push(Metric::new(format!("{prefix}/ratio"), point.ratio));
-        metrics.push(Metric::new(
-            format!("{prefix}/bit_identical"),
-            if point.bit_identical { 1.0 } else { 0.0 },
-        ));
-    }
-    metrics.push(Metric::new("kernels/crc32_gb_s", hotpath.kernels.crc32_gb_s));
-    metrics.push(Metric::new("kernels/md5_gb_s", hotpath.kernels.md5_gb_s));
-    metrics.push(Metric::new("kernels/sha256_gb_s", hotpath.kernels.sha256_gb_s));
-    metrics.push(Metric::new("kernels/match_len_gb_s", hotpath.kernels.match_len_gb_s));
-    metrics
-}
-
-/// Flattens a tiering sweep into metrics.
-pub fn tiering_metrics(tiering: &Tiering) -> Vec<Metric> {
-    let mut metrics = Vec::new();
-    metrics.push(Metric::new("flat/cold_secs", tiering.flat_cold.as_secs_f64()));
-    metrics.push(Metric::new("flat/warm_secs", tiering.flat_warm.as_secs_f64()));
-    for point in &tiering.points {
-        let prefix = format!("{}/l1_{}", point.disk, point.l1);
-        metrics.push(Metric::new(format!("{prefix}/cold_secs"), point.cold.as_secs_f64()));
-        metrics.push(Metric::new(format!("{prefix}/warm_secs"), point.warm.as_secs_f64()));
-        metrics.push(Metric::new(format!("{prefix}/l1_fill"), point.l1_fill()));
-    }
-    metrics
-}
-
-/// Flattens a crash-recovery sweep into metrics.
-pub fn crash_metrics(crash: &Crash) -> Vec<Metric> {
-    let mut metrics = Vec::new();
-    for row in &crash.rows {
-        let prefix = format!("{}/{}", row.disk, row.point);
-        metrics
-            .push(Metric::new(format!("{prefix}/recovery_secs"), row.mean_recovery.as_secs_f64()));
-        metrics.push(Metric::new(format!("{prefix}/replayed_records"), row.mean_replayed));
-        metrics.push(Metric::new(format!("{prefix}/lost_acked"), row.lost_acked as f64));
-    }
-    metrics.push(Metric::new("lost_acked_total", crash.total_lost() as f64));
-    metrics
-}
-
-/// Flattens the chunking comparison into metrics.
-pub fn chunking_metrics(chunking: &Chunking) -> Vec<Metric> {
-    let bool01 = |b: bool| if b { 1.0 } else { 0.0 };
-    vec![
-        Metric::new("chunking/file_dedup_ratio", chunking.file.dedup_ratio),
-        Metric::new("chunking/chunk_dedup_ratio", chunking.chunk.dedup_ratio),
-        Metric::new("chunking/ratio_over_file", chunking.ratio_over_file()),
-        Metric::new("chunking/file_coldstart_bytes", chunking.file.coldstart_bytes as f64),
-        Metric::new("chunking/chunk_coldstart_bytes", chunking.chunk.coldstart_bytes as f64),
-        Metric::new("chunking/coldstart_saved_frac", chunking.coldstart_saved_frac()),
-        Metric::new("chunking/file_deploy_cold_secs", chunking.file.deploy_cold.as_secs_f64()),
-        Metric::new(
-            "chunking/chunk_deploy_cold_secs",
-            chunking.chunk.deploy_cold.as_secs_f64(),
-        ),
-        Metric::new("chunking/sparse_paths", chunking.sparse_paths as f64),
-        Metric::new("chunking/reads_identical", bool01(chunking.reads_identical)),
-        Metric::new("chunking/default_bit_identical", bool01(chunking.default_bit_identical)),
-        Metric::new("chunking/chunker_mb_s", chunking.chunker_mb_s),
-    ]
-}
-
-/// Flattens the flash-crowd tail sweep into metrics.
-pub fn tails_metrics(tails: &Tails) -> Vec<Metric> {
-    let bool01 = |b: bool| if b { 1.0 } else { 0.0 };
-    let mut metrics = Vec::new();
-    for run in &tails.runs {
-        let prefix = format!("tails/nodes{}", run.nodes);
-        metrics.push(Metric::new(format!("{prefix}/p50_secs"), run.p50.as_secs_f64()));
-        metrics.push(Metric::new(format!("{prefix}/p99_secs"), run.p99.as_secs_f64()));
-        metrics.push(Metric::new(format!("{prefix}/p999_secs"), run.p999.as_secs_f64()));
-        metrics.push(Metric::new(format!("{prefix}/max_secs"), run.max.as_secs_f64()));
-        metrics.push(Metric::new(format!("{prefix}/slo_ok"), bool01(run.slo.ok())));
-        metrics
-            .push(Metric::new(format!("{prefix}/collector_bytes"), run.collector_bytes as f64));
-        metrics.push(Metric::new(format!("{prefix}/dropped_spans"), run.dropped_spans as f64));
-        metrics.push(Metric::new(
-            format!("{prefix}/validation_problems"),
-            run.validation_problems as f64,
-        ));
-    }
-    metrics.push(Metric::new("tails/exports_identical", bool01(tails.exports_identical)));
-    metrics
-}
-
-/// Flattens the fleet-scenario suite into metrics. Non-finite shard
-/// balances (a shard that served nothing) are clamped to a large sentinel
-/// so the JSON stays parseable.
-pub fn fleet_metrics(fleet: &Fleet) -> Vec<Metric> {
-    let bool01 = |b: bool| if b { 1.0 } else { 0.0 };
-    let finite = |v: f64| if v.is_finite() { v } else { 1e9 };
-    let mut metrics = Vec::new();
-    for scenario in &fleet.scenarios {
-        let prefix = format!("fleet/{}", scenario.name);
-        let r = &scenario.report;
-        metrics.push(Metric::new(format!("{prefix}/makespan_secs"), r.makespan.as_secs_f64()));
-        metrics.push(Metric::new(format!("{prefix}/p50_secs"), r.p50.as_secs_f64()));
-        metrics.push(Metric::new(format!("{prefix}/p99_secs"), r.p99.as_secs_f64()));
-        metrics.push(Metric::new(format!("{prefix}/p999_secs"), r.p999.as_secs_f64()));
-        metrics.push(Metric::new(format!("{prefix}/max_secs"), r.max.as_secs_f64()));
-        metrics.push(Metric::new(format!("{prefix}/completed"), f64::from(r.completed)));
-        metrics.push(Metric::new(format!("{prefix}/lost"), f64::from(r.lost)));
-        metrics.push(Metric::new(format!("{prefix}/retries"), r.retries as f64));
-        metrics.push(Metric::new(
-            format!("{prefix}/overload_rejections"),
-            r.overload_rejections as f64,
-        ));
-        metrics.push(Metric::new(format!("{prefix}/shard_balance"), finite(r.shard_balance)));
-        metrics.push(Metric::new(format!("{prefix}/registry_bytes"), r.registry_bytes as f64));
-        metrics.push(Metric::new(format!("{prefix}/lan_bytes"), r.lan_bytes as f64));
-        metrics.push(Metric::new(format!("{prefix}/backbone_bytes"), r.backbone_bytes as f64));
-        metrics.push(Metric::new(format!("{prefix}/events"), r.events as f64));
-        metrics.push(Metric::new(
-            format!("{prefix}/validation_problems"),
-            r.validation_problems as f64,
-        ));
-    }
-    metrics.push(Metric::new("fleet/deterministic", bool01(fleet.deterministic)));
-    metrics
-}
-
-/// Recorded `streams = 1` deployment times the CI smoke job compares
-/// against.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The recorded bounds the CI smoke job compares a fresh run against.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Baseline {
     /// Corpus scale the baseline was recorded at.
     pub scale_denom: u64,
     /// Corpus seed the baseline was recorded at.
     pub seed: u64,
-    /// One row per bandwidth preset.
-    pub rows: Vec<BaselineRow>,
-    /// Hot-path floors (empty when the baseline was recorded without the
-    /// `hotpath` experiment). Absolute wall-clock rates vary by machine, so
-    /// only deterministic and scale-free ratio metrics are gated.
-    pub hotpath: Vec<HotpathFloor>,
-    /// Recorded tiering-sweep deployment times (empty when the baseline was
-    /// recorded without the `tiering` experiment, and absent entirely in
-    /// baselines recorded before the sweep existed).
-    #[serde(default)]
-    pub tiering: Vec<TieringRow>,
-    /// Recorded crash-sweep recovery times (empty when the baseline was
-    /// recorded without the `crash` experiment, and absent entirely in
-    /// baselines recorded before the sweep existed).
-    #[serde(default)]
-    pub crash: Vec<CrashRow>,
-    /// Chunking floors (empty when the baseline was recorded without the
-    /// `chunking` experiment, and absent entirely in baselines recorded
-    /// before the comparison existed).
-    #[serde(default)]
-    pub chunking: Vec<HotpathFloor>,
-    /// Recorded flash-crowd ceilings — p999 deployment times and collector
-    /// footprints per topology (empty when the baseline was recorded
-    /// without the `tails` experiment, and absent entirely in baselines
-    /// recorded before the sweep existed).
-    #[serde(default)]
-    pub tails: Vec<TailsRow>,
-    /// Recorded fleet-scenario ceilings — flash-crowd makespan, p999 tails,
-    /// and the shard-balance bound (empty when the baseline was recorded
-    /// without the `fleet` experiment, and absent entirely in baselines
-    /// recorded before the suite existed).
-    #[serde(default)]
-    pub fleet: Vec<FleetRow>,
-}
-
-/// One recorded fleet ceiling: a makespan, tail time, or shard-balance
-/// bound a fresh run may not exceed (simulated, so machine-independent).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FleetRow {
-    /// Metric key as emitted by [`fleet_metrics`], e.g.
-    /// `"fleet/flash_crowd/p999_secs"`.
-    pub key: String,
-    /// Recorded value the fresh run must stay at or below (plus
-    /// tolerance).
-    pub max: f64,
-}
-
-/// One recorded flash-crowd ceiling: a tail time or collector footprint
-/// that a fresh run may not exceed (simulated, so machine-independent).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TailsRow {
-    /// Metric key as emitted by [`tails_metrics`], e.g.
-    /// `"tails/nodes16/p999_secs"`.
-    pub key: String,
-    /// Recorded value the fresh run must stay at or below (plus
-    /// tolerance).
-    pub max: f64,
-}
-
-/// One recorded crash-recovery time (simulated, so machine-independent).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CrashRow {
-    /// Metric key as emitted by [`crash_metrics`], e.g.
-    /// `"hdd/torn/recovery_secs"`.
-    pub key: String,
-    /// Recorded time in seconds.
-    pub secs: f64,
-}
-
-/// One recorded tiering deployment time (simulated, so machine-independent).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TieringRow {
-    /// Metric key as emitted by [`tiering_metrics`], e.g.
-    /// `"hdd/l1_eighth/warm_secs"`.
-    pub key: String,
-    /// Recorded time in seconds.
-    pub secs: f64,
-}
-
-/// A lower bound on one hot-path metric.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HotpathFloor {
-    /// Metric key as emitted by [`hotpath_metrics`].
-    pub key: String,
-    /// Minimum acceptable value.
-    pub min: f64,
-}
-
-/// The hot-path floors a recorded baseline enforces: the modeled 8-worker
-/// conversion speedup, bit-identical parallel output, flat cache ops/s
-/// across a 16x size range, warm union lookups beating cold, and the
-/// block-compression invariants (bit-identical frames at every worker
-/// count, the modeled 8-worker speedup, and the ratio not collapsing to
-/// stored blocks). The ratio floors are deliberately loose — they catch a
-/// return to linear eviction scans (flatness ~0.06), a dead resolve cache
-/// (warm/cold ~1.0), or a broken block split without flaking on noisy CI
-/// machines. Real-throughput floors (MB/s, GB/s) are order-of-magnitude
-/// tripwires only: they fail when a kernel falls back to a byte-at-a-time
-/// loop, not when the runner is merely slow.
-pub fn hotpath_floors() -> Vec<HotpathFloor> {
-    vec![
-        HotpathFloor { key: "convert/threads8/modeled_speedup".to_owned(), min: 4.0 },
-        HotpathFloor { key: "convert/threads8/bit_identical".to_owned(), min: 1.0 },
-        HotpathFloor { key: "cache/flatness".to_owned(), min: 0.2 },
-        HotpathFloor { key: "union/warm_over_cold".to_owned(), min: 1.5 },
-        // Deterministic block-compression gates.
-        HotpathFloor { key: "compress/default/workers8/modeled_speedup".to_owned(), min: 4.0 },
-        HotpathFloor { key: "compress/default/workers8/bit_identical".to_owned(), min: 1.0 },
-        HotpathFloor { key: "compress/default/workers2/bit_identical".to_owned(), min: 1.0 },
-        HotpathFloor { key: "compress/fast/workers8/bit_identical".to_owned(), min: 1.0 },
-        // Machine-loose throughput tripwires.
-        HotpathFloor { key: "compress/default/workers1/real_mb_s".to_owned(), min: 1.0 },
-        HotpathFloor { key: "kernels/crc32_gb_s".to_owned(), min: 0.2 },
-        HotpathFloor { key: "kernels/md5_gb_s".to_owned(), min: 0.03 },
-        HotpathFloor { key: "kernels/sha256_gb_s".to_owned(), min: 0.02 },
-        HotpathFloor { key: "kernels/match_len_gb_s".to_owned(), min: 0.2 },
-    ]
-}
-
-/// The chunking floors a recorded baseline enforces. The dedup-ratio and
-/// cold-start gates are deterministic results of the simulation, so they
-/// are hard: chunk-granularity dedup must never fall below file-granularity
-/// dedup, sparse cold starts must keep saving at least the 30 % the
-/// comparison claims, ranged reads must agree across granularities, and
-/// the default (chunking-off) conversion must stay bit-identical to the
-/// plain converter. The chunker MB/s floor is a machine-loose tripwire
-/// only: it fails when the word-wise kernel regresses to a byte-at-a-time
-/// loop, not when the runner is merely slow.
-pub fn chunking_floors() -> Vec<HotpathFloor> {
-    vec![
-        HotpathFloor { key: "chunking/ratio_over_file".to_owned(), min: 1.0 },
-        HotpathFloor { key: "chunking/coldstart_saved_frac".to_owned(), min: 0.3 },
-        HotpathFloor { key: "chunking/reads_identical".to_owned(), min: 1.0 },
-        HotpathFloor { key: "chunking/default_bit_identical".to_owned(), min: 1.0 },
-        HotpathFloor { key: "chunking/chunker_mb_s".to_owned(), min: 20.0 },
-    ]
-}
-
-/// One bandwidth preset's recorded serial times.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BaselineRow {
-    /// Preset label, e.g. `"20Mbps"`.
-    pub label: String,
-    /// Recorded `streams = 1` cold-cache mean (seconds).
-    pub cold_secs: f64,
-    /// Recorded `streams = 1` warm-cache mean (seconds).
-    pub warm_secs: f64,
+    /// Every recorded bound, keyed `<experiment>/<metric key>`.
+    pub bounds: Vec<Bound>,
 }
 
 impl Baseline {
-    /// Records the `streams = 1` rows of a sweep as a new baseline.
-    pub fn from_concurrency(concurrency: &Concurrency, scale_denom: u64, seed: u64) -> Self {
-        let rows = concurrency
-            .sweeps
+    /// Records every run's [`Outcome::recorded`] bounds.
+    pub fn record(scale_denom: u64, seed: u64, runs: &[Run]) -> Self {
+        let bounds = runs
             .iter()
-            .map(|sweep| {
-                let base = sweep.baseline();
-                BaselineRow {
-                    label: sweep.label.to_owned(),
-                    cold_secs: base.cold.as_secs_f64(),
-                    warm_secs: base.warm.as_secs_f64(),
-                }
+            .flat_map(|(name, outcome)| {
+                outcome
+                    .recorded
+                    .iter()
+                    .map(move |b| Bound { key: format!("{name}/{}", b.key), ..b.clone() })
             })
             .collect();
-        Baseline {
-            scale_denom,
-            seed,
-            rows,
-            hotpath: Vec::new(),
-            tiering: Vec::new(),
-            crash: Vec::new(),
-            chunking: Vec::new(),
-            tails: Vec::new(),
-            fleet: Vec::new(),
-        }
-    }
-
-    /// Adds the standard hot-path floors to this baseline (recorded when
-    /// the `hotpath` experiment ran alongside `concurrency`).
-    pub fn with_hotpath_floors(mut self) -> Self {
-        self.hotpath = hotpath_floors();
-        self
-    }
-
-    /// Adds the standard chunking floors to this baseline (recorded when
-    /// the `chunking` experiment ran alongside `concurrency`).
-    pub fn with_chunking_floors(mut self) -> Self {
-        self.chunking = chunking_floors();
-        self
-    }
-
-    /// Records the tiering sweep's deployment times (the `*_secs` metrics;
-    /// residency gauges are diagnostics, not gates).
-    pub fn with_tiering(mut self, metrics: &[Metric]) -> Self {
-        self.tiering = metrics
-            .iter()
-            .filter(|m| m.key.ends_with("_secs"))
-            .map(|m| TieringRow { key: m.key.clone(), secs: m.value })
-            .collect();
-        self
-    }
-
-    /// Records the flash-crowd ceilings: the per-topology p999 deployment
-    /// times and collector footprints (the dimensions the tentpole exists
-    /// to bound). Percentile medians and traffic are diagnostics, not
-    /// gates.
-    pub fn with_tails(mut self, metrics: &[Metric]) -> Self {
-        self.tails = metrics
-            .iter()
-            .filter(|m| m.key.ends_with("p999_secs") || m.key.ends_with("collector_bytes"))
-            .map(|m| TailsRow { key: m.key.clone(), max: m.value })
-            .collect();
-        self
-    }
-
-    /// Records the fleet ceilings: every scenario's makespan and p999, plus
-    /// the flash crowd's shard-balance bound (the outage and rolling-update
-    /// scenarios skew balance by design, so only the clean crowd gates it).
-    /// Loss and determinism are invariants, not recordings.
-    pub fn with_fleet(mut self, metrics: &[Metric]) -> Self {
-        self.fleet = metrics
-            .iter()
-            .filter(|m| {
-                m.key.ends_with("makespan_secs")
-                    || m.key.ends_with("p999_secs")
-                    || m.key == "fleet/flash_crowd/shard_balance"
-            })
-            .map(|m| FleetRow { key: m.key.clone(), max: m.value })
-            .collect();
-        self
-    }
-
-    /// Records the crash sweep's recovery times (the `*_secs` metrics;
-    /// record counts and loss totals are invariants, not recordings).
-    pub fn with_crash(mut self, metrics: &[Metric]) -> Self {
-        self.crash = metrics
-            .iter()
-            .filter(|m| m.key.ends_with("_secs"))
-            .map(|m| CrashRow { key: m.key.clone(), secs: m.value })
-            .collect();
-        self
+        Baseline { scale_denom, seed, bounds }
     }
 
     /// Loads a baseline from a JSON file.
@@ -518,474 +203,124 @@ impl Baseline {
         let bytes = fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         serde_json::from_slice(&bytes).map_err(|e| format!("parse {}: {e}", path.display()))
     }
+}
 
-    /// Compares a fresh sweep against this baseline. Returns one message
-    /// per regression: a `streams = 1` time more than `tolerance`
-    /// (fractional, e.g. `0.01`) above the recorded value, or a preset
-    /// missing from the run. Faster-than-recorded results pass.
-    pub fn regressions(&self, concurrency: &Concurrency, tolerance: f64) -> Vec<String> {
-        let mut problems = Vec::new();
-        for row in &self.rows {
-            let Some(sweep) = concurrency.sweeps.iter().find(|s| s.label == row.label) else {
-                problems.push(format!("baseline preset {} missing from the run", row.label));
-                continue;
-            };
-            let base = sweep.baseline();
-            for (phase, current, recorded) in [
-                ("cold", base.cold.as_secs_f64(), row.cold_secs),
-                ("warm", base.warm.as_secs_f64(), row.warm_secs),
-            ] {
-                if current > recorded * (1.0 + tolerance) {
-                    problems.push(format!(
-                        "{}/{phase}: streams=1 took {current:.4}s, recorded {recorded:.4}s \
-                         (+{:.1}% > {:.1}% tolerance)",
-                        row.label,
-                        (current / recorded - 1.0) * 100.0,
-                        tolerance * 100.0,
-                    ));
-                }
-            }
-        }
-        problems
+/// Every violated bound, one message each: each run's invariants, then —
+/// given a baseline — its recorded bounds against the run of the experiment
+/// their key names. A baseline experiment that is not among `runs` fails
+/// with a single message rather than one per bound.
+pub fn check(runs: &[Run], baseline: Option<&Baseline>) -> Vec<String> {
+    let mut problems = Vec::new();
+    for (name, outcome) in runs {
+        let broken = outcome.invariants.iter();
+        problems.extend(broken.filter_map(|b| b.violation(name, &b.key, &outcome.metrics)));
     }
-
-    /// Compares a fresh tiering sweep against the recorded times. Returns
-    /// one message per point more than `tolerance` (fractional) slower than
-    /// recorded, or missing from the run; faster-than-recorded passes.
-    /// No-op when the baseline has no tiering rows.
-    pub fn tiering_regressions(&self, metrics: &[Metric], tolerance: f64) -> Vec<String> {
-        let mut problems = Vec::new();
-        for row in &self.tiering {
-            match metrics.iter().find(|m| m.key == row.key) {
-                Some(m) if m.value <= row.secs * (1.0 + tolerance) => {}
-                Some(m) => problems.push(format!(
-                    "tiering/{}: took {:.4}s, recorded {:.4}s (+{:.1}% > {:.1}% tolerance)",
-                    row.key,
-                    m.value,
-                    row.secs,
-                    (m.value / row.secs - 1.0) * 100.0,
-                    tolerance * 100.0,
-                )),
-                None => problems
-                    .push(format!("tiering point {} missing from the run", row.key)),
+    let mut absent: Vec<&str> = Vec::new();
+    for bound in baseline.map_or(&[][..], |b| &b.bounds) {
+        let (experiment, key) = bound.key.split_once('/').unwrap_or((&bound.key, ""));
+        match runs.iter().find(|(name, _)| *name == experiment) {
+            Some((_, outcome)) => {
+                problems.extend(bound.violation(experiment, key, &outcome.metrics));
             }
-        }
-        problems
-    }
-
-    /// Compares a fresh crash sweep against the recorded recovery times and
-    /// enforces the durability invariant. Any `lost_acked` metric above
-    /// zero fails **regardless of what the baseline recorded** — losing an
-    /// acknowledged blob is never an acceptable trade for speed. Recorded
-    /// `*_secs` rows gate like the tiering rows: more than `tolerance`
-    /// slower fails, faster passes, missing points fail.
-    pub fn crash_regressions(&self, metrics: &[Metric], tolerance: f64) -> Vec<String> {
-        let mut problems = Vec::new();
-        for m in metrics.iter().filter(|m| m.key.ends_with("lost_acked")) {
-            if m.value > 0.0 {
+            None if absent.contains(&experiment) => {}
+            None => {
+                absent.push(experiment);
                 problems.push(format!(
-                    "crash/{}: {} acknowledged blobs lost after recovery (must be 0)",
-                    m.key, m.value,
+                    "baseline has bounds for {experiment}; add `{experiment}` to the run"
                 ));
             }
         }
-        for row in &self.crash {
-            match metrics.iter().find(|m| m.key == row.key) {
-                Some(m) if m.value <= row.secs * (1.0 + tolerance) => {}
-                Some(m) => problems.push(format!(
-                    "crash/{}: took {:.4}s, recorded {:.4}s (+{:.1}% > {:.1}% tolerance)",
-                    row.key,
-                    m.value,
-                    row.secs,
-                    (m.value / row.secs - 1.0) * 100.0,
-                    tolerance * 100.0,
-                )),
-                None => {
-                    problems.push(format!("crash point {} missing from the run", row.key));
-                }
-            }
-        }
-        problems
     }
-
-    /// Compares a fresh flash-crowd run against the recorded ceilings and
-    /// enforces the fleet invariants. Any `validation_problems` metric
-    /// above zero, or `exports_identical` below one, fails **regardless of
-    /// what the baseline recorded** — a malformed or nondeterministic
-    /// export is never an acceptable trade. Recorded rows gate as
-    /// ceilings: more than `tolerance` (fractional) above fails, at or
-    /// below passes, missing points fail. No-op on the recorded rows when
-    /// the baseline has none.
-    pub fn tails_regressions(&self, metrics: &[Metric], tolerance: f64) -> Vec<String> {
-        let mut problems = Vec::new();
-        for m in metrics.iter().filter(|m| m.key.ends_with("validation_problems")) {
-            if m.value > 0.0 {
-                problems.push(format!(
-                    "tails/{}: {} span-tree violations in the fleet export (must be 0)",
-                    m.key, m.value,
-                ));
-            }
-        }
-        if let Some(m) = metrics.iter().find(|m| m.key == "tails/exports_identical") {
-            if m.value < 1.0 {
-                problems
-                    .push("tails/exports_identical: fleet exports drifted between runs".to_owned());
-            }
-        }
-        for row in &self.tails {
-            match metrics.iter().find(|m| m.key == row.key) {
-                Some(m) if m.value <= row.max * (1.0 + tolerance) => {}
-                Some(m) => problems.push(format!(
-                    "tails/{}: {:.6} above recorded ceiling {:.6} (+{:.1}% > {:.1}% tolerance)",
-                    row.key,
-                    m.value,
-                    row.max,
-                    (m.value / row.max - 1.0) * 100.0,
-                    tolerance * 100.0,
-                )),
-                None => {
-                    problems.push(format!("tails ceiling {} missing from the run", row.key));
-                }
-            }
-        }
-        problems
-    }
-
-    /// Compares a fresh fleet run against the recorded ceilings and
-    /// enforces the fleet invariants. Any `/lost` metric above zero, any
-    /// `validation_problems` above zero, or `fleet/deterministic` below one
-    /// fails **regardless of what the baseline recorded** — losing a
-    /// deployment or drifting between fixed-seed runs is never an
-    /// acceptable trade. Recorded rows gate as ceilings: more than
-    /// `tolerance` (fractional) above fails, at or below passes, missing
-    /// points fail. No-op on the recorded rows when the baseline has none.
-    pub fn fleet_regressions(&self, metrics: &[Metric], tolerance: f64) -> Vec<String> {
-        let mut problems = Vec::new();
-        for m in metrics.iter().filter(|m| m.key.ends_with("/lost")) {
-            if m.value > 0.0 {
-                problems.push(format!(
-                    "fleet/{}: {} deployments lost (must be 0 — replicas and retries \
-                     must absorb every outage)",
-                    m.key, m.value,
-                ));
-            }
-        }
-        for m in metrics.iter().filter(|m| m.key.ends_with("validation_problems")) {
-            if m.value > 0.0 {
-                problems.push(format!(
-                    "fleet/{}: {} span-tree violations in the fleet telemetry (must be 0)",
-                    m.key, m.value,
-                ));
-            }
-        }
-        if let Some(m) = metrics.iter().find(|m| m.key == "fleet/deterministic") {
-            if m.value < 1.0 {
-                problems.push(
-                    "fleet/deterministic: fixed-seed reports drifted between runs".to_owned(),
-                );
-            }
-        }
-        for row in &self.fleet {
-            match metrics.iter().find(|m| m.key == row.key) {
-                Some(m) if m.value <= row.max * (1.0 + tolerance) => {}
-                Some(m) => problems.push(format!(
-                    "fleet/{}: {:.6} above recorded ceiling {:.6} (+{:.1}% > {:.1}% tolerance)",
-                    row.key,
-                    m.value,
-                    row.max,
-                    (m.value / row.max - 1.0) * 100.0,
-                    tolerance * 100.0,
-                )),
-                None => {
-                    problems.push(format!("fleet ceiling {} missing from the run", row.key));
-                }
-            }
-        }
-        problems
-    }
-
-    /// Checks a fresh hot-path run's metrics against the recorded floors.
-    /// Returns one message per metric below its floor or missing from the
-    /// run. No-op (always passes) when the baseline has no floors.
-    pub fn hotpath_regressions(&self, metrics: &[Metric]) -> Vec<String> {
-        let mut problems = Vec::new();
-        for floor in &self.hotpath {
-            match metrics.iter().find(|m| m.key == floor.key) {
-                Some(metric) if metric.value >= floor.min => {}
-                Some(metric) => problems.push(format!(
-                    "hotpath/{}: {:.4} below recorded floor {:.4}",
-                    floor.key, metric.value, floor.min
-                )),
-                None => problems
-                    .push(format!("hotpath floor {} missing from the run", floor.key)),
-            }
-        }
-        problems
-    }
-
-    /// Checks a fresh chunking run's metrics against the recorded floors.
-    /// Returns one message per metric below its floor or missing from the
-    /// run. No-op (always passes) when the baseline has no chunking floors.
-    pub fn chunking_regressions(&self, metrics: &[Metric]) -> Vec<String> {
-        let mut problems = Vec::new();
-        for floor in &self.chunking {
-            match metrics.iter().find(|m| m.key == floor.key) {
-                Some(metric) if metric.value >= floor.min => {}
-                Some(metric) => problems.push(format!(
-                    "chunking/{}: {:.4} below recorded floor {:.4}",
-                    floor.key, metric.value, floor.min
-                )),
-                None => problems
-                    .push(format!("chunking floor {} missing from the run", floor.key)),
-            }
-        }
-        problems
-    }
+    problems
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
-    use crate::experiments::concurrency::{BandwidthSweep, StreamPoint};
+    fn run_of(name: &'static str, metrics: &[(&str, f64)]) -> Run {
+        let metrics = metrics.iter().map(|(k, v)| Metric::new(*k, *v)).collect();
+        (name, Outcome { metrics, ..Outcome::default() })
+    }
 
-    fn sweep(label: &'static str, cold_ms: u64) -> BandwidthSweep {
-        BandwidthSweep {
-            label,
-            points: vec![StreamPoint {
-                streams: 1,
-                cold: Duration::from_millis(cold_ms),
-                warm: Duration::from_millis(cold_ms / 2),
-            }],
-        }
+    fn baseline(bounds: Vec<Bound>) -> Baseline {
+        Baseline { scale_denom: 64, seed: 7, bounds }
     }
 
     #[test]
     fn artifact_roundtrips_through_json() {
-        let mut artifact = BenchArtifact::new("fig9", 1024, 7, "table".to_owned());
-        artifact.metrics.push(Metric::new("20Mbps/cold_secs", 1.25));
+        let (name, outcome) = run_of("fig9", &[("20Mbps/cold_secs", 1.25)]);
+        let artifact = BenchArtifact::new(name, 1024, 7, &outcome);
         let json = serde_json::to_string(&artifact).unwrap();
         let back: BenchArtifact = serde_json::from_str(&json).unwrap();
         assert_eq!(back.name, "fig9");
-        assert_eq!(back.metrics, artifact.metrics);
+        assert_eq!(back.metrics, outcome.metrics);
         assert_eq!(artifact.file_name(), "BENCH_fig9.json");
     }
 
     #[test]
-    fn baseline_flags_regressions_but_not_improvements() {
-        let recorded = Concurrency { sweeps: vec![sweep("20Mbps", 1_000)] };
-        let baseline = Baseline::from_concurrency(&recorded, 64, 7);
-
-        let same = Concurrency { sweeps: vec![sweep("20Mbps", 1_000)] };
-        assert!(baseline.regressions(&same, 0.01).is_empty());
-
-        let faster = Concurrency { sweeps: vec![sweep("20Mbps", 900)] };
-        assert!(baseline.regressions(&faster, 0.01).is_empty(), "improvements pass");
-
-        let slower = Concurrency { sweeps: vec![sweep("20Mbps", 1_100)] };
-        let problems = baseline.regressions(&slower, 0.01);
-        assert_eq!(problems.len(), 2, "cold and warm both regressed: {problems:?}");
-
-        let missing = Concurrency { sweeps: vec![] };
-        assert_eq!(baseline.regressions(&missing, 0.01).len(), 1);
+    fn ceilings_take_the_tolerance_and_floors_take_none() {
+        let recorded =
+            baseline(vec![Bound::ceiling("exp/a/secs", 2.0), Bound::floor("exp/ratio", 1.5)]);
+        for (case, metrics, violations) in [
+            ("at the bounds", &[("a/secs", 2.0), ("ratio", 1.5)][..], 0),
+            ("improvements pass", &[("a/secs", 1.0), ("ratio", 9.0)], 0),
+            ("ceiling within tolerance", &[("a/secs", 2.019), ("ratio", 1.5)], 0),
+            ("ceiling beyond tolerance", &[("a/secs", 2.021), ("ratio", 1.5)], 1),
+            ("floor has no tolerance", &[("a/secs", 2.0), ("ratio", 1.499)], 1),
+            ("both broken", &[("a/secs", 3.0), ("ratio", 0.0)], 2),
+            ("missing key", &[("a/secs", 2.0)], 1),
+            ("nothing measured", &[], 2),
+        ] {
+            let problems = check(&[run_of("exp", metrics)], Some(&recorded));
+            assert_eq!(problems.len(), violations, "{case}: {problems:?}");
+            assert!(problems.iter().all(|p| p.starts_with("exp/")), "{case}: {problems:?}");
+        }
     }
 
     #[test]
-    fn tiering_rows_gate_times_but_not_gauges() {
-        let recorded = Concurrency { sweeps: vec![sweep("20Mbps", 1_000)] };
-        let measured = vec![
-            Metric::new("hdd/l1_eighth/warm_secs", 2.0),
-            Metric::new("hdd/l1_eighth/l1_fill", 0.12),
-        ];
-        let baseline = Baseline::from_concurrency(&recorded, 64, 7).with_tiering(&measured);
-        assert_eq!(baseline.tiering.len(), 1, "only *_secs metrics are recorded");
-
-        assert!(baseline.tiering_regressions(&measured, 0.01).is_empty());
-        let faster = vec![Metric::new("hdd/l1_eighth/warm_secs", 1.5)];
-        assert!(baseline.tiering_regressions(&faster, 0.01).is_empty(), "improvements pass");
-        let slower = vec![Metric::new("hdd/l1_eighth/warm_secs", 2.5)];
-        assert_eq!(baseline.tiering_regressions(&slower, 0.01).len(), 1);
-        assert_eq!(baseline.tiering_regressions(&[], 0.01).len(), 1, "missing point flagged");
-
-        // Baselines recorded before the sweep existed still load and gate
-        // nothing.
-        let legacy = r#"{"scale_denom":64,"seed":7,"rows":[],"hotpath":[]}"#;
-        let legacy: Baseline = serde_json::from_str(legacy).unwrap();
-        assert!(legacy.tiering.is_empty());
-        assert!(legacy.tiering_regressions(&[], 0.01).is_empty());
+    fn invariants_fire_without_a_baseline_and_against_an_empty_one() {
+        let guarded = |lost: f64, deterministic: f64| {
+            let (name, mut outcome) =
+                run_of("crash", &[("hdd/torn/lost_acked", lost), ("deterministic", deterministic)]);
+            outcome.invariants =
+                ceilings(&outcome.metrics, |m| m.key.ends_with("lost_acked").then_some(0.0));
+            outcome.invariants.push(Bound::floor("deterministic", 1.0));
+            [(name, outcome)]
+        };
+        assert_eq!(check(&guarded(2.0, 0.0), None).len(), 2);
+        assert_eq!(check(&guarded(2.0, 0.0), Some(&baseline(Vec::new()))).len(), 2);
+        assert!(check(&guarded(0.0, 1.0), None).is_empty());
     }
 
     #[test]
-    fn crash_rows_gate_times_and_loss_is_never_tolerated() {
-        let recorded = Concurrency { sweeps: vec![sweep("20Mbps", 1_000)] };
-        let measured = vec![
-            Metric::new("hdd/torn/recovery_secs", 0.5),
-            Metric::new("hdd/torn/replayed_records", 40.0),
-            Metric::new("hdd/torn/lost_acked", 0.0),
-        ];
-        let baseline = Baseline::from_concurrency(&recorded, 64, 7).with_crash(&measured);
-        assert_eq!(baseline.crash.len(), 1, "only *_secs metrics are recorded");
-
-        assert!(baseline.crash_regressions(&measured, 0.01).is_empty());
-        let slower = vec![
-            Metric::new("hdd/torn/recovery_secs", 0.6),
-            Metric::new("hdd/torn/lost_acked", 0.0),
-        ];
-        assert_eq!(baseline.crash_regressions(&slower, 0.01).len(), 1);
-
-        // Blob loss fails even when the recorded rows are all satisfied —
-        // and even against a baseline with no crash rows at all.
-        let lossy = vec![
-            Metric::new("hdd/torn/recovery_secs", 0.5),
-            Metric::new("hdd/torn/lost_acked", 2.0),
-        ];
-        assert_eq!(baseline.crash_regressions(&lossy, 0.01).len(), 1);
-        let plain = Baseline::from_concurrency(&recorded, 64, 7);
-        assert_eq!(plain.crash_regressions(&lossy, 0.01).len(), 1, "loss gate is unconditional");
-
-        // Baselines recorded before the sweep existed still load.
-        let legacy = r#"{"scale_denom":64,"seed":7,"rows":[],"hotpath":[]}"#;
-        let legacy: Baseline = serde_json::from_str(legacy).unwrap();
-        assert!(legacy.crash.is_empty());
-        assert!(legacy.crash_regressions(&[], 0.01).is_empty());
+    fn an_experiment_absent_from_the_run_yields_one_message() {
+        let recorded = baseline(vec![
+            Bound::ceiling("tiering/flat/cold_secs", 3.0),
+            Bound::ceiling("tiering/flat/warm_secs", 2.0),
+            Bound::ceiling("exp/secs", 2.0),
+        ]);
+        let problems = check(&[run_of("exp", &[("secs", 1.0)])], Some(&recorded));
+        assert_eq!(problems, ["baseline has bounds for tiering; add `tiering` to the run"]);
     }
 
     #[test]
-    fn tails_rows_gate_ceilings_and_invariants_unconditionally() {
-        let recorded = Concurrency { sweeps: vec![sweep("20Mbps", 1_000)] };
-        let measured = vec![
-            Metric::new("tails/nodes4/p50_secs", 0.001),
-            Metric::new("tails/nodes4/p999_secs", 0.9),
-            Metric::new("tails/nodes4/collector_bytes", 500_000.0),
-            Metric::new("tails/nodes4/validation_problems", 0.0),
-            Metric::new("tails/exports_identical", 1.0),
-        ];
-        let baseline = Baseline::from_concurrency(&recorded, 64, 7).with_tails(&measured);
-        assert_eq!(baseline.tails.len(), 2, "only p999 and collector bytes are recorded");
-
-        assert!(baseline.tails_regressions(&measured, 0.01).is_empty());
-        let faster = vec![
-            Metric::new("tails/nodes4/p999_secs", 0.5),
-            Metric::new("tails/nodes4/collector_bytes", 400_000.0),
-        ];
-        assert!(baseline.tails_regressions(&faster, 0.01).is_empty(), "improvements pass");
-
-        let slower = vec![
-            Metric::new("tails/nodes4/p999_secs", 1.2),
-            Metric::new("tails/nodes4/collector_bytes", 900_000.0),
-        ];
-        assert_eq!(baseline.tails_regressions(&slower, 0.01).len(), 2);
-        assert_eq!(baseline.tails_regressions(&[], 0.01).len(), 2, "missing points flagged");
-
-        // Invariants fail even against a baseline with no tails rows.
-        let plain = Baseline::from_concurrency(&recorded, 64, 7);
-        let broken = vec![
-            Metric::new("tails/nodes4/validation_problems", 3.0),
-            Metric::new("tails/exports_identical", 0.0),
-        ];
-        assert_eq!(plain.tails_regressions(&broken, 0.01).len(), 2);
-
-        // Baselines recorded before the sweep existed still load.
-        let legacy = r#"{"scale_denom":64,"seed":7,"rows":[],"hotpath":[]}"#;
-        let legacy: Baseline = serde_json::from_str(legacy).unwrap();
-        assert!(legacy.tails.is_empty());
-        assert!(legacy.tails_regressions(&[], 0.01).is_empty());
-    }
-
-    #[test]
-    fn fleet_rows_gate_ceilings_and_loss_is_never_tolerated() {
-        let recorded = Concurrency { sweeps: vec![sweep("20Mbps", 1_000)] };
-        let measured = vec![
-            Metric::new("fleet/flash_crowd/makespan_secs", 30.0),
-            Metric::new("fleet/flash_crowd/p999_secs", 25.0),
-            Metric::new("fleet/flash_crowd/p50_secs", 1.0),
-            Metric::new("fleet/flash_crowd/shard_balance", 1.5),
-            Metric::new("fleet/flash_crowd/lost", 0.0),
-            Metric::new("fleet/rolling_update/p999_secs", 28.0),
-            Metric::new("fleet/rolling_update/makespan_secs", 500.0),
-            Metric::new("fleet/rolling_update/shard_balance", 3.0),
-            Metric::new("fleet/rolling_update/validation_problems", 0.0),
-            Metric::new("fleet/hetero_links/p999_secs", 90.0),
-            Metric::new("fleet/hetero_links/makespan_secs", 95.0),
-            Metric::new("fleet/deterministic", 1.0),
-        ];
-        let baseline = Baseline::from_concurrency(&recorded, 64, 7).with_fleet(&measured);
-        // 3 makespans + 3 p999s + the flash crowd's balance; other
-        // scenarios' balances are skewed by design and never recorded.
-        assert_eq!(baseline.fleet.len(), 7, "{:?}", baseline.fleet);
-
-        assert!(baseline.fleet_regressions(&measured, 0.01).is_empty());
-
-        let mut slower = measured;
-        slower[1].value = 40.0; // flash-crowd p999 blew past the ceiling
-        assert_eq!(baseline.fleet_regressions(&slower, 0.01).len(), 1);
-
-        // Loss and nondeterminism fail even against a baseline with no
-        // fleet rows at all.
-        let plain = Baseline::from_concurrency(&recorded, 64, 7);
-        let broken = vec![
-            Metric::new("fleet/rolling_update/lost", 12.0),
-            Metric::new("fleet/flash_crowd/validation_problems", 2.0),
-            Metric::new("fleet/deterministic", 0.0),
-        ];
-        assert_eq!(plain.fleet_regressions(&broken, 0.01).len(), 3);
-
-        // Baselines recorded before the suite existed still load.
-        let legacy = r#"{"scale_denom":64,"seed":7,"rows":[],"hotpath":[]}"#;
-        let legacy: Baseline = serde_json::from_str(legacy).unwrap();
-        assert!(legacy.fleet.is_empty());
-        assert!(legacy.fleet_regressions(&[], 0.01).is_empty());
-    }
-
-    #[test]
-    fn hotpath_floors_flag_shortfalls_and_gaps() {
-        let recorded = Concurrency { sweeps: vec![sweep("20Mbps", 1_000)] };
-        let baseline = Baseline::from_concurrency(&recorded, 64, 7).with_hotpath_floors();
-        assert_eq!(baseline.hotpath.len(), hotpath_floors().len());
-
-        let good: Vec<Metric> = hotpath_floors()
-            .into_iter()
-            .map(|floor| Metric::new(floor.key, floor.min + 1.0))
-            .collect();
-        assert!(baseline.hotpath_regressions(&good).is_empty());
-
-        let mut bad = good;
-        bad[2].value = 0.05; // linear-eviction-scan territory (cache/flatness)
-        bad.pop(); // last floor's metric missing entirely
-        let problems = baseline.hotpath_regressions(&bad);
-        assert_eq!(problems.len(), 2, "{problems:?}");
-
-        // A baseline recorded without the hotpath experiment gates nothing.
-        let plain = Baseline::from_concurrency(&recorded, 64, 7);
-        assert!(plain.hotpath_regressions(&[]).is_empty());
-    }
-
-    #[test]
-    fn chunking_floors_flag_shortfalls_and_gaps() {
-        let recorded = Concurrency { sweeps: vec![sweep("20Mbps", 1_000)] };
-        let baseline = Baseline::from_concurrency(&recorded, 64, 7).with_chunking_floors();
-        assert_eq!(baseline.chunking.len(), chunking_floors().len());
-
-        let good: Vec<Metric> = chunking_floors()
-            .into_iter()
-            .map(|floor| Metric::new(floor.key, floor.min + 0.5))
-            .collect();
-        assert!(baseline.chunking_regressions(&good).is_empty());
-
-        let mut bad = good;
-        bad[1].value = 0.1; // cold-start saving collapsed below the 30 % gate
-        bad.pop(); // chunker MB/s metric missing entirely
-        let problems = baseline.chunking_regressions(&bad);
-        assert_eq!(problems.len(), 2, "{problems:?}");
-
-        // A baseline recorded without the chunking experiment gates
-        // nothing, and pre-chunking baselines still load.
-        let plain = Baseline::from_concurrency(&recorded, 64, 7);
-        assert!(plain.chunking_regressions(&[]).is_empty());
-        let legacy = r#"{"scale_denom":64,"seed":7,"rows":[],"hotpath":[]}"#;
-        let legacy: Baseline = serde_json::from_str(legacy).unwrap();
-        assert!(legacy.chunking.is_empty());
-        assert!(legacy.chunking_regressions(&[]).is_empty());
+    fn record_prefixes_keys_and_roundtrips_without_nulls() {
+        let (name, mut outcome) =
+            run_of("exp", &[("a/warm_secs", 2.0), ("a/fill", 0.1), ("ratio", 3.0)]);
+        outcome.recorded =
+            ceilings(&outcome.metrics, |m| m.key.ends_with("_secs").then_some(m.value));
+        outcome.recorded.push(Bound::floor("ratio", 1.5));
+        let runs = [(name, outcome)];
+        let recorded = Baseline::record(64, 7, &runs);
+        assert_eq!(
+            recorded.bounds,
+            [Bound::ceiling("exp/a/warm_secs", 2.0), Bound::floor("exp/ratio", 1.5)],
+            "only the selected metrics are recorded",
+        );
+        let json = serde_json::to_string(&recorded).unwrap();
+        assert!(!json.contains("null"), "{json}");
+        assert_eq!(serde_json::from_str::<Baseline>(&json).unwrap(), recorded);
+        assert!(check(&runs, Some(&recorded)).is_empty(), "a run passes its own recording");
     }
 }

@@ -5,63 +5,36 @@
 //! repro [--scale N] [--seed S] [--versions V] [--quick] [--json]
 //!       [--baseline FILE] [--record-baseline FILE] [--trace DIR]
 //!       <experiment>...
-//!
-//! experiments: table2 fig2 fig6 fig7 fig8 fig9 fig10 fig11 concurrency
-//!              cluster faults crash hotpath tiering chunking tails fleet
-//!              profile all
 //! ```
+//!
+//! The experiments are the entries of `gear_bench::experiments::EXPERIMENTS`
+//! (`repro --help` lists them); `all`, the default, runs every entry but
+//! `profile`.
 //!
 //! `--quick` uses the small test corpus; the default is the paper-shaped
 //! corpus (50 series, 971 images, 1/1024 scale) — expect a few minutes in a
 //! release build.
 //!
 //! `--json` additionally writes each experiment's result to
-//! `BENCH_<name>.json` in the working directory. `--baseline FILE` compares
-//! the `concurrency` sweep's `streams = 1` rows against recorded times —
-//! and, when the baseline carries hot-path or chunking floors or tiering
-//! times, the `hotpath` / `chunking` / `tiering` metrics against those —
-//! exiting non-zero on regression (the CI smoke job); `--record-baseline
-//! FILE` writes a fresh baseline (with hot-path / chunking floors and
-//! tiering / crash-recovery times when those experiments are in the run).
+//! `BENCH_<name>.json` in the working directory. Every run checks each
+//! experiment's invariants (no lost deployment, no lost acknowledged blob,
+//! fixed-seed determinism); `--baseline FILE` also checks the run against
+//! the bounds recorded in FILE, which must all belong to experiments in the
+//! run. Any violated bound prints a `REGRESSION` line and exits non-zero
+//! (the CI smoke job). `--record-baseline FILE` writes the bounds the run's
+//! experiments record as a fresh baseline.
 //!
-//! `profile` (not part of `all`) runs the instrumented deployment-path
-//! profile; `--trace DIR` additionally writes its Perfetto `trace.json` and
-//! `metrics.json` into `DIR` and validates them against
-//! `ci/trace-schema.json`, exiting non-zero on any violation.
+//! `profile` runs the instrumented deployment-path profile; `--trace DIR`
+//! additionally writes its Perfetto `trace.json` and `metrics.json` into
+//! `DIR` and validates them against `ci/trace-schema.json`, exiting
+//! non-zero on any violation.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use gear_bench::artifact::{self, Baseline, BenchArtifact};
-use gear_bench::experiments::{self, ExperimentContext};
+use gear_bench::experiments::{self, ExperimentContext, RunCtx};
 use gear_corpus::CorpusConfig;
-
-/// Fractional slack the baseline comparison allows before failing.
-const BASELINE_TOLERANCE: f64 = 0.01;
-
-/// Writes the profile's telemetry exports into `dir` and validates them
-/// against the checked-in trace schema.
-fn export_trace(dir: &Path, result: &experiments::profile::Profile) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let trace = dir.join("trace.json");
-    let metrics = dir.join("metrics.json");
-    std::fs::write(&trace, &result.trace_json)
-        .map_err(|e| format!("writing {}: {e}", trace.display()))?;
-    std::fs::write(&metrics, &result.metrics_json)
-        .map_err(|e| format!("writing {}: {e}", metrics.display()))?;
-    eprintln!("wrote {} and {}", trace.display(), metrics.display());
-    let problems = gear_bench::schema::validate_dir(dir)?;
-    if problems.is_empty() {
-        eprintln!("trace schema check passed ({})", gear_bench::schema::schema_path().display());
-        Ok(())
-    } else {
-        Err(problems
-            .iter()
-            .map(|p| format!("TRACE VIOLATION {p}"))
-            .collect::<Vec<_>>()
-            .join("\n"))
-    }
-}
 
 struct Args {
     config: CorpusConfig,
@@ -115,13 +88,11 @@ fn parse_args() -> Result<Args, String> {
                 trace = Some(PathBuf::from(v));
             }
             "--help" | "-h" => {
-                return Err(
+                return Err(format!(
                     "usage: repro [--scale N] [--seed S] [--versions V] [--quick] [--json] \
-                     [--baseline FILE] [--record-baseline FILE] [--trace DIR] \
-                     <table2|fig2|fig6|fig7|fig8|fig9|fig10|fig11|concurrency|cluster|faults\
-                     |crash|hotpath|tiering|chunking|tails|fleet|profile|all>..."
-                        .to_owned(),
-                )
+                     [--baseline FILE] [--record-baseline FILE] [--trace DIR] <{}|all>...",
+                    experiments::names_usage(),
+                ))
             }
             name if !name.starts_with('-') => experiments.push(name.to_owned()),
             other => return Err(format!("unknown flag {other:?}")),
@@ -134,37 +105,34 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-
-    let wanted: Vec<&str> = if args.experiments.iter().any(|e| e == "all") {
-        vec![
-            "table2", "fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "concurrency",
-            "cluster", "faults", "crash", "hotpath", "tiering", "chunking", "tails", "fleet",
-        ]
-    } else {
-        args.experiments.iter().map(String::as_str).collect()
-    };
-    if (args.baseline.is_some() || args.record_baseline.is_some())
-        && !wanted.contains(&"concurrency")
-    {
-        eprintln!("--baseline/--record-baseline use the concurrency sweep; add `concurrency`");
-        return ExitCode::FAILURE;
     }
-    if args.trace.is_some() && !wanted.contains(&"profile") {
-        eprintln!("--trace exports the profile experiment's telemetry; add `profile`");
-        return ExitCode::FAILURE;
+}
+
+fn run() -> Result<(), String> {
+    let args = parse_args()?;
+    // Everything that can be rejected without the corpus is rejected here:
+    // generating and publishing it takes minutes at paper scale.
+    let wanted = experiments::select(&args.experiments)?;
+    if args.trace.is_some() && !wanted.iter().any(|e| e.name == "profile") {
+        return Err("--trace exports the profile experiment's telemetry; add `profile`".into());
+    }
+    let baseline = args.baseline.as_deref().map(Baseline::load).transpose()?;
+    let (scale_denom, seed) = (args.config.scale_denom, args.config.seed);
+    if let Some(b) = baseline.as_ref().filter(|b| (b.scale_denom, b.seed) != (scale_denom, seed)) {
+        return Err(format!(
+            "baseline recorded at scale 1/{} seed {}, run uses scale 1/{scale_denom} seed {seed}",
+            b.scale_denom, b.seed,
+        ));
     }
 
     eprintln!(
-        "generating corpus (scale 1/{}, seed {}, {} series)...",
-        args.config.scale_denom,
-        args.config.seed,
+        "generating corpus (scale 1/{scale_denom}, seed {seed}, {} series)...",
         args.config.series.as_ref().map_or(50, Vec::len),
     );
     let ctx = ExperimentContext::new(&args.config);
@@ -172,335 +140,54 @@ fn main() -> ExitCode {
         "corpus ready: {} images, {} logical content",
         ctx.corpus.image_count(),
         experiments::human_bytes(
-            ctx.corpus.all_images().map(|i| i.content_bytes()).sum::<u64>()
-                * ctx.corpus.config.scale_denom
+            ctx.corpus.all_images().map(|i| i.content_bytes()).sum::<u64>() * scale_denom
         )
     );
-
     // The deployment experiments share one published corpus.
-    let needs_publish = wanted.iter().any(|e| {
-        matches!(
-            *e,
-            "fig8" | "fig9" | "fig10" | "fig11" | "concurrency" | "cluster" | "faults"
-                | "tiering" | "tails"
-        )
-    });
-    let published = if needs_publish {
+    let published = wanted.iter().any(|e| e.needs_publish).then(|| {
         eprintln!("converting and publishing corpus to registries...");
-        Some(experiments::fig8::publish_corpus(&ctx))
-    } else {
-        None
+        experiments::fig8::publish_corpus(&ctx)
+    });
+    let rc = RunCtx {
+        ctx: &ctx,
+        published: published.as_ref(),
+        quick: args.quick,
+        trace: args.trace.as_deref(),
     };
 
-    let mut concurrency_result = None;
-    let mut hotpath_metrics = None;
-    let mut tiering_metrics = None;
-    let mut crash_metrics = None;
-    let mut chunking_metrics = None;
-    let mut tails_metrics = None;
-    let mut fleet_metrics = None;
-    for name in &wanted {
+    let mut runs = Vec::new();
+    for experiment in wanted {
         println!("{}", "=".repeat(72));
-        let mut metrics = Vec::new();
-        let text = match *name {
-            "table2" => experiments::table2::run(&ctx).to_string(),
-            "fig2" => experiments::fig2::run(&ctx).to_string(),
-            "fig6" => experiments::fig6::run(&ctx).to_string(),
-            "fig7" => experiments::fig7::run(&ctx).to_string(),
-            "fig8" => {
-                experiments::fig8::run(&ctx, published.as_ref().expect("published")).to_string()
-            }
-            "fig9" => {
-                let result = experiments::fig9::run(&ctx, published.as_ref().expect("published"));
-                metrics = artifact::fig9_metrics(&result);
-                result.to_string()
-            }
-            "concurrency" => {
-                let result =
-                    experiments::concurrency::run(&ctx, published.as_ref().expect("published"));
-                metrics = artifact::concurrency_metrics(&result);
-                let text = result.to_string();
-                concurrency_result = Some(result);
-                text
-            }
-            "profile" => {
-                let result = experiments::profile::run(&ctx);
-                if let Some(dir) = &args.trace {
-                    if let Err(msg) = export_trace(dir, &result) {
-                        eprintln!("{msg}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                result.to_string()
-            }
-            "hotpath" => {
-                let result = experiments::hotpath::run(&ctx, args.quick);
-                metrics = artifact::hotpath_metrics(&result);
-                hotpath_metrics = Some(metrics.clone());
-                result.to_string()
-            }
-            "tiering" => {
-                let result =
-                    experiments::tiering::run(&ctx, published.as_ref().expect("published"));
-                metrics = artifact::tiering_metrics(&result);
-                tiering_metrics = Some(metrics.clone());
-                result.to_string()
-            }
-            "chunking" => {
-                // Builds its own file- and chunk-granularity registries, so
-                // it does not use the shared published corpus.
-                let result = experiments::chunking::run(&ctx);
-                metrics = artifact::chunking_metrics(&result);
-                chunking_metrics = Some(metrics.clone());
-                result.to_string()
-            }
-            "tails" => {
-                let series = if ctx.corpus.series_by_name("redis").is_some() {
-                    "redis"
-                } else {
-                    ctx.corpus.series[0].spec.name
-                };
-                let result = match experiments::tails::run(
-                    &ctx,
-                    published.as_ref().expect("published"),
-                    series,
-                ) {
-                    Ok(result) => result,
-                    Err(e) => {
-                        eprintln!("flash-crowd sweep failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                metrics = artifact::tails_metrics(&result);
-                tails_metrics = Some(metrics.clone());
-                let text = result.to_string();
-                if !result.exports_identical {
-                    println!("{text}");
-                    eprintln!("DETERMINISM FAILURE: fleet exports drifted between runs");
-                    return ExitCode::FAILURE;
-                }
-                text
-            }
-            "fleet" => {
-                let series = if ctx.corpus.series_by_name("redis").is_some() {
-                    "redis"
-                } else {
-                    ctx.corpus.series[0].spec.name
-                };
-                let result = match experiments::fleet::run(&ctx, series) {
-                    Ok(result) => result,
-                    Err(e) => {
-                        eprintln!("fleet suite failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                metrics = artifact::fleet_metrics(&result);
-                fleet_metrics = Some(metrics.clone());
-                let text = result.to_string();
-                let lost: u32 = result.scenarios.iter().map(|s| s.report.lost).sum();
-                if lost > 0 {
-                    println!("{text}");
-                    eprintln!(
-                        "FLEET FAILURE: {lost} deployments lost (replicas and retries must \
-                         absorb every outage)"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                if !result.deterministic {
-                    println!("{text}");
-                    eprintln!("DETERMINISM FAILURE: fleet reports drifted between runs");
-                    return ExitCode::FAILURE;
-                }
-                text
-            }
-            "fig10" => {
-                let series = if ctx.corpus.series_by_name("tomcat").is_some() {
-                    "tomcat"
-                } else {
-                    ctx.corpus.series[0].spec.name
-                };
-                experiments::fig10::run(&ctx, published.as_ref().expect("published"), series)
-                    .to_string()
-            }
-            "fig11" => {
-                experiments::fig11::run(&ctx, published.as_ref().expect("published")).to_string()
-            }
-            "faults" => {
-                experiments::faults::run(&ctx, published.as_ref().expect("published")).to_string()
-            }
-            "crash" => {
-                let result = experiments::crash::run();
-                metrics = artifact::crash_metrics(&result);
-                crash_metrics = Some(metrics.clone());
-                let text = result.to_string();
-                if result.total_lost() > 0 {
-                    println!("{text}");
-                    eprintln!(
-                        "DURABILITY FAILURE: {} acknowledged blobs lost after recovery",
-                        result.total_lost()
-                    );
-                    return ExitCode::FAILURE;
-                }
-                text
-            }
-            "cluster" => {
-                let series = if ctx.corpus.series_by_name("postgres").is_some() {
-                    "postgres"
-                } else {
-                    ctx.corpus.series[0].spec.name
-                };
-                experiments::ext_cluster::run(
-                    &ctx,
-                    published.as_ref().expect("published"),
-                    series,
-                )
-                .to_string()
-            }
-            other => {
-                eprintln!("unknown experiment {other:?}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!("{text}");
-        println!();
-
+        let outcome =
+            (experiment.run)(&rc).map_err(|e| format!("{} failed: {e}", experiment.name))?;
+        println!("{}\n", outcome.text);
+        // Written before any bound is judged, so a failing run leaves its
+        // artifact behind to inspect.
         if args.json {
-            let mut artifact = BenchArtifact::new(
-                name,
-                ctx.corpus.config.scale_denom,
-                ctx.corpus.config.seed,
-                text,
-            );
-            artifact.metrics = metrics;
-            match artifact.write_to(Path::new(".")) {
-                Ok(path) => eprintln!("wrote {}", path.display()),
-                Err(e) => {
-                    eprintln!("writing {}: {e}", artifact.file_name());
-                    return ExitCode::FAILURE;
-                }
-            }
+            let artifact = BenchArtifact::new(experiment.name, scale_denom, seed, &outcome);
+            let path = artifact
+                .write_to(Path::new("."))
+                .map_err(|e| format!("writing {}: {e}", artifact.file_name()))?;
+            eprintln!("wrote {}", path.display());
         }
+        runs.push((experiment.name, outcome));
     }
 
-    if let Some(path) = &args.record_baseline {
-        let concurrency = concurrency_result.as_ref().expect("checked above");
-        let mut baseline = Baseline::from_concurrency(
-            concurrency,
-            ctx.corpus.config.scale_denom,
-            ctx.corpus.config.seed,
-        );
-        if hotpath_metrics.is_some() {
-            baseline = baseline.with_hotpath_floors();
-        }
-        if let Some(metrics) = &tiering_metrics {
-            baseline = baseline.with_tiering(metrics);
-        }
-        if let Some(metrics) = &crash_metrics {
-            baseline = baseline.with_crash(metrics);
-        }
-        if chunking_metrics.is_some() {
-            baseline = baseline.with_chunking_floors();
-        }
-        if let Some(metrics) = &tails_metrics {
-            baseline = baseline.with_tails(metrics);
-        }
-        if let Some(metrics) = &fleet_metrics {
-            baseline = baseline.with_fleet(metrics);
-        }
-        let json = serde_json::to_string(&baseline).expect("baseline serializes");
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("recorded baseline to {}", path.display());
+    let problems = artifact::check(&runs, baseline.as_ref());
+    for problem in &problems {
+        eprintln!("REGRESSION {problem}");
     }
-
+    if !problems.is_empty() {
+        return Err(format!("{} bound(s) violated", problems.len()));
+    }
     if let Some(path) = &args.baseline {
-        let baseline = match Baseline::load(path) {
-            Ok(b) => b,
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let concurrency = concurrency_result.as_ref().expect("checked above");
-        if baseline.scale_denom != ctx.corpus.config.scale_denom
-            || baseline.seed != ctx.corpus.config.seed
-        {
-            eprintln!(
-                "baseline recorded at scale 1/{} seed {}, run used scale 1/{} seed {}",
-                baseline.scale_denom,
-                baseline.seed,
-                ctx.corpus.config.scale_denom,
-                ctx.corpus.config.seed,
-            );
-            return ExitCode::FAILURE;
-        }
-        let mut problems = baseline.regressions(concurrency, BASELINE_TOLERANCE);
-        if !baseline.hotpath.is_empty() {
-            match &hotpath_metrics {
-                Some(metrics) => problems.extend(baseline.hotpath_regressions(metrics)),
-                None => problems.push(
-                    "baseline records hot-path floors; add `hotpath` to the run".to_owned(),
-                ),
-            }
-        }
-        if !baseline.tiering.is_empty() {
-            match &tiering_metrics {
-                Some(metrics) => {
-                    problems.extend(baseline.tiering_regressions(metrics, BASELINE_TOLERANCE));
-                }
-                None => problems.push(
-                    "baseline records tiering times; add `tiering` to the run".to_owned(),
-                ),
-            }
-        }
-        if !baseline.crash.is_empty() {
-            match &crash_metrics {
-                Some(metrics) => {
-                    problems.extend(baseline.crash_regressions(metrics, BASELINE_TOLERANCE));
-                }
-                None => problems.push(
-                    "baseline records crash-recovery times; add `crash` to the run".to_owned(),
-                ),
-            }
-        }
-        if !baseline.chunking.is_empty() {
-            match &chunking_metrics {
-                Some(metrics) => problems.extend(baseline.chunking_regressions(metrics)),
-                None => problems.push(
-                    "baseline records chunking floors; add `chunking` to the run".to_owned(),
-                ),
-            }
-        }
-        if !baseline.tails.is_empty() {
-            match &tails_metrics {
-                Some(metrics) => {
-                    problems.extend(baseline.tails_regressions(metrics, BASELINE_TOLERANCE));
-                }
-                None => problems.push(
-                    "baseline records flash-crowd ceilings; add `tails` to the run".to_owned(),
-                ),
-            }
-        }
-        if !baseline.fleet.is_empty() {
-            match &fleet_metrics {
-                Some(metrics) => {
-                    problems.extend(baseline.fleet_regressions(metrics, BASELINE_TOLERANCE));
-                }
-                None => problems.push(
-                    "baseline records fleet ceilings; add `fleet` to the run".to_owned(),
-                ),
-            }
-        }
-        if problems.is_empty() {
-            eprintln!("baseline check passed ({})", path.display());
-        } else {
-            for problem in &problems {
-                eprintln!("REGRESSION {problem}");
-            }
-            return ExitCode::FAILURE;
-        }
+        eprintln!("baseline check passed ({})", path.display());
     }
-    ExitCode::SUCCESS
+    if let Some(path) = &args.record_baseline {
+        let recorded = Baseline::record(scale_denom, seed, &runs);
+        let json = serde_json::to_string(&recorded).map_err(|e| e.to_string())?;
+        std::fs::write(path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
+        eprintln!("recorded {} bounds to {}", recorded.bounds.len(), path.display());
+    }
+    Ok(())
 }

@@ -31,6 +31,7 @@ use gear_registry::{DockerRegistry, GearFileStore};
 use gear_telemetry::{Collector, QuantileSketch, Telemetry};
 
 use super::{human_bytes, secs, ExperimentContext};
+use crate::artifact::{Bound, Metric, Outcome};
 
 /// One granularity's published registry plus its measurements.
 #[derive(Debug, Clone)]
@@ -85,6 +86,48 @@ impl Chunking {
     pub fn coldstart_saved_frac(&self) -> f64 {
         1.0 - self.chunk.coldstart_bytes as f64 / self.file.coldstart_bytes.max(1) as f64
     }
+
+    /// Flattens the comparison into metrics.
+    pub fn metrics(&self) -> Vec<Metric> {
+        vec![
+            Metric::new("chunking/file_dedup_ratio", self.file.dedup_ratio),
+            Metric::new("chunking/chunk_dedup_ratio", self.chunk.dedup_ratio),
+            Metric::new("chunking/ratio_over_file", self.ratio_over_file()),
+            Metric::new("chunking/file_coldstart_bytes", self.file.coldstart_bytes as f64),
+            Metric::new("chunking/chunk_coldstart_bytes", self.chunk.coldstart_bytes as f64),
+            Metric::new("chunking/coldstart_saved_frac", self.coldstart_saved_frac()),
+            Metric::new("chunking/file_deploy_cold_secs", self.file.deploy_cold.as_secs_f64()),
+            Metric::new("chunking/chunk_deploy_cold_secs", self.chunk.deploy_cold.as_secs_f64()),
+            Metric::new("chunking/sparse_paths", self.sparse_paths as f64),
+            Metric::flag("chunking/reads_identical", self.reads_identical),
+            Metric::flag("chunking/default_bit_identical", self.default_bit_identical),
+            Metric::new("chunking/chunker_mb_s", self.chunker_mb_s),
+        ]
+    }
+
+    /// The comparison's outcome; a baseline records [`floors`].
+    pub fn outcome(&self) -> Outcome {
+        Outcome { metrics: self.metrics(), recorded: floors(), ..Outcome::text(self) }
+    }
+}
+
+/// The chunking floors a recorded baseline enforces. The dedup-ratio and
+/// cold-start gates are deterministic results of the simulation, so they
+/// are hard: chunk-granularity dedup must never fall below file-granularity
+/// dedup, sparse cold starts must keep saving at least the 30 % the
+/// comparison claims, ranged reads must agree across granularities, and
+/// the default (chunking-off) conversion must stay bit-identical to the
+/// plain converter. The chunker MB/s floor is a machine-loose tripwire
+/// only: it fails when the word-wise kernel regresses to a byte-at-a-time
+/// loop, not when the runner is merely slow.
+pub fn floors() -> Vec<Bound> {
+    vec![
+        Bound::floor("chunking/ratio_over_file", 1.0),
+        Bound::floor("chunking/coldstart_saved_frac", 0.3),
+        Bound::floor("chunking/reads_identical", 1.0),
+        Bound::floor("chunking/default_bit_identical", 1.0),
+        Bound::floor("chunking/chunker_mb_s", 20.0),
+    ]
 }
 
 /// A published corpus at one granularity, with a readable byte meter.
@@ -323,7 +366,6 @@ impl fmt::Display for Chunking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::chunking_metrics;
 
     #[test]
     fn chunk_granularity_dedups_more_and_pulls_less() {
@@ -370,8 +412,8 @@ mod tests {
         second.chunker_mb_s = 0.0;
         assert_eq!(first.to_string(), second.to_string(), "rendered table must not drift");
         assert_eq!(
-            serde_json::to_string(&chunking_metrics(&first)).unwrap(),
-            serde_json::to_string(&chunking_metrics(&second)).unwrap(),
+            serde_json::to_string(&first.metrics()).unwrap(),
+            serde_json::to_string(&second.metrics()).unwrap(),
             "metrics must be byte-identical for a fixed seed"
         );
     }

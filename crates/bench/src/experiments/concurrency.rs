@@ -15,6 +15,7 @@ use gear_simnet::Link;
 use super::fig8::PublishedCorpus;
 use super::fig9::{self, PhaseAverage};
 use super::{secs, ExperimentContext};
+use crate::artifact::{ceilings, Metric, Outcome};
 
 /// Stream counts swept per bandwidth preset (1 = the Fig. 9 baseline).
 pub const STREAM_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -51,6 +52,29 @@ impl BandwidthSweep {
 pub struct Concurrency {
     /// Sweeps at 904/100/20/5 Mbps.
     pub sweeps: Vec<BandwidthSweep>,
+}
+
+impl Concurrency {
+    /// Flattens the sweep into metrics.
+    pub fn metrics(&self) -> Vec<Metric> {
+        let mut metrics = Vec::new();
+        for sweep in &self.sweeps {
+            for point in &sweep.points {
+                let prefix = format!("{}/streams{}", sweep.label, point.streams);
+                metrics.push(Metric::new(format!("{prefix}/cold_secs"), point.cold.as_secs_f64()));
+                metrics.push(Metric::new(format!("{prefix}/warm_secs"), point.warm.as_secs_f64()));
+            }
+        }
+        metrics
+    }
+
+    /// The sweep's outcome. A baseline records the `streams = 1` times only:
+    /// they are the Fig. 9 serial numbers, which must not drift.
+    pub fn outcome(&self) -> Outcome {
+        let metrics = self.metrics();
+        let recorded = ceilings(&metrics, |m| m.key.contains("/streams1/").then_some(m.value));
+        Outcome { metrics, recorded, ..Outcome::text(self) }
+    }
 }
 
 /// Runs the sweep; the four bandwidth presets run on separate threads.

@@ -21,6 +21,8 @@ use gear_hash::Fingerprint;
 use gear_simnet::{CrashPlan, CrashPoint, DiskModel};
 use gear_store::{BlobStore, DiskStore, EvictionPolicy, JournalMedia};
 
+use crate::artifact::{ceilings, Metric, Outcome};
+
 /// Seeds swept per (disk model, crash point) cell.
 pub const CRASH_SEEDS: u64 = 16;
 
@@ -184,6 +186,33 @@ impl Crash {
     /// Acknowledged blobs lost across the entire sweep (always zero).
     pub fn total_lost(&self) -> u64 {
         self.rows.iter().map(|r| r.lost_acked).sum()
+    }
+
+    /// Flattens the sweep into metrics.
+    pub fn metrics(&self) -> Vec<Metric> {
+        let mut metrics = Vec::new();
+        for row in &self.rows {
+            let prefix = format!("{}/{}", row.disk, row.point);
+            metrics.push(Metric::new(
+                format!("{prefix}/recovery_secs"),
+                row.mean_recovery.as_secs_f64(),
+            ));
+            metrics.push(Metric::new(format!("{prefix}/replayed_records"), row.mean_replayed));
+            metrics.push(Metric::new(format!("{prefix}/lost_acked"), row.lost_acked as f64));
+        }
+        metrics.push(Metric::new("lost_acked_total", self.total_lost() as f64));
+        metrics
+    }
+
+    /// The sweep's outcome. Every cell's `lost_acked` is invariantly zero —
+    /// losing an acknowledged blob is never an acceptable trade for speed.
+    /// A baseline records the recovery times (the `*_secs` metrics; record
+    /// counts are diagnostics).
+    pub fn outcome(&self) -> Outcome {
+        let metrics = self.metrics();
+        let invariants = ceilings(&metrics, |m| m.key.ends_with("lost_acked").then_some(0.0));
+        let recorded = ceilings(&metrics, |m| m.key.ends_with("_secs").then_some(m.value));
+        Outcome { metrics, invariants, recorded, ..Outcome::text(self) }
     }
 }
 

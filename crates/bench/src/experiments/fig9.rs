@@ -9,6 +9,7 @@ use gear_simnet::Link;
 
 use super::fig8::PublishedCorpus;
 use super::{secs, ExperimentContext};
+use crate::artifact::Metric;
 
 /// Paper speedups of Gear over Docker, `(bandwidth, warm-cache, no-cache)`.
 pub const PAPER_SPEEDUPS: [(&str, f64, f64); 4] = [
@@ -85,6 +86,23 @@ impl BandwidthRun {
 pub struct Fig9 {
     /// Runs at 904/100/20/5 Mbps.
     pub runs: Vec<BandwidthRun>,
+}
+
+impl Fig9 {
+    /// Flattens the result into metrics.
+    pub fn metrics(&self) -> Vec<Metric> {
+        let mut metrics = Vec::new();
+        for run in &self.runs {
+            let (docker, cold, warm) = run.overall();
+            let (warm_speedup, cold_speedup) = run.speedups();
+            metrics.push(Metric::new(format!("{}/docker_secs", run.label), docker.as_secs_f64()));
+            metrics.push(Metric::new(format!("{}/cold_secs", run.label), cold.as_secs_f64()));
+            metrics.push(Metric::new(format!("{}/warm_secs", run.label), warm.as_secs_f64()));
+            metrics.push(Metric::new(format!("{}/cold_speedup", run.label), cold_speedup));
+            metrics.push(Metric::new(format!("{}/warm_speedup", run.label), warm_speedup));
+        }
+        metrics
+    }
 }
 
 /// Deploys every image under Docker / Gear-cold / Gear-warm at each preset.

@@ -17,9 +17,11 @@
 //!   20 Mbps; the tails show how the slowest uplink dominates p999.
 //!
 //! Makespan and p50/p99/p999 come from the fleet's merged
-//! [`QuantileSketch`]es — the same bounded per-node flight recorders the
-//! `tails` experiment reads — and a fixed seed makes every report
-//! bit-identical across runs.
+//! [`QuantileSketch`]es: each node records into its own bounded
+//! flight-recorder shard, so collector memory stays capped however many
+//! clients arrive (its footprint is a recorded ceiling), and a fixed seed
+//! makes every report bit-identical and every merged trace/metrics export
+//! byte-identical across runs.
 
 use std::fmt;
 use std::time::Duration;
@@ -27,8 +29,10 @@ use std::time::Duration;
 use gear_core::{ConvertError, Converter};
 use gear_p2p::{FleetConfig, FleetReport, FleetSim, Topology, TopologyConfig};
 use gear_simnet::Link;
+use gear_telemetry::MergeError;
 
 use super::{human_bytes, secs, ExperimentContext};
+use crate::artifact::{ceilings, Bound, Metric, Outcome};
 
 /// Simulated clients per scenario.
 pub const FLEET_CLIENTS: u32 = 10_000;
@@ -69,6 +73,74 @@ pub struct Fleet {
     /// Whether re-running the flash crowd reproduced a bit-identical
     /// report (fixed seed → fixed events, makespan, tails, traffic).
     pub deterministic: bool,
+    /// Whether that re-run also reproduced byte-identical merged trace and
+    /// metrics exports (fixed seed → fixed bytes).
+    pub exports_identical: bool,
+}
+
+impl Fleet {
+    /// Flattens the suite into metrics. Non-finite shard balances (a shard
+    /// that served nothing) are clamped to a large sentinel so the JSON
+    /// stays parseable.
+    pub fn metrics(&self) -> Vec<Metric> {
+        let finite = |v: f64| if v.is_finite() { v } else { 1e9 };
+        let mut metrics = Vec::new();
+        for scenario in &self.scenarios {
+            let prefix = format!("fleet/{}", scenario.name);
+            let r = &scenario.report;
+            metrics.push(Metric::new(format!("{prefix}/makespan_secs"), r.makespan.as_secs_f64()));
+            metrics.push(Metric::new(format!("{prefix}/p50_secs"), r.p50.as_secs_f64()));
+            metrics.push(Metric::new(format!("{prefix}/p99_secs"), r.p99.as_secs_f64()));
+            metrics.push(Metric::new(format!("{prefix}/p999_secs"), r.p999.as_secs_f64()));
+            metrics.push(Metric::new(format!("{prefix}/max_secs"), r.max.as_secs_f64()));
+            metrics.push(Metric::new(format!("{prefix}/completed"), f64::from(r.completed)));
+            metrics.push(Metric::new(format!("{prefix}/lost"), f64::from(r.lost)));
+            metrics.push(Metric::new(format!("{prefix}/retries"), r.retries as f64));
+            metrics.push(Metric::new(
+                format!("{prefix}/overload_rejections"),
+                r.overload_rejections as f64,
+            ));
+            metrics.push(Metric::new(format!("{prefix}/shard_balance"), finite(r.shard_balance)));
+            metrics.push(Metric::new(format!("{prefix}/registry_bytes"), r.registry_bytes as f64));
+            metrics.push(Metric::new(format!("{prefix}/lan_bytes"), r.lan_bytes as f64));
+            metrics.push(Metric::new(format!("{prefix}/backbone_bytes"), r.backbone_bytes as f64));
+            metrics.push(Metric::new(format!("{prefix}/events"), r.events as f64));
+            metrics.push(Metric::new(
+                format!("{prefix}/validation_problems"),
+                r.validation_problems as f64,
+            ));
+            metrics
+                .push(Metric::new(format!("{prefix}/collector_bytes"), r.collector_bytes as f64));
+            metrics.push(Metric::new(format!("{prefix}/dropped_spans"), r.dropped_spans as f64));
+        }
+        metrics.push(Metric::flag("fleet/deterministic", self.deterministic));
+        metrics.push(Metric::flag("fleet/exports_identical", self.exports_identical));
+        metrics
+    }
+
+    /// The suite's outcome. Invariants: zero lost deployments (replicas and
+    /// retries must absorb every outage), zero span-tree violations in the
+    /// fleet telemetry, and a fixed seed reproducing the report and the
+    /// exports. A baseline records every scenario's makespan, p999 and
+    /// collector footprint, plus the flash crowd's shard balance (the
+    /// outage and rolling-update scenarios skew balance by design, so only
+    /// the clean crowd gates it).
+    pub fn outcome(&self) -> Outcome {
+        let metrics = self.metrics();
+        let mut invariants = ceilings(&metrics, |m| {
+            (m.key.ends_with("/lost") || m.key.ends_with("/validation_problems")).then_some(0.0)
+        });
+        invariants.push(Bound::floor("fleet/deterministic", 1.0));
+        invariants.push(Bound::floor("fleet/exports_identical", 1.0));
+        let recorded = ceilings(&metrics, |m| {
+            (m.key.ends_with("/makespan_secs")
+                || m.key.ends_with("/p999_secs")
+                || m.key.ends_with("/collector_bytes")
+                || m.key == "fleet/flash_crowd/shard_balance")
+                .then_some(m.value)
+        });
+        Outcome { metrics, invariants, recorded, ..Outcome::text(self) }
+    }
 }
 
 /// Why the fleet suite could not run.
@@ -80,6 +152,8 @@ pub enum FleetError {
     SeriesEmpty(String),
     /// The newest image failed to convert to Gear files.
     Convert(ConvertError),
+    /// The per-node sketches could not merge into the fleet metrics export.
+    Merge(MergeError),
 }
 
 impl fmt::Display for FleetError {
@@ -88,6 +162,7 @@ impl fmt::Display for FleetError {
             FleetError::SeriesMissing(name) => write!(f, "series {name:?} not in corpus"),
             FleetError::SeriesEmpty(name) => write!(f, "series {name:?} has no images"),
             FleetError::Convert(e) => write!(f, "image conversion failed: {e}"),
+            FleetError::Merge(e) => write!(f, "fleet sketches failed to merge: {e}"),
         }
     }
 }
@@ -96,6 +171,7 @@ impl std::error::Error for FleetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FleetError::Convert(e) => Some(e),
+            FleetError::Merge(e) => Some(e),
             _ => None,
         }
     }
@@ -124,13 +200,17 @@ fn standard_topology() -> Topology {
 }
 
 /// The flash crowd: everyone arrives within two seconds of a cold fleet.
+/// Returns the report plus the fleet's merged `(trace, metrics)` exports
+/// for the byte-identity check.
 fn flash_crowd(
     objects: &[(gear_hash::Fingerprint, bytes::Bytes)],
     seed: u64,
-) -> FleetReport {
+) -> Result<(FleetReport, (String, String)), FleetError> {
     let mut sim = FleetSim::new(standard_topology(), FleetConfig::standard(seed), objects);
     sim.schedule_flash_crowd(FLEET_CLIENTS, Duration::ZERO, Duration::from_micros(200));
-    sim.run()
+    let report = sim.run();
+    let metrics_json = sim.fleet().metrics_json().map_err(FleetError::Merge)?;
+    Ok((report, (sim.fleet().trace_json(), metrics_json)))
 }
 
 /// The rolling update: a shard outage covers the seeding phase, then every
@@ -172,12 +252,13 @@ fn hetero_links(
 ///
 /// # Errors
 ///
-/// [`FleetError`] when the series is missing, empty, or fails to convert.
+/// [`FleetError`] when the series is missing, empty, or fails to convert,
+/// or the fleet's sketches fail to merge.
 pub fn run(ctx: &ExperimentContext, series_name: &str) -> Result<Fleet, FleetError> {
     let objects = image_objects(ctx, series_name)?;
     let seed = ctx.corpus.config.seed;
-    let crowd = flash_crowd(&objects, seed);
-    let again = flash_crowd(&objects, seed);
+    let (crowd, exports) = flash_crowd(&objects, seed)?;
+    let (again, exports_again) = flash_crowd(&objects, seed)?;
     let deterministic = crowd.makespan == again.makespan
         && crowd.p999 == again.p999
         && crowd.events == again.events
@@ -197,6 +278,7 @@ pub fn run(ctx: &ExperimentContext, series_name: &str) -> Result<Fleet, FleetErr
         replication: FleetConfig::standard(seed).replication,
         scenarios,
         deterministic,
+        exports_identical: exports == exports_again,
     })
 }
 
@@ -237,7 +319,7 @@ impl fmt::Display for Fleet {
             )?;
         }
         let crowd = &self.scenarios[0].report;
-        write!(
+        writeln!(
             f,
             "flash-crowd traffic: registry {}, backbone {}, LAN {}; \
              report bit-identical across runs: {}",
@@ -245,6 +327,14 @@ impl fmt::Display for Fleet {
             human_bytes(crowd.backbone_bytes),
             human_bytes(crowd.lan_bytes),
             self.deterministic
+        )?;
+        write!(
+            f,
+            "flash-crowd flight recorders: {} resident, {} spans shed; \
+             exports byte-identical across runs: {}",
+            human_bytes(crowd.collector_bytes),
+            crowd.dropped_spans,
+            self.exports_identical
         )
     }
 }
@@ -258,6 +348,7 @@ mod tests {
         let ctx = ExperimentContext::quick();
         let fleet = run(&ctx, "redis").expect("redis in quick corpus");
         assert!(fleet.deterministic, "fixed seed must reproduce the report");
+        assert!(fleet.exports_identical, "fixed seed must export identical bytes");
         assert_eq!(fleet.scenarios.len(), 3);
         for s in &fleet.scenarios {
             assert_eq!(s.report.lost, 0, "{} lost clients", s.name);
@@ -265,6 +356,12 @@ mod tests {
             assert!(s.report.completed >= FLEET_CLIENTS, "{}", s.name);
             assert!(s.report.p50 <= s.report.p999, "{}", s.name);
         }
+        // The harness sees the same verdict: every invariant holds, and a
+        // baseline would record 3 makespans + 3 p999s + 3 collector
+        // footprints + the flash crowd's balance.
+        let outcome = fleet.outcome();
+        assert_eq!(outcome.recorded.len(), 10, "{:?}", outcome.recorded);
+        assert_eq!(crate::artifact::check(&[("fleet", outcome)], None), [""; 0]);
         // The outage scenario actually consulted the down shard.
         let rolling = &fleet.scenarios[1].report;
         assert!(rolling.shard_down_refusals > 0, "outage never exercised failover");

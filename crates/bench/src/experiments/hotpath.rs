@@ -43,6 +43,7 @@ use gear_par::Pool;
 use gear_simnet::DiskModel;
 
 use super::{secs, ExperimentContext};
+use crate::artifact::{Bound, Metric, Outcome};
 
 /// Worker counts the convert sweep covers.
 pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -173,6 +174,83 @@ impl Hotpath {
     pub fn compress_bit_identical(&self) -> bool {
         self.compress.iter().all(|p| p.bit_identical)
     }
+
+    /// Flattens the benchmark into metrics.
+    pub fn metrics(&self) -> Vec<Metric> {
+        let mut metrics = Vec::new();
+        for point in &self.convert {
+            let prefix = format!("convert/threads{}", point.threads);
+            metrics
+                .push(Metric::new(format!("{prefix}/modeled_secs"), point.modeled.as_secs_f64()));
+            metrics.push(Metric::new(format!("{prefix}/modeled_speedup"), point.modeled_speedup));
+            metrics.push(Metric::new(format!("{prefix}/wall_secs"), point.wall.as_secs_f64()));
+            metrics.push(Metric::new(format!("{prefix}/throughput_mb_s"), point.throughput_mb_s));
+            metrics.push(Metric::flag(format!("{prefix}/bit_identical"), point.bit_identical));
+        }
+        for point in &self.cache {
+            metrics.push(Metric::new(
+                format!("cache/entries{}/ops_per_sec", point.entries),
+                point.ops_per_sec,
+            ));
+        }
+        metrics.push(Metric::new("cache/flatness", self.cache_flatness()));
+        metrics.push(Metric::new("union/cold_lookups_per_sec", self.union.cold_lookups_per_sec));
+        metrics.push(Metric::new("union/warm_lookups_per_sec", self.union.warm_lookups_per_sec));
+        metrics.push(Metric::new("union/warm_over_cold", self.union.warm_over_cold));
+        metrics
+            .push(Metric::new("union/resolve_cache_hits", self.union.resolve_cache_hits as f64));
+        for point in &self.compress {
+            let prefix = format!("compress/{}/workers{}", point.level, point.workers);
+            metrics.push(Metric::new(format!("{prefix}/real_mb_s"), point.real_mb_s));
+            metrics.push(Metric::new(format!("{prefix}/modeled_mb_s"), point.modeled_mb_s));
+            metrics.push(Metric::new(format!("{prefix}/modeled_speedup"), point.modeled_speedup));
+            metrics.push(Metric::new(format!("{prefix}/ratio"), point.ratio));
+            metrics.push(Metric::flag(format!("{prefix}/bit_identical"), point.bit_identical));
+        }
+        metrics.push(Metric::new("kernels/crc32_gb_s", self.kernels.crc32_gb_s));
+        metrics.push(Metric::new("kernels/md5_gb_s", self.kernels.md5_gb_s));
+        metrics.push(Metric::new("kernels/sha256_gb_s", self.kernels.sha256_gb_s));
+        metrics.push(Metric::new("kernels/match_len_gb_s", self.kernels.match_len_gb_s));
+        metrics
+    }
+
+    /// The benchmark's outcome; a baseline records [`floors`].
+    pub fn outcome(&self) -> Outcome {
+        Outcome { metrics: self.metrics(), recorded: floors(), ..Outcome::text(self) }
+    }
+}
+
+/// The hot-path floors a recorded baseline enforces: the modeled 8-worker
+/// conversion speedup, bit-identical parallel output, flat cache ops/s
+/// across a 16x size range, warm union lookups beating cold, and the
+/// block-compression invariants (bit-identical frames at every worker
+/// count, the modeled 8-worker speedup, and the ratio not collapsing to
+/// stored blocks). Absolute wall-clock rates vary by machine, so only
+/// deterministic and scale-free ratio metrics are gated tightly. The ratio
+/// floors are deliberately loose — they catch a return to linear eviction
+/// scans (flatness ~0.06), a dead resolve cache (warm/cold ~1.0), or a
+/// broken block split without flaking on noisy CI machines.
+/// Real-throughput floors (MB/s, GB/s) are order-of-magnitude tripwires
+/// only: they fail when a kernel falls back to a byte-at-a-time loop, not
+/// when the runner is merely slow.
+pub fn floors() -> Vec<Bound> {
+    vec![
+        Bound::floor("convert/threads8/modeled_speedup", 4.0),
+        Bound::floor("convert/threads8/bit_identical", 1.0),
+        Bound::floor("cache/flatness", 0.2),
+        Bound::floor("union/warm_over_cold", 1.5),
+        // Deterministic block-compression gates.
+        Bound::floor("compress/default/workers8/modeled_speedup", 4.0),
+        Bound::floor("compress/default/workers8/bit_identical", 1.0),
+        Bound::floor("compress/default/workers2/bit_identical", 1.0),
+        Bound::floor("compress/fast/workers8/bit_identical", 1.0),
+        // Machine-loose throughput tripwires.
+        Bound::floor("compress/default/workers1/real_mb_s", 1.0),
+        Bound::floor("kernels/crc32_gb_s", 0.2),
+        Bound::floor("kernels/md5_gb_s", 0.03),
+        Bound::floor("kernels/sha256_gb_s", 0.02),
+        Bound::floor("kernels/match_len_gb_s", 0.2),
+    ]
 }
 
 /// Runs all five suites. `quick` shrinks the op counts for CI smoke runs

@@ -1,4 +1,5 @@
-//! One submodule per paper artifact, sharing an [`ExperimentContext`].
+//! One submodule per paper artifact, sharing an [`ExperimentContext`], and
+//! the one table ([`EXPERIMENTS`]) the `repro` harness drives them from.
 
 pub mod chunking;
 pub mod concurrency;
@@ -16,11 +17,15 @@ pub mod fleet;
 pub mod hotpath;
 pub mod profile;
 pub mod table2;
-pub mod tails;
 pub mod tiering;
+
+use std::path::Path;
 
 use gear_client::ClientConfig;
 use gear_corpus::{Corpus, CorpusConfig};
+
+use self::fig8::PublishedCorpus;
+use crate::artifact::Outcome;
 
 /// Shared setup for all experiments: the corpus plus the client cost model
 /// calibrated to the paper's testbed.
@@ -49,6 +54,141 @@ impl ExperimentContext {
     pub fn paper() -> Self {
         Self::new(&CorpusConfig::paper())
     }
+
+    /// `preferred` when the corpus has that series, else the corpus's first
+    /// series — reduced corpora may lack the series an experiment defaults
+    /// to.
+    pub fn series_or_first<'a>(&'a self, preferred: &'a str) -> &'a str {
+        match self.corpus.series_by_name(preferred) {
+            Some(_) => preferred,
+            None => self.corpus.series[0].spec.name,
+        }
+    }
+}
+
+/// What the harness hands every experiment's [`Experiment::run`].
+#[derive(Clone, Copy)]
+pub struct RunCtx<'a> {
+    /// The corpus and client cost model.
+    pub ctx: &'a ExperimentContext,
+    /// The corpus published to both registries — present iff a requested
+    /// experiment says it [`Experiment::needs_publish`].
+    pub published: Option<&'a PublishedCorpus>,
+    /// Whether `--quick` was given (shrinks wall-clock op counts).
+    pub quick: bool,
+    /// `--trace DIR`: where `profile` writes and validates its exports.
+    pub trace: Option<&'a Path>,
+}
+
+impl RunCtx<'_> {
+    fn published(&self) -> Result<&PublishedCorpus, String> {
+        self.published
+            .ok_or_else(|| "uses the published corpus but its entry lacks `needs_publish`".into())
+    }
+}
+
+/// Runs one experiment: the rendered table with its metrics and gates, or
+/// why it could not run.
+pub type RunFn = fn(&RunCtx<'_>) -> Result<Outcome, String>;
+
+/// One `repro` experiment.
+#[derive(Debug)]
+pub struct Experiment {
+    /// Name on the `repro` command line (and in `BENCH_<name>.json`).
+    pub name: &'static str,
+    /// Whether `all` (and a bare `repro`) includes it.
+    pub in_all: bool,
+    /// Whether it deploys from the shared published corpus.
+    pub needs_publish: bool,
+    /// Runs it.
+    pub run: RunFn,
+}
+
+/// An `all` experiment that needs only the corpus.
+const fn local(name: &'static str, run: RunFn) -> Experiment {
+    Experiment { name, in_all: true, needs_publish: false, run }
+}
+
+/// An `all` experiment that deploys from the published corpus.
+const fn deploys(name: &'static str, run: RunFn) -> Experiment {
+    Experiment { name, in_all: true, needs_publish: true, run }
+}
+
+/// Every experiment `repro` knows, in `all` order. `--help`, name
+/// validation, `all`, the publish decision and the baseline's experiment
+/// prefixes all read this table and nothing else.
+pub static EXPERIMENTS: &[Experiment] = &[
+    local("table2", |rc| Ok(Outcome::text(&table2::run(rc.ctx)))),
+    local("fig2", |rc| Ok(Outcome::text(&fig2::run(rc.ctx)))),
+    local("fig6", |rc| Ok(Outcome::text(&fig6::run(rc.ctx)))),
+    local("fig7", |rc| Ok(Outcome::text(&fig7::run(rc.ctx)))),
+    deploys("fig8", |rc| Ok(Outcome::text(&fig8::run(rc.ctx, rc.published()?)))),
+    deploys("fig9", |rc| {
+        let result = fig9::run(rc.ctx, rc.published()?);
+        Ok(Outcome { metrics: result.metrics(), ..Outcome::text(&result) })
+    }),
+    deploys("fig10", |rc| {
+        let series = rc.ctx.series_or_first("tomcat");
+        Ok(Outcome::text(&fig10::run(rc.ctx, rc.published()?, series)))
+    }),
+    deploys("fig11", |rc| Ok(Outcome::text(&fig11::run(rc.ctx, rc.published()?)))),
+    deploys("concurrency", |rc| Ok(concurrency::run(rc.ctx, rc.published()?).outcome())),
+    deploys("cluster", |rc| {
+        let series = rc.ctx.series_or_first("postgres");
+        Ok(Outcome::text(&ext_cluster::run(rc.ctx, rc.published()?, series)))
+    }),
+    deploys("faults", |rc| Ok(Outcome::text(&faults::run(rc.ctx, rc.published()?)))),
+    local("crash", |_| Ok(crash::run().outcome())),
+    local("hotpath", |rc| Ok(hotpath::run(rc.ctx, rc.quick).outcome())),
+    deploys("tiering", |rc| Ok(tiering::run(rc.ctx, rc.published()?).outcome())),
+    // Builds its own file- and chunk-granularity registries, so it does not
+    // use the shared published corpus.
+    local("chunking", |rc| Ok(chunking::run(rc.ctx).outcome())),
+    local("fleet", |rc| {
+        let fleet = fleet::run(rc.ctx, rc.ctx.series_or_first("redis"));
+        Ok(fleet.map_err(|e| e.to_string())?.outcome())
+    }),
+    Experiment {
+        in_all: false,
+        ..local("profile", |rc| {
+            let result = profile::run(rc.ctx);
+            if let Some(dir) = rc.trace {
+                result.export(dir)?;
+            }
+            Ok(Outcome::text(&result))
+        })
+    },
+];
+
+/// Resolves command-line experiment names against [`EXPERIMENTS`] — before
+/// any corpus is generated, so a typo costs nothing. `all` expands to every
+/// `in_all` entry; repeats collapse.
+///
+/// # Errors
+///
+/// The first name that is neither `all` nor in the table.
+pub fn select(names: &[String]) -> Result<Vec<&'static Experiment>, String> {
+    let mut wanted: Vec<&'static Experiment> = Vec::new();
+    for name in names {
+        let matching: Vec<_> = EXPERIMENTS
+            .iter()
+            .filter(|e| if name == "all" { e.in_all } else { e.name == name })
+            .collect();
+        if matching.is_empty() {
+            return Err(format!("unknown experiment {name:?} (known: {}|all)", names_usage()));
+        }
+        for experiment in matching {
+            if !wanted.iter().any(|w| w.name == experiment.name) {
+                wanted.push(experiment);
+            }
+        }
+    }
+    Ok(wanted)
+}
+
+/// Every experiment name, `|`-separated, for usage messages.
+pub fn names_usage() -> String {
+    EXPERIMENTS.iter().map(|e| e.name).collect::<Vec<_>>().join("|")
 }
 
 /// Formats a byte count at paper scale as a human-readable string.
@@ -89,5 +229,47 @@ mod tests {
         let ctx = ExperimentContext::quick();
         assert!(ctx.corpus.image_count() > 0);
         assert!(ctx.client_config.byte_scale > 1);
+        assert_eq!(ctx.series_or_first("redis"), "redis");
+        assert_eq!(ctx.series_or_first("no-such-series"), ctx.corpus.series[0].spec.name);
+    }
+
+    fn names(experiments: &[&Experiment]) -> Vec<&'static str> {
+        experiments.iter().map(|e| e.name).collect()
+    }
+
+    #[test]
+    fn select_rejects_unknown_names_and_expands_all() {
+        let select = |names: &[&str]| {
+            select(&names.iter().map(|n| (*n).to_owned()).collect::<Vec<_>>())
+        };
+        for bad in [&["fig99"][..], &["table2", "fig99"], &["all", "nope"], &[""]] {
+            let err = select(bad).expect_err("typos are rejected");
+            assert!(err.contains(&format!("{:?}", bad.last().unwrap())), "{err}");
+        }
+
+        let everything_but_profile: Vec<_> =
+            EXPERIMENTS.iter().map(|e| e.name).filter(|n| *n != "profile").collect();
+        assert_eq!(names(&select(&["all"]).unwrap()), everything_but_profile);
+        assert_eq!(names(&select(&["fig9", "table2", "fig9"]).unwrap()), ["fig9", "table2"]);
+        let with_profile = names(&select(&["all", "profile", "fig2"]).unwrap());
+        assert_eq!(with_profile.len(), EXPERIMENTS.len());
+        assert_eq!(with_profile.last(), Some(&"profile"));
+    }
+
+    #[test]
+    fn table_names_are_unique_and_the_checked_in_baseline_names_only_them() {
+        for (i, e) in EXPERIMENTS.iter().enumerate() {
+            assert!(EXPERIMENTS[..i].iter().all(|other| other.name != e.name), "{} twice", e.name);
+            // `all` is reserved, and baseline keys split at the first `/`.
+            assert!(e.name != "all" && !e.name.contains('/'), "{}", e.name);
+        }
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/bench-baseline-quick.json");
+        let baseline = crate::artifact::Baseline::load(&path).expect("checked-in baseline parses");
+        assert!(!baseline.bounds.is_empty());
+        for bound in &baseline.bounds {
+            let (experiment, key) = bound.key.split_once('/').expect("keys are <experiment>/<key>");
+            assert!(EXPERIMENTS.iter().any(|e| e.name == experiment), "{}", bound.key);
+            assert!(!key.is_empty() && bound.min.is_some() != bound.max.is_some(), "{bound:?}");
+        }
     }
 }

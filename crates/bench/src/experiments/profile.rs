@@ -10,6 +10,7 @@
 //! models, so the same corpus seed yields byte-identical exports.
 
 use std::fmt;
+use std::path::Path;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -60,6 +61,36 @@ pub struct Profile {
     pub span_count: usize,
     /// Total instant events recorded.
     pub instant_count: usize,
+}
+
+impl Profile {
+    /// Writes the telemetry exports into `dir` and validates them against
+    /// the checked-in trace schema.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem errors, or one `TRACE VIOLATION` line per schema problem.
+    pub fn export(&self, dir: &Path) -> Result<(), String> {
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+        let trace = dir.join("trace.json");
+        let metrics = dir.join("metrics.json");
+        std::fs::write(&trace, &self.trace_json)
+            .map_err(|e| format!("writing {}: {e}", trace.display()))?;
+        std::fs::write(&metrics, &self.metrics_json)
+            .map_err(|e| format!("writing {}: {e}", metrics.display()))?;
+        eprintln!("wrote {} and {}", trace.display(), metrics.display());
+        let problems = crate::schema::validate_dir(dir)?;
+        if problems.is_empty() {
+            eprintln!("trace schema check passed ({})", crate::schema::schema_path().display());
+            Ok(())
+        } else {
+            Err(problems
+                .iter()
+                .map(|p| format!("TRACE VIOLATION {p}"))
+                .collect::<Vec<_>>()
+                .join("\n"))
+        }
+    }
 }
 
 /// Profiles the full deployment path on the first [`PROFILE_SERIES`] series.

@@ -18,6 +18,7 @@ use gear_simnet::DiskModel;
 
 use super::fig8::PublishedCorpus;
 use super::{human_bytes, secs, ExperimentContext};
+use crate::artifact::{ceilings, Metric, Outcome};
 
 /// The disk models priced as the L2 tier, fastest first.
 pub fn disk_models() -> [(&'static str, DiskModel); 4] {
@@ -164,6 +165,28 @@ impl Tiering {
     pub fn point(&self, disk: &str, l1: &str) -> Option<&TieringPoint> {
         self.points.iter().find(|p| p.disk == disk && p.l1 == l1)
     }
+
+    /// Flattens the sweep into metrics.
+    pub fn metrics(&self) -> Vec<Metric> {
+        let mut metrics = Vec::new();
+        metrics.push(Metric::new("flat/cold_secs", self.flat_cold.as_secs_f64()));
+        metrics.push(Metric::new("flat/warm_secs", self.flat_warm.as_secs_f64()));
+        for point in &self.points {
+            let prefix = format!("{}/l1_{}", point.disk, point.l1);
+            metrics.push(Metric::new(format!("{prefix}/cold_secs"), point.cold.as_secs_f64()));
+            metrics.push(Metric::new(format!("{prefix}/warm_secs"), point.warm.as_secs_f64()));
+            metrics.push(Metric::new(format!("{prefix}/l1_fill"), point.l1_fill()));
+        }
+        metrics
+    }
+
+    /// The sweep's outcome. A baseline records the deployment times (the
+    /// `*_secs` metrics; residency gauges are diagnostics, not gates).
+    pub fn outcome(&self) -> Outcome {
+        let metrics = self.metrics();
+        let recorded = ceilings(&metrics, |m| m.key.ends_with("_secs").then_some(m.value));
+        Outcome { metrics, recorded, ..Outcome::text(self) }
+    }
 }
 
 impl fmt::Display for Tiering {
@@ -205,7 +228,6 @@ impl fmt::Display for Tiering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::tiering_metrics;
     use crate::experiments::fig8::publish_corpus;
 
     #[test]
@@ -246,8 +268,8 @@ mod tests {
         let second = run(&ctx, &published);
         assert_eq!(first.to_string(), second.to_string(), "rendered table must not drift");
         assert_eq!(
-            serde_json::to_string(&tiering_metrics(&first)).unwrap(),
-            serde_json::to_string(&tiering_metrics(&second)).unwrap(),
+            serde_json::to_string(&first.metrics()).unwrap(),
+            serde_json::to_string(&second.metrics()).unwrap(),
             "metrics must be byte-identical for a fixed seed"
         );
     }
