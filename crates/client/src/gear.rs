@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use gear_core::{GearImage, GearIndex, IndexError};
-use gear_fs::{FsError, FsTree, Materializer, UnionFs};
+use gear_core::{GearIndex, IndexError};
+use gear_fs::{FsError, Materializer, UnionFs};
 use gear_hash::{Digest, Fingerprint};
 use gear_image::ImageRef;
 use gear_corpus::StartupTrace;
@@ -89,17 +89,16 @@ impl From<FsError> for DeployError {
     }
 }
 
+impl From<IndexError> for DeployError {
+    fn from(e: IndexError) -> Self {
+        DeployError::BadIndex(e)
+    }
+}
+
 impl From<BudgetExhausted> for DeployError {
     fn from(e: BudgetExhausted) -> Self {
         DeployError::FaultBudgetExhausted { attempts: e.attempts }
     }
-}
-
-/// Level-2 state: one installed Gear index.
-#[derive(Debug)]
-struct InstalledIndex {
-    index: Arc<GearIndex>,
-    tree: Arc<FsTree>,
 }
 
 /// A deployed container (level 3): its union mount and home image.
@@ -116,7 +115,8 @@ struct Container {
 pub struct GearClient {
     config: ClientConfig,
     cache: Box<dyn BlobStore>,
-    indexes: HashMap<ImageRef, InstalledIndex>,
+    /// Level 2: the installed indexes; containers mount their trees.
+    indexes: HashMap<ImageRef, Arc<GearIndex>>,
     containers: HashMap<ContainerId, Container>,
     /// Compressed index-image blobs already local (skip re-downloading).
     blobs: HashSet<Digest>,
@@ -185,11 +185,7 @@ impl GearClient {
     /// The cache travels as canonical snapshot bytes; indexes and blob
     /// digests are listed in deterministic (reference / digest) order.
     pub fn handoff(self) -> ClientHandoff {
-        let mut indexes: Vec<(ImageRef, Arc<GearIndex>)> = self
-            .indexes
-            .into_iter()
-            .map(|(reference, installed)| (reference, installed.index))
-            .collect();
+        let mut indexes: Vec<(ImageRef, Arc<GearIndex>)> = self.indexes.into_iter().collect();
         indexes.sort_by_key(|(reference, _)| reference.to_string());
         let mut blobs: Vec<Digest> = self.blobs.into_iter().collect();
         blobs.sort();
@@ -218,13 +214,10 @@ impl GearClient {
             crate::cache::restore_store_for(&handoff.config, &snapshot)?,
             handoff.config,
         );
-        for (reference, index) in handoff.indexes {
-            // Pins already live in the cache snapshot: rebuild the mount
-            // tree without re-pinning (a second pin per file would survive
-            // one future `remove_image` too many).
-            let tree = Arc::new(index.to_tree());
-            client.indexes.insert(reference, InstalledIndex { index, tree });
-        }
+        // Pins already live in the cache snapshot: the indexes go back in
+        // without re-pinning (a second pin per file would survive one future
+        // `remove_image` too many).
+        client.indexes = handoff.indexes.into_iter().collect();
         client.blobs = handoff.blobs.into_iter().collect();
         client.metrics = handoff.metrics;
         client.next_id = handoff.next_id;
@@ -266,26 +259,6 @@ impl GearClient {
     /// Failed request attempts retried since [`GearClient::inject_faults`].
     pub fn fault_retries(&self) -> u64 {
         self.faults.retries()
-    }
-
-    /// One pull-phase request of `bytes` from the index registry: charged
-    /// serially under the active fault plan (plus `local` work on the
-    /// response) and appended to `report`.
-    fn pull_step(
-        &mut self,
-        report: &mut DeploymentReport,
-        bytes: u64,
-        local: Duration,
-        event: TimelineEvent,
-    ) -> Result<(), DeployError> {
-        let nominal = self.config.request_time(bytes);
-        let took = self.faults.request(nominal)?.total(nominal) + local;
-        report.timeline.push(report.pull, took, event);
-        report.pull += took;
-        report.bytes_pulled += bytes;
-        report.requests += 1;
-        self.metrics.download(bytes);
-        Ok(())
     }
 
     /// The client's configuration.
@@ -360,40 +333,6 @@ impl GearClient {
         self.telemetry
             .set_trace_id(gear_telemetry::trace_id_for(&reference.to_string(), self.next_id));
 
-        // ---- pull phase: fetch the (tiny) index image ----------------------
-        let tree = match self.indexes.get(reference) {
-            Some(installed) => Arc::clone(&installed.tree),
-            None => {
-                let manifest = docker
-                    .manifest(reference)
-                    .ok_or_else(|| DeployError::ImageNotFound(reference.clone()))?;
-                let bytes = manifest.to_json().len() as u64;
-                self.pull_step(
-                    &mut report,
-                    bytes,
-                    Duration::ZERO,
-                    TimelineEvent::Manifest { bytes },
-                )?;
-                for desc in &manifest.layers {
-                    if self.blobs.contains(&desc.digest) {
-                        continue;
-                    }
-                    // The index is metadata, not image content: its size is not
-                    // scaled up — it is already "paper scale" (a few hundred KB).
-                    let bytes = desc.size;
-                    let decompress = self.config.decompress(bytes);
-                    self.pull_step(&mut report, bytes, decompress, TimelineEvent::Index { bytes })?;
-                    self.blobs.insert(desc.digest);
-                }
-                let image = docker
-                    .image(reference)
-                    .ok_or_else(|| DeployError::ImageNotFound(reference.clone()))?;
-                let gear = GearImage::from_index_image(&image).map_err(DeployError::BadIndex)?;
-                self.install_index(reference.clone(), gear.into_index())
-            }
-        };
-
-        // ---- run phase: launch + replay the startup trace ------------------
         let mut chain = RegistryChain {
             config: self.config,
             own: self.cache.as_mut(),
@@ -402,9 +341,25 @@ impl GearClient {
             metrics: &mut self.metrics,
             chunked: false,
         };
+
+        // ---- pull phase: fetch the (tiny) index image if missing -----------
+        let pulled = chain
+            .pull_index::<DeployError>(
+                reference,
+                docker,
+                &mut self.blobs,
+                &mut self.indexes,
+                &mut report.timeline,
+            )?
+            .ok_or_else(|| DeployError::ImageNotFound(reference.clone()))?;
+        report.pull = pulled.took;
+        report.bytes_pulled = pulled.bytes;
+        report.requests = pulled.requests;
+
+        // ---- run phase: launch + replay the startup trace ------------------
         let replayed = replay::<_, DeployError>(
             &self.config,
-            tree,
+            Arc::clone(pulled.index.tree()),
             trace,
             &mut chain,
             &self.telemetry,
@@ -735,7 +690,7 @@ impl GearClient {
         task: gear_corpus::TaskKind,
     ) -> Option<StartupTrace> {
         let container = self.containers.get(&id)?;
-        let index = &self.indexes.get(&container.image)?.index;
+        let index = self.indexes.get(&container.image)?;
         let reads = container
             .mount
             .touched_paths()
@@ -748,7 +703,7 @@ impl GearClient {
 
     /// The installed index of `reference`, if pulled.
     pub fn index(&self, reference: &ImageRef) -> Option<Arc<GearIndex>> {
-        self.indexes.get(reference).map(|i| Arc::clone(&i.index))
+        self.indexes.get(reference).cloned()
     }
 
     /// Destroys a container, returning the simulated unmount time — Gear
@@ -767,8 +722,8 @@ impl GearClient {
     /// level-1 cache (unpinned) and remain shareable — the decoupled life
     /// cycle the paper's three-level structure provides.
     pub fn remove_image(&mut self, reference: &ImageRef) -> bool {
-        if let Some(installed) = self.indexes.remove(reference) {
-            for (fp, _) in installed.index.referenced_files() {
+        if let Some(index) = self.indexes.remove(reference) {
+            for (fp, _) in index.referenced_files() {
                 self.cache.unpin(fp);
             }
             true
@@ -781,17 +736,6 @@ impl GearClient {
     pub fn container_count(&self) -> usize {
         self.containers.len()
     }
-
-    /// Pins and installs `index`, returning its mount tree.
-    fn install_index(&mut self, reference: ImageRef, index: GearIndex) -> Arc<FsTree> {
-        for (fp, _) in index.referenced_files() {
-            self.cache.pin(fp);
-        }
-        let tree = Arc::new(index.to_tree());
-        let installed = InstalledIndex { index: Arc::new(index), tree: Arc::clone(&tree) };
-        self.indexes.insert(reference, installed);
-        tree
-    }
 }
 
 #[cfg(test)]
@@ -799,6 +743,7 @@ mod tests {
     use super::*;
     use gear_core::{publish, Converter};
     use gear_corpus::{StartupTrace, TaskKind};
+    use gear_fs::FsTree;
     use gear_image::ImageBuilder;
     use gear_simnet::FaultKind;
 

@@ -9,8 +9,9 @@
 //! * [`GearClient`] — the Gear Driver + Gear File Viewer: pulls an index
 //!   image, union-mounts it over a writable layer, and materializes files on
 //!   demand from cache or the Gear Registry (three-level storage).
-//! * [`replay`] — the run phase itself: the one replay-and-price path that
-//!   [`GearClient`] and `gear-p2p`'s cluster nodes both deploy through,
+//! * [`RegistryChain::pull_index`] and [`replay`] — the pull and run phases
+//!   themselves: the one pull-and-install and the one replay-and-price path
+//!   that [`GearClient`] and `gear-p2p`'s cluster nodes both deploy through,
 //!   differing only in the [`Sources`] chain a cache miss walks.
 //! * [`DockerClient`] — the stock Docker baseline: full image pull into an
 //!   Overlay2 store, then launch.
@@ -67,7 +68,7 @@ pub use config::{ClientConfig, Costs, FetchConfig, TierConfig};
 pub use docker::DockerClient;
 pub use gear::{ClientHandoff, ContainerId, DeployError, GearClient};
 pub use gear_store::{EvictionPolicy, StoreStats};
-pub use replay::{replay, FetchCharge, Fetched, Lane, RegistryChain, Replayed, Sources};
+pub use replay::{replay, FetchCharge, Fetched, Lane, Pulled, RegistryChain, Replayed, Sources};
 pub use report::{DeploymentReport, LaneTail};
 pub use slacker::SlackerClient;
 pub use timeline::{Timeline, TimelineEvent};

@@ -2,8 +2,9 @@
 //! installed index, replay its startup reads through the union mount, and
 //! materialise every file on first touch from the nearest place that has it.
 //!
-//! [`replay`] is that path for every engine and every stream count. Its one
-//! seam is the [`Sources`] chain a miss walks: a standalone client's is own
+//! [`RegistryChain::pull_index`] is the pull phase and [`replay`] the run
+//! phase, for every engine and every stream count. The one seam is the
+//! [`Sources`] chain a miss walks: a standalone client's is own
 //! store → registry ([`RegistryChain`]); a cluster node puts its peer
 //! holders in between. Per fetch the chain charges the transfer against the
 //! fault plan, then commits the file to the node's own store — so a file is
@@ -21,15 +22,17 @@
 //! through the same chain and [`price_batch`].
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use gear_core::{GearImage, GearIndex, IndexError};
 use gear_corpus::StartupTrace;
 use gear_fs::{FsError, FsTree, Materializer, UnionFs};
-use gear_hash::Fingerprint;
-use gear_registry::GearFileStore;
+use gear_hash::{Digest, Fingerprint};
+use gear_image::ImageRef;
+use gear_registry::{DockerRegistry, GearFileStore};
 use gear_simnet::{BudgetExhausted, FaultInjector, NetMetrics, StreamConfig};
 use gear_store::BlobStore;
 use gear_telemetry::Telemetry;
@@ -117,7 +120,83 @@ pub struct RegistryChain<'a> {
     pub chunked: bool,
 }
 
+/// A node's installed index of one image, and what pulling it cost — all
+/// zero when the node already had it.
+#[derive(Debug)]
+pub struct Pulled {
+    /// The installed index; its tree is what containers mount.
+    pub index: Arc<GearIndex>,
+    /// Pull-phase duration.
+    pub took: Duration,
+    /// Bytes pulled from the index registry.
+    pub bytes: u64,
+    /// Requests made to the index registry.
+    pub requests: u64,
+}
+
 impl RegistryChain<'_> {
+    /// The pull phase, for every engine: returns `reference`'s index from
+    /// the node's installed `indexes`, pulling and installing it first when
+    /// absent — one request for the manifest, one per compressed index layer
+    /// not among the node's local `blobs` (plus its decompression), each
+    /// charged serially under the fault plan and appended to `timeline` from
+    /// offset zero; then decode, pin every referenced file in the own store,
+    /// and insert. `None` when the registry cannot serve the image.
+    ///
+    /// # Errors
+    ///
+    /// [`BudgetExhausted`] when a request ran out of retry attempts,
+    /// [`IndexError`] when the pulled image is not a Gear index; neither
+    /// installs anything.
+    pub fn pull_index<E: From<BudgetExhausted> + From<IndexError>>(
+        &mut self,
+        reference: &ImageRef,
+        docker: &DockerRegistry,
+        blobs: &mut HashSet<Digest>,
+        indexes: &mut HashMap<ImageRef, Arc<GearIndex>>,
+        timeline: &mut Timeline,
+    ) -> Result<Option<Pulled>, E> {
+        if let Some(index) = indexes.get(reference) {
+            let index = Arc::clone(index);
+            return Ok(Some(Pulled { index, took: Duration::ZERO, bytes: 0, requests: 0 }));
+        }
+        let Some(manifest) = docker.manifest(reference) else {
+            return Ok(None);
+        };
+        let (mut took, mut pulled, mut requests) = (Duration::ZERO, 0, 0);
+        let mut request = |bytes: u64, local: Duration, event| {
+            let nominal = self.config.request_time(bytes);
+            let step = self.faults.request(nominal)?.total(nominal) + local;
+            timeline.push(took, step, event);
+            took += step;
+            pulled += bytes;
+            requests += 1;
+            self.metrics.download(bytes);
+            Ok::<(), BudgetExhausted>(())
+        };
+        let bytes = manifest.to_json().len() as u64;
+        request(bytes, Duration::ZERO, TimelineEvent::Manifest { bytes })?;
+        for desc in &manifest.layers {
+            if blobs.contains(&desc.digest) {
+                continue;
+            }
+            // The index is metadata, not image content: its size is not
+            // scaled up — it is already "paper scale" (a few hundred KB).
+            let bytes = desc.size;
+            request(bytes, self.config.decompress(bytes), TimelineEvent::Index { bytes })?;
+            blobs.insert(desc.digest);
+        }
+        let Some(image) = docker.image(reference) else {
+            return Ok(None);
+        };
+        let index = Arc::new(GearImage::from_index_image(&image)?.into_index());
+        for (fingerprint, _) in index.referenced_files() {
+            self.own.pin(fingerprint);
+        }
+        indexes.insert(reference.clone(), Arc::clone(&index));
+        Ok(Some(Pulled { index, took, bytes: pulled, requests }))
+    }
+
     /// First step: the own store.
     pub fn hit(&mut self, fingerprint: Fingerprint) -> Fetched {
         let content = self.own.get(fingerprint)?;

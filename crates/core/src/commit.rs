@@ -5,10 +5,12 @@
 //! merges their metadata with the current Gear index, and yields a new
 //! index plus the (typically few) new files to push.
 
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
-use gear_fs::{FileData, FsError, Node, UnionFs};
+use bytes::Bytes;
+use gear_fs::{FileData, FileNode, FsError, Node, UnionFs};
 use gear_hash::Fingerprint;
 use gear_image::ImageRef;
 
@@ -79,42 +81,37 @@ pub fn commit(
     base: &GearIndex,
     new_reference: ImageRef,
 ) -> Result<CommitOutput, CommitError> {
-    // Merge the writable diff over the index's placeholder tree.
+    // Merge the writable diff over a copy of the index's placeholder tree.
     let mut merged = base.to_tree();
     merged.apply_layer(&mount.diff())?;
 
-    // Convert the (few) inline files the diff introduced.
+    // Convert the (few) inline files the diff introduced, in place.
     let mut resolver = CollisionResolver::new();
-    let mut new_files = Vec::new();
+    let mut new_files: Vec<GearFile> = Vec::new();
     let mut new_bytes = 0u64;
-    let mut converted = gear_fs::FsTree::new();
-    let known: std::collections::HashSet<Fingerprint> =
+    let known: HashSet<Fingerprint> =
         base.referenced_files().into_iter().map(|(fp, _)| fp).collect();
-    for (path, node) in merged.walk() {
-        let new_node = match node {
-            Node::File(f) => match &f.data {
-                FileData::Inline(content) => {
-                    let fp = Fingerprint::of(content);
-                    let (id, _) = resolver.resolve(fp, content);
-                    if !known.contains(&id)
-                        && !new_files.iter().any(|g: &GearFile| g.fingerprint == id)
-                    {
-                        new_bytes += content.len() as u64;
-                        new_files.push(GearFile { fingerprint: id, content: content.clone() });
-                    }
-                    Node::fingerprint_file(f.meta, id, content.len() as u64)
-                }
-                _ => node.clone(),
-            },
-            other => match other {
-                Node::Dir { meta, .. } => Node::empty_dir(*meta),
-                n => n.clone(),
-            },
-        };
-        converted.insert(&path, new_node)?;
+    let inline: Vec<(String, Bytes)> = merged
+        .walk()
+        .filter_map(|(path, node)| match node {
+            Node::File(FileNode { data: FileData::Inline(content), .. }) => {
+                Some((path, content.clone()))
+            }
+            _ => None,
+        })
+        .collect();
+    for (path, content) in inline {
+        let (id, _) = resolver.resolve(Fingerprint::of(&content), &content);
+        if !known.contains(&id) && !new_files.iter().any(|g| g.fingerprint == id) {
+            new_bytes += content.len() as u64;
+            new_files.push(GearFile { fingerprint: id, content: content.clone() });
+        }
+        if let Some(Node::File(file)) = merged.get_mut(&path) {
+            file.data = FileData::Fingerprint { fingerprint: id, size: content.len() as u64 };
+        }
     }
 
-    let index = GearIndex::from_tree(&converted, base.config.clone())?;
+    let index = GearIndex::from_tree(merged, base.config.clone())?;
     Ok(CommitOutput {
         gear_image: GearImage::new(new_reference, index),
         new_files,
@@ -125,7 +122,6 @@ pub fn commit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use gear_archive::Metadata;
     use gear_fs::FsTree;
     use gear_image::ImageConfig;
@@ -143,12 +139,12 @@ mod tests {
             Node::fingerprint_file(Metadata::file_default(), Fingerprint::of(b"cfg-v1"), 6),
         )
         .unwrap();
-        GearIndex::from_tree(&tree, ImageConfig { env: vec!["E=1".into()], ..Default::default() })
+        GearIndex::from_tree(tree, ImageConfig { env: vec!["E=1".into()], ..Default::default() })
             .unwrap()
     }
 
     fn mounted(base: &GearIndex) -> UnionFs {
-        UnionFs::new(vec![Arc::new(base.to_tree())])
+        UnionFs::new(vec![Arc::clone(base.tree())])
     }
 
     #[test]

@@ -238,90 +238,61 @@ impl Converter {
     ///
     /// [`ConvertError`] if the image's layers cannot be replayed or indexed.
     pub fn convert(&self, image: &Image) -> Result<Conversion, ConvertError> {
-        let rootfs = image.root_fs()?;
+        // The replayed root fs becomes the index tree: each inline body is
+        // swapped for its placeholder in place. Directories, symlinks and
+        // already-converted bodies (possible when re-converting a committed
+        // image) stay as they are.
+        let mut converted = image.root_fs()?;
         let mut resolver = CollisionResolver::new();
         let mut report = ConversionReport::default();
         let mut files = Vec::new();
         let mut produced: HashMap<Fingerprint, ()> = HashMap::new();
+        // A file not seen before joins the Gear file set.
+        let mut produce = |id: Fingerprint, content: &Bytes, report: &mut ConversionReport| {
+            if produced.insert(id, ()).is_none() {
+                report.unique_files += 1;
+                report.unique_bytes += content.len() as u64;
+                files.push(GearFile { fingerprint: id, content: content.clone() });
+            } else {
+                report.duplicate_files += 1;
+            }
+        };
 
-        // Pre-fingerprint whole-file contents, in parallel when configured.
-        let precomputed = self.prehash(&rootfs);
-
-        let mut converted = FsTree::new();
-        for (path, node) in rootfs.walk() {
-            let new_node = match node {
-                Node::Dir { meta, .. } => Node::empty_dir(*meta),
-                Node::Symlink(s) => Node::Symlink(s.clone()),
-                Node::File(f) => {
-                    let content = match &f.data {
-                        FileData::Inline(bytes) => bytes.clone(),
-                        // Already-converted bodies pass through untouched
-                        // (possible when re-converting a committed image).
-                        other => {
-                            converted.insert(
-                                &path,
-                                Node::File(gear_fs::FileNode { meta: f.meta, data: other.clone() }),
-                            )?;
-                            continue;
-                        }
-                    };
-                    report.scanned_files += 1;
-                    report.scanned_bytes += content.len() as u64;
-                    let big = self
-                        .options
-                        .big_file_threshold
-                        .is_some_and(|t| content.len() as u64 >= t);
-                    if big {
-                        let spans: Vec<std::ops::Range<usize>> = match &self.options.cdc {
-                            Some(bounds) => gear_hash::chunk_spans(&content, bounds),
-                            None => {
-                                let step = self.options.chunk_size.max(1) as usize;
-                                (0..content.len())
-                                    .step_by(step)
-                                    .map(|s| s..(s + step).min(content.len()))
-                                    .collect()
-                            }
-                        };
-                        let mut chunks = Vec::new();
-                        for span in spans {
-                            let chunk = content.slice(span);
-                            let fp = Fingerprint::of(&chunk);
-                            let (id, _) = resolver.resolve(fp, &chunk);
-                            if produced.insert(id, ()).is_none() {
-                                report.unique_files += 1;
-                                report.unique_bytes += chunk.len() as u64;
-                                files.push(GearFile { fingerprint: id, content: chunk.clone() });
-                            } else {
-                                report.duplicate_files += 1;
-                            }
-                            chunks.push(ChunkRef { fingerprint: id, size: chunk.len() as u64 });
-                        }
-                        Node::File(gear_fs::FileNode {
-                            meta: f.meta,
-                            data: FileData::Chunked { chunks, size: content.len() as u64 },
-                        })
-                    } else {
-                        let fp = precomputed
-                            .get(&path)
-                            .copied()
-                            .unwrap_or_else(|| Fingerprint::of(&content));
-                        let (id, _dedup) = resolver.resolve(fp, &content);
-                        if produced.insert(id, ()).is_none() {
-                            report.unique_files += 1;
-                            report.unique_bytes += content.len() as u64;
-                            files.push(GearFile { fingerprint: id, content: content.clone() });
-                        } else {
-                            report.duplicate_files += 1;
-                        }
-                        Node::fingerprint_file(f.meta, id, content.len() as u64)
+        for (path, content, whole) in self.prehash(&converted) {
+            report.scanned_files += 1;
+            report.scanned_bytes += content.len() as u64;
+            let size = content.len() as u64;
+            let data = if self.options.big_file_threshold.is_some_and(|t| size >= t) {
+                let spans: Vec<std::ops::Range<usize>> = match &self.options.cdc {
+                    Some(bounds) => gear_hash::chunk_spans(&content, bounds),
+                    None => {
+                        let step = self.options.chunk_size.max(1) as usize;
+                        (0..content.len())
+                            .step_by(step)
+                            .map(|s| s..(s + step).min(content.len()))
+                            .collect()
                     }
+                };
+                let mut chunks = Vec::new();
+                for span in spans {
+                    let chunk = content.slice(span);
+                    let (id, _) = resolver.resolve(Fingerprint::of(&chunk), &chunk);
+                    produce(id, &chunk, &mut report);
+                    chunks.push(ChunkRef { fingerprint: id, size: chunk.len() as u64 });
                 }
+                FileData::Chunked { chunks, size }
+            } else {
+                let (id, _dedup) = resolver.resolve(whole, &content);
+                produce(id, &content, &mut report);
+                FileData::Fingerprint { fingerprint: id, size }
             };
-            converted.insert(&path, new_node)?;
+            if let Some(Node::File(file)) = converted.get_mut(&path) {
+                file.data = data;
+            }
         }
 
         report.collisions = resolver.collisions();
-        let index = GearIndex::from_tree(&converted, image.config().clone())?;
+        let index = GearIndex::from_tree(converted, image.config().clone())?;
         report.index_bytes = index.serialized_len();
         report.duration = self.estimate_duration(&report);
 
@@ -332,13 +303,14 @@ impl Converter {
         })
     }
 
-    /// Fingerprints every inline regular file, fanning out across
-    /// `options.threads` worker threads for large trees.
+    /// Every inline regular file in walk order — path, content and the
+    /// content's fingerprint — hashing fanned out across `options.threads`
+    /// worker threads for large trees.
     ///
     /// Delegates the fan-out to [`gear_par::Pool`]: the split is a pure
-    /// function of `(len, threads)`, so the map is bit-identical to the
+    /// function of `(len, threads)`, so the result is bit-identical to the
     /// serial loop for any thread count.
-    fn prehash(&self, rootfs: &FsTree) -> HashMap<String, Fingerprint> {
+    fn prehash(&self, rootfs: &FsTree) -> Vec<(String, Bytes, Fingerprint)> {
         let work: Vec<(String, Bytes)> = rootfs
             .walk()
             .filter_map(|(path, node)| match node {
@@ -353,8 +325,8 @@ impl Converter {
         let bodies: Vec<&Bytes> = work.iter().map(|(_, content)| content).collect();
         let fingerprints = gear_hash::fingerprint_all(&bodies, &pool);
         work.into_iter()
-            .map(|(path, _)| path)
             .zip(fingerprints)
+            .map(|((path, content), fingerprint)| (path, content, fingerprint))
             .collect()
     }
 

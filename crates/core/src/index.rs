@@ -1,79 +1,23 @@
 //! The Gear index: an image's directory tree with fingerprint leaves.
+//!
+//! The index *is* the placeholder [`FsTree`] the Gear File Viewer mounts
+//! (paper §III-B/III-D): one tree from the wire to the mount. Its JSON form
+//! (grammar in DESIGN.md §2) prices the index blob every deployment pulls,
+//! so the hand-written codec below keeps it byte-stable.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use bytes::Bytes;
-use gear_archive::Metadata;
-use gear_fs::{ChunkRef, FileData, FsTree, Node};
+use gear_fs::{ChunkRef, FileData, FileNode, FsTree, Node};
 use gear_hash::Fingerprint;
 use gear_image::{Image, ImageBuilder, ImageConfig, ImageRef};
-use serde::{Deserialize, Serialize};
+use serde::de::Error as DeError;
+use serde::{to_value, Deserialize, DeserializeOwned, Deserializer, Map, Serialize, Serializer, Value};
 
 /// Path inside the single-layer index image where the index JSON lives.
 pub const INDEX_PATH: &str = "var/lib/gear/index.json";
-
-/// One chunk of a big file in the index (fingerprint + length).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IndexChunk {
-    /// Chunk content fingerprint.
-    pub fingerprint: Fingerprint,
-    /// Chunk length in bytes.
-    pub size: u64,
-}
-
-/// A node in the Gear index tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-pub enum IndexNode {
-    /// Directory.
-    Dir {
-        /// Directory metadata.
-        meta: Metadata,
-        /// Children by name.
-        children: BTreeMap<String, IndexNode>,
-    },
-    /// Regular file, identified by the fingerprint of its content.
-    File {
-        /// File metadata.
-        meta: Metadata,
-        /// Content fingerprint (names the Gear file).
-        fingerprint: Fingerprint,
-        /// Content length in bytes.
-        size: u64,
-        /// False when this entry is excluded from deduplication (collision
-        /// fallback, paper §III-B): its "fingerprint" is a salted unique id.
-        #[serde(default = "default_true", skip_serializing_if = "is_true")]
-        dedup: bool,
-    },
-    /// A big file split into individually fetchable chunks (paper §VII).
-    BigFile {
-        /// File metadata.
-        meta: Metadata,
-        /// Ordered chunk list.
-        chunks: Vec<IndexChunk>,
-        /// Total length in bytes.
-        size: u64,
-    },
-    /// Symbolic link — irregular files are served straight from the index
-    /// (paper §III-D2).
-    Symlink {
-        /// Link metadata.
-        meta: Metadata,
-        /// Link target.
-        target: String,
-    },
-}
-
-fn default_true() -> bool {
-    true
-}
-
-#[allow(clippy::trivially_copy_pass_by_ref)]
-fn is_true(b: &bool) -> bool {
-    *b
-}
 
 /// Error parsing or constructing a Gear index.
 #[derive(Debug)]
@@ -117,113 +61,69 @@ impl From<serde_json::Error> for IndexError {
 
 /// The Gear index: directory structure + file fingerprints + the runtime
 /// config copied from the original image (paper §III-B/III-C).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The tree holds no inline file body: every regular file is a
+/// [`FileData::Fingerprint`] placeholder or a [`FileData::Chunked`] big file
+/// (paper §VII), and irregular files are served straight from it (§III-D2).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GearIndex {
-    /// Root directory.
-    pub root: IndexNode,
+    tree: Arc<FsTree>,
     /// Runtime configuration copied from the source Docker image.
     pub config: ImageConfig,
 }
 
-impl GearIndex {
-    /// An empty index with default config.
-    pub fn empty() -> Self {
-        GearIndex {
-            root: IndexNode::Dir { meta: Metadata::dir_default(), children: BTreeMap::new() },
-            config: ImageConfig::default(),
+/// Calls `f` on every node below `node`, parents first, names sorted.
+/// (Not [`FsTree::walk`]: that builds a path `String` per node, and this
+/// runs on every install and `remove_image`.)
+fn visit<'a>(node: &'a Node, f: &mut impl FnMut(&'a Node)) {
+    if let Node::Dir { children, .. } = node {
+        for child in children.values() {
+            f(child);
+            visit(child, f);
         }
     }
+}
 
-    /// Builds an index from a fully *converted* [`FsTree`] — one whose file
-    /// bodies are all [`FileData::Fingerprint`] or [`FileData::Chunked`].
+impl GearIndex {
+    /// Wraps a fully *converted* [`FsTree`] — one whose file bodies are all
+    /// [`FileData::Fingerprint`] or [`FileData::Chunked`] — as an index.
     ///
     /// # Errors
     ///
     /// [`IndexError::UnresolvedContent`] if any file still holds inline
     /// bytes. (Use [`crate::Converter`] to convert contents first.)
-    pub fn from_tree(tree: &FsTree, config: ImageConfig) -> Result<Self, IndexError> {
-        fn build(node: &Node, path: &str) -> Result<IndexNode, IndexError> {
-            Ok(match node {
-                Node::Dir { meta, children } => {
-                    let mut out = BTreeMap::new();
-                    for (name, child) in children {
-                        let child_path =
-                            if path.is_empty() { name.clone() } else { format!("{path}/{name}") };
-                        out.insert(name.clone(), build(child, &child_path)?);
-                    }
-                    IndexNode::Dir { meta: *meta, children: out }
-                }
-                Node::File(f) => match &f.data {
-                    FileData::Fingerprint { fingerprint, size } => IndexNode::File {
-                        meta: f.meta,
-                        fingerprint: *fingerprint,
-                        size: *size,
-                        dedup: true,
-                    },
-                    FileData::Chunked { chunks, size } => IndexNode::BigFile {
-                        meta: f.meta,
-                        chunks: chunks
-                            .iter()
-                            .map(|c| IndexChunk { fingerprint: c.fingerprint, size: c.size })
-                            .collect(),
-                        size: *size,
-                    },
-                    FileData::Inline(_) => {
-                        return Err(IndexError::UnresolvedContent(path.to_owned()))
-                    }
-                },
-                Node::Symlink(s) => {
-                    IndexNode::Symlink { meta: s.meta, target: s.target.clone() }
-                }
-            })
+    pub fn from_tree(tree: FsTree, config: ImageConfig) -> Result<Self, IndexError> {
+        let inline = |node: &Node| matches!(node, Node::File(f) if f.data.is_resolved());
+        if let Some((path, _)) = tree.walk().find(|(_, node)| inline(node)) {
+            return Err(IndexError::UnresolvedContent(path));
         }
-        Ok(GearIndex { root: build(tree.get("").expect("root"), "")?, config })
+        Ok(GearIndex { tree: Arc::new(tree), config })
     }
 
-    /// Materializes the index back into an [`FsTree`] of fingerprint
-    /// placeholders — the read-only lower layer the Gear File Viewer mounts.
+    /// The tree of fingerprint placeholders — the read-only lower layer the
+    /// Gear File Viewer mounts. Every container of the image shares it.
+    pub fn tree(&self) -> &Arc<FsTree> {
+        &self.tree
+    }
+
+    /// An owned copy of the placeholder tree, for callers that go on to
+    /// modify it (committing a container merges its diff over one).
     pub fn to_tree(&self) -> FsTree {
-        fn build(node: &IndexNode) -> Node {
-            match node {
-                IndexNode::Dir { meta, children } => Node::Dir {
-                    meta: *meta,
-                    children: children.iter().map(|(k, v)| (k.clone(), build(v))).collect(),
-                },
-                IndexNode::File { meta, fingerprint, size, .. } => {
-                    Node::fingerprint_file(*meta, *fingerprint, *size)
-                }
-                IndexNode::BigFile { meta, chunks, size } => Node::File(gear_fs::FileNode {
-                    meta: *meta,
-                    data: FileData::Chunked {
-                        chunks: chunks
-                            .iter()
-                            .map(|c| ChunkRef { fingerprint: c.fingerprint, size: c.size })
-                            .collect(),
-                        size: *size,
-                    },
-                }),
-                IndexNode::Symlink { meta, target } => Node::symlink(*meta, target.clone()),
-            }
-        }
-        let mut tree = FsTree::new();
-        if let IndexNode::Dir { children, .. } = &self.root {
-            for (name, child) in children {
-                tree.insert(name, build(child)).expect("index paths are valid");
-            }
-        }
-        tree
+        FsTree::clone(&self.tree)
     }
 
     /// Serializes to JSON.
     pub fn to_json(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("index serialization cannot fail")
+        // The vendored writer cannot fail; its `Result` mirrors upstream's.
+        serde_json::to_vec(self).unwrap_or_default()
     }
 
     /// Parses from JSON.
     ///
     /// # Errors
     ///
-    /// [`IndexError::Json`] for malformed input.
+    /// [`IndexError::Json`] for malformed input, including an entry name no
+    /// path can reach (empty, `.`, `..`, or holding `/` or NUL).
     pub fn from_json(bytes: &[u8]) -> Result<Self, IndexError> {
         Ok(serde_json::from_slice(bytes)?)
     }
@@ -238,35 +138,24 @@ impl GearIndex {
     /// in walk order, duplicates included.
     pub fn referenced_files(&self) -> Vec<(Fingerprint, u64)> {
         let mut out = Vec::new();
-        fn walk(node: &IndexNode, out: &mut Vec<(Fingerprint, u64)>) {
-            match node {
-                IndexNode::Dir { children, .. } => {
-                    for child in children.values() {
-                        walk(child, out);
-                    }
-                }
-                IndexNode::File { fingerprint, size, .. } => out.push((*fingerprint, *size)),
-                IndexNode::BigFile { chunks, .. } => {
-                    out.extend(chunks.iter().map(|c| (c.fingerprint, c.size)))
-                }
-                IndexNode::Symlink { .. } => {}
+        visit(self.tree.root(), &mut |node| match node {
+            Node::File(FileNode { data: FileData::Fingerprint { fingerprint, size }, .. }) => {
+                out.push((*fingerprint, *size));
             }
-        }
-        walk(&self.root, &mut out);
+            Node::File(FileNode { data: FileData::Chunked { chunks, .. }, .. }) => {
+                out.extend(chunks.iter().map(|c| (c.fingerprint, c.size)));
+            }
+            _ => {}
+        });
         out
     }
 
     /// Looks up the `(fingerprint, size)` of the regular file at `path`.
     pub fn file_at(&self, path: &str) -> Option<(Fingerprint, u64)> {
-        let mut node = &self.root;
-        for comp in path.split('/') {
-            match node {
-                IndexNode::Dir { children, .. } => node = children.get(comp)?,
-                _ => return None,
+        match self.tree.get(path)? {
+            Node::File(FileNode { data: FileData::Fingerprint { fingerprint, size }, .. }) => {
+                Some((*fingerprint, *size))
             }
-        }
-        match node {
-            IndexNode::File { fingerprint, size, .. } => Some((*fingerprint, *size)),
             _ => None,
         }
     }
@@ -275,16 +164,9 @@ impl GearIndex {
     /// for whole-fingerprint files and non-files) — the resolution step
     /// behind chunk-granularity fetching: a deployer pulls exactly these
     /// blobs instead of one monolithic object.
-    pub fn chunks_at(&self, path: &str) -> Option<&[IndexChunk]> {
-        let mut node = &self.root;
-        for comp in path.split('/') {
-            match node {
-                IndexNode::Dir { children, .. } => node = children.get(comp)?,
-                _ => return None,
-            }
-        }
-        match node {
-            IndexNode::BigFile { chunks, .. } => Some(chunks),
+    pub fn chunks_at(&self, path: &str) -> Option<&[ChunkRef]> {
+        match self.tree.get(path)? {
+            Node::File(FileNode { data: FileData::Chunked { chunks, .. }, .. }) => Some(chunks),
             _ => None,
         }
     }
@@ -292,27 +174,140 @@ impl GearIndex {
     /// Counts of each node kind: `(dirs, files, big_files, symlinks)`.
     pub fn node_counts(&self) -> (u64, u64, u64, u64) {
         let mut c = (0, 0, 0, 0);
-        fn walk(node: &IndexNode, c: &mut (u64, u64, u64, u64)) {
-            match node {
-                IndexNode::Dir { children, .. } => {
-                    c.0 += 1;
-                    for child in children.values() {
-                        walk(child, c);
-                    }
-                }
-                IndexNode::File { .. } => c.1 += 1,
-                IndexNode::BigFile { .. } => c.2 += 1,
-                IndexNode::Symlink { .. } => c.3 += 1,
-            }
-        }
-        walk(&self.root, &mut c);
-        c.0 -= 1; // exclude the root itself
+        visit(self.tree.root(), &mut |node| match node {
+            Node::Dir { .. } => c.0 += 1,
+            Node::File(FileNode { data: FileData::Chunked { .. }, .. }) => c.2 += 1,
+            Node::File(_) => c.1 += 1,
+            Node::Symlink(_) => c.3 += 1,
+        });
         c
     }
 
     /// Total logical bytes of all referenced file content.
     pub fn logical_bytes(&self) -> u64 {
         self.referenced_files().iter().map(|(_, s)| s).sum()
+    }
+}
+
+// ---- wire form --------------------------------------------------------------
+//
+// Key order is part of the format: `kind, meta`, then `children` |
+// `fingerprint, size` | `chunks, size` | `target`; `root, config` at the top.
+// Decoding takes the keys in any order and ignores unknown ones.
+
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(fields.into_iter().map(|(key, value)| (key.to_owned(), value)).collect())
+}
+
+fn node_to_value(node: &Node) -> Value {
+    let kind = |kind: &str| ("kind", Value::String(kind.to_owned()));
+    match node {
+        Node::Dir { meta, children } => {
+            let children =
+                children.iter().map(|(name, child)| (name.clone(), node_to_value(child)));
+            object([
+                kind("dir"),
+                ("meta", to_value(meta)),
+                ("children", Value::Object(children.collect())),
+            ])
+        }
+        Node::File(FileNode { meta, data }) => match data {
+            FileData::Fingerprint { fingerprint, size } => object([
+                kind("file"),
+                ("meta", to_value(meta)),
+                ("fingerprint", to_value(fingerprint)),
+                ("size", to_value(size)),
+            ]),
+            FileData::Chunked { chunks, size } => {
+                let chunks = chunks.iter().map(|chunk| {
+                    object([
+                        ("fingerprint", to_value(&chunk.fingerprint)),
+                        ("size", to_value(&chunk.size)),
+                    ])
+                });
+                object([
+                    kind("big_file"),
+                    ("meta", to_value(meta)),
+                    ("chunks", Value::Array(chunks.collect())),
+                    ("size", to_value(size)),
+                ])
+            }
+            FileData::Inline(_) => unreachable!("`GearIndex::from_tree` admits no inline body"),
+        },
+        Node::Symlink(link) => object([
+            kind("symlink"),
+            ("meta", to_value(&link.meta)),
+            ("target", to_value(&link.target)),
+        ]),
+    }
+}
+
+impl Serialize for GearIndex {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.accept(object([
+            ("root", node_to_value(self.tree.root())),
+            ("config", to_value(&self.config)),
+        ]))
+    }
+}
+
+fn as_object<E: DeError>(value: &Value) -> Result<&Map, E> {
+    value.as_object().ok_or_else(|| E::custom(format!("expected object, found {}", value.kind())))
+}
+
+fn field<'v, E: DeError>(map: &'v Map, key: &str) -> Result<&'v Value, E> {
+    map.get(key).ok_or_else(|| E::custom(format!("missing field `{key}`")))
+}
+
+fn parse<T: DeserializeOwned, E: DeError>(map: &Map, key: &str) -> Result<T, E> {
+    serde::from_value(field(map, key)?).map_err(E::custom)
+}
+
+fn node_from_value<E: DeError>(value: &Value) -> Result<Node, E> {
+    let map = as_object(value)?;
+    let meta = parse(map, "meta")?;
+    match field(map, "kind")?.as_str() {
+        Some("dir") => {
+            let children = as_object(field(map, "children")?)?
+                .iter()
+                .map(|(name, child)| Ok((name.to_owned(), node_from_value(child)?)))
+                .collect::<Result<_, E>>()?;
+            Ok(Node::Dir { meta, children })
+        }
+        Some("file") => {
+            Ok(Node::fingerprint_file(meta, parse(map, "fingerprint")?, parse(map, "size")?))
+        }
+        Some("big_file") => {
+            let chunks = field(map, "chunks")?
+                .as_array()
+                .ok_or_else(|| E::custom("expected an array of chunks"))?
+                .iter()
+                .map(|chunk| {
+                    let chunk = as_object(chunk)?;
+                    Ok(ChunkRef {
+                        fingerprint: parse(chunk, "fingerprint")?,
+                        size: parse(chunk, "size")?,
+                    })
+                })
+                .collect::<Result<_, E>>()?;
+            let data = FileData::Chunked { chunks, size: parse(map, "size")? };
+            Ok(Node::File(FileNode { meta, data }))
+        }
+        Some("symlink") => Ok(Node::symlink(meta, parse::<String, E>(map, "target")?)),
+        _ => Err(E::custom("unknown index node kind")),
+    }
+}
+
+/// Builds the tree's nodes straight from the parsed document — no inline
+/// body among them, by construction. The index is untrusted input:
+/// [`FsTree::from_root`] rejects entry names no path can reach, which would
+/// otherwise sit in the mount as unreachable nodes.
+impl<'de> Deserialize<'de> for GearIndex {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let doc = as_object(deserializer.value())?;
+        let root = node_from_value(field(doc, "root")?)?;
+        let tree = FsTree::from_root(root).map_err(D::Error::custom)?;
+        Ok(GearIndex { tree: Arc::new(tree), config: parse(doc, "config")? })
     }
 }
 
@@ -351,8 +346,9 @@ impl GearImage {
     /// launch with the right environment.
     pub fn to_index_image(&self) -> Image {
         let mut tree = FsTree::new();
-        tree.create_file(INDEX_PATH, Bytes::from(self.index.to_json()))
-            .expect("constant path is valid");
+        // `INDEX_PATH` is a valid path into an empty tree, so this cannot
+        // fail (`index_image_roundtrip` holds it to that).
+        let _ = tree.create_file(INDEX_PATH, Bytes::from(self.index.to_json()));
         ImageBuilder::new(self.reference.clone())
             .config(self.index.config.clone())
             .layer_from_tree(&tree)
@@ -381,6 +377,7 @@ impl GearImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gear_archive::Metadata;
 
     fn sample_index() -> GearIndex {
         let mut tree = FsTree::new();
@@ -396,7 +393,7 @@ mod tests {
         .unwrap();
         tree.insert("bin/link", Node::symlink(Metadata::file_default(), "/bin/app")).unwrap();
         let config = ImageConfig { env: vec!["A=1".into()], ..Default::default() };
-        GearIndex::from_tree(&tree, config).unwrap()
+        GearIndex::from_tree(tree, config).unwrap()
     }
 
     #[test]
@@ -410,7 +407,8 @@ mod tests {
     fn tree_roundtrip() {
         let index = sample_index();
         let tree = index.to_tree();
-        let back = GearIndex::from_tree(&tree, index.config.clone()).unwrap();
+        assert_eq!(&tree, index.tree().as_ref());
+        let back = GearIndex::from_tree(tree, index.config.clone()).unwrap();
         assert_eq!(back, index);
     }
 
@@ -418,8 +416,13 @@ mod tests {
     fn rejects_inline_content() {
         let mut tree = FsTree::new();
         tree.create_file("raw", Bytes::from_static(b"inline")).unwrap();
-        let err = GearIndex::from_tree(&tree, ImageConfig::default()).unwrap_err();
+        let err = GearIndex::from_tree(tree, ImageConfig::default()).unwrap_err();
         assert!(matches!(err, IndexError::UnresolvedContent(p) if p == "raw"));
+
+        let mut tree = sample_index().to_tree();
+        tree.create_file("etc/deep/raw", Bytes::from_static(b"inline")).unwrap();
+        let err = GearIndex::from_tree(tree, ImageConfig::default()).unwrap_err();
+        assert!(matches!(err, IndexError::UnresolvedContent(p) if p == "etc/deep/raw"));
     }
 
     #[test]
@@ -439,6 +442,7 @@ mod tests {
         assert_eq!(size, 3);
         assert!(index.file_at("bin/link").is_none());
         assert!(index.file_at("missing").is_none());
+        assert!(index.file_at("").is_none());
     }
 
     #[test]
@@ -479,7 +483,7 @@ mod tests {
             )
             .unwrap();
         }
-        let index = GearIndex::from_tree(&tree, ImageConfig::default()).unwrap();
+        let index = GearIndex::from_tree(tree, ImageConfig::default()).unwrap();
         let ratio = index.serialized_len() as f64 / index.logical_bytes() as f64;
         assert!(ratio < 0.05, "index/content ratio {ratio}");
     }
@@ -487,23 +491,22 @@ mod tests {
     #[test]
     fn big_file_nodes_roundtrip() {
         let chunks = vec![
-            IndexChunk { fingerprint: Fingerprint::of(b"c0"), size: 1024 },
-            IndexChunk { fingerprint: Fingerprint::of(b"c1"), size: 512 },
+            ChunkRef { fingerprint: Fingerprint::of(b"c0"), size: 1024 },
+            ChunkRef { fingerprint: Fingerprint::of(b"c1"), size: 512 },
         ];
-        let mut root = BTreeMap::new();
-        root.insert(
-            "model.bin".to_owned(),
-            IndexNode::BigFile { meta: Metadata::file_default(), chunks, size: 1536 },
-        );
-        let index = GearIndex {
-            root: IndexNode::Dir { meta: Metadata::dir_default(), children: root },
-            config: ImageConfig::default(),
-        };
+        let data = FileData::Chunked { chunks, size: 1536 };
+        let mut tree = FsTree::new();
+        tree.insert("model.bin", Node::File(FileNode { meta: Metadata::file_default(), data }))
+            .unwrap();
+        let index = GearIndex::from_tree(tree, ImageConfig::default()).unwrap();
         let parsed = GearIndex::from_json(&index.to_json()).unwrap();
         assert_eq!(parsed, index);
-        assert_eq!(parsed.referenced_files().len(), 2);
-        // Through a tree and back.
-        let back = GearIndex::from_tree(&parsed.to_tree(), ImageConfig::default()).unwrap();
-        assert_eq!(back.referenced_files(), index.referenced_files());
+        assert_eq!(
+            parsed.referenced_files(),
+            [(Fingerprint::of(b"c0"), 1024), (Fingerprint::of(b"c1"), 512)]
+        );
+        assert_eq!(parsed.chunks_at("model.bin").map(<[ChunkRef]>::len), Some(2));
+        assert_eq!(parsed.node_counts(), (0, 0, 1, 0));
+        assert!(parsed.file_at("model.bin").is_none());
     }
 }

@@ -16,7 +16,7 @@
 //!
 //! Modules:
 //!
-//! * [`index`] — the index tree, JSON serialization, FsTree conversion.
+//! * [`index`] — the index: a placeholder `FsTree` plus its JSON wire form.
 //! * [`convert`] — the Gear Converter: Docker image → Gear image + files,
 //!   with MD5-collision detection and big-file chunking (paper §III-B, §VII).
 //! * [`commit`] — turning a running container's writable diff into a new
@@ -58,4 +58,4 @@ pub use convert::{
     publish, publish_with_pool, CollisionResolver, Conversion, ConversionReport, ConvertError,
     Converter, ConverterOptions, GearFile, PublishReport,
 };
-pub use index::{GearImage, GearIndex, IndexError, IndexNode, INDEX_PATH};
+pub use index::{GearImage, GearIndex, IndexError, INDEX_PATH};

@@ -1,8 +1,10 @@
 //! Property-based tests on the Gear format's core invariants.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use gear_core::{publish, CollisionResolver, Converter, GearImage, GearIndex};
-use gear_fs::FsTree;
+use gear_fs::{FsTree, UnionFs};
 use gear_hash::Fingerprint;
 use gear_image::{ImageBuilder, ImageConfig, ImageRef};
 use gear_registry::{DockerRegistry, GearFileStore};
@@ -36,7 +38,67 @@ fn image_of(files: &[(String, Vec<u8>)]) -> Option<gear_image::Image> {
     )
 }
 
+/// One way to damage an index document; the `u64`s pick where.
+#[derive(Debug, Clone)]
+enum Damage {
+    Truncate(u64),
+    FlipByte(u64, u8),
+    /// Replaces one object key — a field name or an entry name — with
+    /// another field name or a name no path can reach.
+    RenameKey(u64, u64),
+}
+
+fn any_damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        any::<u64>().prop_map(Damage::Truncate),
+        (any::<u64>(), 1..=127u8).prop_map(|(at, mask)| Damage::FlipByte(at, mask)),
+        (any::<u64>(), any::<u64>()).prop_map(|(key, name)| Damage::RenameKey(key, name)),
+    ]
+}
+
+fn damaged(json: &[u8], damage: &Damage) -> Vec<u8> {
+    const NAMES: [&str; 10] =
+        ["..", ".", "", "a/b", "nul\\u0000", "kind", "children", "root", "size", "renamed"];
+    let mut doc = json.to_vec();
+    match *damage {
+        Damage::Truncate(at) => doc.truncate((at % json.len() as u64) as usize),
+        Damage::FlipByte(at, mask) => doc[(at % json.len() as u64) as usize] ^= mask,
+        Damage::RenameKey(key, name) => {
+            // Generated names hold no quotes, so a key is the quoted run
+            // that ends at each `":`.
+            let ends: Vec<usize> =
+                (0..doc.len() - 1).filter(|&i| &doc[i..i + 2] == b"\":").collect();
+            let end = ends[(key % ends.len() as u64) as usize];
+            let start = doc[..end].iter().rposition(|&b| b == b'"').unwrap() + 1;
+            doc.splice(start..end, NAMES[(name % NAMES.len() as u64) as usize].bytes());
+        }
+    }
+    doc
+}
+
 proptest! {
+    /// An index is untrusted input: whatever arrives, decoding returns
+    /// `Ok` or `Err` — never panics — and every index it accepts mounts with
+    /// each of its entries reachable by path. (8 damaged documents per case,
+    /// so 512 in all.)
+    #[test]
+    fn damaged_index_json_never_panics(
+        files in any_files(),
+        damages in proptest::collection::vec(any_damage(), 8),
+    ) {
+        let Some(image) = image_of(&files) else { return Ok(()) };
+        let json = Converter::new().convert(&image).unwrap().gear_image.index().to_json();
+        for damage in &damages {
+            let Ok(index) = GearIndex::from_json(&damaged(&json, damage)) else { continue };
+            let mut mount = UnionFs::new(vec![Arc::clone(index.tree())]);
+            for (path, node) in index.tree().walk() {
+                prop_assert!(mount.contains(&path), "{:?}: {} unreachable", damage, path);
+                prop_assert_eq!(index.tree().get(&path), Some(node));
+            }
+            prop_assert_eq!(&mount.flatten(), index.tree().as_ref());
+        }
+    }
+
     /// Conversion is lossless: every file in the image appears in the index
     /// with the right fingerprint, and the produced Gear files hash to their
     /// names and reproduce the content.
@@ -73,7 +135,7 @@ proptest! {
         let back = GearImage::from_index_image(&conv.gear_image.to_index_image()).unwrap();
         prop_assert_eq!(back.index(), index);
         // Tree roundtrip.
-        let rebuilt = GearIndex::from_tree(&index.to_tree(), ImageConfig::default()).unwrap();
+        let rebuilt = GearIndex::from_tree(index.to_tree(), ImageConfig::default()).unwrap();
         prop_assert_eq!(rebuilt.referenced_files(), index.referenced_files());
     }
 

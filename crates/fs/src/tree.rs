@@ -41,6 +41,40 @@ impl FsTree {
         FsTree { root: Node::empty_dir(Metadata::dir_default()) }
     }
 
+    /// Wraps an already-built node hierarchy as a tree — how a decoder hands
+    /// over nodes it assembled itself. Every entry name is checked as
+    /// untrusted input, so the tree holds only names a path lookup can reach.
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::NotADirectory`] if `root` is not a directory;
+    /// [`FsError::InvalidPath`] for an entry name that is empty, `.`, `..`,
+    /// or contains `/` or NUL.
+    pub fn from_root(root: Node) -> Result<Self, FsError> {
+        fn check_names(node: &Node) -> Result<(), FsError> {
+            let Node::Dir { children, .. } = node else {
+                return Ok(());
+            };
+            for (name, child) in children {
+                if matches!(name.as_str(), "" | "." | "..") || name.contains(['/', '\0']) {
+                    return Err(FsError::InvalidPath(format!("entry name {name:?}")));
+                }
+                check_names(child)?;
+            }
+            Ok(())
+        }
+        if !root.is_dir() {
+            return Err(FsError::NotADirectory("/".to_owned()));
+        }
+        check_names(&root)?;
+        Ok(FsTree { root })
+    }
+
+    /// The root directory node.
+    pub fn root(&self) -> &Node {
+        &self.root
+    }
+
     /// Looks up the node at `path` without following symlinks.
     pub fn get(&self, path: &str) -> Option<&Node> {
         let mut node = &self.root;
@@ -321,6 +355,28 @@ mod tests {
         assert!(t.get("a/b").unwrap().is_dir());
         assert!(t.get("a/b/c/d").is_none());
         assert!(t.get("").unwrap().is_dir());
+    }
+
+    #[test]
+    fn from_root_checks_every_entry_name() {
+        let mut t = FsTree::new();
+        t.create_file("a/b/f", Bytes::from_static(b"x")).unwrap();
+        assert_eq!(FsTree::from_root(t.root().clone()).unwrap(), t);
+
+        let file = || Node::inline_file(Metadata::file_default(), Bytes::new());
+        assert!(matches!(FsTree::from_root(file()), Err(FsError::NotADirectory(_))));
+        for bad in ["", ".", "..", "x/y", "nul\0"] {
+            // Nested, so the check is shown to recurse.
+            let inner = Node::Dir {
+                meta: Metadata::dir_default(),
+                children: [(bad.to_owned(), file())].into(),
+            };
+            let root = Node::Dir {
+                meta: Metadata::dir_default(),
+                children: [("ok".to_owned(), inner)].into(),
+            };
+            assert!(matches!(FsTree::from_root(root), Err(FsError::InvalidPath(_))), "{bad:?}");
+        }
     }
 
     #[test]

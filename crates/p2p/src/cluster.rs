@@ -1,6 +1,6 @@
 //! The cluster: per-node caches + indexes, peer-first fetch policy.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -9,12 +9,11 @@ use std::time::Duration;
 use bytes::Bytes;
 use gear_client::{
     replay, store_for, ClientConfig, FetchCharge, Fetched, Lane, RegistryChain, Sources, Timeline,
-    TimelineEvent,
 };
-use gear_core::{GearImage, GearIndex, IndexError};
+use gear_core::{GearIndex, IndexError};
 use gear_corpus::StartupTrace;
-use gear_fs::{FsError, FsTree};
-use gear_hash::Fingerprint;
+use gear_fs::FsError;
+use gear_hash::{Digest, Fingerprint};
 use gear_image::ImageRef;
 use gear_registry::{DockerRegistry, GearFileStore};
 use gear_simnet::{BudgetExhausted, FaultInjector, FaultPlan, Link, NetMetrics, RetryPolicy};
@@ -70,6 +69,12 @@ impl Error for ClusterError {
             ClusterError::Snapshot(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<IndexError> for ClusterError {
+    fn from(e: IndexError) -> Self {
+        ClusterError::BadIndex(e)
     }
 }
 
@@ -153,7 +158,7 @@ pub struct NodeDeployment {
     /// (zero when no fault plan is active).
     pub retries: u64,
     /// Ordered record of the deployment's steps, including
-    /// [`TimelineEvent::PeerFetch`] entries for files served by peers.
+    /// [`gear_client::TimelineEvent::PeerFetch`] entries for files served by peers.
     pub timeline: Timeline,
 }
 
@@ -163,7 +168,9 @@ struct Node {
     /// client config — a flat memory cache by default, a tiered
     /// memory-over-disk store when `client.tier` is set.
     cache: Box<dyn BlobStore>,
-    indexes: HashMap<ImageRef, (Arc<GearIndex>, Arc<FsTree>)>,
+    indexes: HashMap<ImageRef, Arc<GearIndex>>,
+    /// Compressed index-image blobs already local (skip re-downloading).
+    blobs: HashSet<Digest>,
 }
 
 /// A cluster of Gear clients with a shared peer directory.
@@ -193,7 +200,11 @@ impl Cluster {
     /// Creates a cluster of `config.nodes` empty nodes.
     pub fn new(config: ClusterConfig) -> Self {
         let nodes = (0..config.nodes)
-            .map(|_| Node { cache: store_for(&config.client), indexes: HashMap::new() })
+            .map(|_| Node {
+                cache: store_for(&config.client),
+                indexes: HashMap::new(),
+                blobs: HashSet::new(),
+            })
             .collect();
         Cluster {
             config,
@@ -307,41 +318,14 @@ impl Cluster {
         let base = self.telemetry.now();
         let mut timeline = Timeline::new();
 
-        // --- pull: install the index if missing -----------------------------
-        let mut pull = Duration::ZERO;
-        let tree = match self.nodes[node].indexes.get(reference) {
-            Some((_, tree)) => Arc::clone(tree),
-            None => {
-                let image = index_registry
-                    .image(reference)
-                    .ok_or_else(|| ClusterError::ImageNotFound(reference.clone()))?;
-                let index = GearImage::from_index_image(&image)
-                    .map_err(ClusterError::BadIndex)?
-                    .into_index();
-                let index_bytes = index.serialized_len();
-                let nominal = uplink.request_time(index_bytes);
-                pull = self.faults.request(nominal)?.total(nominal);
-                timeline.push(Duration::ZERO, pull, TimelineEvent::Index { bytes: index_bytes });
-                self.uplink.download(index_bytes);
-                for (fp, _) in index.referenced_files() {
-                    self.nodes[node].cache.pin(fp);
-                }
-                let tree = Arc::new(index.to_tree());
-                let installed = (Arc::new(index), Arc::clone(&tree));
-                self.nodes[node].indexes.insert(reference.clone(), installed);
-                tree
-            }
-        };
-
-        // --- run: the shared replay over this node's source chain -----------
         let (before, rest) = self.nodes.split_at_mut(node);
-        let Some((own, after)) = rest.split_first_mut() else {
+        let Some((Node { cache, indexes, blobs }, after)) = rest.split_first_mut() else {
             return Err(ClusterError::NoSuchNode(node));
         };
         let mut chain = NodeChain {
             base: RegistryChain {
                 config: uplink,
-                own: own.cache.as_mut(),
+                own: cache.as_mut(),
                 registry: file_store,
                 faults: &mut self.faults,
                 metrics: &mut self.uplink,
@@ -355,6 +339,15 @@ impl Cluster {
             peer_traffic: &mut self.peer_traffic,
             telemetry: &self.telemetry,
         };
+
+        // --- pull: install the index if missing, over the uplink ------------
+        let pulled = chain
+            .base
+            .pull_index::<ClusterError>(reference, index_registry, blobs, indexes, &mut timeline)?
+            .ok_or_else(|| ClusterError::ImageNotFound(reference.clone()))?;
+        let (pull, tree) = (pulled.took, Arc::clone(pulled.index.tree()));
+
+        // --- run: the shared replay over this node's source chain -----------
         // The replay itself records nothing: the finished timeline is
         // replayed into the recorder below, and the scratch mount's `fs.*`
         // counters describe no container anyone keeps.
@@ -468,7 +461,7 @@ impl Cluster {
         let fingerprints: Vec<Fingerprint> = self.nodes[node]
             .indexes
             .values()
-            .flat_map(|(index, _)| index.referenced_files())
+            .flat_map(|index| index.referenced_files())
             .map(|(fp, _)| fp)
             .collect();
         for fp in fingerprints {
@@ -476,6 +469,7 @@ impl Cluster {
         }
         self.nodes[node].cache.clear();
         self.nodes[node].indexes.clear();
+        self.nodes[node].blobs.clear();
         self.reset_telemetry_shard(node);
     }
 }
@@ -577,6 +571,7 @@ mod tests {
     use super::*;
     use gear_core::{publish, Converter};
     use gear_corpus::TaskKind;
+    use gear_fs::FsTree;
     use gear_image::ImageBuilder;
     use gear_simnet::FaultKind;
 
@@ -789,9 +784,10 @@ mod tests {
         let t = trace(&["f"]);
         cluster.deploy_on(0, &r, &t, &reg, &store).unwrap(); // registry
         cluster.deploy_on(1, &r, &t, &reg, &store).unwrap(); // peer 0
-        // Node 2: draw 0 is its index pull, draw 1 the first peer attempt.
+        // Node 2: draws 0 and 1 are its index pull (manifest, index layer),
+        // draw 2 the first peer attempt.
         cluster.inject_faults(
-            FaultPlan::new(9).fail_requests(1, 1, FaultKind::Drop),
+            FaultPlan::new(9).fail_requests(2, 2, FaultKind::Drop),
             RetryPolicy::standard(9),
         );
         let report = cluster.deploy_on(2, &r, &t, &reg, &store).unwrap();
@@ -808,10 +804,10 @@ mod tests {
         let t = trace(&["f"]);
         cluster.deploy_on(0, &r, &t, &reg, &store).unwrap();
         cluster.deploy_on(1, &r, &t, &reg, &store).unwrap();
-        // Node 2: fail both peer attempts (draws 1 and 2); the registry
-        // attempt (draw 3) is clean.
+        // Node 2: fail both peer attempts (draws 2 and 3, after the two of
+        // the index pull); the registry attempt (draw 4) is clean.
         cluster.inject_faults(
-            FaultPlan::new(9).fail_requests(1, 2, FaultKind::Drop),
+            FaultPlan::new(9).fail_requests(2, 3, FaultKind::Drop),
             RetryPolicy::standard(9),
         );
         let clean = {

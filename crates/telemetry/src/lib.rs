@@ -30,7 +30,7 @@
 //!   as Chrome flow events so cross-node spans stitch into one tree.
 //!
 //! [`SloSpec`] closes the loop: tail targets evaluated straight from the
-//! sketches, surfaced in deployment reports and gated by `repro tails`.
+//! sketches, surfaced in deployment reports and gated by `repro fleet`.
 //!
 //! Exports follow the Chrome/Perfetto trace-event format
 //! ([`Collector::trace_json`]) and a flat, sorted `metrics.json`

@@ -4,7 +4,7 @@
 //! at p50, p99, and p999. [`SloSpec::evaluate`] reads those quantiles out
 //! of a [`QuantileSketch`] and returns an [`SloEval`] carrying both the
 //! measured tails and the per-target verdicts — the structure
-//! `DeploymentReport` surfaces and the `repro tails` flash-crowd gate
+//! `DeploymentReport` surfaces and the `repro fleet` flash-crowd gate
 //! fails on.
 
 use std::fmt;

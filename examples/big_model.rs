@@ -55,11 +55,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // in the middle): only the overlapping chunks are fetched.
     let before = client.metrics().bytes_down;
     let index = client.index(&reference).expect("installed");
-    let tree = index.to_tree();
     // Use the index's own view to show the chunk structure.
     let (dirs, regs, bigs, links) = index.node_counts();
     println!("index nodes: {dirs} dirs, {regs} files, {bigs} big files, {links} symlinks");
-    drop(tree);
 
     // Read a 100 KiB slice at offset 2 MB through a fresh mount.
     let slice = read_model_slice(&mut client, &reference, &registry, &store, 2_000_000, 100_000)?;

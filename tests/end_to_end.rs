@@ -108,7 +108,7 @@ fn conversion_preserves_every_file_via_store() {
     let converter = Converter::new();
     for image in corpus.all_images().take(8) {
         let conv = converter.convert(image).expect("convert");
-        let index_tree = conv.gear_image.index().to_tree();
+        let index_tree = conv.gear_image.index().tree();
         let rootfs = image.root_fs().unwrap();
         for (path, node) in rootfs.walk() {
             match node {

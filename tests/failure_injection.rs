@@ -10,6 +10,7 @@ use gear::corpus::{StartupTrace, TaskKind};
 use gear::fs::FsTree;
 use gear::hash::Fingerprint;
 use gear::image::{ImageBuilder, ImageRef};
+use gear::p2p::{Cluster, ClusterConfig, ClusterError};
 use gear::registry::{DockerRegistry, GearFileStore, UploadError};
 
 fn simple_published(
@@ -91,6 +92,42 @@ fn malformed_index_image_is_rejected() {
     let mut client = GearClient::new(ClientConfig::default());
     let err = client.deploy(&r, &trace(&[]), &docker, &GearFileStore::new()).unwrap_err();
     assert!(matches!(err, DeployError::BadIndex(_)));
+}
+
+#[test]
+fn index_with_entry_names_no_path_reaches_is_rejected() {
+    // A well-formed index whose entry names are hostile: `..`, `.` and the
+    // empty name cannot be mounted at all (they used to panic the deploying
+    // client), and `a/b` names a node no path lookup can reach. At the root
+    // or nested, every engine must refuse the image with a typed error.
+    let (docker, store, good) = simple_published(&[("top/leaf", b"x")], "svc:1");
+    let index = GearImage::from_index_image(&docker.image(&good).unwrap()).unwrap();
+    let json = String::from_utf8(index.index().to_json()).unwrap();
+    for key in ["\"top\":", "\"leaf\":"] {
+        assert_eq!(json.matches(key).count(), 1);
+        for bad in ["..", ".", "", "a/b"] {
+            let crafted = json.replace(key, &format!("\"{bad}\":"));
+            let mut tree = FsTree::new();
+            tree.create_file(gear::core::INDEX_PATH, Bytes::from(crafted)).unwrap();
+            let r: ImageRef = "crafted:1".parse().unwrap();
+            let mut docker = DockerRegistry::new();
+            docker.push_image(&ImageBuilder::new(r.clone()).layer_from_tree(&tree).build());
+
+            let mut client = GearClient::new(ClientConfig::default());
+            let err = client.deploy(&r, &trace(&[]), &docker, &store).unwrap_err();
+            assert!(
+                matches!(err, DeployError::BadIndex(IndexError::Json(_))),
+                "{key} -> {bad:?}: {err}"
+            );
+            assert!(client.index(&r).is_none(), "a rejected index is not installed");
+            let mut cluster = Cluster::new(ClusterConfig::lan(1));
+            let err = cluster.deploy_on(0, &r, &trace(&[]), &docker, &store).unwrap_err();
+            assert!(
+                matches!(err, ClusterError::BadIndex(IndexError::Json(_))),
+                "{key} -> {bad:?}: {err}"
+            );
+        }
+    }
 }
 
 #[test]
