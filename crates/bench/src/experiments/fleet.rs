@@ -29,7 +29,7 @@ use std::time::Duration;
 use gear_core::{ConvertError, Converter};
 use gear_p2p::{FleetConfig, FleetReport, FleetSim, Topology, TopologyConfig};
 use gear_simnet::Link;
-use gear_telemetry::MergeError;
+use gear_telemetry::SketchMergeError;
 
 use super::{human_bytes, secs, ExperimentContext};
 use crate::artifact::{ceilings, Bound, Metric, Outcome};
@@ -153,7 +153,7 @@ pub enum FleetError {
     /// The newest image failed to convert to Gear files.
     Convert(ConvertError),
     /// The per-node sketches could not merge into the fleet metrics export.
-    Merge(MergeError),
+    Merge(SketchMergeError),
 }
 
 impl fmt::Display for FleetError {

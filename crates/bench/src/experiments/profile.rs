@@ -51,7 +51,7 @@ pub struct Profile {
     pub rows: Vec<PhaseRow>,
     /// Chrome/Perfetto trace export (deterministic for a fixed seed).
     pub trace_json: String,
-    /// Flat metrics export (counters, gauges, histograms).
+    /// Flat metrics export (counters, gauges, sketches).
     pub metrics_json: String,
     /// Collector self-validation problems (empty on a healthy run).
     pub problems: Vec<String>,

@@ -179,7 +179,7 @@ pub fn validate(trace: &Value, metrics: &Value, schema: &Value) -> Vec<String> {
     }
 
     for key in strings_at(schema, "x-required-metric-keys") {
-        let found = ["counters", "gauges", "histograms", "sketches"]
+        let found = ["counters", "gauges", "sketches"]
             .iter()
             .any(|section| field_path(metrics, &[section, &key]).is_some());
         if !found {
@@ -231,7 +231,7 @@ mod tests {
         )
         .unwrap();
         let metrics: Value = serde_json::from_str(
-            r#"{"counters":{},"gauges":{},"histograms":{}}"#,
+            r#"{"counters":{},"gauges":{},"sketches":{}}"#,
         )
         .unwrap();
         let problems = validate(&trace, &metrics, &schema());
@@ -256,7 +256,7 @@ mod tests {
         )
         .unwrap();
         let metrics: Value = serde_json::from_str(
-            r#"{"counters":{},"gauges":{},"histograms":{},"sketches":{}}"#,
+            r#"{"counters":{},"gauges":{},"sketches":{}}"#,
         )
         .unwrap();
         let problems = validate(&trace, &metrics, &schema());
@@ -279,7 +279,7 @@ mod tests {
         let trace: Value =
             serde_json::from_str(r#"{"traceEvents":[{"ph":"X","ts":1.000}]}"#).unwrap();
         let metrics: Value = serde_json::from_str(
-            r#"{"counters":{},"gauges":{},"histograms":{}}"#,
+            r#"{"counters":{},"gauges":{},"sketches":{}}"#,
         )
         .unwrap();
         let problems = validate(&trace, &metrics, &schema());

@@ -119,9 +119,8 @@ impl DockerClient {
                 self.store.add_layer(layer);
             }
             report.bytes_pulled += missing_bytes;
-            let fixed = (self.config.link.rtt + self.config.link.request_overhead)
-                .mul_f64(self.config.request_amplification.max(0.0));
-            pull += fixed * (missing_count.div_ceil(PULL_PARALLELISM as u64) as u32)
+            pull += self.config.amplified_fixed()
+                * (missing_count.div_ceil(PULL_PARALLELISM as u64) as u32)
                 + self.config.link.bandwidth.transfer_time(missing_bytes);
 
             let image = registry

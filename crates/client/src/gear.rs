@@ -163,7 +163,7 @@ impl GearClient {
     }
 
     /// Creates a client over a pre-built blob store — how restored
-    /// snapshots and custom (e.g. journaled or sharded) caches are mounted.
+    /// snapshots and custom (e.g. journaled) caches are mounted.
     /// The store must match what `config` describes; [`GearClient::new`] is
     /// the common path.
     pub fn with_store(cache: Box<dyn BlobStore>, config: ClientConfig) -> Self {
@@ -226,7 +226,7 @@ impl GearClient {
 
     /// Attaches a telemetry recorder: every deployment is replayed into it
     /// as a span tree (deploy / pull / run phases with per-step child
-    /// spans), counters and histograms accumulate under `client.*` /
+    /// spans), counters and sketches accumulate under `client.*` /
     /// `cache.*` / `net.*` keys, and the container mount, fetch scheduler,
     /// and fault plan report through the same recorder.
     pub fn set_recorder(&mut self, telemetry: Telemetry) {
@@ -393,7 +393,7 @@ impl GearClient {
     /// Replays a finished deployment into the telemetry recorder: phase and
     /// per-step spans at their exact simulated offsets (recorded after the
     /// fact, so instrumentation can never perturb the priced timeline),
-    /// plus counter/gauge/histogram updates for this deployment's deltas.
+    /// plus counter/gauge/sketch updates for this deployment's deltas.
     fn record_deploy(
         &self,
         report: &DeploymentReport,
@@ -429,7 +429,7 @@ impl GearClient {
         t.sketch("client.deploy_nanos", report.total().as_nanos() as u64);
         for (_, took, event) in report.timeline.entries() {
             if let TimelineEvent::RegistryFetch { bytes, .. } = event {
-                t.observe("client.fetch_bytes", *bytes);
+                t.sketch("client.fetch_bytes", *bytes);
             }
             if let Some(lane) = event.lane() {
                 t.sketch(&format!("client.fetch_nanos.{lane}"), took.as_nanos() as u64);
@@ -647,7 +647,7 @@ impl GearClient {
         let (content, _) = self.read_through(id, store, true, |mount, m| {
             mount.read_range(path, offset, len, m)
         })?;
-        self.telemetry.observe("client.range_bytes", content.len() as u64);
+        self.telemetry.sketch("client.range_bytes", content.len() as u64);
         // Ranged reads return content, not a priced duration; drop the
         // staged tier time so it cannot leak into a later deployment.
         let _ = self.cache.drain_cost();

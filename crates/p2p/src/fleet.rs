@@ -248,6 +248,11 @@ pub struct FleetSim {
     uplinks: Vec<FifoLane>,
     backbone: FifoLane,
     shard_lanes: Vec<FifoLane>,
+    /// The client's amplified per-request fixed cost over the LAN, the
+    /// backbone and each site's uplink.
+    lan_fixed: Duration,
+    backbone_fixed: Duration,
+    uplink_fixed: Vec<Duration>,
     nodes: Vec<NodeState>,
     sites: Vec<SiteState>,
     seeds: Vec<RegistrySeed>,
@@ -296,6 +301,11 @@ impl FleetSim {
         let backbone = FifoLane::new(*topo.backbone());
         let shard_lanes =
             (0..config.shards).map(|_| FifoLane::new(config.shard_link)).collect();
+        let client = topo.config().client;
+        let fixed = |link: &Link| client.with_link(*link).amplified_fixed();
+        let lan_fixed = fixed(topo.lan());
+        let backbone_fixed = fixed(topo.backbone());
+        let uplink_fixed = (0..sites).map(|s| fixed(topo.uplink(s as u32))).collect();
         let fleet = Arc::new(FleetCollector::new(topo.nodes() as u32, config.span_capacity));
         let nodes = (0..topo.nodes()).map(|_| NodeState::new()).collect();
         let site_states = (0..sites).map(|_| SiteState::default()).collect();
@@ -313,6 +323,9 @@ impl FleetSim {
             uplinks,
             backbone,
             shard_lanes,
+            lan_fixed,
+            backbone_fixed,
+            uplink_fixed,
             nodes,
             sites: site_states,
             seeds: Vec::new(),
@@ -424,8 +437,7 @@ impl FleetSim {
         let same_site = holders.first().is_some_and(|&h| self.topo.same_site(h, node));
         self.nodes[node].seed_started = t;
         if same_site {
-            let fixed = self.amplified_fixed(*self.topo.lan());
-            let slot = self.lan[site].transfer_with_fixed(t, fixed, self.image_wire);
+            let slot = self.lan[site].transfer_with_fixed(t, self.lan_fixed, self.image_wire);
             self.nodes[node].seeding = Some(SeedKind::Lan);
             self.queue.push(
                 slot.done,
@@ -435,8 +447,8 @@ impl FleetSim {
             self.nodes[node].seeding = Some(SeedKind::Waiter);
             self.sites[site].waiters.push(node);
         } else if !holders.is_empty() {
-            let fixed = self.amplified_fixed(*self.topo.backbone());
-            let slot = self.backbone.transfer_with_fixed(t, fixed, self.image_wire);
+            let slot =
+                self.backbone.transfer_with_fixed(t, self.backbone_fixed, self.image_wire);
             self.nodes[node].seeding = Some(SeedKind::Backbone);
             self.sites[site].wan_seeds += 1;
             self.queue.push(
@@ -481,8 +493,8 @@ impl FleetSim {
                     // finishes. The admission token is held for the
                     // shard's service time only.
                     let served = self.shard_lanes[shard as usize].transfer(t, wire);
-                    let fixed = self.amplified_fixed(*self.topo.uplink(site as u32));
-                    let hauled = self.uplinks[site].transfer_with_fixed(t, fixed, wire);
+                    let hauled =
+                        self.uplinks[site].transfer_with_fixed(t, self.uplink_fixed[site], wire);
                     self.queue.push(served.done, Event::Release { shard });
                     self.queue.push(served.done.max(hauled.done), Event::ObjectDone { seed });
                     return;
@@ -569,8 +581,7 @@ impl FleetSim {
         }
         let waiters = std::mem::take(&mut self.sites[site].waiters);
         for w in waiters {
-            let fixed = self.amplified_fixed(*self.topo.lan());
-            let slot = self.lan[site].transfer_with_fixed(r, fixed, self.image_wire);
+            let slot = self.lan[site].transfer_with_fixed(r, self.lan_fixed, self.image_wire);
             self.nodes[w].seeding = Some(SeedKind::Lan);
             self.queue
                 .push(slot.done, Event::SeedDone { node: w, generation: self.nodes[w].generation });
@@ -609,11 +620,6 @@ impl FleetSim {
                 self.start_seed(t, node);
             }
         }
-    }
-
-    fn amplified_fixed(&self, link: Link) -> Duration {
-        let amp = self.topo.config().client.request_amplification.max(0.0);
-        (link.rtt + link.request_overhead).mul_f64(amp)
     }
 
     fn report(&self) -> FleetReport {

@@ -202,22 +202,13 @@ impl Topology {
     /// cluster charges for peer transfers.
     pub fn peer_time(&self, a: NodeId, b: NodeId, bytes: u64) -> Duration {
         let (_, link) = self.link_between(a, b);
-        Self::amplified(link, self.config.client.request_amplification, bytes)
+        self.config.client.with_link(*link).request_time(bytes)
     }
 
     /// Time for `bytes` to cross `site`'s uplink, amplified like a
     /// registry transfer in the flat cluster.
     pub fn uplink_time(&self, site: u32, bytes: u64) -> Duration {
-        Self::amplified(
-            self.uplink(site),
-            self.config.client.request_amplification,
-            bytes,
-        )
-    }
-
-    fn amplified(link: &Link, amplification: f64, bytes: u64) -> Duration {
-        (link.rtt + link.request_overhead).mul_f64(amplification.max(0.0))
-            + link.bandwidth.transfer_time(bytes)
+        self.config.client.with_link(*self.uplink(site)).request_time(bytes)
     }
 }
 

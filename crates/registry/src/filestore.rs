@@ -115,7 +115,7 @@ impl GearFileStore {
     }
 
     /// Attaches a telemetry recorder: each verb feeds `registry.*` counters
-    /// and uploaded object sizes feed a byte-sized histogram.
+    /// and uploaded object sizes feed the `registry.object_bytes` sketch.
     pub fn set_recorder(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -163,7 +163,7 @@ impl GearFileStore {
         self.stored_bytes += stored_len;
         if self.telemetry.enabled() {
             self.telemetry.count("registry.upload_bytes", content.len() as u64);
-            self.telemetry.observe("registry.object_bytes", content.len() as u64);
+            self.telemetry.sketch("registry.object_bytes", content.len() as u64);
             self.telemetry.instant("registry", "store");
         }
         self.wire.insert(fingerprint, stored_len);
@@ -209,7 +209,7 @@ impl GearFileStore {
         if self.telemetry.enabled() {
             self.telemetry.count("registry.range_requests", 1);
             self.telemetry.count("registry.range_bytes", slice.len() as u64);
-            self.telemetry.observe("registry.range_len", slice.len() as u64);
+            self.telemetry.sketch("registry.range_len", slice.len() as u64);
             self.telemetry.sketch("registry.served_bytes", slice.len() as u64);
         }
         Some(slice)

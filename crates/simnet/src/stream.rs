@@ -90,7 +90,7 @@ impl StreamSchedule {
     /// duration, plus wire-level counters (`simnet.wire_bytes`,
     /// `simnet.transfers`, `simnet.window_stalls`), the
     /// `simnet.peak_buffered_bytes` high-water gauge, and one
-    /// `simnet.transfer_bytes` histogram observation per payload. The cursor
+    /// `simnet.transfer_bytes` sketch observation per payload. The cursor
     /// is not advanced — the caller owns pricing.
     pub fn record(&self, telemetry: &gear_telemetry::Telemetry, payloads: &[u64]) {
         if !telemetry.enabled() || payloads.is_empty() {
@@ -106,7 +106,7 @@ impl StreamSchedule {
         telemetry.gauge_max("simnet.peak_buffered_bytes", self.peak_buffered_bytes);
         telemetry.sketch("simnet.transfer_nanos", self.duration.as_nanos() as u64);
         for &payload in payloads {
-            telemetry.observe("simnet.transfer_bytes", payload);
+            telemetry.sketch("simnet.transfer_bytes", payload);
         }
     }
 }

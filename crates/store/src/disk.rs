@@ -304,7 +304,7 @@ impl DiskStore {
     /// the new instance should be durable too.
     pub fn restore(snapshot: &DiskSnapshot) -> Self {
         DiskStore {
-            inner: MemStore::restore(&snapshot.mem, crate::TickSource::at(snapshot.mem.ticks)),
+            inner: MemStore::restore(&snapshot.mem),
             model: snapshot.model,
             byte_scale: snapshot.byte_scale,
             accrued: snapshot.accrued,
@@ -355,13 +355,6 @@ impl BlobStore for DiskStore {
         let committed = self.journal_batch(vec![JournalRecord::Evict { fingerprint: victim }]);
         // An uncommitted eviction un-happens at recovery; don't ack it.
         committed.then_some((victim, len))
-    }
-
-    fn victim_key(&self) -> Option<u64> {
-        if self.crashed {
-            return None;
-        }
-        self.inner.victim_key()
     }
 
     fn stats(&self) -> StoreStats {

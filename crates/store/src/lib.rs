@@ -13,9 +13,12 @@
 //!   priced latency ([`BlobStore::drain_cost`] hands the accrued time to the
 //!   caller's clock);
 //! * [`TieredStore`] — L1 memory over L2 modeled disk with write-through and
-//!   promotion-on-hit policies;
-//! * [`Sharded`] — a generic wrapper splitting any store into independently
-//!   locked shards selected by fingerprint prefix.
+//!   promotion-on-hit policies.
+//!
+//! Those three are every store shape: what a client configuration builds
+//! and what a [`StoreSnapshot`] carries across a live upgrade. Each cache has
+//! one owner and is reached through `&mut`, so nothing here locks or shards —
+//! spreading blobs over servers is `gear_registry::ShardedStore`'s job.
 //!
 //! The crate is dependency-free in the external sense: it builds from the
 //! workspace (`gear-hash`, `gear-simnet`, `gear-par`) and the vendored
@@ -32,28 +35,23 @@ use gear_hash::Fingerprint;
 mod disk;
 pub mod journal;
 mod mem;
-mod sharded;
 pub mod snapshot;
-mod split;
 mod stats;
 mod tiered;
 
 pub use disk::DiskStore;
 pub use journal::{JournalMedia, JournalRecord, RecoveryReport};
-pub use mem::{EvictionPolicy, MemStore, TickSource};
-pub use sharded::Sharded;
+pub use mem::{EvictionPolicy, MemStore};
 pub use snapshot::{
-    DiskSnapshot, EntrySnapshot, MemSnapshot, ShardedSnapshot, SnapshotError, StoreSnapshot,
-    TieredSnapshot,
+    DiskSnapshot, EntrySnapshot, MemSnapshot, SnapshotError, StoreSnapshot, TieredSnapshot,
 };
-pub use split::split_capacity;
 pub use stats::StoreStats;
 pub use tiered::TieredStore;
 
 /// A content-addressed blob store keyed by MD5 fingerprint.
 ///
 /// The trait is object-safe: consumers hold a `Box<dyn BlobStore>` and swap
-/// flat, tiered, or sharded backends without code changes. Semantics every
+/// flat, disk, or tiered backends without code changes. Semantics every
 /// implementation upholds:
 ///
 /// * [`contains`](BlobStore::contains) and [`peek`](BlobStore::peek) are
@@ -95,12 +93,6 @@ pub trait BlobStore: fmt::Debug + Send {
     /// size; `None` when everything resident is pinned (or the store is
     /// empty).
     fn evict(&mut self) -> Option<(Fingerprint, u64)>;
-
-    /// The eviction-order key of the blob [`evict`](BlobStore::evict) would
-    /// remove — smaller keys are evicted first. Lets wrappers (e.g.
-    /// [`Sharded`]) pick a global victim across stores sharing a
-    /// [`TickSource`].
-    fn victim_key(&self) -> Option<u64>;
 
     /// Accounting so far (hit/miss/eviction counters plus residency gauges).
     fn stats(&self) -> StoreStats;
@@ -148,109 +140,6 @@ pub trait BlobStore: fmt::Debug + Send {
     /// [`StoreSnapshot::restore`] rehydrates an instance that behaves
     /// tick-for-tick identically (see [`crate::snapshot`]).
     fn snapshot(&self) -> StoreSnapshot;
-
-    /// Looks the blob up, running `fill` on a miss and storing its result.
-    ///
-    /// Single-flight safety is the caller's locking discipline: implementors
-    /// run `fill` while holding whatever exclusivity `&mut self` (or, for
-    /// [`Sharded`], the shard lock) provides, so no two fills for the same
-    /// fingerprint can interleave.
-    fn get_or_fill(
-        &mut self,
-        fingerprint: Fingerprint,
-        fill: &mut dyn FnMut() -> Option<Bytes>,
-    ) -> Option<Bytes> {
-        if let Some(content) = self.get(fingerprint) {
-            return Some(content);
-        }
-        let content = fill()?;
-        self.put(fingerprint, content.clone());
-        Some(content)
-    }
-}
-
-/// Boxed trait objects are stores too, so wrappers like
-/// [`Sharded`] can hold heterogeneous (snapshot-restored) shards.
-impl BlobStore for Box<dyn BlobStore> {
-    fn contains(&self, fingerprint: Fingerprint) -> bool {
-        (**self).contains(fingerprint)
-    }
-
-    fn peek(&self, fingerprint: Fingerprint) -> Option<Bytes> {
-        (**self).peek(fingerprint)
-    }
-
-    fn get(&mut self, fingerprint: Fingerprint) -> Option<Bytes> {
-        (**self).get(fingerprint)
-    }
-
-    fn put(&mut self, fingerprint: Fingerprint, content: Bytes) -> bool {
-        (**self).put(fingerprint, content)
-    }
-
-    fn pin(&mut self, fingerprint: Fingerprint) {
-        (**self).pin(fingerprint);
-    }
-
-    fn unpin(&mut self, fingerprint: Fingerprint) {
-        (**self).unpin(fingerprint);
-    }
-
-    fn evict(&mut self) -> Option<(Fingerprint, u64)> {
-        (**self).evict()
-    }
-
-    fn victim_key(&self) -> Option<u64> {
-        (**self).victim_key()
-    }
-
-    fn stats(&self) -> StoreStats {
-        (**self).stats()
-    }
-
-    fn verify(&self) -> Vec<Fingerprint> {
-        (**self).verify()
-    }
-
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-
-    fn is_empty(&self) -> bool {
-        (**self).is_empty()
-    }
-
-    fn bytes(&self) -> u64 {
-        (**self).bytes()
-    }
-
-    fn clear(&mut self) {
-        (**self).clear();
-    }
-
-    fn drain_cost(&mut self) -> Duration {
-        (**self).drain_cost()
-    }
-
-    fn tier_bytes(&self) -> (u64, u64) {
-        (**self).tier_bytes()
-    }
-
-    fn is_crashed(&self) -> bool {
-        (**self).is_crashed()
-    }
-
-    fn snapshot(&self) -> StoreSnapshot {
-        (**self).snapshot()
-    }
-
-    fn get_or_fill(
-        &mut self,
-        fingerprint: Fingerprint,
-        fill: &mut dyn FnMut() -> Option<Bytes>,
-    ) -> Option<Bytes> {
-        (**self).get_or_fill(fingerprint, fill)
-    }
 }
 
 #[cfg(test)]
@@ -259,25 +148,6 @@ mod trait_tests {
 
     fn fp(n: u8) -> Fingerprint {
         Fingerprint::of(&[n])
-    }
-
-    #[test]
-    fn get_or_fill_is_single_flight_per_call() {
-        let mut store: Box<dyn BlobStore> =
-            Box::new(MemStore::with_policy(EvictionPolicy::Lru, None));
-        let mut fills = 0;
-        let body = Bytes::from_static(b"filled");
-        for _ in 0..3 {
-            let got = store.get_or_fill(fp(1), &mut || {
-                fills += 1;
-                Some(body.clone())
-            });
-            assert_eq!(got.unwrap(), body);
-        }
-        assert_eq!(fills, 1, "only the first lookup runs the fill");
-        // A failing fill caches nothing.
-        assert!(store.get_or_fill(fp(2), &mut || None).is_none());
-        assert!(!store.contains(fp(2)));
     }
 
     #[test]

@@ -23,17 +23,13 @@
 //! Victim selection is O(log n): alongside the fingerprint map the store
 //! keeps a [`BTreeSet`] of `(policy_key, fingerprint)` pairs covering
 //! exactly the unpinned entries, where `policy_key` is the insertion tick
-//! (FIFO) or the last-used tick (LRU). Ticks come from a [`TickSource`] —
+//! (FIFO) or the last-used tick (LRU). Ticks are the store's own counter —
 //! monotonically increasing, each key written at a distinct tick — so keys
 //! are unique and the set's smallest element is precisely the entry a full
 //! scan's `min_by_key` would have chosen: the index is a pure speedup, not a
-//! policy change. Stores sharing one `TickSource` (the shards of a
-//! [`Sharded`](crate::Sharded)) draw globally comparable keys, so a global
-//! victim can be chosen across them.
+//! policy change.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use bytes::Bytes;
 use gear_hash::Fingerprint;
@@ -48,40 +44,6 @@ pub enum EvictionPolicy {
     /// Evict the least-recently-used unpinned blob first (the default).
     #[default]
     Lru,
-}
-
-/// A shared source of monotonically increasing ticks.
-///
-/// Each [`MemStore`] draws insertion/recency ticks from its source; cloning
-/// the handle shares the counter, which is how the shards of a
-/// [`Sharded`](crate::Sharded) store keep their eviction keys globally
-/// comparable. A store with a private source behaves exactly like the old
-/// single-counter cache.
-#[derive(Debug, Clone, Default)]
-pub struct TickSource(Arc<AtomicU64>);
-
-impl TickSource {
-    /// A fresh counter starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A counter resuming at `value` — the next tick drawn is `value + 1`.
-    /// Used when rehydrating a snapshot so the restored store draws exactly
-    /// the ticks the original would have drawn next.
-    pub fn at(value: u64) -> Self {
-        TickSource(Arc::new(AtomicU64::new(value)))
-    }
-
-    /// The current counter value (the last tick handed out).
-    pub fn value(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// The next tick (first call returns 1).
-    fn next(&self) -> u64 {
-        self.0.fetch_add(1, Ordering::Relaxed) + 1
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -106,7 +68,8 @@ pub struct MemStore {
     capacity: Option<u64>,
     bytes: u64,
     pinned_bytes: u64,
-    ticks: TickSource,
+    /// The last tick handed out; a store's ticks are its own.
+    ticks: u64,
     stats: StoreStats,
 }
 
@@ -121,11 +84,11 @@ impl MemStore {
         MemStore { policy, capacity, ..Self::default() }
     }
 
-    /// Like [`MemStore::with_policy`], drawing ticks from a shared source —
-    /// used by [`Sharded`](crate::Sharded) so per-shard eviction keys stay
-    /// globally ordered.
-    pub fn with_ticks(policy: EvictionPolicy, capacity: Option<u64>, ticks: TickSource) -> Self {
-        MemStore { policy, capacity, ticks, ..Self::default() }
+    /// The next tick (the first is 1). Wraps rather than panics: a restored
+    /// snapshot sets the counter from untrusted bytes.
+    fn next_tick(&mut self) -> u64 {
+        self.ticks = self.ticks.wrapping_add(1);
+        self.ticks
     }
 
     /// The eviction-order key of an entry under `policy`. An associated fn
@@ -157,7 +120,7 @@ impl MemStore {
     /// immunity from eviction, not exemption from recency tracking — so an
     /// unpinned blob re-enters the LRU order at its true position.
     pub fn get(&mut self, fingerprint: Fingerprint) -> Option<Bytes> {
-        let tick = self.ticks.next();
+        let tick = self.next_tick();
         match self.entries.get_mut(&fingerprint) {
             Some(entry) => {
                 if entry.pins == 0 && self.policy == EvictionPolicy::Lru {
@@ -181,7 +144,7 @@ impl MemStore {
     /// keep the authoritative tier's replacement order identical to a flat
     /// store's when a lookup is answered from L1.
     pub fn touch(&mut self, fingerprint: Fingerprint) {
-        let tick = self.ticks.next();
+        let tick = self.next_tick();
         if let Some(entry) = self.entries.get_mut(&fingerprint) {
             if entry.pins == 0 && self.policy == EvictionPolicy::Lru {
                 self.index.remove(&(entry.used, fingerprint));
@@ -223,7 +186,7 @@ impl MemStore {
                 }
             }
         }
-        let tick = self.ticks.next();
+        let tick = self.next_tick();
         self.bytes += len;
         self.entries.insert(
             fingerprint,
@@ -263,11 +226,14 @@ impl MemStore {
     /// evictable. O(log n): the victim is the index's smallest key.
     fn evict_one(&mut self) -> Option<(Fingerprint, u64)> {
         let (_, fp) = self.index.pop_first()?;
-        let entry = self.entries.remove(&fp).expect("indexed entry exists");
+        // A hand-built snapshot can index an entry it does not hold; that
+        // ends the eviction, not the process.
+        let entry = self.entries.remove(&fp)?;
         let len = entry.content.len() as u64;
         self.bytes -= len;
-        self.stats.evictions += 1;
-        self.stats.evicted_bytes += len;
+        // Saturating: a restored snapshot's counters are untrusted too.
+        self.stats.evictions = self.stats.evictions.saturating_add(1);
+        self.stats.evicted_bytes = self.stats.evicted_bytes.saturating_add(len);
         Some((fp, len))
     }
 
@@ -275,11 +241,6 @@ impl MemStore {
     /// `evict_one`).
     pub fn evict(&mut self) -> Option<(Fingerprint, u64)> {
         self.evict_one()
-    }
-
-    /// The eviction key [`MemStore::evict`] would remove next.
-    pub fn victim_key(&self) -> Option<u64> {
-        self.index.first().map(|(key, _)| *key)
     }
 
     /// Silently removes a blob — no eviction statistics — returning its
@@ -375,21 +336,20 @@ impl MemStore {
         crate::MemSnapshot {
             policy: self.policy,
             capacity: self.capacity,
-            ticks: self.ticks.value(),
+            ticks: self.ticks,
             entries,
             counters: self.stats,
         }
     }
 
-    /// Rebuilds a store from a snapshot, drawing future ticks from `ticks`
-    /// (pass `TickSource::at(snapshot.ticks)`, or a shared source for the
-    /// shards of a [`Sharded`](crate::Sharded)). The result behaves
-    /// tick-for-tick identically to the snapshotted store.
-    pub fn restore(snapshot: &crate::MemSnapshot, ticks: TickSource) -> Self {
+    /// Rebuilds a store from a snapshot; the result resumes at the
+    /// snapshot's tick and behaves tick-for-tick identically to the
+    /// snapshotted store.
+    pub fn restore(snapshot: &crate::MemSnapshot) -> Self {
         let mut store = MemStore {
             policy: snapshot.policy,
             capacity: snapshot.capacity,
-            ticks,
+            ticks: snapshot.ticks,
             stats: snapshot.counters,
             ..Self::default()
         };
@@ -418,10 +378,13 @@ impl MemStore {
     }
 
     /// Overwrites the stored body of `fingerprint` without touching its key,
-    /// simulating on-disk corruption for integrity tests.
+    /// simulating on-disk corruption for integrity tests. A blob that is not
+    /// resident stays absent.
     #[doc(hidden)]
     pub fn corrupt_for_test(&mut self, fingerprint: Fingerprint, bad: Bytes) {
-        let entry = self.entries.get_mut(&fingerprint).expect("blob exists");
+        let Some(entry) = self.entries.get_mut(&fingerprint) else {
+            return;
+        };
         let old = entry.content.len() as u64;
         let new = bad.len() as u64;
         self.bytes = self.bytes - old + new;
@@ -459,10 +422,6 @@ impl BlobStore for MemStore {
 
     fn evict(&mut self) -> Option<(Fingerprint, u64)> {
         MemStore::evict(self)
-    }
-
-    fn victim_key(&self) -> Option<u64> {
-        MemStore::victim_key(self)
     }
 
     fn stats(&self) -> StoreStats {
@@ -734,19 +693,5 @@ mod tests {
         for workers in [2, 4, 8] {
             assert_eq!(c.verify_with(&gear_par::Pool::new(workers)), serial);
         }
-    }
-
-    #[test]
-    fn shared_ticks_stay_globally_ordered() {
-        let ticks = TickSource::new();
-        let mut a = MemStore::with_ticks(EvictionPolicy::Lru, None, ticks.clone());
-        let mut b = MemStore::with_ticks(EvictionPolicy::Lru, None, ticks);
-        a.insert(fp(1), body(1, 4)); // tick 1
-        b.insert(fp(2), body(2, 4)); // tick 2
-        a.insert(fp(3), body(3, 4)); // tick 3
-        assert_eq!(a.victim_key(), Some(1));
-        assert_eq!(b.victim_key(), Some(2));
-        a.evict();
-        assert_eq!(a.victim_key(), Some(3), "keys interleave across stores");
     }
 }

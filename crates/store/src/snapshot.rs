@@ -1,4 +1,5 @@
-//! Live-upgrade state handoff: serializable snapshots of every store shape.
+//! Live-upgrade state handoff: serializable snapshots of every store shape
+//! ([`MemStore`], [`DiskStore`], [`TieredStore`]).
 //!
 //! A [`StoreSnapshot`] captures the *complete* observable state of a running
 //! store — contents, pin counts, per-entry eviction ticks, the tick counter,
@@ -14,6 +15,15 @@
 //! handoff can cross a process boundary. Entries are serialized in
 //! fingerprint order, making equal states produce equal bytes.
 //!
+//! The trailer is an unkeyed checksum — it catches torn writes, and anyone
+//! can re-seal a blob — so [`StoreSnapshot::from_bytes`] treats its input as
+//! untrusted: a length is bounds-checked before it is added to an offset,
+//! entries must be in strictly ascending fingerprint order (what the
+//! encoder writes, and what makes a fingerprint unique), and no frame
+//! nests, so decoding never recurses. Shape tag 3, once a wrapper around
+//! further snapshots, is retired and decodes to
+//! [`SnapshotError::Malformed`].
+//!
 //! A journaled [`DiskStore`](crate::DiskStore) snapshots its *logical* state
 //! only: the journal media handle and crash plan are harness-owned wiring,
 //! re-attached explicitly on the new instance if desired.
@@ -26,9 +36,7 @@ use gear_hash::Fingerprint;
 use gear_simnet::DiskModel;
 
 use crate::journal::checksum64;
-use crate::{
-    BlobStore, DiskStore, EvictionPolicy, MemStore, Sharded, StoreStats, TickSource, TieredStore,
-};
+use crate::{BlobStore, DiskStore, EvictionPolicy, MemStore, StoreStats, TieredStore};
 
 /// One resident blob's full state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,13 +92,6 @@ pub struct TieredSnapshot {
     pub promote_on_hit: bool,
 }
 
-/// A [`Sharded`] store's complete state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedSnapshot {
-    /// Per-shard snapshots, in shard order.
-    pub shards: Vec<StoreSnapshot>,
-}
-
 /// A snapshot of any store shape this crate builds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreSnapshot {
@@ -100,8 +101,6 @@ pub enum StoreSnapshot {
     Disk(DiskSnapshot),
     /// L1 memory over L2 disk.
     Tiered(TieredSnapshot),
-    /// Sharded wrapper.
-    Sharded(ShardedSnapshot),
 }
 
 /// Why a serialized snapshot failed to load.
@@ -145,7 +144,7 @@ const VERSION: u8 = 1;
 const TAG_MEM: u8 = 0;
 const TAG_DISK: u8 = 1;
 const TAG_TIERED: u8 = 2;
-const TAG_SHARDED: u8 = 3;
+// 3 was a wrapper frame around further snapshots: retired, not to be reused.
 
 struct Writer(Vec<u8>);
 
@@ -184,27 +183,28 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let slice = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .ok_or(SnapshotError::Truncated)?;
-        self.pos += n;
+        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
+        let slice = self.buf.get(self.pos..end).ok_or(SnapshotError::Truncated)?;
+        self.pos = end;
         Ok(slice)
+    }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        self.take(N)?.try_into().map_err(|_| SnapshotError::Truncated)
     }
     fn u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
     }
     fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
     fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.array()?))
     }
     fn u128(&mut self) -> Result<u128, SnapshotError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("16 bytes")))
+        Ok(u128::from_le_bytes(self.array()?))
     }
     fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let len = self.u64()? as usize;
+        let len = usize::try_from(self.u64()?).map_err(|_| SnapshotError::Truncated)?;
         self.take(len)
     }
     fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
@@ -274,10 +274,12 @@ fn decode_mem(r: &mut Reader) -> Result<MemSnapshot, SnapshotError> {
     let ticks = r.u64()?;
     let counters = decode_stats(r)?;
     let count = r.u64()? as usize;
-    let mut entries = Vec::with_capacity(count.min(1 << 16));
+    let mut entries: Vec<EntrySnapshot> = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
-        let fingerprint =
-            Fingerprint::from_bytes(r.take(16)?.try_into().expect("16 bytes"));
+        let fingerprint = Fingerprint::from_bytes(r.array()?);
+        if entries.last().is_some_and(|prev| prev.fingerprint >= fingerprint) {
+            return Err(SnapshotError::Malformed);
+        }
         let content = Bytes::copy_from_slice(r.bytes()?);
         let pins = r.u32()?;
         let inserted = r.u64()?;
@@ -330,13 +332,6 @@ fn encode_snapshot(w: &mut Writer, snapshot: &StoreSnapshot) {
             encode_disk(w, &t.l2);
             w.u8(t.promote_on_hit as u8);
         }
-        StoreSnapshot::Sharded(s) => {
-            w.u8(TAG_SHARDED);
-            w.u64(s.shards.len() as u64);
-            for shard in &s.shards {
-                encode_snapshot(w, shard);
-            }
-        }
     }
 }
 
@@ -353,14 +348,6 @@ fn decode_snapshot(r: &mut Reader) -> Result<StoreSnapshot, SnapshotError> {
                 _ => return Err(SnapshotError::Malformed),
             };
             StoreSnapshot::Tiered(TieredSnapshot { l1, l2, promote_on_hit })
-        }
-        TAG_SHARDED => {
-            let count = r.u64()? as usize;
-            let mut shards = Vec::with_capacity(count.min(1 << 10));
-            for _ in 0..count {
-                shards.push(decode_snapshot(r)?);
-            }
-            StoreSnapshot::Sharded(ShardedSnapshot { shards })
         }
         _ => return Err(SnapshotError::Malformed),
     })
@@ -384,7 +371,7 @@ impl StoreSnapshot {
             return Err(SnapshotError::Truncated);
         }
         let (payload, trailer) = bytes.split_at(bytes.len() - 8);
-        let check = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
+        let check = Reader { buf: trailer, pos: 0 }.u64()?;
         if checksum64(payload) != check {
             return Err(SnapshotError::ChecksumMismatch);
         }
@@ -407,44 +394,9 @@ impl StoreSnapshot {
     /// of a snapshot and comes back detached.
     pub fn restore(&self) -> Box<dyn BlobStore> {
         match self {
-            StoreSnapshot::Mem(m) => Box::new(MemStore::restore(m, TickSource::at(m.ticks))),
+            StoreSnapshot::Mem(m) => Box::new(MemStore::restore(m)),
             StoreSnapshot::Disk(d) => Box::new(DiskStore::restore(d)),
             StoreSnapshot::Tiered(t) => Box::new(TieredStore::restore(t)),
-            StoreSnapshot::Sharded(s) => {
-                // Shards built by `Sharded::with_policy` share one tick
-                // counter; rebuild memory shards against a shared source at
-                // the highest recorded value so cross-shard eviction keys
-                // keep their global order.
-                let all_mem = s.shards.iter().all(|sh| matches!(sh, StoreSnapshot::Mem(_)));
-                if all_mem {
-                    let ticks = TickSource::at(
-                        s.shards
-                            .iter()
-                            .map(|sh| match sh {
-                                StoreSnapshot::Mem(m) => m.ticks,
-                                _ => 0,
-                            })
-                            .max()
-                            .unwrap_or(0),
-                    );
-                    let stores: Vec<Box<dyn BlobStore>> = s
-                        .shards
-                        .iter()
-                        .map(|sh| match sh {
-                            StoreSnapshot::Mem(m) => {
-                                Box::new(MemStore::restore(m, ticks.clone()))
-                                    as Box<dyn BlobStore>
-                            }
-                            _ => unreachable!("all_mem checked above"),
-                        })
-                        .collect();
-                    Box::new(Sharded::from_shards(stores))
-                } else {
-                    Box::new(Sharded::from_shards(
-                        s.shards.iter().map(StoreSnapshot::restore).collect(),
-                    ))
-                }
-            }
         }
     }
 }
@@ -488,13 +440,7 @@ mod tests {
         tiered.put(fp(2), body(2, 16));
         tiered.get(fp(2));
         let tiered = tiered.snapshot();
-        let sharded = Sharded::with_policy(EvictionPolicy::Lru, Some(300), 3);
-        for n in 0u8..9 {
-            sharded.insert(fp(n), body(n, 8));
-        }
-        let sharded = BlobStore::snapshot(&sharded);
-
-        for snapshot in [mem, disk, tiered, sharded] {
+        for snapshot in [mem, disk, tiered] {
             let bytes = snapshot.to_bytes();
             let back = StoreSnapshot::from_bytes(&bytes).expect("roundtrip");
             assert_eq!(back, snapshot);
@@ -538,7 +484,6 @@ mod tests {
                 restored.put(fp(100 + n), body(n, 9)),
                 "put {n}"
             );
-            assert_eq!(original.victim_key(), restored.victim_key(), "victim {n}");
         }
         assert_eq!(original.stats(), restored.stats());
         let mut a = Vec::new();
@@ -563,20 +508,5 @@ mod tests {
         original.get(fp(1));
         restored.get(fp(1));
         assert_eq!(restored.drain_cost(), original.drain_cost());
-    }
-
-    #[test]
-    fn restored_sharded_store_keeps_global_eviction_order() {
-        let sharded = Sharded::with_policy(EvictionPolicy::Fifo, None, 4);
-        let order: Vec<Fingerprint> = (0u8..12).map(fp).collect();
-        for (i, f) in order.iter().enumerate() {
-            sharded.insert(*f, body(i as u8, 4));
-        }
-        let mut restored = BlobStore::snapshot(&sharded).restore();
-        let mut victims = Vec::new();
-        while let Some((f, _)) = restored.evict() {
-            victims.push(f);
-        }
-        assert_eq!(victims, order, "global FIFO order survives the handoff");
     }
 }

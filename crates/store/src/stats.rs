@@ -2,16 +2,13 @@
 //!
 //! One struct replaces the old `gear-client` `CacheStats` and
 //! `gear-registry` `FileStoreStats`: cache-style hit/miss/eviction counters
-//! and registry-style object/byte totals live side by side, so per-shard or
-//! per-tier stats merge into whole-store totals with one exact sum.
+//! and registry-style object/byte totals live side by side.
 
 /// Store accounting: counters (monotonic) and gauges (current state).
 ///
 /// Counter fields (`hits`, `misses`, `evictions`, `evicted_bytes`,
 /// `dedup_hits`) only ever grow; gauge fields (`pinned_bytes`, `objects`,
 /// `stored_bytes`, `logical_bytes`) track the store's current residency.
-/// Both kinds add element-wise under [`StoreStats::merge`], so merging
-/// per-shard stats yields whole-cache totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Lookups that found the blob locally.
@@ -37,23 +34,6 @@ pub struct StoreStats {
 }
 
 impl StoreStats {
-    /// Element-wise sum: counters and gauges both add, so merging per-shard
-    /// (or per-tier) stats yields exact whole-store totals.
-    #[must_use]
-    pub fn merge(self, other: StoreStats) -> StoreStats {
-        StoreStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
-            evicted_bytes: self.evicted_bytes + other.evicted_bytes,
-            pinned_bytes: self.pinned_bytes + other.pinned_bytes,
-            objects: self.objects + other.objects,
-            stored_bytes: self.stored_bytes + other.stored_bytes,
-            logical_bytes: self.logical_bytes + other.logical_bytes,
-            dedup_hits: self.dedup_hits + other.dedup_hits,
-        }
-    }
-
     /// Total lookups (hits + misses).
     #[must_use]
     pub fn lookups(&self) -> u64 {
@@ -81,48 +61,6 @@ impl StoreStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_is_exact_element_wise_sum() {
-        let a = StoreStats {
-            hits: 1,
-            misses: 2,
-            evictions: 3,
-            evicted_bytes: 4,
-            pinned_bytes: 5,
-            objects: 6,
-            stored_bytes: 7,
-            logical_bytes: 8,
-            dedup_hits: 9,
-        };
-        let b = StoreStats {
-            hits: 10,
-            misses: 20,
-            evictions: 30,
-            evicted_bytes: 40,
-            pinned_bytes: 50,
-            objects: 60,
-            stored_bytes: 70,
-            logical_bytes: 80,
-            dedup_hits: 90,
-        };
-        let m = a.merge(b);
-        assert_eq!(
-            m,
-            StoreStats {
-                hits: 11,
-                misses: 22,
-                evictions: 33,
-                evicted_bytes: 44,
-                pinned_bytes: 55,
-                objects: 66,
-                stored_bytes: 77,
-                logical_bytes: 88,
-                dedup_hits: 99,
-            }
-        );
-        assert_eq!(StoreStats::default().merge(a), a, "zero is the identity");
-    }
 
     #[test]
     fn derived_accessors() {

@@ -88,7 +88,7 @@ impl TieredStore {
     /// (see [`crate::snapshot`]).
     pub fn restore(snapshot: &crate::TieredSnapshot) -> Self {
         TieredStore::from_parts(
-            MemStore::restore(&snapshot.l1, crate::TickSource::at(snapshot.l1.ticks)),
+            MemStore::restore(&snapshot.l1),
             DiskStore::restore(&snapshot.l2),
             snapshot.promote_on_hit,
         )
@@ -170,10 +170,6 @@ impl BlobStore for TieredStore {
         let (victim, len) = evicted?;
         self.l1.remove(victim);
         Some((victim, len))
-    }
-
-    fn victim_key(&self) -> Option<u64> {
-        self.l2.victim_key()
     }
 
     fn stats(&self) -> StoreStats {

@@ -1,19 +1,14 @@
 //! Property-based equivalence tests for the store implementations.
 //!
-//! Two equivalences anchor the refactor:
-//!
-//! * a [`TieredStore`] with an **unbounded L1** is observably identical to
-//!   a flat [`MemStore`] with the L2's capacity — same lookup results, same
-//!   final contents, same stats. Bounding L1 may only change *where* hits
-//!   are served from (priced disk time), never *what* hits;
-//! * a [`Sharded<MemStore>`] is equivalent to an unsharded [`MemStore`]
-//!   for any shard count when capacity is unbounded (bounded shards
-//!   legitimately diverge: capacity pressure is per shard).
+//! A [`TieredStore`] with an **unbounded L1** is observably identical to a
+//! flat [`MemStore`] with the L2's capacity — same lookup results, same
+//! final contents, same stats. Bounding L1 may only change *where* hits are
+//! served from (priced disk time), never *what* hits.
 
 use bytes::Bytes;
 use gear_hash::Fingerprint;
 use gear_simnet::DiskModel;
-use gear_store::{split_capacity, BlobStore, EvictionPolicy, MemStore, Sharded, TieredStore};
+use gear_store::{BlobStore, EvictionPolicy, MemStore, TieredStore};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -82,7 +77,7 @@ fn resident_set(store: &dyn BlobStore) -> Vec<(Fingerprint, usize)> {
 }
 
 proptest! {
-    /// (a) Tiered-with-unbounded-L1 ≡ flat: hit set, residency, and stats
+    /// Tiered-with-unbounded-L1 ≡ flat: hit set, residency, and stats
     /// all match for any op sequence, policy, and L2 capacity.
     #[test]
     fn tiered_with_unbounded_l1_equals_flat_memstore(
@@ -104,31 +99,6 @@ proptest! {
         prop_assert_eq!(flat.len(), tiered.len());
         prop_assert_eq!(BlobStore::bytes(&flat), tiered.bytes());
         prop_assert_eq!(MemStore::stats(&flat), BlobStore::stats(&tiered));
-    }
-
-    /// (b) Sharded ≡ unsharded for any shard count (unbounded capacity):
-    /// same lookup results, same global eviction victims, same merged
-    /// counters, same residency.
-    #[test]
-    fn sharded_memstore_equals_unsharded(
-        ops in proptest::collection::vec(any_op(), 1..120),
-        policy in any_policy(),
-        shards in 1usize..9,
-    ) {
-        let mut flat = MemStore::with_policy(policy, None);
-        let mut sharded = Sharded::with_policy(policy, None, shards);
-        for op in &ops {
-            let a = apply(&mut flat, op);
-            let b = apply(&mut sharded, op);
-            prop_assert_eq!(&a, &b, "op {:?} diverged", op);
-        }
-        prop_assert_eq!(resident_set(&flat), resident_set(&sharded));
-        prop_assert_eq!(Sharded::len(&sharded), MemStore::len(&flat));
-        prop_assert_eq!(Sharded::bytes(&sharded), MemStore::bytes(&flat));
-        let (f, s) = (MemStore::stats(&flat), Sharded::stats(&sharded));
-        prop_assert_eq!((f.hits, f.misses), (s.hits, s.misses));
-        prop_assert_eq!((f.evictions, f.evicted_bytes), (s.evictions, s.evicted_bytes));
-        prop_assert_eq!(f.pinned_bytes, s.pinned_bytes);
     }
 
     /// Tiered stats decompose: L1 + L2 hits equal flat hits and the accrued
@@ -155,47 +125,5 @@ proptest! {
         let (l1_bytes, l2_bytes) = tiered.tier_bytes();
         prop_assert!(l1_bytes <= l2_bytes, "L1 ⊆ L2");
         prop_assert_eq!(l2_bytes, MemStore::bytes(&flat));
-    }
-}
-
-proptest! {
-    /// `split_capacity` is exact for any total and shard count: per-shard
-    /// capacities sum back to the total (no floor-truncation loss), differ
-    /// by at most one byte, and extras go to the leading shards.
-    #[test]
-    fn split_capacity_is_exact_and_even(
-        total in prop_oneof![
-            Just(0u64),
-            0u64..64,                 // capacity below the shard count
-            any::<u64>(),             // the whole range, incl. u64::MAX region
-            Just(u64::MAX),
-        ],
-        shards in 1usize..64,
-    ) {
-        let parts = split_capacity(Some(total), shards);
-        prop_assert_eq!(parts.len(), shards);
-        // Sum in u128: u64::MAX over one shard must not overflow the check.
-        let sum: u128 = parts.iter().map(|p| u128::from(p.unwrap())).sum();
-        prop_assert_eq!(sum, u128::from(total), "split loses or invents bytes");
-        let min = parts.iter().map(|p| p.unwrap()).min().unwrap();
-        let max = parts.iter().map(|p| p.unwrap()).max().unwrap();
-        prop_assert!(max - min <= 1, "split is uneven: min={} max={}", min, max);
-        // Deterministic placement: the `total % shards` extra bytes land on
-        // the leading shards, so the sequence is non-increasing.
-        for pair in parts.windows(2) {
-            prop_assert!(pair[0] >= pair[1]);
-        }
-        // Capacity smaller than the shard count means trailing shards get
-        // exactly zero, never a phantom byte.
-        if total < shards as u64 {
-            prop_assert_eq!(parts.iter().filter(|p| **p == Some(1)).count() as u64, total);
-            prop_assert_eq!(parts[shards - 1], Some(0));
-        }
-    }
-
-    /// Unbounded capacity splits to unbounded shards, whatever the count.
-    #[test]
-    fn split_capacity_unbounded_everywhere(shards in 1usize..256) {
-        prop_assert_eq!(split_capacity(None, shards), vec![None; shards]);
     }
 }

@@ -16,12 +16,18 @@
 //! * **L1 ⊆ L2** — a tiered store whose journaled L2 crashes recovers with
 //!   its volatile L1 empty, and the inclusion holds through post-recovery
 //!   traffic.
+//! * **Snapshots are untrusted bytes** — the FNV-1a trailer is unkeyed, so
+//!   any blob can be re-sealed: `StoreSnapshot::from_bytes` answers damaged
+//!   or crafted input with a typed error, never a panic, and whatever it
+//!   does accept restores to a store that drains without one. The bytes of
+//!   an intact snapshot are pinned.
 
 use bytes::Bytes;
 use gear_hash::Fingerprint;
 use gear_simnet::{CrashPlan, CrashPoint, DiskModel};
 use gear_store::{
-    BlobStore, DiskStore, EvictionPolicy, JournalMedia, MemStore, StoreSnapshot, TieredStore,
+    BlobStore, DiskStore, EntrySnapshot, EvictionPolicy, JournalMedia, MemSnapshot, MemStore,
+    SnapshotError, StoreSnapshot, StoreStats, TieredStore,
 };
 use proptest::prelude::*;
 
@@ -287,11 +293,190 @@ proptest! {
             let b = apply(restored.as_mut(), op);
             prop_assert_eq!(a, b, "upgraded instance diverged at {:?}", op);
             prop_assert_eq!(original.drain_cost(), restored.drain_cost());
-            prop_assert_eq!(original.victim_key(), restored.victim_key());
         }
         prop_assert_eq!(BlobStore::stats(&original), restored.stats());
         prop_assert_eq!(logical_state(&original), logical_state(restored.as_ref()));
+        prop_assert_eq!(drain(&mut original), drain(restored.as_mut()), "victim order");
     }
+
+    /// Truncate, flip a byte or overwrite a length field of any store
+    /// shape's snapshot, re-seal the trailer, and decoding is a typed error
+    /// or a store that drains — never a panic.
+    #[test]
+    fn damaged_snapshot_never_panics(
+        ops in proptest::collection::vec(any_op(), 0..40),
+        shape in 0u8..3,
+        policy in any_policy(),
+        capacity in prop_oneof![Just(None), (300u64..3000).prop_map(Some)],
+        at in any::<prop::sample::Index>(),
+        flip in 1u8..=255,
+        length in prop_oneof![Just(u64::MAX), Just(0u64), 0u64..4096, any::<u64>()],
+    ) {
+        let model = DiskModel::ssd();
+        let mut store: Box<dyn BlobStore> = match shape {
+            0 => Box::new(MemStore::with_policy(policy, capacity)),
+            1 => Box::new(DiskStore::new(policy, capacity, model, 2)),
+            _ => Box::new(TieredStore::new(policy, Some(400), capacity, model, 2, true)),
+        };
+        for op in &ops {
+            apply(store.as_mut(), op);
+        }
+        let snapshot = store.snapshot();
+        let mut payload = snapshot.to_bytes();
+        payload.truncate(payload.len() - 8);
+
+        let truncated = payload[..at.index(payload.len())].to_vec();
+        let mut flipped = payload.clone();
+        flipped[at.index(payload.len())] ^= flip;
+        let fields = length_fields(&snapshot);
+        let field = fields[at.index(fields.len())];
+        let mut relengthed = payload;
+        relengthed[field..field + 8].copy_from_slice(&length.to_le_bytes());
+
+        for damaged in [truncated, flipped, relengthed] {
+            if let Ok(decoded) = StoreSnapshot::from_bytes(&seal(damaged)) {
+                drain(decoded.restore().as_mut());
+            }
+        }
+    }
+}
+
+/// Evicts until nothing evictable is left, returning the victim order.
+fn drain(store: &mut dyn BlobStore) -> Vec<(Fingerprint, u64)> {
+    std::iter::from_fn(|| store.evict()).collect()
+}
+
+/// Appends the snapshot trailer — unkeyed FNV-1a, so anyone holding a blob
+/// can do this — to a payload of magic, version and body.
+fn seal(mut payload: Vec<u8>) -> Vec<u8> {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in &payload {
+        hash = (hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    payload.extend_from_slice(&hash.to_le_bytes());
+    payload
+}
+
+/// Offsets into `snapshot.to_bytes()` of every `u64` length field: each
+/// store's entry count and each entry's content length.
+fn length_fields(snapshot: &StoreSnapshot) -> Vec<usize> {
+    fn mem(m: &MemSnapshot, at: &mut usize, fields: &mut Vec<usize>) {
+        // policy, capacity, ticks, nine counters
+        *at += 1 + if m.capacity.is_some() { 9 } else { 1 } + 8 + 72;
+        fields.push(*at);
+        *at += 8;
+        for e in &m.entries {
+            fields.push(*at + 16); // after the fingerprint
+            *at += 16 + 8 + e.content.len() + 4 + 8 + 8;
+        }
+    }
+    let mut at = 6; // magic, version, shape tag
+    let mut fields = Vec::new();
+    match snapshot {
+        StoreSnapshot::Mem(m) => mem(m, &mut at, &mut fields),
+        StoreSnapshot::Disk(d) => mem(&d.mem, &mut at, &mut fields),
+        StoreSnapshot::Tiered(t) => {
+            mem(&t.l1, &mut at, &mut fields);
+            mem(&t.l2.mem, &mut at, &mut fields);
+        }
+    }
+    fields
+}
+
+fn mem_snapshot(entries: Vec<EntrySnapshot>, counters: StoreStats) -> StoreSnapshot {
+    StoreSnapshot::Mem(MemSnapshot {
+        policy: EvictionPolicy::Lru,
+        capacity: None,
+        ticks: entries.len() as u64,
+        entries,
+        counters,
+    })
+}
+
+fn entry(k: u8, tick: u64) -> EntrySnapshot {
+    EntrySnapshot { fingerprint: fp(k), content: body(k, 8), pins: 0, inserted: tick, used: tick }
+}
+
+#[test]
+fn entry_length_past_the_address_space_is_truncated_not_overflow() {
+    let snapshot = mem_snapshot(vec![entry(1, 1)], StoreStats::default());
+    let mut payload = snapshot.to_bytes();
+    payload.truncate(payload.len() - 8);
+    let field = length_fields(&snapshot)[1];
+    payload[field..field + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    assert_eq!(StoreSnapshot::from_bytes(&seal(payload)), Err(SnapshotError::Truncated));
+}
+
+#[test]
+fn fingerprint_listed_twice_is_malformed() {
+    let twice = mem_snapshot(vec![entry(1, 1), entry(1, 2)], StoreStats::default());
+    assert_eq!(StoreSnapshot::from_bytes(&twice.to_bytes()), Err(SnapshotError::Malformed));
+    // Built in memory it never meets the decoder; it must still drain.
+    assert_eq!(drain(twice.restore().as_mut()), vec![(fp(1), 8)]);
+    // Likewise any order the encoder would not have written.
+    let (mut a, mut b) = (entry(1, 1), entry(2, 2));
+    if a.fingerprint < b.fingerprint {
+        std::mem::swap(&mut a, &mut b);
+    }
+    let descending = mem_snapshot(vec![a, b], StoreStats::default()).to_bytes();
+    assert_eq!(StoreSnapshot::from_bytes(&descending), Err(SnapshotError::Malformed));
+}
+
+#[test]
+fn counters_at_the_ceiling_still_drain() {
+    let full =
+        StoreStats { evictions: u64::MAX, evicted_bytes: u64::MAX, ..StoreStats::default() };
+    let bytes = mem_snapshot(vec![entry(1, 1)], full).to_bytes();
+    let decoded = StoreSnapshot::from_bytes(&bytes).expect("well-formed");
+    assert_eq!(drain(decoded.restore().as_mut()), vec![(fp(1), 8)]);
+}
+
+/// Tag 3 was a wrapper frame holding further snapshots, so nesting it drove
+/// the decoder's recursion as deep as the blob was long.
+#[test]
+fn retired_tag_three_is_malformed_at_any_depth() {
+    let mut payload = b"GSNP\x01".to_vec();
+    for _ in 0..200_000 {
+        payload.push(3);
+        payload.extend_from_slice(&1u64.to_le_bytes());
+    }
+    assert_eq!(StoreSnapshot::from_bytes(&seal(payload)), Err(SnapshotError::Malformed));
+}
+
+/// Live-upgrade handoff crosses a process boundary between two builds, so
+/// the bytes of the three store shapes are a wire format.
+#[test]
+fn snapshot_wire_bytes_are_pinned() {
+    let mut mem = MemStore::with_policy(EvictionPolicy::Lru, Some(200));
+    for n in 0u8..12 {
+        mem.insert(fp(n), body(n, 10 + u16::from(n)));
+    }
+    mem.get(fp(3));
+    mem.get(fp(200));
+    mem.pin(fp(5));
+    mem.pin(fp(5));
+    mem.pin(fp(7));
+    mem.unpin(fp(7));
+    mem.evict();
+    let mut disk = DiskStore::new(EvictionPolicy::Fifo, Some(500), DiskModel::hdd(), 16);
+    disk.insert(fp(1), body(1, 64));
+    disk.insert(fp(2), body(2, 32));
+    disk.get(fp(1));
+    disk.pin(fp(1));
+    let mut tiered =
+        TieredStore::new(EvictionPolicy::Lru, Some(32), Some(100), DiskModel::ssd(), 4, true);
+    for n in 0u8..5 {
+        tiered.put(fp(n), body(n, 24));
+    }
+    tiered.get(fp(2));
+    tiered.get(fp(4));
+    tiered.drain_cost();
+    tiered.get(fp(3));
+
+    let digest = |store: &dyn BlobStore| Fingerprint::of(&store.snapshot().to_bytes()).to_hex();
+    assert_eq!(digest(&mem), "c693f2354f5a61ab1eafae35fb5c3929");
+    assert_eq!(digest(&disk), "a6844faede6080db95cb53222509ec24");
+    assert_eq!(digest(&tiered), "2ce277674a9706ef6ae6e73063cc95ea");
 }
 
 /// A deterministic workload for seed `seed`: enough puts/gets/pins/evicts

@@ -1,6 +1,6 @@
 //! The recording [`Recorder`]: sim-time spans and instants in a bounded
-//! ring ("flight recorder") behind one mutex, with counters, gauges,
-//! histograms, and quantile sketches on striped locks off to the side.
+//! ring ("flight recorder") behind one mutex, with counters, gauges, and
+//! quantile sketches on striped locks off to the side.
 //!
 //! The split matters on the hot record path: bumping a counter or
 //! observing a latency into a sketch never touches the span mutex — it
@@ -15,7 +15,7 @@ use std::sync::{Mutex, RwLock};
 use std::time::Duration;
 
 use crate::context::{span_key, TraceContext, NO_PARENT_SPAN};
-use crate::metrics::{Histogram, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 use crate::recorder::{Recorder, SpanId};
 use crate::sketch::QuantileSketch;
 
@@ -74,7 +74,7 @@ fn stripe_of(key: &str) -> usize {
 }
 
 /// Counters and gauges striped over read-write locks of atomic cells, and
-/// histograms/sketches striped over plain mutexes. The hot path for an
+/// sketches striped over plain mutexes. The hot path for an
 /// existing counter key is a read lock + `fetch_add`; the write lock is
 /// taken once per key, on first touch.
 #[derive(Debug, Default)]
@@ -82,7 +82,6 @@ struct Stripes {
     counters: [RwLock<BTreeMap<String, AtomicU64>>; STRIPES],
     /// Gauges store the raw value; `gauge_max` uses `fetch_max`.
     gauges: [RwLock<BTreeMap<String, AtomicU64>>; STRIPES],
-    histograms: [Mutex<BTreeMap<String, Histogram>>; STRIPES],
     sketches: [Mutex<BTreeMap<String, QuantileSketch>>; STRIPES],
 }
 
@@ -129,20 +128,15 @@ impl Stripes {
         });
     }
 
-    fn observe(&self, key: &str, value: u64) {
-        let mut map = self.histograms[stripe_of(key)].lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(h) = map.get_mut(key) {
-            h.observe(value);
-        } else {
-            let mut h = Histogram::byte_sized();
-            h.observe(value);
-            map.insert(key.to_owned(), h);
-        }
-    }
-
+    /// Looks the key up before owning it: `entry(key.to_owned())` would
+    /// allocate a `String` per sample, and this runs once per fetched file.
     fn sketch(&self, key: &str, value: u64) {
         let mut map = self.sketches[stripe_of(key)].lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(key.to_owned()).or_default().observe(value);
+        if let Some(sketch) = map.get_mut(key) {
+            sketch.observe(value);
+        } else {
+            map.entry(key.to_owned()).or_default().observe(value);
+        }
     }
 
     /// Discards every metric in every stripe.
@@ -152,9 +146,6 @@ impl Stripes {
         }
         for stripe in &self.gauges {
             stripe.write().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-        for stripe in &self.histograms {
-            stripe.lock().unwrap_or_else(|e| e.into_inner()).clear();
         }
         for stripe in &self.sketches {
             stripe.lock().unwrap_or_else(|e| e.into_inner()).clear();
@@ -174,12 +165,6 @@ impl Stripes {
             let read = stripe.read().unwrap_or_else(|e| e.into_inner());
             for (key, cell) in read.iter() {
                 registry.gauge_set(key, cell.load(Ordering::Relaxed));
-            }
-        }
-        for stripe in &self.histograms {
-            let map = stripe.lock().unwrap_or_else(|e| e.into_inner());
-            for (key, histogram) in map.iter() {
-                registry.set_histogram(key, histogram.clone());
             }
         }
         for stripe in &self.sketches {
@@ -545,10 +530,6 @@ impl Recorder for Collector {
         self.stripes.gauge_max(key, value);
     }
 
-    fn observe(&self, key: &str, value: u64) {
-        self.stripes.observe(key, value);
-    }
-
     fn sketch(&self, key: &str, value: u64) {
         self.stripes.sketch(key, value);
     }
@@ -641,7 +622,6 @@ mod tests {
         }
         c.count("p2p.deploys", 5);
         c.gauge_set("p2p.registry_egress", 100);
-        c.observe("p2p.bytes", 42);
         c.sketch("p2p.deploy_nanos", 1_000_000);
         c.set_trace_id(9);
         assert!(c.dropped_spans() > 0);
@@ -719,13 +699,11 @@ mod tests {
         c.count("cache.hits", 2);
         c.gauge_max("peak", 9);
         c.gauge_max("peak", 4);
-        c.observe("bytes", 2048);
         c.sketch("lat", 1_000);
         drop(_guard);
         let m = c.metrics();
         assert_eq!(m.counter("cache.hits"), 2);
         assert_eq!(m.gauge("peak"), Some(9));
-        assert_eq!(m.histogram("bytes").expect("observed").count(), 1);
         assert_eq!(m.sketch("lat").expect("sketched").count(), 1);
     }
 

@@ -163,11 +163,9 @@ impl Collector {
 }
 
 /// Serializes a registry as `{"counters":{...},"gauges":{...},
-/// "histograms":{...},"sketches":{...}}` with keys in sorted order.
-/// Histograms carry `count`/`sum`/`min`/`max` and explicit buckets; the
-/// overflow bucket's bound serializes as the string `"+Inf"`. Sketches
-/// carry their summary stats, the pre-computed p50/p99/p999, the relative
-/// -error bound, and the sparse `[index, count]` bucket list.
+/// "sketches":{...}}` with keys in sorted order. Sketches carry their
+/// summary stats, the pre-computed p50/p99/p999, the relative-error bound,
+/// and the sparse `[index, count]` bucket list.
 pub fn metrics_json(metrics: &MetricsRegistry) -> String {
     let mut out = String::from("{\"counters\":{");
     for (i, (key, value)) in metrics.counters().enumerate() {
@@ -186,36 +184,6 @@ pub fn metrics_json(metrics: &MetricsRegistry) -> String {
         out.push('"');
         escape_json(key, &mut out);
         let _ = write!(out, "\":{value}");
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (key, histogram)) in metrics.histograms().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_json(key, &mut out);
-        let _ = write!(
-            out,
-            "\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-            histogram.count(),
-            histogram.sum(),
-            histogram.min().unwrap_or(0),
-            histogram.max().unwrap_or(0),
-        );
-        for (j, (bound, count)) in histogram.buckets().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            match bound {
-                Some(le) => {
-                    let _ = write!(out, "{{\"le\":{le},\"count\":{count}}}");
-                }
-                None => {
-                    let _ = write!(out, "{{\"le\":\"+Inf\",\"count\":{count}}}");
-                }
-            }
-        }
-        out.push_str("]}");
     }
     out.push_str("},\"sketches\":{");
     for (i, (key, sketch)) in metrics.sketches().enumerate() {
@@ -324,14 +292,12 @@ mod tests {
         c.count("b.two", 2);
         c.count("a.one", 1);
         c.gauge_set("g", 7);
-        c.observe("h", 2048);
         let json = c.metrics_json();
         // Counters in sorted key order.
-        assert!(json.contains("\"counters\":{\"a.one\":1,\"b.two\":2}"));
-        assert!(json.contains("\"gauges\":{\"g\":7}"));
-        assert!(json.contains("\"h\":{\"count\":1,\"sum\":2048,\"min\":2048,\"max\":2048"));
-        assert!(json.contains("{\"le\":\"+Inf\",\"count\":0}"));
-        assert!(json.trim_end().ends_with("\"sketches\":{}}"));
+        assert_eq!(
+            json,
+            "{\"counters\":{\"a.one\":1,\"b.two\":2},\"gauges\":{\"g\":7},\"sketches\":{}}\n"
+        );
     }
 
     #[test]
@@ -364,7 +330,6 @@ mod tests {
             let s = c.span_start("x", "outer");
             c.advance(Duration::from_nanos(1_234_567));
             c.count("k", 3);
-            c.observe("h", 99);
             c.sketch("q", 1_000);
             c.span_end(s);
             (c.trace_json(), c.metrics_json())

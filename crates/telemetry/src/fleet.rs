@@ -19,8 +19,9 @@ use std::sync::Arc;
 
 use crate::collector::Collector;
 use crate::export::{write_events, TRACE_PRELUDE};
-use crate::metrics::{MergeError, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 use crate::recorder::Telemetry;
+use crate::sketch::SketchMergeError;
 
 /// A fixed-size fleet of per-node flight recorders.
 #[derive(Debug)]
@@ -66,9 +67,10 @@ impl FleetCollector {
     ///
     /// # Errors
     ///
-    /// [`MergeError`] if shards recorded incompatible distribution shapes
-    /// under one key (impossible when all shards use the defaults).
-    pub fn merged_metrics(&self) -> Result<MetricsRegistry, MergeError> {
+    /// [`SketchMergeError`] if shards recorded sketches of different
+    /// resolution under one key (impossible when all shards use the
+    /// defaults).
+    pub fn merged_metrics(&self) -> Result<MetricsRegistry, SketchMergeError> {
         let mut merged = MetricsRegistry::new();
         for shard in &self.shards {
             merged.merge(&shard.metrics())?;
@@ -83,8 +85,11 @@ impl FleetCollector {
     ///
     /// # Errors
     ///
-    /// [`MergeError`] on incompatible distribution shapes, as above.
-    pub fn merged_metrics_grouped(&self, site_size: usize) -> Result<MetricsRegistry, MergeError> {
+    /// [`SketchMergeError`] on mismatched sketch resolution, as above.
+    pub fn merged_metrics_grouped(
+        &self,
+        site_size: usize,
+    ) -> Result<MetricsRegistry, SketchMergeError> {
         let mut cloud = MetricsRegistry::new();
         for site in self.shards.chunks(site_size.max(1)) {
             let mut rollup = MetricsRegistry::new();
@@ -119,8 +124,8 @@ impl FleetCollector {
     ///
     /// # Errors
     ///
-    /// [`MergeError`] on incompatible distribution shapes, as above.
-    pub fn metrics_json(&self) -> Result<String, MergeError> {
+    /// [`SketchMergeError`] on mismatched sketch resolution, as above.
+    pub fn metrics_json(&self) -> Result<String, SketchMergeError> {
         Ok(crate::export::metrics_json(&self.merged_metrics()?))
     }
 

@@ -5,11 +5,11 @@
 //! makes that timeline observable without breaking it. A [`Collector`]
 //! records hierarchical spans and instant events stamped in **simulated
 //! time** (a cursor the instrumented code advances as it charges durations)
-//! plus a typed [`MetricsRegistry`] of counters, gauges, fixed-bucket
-//! histograms, and mergeable [`QuantileSketch`]es with exact merge
-//! semantics. Because every stamp derives from the deterministic cost
-//! models, the exported trace is a pure function of the experiment seed —
-//! same seed, byte-identical `trace.json`.
+//! plus a typed [`MetricsRegistry`] of counters, gauges, and mergeable
+//! [`QuantileSketch`]es — the one distribution metric, for latencies and
+//! byte sizes alike — with exact merge semantics. Because every stamp
+//! derives from the deterministic cost models, the exported trace is a pure
+//! function of the experiment seed — same seed, byte-identical `trace.json`.
 //!
 //! Instrumented crates talk to the [`Recorder`] trait through a cheap
 //! [`Telemetry`] handle. The default handle is a no-op whose `enabled` flag
@@ -50,7 +50,7 @@ pub use collector::{Collector, InstantData, SpanData};
 pub use context::{span_key, trace_id_for, TraceContext, NO_PARENT_SPAN, TRACE_HEADER};
 pub use export::metrics_json;
 pub use fleet::FleetCollector;
-pub use metrics::{Histogram, HistogramMergeError, MergeError, MetricsRegistry};
+pub use metrics::MetricsRegistry;
 pub use recorder::{NoopRecorder, Recorder, SpanId, Telemetry};
 pub use sketch::{QuantileSketch, SketchMergeError, DEFAULT_SUB_BUCKET_BITS};
 pub use slo::{SloEval, SloSpec};

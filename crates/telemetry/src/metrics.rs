@@ -1,189 +1,17 @@
-//! The unified metrics registry: counters, gauges, fixed-bucket
-//! histograms, and quantile sketches with exact merge semantics.
+//! The unified metrics registry: counters, gauges, and quantile sketches
+//! with exact merge semantics.
 
 use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
 
 use crate::sketch::{QuantileSketch, SketchMergeError};
 
-/// Bucket upper bounds used when a histogram is first observed through the
-/// registry without explicit bounds: byte sizes from 1 KiB to 256 MiB in
-/// powers of four (plus the implicit overflow bucket).
-pub const DEFAULT_BYTE_BOUNDS: [u64; 10] = [
-    1 << 10,
-    1 << 12,
-    1 << 14,
-    1 << 16,
-    1 << 18,
-    1 << 20,
-    1 << 22,
-    1 << 24,
-    1 << 26,
-    1 << 28,
-];
-
-/// Two histograms with different bucket bounds cannot be merged losslessly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramMergeError {
-    /// Bounds of the receiving histogram.
-    pub ours: Vec<u64>,
-    /// Bounds of the histogram being merged in.
-    pub theirs: Vec<u64>,
-}
-
-impl fmt::Display for HistogramMergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "histogram bounds differ: {:?} vs {:?} — merge would lose counts",
-            self.ours, self.theirs
-        )
-    }
-}
-
-impl Error for HistogramMergeError {}
-
-/// Two registries could not be merged losslessly: a shared key holds
-/// distributions of incompatible shape.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MergeError {
-    /// A shared histogram key has different bucket bounds.
-    Histogram(HistogramMergeError),
-    /// A shared sketch key has different resolution.
-    Sketch(SketchMergeError),
-}
-
-impl fmt::Display for MergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MergeError::Histogram(e) => e.fmt(f),
-            MergeError::Sketch(e) => e.fmt(f),
-        }
-    }
-}
-
-impl Error for MergeError {}
-
-impl From<HistogramMergeError> for MergeError {
-    fn from(e: HistogramMergeError) -> Self {
-        MergeError::Histogram(e)
-    }
-}
-
-impl From<SketchMergeError> for MergeError {
-    fn from(e: SketchMergeError) -> Self {
-        MergeError::Sketch(e)
-    }
-}
-
-/// A fixed-bucket histogram of `u64` observations.
-///
-/// `bounds` are inclusive upper bounds, strictly increasing; an observation
-/// lands in the first bucket whose bound is `>= value`, or in the implicit
-/// overflow bucket. Merging two histograms with identical bounds adds bucket
-/// counts elementwise and combines `count`/`sum`/`min`/`max` exactly, so
-/// merge is associative, commutative, and lossless — the property the
-/// per-worker → global aggregation path relies on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    bounds: Vec<u64>,
-    /// One count per bound plus the overflow bucket.
-    counts: Vec<u64>,
-    count: u64,
-    sum: u64,
-    /// `u64::MAX` while empty (identity for `min`).
-    min: u64,
-    /// `0` while empty (identity for `max`).
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram; `bounds` are sorted and deduplicated.
-    pub fn new(bounds: impl Into<Vec<u64>>) -> Self {
-        let mut bounds = bounds.into();
-        bounds.sort_unstable();
-        bounds.dedup();
-        let buckets = bounds.len() + 1;
-        Histogram { bounds, counts: vec![0; buckets], count: 0, sum: 0, min: u64::MAX, max: 0 }
-    }
-
-    /// An empty histogram with [`DEFAULT_BYTE_BOUNDS`].
-    pub fn byte_sized() -> Self {
-        Self::new(DEFAULT_BYTE_BOUNDS)
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, value: u64) {
-        let slot = self.bounds.partition_point(|&b| b < value);
-        self.counts[slot] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Merges `other` into `self` exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`HistogramMergeError`] when the bucket bounds differ.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), HistogramMergeError> {
-        if self.bounds != other.bounds {
-            return Err(HistogramMergeError {
-                ours: self.bounds.clone(),
-                theirs: other.bounds.clone(),
-            });
-        }
-        for (ours, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *ours += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        Ok(())
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest observation, `None` while empty.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, `None` while empty.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Buckets as `(upper_bound, count)`; the final bucket's bound is `None`
-    /// (overflow / +Inf).
-    pub fn buckets(&self) -> impl Iterator<Item = (Option<u64>, u64)> + '_ {
-        self.bounds
-            .iter()
-            .map(|&b| Some(b))
-            .chain(std::iter::once(None))
-            .zip(self.counts.iter().copied())
-    }
-}
-
-/// Counters, gauges, histograms, and quantile sketches keyed by dotted
+/// Counters, gauges, and quantile sketches keyed by dotted
 /// names (e.g. `cache.hits`). Keys live in `BTreeMap`s so iteration — and
 /// therefore every export — has one deterministic order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
     sketches: BTreeMap<String, QuantileSketch>,
 }
 
@@ -213,18 +41,6 @@ impl MetricsRegistry {
         *slot = (*slot).max(value);
     }
 
-    /// Records `value` into histogram `key`, created with
-    /// [`DEFAULT_BYTE_BOUNDS`] on first observation.
-    pub fn observe(&mut self, key: &str, value: u64) {
-        if let Some(h) = self.histograms.get_mut(key) {
-            h.observe(value);
-        } else {
-            let mut h = Histogram::byte_sized();
-            h.observe(value);
-            self.histograms.insert(key.to_owned(), h);
-        }
-    }
-
     /// Records `value` into quantile sketch `key`, created at default
     /// resolution on first observation.
     pub fn sketch_observe(&mut self, key: &str, value: u64) {
@@ -234,13 +50,8 @@ impl MetricsRegistry {
             .observe(value);
     }
 
-    /// Installs (or replaces) a whole histogram under `key` — the
-    /// snapshot path from striped collector storage.
-    pub fn set_histogram(&mut self, key: &str, histogram: Histogram) {
-        self.histograms.insert(key.to_owned(), histogram);
-    }
-
-    /// Installs (or replaces) a whole sketch under `key`.
+    /// Installs (or replaces) a whole sketch under `key` — the snapshot
+    /// path from striped collector storage.
     pub fn set_sketch(&mut self, key: &str, sketch: QuantileSketch) {
         self.sketches.insert(key.to_owned(), sketch);
     }
@@ -253,11 +64,6 @@ impl MetricsRegistry {
     /// Current value of gauge `key`, if set.
     pub fn gauge(&self, key: &str) -> Option<u64> {
         self.gauges.get(key).copied()
-    }
-
-    /// Histogram `key`, if any observation was recorded.
-    pub fn histogram(&self, key: &str) -> Option<&Histogram> {
-        self.histograms.get(key)
     }
 
     /// Quantile sketch `key`, if any observation was recorded.
@@ -275,11 +81,6 @@ impl MetricsRegistry {
         self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// Histograms in key order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Quantile sketches in key order.
     pub fn sketches(&self) -> impl Iterator<Item = (&str, &QuantileSketch)> {
         self.sketches.iter().map(|(k, v)| (k.as_str(), v))
@@ -287,36 +88,25 @@ impl MetricsRegistry {
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.sketches.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.sketches.is_empty()
     }
 
     /// Merges `other` in: counters add, gauges keep the max (the only
-    /// commutative choice for a high-water aggregation), histograms and
-    /// sketches merge exactly — which is what makes registry merge
-    /// associative and commutative, so node → site → cloud aggregation
-    /// yields the same registry in any grouping.
+    /// commutative choice for a high-water aggregation), sketches merge
+    /// exactly — which is what makes registry merge associative and
+    /// commutative, so node → site → cloud aggregation yields the same
+    /// registry in any grouping.
     ///
     /// # Errors
     ///
-    /// [`MergeError`] when a shared histogram key has different bounds or a
-    /// shared sketch key has different resolution; `self` keeps everything
-    /// merged before the mismatch.
-    pub fn merge(&mut self, other: &MetricsRegistry) -> Result<(), MergeError> {
+    /// [`SketchMergeError`] when a shared sketch key has different
+    /// resolution; `self` keeps everything merged before the mismatch.
+    pub fn merge(&mut self, other: &MetricsRegistry) -> Result<(), SketchMergeError> {
         for (key, &delta) in &other.counters {
             self.add(key, delta);
         }
         for (key, &value) in &other.gauges {
             self.gauge_max(key, value);
-        }
-        for (key, theirs) in &other.histograms {
-            if let Some(ours) = self.histograms.get_mut(key) {
-                ours.merge(theirs)?;
-            } else {
-                self.histograms.insert(key.clone(), theirs.clone());
-            }
         }
         for (key, theirs) in &other.sketches {
             if let Some(ours) = self.sketches.get_mut(key) {
@@ -334,78 +124,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_and_stats() {
-        let mut h = Histogram::new([10u64, 100, 1000]);
-        for v in [5, 10, 11, 100, 5000] {
-            h.observe(v);
-        }
-        let buckets: Vec<_> = h.buckets().collect();
-        assert_eq!(
-            buckets,
-            vec![(Some(10), 2), (Some(100), 2), (Some(1000), 0), (None, 1)]
-        );
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 5126);
-        assert_eq!(h.min(), Some(5));
-        assert_eq!(h.max(), Some(5000));
-    }
-
-    #[test]
-    fn histogram_merge_is_exact() {
-        let mut a = Histogram::new([8u64, 64]);
-        let mut b = Histogram::new([8u64, 64]);
-        a.observe(4);
-        a.observe(100);
-        b.observe(64);
-        let mut merged = a.clone();
-        merged.merge(&b).unwrap();
-        assert_eq!(merged.count(), 3);
-        assert_eq!(merged.sum(), 168);
-        assert_eq!(merged.min(), Some(4));
-        assert_eq!(merged.max(), Some(100));
-        // Commutative.
-        let mut other_way = b.clone();
-        other_way.merge(&a).unwrap();
-        assert_eq!(merged, other_way);
-    }
-
-    #[test]
-    fn histogram_merge_rejects_mismatched_bounds() {
-        let mut a = Histogram::new([1u64, 2]);
-        let b = Histogram::new([1u64, 3]);
-        assert!(a.merge(&b).is_err());
-    }
-
-    #[test]
-    fn registry_counters_gauges_histograms() {
+    fn registry_counters_and_gauges() {
         let mut r = MetricsRegistry::new();
         r.add("cache.hits", 2);
         r.add("cache.hits", 3);
         r.gauge_set("cache.bytes", 10);
         r.gauge_max("cache.bytes", 4);
         r.gauge_max("cache.bytes", 40);
-        r.observe("fetch.bytes", 2048);
         assert_eq!(r.counter("cache.hits"), 5);
         assert_eq!(r.gauge("cache.bytes"), Some(40));
-        assert_eq!(r.histogram("fetch.bytes").unwrap().count(), 1);
     }
 
     #[test]
-    fn registry_merge_combines_all_kinds() {
+    fn registry_merge_adds_counters_and_maxes_gauges() {
         let mut a = MetricsRegistry::new();
         a.add("n", 1);
         a.gauge_set("g", 7);
-        a.observe("h", 10);
         let mut b = MetricsRegistry::new();
         b.add("n", 2);
         b.add("only_b", 9);
         b.gauge_set("g", 3);
-        b.observe("h", 20);
         a.merge(&b).unwrap();
         assert_eq!(a.counter("n"), 3);
         assert_eq!(a.counter("only_b"), 9);
         assert_eq!(a.gauge("g"), Some(7), "gauge merge keeps the max");
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
     }
 
     #[test]
@@ -430,6 +172,6 @@ mod tests {
         let mut coarse = QuantileSketch::with_sub_bucket_bits(2);
         coarse.observe(100);
         b.set_sketch("lat", coarse);
-        assert!(matches!(a.merge(&b), Err(MergeError::Sketch(_))));
+        assert!(a.merge(&b).is_err());
     }
 }

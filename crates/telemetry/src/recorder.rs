@@ -85,11 +85,8 @@ pub trait Recorder: Send + Sync {
     /// Raises gauge `key` to `value` if larger.
     fn gauge_max(&self, _key: &str, _value: u64) {}
 
-    /// Records `value` into histogram `key`.
-    fn observe(&self, _key: &str, _value: u64) {}
-
     /// Records `value` into quantile sketch `key` (latencies in
-    /// nanoseconds, by convention).
+    /// nanoseconds, sizes in bytes, by convention).
     fn sketch(&self, _key: &str, _value: u64) {}
 
     /// Activates trace `trace_id` on this recorder: subsequent spans belong
@@ -249,14 +246,6 @@ impl Telemetry {
     pub fn gauge_max(&self, key: &str, value: u64) {
         if self.enabled {
             self.recorder.gauge_max(key, value);
-        }
-    }
-
-    /// Records a histogram observation ([`Recorder::observe`]).
-    #[inline]
-    pub fn observe(&self, key: &str, value: u64) {
-        if self.enabled {
-            self.recorder.observe(key, value);
         }
     }
 

@@ -3,9 +3,9 @@
 //! A [`QuantileSketch`] is a DDSketch-style log-linear sketch over `u64`
 //! observations: bucket boundaries grow geometrically, so the bucket a
 //! value lands in — and therefore the bucket's representative value —
-//! is within a fixed *relative* error of the value itself. Unlike the
-//! fixed-bound [`Histogram`](crate::Histogram) (which answers "how many
-//! fell under 1 MiB"), a sketch answers rank queries: p50, p99, p999.
+//! is within a fixed *relative* error of the value itself. A sketch
+//! answers rank queries — p50, p99, p999 — beside exact count, sum, min
+//! and max.
 //!
 //! Determinism is the design constraint. Bucket indices are computed with
 //! integer arithmetic only (`ilog2` plus shifts — no `f64::ln`, whose

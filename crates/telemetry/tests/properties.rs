@@ -1,11 +1,11 @@
-//! Property tests for the telemetry core: exact histogram merges,
+//! Property tests for the telemetry core: exact sketch merges,
 //! worker-count-independent span recording, and bit-identical exports for a
 //! fixed seed.
 
 use std::time::Duration;
 
 use gear_par::Pool;
-use gear_telemetry::{FleetCollector, Histogram, QuantileSketch, Telemetry};
+use gear_telemetry::{FleetCollector, QuantileSketch, Telemetry};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random stream (splitmix64) for the fixed-seed
@@ -22,14 +22,6 @@ impl Rng {
     }
 }
 
-fn histogram_of(values: &[u64]) -> Histogram {
-    let mut h = Histogram::byte_sized();
-    for &v in values {
-        h.observe(v);
-    }
-    h
-}
-
 fn sketch_of(values: &[u64]) -> QuantileSketch {
     let mut s = QuantileSketch::new();
     for &v in values {
@@ -39,50 +31,6 @@ fn sketch_of(values: &[u64]) -> QuantileSketch {
 }
 
 proptest! {
-    /// Merging is commutative: `a ∪ b` and `b ∪ a` are the same histogram.
-    #[test]
-    fn histogram_merge_is_commutative(
-        a in prop::collection::vec(0u64..1 << 30, 0..64),
-        b in prop::collection::vec(0u64..1 << 30, 0..64),
-    ) {
-        let mut ab = histogram_of(&a);
-        ab.merge(&histogram_of(&b)).unwrap();
-        let mut ba = histogram_of(&b);
-        ba.merge(&histogram_of(&a)).unwrap();
-        prop_assert_eq!(ab, ba);
-    }
-
-    /// Merging is associative: `(a ∪ b) ∪ c == a ∪ (b ∪ c)`.
-    #[test]
-    fn histogram_merge_is_associative(
-        a in prop::collection::vec(0u64..1 << 30, 0..48),
-        b in prop::collection::vec(0u64..1 << 30, 0..48),
-        c in prop::collection::vec(0u64..1 << 30, 0..48),
-    ) {
-        let mut left = histogram_of(&a);
-        left.merge(&histogram_of(&b)).unwrap();
-        left.merge(&histogram_of(&c)).unwrap();
-        let mut bc = histogram_of(&b);
-        bc.merge(&histogram_of(&c)).unwrap();
-        let mut right = histogram_of(&a);
-        right.merge(&bc).unwrap();
-        prop_assert_eq!(left, right);
-    }
-
-    /// Merging loses nothing: the merged histogram equals observing the
-    /// concatenated stream directly — same count, sum, min/max, buckets.
-    #[test]
-    fn histogram_merge_is_lossless(
-        a in prop::collection::vec(0u64..1 << 30, 0..64),
-        b in prop::collection::vec(0u64..1 << 30, 0..64),
-    ) {
-        let mut merged = histogram_of(&a);
-        merged.merge(&histogram_of(&b)).unwrap();
-        let mut all = a;
-        all.extend_from_slice(&b);
-        prop_assert_eq!(merged, histogram_of(&all));
-    }
-
     /// Parallel sections record complete spans in submission order, so the
     /// span tree is well-nested and identical at every worker count.
     #[test]
@@ -224,7 +172,7 @@ proptest! {
         for &(nanos, bytes) in &ops {
             telemetry.count("ops", 1);
             telemetry.sketch("latency_nanos", nanos);
-            telemetry.observe("op_bytes", bytes);
+            telemetry.sketch("op_bytes", bytes);
             telemetry.gauge_max("peak", bytes);
         }
         let flat = collector.metrics();
@@ -235,7 +183,7 @@ proptest! {
             let t = fleet.telemetry(i as u32 % nodes);
             t.count("ops", 1);
             t.sketch("latency_nanos", nanos);
-            t.observe("op_bytes", bytes);
+            t.sketch("op_bytes", bytes);
             t.gauge_max("peak", bytes);
         }
         let merged = fleet.merged_metrics().unwrap();
@@ -256,7 +204,7 @@ proptest! {
                 let span = telemetry.span_start("sim", &format!("op{i}"));
                 telemetry.advance(Duration::from_nanos(rng.next() % 1_000_000));
                 telemetry.count("ops", 1);
-                telemetry.observe("op_bytes", rng.next() % (1 << 20));
+                telemetry.sketch("op_bytes", rng.next() % (1 << 20));
                 if rng.next().is_multiple_of(3) {
                     telemetry.instant("sim", "tick");
                 }
