@@ -1,9 +1,9 @@
 //! Telemetry hot-path micro-benchmarks.
 //!
 //! The record path runs inside every priced operation, so it must stay
-//! cheap: the no-op recorder should be branch-predictable nothingness, and
-//! counter/sketch updates should touch only a striped atomic map — never
-//! the span mutex.
+//! cheap: the disabled handle should be branch-predictable nothingness, and
+//! a live counter/sketch update one uncontended lock plus a map lookup by
+//! `&str`.
 
 use std::time::Duration;
 

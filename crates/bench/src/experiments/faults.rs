@@ -34,7 +34,8 @@ pub struct RateRun {
     /// Failed request attempts that were retried.
     pub retries: u64,
     /// Median per-file registry-fetch latency across the rate's
-    /// deployments, from the merged [`gear_client::LaneTail`] sketches.
+    /// deployments, from the merged
+    /// [`gear_client::DeploymentReport::lane_sketches`] `registry` lanes.
     pub registry_p50: Duration,
     /// 99th-percentile per-file registry-fetch latency — where retry
     /// backoff shows up long before the mean moves.

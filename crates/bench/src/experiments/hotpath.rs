@@ -164,17 +164,6 @@ impl Hotpath {
         }
     }
 
-    /// The compression row for a level label and worker count, if swept.
-    pub fn compress_point(&self, level: &str, workers: usize) -> Option<&CompressPoint> {
-        self.compress.iter().find(|p| p.level == level && p.workers == workers)
-    }
-
-    /// Whether every swept `level x workers` combination produced a frame
-    /// byte-identical to its serial run.
-    pub fn compress_bit_identical(&self) -> bool {
-        self.compress.iter().all(|p| p.bit_identical)
-    }
-
     /// Flattens the benchmark into metrics.
     pub fn metrics(&self) -> Vec<Metric> {
         let mut metrics = Vec::new();

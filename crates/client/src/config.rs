@@ -22,11 +22,6 @@ pub struct Costs {
     pub hard_link: Duration,
     /// Decompressing downloaded blobs/files.
     pub decompress_bytes_per_sec: f64,
-    /// Workers decoding multi-block (`GZc2`) frames in parallel. The
-    /// default of 1 keeps every historical deployment time bit-identical;
-    /// more workers divide the decompress term, mirroring the real
-    /// block-parallel decode path in `gear-compress`.
-    pub decompress_workers: usize,
     /// Unpacking pulled layers into the graph driver's store. Writes go
     /// through the page cache and overlap the download, so this is far
     /// faster than raw disk throughput.
@@ -44,7 +39,6 @@ impl Default for Costs {
             local_read_bytes_per_sec: 2.0e9,
             hard_link: Duration::from_micros(20),
             decompress_bytes_per_sec: 350.0e6,
-            decompress_workers: 1,
             unpack_bytes_per_sec: 380.0e6,
             inode_teardown: Duration::from_micros(4),
         }
@@ -193,20 +187,9 @@ impl ClientConfig {
             + Duration::from_secs_f64(scaled_bytes as f64 / self.costs.local_read_bytes_per_sec)
     }
 
-    /// Time to decompress `scaled_bytes`, credited across
-    /// [`Costs::decompress_workers`].
+    /// Time to decompress `scaled_bytes`.
     pub fn decompress(&self, scaled_bytes: u64) -> Duration {
-        let workers = self.costs.decompress_workers.max(1) as f64;
-        Duration::from_secs_f64(
-            scaled_bytes as f64 / (self.costs.decompress_bytes_per_sec * workers),
-        )
-    }
-
-    /// Returns a copy decoding multi-block frames with `workers` parallel
-    /// workers (clamped to at least 1).
-    pub fn with_decompress_workers(mut self, workers: usize) -> Self {
-        self.costs.decompress_workers = workers.max(1);
-        self
+        Duration::from_secs_f64(scaled_bytes as f64 / self.costs.decompress_bytes_per_sec)
     }
 }
 
@@ -234,14 +217,8 @@ mod tests {
     }
 
     #[test]
-    fn decompress_workers_divide_decode_time() {
-        let serial = ClientConfig::default();
-        let par = serial.with_decompress_workers(8);
-        let bytes = 700_000_000;
-        assert_eq!(serial.decompress(bytes), Duration::from_secs(2));
-        assert_eq!(par.decompress(bytes), Duration::from_millis(250));
-        // Default stays bit-identical to the historical single-worker cost.
-        assert_eq!(serial.costs.decompress_workers, 1);
+    fn decompress_is_priced_at_the_decode_rate() {
+        assert_eq!(ClientConfig::default().decompress(700_000_000), Duration::from_secs(2));
     }
 
     #[test]

@@ -69,6 +69,6 @@ pub use docker::DockerClient;
 pub use gear::{ClientHandoff, ContainerId, DeployError, GearClient};
 pub use gear_store::{EvictionPolicy, StoreStats};
 pub use replay::{replay, FetchCharge, Fetched, Lane, Pulled, RegistryChain, Replayed, Sources};
-pub use report::{DeploymentReport, LaneTail};
+pub use report::DeploymentReport;
 pub use slacker::SlackerClient;
 pub use timeline::{Timeline, TimelineEvent};

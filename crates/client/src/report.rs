@@ -4,23 +4,9 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use gear_image::ImageRef;
-use gear_telemetry::{QuantileSketch, SloEval, SloSpec};
+use gear_telemetry::QuantileSketch;
 
 use crate::timeline::Timeline;
-
-/// Fetch-latency tails for one lane (`cache`, `registry`, `peer:<n>`),
-/// read out of a quantile sketch over the lane's per-file latencies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LaneTail {
-    /// Lane name.
-    pub lane: String,
-    /// Files the lane served.
-    pub count: u64,
-    /// Median per-file latency.
-    pub p50: Duration,
-    /// 99th-percentile per-file latency.
-    pub p99: Duration,
-}
 
 /// What one deployment did and how long each phase took (simulated time).
 ///
@@ -87,8 +73,9 @@ impl DeploymentReport {
 
     /// Per-lane latency sketches built from the timeline: one
     /// [`QuantileSketch`] of per-file latencies (nanoseconds) per fetch
-    /// lane. A pure function of the report, so it works on untelemetered
-    /// deployments and never perturbs report equality.
+    /// lane (`cache`, `registry`, `peer:<n>`). A pure function of the
+    /// report, so it works on untelemetered deployments and never perturbs
+    /// report equality.
     pub fn lane_sketches(&self) -> BTreeMap<String, QuantileSketch> {
         let mut lanes: BTreeMap<String, QuantileSketch> = BTreeMap::new();
         for (_, took, event) in self.timeline.entries() {
@@ -99,20 +86,7 @@ impl DeploymentReport {
         lanes
     }
 
-    /// Per-lane p50/p99 fetch latencies, in lane-name order — the tail
-    /// breakdown the `repro faults` / `repro chunking` tables render.
-    pub fn lane_tails(&self) -> Vec<LaneTail> {
-        self.lane_sketches()
-            .into_iter()
-            .map(|(lane, sketch)| {
-                let at = |q: f64| Duration::from_nanos(sketch.quantile(q).unwrap_or(0));
-                LaneTail { lane, count: sketch.count(), p50: at(0.5), p99: at(0.99) }
-            })
-            .collect()
-    }
-
-    /// One sketch over every per-file fetch latency, all lanes merged —
-    /// what an [`SloSpec`] is judged against.
+    /// One sketch over every per-file fetch latency, all lanes merged.
     pub fn fetch_sketch(&self) -> QuantileSketch {
         let mut all = QuantileSketch::new();
         for sketch in self.lane_sketches().values() {
@@ -120,12 +94,6 @@ impl DeploymentReport {
             let _ = all.merge(sketch);
         }
         all
-    }
-
-    /// Evaluates latency targets against this deployment's per-file fetch
-    /// latencies ([`DeploymentReport::fetch_sketch`]).
-    pub fn evaluate_slo(&self, spec: SloSpec) -> SloEval {
-        spec.evaluate(&self.fetch_sketch())
     }
 }
 
@@ -142,7 +110,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_tails_split_by_source() {
+    fn lane_sketches_split_by_source() {
         use crate::timeline::TimelineEvent;
 
         let mut r = DeploymentReport::new("a:1".parse().unwrap());
@@ -166,41 +134,10 @@ mod tests {
         // Phase events carry no lane.
         r.timeline.push(Duration::ZERO, Duration::from_millis(1), TimelineEvent::Launch);
 
-        let tails = r.lane_tails();
-        let lanes: Vec<&str> = tails.iter().map(|t| t.lane.as_str()).collect();
-        assert_eq!(lanes, vec!["cache", "peer:3", "registry"]);
-        let cache = &tails[0];
-        assert_eq!(cache.count, 10);
-        assert!(cache.p99 >= cache.p50);
-        assert!(cache.p50 < Duration::from_millis(1));
+        let lanes = r.lane_sketches();
+        assert_eq!(lanes.keys().collect::<Vec<_>>(), ["cache", "peer:3", "registry"]);
+        assert_eq!(lanes["cache"].count(), 10);
+        assert!(lanes["cache"].quantile(0.5).is_some_and(|p50| p50 < 1_000_000));
         assert_eq!(r.fetch_sketch().count(), 12);
-    }
-
-    #[test]
-    fn slo_judges_fetch_tails() {
-        use crate::timeline::TimelineEvent;
-        use gear_telemetry::SloSpec;
-
-        let mut r = DeploymentReport::new("a:1".parse().unwrap());
-        for i in 0..100u64 {
-            r.timeline.push(
-                Duration::from_millis(i),
-                Duration::from_micros(if i == 99 { 5_000 } else { 50 }),
-                TimelineEvent::RegistryFetch { path: format!("f{i}"), bytes: 1 },
-            );
-        }
-        let loose = SloSpec {
-            p50: Duration::from_millis(1),
-            p99: Duration::from_millis(10),
-            p999: Duration::from_millis(10),
-        };
-        assert!(r.evaluate_slo(loose).ok());
-        let tight = SloSpec {
-            p50: Duration::from_millis(1),
-            p99: Duration::from_micros(60),
-            p999: Duration::from_micros(60),
-        };
-        let eval = r.evaluate_slo(tight);
-        assert!(!eval.ok(), "{eval}");
     }
 }

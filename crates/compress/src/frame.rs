@@ -202,9 +202,10 @@ pub fn compress_blocks(data: &[u8], level: Level, block_size: usize, pool: &Pool
 /// storage-accounting callers that never keep the compressed bytes.
 ///
 /// Routed through the count-only LZSS encoder ([`Lzss::compressed_len`]):
-/// the full hash-chain search runs, but no token stream is allocated — this
-/// is called once per unique file by the registry dedup study, where the
-/// discarded allocation used to dominate.
+/// the full hash-chain search runs, but no token stream is allocated — only
+/// the match finder's position tables (128 KiB plus 4 bytes per input byte
+/// up to another 128 KiB). Called once per unique file by the registry
+/// dedup study.
 pub fn compressed_size(data: &[u8], level: Level) -> usize {
     FRAME_OVERHEAD + Lzss::compressed_len(data, level).min(data.len())
 }
@@ -562,6 +563,42 @@ mod tests {
             overhead * 100.0
         );
         assert!(overhead < 0.02, "block format overhead {:.3}%", overhead * 100.0);
+    }
+
+    /// Length and CRC-32 of the frames the match finder produces, captured
+    /// before its tables went from `usize` to `u32` positions: any change
+    /// to a token decision moves a stored size, hence every `sim_*` golden.
+    #[test]
+    fn match_finder_output_is_pinned() {
+        let mixed = multi_block_data();
+        let mid = &mixed[..70 * 1024]; // crosses the 32 KiB window twice
+        let big = &mixed[..300 * 1024]; // > BLOCK_SIZE: GZc2 via compress_with
+        let mut got = Vec::new();
+        for level in [Level::Fast, Level::Default, Level::Best] {
+            for data in [&b""[..], b"gear!", mid] {
+                let framed = compress(data, level);
+                assert_eq!(compressed_size(data, level), framed.len());
+                got.push((framed.len(), crc32(&framed)));
+            }
+            let framed = compress_with(big, level, &Pool::new(2));
+            assert_eq!(compressed_size_with(big, level, &Pool::serial()), framed.len());
+            got.push((framed.len(), crc32(&framed)));
+        }
+        let want = [
+            (17, 3981119506),
+            (22, 2825773899),
+            (29468, 1006471878),
+            (126020, 2365491959),
+            (17, 3981119506),
+            (22, 2825773899),
+            (29468, 3162887093),
+            (126020, 1057345874),
+            (17, 3981119506),
+            (22, 2825773899),
+            (29467, 1432777036),
+            (126015, 3341233102),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

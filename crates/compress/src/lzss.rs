@@ -11,6 +11,9 @@
 //! tallies output bytes — the storage-accounting hot path
 //! (`gear_compress::compressed_size`, called per unique file by the registry
 //! dedup study) never allocates a token stream it would immediately drop.
+//! What every call does allocate is the match finder's two position
+//! tables: 128 KiB of chain heads plus 4 bytes per input byte, up to
+//! another 128 KiB, of chain links.
 
 /// Sliding-window size. Offsets are encoded in 16 bits, so the window must
 /// not exceed 64 KiB; 32 KiB matches zlib's window and keeps chains short.
@@ -22,6 +25,9 @@ const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = MIN_MATCH + 255;
 /// Number of hash buckets for 4-byte prefixes.
 const HASH_SIZE: usize = 1 << 15;
+/// "No position" in the match finder's tables, which hold positions as
+/// `u32`; [`scan`] therefore works in spans of at most this many bytes.
+const NO_POS: u32 = u32::MAX;
 
 /// Compression effort level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -100,7 +106,7 @@ impl Emit for StreamEmit {
 }
 
 /// The count-only encoder: one flag byte per eight tokens, one byte per
-/// literal, three per back-reference — no allocation at all.
+/// literal, three per back-reference — two counters, no output buffer.
 #[derive(Default)]
 struct CountEmit {
     tokens: usize,
@@ -127,15 +133,25 @@ impl Emit for CountEmit {
 
 /// The shared hash-chain match finder. Every token decision lives here, so
 /// the byte-stream and count-only encoders are bit-for-bit in agreement.
+///
+/// Inputs of 4 GiB or more are scanned as independent spans of [`NO_POS`]
+/// bytes (matches never reach back across a span boundary), so positions
+/// always fit the `u32` tables.
 fn scan<E: Emit>(data: &[u8], level: Level, emit: &mut E) {
-    if data.is_empty() {
-        return;
+    for span in data.chunks(NO_POS as usize) {
+        scan_span(span, level, emit);
     }
+}
+
+/// [`scan`] over one span shorter than 4 GiB. Allocates the two position
+/// tables per call: `head`, 128 KiB, and `prev`, 4 bytes per input byte up
+/// to another 128 KiB.
+fn scan_span<E: Emit>(data: &[u8], level: Level, emit: &mut E) {
     let depth = level.chain_depth();
     // head[h] = most recent position with hash h; prev[pos % WINDOW] = the
     // previous position in the same chain.
-    let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; WINDOW];
+    let mut head = vec![NO_POS; HASH_SIZE];
+    let mut prev = vec![NO_POS; data.len().min(WINDOW)];
     let mut pos = 0usize;
 
     while pos < data.len() {
@@ -145,16 +161,17 @@ fn scan<E: Emit>(data: &[u8], level: Level, emit: &mut E) {
             let mut candidate = head[h];
             let limit = pos.saturating_sub(WINDOW - 1);
             let mut steps = 0;
-            while candidate != usize::MAX && candidate >= limit && steps < depth {
-                let len = Lzss::match_len(data, candidate, pos);
+            while candidate != NO_POS && candidate as usize >= limit && steps < depth {
+                let at = candidate as usize;
+                let len = Lzss::match_len(data, at, pos);
                 if len > best_len {
                     best_len = len;
-                    best_off = pos - candidate;
+                    best_off = pos - at;
                     if len >= MAX_MATCH {
                         break;
                     }
                 }
-                candidate = prev[candidate % WINDOW];
+                candidate = prev[at % WINDOW];
                 steps += 1;
             }
         }
@@ -168,7 +185,7 @@ fn scan<E: Emit>(data: &[u8], level: Level, emit: &mut E) {
                 if pos + MIN_MATCH <= data.len() {
                     let h = hash4(&data[pos..]);
                     prev[pos % WINDOW] = head[h];
-                    head[h] = pos;
+                    head[h] = pos as u32;
                 }
                 pos += 1;
             }
@@ -177,14 +194,15 @@ fn scan<E: Emit>(data: &[u8], level: Level, emit: &mut E) {
             if pos + MIN_MATCH <= data.len() {
                 let h = hash4(&data[pos..]);
                 prev[pos % WINDOW] = head[h];
-                head[h] = pos;
+                head[h] = pos as u32;
             }
             pos += 1;
         }
     }
 }
 
-/// The LZSS codec. A unit struct; all state lives on the stack per call.
+/// The LZSS codec. A unit struct; the match finder's tables (see the module
+/// docs) are allocated per call and nothing outlives it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Lzss;
 

@@ -398,21 +398,6 @@ pub fn publish(
     report
 }
 
-/// [`publish`] with the file store's per-upload compression accounting
-/// fanned out across `pool` (block-parallel for files larger than
-/// [`gear_compress::BLOCK_SIZE`]). The report is bit-identical to the
-/// serial [`publish`] at any worker count — the pool only changes
-/// wall-clock.
-pub fn publish_with_pool(
-    conversion: &Conversion,
-    docker: &mut DockerRegistry,
-    store: &mut GearFileStore,
-    pool: &gear_par::Pool,
-) -> PublishReport {
-    store.set_pool(*pool);
-    publish(conversion, docker, store)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

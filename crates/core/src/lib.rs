@@ -49,13 +49,11 @@
 
 mod commit;
 pub mod convert;
-mod frontend;
 pub mod index;
 
 pub use commit::{commit, CommitError, CommitOutput};
-pub use frontend::{FrontendPushReport, GearFrontend};
 pub use convert::{
-    publish, publish_with_pool, CollisionResolver, Conversion, ConversionReport, ConvertError,
-    Converter, ConverterOptions, GearFile, PublishReport,
+    publish, CollisionResolver, Conversion, ConversionReport, ConvertError, Converter,
+    ConverterOptions, GearFile, PublishReport,
 };
 pub use index::{GearImage, GearIndex, IndexError, INDEX_PATH};

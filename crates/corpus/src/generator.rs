@@ -94,22 +94,6 @@ impl Corpus {
         Generator::new(config.clone()).run()
     }
 
-    /// Generates a corpus with one series per pool job.
-    ///
-    /// Every file body, layer digest, image, and trace is a pure function of
-    /// `config` (all content derives from seeds), and series are independent,
-    /// so the result equals [`Corpus::generate`] for any worker count. The
-    /// only cost of the parallel path is that per-generator caches are not
-    /// shared across series, so identical base layers are *rebuilt* (with
-    /// identical digests) instead of cloned — CPU traded for wall-clock.
-    pub fn generate_parallel(config: &CorpusConfig, pool: &gear_par::Pool) -> Corpus {
-        let wanted = wanted_specs(config);
-        let series = pool.map(&wanted, |&spec| {
-            Generator::new(config.clone()).generate_series(spec)
-        });
-        Corpus { series, config: config.clone() }
-    }
-
     /// Iterates over every image.
     pub fn all_images(&self) -> impl Iterator<Item = &Image> {
         self.series.iter().flat_map(|s| s.images.iter())
@@ -663,34 +647,6 @@ mod tests {
                 for (la, lb) in ia.layers().iter().zip(ib.layers()) {
                     assert_eq!(la.diff_id(), lb.diff_id());
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_generation_matches_serial() {
-        // All 50 catalog series so the pool actually goes parallel
-        // (>= gear_par::PARALLEL_THRESHOLD items), one version each,
-        // aggressively scaled down to stay cheap.
-        let config = CorpusConfig {
-            seed: 0x6EA2,
-            scale_denom: 65536,
-            series: None,
-            max_versions: Some(1),
-        };
-        let serial = Corpus::generate(&config);
-        let parallel = Corpus::generate_parallel(&config, &gear_par::Pool::new(4));
-        assert_eq!(serial.series.len(), parallel.series.len());
-        for (a, b) in serial.series.iter().zip(&parallel.series) {
-            assert_eq!(a.spec.name, b.spec.name);
-            assert_eq!(a.traces, b.traces);
-            assert_eq!(a.images.len(), b.images.len());
-            for (ia, ib) in a.images.iter().zip(&b.images) {
-                assert_eq!(ia.reference(), ib.reference());
-                let digests = |img: &Image| -> Vec<_> {
-                    img.layers().iter().map(|l| l.diff_id()).collect()
-                };
-                assert_eq!(digests(ia), digests(ib), "{}", ia.reference());
             }
         }
     }

@@ -86,9 +86,3 @@ pub fn fingerprint_all<T: AsRef<[u8]> + Sync>(
 ) -> Vec<Fingerprint> {
     pool.map(items, |item| Fingerprint::of(item.as_ref()))
 }
-
-/// SHA-256 of every item, parallel across `pool`, order-preserving (the
-/// layer-digest analogue of [`fingerprint_all`]).
-pub fn digest_all<T: AsRef<[u8]> + Sync>(items: &[T], pool: &gear_par::Pool) -> Vec<Digest> {
-    pool.map(items, |item| Digest::of(item.as_ref()))
-}

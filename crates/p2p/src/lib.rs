@@ -54,4 +54,4 @@ mod topology;
 pub use cluster::{Cluster, ClusterConfig, ClusterError, NodeDeployment, NodeId};
 pub use directory::PeerDirectory;
 pub use fleet::{FleetConfig, FleetReport, FleetSim};
-pub use topology::{LinkClass, SiteConfig, Topology, TopologyConfig};
+pub use topology::{SiteConfig, Topology, TopologyConfig};

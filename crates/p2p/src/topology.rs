@@ -1,36 +1,20 @@
 //! Hierarchical cloud → site → node topologies.
 //!
-//! The flat [`ClusterConfig`] models one LAN behind one uplink. A fleet is
-//! a *tree*: a cloud registry at the root, edge **sites** below it (each
-//! with its own uplink), and **nodes** inside each site joined by the
-//! site's LAN. Sites talk to each other over a shared backbone — the
-//! EdgePier-style hierarchy where a layer crosses the WAN once per site,
-//! then fans out locally.
+//! The flat [`ClusterConfig`](crate::ClusterConfig) models one LAN behind
+//! one uplink. A fleet is a *tree*: a cloud registry at the root, edge
+//! **sites** below it (each with its own uplink), and **nodes** inside each
+//! site joined by the site's LAN. Sites talk to each other over a shared
+//! backbone — the EdgePier-style hierarchy where a layer crosses the WAN
+//! once per site, then fans out locally.
 //!
 //! [`TopologyConfig`] describes the tree; [`Topology`] is the built form
-//! answering placement queries (which site owns node *n*, which link class
-//! joins two nodes). [`Topology::from_cluster`] embeds the historical flat
-//! configs — `ClusterConfig::lan` / `ClusterConfig::edge` — as canonical
-//! two-level instances (one site, the cluster's registry link as its
-//! uplink), with arithmetically identical link pricing.
-
-use std::time::Duration;
+//! answering placement queries (which site owns node *n*, whether two
+//! nodes share a site, which links join them).
 
 use gear_client::ClientConfig;
 use gear_simnet::Link;
 
-use crate::cluster::{ClusterConfig, NodeId};
-
-/// Which class of wire a transfer crosses in the tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkClass {
-    /// Node ↔ node inside one site.
-    Lan,
-    /// Site ↔ cloud registry.
-    Uplink,
-    /// Site ↔ site.
-    Backbone,
-}
+use crate::cluster::NodeId;
 
 /// One edge site: a node count plus the uplink joining it to the cloud.
 #[derive(Debug, Clone, Copy)]
@@ -73,8 +57,8 @@ impl TopologyConfig {
 
     /// An edge fleet in the regime where cooperative caching matters most:
     /// 1 Gbps site LANs, thin 20 Mbps uplinks (the flat
-    /// [`ClusterConfig::edge`] numbers), and a 100 Mbps backbone between
-    /// sites.
+    /// [`ClusterConfig::edge`](crate::ClusterConfig::edge) numbers), and a
+    /// 100 Mbps backbone between sites.
     pub fn edge_fleet(sites: usize, nodes_per_site: usize) -> Self {
         Self::symmetric(
             sites,
@@ -93,7 +77,7 @@ impl TopologyConfig {
     }
 }
 
-/// A built topology: placement and link-class queries over the tree.
+/// A built topology: placement and link queries over the tree.
 #[derive(Debug, Clone)]
 pub struct Topology {
     config: TopologyConfig,
@@ -114,20 +98,6 @@ impl Topology {
             site_of.extend(std::iter::repeat_n(site as u32, sc.nodes));
         }
         Topology { config, site_of, first_node }
-    }
-
-    /// Embeds a flat cluster as a canonical two-level topology: one site
-    /// holding every node, the cluster's peer link as the LAN, its
-    /// registry link as the uplink (and, vacuously, as the backbone —
-    /// there is no second site to reach). Link pricing is the same
-    /// [`Link`] arithmetic, so schedules stay bit-identical.
-    pub fn from_cluster(config: &ClusterConfig) -> Self {
-        Self::new(TopologyConfig {
-            sites: vec![SiteConfig { nodes: config.nodes, uplink: config.registry_link }],
-            lan: config.peer_link,
-            backbone: config.registry_link,
-            client: config.client,
-        })
     }
 
     /// The description this topology was built from.
@@ -185,31 +155,6 @@ impl Topology {
     pub fn same_site(&self, a: NodeId, b: NodeId) -> bool {
         self.site_of[a] == self.site_of[b]
     }
-
-    /// The link class (and link) a transfer between two nodes crosses:
-    /// [`LinkClass::Lan`] within a site, [`LinkClass::Backbone`] across
-    /// sites.
-    pub fn link_between(&self, a: NodeId, b: NodeId) -> (LinkClass, &Link) {
-        if self.same_site(a, b) {
-            (LinkClass::Lan, &self.config.lan)
-        } else {
-            (LinkClass::Backbone, &self.config.backbone)
-        }
-    }
-
-    /// Time for `bytes` to cross the link joining `a` and `b`, amplified
-    /// by the client's request amplification — the same formula the flat
-    /// cluster charges for peer transfers.
-    pub fn peer_time(&self, a: NodeId, b: NodeId, bytes: u64) -> Duration {
-        let (_, link) = self.link_between(a, b);
-        self.config.client.with_link(*link).request_time(bytes)
-    }
-
-    /// Time for `bytes` to cross `site`'s uplink, amplified like a
-    /// registry transfer in the flat cluster.
-    pub fn uplink_time(&self, site: u32, bytes: u64) -> Duration {
-        self.config.client.with_link(*self.uplink(site)).request_time(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -231,35 +176,12 @@ mod tests {
     }
 
     #[test]
-    fn link_classes_follow_the_tree() {
+    fn same_site_follows_the_tree() {
         let topo = Topology::new(TopologyConfig::edge_fleet(2, 3));
-        assert_eq!(topo.link_between(0, 2).0, LinkClass::Lan);
-        assert_eq!(topo.link_between(0, 3).0, LinkClass::Backbone);
+        assert!(topo.same_site(0, 2));
+        assert!(!topo.same_site(0, 3));
         assert!(topo.same_site(3, 5));
         assert!(!topo.same_site(2, 3));
-    }
-
-    #[test]
-    fn flat_cluster_embeds_as_one_site_with_identical_pricing() {
-        for flat in [ClusterConfig::lan(6), ClusterConfig::edge(6)] {
-            let topo = Topology::from_cluster(&flat);
-            assert_eq!(topo.sites(), 1);
-            assert_eq!(topo.nodes(), 6);
-            for &bytes in &[0u64, 999, 250_000, 7_000_000] {
-                // Peer pricing: same Duration arithmetic as the flat
-                // cluster's peer_link_time, bit for bit.
-                let amp = flat.client.request_amplification.max(0.0);
-                let expected_peer = (flat.peer_link.rtt + flat.peer_link.request_overhead)
-                    .mul_f64(amp)
-                    + flat.peer_link.bandwidth.transfer_time(bytes);
-                assert_eq!(topo.peer_time(0, 5, bytes), expected_peer);
-                let expected_up = (flat.registry_link.rtt
-                    + flat.registry_link.request_overhead)
-                    .mul_f64(amp)
-                    + flat.registry_link.bandwidth.transfer_time(bytes);
-                assert_eq!(topo.uplink_time(0, bytes), expected_up);
-            }
-        }
     }
 
     #[test]
@@ -267,8 +189,8 @@ mod tests {
         let mut config = TopologyConfig::edge_fleet(2, 2);
         config.sites[1].uplink = Link::mbps(5.0);
         let topo = Topology::new(config);
-        let slow = topo.uplink_time(1, 1_000_000);
-        let fast = topo.uplink_time(0, 1_000_000);
+        let slow = topo.uplink(1).bandwidth.transfer_time(1_000_000);
+        let fast = topo.uplink(0).bandwidth.transfer_time(1_000_000);
         assert!(slow > fast.mul_f64(3.0), "5 Mbps uplink must dwarf 20 Mbps");
     }
 }

@@ -446,7 +446,9 @@ impl<T: Transport> RegistryClient<T> {
             pending = still;
             if pending.is_empty() {
                 let done: Option<Vec<R>> = results.into_iter().collect();
-                return Ok(done.expect("all slots filled"));
+                return done.ok_or_else(|| {
+                    ProtoError::Malformed("batch finished with an unanswered slot".to_owned())
+                });
             }
         }
         if attempts == 1 && self.retry.is_none() {

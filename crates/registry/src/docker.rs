@@ -47,7 +47,6 @@ impl RegistryStats {
 pub struct DockerRegistry {
     manifests: HashMap<ImageRef, Manifest>,
     blobs: HashMap<Digest, Vec<u8>>,
-    level: Level,
 }
 
 impl DockerRegistry {
@@ -56,18 +55,13 @@ impl DockerRegistry {
         Self::default()
     }
 
-    /// Creates an empty registry compressing at `level`.
-    pub fn with_level(level: Level) -> Self {
-        DockerRegistry { level, ..Self::default() }
-    }
-
     /// Pushes an image: compresses each layer, uploads blobs whose digests
     /// are not yet stored (layer-level dedup), stores config and manifest.
     pub fn push_image(&mut self, image: &Image) -> PushReport {
         let mut report = PushReport::default();
         let mut layer_descs = Vec::with_capacity(image.layers().len());
         for layer in image.layers() {
-            let compressed = layer.to_compressed(self.level);
+            let compressed = layer.to_compressed(Level::Default);
             let digest = compressed.digest();
             let size = compressed.size();
             if let std::collections::hash_map::Entry::Vacant(slot) = self.blobs.entry(digest) {
@@ -132,7 +126,7 @@ impl DockerRegistry {
         let wire = gear_compress::decompress(blob).ok()?;
         let archive = gear_archive::Archive::from_bytes(&wire).ok()?;
         let layer = Layer::from_archive(archive);
-        Some(layer.to_compressed(self.level))
+        Some(layer.to_compressed(Level::Default))
     }
 
     /// Parses a stored config blob.

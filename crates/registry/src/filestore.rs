@@ -61,7 +61,7 @@ impl fmt::Display for UploadError {
 impl Error for UploadError {}
 
 /// A content-addressed Gear-file pool.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GearFileStore {
     /// Raw (uncompressed) object bodies, unbounded: the registry never
     /// evicts — space reclamation is explicit via
@@ -70,30 +70,13 @@ pub struct GearFileStore {
     /// Per-object size as kept on disk and sent on the wire (compressed if
     /// compression is enabled).
     wire: HashMap<Fingerprint, u64>,
-    compression: Option<Level>,
-    /// Pool used for block-parallel compression accounting on upload.
-    /// Defaults to serial; results are bit-identical at any worker count,
-    /// so the pool only changes wall-clock, never stored sizes.
-    pool: Pool,
+    /// Whether objects are sized as compressed at [`Level::Default`].
+    compressed: bool,
     dedup_hits: u64,
     /// Running compressed total, maintained on upload and GC so
     /// [`GearFileStore::stats`] is O(1) instead of a full-store sweep.
     stored_bytes: u64,
     telemetry: Telemetry,
-}
-
-impl Default for GearFileStore {
-    fn default() -> Self {
-        GearFileStore {
-            store: MemStore::default(),
-            wire: HashMap::new(),
-            compression: None,
-            pool: Pool::serial(),
-            dedup_hits: 0,
-            stored_bytes: 0,
-            telemetry: Telemetry::default(),
-        }
-    }
 }
 
 impl GearFileStore {
@@ -106,25 +89,13 @@ impl GearFileStore {
     /// "Gear files can be further compressed for higher space efficiency"
     /// (paper §III-C).
     pub fn with_compression() -> Self {
-        GearFileStore { compression: Some(Level::Default), ..Self::default() }
-    }
-
-    /// Creates a store compressing at a specific level.
-    pub fn with_level(level: Level) -> Self {
-        GearFileStore { compression: Some(level), ..Self::default() }
+        GearFileStore { compressed: true, ..Self::default() }
     }
 
     /// Attaches a telemetry recorder: each verb feeds `registry.*` counters
     /// and uploaded object sizes feed the `registry.object_bytes` sketch.
     pub fn set_recorder(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Fans the per-upload compression accounting out across `pool`. Stored
-    /// sizes are bit-identical at any worker count (the block split is a
-    /// pure function of the content), so this is a pure wall-clock knob.
-    pub fn set_pool(&mut self, pool: Pool) {
-        self.pool = pool;
     }
 
     /// `query` verb: whether a Gear file with this fingerprint exists.
@@ -156,9 +127,10 @@ impl GearFileStore {
         }
         // Count-only sizing: the registry keeps raw bodies and only accounts
         // the compressed wire size, so no token stream is ever materialized.
-        let stored_len = match self.compression {
-            Some(level) => compressed_size_with(&content, level, &self.pool) as u64,
-            None => content.len() as u64,
+        let stored_len = if self.compressed {
+            compressed_size_with(&content, Level::Default, &Pool::serial()) as u64
+        } else {
+            content.len() as u64
         };
         self.stored_bytes += stored_len;
         if self.telemetry.enabled() {

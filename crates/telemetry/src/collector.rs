@@ -1,23 +1,20 @@
-//! The recording [`Recorder`]: sim-time spans and instants in a bounded
-//! ring ("flight recorder") behind one mutex, with counters, gauges, and
-//! quantile sketches on striped locks off to the side.
+//! The one stateful recorder: sim-time spans and instants in a bounded
+//! ring ("flight recorder") plus a [`MetricsRegistry`] of counters, gauges,
+//! and quantile sketches, all behind one mutex.
 //!
-//! The split matters on the hot record path: bumping a counter or
-//! observing a latency into a sketch never touches the span mutex — it
-//! hashes the key onto one of [`STRIPES`] independent locks, and an
-//! already-registered counter needs only a read lock plus one atomic add.
-//! Only span and instant storage (which must preserve recording order)
-//! stays behind the single mutex.
+//! One lock is enough because writers never meet inside a collector: every
+//! engine and the fleet event loop is single-threaded, `gear-par` workers
+//! compute first and record afterward, and a fleet gives each node its own
+//! collector. The mutex is for safety — a [`Telemetry`](crate::Telemetry)
+//! clone on another thread loses nothing — not for throughput.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::collections::VecDeque;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::context::{span_key, TraceContext, NO_PARENT_SPAN};
+use crate::handle::SpanId;
 use crate::metrics::MetricsRegistry;
-use crate::recorder::{Recorder, SpanId};
-use crate::sketch::QuantileSketch;
 
 /// One recorded span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,126 +54,6 @@ pub struct InstantData {
     pub at: Duration,
 }
 
-/// Number of independent metric stripes. Eight is plenty: the point is
-/// that concurrent counter traffic on different keys almost never shares
-/// a lock, not fine-grained per-key locking.
-const STRIPES: usize = 8;
-
-/// FNV-1a stripe selector — deterministic, so a key always lands on the
-/// same stripe.
-fn stripe_of(key: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % STRIPES as u64) as usize
-}
-
-/// Counters and gauges striped over read-write locks of atomic cells, and
-/// sketches striped over plain mutexes. The hot path for an
-/// existing counter key is a read lock + `fetch_add`; the write lock is
-/// taken once per key, on first touch.
-#[derive(Debug, Default)]
-struct Stripes {
-    counters: [RwLock<BTreeMap<String, AtomicU64>>; STRIPES],
-    /// Gauges store the raw value; `gauge_max` uses `fetch_max`.
-    gauges: [RwLock<BTreeMap<String, AtomicU64>>; STRIPES],
-    sketches: [Mutex<BTreeMap<String, QuantileSketch>>; STRIPES],
-}
-
-/// Read-lock fast path over a striped atomic map; falls back to the write
-/// lock to insert the key, then applies `op` under the read view again.
-fn atomic_update(
-    map: &RwLock<BTreeMap<String, AtomicU64>>,
-    key: &str,
-    init: u64,
-    op: impl Fn(&AtomicU64),
-) {
-    {
-        let read = map.read().unwrap_or_else(|e| e.into_inner());
-        if let Some(cell) = read.get(key) {
-            op(cell);
-            return;
-        }
-    }
-    let mut write = map.write().unwrap_or_else(|e| e.into_inner());
-    match write.get(key) {
-        Some(cell) => op(cell),
-        None => {
-            write.insert(key.to_owned(), AtomicU64::new(init));
-        }
-    }
-}
-
-impl Stripes {
-    fn count(&self, key: &str, delta: u64) {
-        atomic_update(&self.counters[stripe_of(key)], key, delta, |cell| {
-            cell.fetch_add(delta, Ordering::Relaxed);
-        });
-    }
-
-    fn gauge_set(&self, key: &str, value: u64) {
-        atomic_update(&self.gauges[stripe_of(key)], key, value, |cell| {
-            cell.store(value, Ordering::Relaxed);
-        });
-    }
-
-    fn gauge_max(&self, key: &str, value: u64) {
-        atomic_update(&self.gauges[stripe_of(key)], key, value, |cell| {
-            cell.fetch_max(value, Ordering::Relaxed);
-        });
-    }
-
-    /// Looks the key up before owning it: `entry(key.to_owned())` would
-    /// allocate a `String` per sample, and this runs once per fetched file.
-    fn sketch(&self, key: &str, value: u64) {
-        let mut map = self.sketches[stripe_of(key)].lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(sketch) = map.get_mut(key) {
-            sketch.observe(value);
-        } else {
-            map.entry(key.to_owned()).or_default().observe(value);
-        }
-    }
-
-    /// Discards every metric in every stripe.
-    fn clear(&self) {
-        for stripe in &self.counters {
-            stripe.write().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-        for stripe in &self.gauges {
-            stripe.write().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-        for stripe in &self.sketches {
-            stripe.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-    }
-
-    /// Folds every stripe into one key-sorted registry snapshot.
-    fn snapshot(&self) -> MetricsRegistry {
-        let mut registry = MetricsRegistry::new();
-        for stripe in &self.counters {
-            let read = stripe.read().unwrap_or_else(|e| e.into_inner());
-            for (key, cell) in read.iter() {
-                registry.add(key, cell.load(Ordering::Relaxed));
-            }
-        }
-        for stripe in &self.gauges {
-            let read = stripe.read().unwrap_or_else(|e| e.into_inner());
-            for (key, cell) in read.iter() {
-                registry.gauge_set(key, cell.load(Ordering::Relaxed));
-            }
-        }
-        for stripe in &self.sketches {
-            let map = stripe.lock().unwrap_or_else(|e| e.into_inner());
-            for (key, sketch) in map.iter() {
-                registry.set_sketch(key, sketch.clone());
-            }
-        }
-        registry
-    }
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     now: Duration,
@@ -194,6 +71,7 @@ struct Inner {
     dropped_instants: u64,
     /// Active trace id (0 = none); stamped onto outbound contexts.
     trace_id: u64,
+    metrics: MetricsRegistry,
 }
 
 impl Inner {
@@ -201,35 +79,22 @@ impl Inner {
         let index = id.checked_sub(self.base)? as usize;
         self.spans.get_mut(index)
     }
-
-    fn push_span(&mut self, data: SpanData, cap: usize) -> u32 {
-        let id = self.next;
-        self.next = self.next.wrapping_add(1);
-        if self.spans.len() == cap {
-            self.spans.pop_front();
-            self.base = self.base.wrapping_add(1);
-            self.dropped_spans += 1;
-        }
-        self.spans.push_back(data);
-        id
-    }
 }
 
 /// Records spans, instants, and metrics stamped in simulated time.
 ///
 /// The collector holds a **sim-time cursor**: instrumented code moves it
-/// forward ([`Recorder::advance`] / [`Recorder::set_now`], which clamps —
+/// forward ([`Collector::advance`] / [`Collector::set_now`], which clamps —
 /// the cursor never goes backward) as it charges simulated durations, and
-/// everything stamped at "now" reads it. Since every stamp derives from the
-/// deterministic cost models, two runs with the same seed produce identical
-/// recordings and therefore byte-identical exports.
+/// open-span starts, span ends, and instants are stamped at it. Since every
+/// stamp derives from the deterministic cost models, two runs with the same
+/// seed produce identical recordings and therefore byte-identical exports.
 ///
-/// Span and instant storage sits behind one `std::sync::Mutex` (recording
-/// order is the contract); metrics live on striped locks and never contend
-/// with it. Parallel sections (e.g. `gear-par` workers) should compute
-/// first and record complete spans afterward in submission order via
-/// [`Recorder::span_at`], which is what keeps traces independent of worker
-/// count.
+/// All methods take `&self`; everything recorded sits behind one
+/// `std::sync::Mutex` (recording order is the contract). Parallel sections
+/// (e.g. `gear-par` workers) should compute first and record complete spans
+/// afterward in submission order via [`Collector::span_at`], which is what
+/// keeps traces independent of worker count.
 ///
 /// A collector built with [`Collector::with_span_capacity`] is a **flight
 /// recorder**: it retains only the last N spans and instants, counting
@@ -239,7 +104,6 @@ impl Inner {
 #[derive(Debug)]
 pub struct Collector {
     inner: Mutex<Inner>,
-    stripes: Stripes,
     /// Maximum retained spans (and, separately, instants).
     cap: usize,
     /// Shard id baked into every span's global key; shard `s` exports on
@@ -269,7 +133,6 @@ impl Collector {
     pub fn with_shard_and_capacity(shard: u32, cap: usize) -> Self {
         Collector {
             inner: Mutex::new(Inner::default()),
-            stripes: Stripes::default(),
             cap: cap.max(1),
             shard,
         }
@@ -290,6 +153,37 @@ impl Collector {
         self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    /// Appends a span under the innermost open one, shedding the oldest
+    /// retained span once `cap` are held.
+    fn push_span(
+        &self,
+        inner: &mut Inner,
+        cat: &'static str,
+        name: &str,
+        start: Duration,
+        end: Option<Duration>,
+    ) -> u32 {
+        let id = inner.next;
+        inner.next = inner.next.wrapping_add(1);
+        if inner.spans.len() == self.cap {
+            inner.spans.pop_front();
+            inner.base = inner.base.wrapping_add(1);
+            inner.dropped_spans += 1;
+        }
+        inner.spans.push_back(SpanData {
+            cat,
+            name: name.to_owned(),
+            start,
+            end,
+            parent: inner.stack.last().copied(),
+            args: Vec::new(),
+            key: span_key(self.shard, id),
+            flow_out: false,
+            flow_in: None,
+        });
+        id
+    }
+
     /// Wipes the recording: spans, instants, drop counters, metrics, the
     /// open-span stack, and the trace id all return to the freshly
     /// constructed state. The shard id, capacity, and sim-time cursor
@@ -300,13 +194,8 @@ impl Collector {
     /// upgrades a node, the node's telemetry shard must not leak
     /// pre-upgrade samples into post-upgrade tail distributions.
     pub fn reset(&self) {
-        {
-            let mut inner = self.lock();
-            let now = inner.now;
-            *inner = Inner::default();
-            inner.now = now;
-        }
-        self.stripes.clear();
+        let mut inner = self.lock();
+        *inner = Inner { now: inner.now, ..Inner::default() };
     }
 
     /// Snapshot of all retained spans, in recording order.
@@ -319,10 +208,9 @@ impl Collector {
         self.lock().instants.iter().cloned().collect()
     }
 
-    /// Snapshot of the metrics registry (folded from the stripes, keys
-    /// sorted).
+    /// Snapshot of the metrics registry.
     pub fn metrics(&self) -> MetricsRegistry {
-        self.stripes.snapshot()
+        self.lock().metrics.clone()
     }
 
     /// Spans shed by the flight recorder so far.
@@ -418,50 +306,36 @@ impl Collector {
         }
         problems
     }
-}
 
-impl Recorder for Collector {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn now(&self) -> Duration {
+    /// The sim-time cursor.
+    pub fn now(&self) -> Duration {
         self.lock().now
     }
 
-    fn set_now(&self, now: Duration) {
+    /// Moves the sim-time cursor to `now` (a sync point after a pre-priced
+    /// section); the cursor never moves backward.
+    pub fn set_now(&self, now: Duration) {
         let mut inner = self.lock();
         inner.now = inner.now.max(now);
     }
 
-    fn advance(&self, delta: Duration) {
+    /// Advances the sim-time cursor by `delta`.
+    pub fn advance(&self, delta: Duration) {
         self.lock().now += delta;
     }
 
-    fn span_start(&self, cat: &'static str, name: &str) -> SpanId {
+    /// Opens a span starting at the cursor; close it with
+    /// [`Collector::span_end`].
+    pub fn span_start(&self, cat: &'static str, name: &str) -> SpanId {
         let mut inner = self.lock();
-        let parent = inner.stack.last().copied();
         let start = inner.now;
-        let key = span_key(self.shard, inner.next);
-        let id = inner.push_span(
-            SpanData {
-                cat,
-                name: name.to_owned(),
-                start,
-                end: None,
-                parent,
-                args: Vec::new(),
-                key,
-                flow_out: false,
-                flow_in: None,
-            },
-            self.cap,
-        );
+        let id = self.push_span(&mut inner, cat, name, start, None);
         inner.stack.push(id);
         SpanId(id)
     }
 
-    fn span_end(&self, span: SpanId) {
+    /// Closes `span` at the cursor.
+    pub fn span_end(&self, span: SpanId) {
         if !span.is_some() {
             return;
         }
@@ -477,28 +351,21 @@ impl Recorder for Collector {
         }
     }
 
-    fn span_at(&self, cat: &'static str, name: &str, start: Duration, dur: Duration) -> SpanId {
-        let mut inner = self.lock();
-        let parent = inner.stack.last().copied();
-        let key = span_key(self.shard, inner.next);
-        let id = inner.push_span(
-            SpanData {
-                cat,
-                name: name.to_owned(),
-                start,
-                end: Some(start + dur),
-                parent,
-                args: Vec::new(),
-                key,
-                flow_out: false,
-                flow_in: None,
-            },
-            self.cap,
-        );
-        SpanId(id)
+    /// Records a complete span at an explicit start and duration (used for
+    /// pre-priced work whose cost was computed before recording); the
+    /// cursor does not move.
+    pub fn span_at(
+        &self,
+        cat: &'static str,
+        name: &str,
+        start: Duration,
+        dur: Duration,
+    ) -> SpanId {
+        SpanId(self.push_span(&mut self.lock(), cat, name, start, Some(start + dur)))
     }
 
-    fn span_arg(&self, span: SpanId, key: &'static str, value: u64) {
+    /// Attaches a numeric argument to `span`.
+    pub fn span_arg(&self, span: SpanId, key: &'static str, value: u64) {
         if !span.is_some() {
             return;
         }
@@ -508,7 +375,8 @@ impl Recorder for Collector {
         }
     }
 
-    fn instant(&self, cat: &'static str, name: &str) {
+    /// Records an instant event at the cursor.
+    pub fn instant(&self, cat: &'static str, name: &str) {
         let mut inner = self.lock();
         let at = inner.now;
         if inner.instants.len() == self.cap {
@@ -518,27 +386,39 @@ impl Recorder for Collector {
         inner.instants.push_back(InstantData { cat, name: name.to_owned(), at });
     }
 
-    fn count(&self, key: &str, delta: u64) {
-        self.stripes.count(key, delta);
+    /// Adds `delta` to counter `key`.
+    pub fn count(&self, key: &str, delta: u64) {
+        self.lock().metrics.add(key, delta);
     }
 
-    fn gauge_set(&self, key: &str, value: u64) {
-        self.stripes.gauge_set(key, value);
+    /// Sets gauge `key` to `value`.
+    pub fn gauge_set(&self, key: &str, value: u64) {
+        self.lock().metrics.gauge_set(key, value);
     }
 
-    fn gauge_max(&self, key: &str, value: u64) {
-        self.stripes.gauge_max(key, value);
+    /// Raises gauge `key` to `value` if larger.
+    pub fn gauge_max(&self, key: &str, value: u64) {
+        self.lock().metrics.gauge_max(key, value);
     }
 
-    fn sketch(&self, key: &str, value: u64) {
-        self.stripes.sketch(key, value);
+    /// Records `value` into quantile sketch `key` (latencies in
+    /// nanoseconds, sizes in bytes, by convention).
+    pub fn sketch(&self, key: &str, value: u64) {
+        self.lock().metrics.sketch_observe(key, value);
     }
 
-    fn set_trace_id(&self, trace_id: u64) {
+    /// Activates trace `trace_id`: subsequent spans belong to it and
+    /// [`Collector::outbound_context`] stamps it on the wire. Id `0` means
+    /// "no trace".
+    pub fn set_trace_id(&self, trace_id: u64) {
         self.lock().trace_id = trace_id;
     }
 
-    fn outbound_context(&self) -> Option<TraceContext> {
+    /// The context to attach to an outbound request: the active trace id
+    /// plus the global key of the innermost open span, which is marked as a
+    /// flow producer (the exporter emits its flow-start event). `None` when
+    /// no trace is active.
+    pub fn outbound_context(&self) -> Option<TraceContext> {
         let mut inner = self.lock();
         if inner.trace_id == 0 {
             return None;
@@ -560,7 +440,10 @@ impl Recorder for Collector {
         Some(TraceContext { trace_id, parent_span })
     }
 
-    fn adopt_context(&self, span: SpanId, ctx: TraceContext) {
+    /// Adopts a context received off the wire onto `span`: binds the flow
+    /// (the exporter emits a flow-end from the remote parent into `span`)
+    /// and stamps the trace id as a span argument.
+    pub fn adopt_context(&self, span: SpanId, ctx: TraceContext) {
         if !span.is_some() {
             return;
         }
@@ -689,22 +572,6 @@ mod tests {
         assert_eq!(c.instants().len(), 4);
         assert_eq!(c.dropped_instants(), 6);
         assert!(c.span_bytes() > 0);
-    }
-
-    #[test]
-    fn counters_move_without_the_span_mutex() {
-        // Hold the span mutex on this thread; counters must still land.
-        let c = Collector::new();
-        let _guard = c.inner.lock().expect("unpoisoned");
-        c.count("cache.hits", 2);
-        c.gauge_max("peak", 9);
-        c.gauge_max("peak", 4);
-        c.sketch("lat", 1_000);
-        drop(_guard);
-        let m = c.metrics();
-        assert_eq!(m.counter("cache.hits"), 2);
-        assert_eq!(m.gauge("peak"), Some(9));
-        assert_eq!(m.sketch("lat").expect("sketched").count(), 1);
     }
 
     #[test]

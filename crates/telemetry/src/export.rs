@@ -16,8 +16,6 @@
 //! collector stays byte-compatible with the historical all-`tid:1` format.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 use std::time::Duration;
 
 use crate::collector::{Collector, InstantData, SpanData};
@@ -145,21 +143,6 @@ impl Collector {
     pub fn metrics_json(&self) -> String {
         metrics_json(&self.metrics())
     }
-
-    /// Writes `trace.json` and `metrics.json` into `dir`, creating it if
-    /// missing. Returns the two paths.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error creating the directory or writing the files.
-    pub fn write_files(&self, dir: &Path) -> io::Result<(std::path::PathBuf, std::path::PathBuf)> {
-        std::fs::create_dir_all(dir)?;
-        let trace = dir.join("trace.json");
-        let metrics = dir.join("metrics.json");
-        std::fs::write(&trace, self.trace_json())?;
-        std::fs::write(&metrics, self.metrics_json())?;
-        Ok((trace, metrics))
-    }
 }
 
 /// Serializes a registry as `{"counters":{...},"gauges":{...},
@@ -223,7 +206,7 @@ pub fn metrics_json(metrics: &MetricsRegistry) -> String {
 mod tests {
     use super::*;
     use crate::context::TraceContext;
-    use crate::recorder::Recorder;
+    use crate::handle::Telemetry;
 
     #[test]
     fn trace_json_shape() {
@@ -314,6 +297,78 @@ mod tests {
         assert!(json.contains("\"err\":0.0078125"), "{json}");
         assert!(json.contains("\"zero\":1"), "{json}");
         assert!(json.contains("\"p999\":"), "{json}");
+    }
+
+    /// Both exports of one hand-built recording, byte for byte, captured
+    /// before the collector moved its metrics behind the span lock.
+    #[test]
+    fn exports_of_a_fixed_recording_are_pinned() {
+        let us = Duration::from_micros;
+        let (t, c) = Telemetry::collector();
+        // Everything up to the reset is forgotten, except the cursor.
+        let stale = t.span_start("client", "stale");
+        t.count("stale.count", 1);
+        t.gauge_max("stale.peak", 99);
+        t.sketch("stale.nanos", 5);
+        t.instant("simnet", "stale");
+        t.advance(us(2));
+        t.span_end(stale);
+        c.reset();
+
+        t.set_trace_id(0x51);
+        let outer = t.span_start("client", "deploy");
+        t.advance(us(3));
+        let inner = t.span_start("client", "pull \"index\"");
+        let ctx = t.outbound_context().expect("trace active");
+        t.advance(Duration::from_nanos(1_250));
+        t.span_end(inner);
+        let served = t.span_at("registry", "serve", us(5), Duration::from_nanos(250));
+        t.span_arg(served, "bytes", 4096);
+        t.adopt_context(served, ctx);
+        t.instant("simnet", "fault.drop");
+        t.count("client.requests", 2);
+        t.count("client.requests", 3);
+        t.count("client.retries", 0);
+        t.gauge_set("store.bytes", 10);
+        t.gauge_set("store.bytes", 7);
+        t.gauge_max("client.peak_buffered", 9);
+        t.gauge_max("client.peak_buffered", 4);
+        for nanos in [0, 1_000, 1_000, 2_500_000] {
+            t.sketch("client.fetch_nanos", nanos);
+        }
+        t.sketch("client.fetch_bytes", 4096);
+        t.advance(us(1));
+        t.span_end(outer);
+
+        assert!(c.validate().is_empty(), "{:?}", c.validate());
+        assert_eq!(
+            c.trace_json(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+             {\"ph\":\"X\",\"pid\":1,\"tid\":1,\"cat\":\"client\",\"name\":\"deploy\",\
+             \"ts\":2.000,\"dur\":5.250},\
+             {\"ph\":\"X\",\"pid\":1,\"tid\":1,\"cat\":\"client\",\
+             \"name\":\"pull \\\"index\\\"\",\"ts\":5.000,\"dur\":1.250},\
+             {\"ph\":\"s\",\"pid\":1,\"tid\":1,\"cat\":\"flow\",\"name\":\"req\",\"id\":1,\
+             \"ts\":5.000},\
+             {\"ph\":\"X\",\"pid\":1,\"tid\":1,\"cat\":\"registry\",\"name\":\"serve\",\
+             \"ts\":5.000,\"dur\":0.250,\"args\":{\"bytes\":4096,\"trace_id\":81}},\
+             {\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":1,\"cat\":\"flow\",\"name\":\"req\",\
+             \"id\":1,\"ts\":5.000},\
+             {\"ph\":\"i\",\"pid\":1,\"tid\":1,\"s\":\"t\",\"cat\":\"simnet\",\
+             \"name\":\"fault.drop\",\"ts\":6.250}]}\n"
+        );
+        assert_eq!(
+            c.metrics_json(),
+            "{\"counters\":{\"client.requests\":5,\"client.retries\":0},\
+             \"gauges\":{\"client.peak_buffered\":9,\"store.bytes\":7},\
+             \"sketches\":{\
+             \"client.fetch_bytes\":{\"count\":1,\"sum\":4096,\"min\":4096,\"max\":4096,\
+             \"err\":0.0078125,\"p50\":4128,\"p99\":4128,\"p999\":4128,\"zero\":0,\
+             \"buckets\":[[768,1]]},\
+             \"client.fetch_nanos\":{\"count\":4,\"sum\":2502000,\"min\":0,\"max\":2500000,\
+             \"err\":0.0078125,\"p50\":1004,\"p99\":2506752,\"p999\":2506752,\"zero\":1,\
+             \"buckets\":[[637,2],[1356,1]]}}}\n"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A [`FleetCollector`] owns one flight-recorder [`Collector`] per node
 //! (shard). Each node records through its own shard with no shared state
-//! on the record path — shard `i` takes shard `i`'s locks only — and the
+//! on the record path — shard `i` takes shard `i`'s one lock only — and the
 //! fleet view is computed at read time by *merging*: metrics registries
 //! fold with the exact merge semantics of
 //! [`MetricsRegistry::merge`](crate::MetricsRegistry), which is
@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 use crate::collector::Collector;
 use crate::export::{write_events, TRACE_PRELUDE};
+use crate::handle::Telemetry;
 use crate::metrics::MetricsRegistry;
-use crate::recorder::Telemetry;
 use crate::sketch::SketchMergeError;
 
 /// A fixed-size fleet of per-node flight recorders.
@@ -156,7 +156,6 @@ impl FleetCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::Recorder;
     use std::time::Duration;
 
     fn ms(n: u64) -> Duration {

@@ -11,26 +11,23 @@
 //! derives from the deterministic cost models, the exported trace is a pure
 //! function of the experiment seed — same seed, byte-identical `trace.json`.
 //!
-//! Instrumented crates talk to the [`Recorder`] trait through a cheap
-//! [`Telemetry`] handle. The default handle is a no-op whose `enabled` flag
-//! is cached inline, so hot paths (union-mount lookups, cache probes) pay
-//! one predictable branch when telemetry is off — no dynamic dispatch, no
-//! allocation, no lock.
+//! Instrumented crates hold a cheap [`Telemetry`] handle: a shared
+//! [`Collector`] or nothing. The default handle is disabled, so hot paths
+//! (union-mount lookups, cache probes) pay one predictable branch when
+//! telemetry is off — no call, no allocation, no lock. An enabled handle
+//! forwards to the collector, whose whole state — cursor, span ring,
+//! registry — sits behind one mutex.
 //!
 //! Fleet-scale aggregation is built from three pieces:
 //!
 //! * [`QuantileSketch`] — DDSketch-style log-linear buckets with a fixed
 //!   relative-error bound and exact (associative, commutative) merge;
 //! * [`FleetCollector`] — one bounded flight-recorder [`Collector`] per
-//!   node shard, merged hierarchically at read time, with no shared lock
-//!   on the record path (counters and gauges additionally sit on striped
-//!   atomics inside each collector);
+//!   node shard, merged hierarchically at read time, so nodes share no
+//!   lock on the record path;
 //! * [`TraceContext`] — the causal identity a request carries across node
 //!   boundaries (one extra gear-proto header, [`TRACE_HEADER`]), exported
 //!   as Chrome flow events so cross-node spans stitch into one tree.
-//!
-//! [`SloSpec`] closes the loop: tail targets evaluated straight from the
-//! sketches, surfaced in deployment reports and gated by `repro fleet`.
 //!
 //! Exports follow the Chrome/Perfetto trace-event format
 //! ([`Collector::trace_json`]) and a flat, sorted `metrics.json`
@@ -41,16 +38,14 @@ mod collector;
 mod context;
 mod export;
 mod fleet;
+mod handle;
 mod metrics;
-mod recorder;
 mod sketch;
-mod slo;
 
 pub use collector::{Collector, InstantData, SpanData};
 pub use context::{span_key, trace_id_for, TraceContext, NO_PARENT_SPAN, TRACE_HEADER};
 pub use export::metrics_json;
 pub use fleet::FleetCollector;
+pub use handle::{SpanId, Telemetry};
 pub use metrics::MetricsRegistry;
-pub use recorder::{NoopRecorder, Recorder, SpanId, Telemetry};
 pub use sketch::{QuantileSketch, SketchMergeError, DEFAULT_SUB_BUCKET_BITS};
-pub use slo::{SloEval, SloSpec};

@@ -21,7 +21,10 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Adds `delta` to counter `key` (created at zero).
+    /// Adds `delta` to counter `key` (created at zero). Like every writer
+    /// here, looks the key up by `&str` and owns it only on first touch:
+    /// these run once per fetched file, and `entry(key.to_owned())` would
+    /// allocate a `String` per sample.
     pub fn add(&mut self, key: &str, delta: u64) {
         if let Some(v) = self.counters.get_mut(key) {
             *v += delta;
@@ -32,28 +35,30 @@ impl MetricsRegistry {
 
     /// Sets gauge `key` to `value`.
     pub fn gauge_set(&mut self, key: &str, value: u64) {
-        self.gauges.insert(key.to_owned(), value);
+        if let Some(v) = self.gauges.get_mut(key) {
+            *v = value;
+        } else {
+            self.gauges.insert(key.to_owned(), value);
+        }
     }
 
     /// Raises gauge `key` to `value` if larger (high-water mark).
     pub fn gauge_max(&mut self, key: &str, value: u64) {
-        let slot = self.gauges.entry(key.to_owned()).or_insert(0);
-        *slot = (*slot).max(value);
+        if let Some(v) = self.gauges.get_mut(key) {
+            *v = (*v).max(value);
+        } else {
+            self.gauges.insert(key.to_owned(), value);
+        }
     }
 
     /// Records `value` into quantile sketch `key`, created at default
     /// resolution on first observation.
     pub fn sketch_observe(&mut self, key: &str, value: u64) {
-        self.sketches
-            .entry(key.to_owned())
-            .or_default()
-            .observe(value);
-    }
-
-    /// Installs (or replaces) a whole sketch under `key` — the snapshot
-    /// path from striped collector storage.
-    pub fn set_sketch(&mut self, key: &str, sketch: QuantileSketch) {
-        self.sketches.insert(key.to_owned(), sketch);
+        if let Some(sketch) = self.sketches.get_mut(key) {
+            sketch.observe(value);
+        } else {
+            self.sketches.entry(key.to_owned()).or_default().observe(value);
+        }
     }
 
     /// Current value of counter `key` (zero if absent).
@@ -171,7 +176,7 @@ mod tests {
         let mut b = MetricsRegistry::new();
         let mut coarse = QuantileSketch::with_sub_bucket_bits(2);
         coarse.observe(100);
-        b.set_sketch("lat", coarse);
+        b.sketches.insert("lat".to_owned(), coarse);
         assert!(a.merge(&b).is_err());
     }
 }

@@ -107,11 +107,6 @@ impl QuantileSketch {
         }
     }
 
-    /// The sub-bucket resolution this sketch was built with.
-    pub fn sub_bucket_bits(&self) -> u32 {
-        self.k
-    }
-
     /// The guaranteed bound on `|answer − true value| / true value` for
     /// any rank query: `1 / 2^(k+1)`.
     pub fn relative_error_bound(&self) -> f64 {
