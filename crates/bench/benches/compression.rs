@@ -1,6 +1,7 @@
 //! Compression micro-benchmarks: codec throughput, the granularity ablation
-//! (per-layer vs per-file compression ratios on corpus content), the
-//! block-parallel engine across worker counts, and the word-wise kernels
+//! (per-layer vs per-file compression ratios on corpus content), sizing a
+//! thousand small files as a publish pass does, the block-parallel engine
+//! across worker counts, and the word-wise kernels
 //! (match_len, crc32, md5/sha256 block processing) so a kernel regression
 //! is visible outside the modeled suite.
 
@@ -48,6 +49,24 @@ fn bench_granularity(c: &mut Criterion) {
     });
     group.bench_function("per_layer_256k", |b| {
         b.iter(|| compressed_size(std::hint::black_box(&layer), Level::Fast))
+    });
+    group.finish();
+}
+
+fn bench_small_file_sizing(c: &mut Criterion) {
+    // What a publish pass asks of the compressor: the framed size of each
+    // new file, a thousand calls on inputs far smaller than the match
+    // finder's tables.
+    let files: Vec<Vec<u8>> = (0..1000).map(|i| corpus_like(2048, 5000 + i)).collect();
+    let mut group = c.benchmark_group("small_file_sizing");
+    group.throughput(Throughput::Bytes(files.iter().map(|f| f.len() as u64).sum()));
+    group.bench_function("compressed_size_1000x2k", |b| {
+        b.iter(|| {
+            files
+                .iter()
+                .map(|f| compressed_size(std::hint::black_box(f), Level::Default))
+                .sum::<usize>()
+        })
     });
     group.finish();
 }
@@ -122,5 +141,12 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_codec, bench_granularity, bench_block_parallel, bench_kernels);
+criterion_group!(
+    benches,
+    bench_codec,
+    bench_granularity,
+    bench_small_file_sizing,
+    bench_block_parallel,
+    bench_kernels
+);
 criterion_main!(benches);

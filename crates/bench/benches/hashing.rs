@@ -4,7 +4,8 @@
 //! hashing-cost side of that choice at typical image-file sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gear_hash::{Digest, Fingerprint};
+use gear_hash::{fingerprint_all, Digest, Fingerprint};
+use gear_par::Pool;
 
 fn content(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 31 % 251) as u8).collect()
@@ -25,5 +26,17 @@ fn bench_hashing(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_hashing);
+/// The batch a conversion hashes: one image's worth of small files — about
+/// 200 of 2 KB in the benchmark corpus — on the serial pool `publish` uses.
+fn bench_image_batch(c: &mut Criterion) {
+    let files: Vec<Vec<u8>> = (0..200).map(|i| content(2048 + i)).collect();
+    let mut group = c.benchmark_group("hashing");
+    group.throughput(Throughput::Bytes(files.iter().map(|f| f.len() as u64).sum()));
+    group.bench_function("fingerprint_all_200x2k", |b| {
+        b.iter(|| fingerprint_all(std::hint::black_box(&files), &Pool::serial()))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_hashing, bench_image_batch);
 criterion_main!(benches);

@@ -202,10 +202,10 @@ pub fn compress_blocks(data: &[u8], level: Level, block_size: usize, pool: &Pool
 /// storage-accounting callers that never keep the compressed bytes.
 ///
 /// Routed through the count-only LZSS encoder ([`Lzss::compressed_len`]):
-/// the full hash-chain search runs, but no token stream is allocated — only
-/// the match finder's position tables (128 KiB plus 4 bytes per input byte
-/// up to another 128 KiB). Called once per unique file by the registry
-/// dedup study.
+/// the full hash-chain search runs, but nothing is allocated — no token
+/// stream, and the match finder's position tables are the thread's, kept
+/// from call to call. Called once per unique file by the registry dedup
+/// study and once per new file by a publishing `GearFileStore`.
 pub fn compressed_size(data: &[u8], level: Level) -> usize {
     FRAME_OVERHEAD + Lzss::compressed_len(data, level).min(data.len())
 }

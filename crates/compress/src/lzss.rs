@@ -11,9 +11,13 @@
 //! tallies output bytes — the storage-accounting hot path
 //! (`gear_compress::compressed_size`, called per unique file by the registry
 //! dedup study) never allocates a token stream it would immediately drop.
-//! What every call does allocate is the match finder's two position
-//! tables: 128 KiB of chain heads plus 4 bytes per input byte, up to
-//! another 128 KiB, of chain links.
+//!
+//! The match finder's two position tables — 128 KiB of chain heads and
+//! 128 KiB of chain links — belong to the thread, not to the call: the
+//! files a registry sizes average under 2 KB, and allocating and filling
+//! the tables for each one was a quarter of the time spent sizing it and
+//! nearly all of the memory a publish allocated. [`Tables`] explains how a
+//! call sees none of the positions its predecessors left behind.
 
 /// Sliding-window size. Offsets are encoded in 16 bits, so the window must
 /// not exceed 64 KiB; 32 KiB matches zlib's window and keeps chains short.
@@ -25,9 +29,9 @@ const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = MIN_MATCH + 255;
 /// Number of hash buckets for 4-byte prefixes.
 const HASH_SIZE: usize = 1 << 15;
-/// "No position" in the match finder's tables, which hold positions as
-/// `u32`; [`scan`] therefore works in spans of at most this many bytes.
-const NO_POS: u32 = u32::MAX;
+/// The match finder's tables hold positions as `u32`; [`scan`] therefore
+/// works in spans of at most this many bytes.
+const MAX_SPAN: usize = u32::MAX as usize;
 
 /// Compression effort level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -55,8 +59,8 @@ impl Level {
 /// Where the shared match-finder sends its tokens.
 ///
 /// Both implementations are zero-cost after monomorphization; the search
-/// loop in [`scan`] is written once, so the byte stream and the count can
-/// never disagree about which tokens are produced.
+/// loop in [`Tables::scan`] is written once, so the byte stream and the count
+/// can never disagree about which tokens are produced.
 trait Emit {
     /// A literal byte token.
     fn literal(&mut self, byte: u8);
@@ -131,38 +135,67 @@ impl Emit for CountEmit {
     }
 }
 
-/// The shared hash-chain match finder. Every token decision lives here, so
-/// the byte-stream and count-only encoders are bit-for-bit in agreement.
+/// The hash-chain match finder's position tables, one pair per thread.
 ///
-/// Inputs of 4 GiB or more are scanned as independent spans of [`NO_POS`]
-/// bytes (matches never reach back across a span boundary), so positions
-/// always fit the `u32` tables.
-fn scan<E: Emit>(data: &[u8], level: Level, emit: &mut E) {
-    for span in data.chunks(NO_POS as usize) {
-        scan_span(span, level, emit);
-    }
+/// `head[h]` is the most recent position whose 4-byte prefix hashes to `h`;
+/// `prev[pos % WINDOW]` is the position before `pos` in the same chain.
+/// Entries are stamped: a call stores position `pos` as `base + pos`, and
+/// `base` then moves past everything that call stored, so whatever an
+/// earlier call left behind is below the current `base` and reads as "no
+/// position". Nothing is cleared between calls; `head` is zero-filled again
+/// only when the stamps would run out of `u32`, once per 4 GiB scanned on
+/// the thread. (`prev` never needs it: a link is followed only from a
+/// position the current call inserted, and inserting writes the link.)
+struct Tables {
+    head: Box<[u32; HASH_SIZE]>,
+    prev: Box<[u32; WINDOW]>,
+    /// Stamp of the next call's position 0. At least 1, so a zeroed entry is
+    /// below it; `u64` because it may come to rest on `1 << 32`.
+    base: u64,
 }
 
-/// [`scan`] over one span shorter than 4 GiB. Allocates the two position
-/// tables per call: `head`, 128 KiB, and `prev`, 4 bytes per input byte up
-/// to another 128 KiB.
-fn scan_span<E: Emit>(data: &[u8], level: Level, emit: &mut E) {
-    let depth = level.chain_depth();
-    // head[h] = most recent position with hash h; prev[pos % WINDOW] = the
-    // previous position in the same chain.
-    let mut head = vec![NO_POS; HASH_SIZE];
-    let mut prev = vec![NO_POS; data.len().min(WINDOW)];
-    let mut pos = 0usize;
+thread_local! {
+    static TABLES: std::cell::RefCell<Tables> = std::cell::RefCell::new(Tables::new());
+}
 
-    while pos < data.len() {
-        let (mut best_len, mut best_off) = (0usize, 0usize);
-        if pos + MIN_MATCH <= data.len() {
-            let h = hash4(&data[pos..]);
+/// A zeroed table on the heap (an array literal would pass through the
+/// stack).
+fn zeroed<const N: usize>() -> Box<[u32; N]> {
+    vec![0u32; N].into_boxed_slice().try_into().expect("length is N")
+}
+
+impl Tables {
+    fn new() -> Self {
+        Tables { head: zeroed(), prev: zeroed(), base: 1 }
+    }
+
+    /// Runs the match finder over one span of at most [`MAX_SPAN`] bytes.
+    /// Every token decision lives here, so the byte-stream and count-only
+    /// encoders are bit-for-bit in agreement.
+    fn scan<E: Emit>(&mut self, data: &[u8], level: Level, emit: &mut E) {
+        if self.base + data.len() as u64 > 1 << 32 {
+            self.head.fill(0);
+            self.base = 1;
+        }
+        // The largest stamp, base + len - 1, fits `u32` by the check above.
+        let base = self.base as u32;
+        self.base += data.len() as u64;
+        let (head, prev) = (&mut *self.head, &mut *self.prev);
+        let depth = level.chain_depth();
+        // Positions below this have the four bytes a chain is keyed by; the
+        // last three of the input neither start a match nor join a chain.
+        let keyed = data.len().saturating_sub(MIN_MATCH - 1);
+        let mut pos = 0usize;
+
+        while pos < keyed {
+            let h = hash4(data, pos);
+            let (mut best_len, mut best_off) = (0usize, 0usize);
             let mut candidate = head[h];
-            let limit = pos.saturating_sub(WINDOW - 1);
+            // Stamps below this are out of the window or another call's.
+            let floor = base + pos.saturating_sub(WINDOW - 1) as u32;
             let mut steps = 0;
-            while candidate != NO_POS && candidate as usize >= limit && steps < depth {
-                let at = candidate as usize;
+            while candidate >= floor && steps < depth {
+                let at = (candidate - base) as usize;
                 let len = Lzss::match_len(data, at, pos);
                 if len > best_len {
                     best_len = len;
@@ -174,35 +207,46 @@ fn scan_span<E: Emit>(data: &[u8], level: Level, emit: &mut E) {
                 candidate = prev[at % WINDOW];
                 steps += 1;
             }
-        }
+            prev[pos % WINDOW] = head[h];
+            head[h] = base + pos as u32;
 
-        if best_len >= MIN_MATCH {
-            emit.back_ref(best_off, best_len);
-            // Insert every covered position into the chains so later
-            // matches can start inside this one.
-            let end = pos + best_len;
-            while pos < end {
-                if pos + MIN_MATCH <= data.len() {
-                    let h = hash4(&data[pos..]);
-                    prev[pos % WINDOW] = head[h];
-                    head[h] = pos as u32;
+            if best_len >= MIN_MATCH {
+                emit.back_ref(best_off, best_len);
+                // Insert every covered position into the chains so later
+                // matches can start inside this one.
+                let end = pos + best_len;
+                for covered in pos + 1..end.min(keyed) {
+                    let h = hash4(data, covered);
+                    prev[covered % WINDOW] = head[h];
+                    head[h] = base + covered as u32;
                 }
+                pos = end;
+            } else {
+                emit.literal(data[pos]);
                 pos += 1;
             }
-        } else {
-            emit.literal(data[pos]);
-            if pos + MIN_MATCH <= data.len() {
-                let h = hash4(&data[pos..]);
-                prev[pos % WINDOW] = head[h];
-                head[h] = pos as u32;
-            }
-            pos += 1;
+        }
+        for &byte in &data[pos..] {
+            emit.literal(byte);
         }
     }
 }
 
-/// The LZSS codec. A unit struct; the match finder's tables (see the module
-/// docs) are allocated per call and nothing outlives it.
+/// Runs the calling thread's match finder over `data`. Inputs of 4 GiB or
+/// more are scanned as independent spans of [`MAX_SPAN`] bytes (matches
+/// never reach back across a span boundary), so positions always fit the
+/// `u32` tables.
+fn scan<E: Emit>(data: &[u8], level: Level, emit: &mut E) {
+    TABLES.with_borrow_mut(|tables| {
+        for span in data.chunks(MAX_SPAN) {
+            tables.scan(span, level, emit);
+        }
+    });
+}
+
+/// The LZSS codec. A unit struct: the only state, the match finder's
+/// position tables, belongs to the calling thread and is reused from call to
+/// call, and no call can observe what an earlier one left in it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Lzss;
 
@@ -317,9 +361,10 @@ impl Lzss {
     }
 }
 
+/// Chain key of the four bytes at `pos`.
 #[inline]
-fn hash4(data: &[u8]) -> usize {
-    let v = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
+fn hash4(data: &[u8], pos: usize) -> usize {
+    let v = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"));
     (v.wrapping_mul(0x9E37_79B1) >> (32 - 15)) as usize & (HASH_SIZE - 1)
 }
 
@@ -390,6 +435,51 @@ mod tests {
         data.extend(std::iter::repeat_n(3u8, WINDOW - 200));
         data.extend_from_slice(&[7u8; 100]); // matches the prefix across ~32K
         roundtrip(&data, Level::Best);
+    }
+
+    /// What a thread that has never compressed anything produces.
+    fn on_fresh_thread(data: &[u8], level: Level) -> Vec<u8> {
+        std::thread::scope(|scope| {
+            scope.spawn(|| Lzss::compress(data, level)).join().expect("compressor panicked")
+        })
+    }
+
+    fn set_base(base: u64) {
+        TABLES.with_borrow_mut(|tables| tables.base = base);
+    }
+
+    fn base() -> u64 {
+        TABLES.with_borrow(|tables| tables.base)
+    }
+
+    #[test]
+    fn stamps_running_out_refill_the_heads() {
+        let data = b"the quick brown fox jumps over the lazy dog. ".repeat(100);
+        let len = data.len() as u64;
+        let fresh = on_fresh_thread(&data, Level::Default);
+        // Leave this thread's tables full of positions of the same content,
+        // then start so close to the end of `u32` that only one more call
+        // fits.
+        assert_eq!(Lzss::compress(&data, Level::Default), fresh);
+        set_base((1 << 32) - len - 10);
+        assert_eq!(Lzss::compress(&data, Level::Default), fresh);
+        assert_eq!(base(), (1 << 32) - 10, "the call fits: no refill yet");
+        assert_eq!(Lzss::compress(&data, Level::Default), fresh);
+        assert_eq!(base(), 1 + len, "stamps restart at 1 after the refill");
+        assert_eq!(Lzss::compressed_len(&data, Level::Default), fresh.len());
+    }
+
+    #[test]
+    fn a_call_may_use_the_very_last_stamp() {
+        let data = b"abcdabcdabcdabcd-abcdabcdabcdabcd".repeat(30);
+        let fresh = on_fresh_thread(&data, Level::Best);
+        Lzss::compress(&data, Level::Best);
+        set_base((1 << 32) - data.len() as u64);
+        assert_eq!(Lzss::compress(&data, Level::Best), fresh);
+        assert_eq!(base(), 1 << 32, "every stamp is spent");
+        assert_eq!(Lzss::compress(b"", Level::Best), b"");
+        assert_eq!(Lzss::compress(&data, Level::Best), fresh);
+        assert_eq!(base(), 1 + data.len() as u64);
     }
 
     #[test]

@@ -41,6 +41,27 @@ proptest! {
         prop_assert_eq!(compressed_size(&data, level), compress(&data, level).len());
     }
 
+    /// The match finder keeps its tables from call to call: whatever a
+    /// thread compressed before, each input yields the frame (and the
+    /// count-only size) a thread that never compressed anything gives. The
+    /// four-letter alphabet makes every input share hash chains with its
+    /// predecessors.
+    #[test]
+    fn earlier_inputs_on_the_thread_never_change_a_frame(
+        inputs in proptest::collection::vec(
+            (proptest::collection::vec(0u8..4, 0..1500), any_level()),
+            1..8,
+        ),
+    ) {
+        for (data, level) in &inputs {
+            let fresh = std::thread::scope(|scope| {
+                scope.spawn(|| compress(data, *level)).join().expect("compressor panicked")
+            });
+            prop_assert_eq!(&compress(data, *level), &fresh);
+            prop_assert_eq!(compressed_size(data, *level), fresh.len());
+        }
+    }
+
     /// Corrupting any single payload byte is detected (never mis-decodes
     /// silently to the original).
     #[test]

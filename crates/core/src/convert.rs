@@ -13,19 +13,19 @@
 //! and falls back to a salted unique id excluded from deduplication —
 //! implemented by [`CollisionResolver`].
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::time::Duration;
 
 use bytes::Bytes;
-use gear_fs::{ChunkRef, FileData, FsError, FsTree, Node};
+use gear_fs::{ChunkRef, FileData, FileNode, FsError, Node};
 use gear_hash::Fingerprint;
 use gear_image::Image;
 use gear_registry::{DockerRegistry, GearFileStore};
 use gear_simnet::DiskModel;
 
-use crate::index::{GearImage, GearIndex, IndexError};
+use crate::index::{visit, GearImage, GearIndex, IndexError};
 
 /// A unique Gear file produced by conversion: content plus its name.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,22 +99,31 @@ impl CollisionResolver {
     /// Returns `(id, dedup)` where `dedup` is false only for collision
     /// fallback ids.
     pub fn resolve(&mut self, fingerprint: Fingerprint, content: &Bytes) -> (Fingerprint, bool) {
-        match self.seen.get(&fingerprint) {
-            None => {
-                self.seen.insert(fingerprint, content.clone());
+        let (id, _) = self.admit(fingerprint, content);
+        // A fallback id is one nothing held yet; `fingerprint` is held.
+        (id, id == fingerprint)
+    }
+
+    /// Resolves the id as [`CollisionResolver::resolve`] does; the flag tells
+    /// whether `content` is the first to be given that id — a new Gear file
+    /// rather than a duplicate of one already produced.
+    fn admit(&mut self, fingerprint: Fingerprint, content: &Bytes) -> (Fingerprint, bool) {
+        match self.seen.entry(fingerprint) {
+            Entry::Vacant(slot) => {
+                slot.insert(content.clone());
                 (fingerprint, true)
             }
-            Some(existing) if existing == content => (fingerprint, true),
-            Some(_) => {
+            Entry::Occupied(first) if first.get() == content => (fingerprint, false),
+            Entry::Occupied(_) => {
                 self.collisions += 1;
                 let mut salt: u64 = 0;
                 loop {
                     let mut salted = content.to_vec();
                     salted.extend_from_slice(&salt.to_le_bytes());
                     let id = Fingerprint::of(&salted);
-                    if let std::collections::hash_map::Entry::Vacant(slot) = self.seen.entry(id) {
+                    if let Entry::Vacant(slot) = self.seen.entry(id) {
                         slot.insert(content.clone());
-                        return (id, false);
+                        return (id, true);
                     }
                     salt += 1;
                 }
@@ -246,23 +255,38 @@ impl Converter {
         let mut resolver = CollisionResolver::new();
         let mut report = ConversionReport::default();
         let mut files = Vec::new();
-        let mut produced: HashMap<Fingerprint, ()> = HashMap::new();
-        // A file not seen before joins the Gear file set.
-        let mut produce = |id: Fingerprint, content: &Bytes, report: &mut ConversionReport| {
-            if produced.insert(id, ()).is_none() {
+        // A body not seen before joins the Gear file set.
+        let mut produce = |hash: Fingerprint, content: &Bytes, report: &mut ConversionReport| {
+            let (id, new) = resolver.admit(hash, content);
+            if new {
                 report.unique_files += 1;
                 report.unique_bytes += content.len() as u64;
                 files.push(GearFile { fingerprint: id, content: content.clone() });
             } else {
                 report.duplicate_files += 1;
             }
+            id
         };
 
-        for (path, content, whole) in self.prehash(&converted) {
-            report.scanned_files += 1;
-            report.scanned_bytes += content.len() as u64;
+        // Two visits in one order, nodes sorted by name and parents first:
+        // the first gathers every inline body for one hashing batch, the
+        // second meets the same files again with the batch's fingerprints.
+        let mut bodies: Vec<&Bytes> = Vec::new();
+        visit(converted.root(), &mut |node| {
+            if let Node::File(FileNode { data: FileData::Inline(content), .. }) = node {
+                bodies.push(content);
+            }
+        });
+        let pool = gear_par::Pool::new(self.options.threads);
+        let mut fingerprints = gear_hash::fingerprint_all(&bodies, &pool).into_iter();
+        let mut place = |file: &mut FileNode| {
+            let FileData::Inline(content) = &file.data else { return };
+            let Some(whole) = fingerprints.next() else { return };
+            let content = content.clone();
             let size = content.len() as u64;
-            let data = if self.options.big_file_threshold.is_some_and(|t| size >= t) {
+            report.scanned_files += 1;
+            report.scanned_bytes += size;
+            file.data = if self.options.big_file_threshold.is_some_and(|t| size >= t) {
                 let spans: Vec<std::ops::Range<usize>> = match &self.options.cdc {
                     Some(bounds) => gear_hash::chunk_spans(&content, bounds),
                     None => {
@@ -273,22 +297,22 @@ impl Converter {
                             .collect()
                     }
                 };
-                let mut chunks = Vec::new();
-                for span in spans {
-                    let chunk = content.slice(span);
-                    let (id, _) = resolver.resolve(Fingerprint::of(&chunk), &chunk);
-                    produce(id, &chunk, &mut report);
-                    chunks.push(ChunkRef { fingerprint: id, size: chunk.len() as u64 });
-                }
+                let chunks = spans
+                    .into_iter()
+                    .map(|span| {
+                        let chunk = content.slice(span);
+                        let id = produce(Fingerprint::of(&chunk), &chunk, &mut report);
+                        ChunkRef { fingerprint: id, size: chunk.len() as u64 }
+                    })
+                    .collect();
                 FileData::Chunked { chunks, size }
             } else {
-                let (id, _dedup) = resolver.resolve(whole, &content);
-                produce(id, &content, &mut report);
-                FileData::Fingerprint { fingerprint: id, size }
+                FileData::Fingerprint { fingerprint: produce(whole, &content, &mut report), size }
             };
-            if let Some(Node::File(file)) = converted.get_mut(&path) {
-                file.data = data;
-            }
+        };
+        // The empty path is the root.
+        if let Some(root) = converted.get_mut("") {
+            visit_files_mut(root, &mut place);
         }
 
         report.collisions = resolver.collisions();
@@ -301,33 +325,6 @@ impl Converter {
             files,
             report,
         })
-    }
-
-    /// Every inline regular file in walk order — path, content and the
-    /// content's fingerprint — hashing fanned out across `options.threads`
-    /// worker threads for large trees.
-    ///
-    /// Delegates the fan-out to [`gear_par::Pool`]: the split is a pure
-    /// function of `(len, threads)`, so the result is bit-identical to the
-    /// serial loop for any thread count.
-    fn prehash(&self, rootfs: &FsTree) -> Vec<(String, Bytes, Fingerprint)> {
-        let work: Vec<(String, Bytes)> = rootfs
-            .walk()
-            .filter_map(|(path, node)| match node {
-                Node::File(f) => match &f.data {
-                    FileData::Inline(content) => Some((path, content.clone())),
-                    _ => None,
-                },
-                _ => None,
-            })
-            .collect();
-        let pool = gear_par::Pool::new(self.options.threads);
-        let bodies: Vec<&Bytes> = work.iter().map(|(_, content)| content).collect();
-        let fingerprints = gear_hash::fingerprint_all(&bodies, &pool);
-        work.into_iter()
-            .zip(fingerprints)
-            .map(|((path, content), fingerprint)| (path, content, fingerprint))
-            .collect()
     }
 
     /// Models conversion time: decompress + write the layers, traverse the
@@ -353,6 +350,20 @@ impl Converter {
         let write_files = disk.io_time(bytes(report.unique_bytes), files(report.unique_files));
         let build_index = disk.io_time(bytes(report.index_bytes), 1);
         unpack + traverse + hash + recompress + write_files + build_index
+    }
+}
+
+/// Calls `f` on every regular file below `node`, in the order of
+/// [`visit`].
+fn visit_files_mut(node: &mut Node, f: &mut impl FnMut(&mut FileNode)) {
+    match node {
+        Node::Dir { children, .. } => {
+            for child in children.values_mut() {
+                visit_files_mut(child, f);
+            }
+        }
+        Node::File(file) => f(file),
+        Node::Symlink(_) => {}
     }
 }
 
@@ -401,6 +412,7 @@ pub fn publish(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gear_fs::FsTree;
     use gear_image::{ImageBuilder, ImageRef};
 
     fn r(s: &str) -> ImageRef {

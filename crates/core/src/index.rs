@@ -10,11 +10,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use gear_archive::Metadata;
 use gear_fs::{ChunkRef, FileData, FileNode, FsTree, Node};
 use gear_hash::Fingerprint;
 use gear_image::{Image, ImageBuilder, ImageConfig, ImageRef};
 use serde::de::Error as DeError;
-use serde::{to_value, Deserialize, DeserializeOwned, Deserializer, Map, Serialize, Serializer, Value};
+use serde::{Deserialize, DeserializeOwned, Deserializer, Map, Value};
 
 /// Path inside the single-layer index image where the index JSON lives.
 pub const INDEX_PATH: &str = "var/lib/gear/index.json";
@@ -75,7 +76,7 @@ pub struct GearIndex {
 /// Calls `f` on every node below `node`, parents first, names sorted.
 /// (Not [`FsTree::walk`]: that builds a path `String` per node, and this
 /// runs on every install and `remove_image`.)
-fn visit<'a>(node: &'a Node, f: &mut impl FnMut(&'a Node)) {
+pub(crate) fn visit<'a>(node: &'a Node, f: &mut impl FnMut(&'a Node)) {
     if let Node::Dir { children, .. } = node {
         for child in children.values() {
             f(child);
@@ -93,11 +94,19 @@ impl GearIndex {
     /// [`IndexError::UnresolvedContent`] if any file still holds inline
     /// bytes. (Use [`crate::Converter`] to convert contents first.)
     pub fn from_tree(tree: FsTree, config: ImageConfig) -> Result<Self, IndexError> {
-        let inline = |node: &Node| matches!(node, Node::File(f) if f.data.is_resolved());
-        if let Some((path, _)) = tree.walk().find(|(_, node)| inline(node)) {
-            return Err(IndexError::UnresolvedContent(path));
+        /// The path, below `node`, of the first file with an inline body —
+        /// put together only once there is one to report.
+        fn first_inline(node: &Node) -> Option<String> {
+            let Node::Dir { children, .. } = node else { return None };
+            children.iter().find_map(|(name, child)| match child {
+                Node::File(file) if file.data.is_resolved() => Some(name.clone()),
+                _ => first_inline(child).map(|below| format!("{name}/{below}")),
+            })
         }
-        Ok(GearIndex { tree: Arc::new(tree), config })
+        match first_inline(tree.root()) {
+            Some(path) => Err(IndexError::UnresolvedContent(path)),
+            None => Ok(GearIndex { tree: Arc::new(tree), config }),
+        }
     }
 
     /// The tree of fingerprint placeholders — the read-only lower layer the
@@ -114,8 +123,9 @@ impl GearIndex {
 
     /// Serializes to JSON.
     pub fn to_json(&self) -> Vec<u8> {
-        // The vendored writer cannot fail; its `Result` mirrors upstream's.
-        serde_json::to_vec(self).unwrap_or_default()
+        let mut out = Vec::new();
+        self.write(&mut out);
+        out
     }
 
     /// Parses from JSON.
@@ -131,7 +141,9 @@ impl GearIndex {
     /// Size of the serialized index in bytes — the amount a client must pull
     /// before its container can start (paper: ~0.53 MB on average).
     pub fn serialized_len(&self) -> u64 {
-        self.to_json().len() as u64
+        let mut len = Count(0);
+        self.write(&mut len);
+        len.0
     }
 
     /// Every `(fingerprint, size)` the index references (files and chunks),
@@ -194,60 +206,157 @@ impl GearIndex {
 // Key order is part of the format: `kind, meta`, then `children` |
 // `fingerprint, size` | `chunks, size` | `target`; `root, config` at the top.
 // Decoding takes the keys in any order and ignores unknown ones.
+//
+// The writer goes straight from the tree to the bytes — no `Value` tree in
+// between, nothing allocated per node — and spells what the generic JSON
+// writer would: no whitespace, integers in decimal, strings escaped as in
+// `put_str`, fingerprints as 32 lowercase hex digits.
 
-fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
-    Value::Object(fields.into_iter().map(|(key, value)| (key.to_owned(), value)).collect())
+/// Where the document goes: into a buffer, or nowhere but a byte count.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-fn node_to_value(node: &Node) -> Value {
-    let kind = |kind: &str| ("kind", Value::String(kind.to_owned()));
-    match node {
-        Node::Dir { meta, children } => {
-            let children =
-                children.iter().map(|(name, child)| (name.clone(), node_to_value(child)));
-            object([
-                kind("dir"),
-                ("meta", to_value(meta)),
-                ("children", Value::Object(children.collect())),
-            ])
-        }
-        Node::File(FileNode { meta, data }) => match data {
-            FileData::Fingerprint { fingerprint, size } => object([
-                kind("file"),
-                ("meta", to_value(meta)),
-                ("fingerprint", to_value(fingerprint)),
-                ("size", to_value(size)),
-            ]),
-            FileData::Chunked { chunks, size } => {
-                let chunks = chunks.iter().map(|chunk| {
-                    object([
-                        ("fingerprint", to_value(&chunk.fingerprint)),
-                        ("size", to_value(&chunk.size)),
-                    ])
-                });
-                object([
-                    kind("big_file"),
-                    ("meta", to_value(meta)),
-                    ("chunks", Value::Array(chunks.collect())),
-                    ("size", to_value(size)),
-                ])
-            }
-            FileData::Inline(_) => unreachable!("`GearIndex::from_tree` admits no inline body"),
-        },
-        Node::Symlink(link) => object([
-            kind("symlink"),
-            ("meta", to_value(&link.meta)),
-            ("target", to_value(&link.target)),
-        ]),
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 }
 
-impl Serialize for GearIndex {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.accept(object([
-            ("root", node_to_value(self.tree.root())),
-            ("config", to_value(&self.config)),
-        ]))
+/// The sink behind [`GearIndex::serialized_len`].
+struct Count(u64);
+
+impl Sink for Count {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
+    }
+}
+
+/// The lowercase hex digit of a value below 16.
+fn hex_digit(nibble: u8) -> u8 {
+    b"0123456789abcdef"[usize::from(nibble & 15)]
+}
+
+fn put_u64(out: &mut impl Sink, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.put(&digits[at..]);
+}
+
+/// A JSON string: `"` and `\` behind a backslash, newline, return and tab by
+/// letter, any other control character as `\u00XX`, the rest as it is.
+fn put_str(out: &mut impl Sink, text: &str) {
+    out.put(b"\"");
+    let bytes = text.as_bytes();
+    let mut written = 0;
+    for (at, &byte) in bytes.iter().enumerate() {
+        let unicode;
+        let escape: &[u8] = match byte {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => {
+                unicode = [b'\\', b'u', b'0', b'0', hex_digit(byte >> 4), hex_digit(byte & 15)];
+                &unicode
+            }
+            _ => continue,
+        };
+        out.put(&bytes[written..at]);
+        out.put(escape);
+        written = at + 1;
+    }
+    out.put(&bytes[written..]);
+    out.put(b"\"");
+}
+
+/// `"fingerprint":"<hex>","size":<n>` — a file's tail and a chunk's body.
+fn put_content(out: &mut impl Sink, fingerprint: &Fingerprint, size: u64) {
+    let mut hex = [0u8; 2 * Fingerprint::LEN];
+    for (pair, byte) in hex.chunks_exact_mut(2).zip(fingerprint.as_bytes()) {
+        pair.copy_from_slice(&[hex_digit(byte >> 4), hex_digit(byte & 15)]);
+    }
+    out.put(b"\"fingerprint\":\"");
+    out.put(&hex);
+    out.put(b"\",\"size\":");
+    put_u64(out, size);
+}
+
+/// `{"kind":"<kind>","meta":{…},` — how every node opens.
+fn put_head(out: &mut impl Sink, kind: &str, meta: &Metadata) {
+    out.put(b"{\"kind\":\"");
+    out.put(kind.as_bytes());
+    out.put(b"\",\"meta\":{\"mode\":");
+    put_u64(out, meta.mode.into());
+    out.put(b",\"uid\":");
+    put_u64(out, meta.uid.into());
+    out.put(b",\"gid\":");
+    put_u64(out, meta.gid.into());
+    out.put(b",\"mtime\":");
+    put_u64(out, meta.mtime);
+    out.put(b"},");
+}
+
+fn put_node(out: &mut impl Sink, node: &Node) {
+    match node {
+        Node::Dir { meta, children } => {
+            put_head(out, "dir", meta);
+            out.put(b"\"children\":{");
+            for (nth, (name, child)) in children.iter().enumerate() {
+                if nth > 0 {
+                    out.put(b",");
+                }
+                put_str(out, name);
+                out.put(b":");
+                put_node(out, child);
+            }
+            out.put(b"}}");
+        }
+        Node::File(FileNode { meta, data }) => match data {
+            FileData::Fingerprint { fingerprint, size } => {
+                put_head(out, "file", meta);
+                put_content(out, fingerprint, *size);
+                out.put(b"}");
+            }
+            FileData::Chunked { chunks, size } => {
+                put_head(out, "big_file", meta);
+                out.put(b"\"chunks\":[");
+                for (nth, chunk) in chunks.iter().enumerate() {
+                    out.put(if nth > 0 { b",{" } else { b"{" });
+                    put_content(out, &chunk.fingerprint, chunk.size);
+                    out.put(b"}");
+                }
+                out.put(b"],\"size\":");
+                put_u64(out, *size);
+                out.put(b"}");
+            }
+            FileData::Inline(_) => unreachable!("`GearIndex::from_tree` admits no inline body"),
+        },
+        Node::Symlink(link) => {
+            put_head(out, "symlink", &link.meta);
+            out.put(b"\"target\":");
+            put_str(out, &link.target);
+            out.put(b"}");
+        }
+    }
+}
+
+impl GearIndex {
+    fn write(&self, out: &mut impl Sink) {
+        out.put(b"{\"root\":");
+        put_node(out, self.tree.root());
+        out.put(b",\"config\":");
+        out.put(&self.config.to_json());
+        out.put(b"}");
     }
 }
 
@@ -377,7 +486,6 @@ impl GearImage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gear_archive::Metadata;
 
     fn sample_index() -> GearIndex {
         let mut tree = FsTree::new();

@@ -82,25 +82,16 @@ impl Sha256 {
 
     /// Pads, finishes, and returns the 32-byte digest, consuming the hasher.
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.len.wrapping_mul(8);
-        self.update_pad(&[0x80]);
-        while self.buf_len != 56 {
-            self.update_pad(&[0]);
-        }
         // SHA-256 appends the length big-endian, unlike MD5.
-        self.update_pad(&bit_len.to_be_bytes());
+        let (pad, pad_len) =
+            crate::md_padding(self.buf_len, self.len.wrapping_mul(8).to_be_bytes());
+        self.update(&pad[..pad_len]);
         debug_assert_eq!(self.buf_len, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
-    }
-
-    fn update_pad(&mut self, data: &[u8]) {
-        let len = self.len;
-        self.update(data);
-        self.len = len;
     }
 
     /// Processes one 64-byte block directly from a slice (callers guarantee

@@ -1,7 +1,22 @@
 //! Property-based tests for the hash substrate.
 
-use gear_hash::{hex_decode, hex_encode, Digest, Fingerprint, Md5, Sha256};
+use gear_hash::{fingerprint_all, hex_decode, hex_encode, Digest, Fingerprint, Md5, Sha256};
+use gear_par::Pool;
 use proptest::prelude::*;
+
+/// A batch large enough (2 MiB) that `fingerprint_all` leaves the calling
+/// thread: every worker count, dividing the 67 items evenly or not, gives
+/// the item-by-item fingerprints in item order.
+#[test]
+fn fingerprint_all_across_workers_matches_item_by_item() {
+    let items: Vec<Vec<u8>> =
+        (0..67usize).map(|i| (0..i * 977).map(|j| (i * 131 + j) as u8).collect()).collect();
+    assert!(items.iter().map(Vec::len).sum::<usize>() > 2 << 20);
+    let want: Vec<Fingerprint> = items.iter().map(|item| Fingerprint::of(item)).collect();
+    for workers in [1, 2, 3, 8, 67, 100] {
+        assert_eq!(fingerprint_all(&items, &Pool::new(workers)), want, "workers={workers}");
+    }
+}
 
 proptest! {
     /// Hex encode/decode is a bijection on byte vectors.
@@ -21,6 +36,17 @@ proptest! {
         b.update(&data[..at]);
         b.update(&data[at..]);
         prop_assert_eq!(a.finalize(), b.finalize());
+    }
+
+    /// A batch fingerprints to what its items fingerprint to one by one,
+    /// whatever lengths meet in the two lanes.
+    #[test]
+    fn fingerprint_all_matches_item_by_item(
+        items in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..400), 0..12),
+    ) {
+        let want: Vec<Fingerprint> = items.iter().map(|item| Fingerprint::of(item)).collect();
+        prop_assert_eq!(&fingerprint_all(&items, &Pool::serial()), &want);
+        prop_assert_eq!(&fingerprint_all(&items, &Pool::new(3)), &want);
     }
 
     /// Splitting the input at any point must not change the SHA-256 digest.
