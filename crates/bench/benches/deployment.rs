@@ -1,9 +1,10 @@
 //! Deployment-engine execution cost: how fast the simulator itself runs one
 //! Gear / Docker / Slacker deployment (not the simulated time it reports).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gear_bench::experiments::{fig8, ExperimentContext};
 use gear_client::{ClientConfig, DockerClient, GearClient, SlackerClient};
+use gear_core::{Converter, GearIndex};
 
 fn bench_deploy(c: &mut Criterion) {
     let ctx = ExperimentContext::quick();
@@ -57,6 +58,13 @@ fn bench_deploy(c: &mut Criterion) {
             client.destroy(id);
             std::hint::black_box(report)
         })
+    });
+    // What a cold deploy does with the index bytes it pulled, before the
+    // first read: JSON to placeholder tree.
+    let index_json = Converter::new().convert(image).unwrap().gear_image.index().to_json();
+    group.throughput(Throughput::Bytes(index_json.len() as u64));
+    group.bench_function("index_decode", |b| {
+        b.iter(|| GearIndex::from_json(std::hint::black_box(&index_json)).unwrap())
     });
     group.finish();
 }

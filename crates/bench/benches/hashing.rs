@@ -23,6 +23,12 @@ fn bench_hashing(c: &mut Criterion) {
             b.iter(|| Digest::of(std::hint::black_box(d)))
         });
     }
+    // One index layer — what a cold deploy hashes for the layer's diff id.
+    let layer = content(32 * 1024);
+    group.throughput(Throughput::Bytes(layer.len() as u64));
+    group.bench_with_input(BenchmarkId::new("sha256_digest", layer.len()), &layer, |b, d| {
+        b.iter(|| Digest::of(std::hint::black_box(d)))
+    });
     group.finish();
 }
 

@@ -32,6 +32,26 @@ fn bench_union(c: &mut Criterion) {
         })
     });
 
+    // The shape of a cold deploy: a fresh mount over one index tree, the 54
+    // distinct files of a start-up trace read once each — every lookup a
+    // first lookup, where `read_through_lower` above soon runs on its cache.
+    group.bench_function("cold_read_depth5", |b| {
+        let paths: Vec<String> = (0..54)
+            .map(|i| i * 37 % 2048)
+            .map(|i| format!("usr/lib/d{}/sub{}/file{:04}", i % 8, i % 32, i))
+            .collect();
+        b.iter_batched(
+            || UnionFs::new(vec![Arc::clone(&lower)]),
+            |mut mount| {
+                for path in &paths {
+                    std::hint::black_box(mount.read(path, &NoFetch).unwrap());
+                }
+                mount
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
+
     group.bench_function("readdir_merged", |b| {
         let mut mount = UnionFs::new(vec![Arc::clone(&lower)]);
         mount.write("usr/lib/d0/from-upper", Bytes::from_static(b"x")).unwrap();

@@ -5,6 +5,7 @@
 //! (grammar in DESIGN.md §2) prices the index blob every deployment pulls,
 //! so the hand-written codec below keeps it byte-stable.
 
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -14,8 +15,8 @@ use gear_archive::Metadata;
 use gear_fs::{ChunkRef, FileData, FileNode, FsTree, Node};
 use gear_hash::Fingerprint;
 use gear_image::{Image, ImageBuilder, ImageConfig, ImageRef};
-use serde::de::Error as DeError;
-use serde::{Deserialize, DeserializeOwned, Deserializer, Map, Value};
+use serde::de::Error as _;
+use serde_json::Reader;
 
 /// Path inside the single-layer index image where the index JSON lives.
 pub const INDEX_PATH: &str = "var/lib/gear/index.json";
@@ -135,7 +136,7 @@ impl GearIndex {
     /// [`IndexError::Json`] for malformed input, including an entry name no
     /// path can reach (empty, `.`, `..`, or holding `/` or NUL).
     pub fn from_json(bytes: &[u8]) -> Result<Self, IndexError> {
-        Ok(serde_json::from_slice(bytes)?)
+        Ok(read_index(bytes)?)
     }
 
     /// Size of the serialized index in bytes — the amount a client must pull
@@ -360,64 +361,142 @@ impl GearIndex {
     }
 }
 
-fn as_object<E: DeError>(value: &Value) -> Result<&Map, E> {
-    value.as_object().ok_or_else(|| E::custom(format!("expected object, found {}", value.kind())))
+// The reader: one pass over the document with `serde_json::Reader`, nodes
+// built as their closing brace is reached. A node's fields are collected as
+// options because they may come in any order; a key the grammar does not name
+// is skipped, a key met twice keeps its last value, and a known key holding
+// the wrong type is an error wherever it stands.
+
+type Json<T> = Result<T, serde_json::Error>;
+
+/// The value of a field its object has to have, now that the object is closed.
+fn need<T>(reader: &Reader<'_>, field: &str, value: Option<T>) -> Json<T> {
+    value.ok_or_else(|| reader.error(format!("missing field `{field}`")))
 }
 
-fn field<'v, E: DeError>(map: &'v Map, key: &str) -> Result<&'v Value, E> {
-    map.get(key).ok_or_else(|| E::custom(format!("missing field `{key}`")))
+/// A `mode`, `uid` or `gid`: a number that fits `u32`.
+fn read_u32(reader: &mut Reader<'_>) -> Json<u32> {
+    let value = reader.u64()?;
+    u32::try_from(value).map_err(|_| reader.error(format!("{value} does not fit in 32 bits")))
 }
 
-fn parse<T: DeserializeOwned, E: DeError>(map: &Map, key: &str) -> Result<T, E> {
-    serde::from_value(field(map, key)?).map_err(E::custom)
-}
-
-fn node_from_value<E: DeError>(value: &Value) -> Result<Node, E> {
-    let map = as_object(value)?;
-    let meta = parse(map, "meta")?;
-    match field(map, "kind")?.as_str() {
-        Some("dir") => {
-            let children = as_object(field(map, "children")?)?
-                .iter()
-                .map(|(name, child)| Ok((name.to_owned(), node_from_value(child)?)))
-                .collect::<Result<_, E>>()?;
-            Ok(Node::Dir { meta, children })
+fn read_meta(reader: &mut Reader<'_>) -> Json<Metadata> {
+    let (mut mode, mut uid, mut gid, mut mtime) = (None, None, None, None);
+    reader.begin_object()?;
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "mode" => mode = Some(read_u32(reader)?),
+            "uid" => uid = Some(read_u32(reader)?),
+            "gid" => gid = Some(read_u32(reader)?),
+            "mtime" => mtime = Some(reader.u64()?),
+            _ => reader.skip()?,
         }
-        Some("file") => {
-            Ok(Node::fingerprint_file(meta, parse(map, "fingerprint")?, parse(map, "size")?))
+    }
+    Ok(Metadata {
+        mode: need(reader, "mode", mode)?,
+        uid: need(reader, "uid", uid)?,
+        gid: need(reader, "gid", gid)?,
+        mtime: need(reader, "mtime", mtime)?,
+    })
+}
+
+fn read_fingerprint(reader: &mut Reader<'_>) -> Json<Fingerprint> {
+    let hex = reader.str()?;
+    hex.parse().map_err(|e: gear_hash::ParseFingerprintError| reader.error(e.to_string()))
+}
+
+/// `{"fingerprint":…,"size":…}` — one entry of a big file's `chunks`.
+fn read_chunk(reader: &mut Reader<'_>) -> Json<ChunkRef> {
+    let (mut fingerprint, mut size) = (None, None);
+    reader.begin_object()?;
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "fingerprint" => fingerprint = Some(read_fingerprint(reader)?),
+            "size" => size = Some(reader.u64()?),
+            _ => reader.skip()?,
         }
-        Some("big_file") => {
-            let chunks = field(map, "chunks")?
-                .as_array()
-                .ok_or_else(|| E::custom("expected an array of chunks"))?
-                .iter()
-                .map(|chunk| {
-                    let chunk = as_object(chunk)?;
-                    Ok(ChunkRef {
-                        fingerprint: parse(chunk, "fingerprint")?,
-                        size: parse(chunk, "size")?,
-                    })
-                })
-                .collect::<Result<_, E>>()?;
-            let data = FileData::Chunked { chunks, size: parse(map, "size")? };
+    }
+    Ok(ChunkRef {
+        fingerprint: need(reader, "fingerprint", fingerprint)?,
+        size: need(reader, "size", size)?,
+    })
+}
+
+/// A directory's `children`. Collected into a `Vec` and handed to the map
+/// whole: `BTreeMap`'s bulk build sorts once, keeps the last of equal names
+/// and packs its leaves full, where inserting one name at a time in the
+/// ascending order an index arrives in leaves every leaf half empty.
+fn read_children(reader: &mut Reader<'_>) -> Json<BTreeMap<String, Node>> {
+    let mut children = Vec::new();
+    reader.begin_object()?;
+    while let Some(name) = reader.next_key()? {
+        children.push((name.into_owned(), read_node(reader)?));
+    }
+    Ok(children.into_iter().collect())
+}
+
+fn read_node(reader: &mut Reader<'_>) -> Json<Node> {
+    let (mut kind, mut meta, mut children, mut target) = (None, None, None, None);
+    let (mut fingerprint, mut size, mut chunks) = (None, None, None);
+    reader.begin_object()?;
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "kind" => kind = Some(reader.str()?),
+            "meta" => meta = Some(read_meta(reader)?),
+            "children" => children = Some(read_children(reader)?),
+            "fingerprint" => fingerprint = Some(read_fingerprint(reader)?),
+            "size" => size = Some(reader.u64()?),
+            "chunks" => {
+                let mut list = Vec::new();
+                reader.begin_array()?;
+                while reader.next_item()? {
+                    list.push(read_chunk(reader)?);
+                }
+                chunks = Some(list);
+            }
+            "target" => target = Some(reader.str()?.into_owned()),
+            _ => reader.skip()?,
+        }
+    }
+    let meta = need(reader, "meta", meta)?;
+    match &*need(reader, "kind", kind)? {
+        "dir" => Ok(Node::Dir { meta, children: need(reader, "children", children)? }),
+        "file" => Ok(Node::fingerprint_file(
+            meta,
+            need(reader, "fingerprint", fingerprint)?,
+            need(reader, "size", size)?,
+        )),
+        "big_file" => {
+            let chunks = need(reader, "chunks", chunks)?;
+            let data = FileData::Chunked { chunks, size: need(reader, "size", size)? };
             Ok(Node::File(FileNode { meta, data }))
         }
-        Some("symlink") => Ok(Node::symlink(meta, parse::<String, E>(map, "target")?)),
-        _ => Err(E::custom("unknown index node kind")),
+        "symlink" => Ok(Node::symlink(meta, need(reader, "target", target)?)),
+        _ => Err(reader.error("unknown index node kind")),
     }
 }
 
-/// Builds the tree's nodes straight from the parsed document — no inline
-/// body among them, by construction. The index is untrusted input:
-/// [`FsTree::from_root`] rejects entry names no path can reach, which would
-/// otherwise sit in the mount as unreachable nodes.
-impl<'de> Deserialize<'de> for GearIndex {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let doc = as_object(deserializer.value())?;
-        let root = node_from_value(field(doc, "root")?)?;
-        let tree = FsTree::from_root(root).map_err(D::Error::custom)?;
-        Ok(GearIndex { tree: Arc::new(tree), config: parse(doc, "config")? })
+/// Builds the tree's nodes straight from the document — no inline body among
+/// them, by construction. The index is untrusted input: the reader caps how
+/// deep it nests, and [`FsTree::from_root`] rejects entry names no path can
+/// reach, which would otherwise sit in the mount as unreachable nodes.
+fn read_index(bytes: &[u8]) -> Json<GearIndex> {
+    let mut reader = Reader::from_slice(bytes)?;
+    let (mut root, mut config) = (None, None);
+    reader.begin_object()?;
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "root" => root = Some(read_node(&mut reader)?),
+            "config" => config = Some(reader.value()?),
+            _ => reader.skip()?,
+        }
     }
+    reader.end()?;
+    let root = need(&reader, "root", root)?;
+    let config = need(&reader, "config", config)?;
+    let tree = FsTree::from_root(root).map_err(serde_json::Error::custom)?;
+    let config = serde::from_value(&config).map_err(serde_json::Error::custom)?;
+    Ok(GearIndex { tree: Arc::new(tree), config })
 }
 
 /// A Gear image: a named [`GearIndex`]. The corresponding Gear files live in

@@ -46,6 +46,9 @@ enum Damage {
     /// Replaces one object key — a field name or an entry name — with
     /// another field name or a name no path can reach.
     RenameKey(u64, u64),
+    /// Opens a run of arrays or objects at some byte, far more of them than
+    /// a decoder could recurse through.
+    InsertRun(u64, bool, usize),
 }
 
 fn any_damage() -> impl Strategy<Value = Damage> {
@@ -53,6 +56,8 @@ fn any_damage() -> impl Strategy<Value = Damage> {
         any::<u64>().prop_map(Damage::Truncate),
         (any::<u64>(), 1..=127u8).prop_map(|(at, mask)| Damage::FlipByte(at, mask)),
         (any::<u64>(), any::<u64>()).prop_map(|(key, name)| Damage::RenameKey(key, name)),
+        (any::<u64>(), any::<bool>(), 1..60_000usize)
+            .prop_map(|(at, array, len)| Damage::InsertRun(at, array, len)),
     ]
 }
 
@@ -71,6 +76,11 @@ fn damaged(json: &[u8], damage: &Damage) -> Vec<u8> {
             let end = ends[(key % ends.len() as u64) as usize];
             let start = doc[..end].iter().rposition(|&b| b == b'"').unwrap() + 1;
             doc.splice(start..end, NAMES[(name % NAMES.len() as u64) as usize].bytes());
+        }
+        Damage::InsertRun(at, array, len) => {
+            let at = (at % json.len() as u64) as usize;
+            let open = if array { "[" } else { "{\"a\":" };
+            doc.splice(at..at, open.repeat(len).bytes());
         }
     }
     doc

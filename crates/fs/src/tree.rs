@@ -1,5 +1,7 @@
 //! A mutable directory tree with layer replay.
 
+use std::collections::BTreeMap;
+
 use bytes::Bytes;
 use gear_archive::{Archive, ArchivePath, Entry, EntryKind, Metadata};
 
@@ -118,9 +120,18 @@ impl FsTree {
     /// [`FsError::InvalidPath`] for malformed paths.
     pub fn mkdir_p(&mut self, path: &str) -> Result<(), FsError> {
         let valid = ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
+        self.dir_mut(Some(&valid)).map(|_| ())
+    }
+
+    /// The children of the directory at `path` (`None` is the root), made
+    /// along with any missing ancestor.
+    fn dir_mut(
+        &mut self,
+        path: Option<&ArchivePath>,
+    ) -> Result<&mut BTreeMap<String, Node>, FsError> {
         let mut node = &mut self.root;
         let mut walked = String::new();
-        for comp in valid.components() {
+        for comp in path.into_iter().flat_map(ArchivePath::components) {
             if !walked.is_empty() {
                 walked.push('/');
             }
@@ -132,10 +143,10 @@ impl FsTree {
                 .entry(comp.to_owned())
                 .or_insert_with(|| Node::empty_dir(Metadata::dir_default()));
         }
-        if !node.is_dir() {
-            return Err(FsError::NotADirectory(path.to_owned()));
+        match node {
+            Node::Dir { children, .. } => Ok(children),
+            _ => Err(FsError::NotADirectory(walked)),
         }
-        Ok(())
     }
 
     /// Inserts `node` at `path`, creating missing parent directories and
@@ -147,16 +158,7 @@ impl FsTree {
     /// [`FsError::InvalidPath`] for malformed paths.
     pub fn insert(&mut self, path: &str, node: Node) -> Result<(), FsError> {
         let valid = ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
-        if let Some(parent) = valid.parent() {
-            self.mkdir_p(parent.as_str())?;
-        }
-        let parent = match valid.parent() {
-            Some(p) => self.get_mut(p.as_str()).expect("just created"),
-            None => &mut self.root,
-        };
-        let Node::Dir { children, .. } = parent else {
-            return Err(FsError::NotADirectory(path.to_owned()));
-        };
+        let children = self.dir_mut(valid.parent().as_ref())?;
         children.insert(valid.file_name().to_owned(), node);
         Ok(())
     }
@@ -291,7 +293,9 @@ impl FsTree {
     pub fn to_layer(&self) -> Archive {
         let mut archive = Archive::new();
         for (path, node) in self.walk() {
-            let apath = ArchivePath::new(&path).expect("walk yields valid paths");
+            // Names are checked on the way in (`insert`, `from_root`); an
+            // entry no path reaches has no archive form.
+            let Ok(apath) = ArchivePath::new(&path) else { continue };
             match node {
                 Node::Dir { meta, .. } => archive.push(Entry::dir(apath, *meta)),
                 Node::File(f) => {

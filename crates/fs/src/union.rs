@@ -153,12 +153,11 @@ impl UnionFs {
     /// the trace (metrics, warm-trace export) costs O(1) between accesses.
     pub fn touched_paths(&self) -> Arc<[String]> {
         let mut cache = self.touched_snapshot.borrow_mut();
-        if cache.is_none() {
+        Arc::clone(cache.get_or_insert_with(|| {
             let mut paths: Vec<String> = self.touched.iter().map(|p| p.to_string()).collect();
             paths.sort();
-            *cache = Some(Arc::from(paths));
-        }
-        Arc::clone(cache.as_ref().expect("snapshot just built"))
+            Arc::from(paths)
+        }))
     }
 
     /// Read-only view of the writable upper tree.
@@ -329,7 +328,7 @@ impl UnionFs {
                 _ => return Err(FsError::NotADirectory(path.to_owned())),
             }
         }
-        if !self.lower_masked(&resolved, found_any && !found_dir) {
+        if !self.walk(&resolved).hides_below() {
             for tree in self.visible_lowers(&resolved) {
                 if let Some(Node::Dir { children, .. }) = tree.get(&resolved) {
                     found_any = true;
@@ -524,9 +523,10 @@ impl UnionFs {
         self.invalidate_lookups();
         let valid = ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
         let path = valid.as_str();
-        let in_upper = self.upper.contains(path);
-        let in_lower = self.find_lower(path).is_some();
-        if !in_upper && (!in_lower || self.lower_hidden(path)) {
+        let at = self.walk(path);
+        let (in_upper, in_lower, hidden) =
+            (at.upper().is_some(), at.lower().is_some(), at.hidden());
+        if !in_upper && (!in_lower || hidden) {
             return Err(FsError::NotFound(path.to_owned()));
         }
         if in_upper {
@@ -548,12 +548,16 @@ impl UnionFs {
         let mut archive = Archive::new();
         for path in &self.whiteouts {
             if !self.upper.contains(path) {
-                let p = ArchivePath::new(path).expect("stored paths are valid");
-                archive.push(Entry::whiteout(p));
+                // Every stored path went through `ArchivePath::new` in `unlink`.
+                if let Ok(p) = ArchivePath::new(path) {
+                    archive.push(Entry::whiteout(p));
+                }
             }
         }
         for (path, node) in self.upper.walk() {
-            let apath = ArchivePath::new(&path).expect("walk yields valid paths");
+            // The upper only ever grows by validated paths; an entry no path
+            // reaches has no archive form.
+            let Ok(apath) = ArchivePath::new(&path) else { continue };
             match node {
                 Node::Dir { meta, .. } => {
                     if self.opaques.contains(&path) {
@@ -593,7 +597,7 @@ impl UnionFs {
         for tree in &self.lowers {
             for (path, node) in tree.walk() {
                 // Skip paths masked by whiteouts/opaque ancestors.
-                if self.lower_hidden(&path) {
+                if self.walk(&path).hidden() {
                     continue;
                 }
                 let _ = out.insert(&path, node.clone());
@@ -715,101 +719,25 @@ impl UnionFs {
         Ok(bytes)
     }
 
-    /// Whether lower content at `path` is hidden by a whiteout/opaque marker
-    /// at the path itself or any ancestor, or by a non-directory in the upper
-    /// at an ancestor.
-    fn lower_hidden(&self, path: &str) -> bool {
-        let mut prefix = String::new();
-        let mut comps = path.split('/').peekable();
-        while let Some(comp) = comps.next() {
-            if !prefix.is_empty() {
-                prefix.push('/');
-            }
-            prefix.push_str(comp);
-            let is_final = comps.peek().is_none();
-            if self.whiteouts.contains(&prefix) {
-                return true;
-            }
-            if !is_final && self.opaques.contains(&prefix) {
-                return true;
-            }
-            if !is_final {
-                if let Some(node) = self.upper.get(&prefix) {
-                    if !node.is_dir() {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Whether lower layers are masked for `readdir` at `path`.
-    fn lower_masked(&self, path: &str, upper_non_dir: bool) -> bool {
-        upper_non_dir
-            || self.opaques.contains(path)
-            || (!path.is_empty() && self.lower_hidden(path))
-    }
-
     /// Lower trees in precedence order (topmost lower first).
     fn visible_lowers(&self, _path: &str) -> impl Iterator<Item = &Arc<FsTree>> {
         self.lowers.iter().rev()
     }
 
-    /// Finds the node at `path` in the merged view, no symlink following.
-    fn find(&self, path: &str) -> Option<&Node> {
-        if let Some(node) = self.upper.get(path) {
-            return Some(node);
+    /// A [`Walk`] taken down `path`, one level per component.
+    fn walk(&self, path: &str) -> Walk<'_> {
+        let mut walk = Walk::new(self, path.len());
+        if !path.is_empty() {
+            for comp in path.split('/') {
+                walk.push(comp);
+            }
         }
-        if path.is_empty() {
-            return self.lowers.last().map(|t| t.get("").expect("root exists"));
-        }
-        if self.lower_hidden(path) {
-            return None;
-        }
-        self.find_lower(path)
+        walk
     }
 
-    /// Finds `path` in the lower stack with overlay masking between lowers.
-    fn find_lower(&self, path: &str) -> Option<&Node> {
-        // Current merged set of directory nodes at the walked prefix,
-        // ordered topmost-lower first.
-        let mut dirs: Vec<&Node> = self
-            .visible_lowers(path)
-            .map(|t| t.get("").expect("root exists"))
-            .collect();
-        let mut comps = path.split('/').peekable();
-        while let Some(comp) = comps.next() {
-            let is_final = comps.peek().is_none();
-            let mut matched: Vec<&Node> = Vec::new();
-            for dir in &dirs {
-                if let Node::Dir { children, .. } = dir {
-                    if let Some(child) = children.get(comp) {
-                        if matched.is_empty() {
-                            let non_dir = !child.is_dir();
-                            matched.push(child);
-                            if non_dir {
-                                break; // masks deeper layers
-                            }
-                        } else if child.is_dir() {
-                            matched.push(child); // merged dir
-                        }
-                        // deeper non-dir under a dir: hidden
-                    }
-                }
-            }
-            if matched.is_empty() {
-                return None;
-            }
-            if is_final {
-                return Some(matched[0]);
-            }
-            if !matched[0].is_dir() {
-                return None; // cannot descend through a file/symlink
-            }
-            dirs = matched;
-        }
-        None
+    /// Finds the node at `path` in the merged view, no symlink following.
+    fn find(&self, path: &str) -> Option<&Node> {
+        self.walk(path).node()
     }
 
     /// Resolves symlinks in `path`; returns the normalized final path.
@@ -838,47 +766,193 @@ impl UnionFs {
         Ok(value)
     }
 
-    /// The uncached resolution walk behind [`UnionFs::resolve`].
-    fn resolve_uncached(&mut self, path: &str, follow_final: bool) -> Result<String, FsError> {
+    /// The uncached resolution behind [`UnionFs::resolve`]: one [`Walk`]
+    /// that steps down for a name, up for `..`, and back to the root for an
+    /// absolute link target. What is still to be walked is a stack of
+    /// component iterators borrowed from the request path and from the
+    /// targets of the links met on the way, the innermost target on top.
+    fn resolve_uncached<'a>(
+        &'a self,
+        path: &'a str,
+        follow_final: bool,
+    ) -> Result<String, FsError> {
         if path.is_empty() {
             return Ok(String::new());
         }
         ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
-        let mut stack: Vec<String> = Vec::new();
-        let mut pending: Vec<String> = path.split('/').rev().map(str::to_owned).collect();
+        let mut walk = Walk::new(self, path.len());
+        let mut pending = vec![path.split('/')];
         let mut hops = 0usize;
-        while let Some(comp) = pending.pop() {
-            match comp.as_str() {
+        while let Some(rest) = pending.last_mut() {
+            let Some(comp) = rest.next() else {
+                pending.pop();
+                continue;
+            };
+            match comp {
                 "" | "." => continue,
                 ".." => {
-                    stack.pop();
+                    walk.pop();
                     continue;
                 }
                 _ => {}
             }
-            stack.push(comp);
-            let current = stack.join("/");
-            let is_final = pending.iter().all(|c| c == "." || c.is_empty());
-            if is_final && !follow_final {
+            walk.push(comp);
+            let is_final = || pending.iter().all(|rest| rest.clone().all(|c| matches!(c, "" | ".")));
+            if !follow_final && is_final() {
                 continue;
             }
-            if let Some(Node::Symlink(link)) = self.find(&current) {
+            if let Some(Node::Symlink(link)) = walk.node() {
                 hops += 1;
                 if hops > SYMLINK_MAX {
                     return Err(FsError::SymlinkLoop(path.to_owned()));
                 }
-                let target = link.target.clone();
-                stack.pop(); // the link component itself
-                if target.starts_with('/') {
-                    stack.clear();
+                walk.pop(); // the link component itself
+                if link.target.starts_with('/') {
+                    walk.clear();
                 }
-                // Queue the target's components ahead of the remaining ones.
-                for part in target.trim_start_matches('/').split('/').rev() {
-                    pending.push(part.to_owned());
-                }
+                pending.push(link.target.trim_start_matches('/').split('/'));
             }
         }
-        Ok(stack.join("/"))
+        Ok(walk.path)
+    }
+}
+
+/// What one prefix of a walked path holds in each part of the mount.
+#[derive(Debug)]
+struct Level<'a> {
+    /// The upper tree's node here.
+    upper: Option<&'a Node>,
+    /// Where this level's nodes start in [`Walk::lowers`]; they run to the
+    /// next level's start, the top level's to the end.
+    lowers_start: usize,
+    /// Lower content *at* this prefix is hidden: a whiteout here or on a
+    /// prefix above, or what `hides_below` says of the level above.
+    hidden: bool,
+    /// Lower content *below* this prefix is hidden: `hidden`, or this prefix
+    /// is opaque, or the upper holds a non-directory here.
+    hides_below: bool,
+    /// Length of [`Walk::path`] without this level's component.
+    parent_len: usize,
+}
+
+/// A position in the merged view, moved one component at a time — the one
+/// place overlay masking is worked out. Stepping down costs one map lookup in
+/// the upper and one in each lower directory still merged in; nothing is
+/// allocated per step.
+#[derive(Debug)]
+struct Walk<'a> {
+    fs: &'a UnionFs,
+    /// Where the walk starts, and stands while `levels` is empty.
+    root: Level<'a>,
+    /// One level per component walked.
+    levels: Vec<Level<'a>>,
+    /// Every level's lower nodes, the root's first, then level after level.
+    /// A level's are what the lower stack alone shows at its prefix, topmost
+    /// lower first: either the directories merged there, or the one
+    /// non-directory that masks the rest. Whether the upper lets any of it
+    /// through is the level's `hidden`.
+    lowers: Vec<&'a Node>,
+    /// The walked prefix, as whiteouts and opaque markers are keyed.
+    path: String,
+}
+
+impl<'a> Walk<'a> {
+    /// A walk standing at the root, with room for a path of `path_len` bytes.
+    fn new(fs: &'a UnionFs, path_len: usize) -> Self {
+        let root = Level {
+            upper: Some(fs.upper.root()),
+            lowers_start: 0,
+            hidden: false,
+            hides_below: false,
+            parent_len: 0,
+        };
+        let mut lowers = Vec::with_capacity(8 * fs.lowers.len().max(1));
+        lowers.extend(fs.lowers.iter().rev().map(|tree| tree.root()));
+        Walk {
+            fs,
+            root,
+            levels: Vec::with_capacity(8),
+            lowers,
+            path: String::with_capacity(path_len),
+        }
+    }
+
+    fn top(&self) -> &Level<'a> {
+        self.levels.last().unwrap_or(&self.root)
+    }
+
+    /// Steps down into `comp`, whether or not anything is there.
+    fn push(&mut self, comp: &str) {
+        let top = self.top();
+        let upper = match top.upper {
+            Some(Node::Dir { children, .. }) => children.get(comp),
+            _ => None,
+        };
+        let (above, hidden_above) = (top.lowers_start, top.hides_below);
+        let start = self.lowers.len();
+        for at in above..start {
+            let Node::Dir { children, .. } = self.lowers[at] else { continue };
+            let Some(child) = children.get(comp) else { continue };
+            if self.lowers.len() == start {
+                self.lowers.push(child);
+                if !child.is_dir() {
+                    break; // masks deeper layers
+                }
+            } else if child.is_dir() {
+                self.lowers.push(child); // merged dir
+            }
+            // deeper non-dir under a dir: hidden
+        }
+        let parent_len = self.path.len();
+        if parent_len > 0 {
+            self.path.push('/');
+        }
+        self.path.push_str(comp);
+        let hidden = hidden_above || self.fs.whiteouts.contains(&self.path);
+        let hides_below = hidden
+            || self.fs.opaques.contains(&self.path)
+            || upper.is_some_and(|node| !node.is_dir());
+        self.levels.push(Level { upper, lowers_start: start, hidden, hides_below, parent_len });
+    }
+
+    /// Steps back up one component; at the root, stays there.
+    fn pop(&mut self) {
+        if let Some(top) = self.levels.pop() {
+            self.lowers.truncate(top.lowers_start);
+            self.path.truncate(top.parent_len);
+        }
+    }
+
+    /// Back to the root.
+    fn clear(&mut self) {
+        self.levels.clear();
+        self.lowers.truncate(self.fs.lowers.len());
+        self.path.clear();
+    }
+
+    /// The upper tree's node here.
+    fn upper(&self) -> Option<&'a Node> {
+        self.top().upper
+    }
+
+    /// What the lower stack alone shows here, masking between lowers applied.
+    fn lower(&self) -> Option<&'a Node> {
+        self.lowers.get(self.top().lowers_start).copied()
+    }
+
+    /// Whether the upper hides lower content here.
+    fn hidden(&self) -> bool {
+        self.top().hidden
+    }
+
+    /// Whether the upper hides lower content below here.
+    fn hides_below(&self) -> bool {
+        self.top().hides_below
+    }
+
+    /// The node the merged view shows here.
+    fn node(&self) -> Option<&'a Node> {
+        self.upper().or_else(|| if self.hidden() { None } else { self.lower() })
     }
 }
 
@@ -1201,5 +1275,340 @@ mod tests {
         assert_eq!(m.file_size("f").unwrap(), 5);
         assert_eq!(m.metadata("f").unwrap().mode, 0o644);
         assert!(matches!(m.file_size("nope"), Err(FsError::NotFound(_))));
+    }
+
+    // ---- the walk against what it replaced -------------------------------
+
+    /// `find`, `find_lower`, `lower_hidden`, `resolve_uncached` and `flatten`
+    /// as they stood before [`Walk`], word for word: every call walks its
+    /// path from the root again, `resolve_uncached` once per prefix. Fields
+    /// and `visible_lowers` are reached through the `Deref`.
+    struct Reference<'a>(&'a UnionFs);
+
+    impl std::ops::Deref for Reference<'_> {
+        type Target = UnionFs;
+        fn deref(&self) -> &UnionFs {
+            self.0
+        }
+    }
+
+    impl Reference<'_> {
+        /// Whether lower content at `path` is hidden by a whiteout/opaque marker
+        /// at the path itself or any ancestor, or by a non-directory in the upper
+        /// at an ancestor.
+        fn lower_hidden(&self, path: &str) -> bool {
+            let mut prefix = String::new();
+            let mut comps = path.split('/').peekable();
+            while let Some(comp) = comps.next() {
+                if !prefix.is_empty() {
+                    prefix.push('/');
+                }
+                prefix.push_str(comp);
+                let is_final = comps.peek().is_none();
+                if self.whiteouts.contains(&prefix) {
+                    return true;
+                }
+                if !is_final && self.opaques.contains(&prefix) {
+                    return true;
+                }
+                if !is_final {
+                    if let Some(node) = self.upper.get(&prefix) {
+                        if !node.is_dir() {
+                            return true;
+                        }
+                    }
+                }
+            }
+            false
+        }
+
+        /// Finds the node at `path` in the merged view, no symlink following.
+        fn find(&self, path: &str) -> Option<&Node> {
+            if let Some(node) = self.upper.get(path) {
+                return Some(node);
+            }
+            if path.is_empty() {
+                return self.lowers.last().map(|t| t.get("").expect("root exists"));
+            }
+            if self.lower_hidden(path) {
+                return None;
+            }
+            self.find_lower(path)
+        }
+
+        /// Finds `path` in the lower stack with overlay masking between lowers.
+        fn find_lower(&self, path: &str) -> Option<&Node> {
+            // Current merged set of directory nodes at the walked prefix,
+            // ordered topmost-lower first.
+            let mut dirs: Vec<&Node> = self
+                .visible_lowers(path)
+                .map(|t| t.get("").expect("root exists"))
+                .collect();
+            let mut comps = path.split('/').peekable();
+            while let Some(comp) = comps.next() {
+                let is_final = comps.peek().is_none();
+                let mut matched: Vec<&Node> = Vec::new();
+                for dir in &dirs {
+                    if let Node::Dir { children, .. } = dir {
+                        if let Some(child) = children.get(comp) {
+                            if matched.is_empty() {
+                                let non_dir = !child.is_dir();
+                                matched.push(child);
+                                if non_dir {
+                                    break; // masks deeper layers
+                                }
+                            } else if child.is_dir() {
+                                matched.push(child); // merged dir
+                            }
+                            // deeper non-dir under a dir: hidden
+                        }
+                    }
+                }
+                if matched.is_empty() {
+                    return None;
+                }
+                if is_final {
+                    return Some(matched[0]);
+                }
+                if !matched[0].is_dir() {
+                    return None; // cannot descend through a file/symlink
+                }
+                dirs = matched;
+            }
+            None
+        }
+
+        /// The uncached resolution walk behind [`UnionFs::resolve`].
+        fn resolve_uncached(&self, path: &str, follow_final: bool) -> Result<String, FsError> {
+            if path.is_empty() {
+                return Ok(String::new());
+            }
+            ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
+            let mut stack: Vec<String> = Vec::new();
+            let mut pending: Vec<String> = path.split('/').rev().map(str::to_owned).collect();
+            let mut hops = 0usize;
+            while let Some(comp) = pending.pop() {
+                match comp.as_str() {
+                    "" | "." => continue,
+                    ".." => {
+                        stack.pop();
+                        continue;
+                    }
+                    _ => {}
+                }
+                stack.push(comp);
+                let current = stack.join("/");
+                let is_final = pending.iter().all(|c| c == "." || c.is_empty());
+                if is_final && !follow_final {
+                    continue;
+                }
+                if let Some(Node::Symlink(link)) = self.find(&current) {
+                    hops += 1;
+                    if hops > SYMLINK_MAX {
+                        return Err(FsError::SymlinkLoop(path.to_owned()));
+                    }
+                    let target = link.target.clone();
+                    stack.pop(); // the link component itself
+                    if target.starts_with('/') {
+                        stack.clear();
+                    }
+                    // Queue the target's components ahead of the remaining ones.
+                    for part in target.trim_start_matches('/').split('/').rev() {
+                        pending.push(part.to_owned());
+                    }
+                }
+            }
+            Ok(stack.join("/"))
+        }
+
+        /// Flattens the merged view into a plain [`FsTree`] (fingerprint bodies
+        /// preserved, not materialized).
+        fn flatten(&self) -> FsTree {
+            let mut out = FsTree::new();
+            // Bottom-up: lowers then upper, honouring whiteouts/opaques.
+            for tree in &self.lowers {
+                for (path, node) in tree.walk() {
+                    // Skip paths masked by whiteouts/opaque ancestors.
+                    if self.lower_hidden(&path) {
+                        continue;
+                    }
+                    let _ = out.insert(&path, node.clone());
+                }
+            }
+            for path in &self.whiteouts {
+                let _ = out.remove(path);
+            }
+            for (path, node) in self.upper.walk() {
+                if node.is_dir() {
+                    if self.opaques.contains(&path) {
+                        let _ = out.remove(&path);
+                    }
+                    let _ = out.mkdir_p(&path);
+                } else {
+                    let _ = out.insert(&path, node.clone());
+                }
+            }
+            out
+        }
+    }
+
+    mod walk_matches_reference {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Four names, so paths collide: files mask directories, directories
+        /// merge, writes land on what a lower already holds.
+        const NAMES: [&str; 4] = ["a", "b", "c", "d"];
+
+        fn any_name() -> impl Strategy<Value = &'static str> {
+            (0..NAMES.len()).prop_map(|i| NAMES[i])
+        }
+
+        fn any_path() -> impl Strategy<Value = String> {
+            proptest::collection::vec(any_name(), 1..4).prop_map(|names| names.join("/"))
+        }
+
+        /// A link target or a probe: names, `.`, `..` and empty components,
+        /// now and then from the root.
+        fn any_crooked_path() -> impl Strategy<Value = String> {
+            let comp = prop_oneof![
+                any_name(),
+                any_name(),
+                any_name(),
+                Just("."),
+                Just(".."),
+                Just(""),
+            ];
+            (0..4u8, proptest::collection::vec(comp, 1..5)).prop_map(|(rooted, comps)| {
+                format!("{}{}", if rooted == 0 { "/" } else { "" }, comps.join("/"))
+            })
+        }
+
+        #[derive(Debug, Clone)]
+        enum Entry {
+            File(u8),
+            Dir,
+            Link(String),
+        }
+
+        fn any_lower() -> impl Strategy<Value = FsTree> {
+            let entry = prop_oneof![
+                any::<u8>().prop_map(Entry::File),
+                any::<u8>().prop_map(Entry::File),
+                Just(Entry::Dir),
+                any_crooked_path().prop_map(Entry::Link),
+            ];
+            proptest::collection::vec((any_path(), entry), 0..10).prop_map(|entries| {
+                let mut tree = FsTree::new();
+                for (path, entry) in entries {
+                    // A path through a file does not insert; the tree keeps
+                    // what does.
+                    let _ = match entry {
+                        Entry::File(byte) => tree.create_file(&path, Bytes::from(vec![byte])),
+                        Entry::Dir => tree.mkdir_p(&path),
+                        Entry::Link(target) => {
+                            tree.insert(&path, Node::symlink(Metadata::file_default(), target))
+                        }
+                    };
+                }
+                tree
+            })
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Write(String, u8),
+            MkdirP(String),
+            Symlink(String, String),
+            Unlink(String),
+            Rename(String, String),
+        }
+
+        fn any_op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (any_path(), any::<u8>()).prop_map(|(p, b)| Op::Write(p, b)),
+                any_path().prop_map(Op::MkdirP),
+                (any_path(), any_crooked_path()).prop_map(|(p, t)| Op::Symlink(p, t)),
+                any_path().prop_map(Op::Unlink),
+                any_path().prop_map(Op::Unlink),
+                (any_path(), any_path()).prop_map(|(from, to)| Op::Rename(from, to)),
+            ]
+        }
+
+        fn same_node(walked: Option<&Node>, reference: Option<&Node>) -> bool {
+            match (walked, reference) {
+                (Some(a), Some(b)) => std::ptr::eq(a, b),
+                (None, None) => true,
+                _ => false,
+            }
+        }
+
+        fn check(mount: &UnionFs, probes: &[String]) -> Result<(), String> {
+            let reference = Reference(mount);
+            // Everything either side can name, and then the crooked probes.
+            let mut paths: Vec<String> = mount.upper.walk().map(|(path, _)| path).collect();
+            for tree in &mount.lowers {
+                paths.extend(tree.walk().map(|(path, _)| path));
+            }
+            paths.extend(mount.whiteouts.iter().cloned());
+            paths.extend(probes.iter().cloned());
+            paths.push(String::new());
+            for path in &paths {
+                prop_assert!(same_node(mount.find(path), reference.find(path)), "find {:?}", path);
+                let walk = mount.walk(path);
+                // Hidden-ness is asked of paths the mount made itself. (An
+                // empty component the old prefix string swallowed at its
+                // front and kept elsewhere; the walk looks it up as a name.
+                // Nothing is found through one either way.)
+                if !path.split('/').any(str::is_empty) {
+                    prop_assert_eq!(walk.hidden(), reference.lower_hidden(path), "{:?}", path);
+                    prop_assert!(
+                        same_node(walk.lower(), reference.find_lower(path)),
+                        "find_lower {:?}",
+                        path
+                    );
+                }
+                for follow_final in [true, false] {
+                    prop_assert_eq!(
+                        mount.resolve_uncached(path, follow_final),
+                        reference.resolve_uncached(path, follow_final),
+                        "resolve {:?} follow_final={}",
+                        path,
+                        follow_final
+                    );
+                }
+            }
+            prop_assert_eq!(mount.flatten(), reference.flatten());
+            Ok(())
+        }
+
+        proptest! {
+            /// Over one to three lowers and any run of mutations, `Walk`
+            /// finds the node, the lower node and the hidden-ness the old
+            /// trio found, `resolve` lands where it landed, and `flatten` is
+            /// the tree it was — checked before the first mutation and after
+            /// every one.
+            #[test]
+            fn on_every_path_after_every_mutation(
+                lowers in proptest::collection::vec(any_lower(), 1..4),
+                ops in proptest::collection::vec(any_op(), 0..16),
+                probes in proptest::collection::vec(any_crooked_path(), 12),
+            ) {
+                let mut mount = UnionFs::new(lowers.into_iter().map(Arc::new).collect());
+                check(&mount, &probes)?;
+                for op in ops {
+                    let _ = match &op {
+                        Op::Write(path, byte) => mount.write(path, Bytes::from(vec![*byte])),
+                        Op::MkdirP(path) => mount.mkdir_p(path),
+                        Op::Symlink(path, target) => mount.symlink(path, target.clone()),
+                        Op::Unlink(path) => mount.unlink(path),
+                        Op::Rename(from, to) => mount.rename(from, to, &NoFetch),
+                    };
+                    if let Err(why) = check(&mount, &probes) {
+                        return Err(format!("after {op:?}: {why}"));
+                    }
+                }
+            }
+        }
     }
 }

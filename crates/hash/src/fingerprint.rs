@@ -73,9 +73,12 @@ macro_rules! content_id {
             type Err = $err;
 
             fn from_str(s: &str) -> Result<Self, Self::Err> {
-                let bytes = hex::decode(s).map_err(|_| $err)?;
-                let arr: [u8; $len] = bytes.try_into().map_err(|_| $err)?;
-                Ok($name(arr))
+                let mut bytes = [0u8; $len];
+                if s.len() != 2 * $len {
+                    return Err($err);
+                }
+                hex::decode_into(s.as_bytes(), &mut bytes).map_err(|_| $err)?;
+                Ok($name(bytes))
             }
         }
 

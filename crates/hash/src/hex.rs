@@ -58,17 +58,24 @@ impl Error for FromHexError {}
 /// # }
 /// ```
 pub fn decode(s: &str) -> Result<Vec<u8>, FromHexError> {
-    let bytes = s.as_bytes();
-    if !bytes.len().is_multiple_of(2) {
+    if !s.len().is_multiple_of(2) {
         return Err(FromHexError::OddLength);
     }
-    let mut out = Vec::with_capacity(bytes.len() / 2);
-    for (i, pair) in bytes.chunks_exact(2).enumerate() {
+    let mut out = vec![0; s.len() / 2];
+    decode_into(s.as_bytes(), &mut out)?;
+    Ok(out)
+}
+
+/// Decodes `hex`, two digits for every byte of `out`, in place — what a
+/// fixed-width id parses with, so reading one allocates nothing.
+pub(crate) fn decode_into(hex: &[u8], out: &mut [u8]) -> Result<(), FromHexError> {
+    debug_assert_eq!(hex.len(), 2 * out.len());
+    for (i, (pair, byte)) in hex.chunks_exact(2).zip(out).enumerate() {
         let hi = nibble(pair[0]).ok_or(FromHexError::InvalidChar { index: i * 2 })?;
         let lo = nibble(pair[1]).ok_or(FromHexError::InvalidChar { index: i * 2 + 1 })?;
-        out.push((hi << 4) | lo);
+        *byte = (hi << 4) | lo;
     }
-    Ok(out)
+    Ok(())
 }
 
 fn nibble(c: u8) -> Option<u8> {

@@ -63,17 +63,15 @@ impl Sha256 {
             rest = &rest[take..];
             if self.buf_len == 64 {
                 let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &block);
                 self.buf_len = 0;
             }
         }
         // Aligned full blocks compress straight from the caller's slice —
         // no 64-byte staging copy on the bulk path.
-        let mut blocks = rest.chunks_exact(64);
-        for block in &mut blocks {
-            self.compress(block);
-        }
-        let tail = blocks.remainder();
+        let whole = rest.len() - rest.len() % 64;
+        compress(&mut self.state, &rest[..whole]);
+        let tail = &rest[whole..];
         if !tail.is_empty() {
             self.buf[..tail.len()].copy_from_slice(tail);
             self.buf_len = tail.len();
@@ -93,49 +91,89 @@ impl Sha256 {
         }
         out
     }
+}
 
-    /// Processes one 64-byte block directly from a slice (callers guarantee
-    /// the length; taking `&[u8]` lets the bulk path feed `chunks_exact(64)`
-    /// windows without copying them into a fixed-size array first).
-    fn compress(&mut self, block: &[u8]) {
-        debug_assert_eq!(block.len(), 64);
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// Compresses `data`, a whole number of 64-byte blocks, into `state`.
+///
+/// The 64 rounds (FIPS 180-4 §6.2.2) are written out: the eight working
+/// variables trade roles from round to round instead of values, so nothing
+/// moves between them, and the message schedule is the 16 words a round can
+/// still reach, each overwritten as the round that needs its successor comes
+/// up, instead of 64 filled in ahead.
+fn compress(state: &mut [u32; 8], data: &[u8]) {
+    debug_assert_eq!(data.len() % 64, 0);
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for block in data.chunks_exact(64) {
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        let (a0, b0, c0, d0, e0, f0, g0, h0) = (a, b, c, d, e, f, g, h);
+
+        // One round. Ch and Maj in their three- and four-operation forms:
+        // `g ^ (e & (f ^ g))` picks f where e is set and g elsewhere,
+        // `(a & b) | (c & (a | b))` is the majority of the three.
+        macro_rules! round {
+            ($a:ident $b:ident $c:ident $d:ident $e:ident $f:ident $g:ident $h:ident, $i:expr) => {
+                let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+                let t1 = $h
+                    .wrapping_add(s1)
+                    .wrapping_add($g ^ ($e & ($f ^ $g)))
+                    .wrapping_add(K[$i])
+                    .wrapping_add(w[$i & 15]);
+                let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+                $d = $d.wrapping_add(t1);
+                $h = t1.wrapping_add(s0).wrapping_add(($a & $b) | ($c & ($a | $b)));
+            };
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
+        // W[i] for i >= 16, over W[i - 16], the word it replaces.
+        macro_rules! schedule {
+            ($i:expr) => {
+                let (w15, w2) = (w[($i + 1) & 15], w[($i + 14) & 15]);
+                w[$i & 15] = w[$i & 15]
+                    .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
+                    .wrapping_add(w[($i + 9) & 15])
+                    .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10));
+            };
         }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *s = s.wrapping_add(v);
+        // Eight rounds bring every variable back to its own place.
+        macro_rules! rounds {
+            ($step:ident, $i:expr) => {
+                $step!(a b c d e f g h, $i);
+                $step!(h a b c d e f g, $i + 1);
+                $step!(g h a b c d e f, $i + 2);
+                $step!(f g h a b c d e, $i + 3);
+                $step!(e f g h a b c d, $i + 4);
+                $step!(d e f g h a b c, $i + 5);
+                $step!(c d e f g h a b, $i + 6);
+                $step!(b c d e f g h a, $i + 7);
+            };
         }
+        macro_rules! scheduled_round {
+            ($a:ident $b:ident $c:ident $d:ident $e:ident $f:ident $g:ident $h:ident, $i:expr) => {
+                schedule!($i);
+                round!($a $b $c $d $e $f $g $h, $i);
+            };
+        }
+        rounds!(round, 0);
+        rounds!(round, 8);
+        rounds!(scheduled_round, 16);
+        rounds!(scheduled_round, 24);
+        rounds!(scheduled_round, 32);
+        rounds!(scheduled_round, 40);
+        rounds!(scheduled_round, 48);
+        rounds!(scheduled_round, 56);
+
+        a = a.wrapping_add(a0);
+        b = b.wrapping_add(b0);
+        c = c.wrapping_add(c0);
+        d = d.wrapping_add(d0);
+        e = e.wrapping_add(e0);
+        f = f.wrapping_add(f0);
+        g = g.wrapping_add(g0);
+        h = h.wrapping_add(h0);
     }
+    *state = [a, b, c, d, e, f, g, h];
 }
 
 #[cfg(test)]

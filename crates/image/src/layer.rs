@@ -121,14 +121,33 @@ impl CompressedLayer {
     /// [`DecompressError::ChecksumMismatch`] if the decoded archive does not
     /// match the recorded diff id.
     pub fn to_layer(&self) -> Result<Layer, DecompressError> {
-        let wire = decompress(&self.blob)?;
-        let archive = Archive::from_bytes(&wire).map_err(|_| DecompressError::CorruptPayload)?;
-        let layer = Layer::from_archive(archive);
+        let layer = unpack(&self.blob)?;
         if layer.diff_id() != self.diff_id {
             return Err(DecompressError::ChecksumMismatch);
         }
         Ok(layer)
     }
+
+    /// Wraps a blob a registry holds under `digest`, as it is: the blob is
+    /// decoded once, for the diff id of the layer inside, and not compressed
+    /// again. `digest` is taken on the registry's word — it hashed the blob
+    /// when the blob came in.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecompressError`] if the blob does not decode to a layer —
+    /// what [`CompressedLayer::to_layer`] would have reported.
+    pub fn from_stored(digest: Digest, blob: Vec<u8>) -> Result<Self, DecompressError> {
+        let diff_id = unpack(&blob)?.diff_id();
+        Ok(CompressedLayer { digest, diff_id, blob })
+    }
+}
+
+/// Decompresses and parses a distribution blob.
+fn unpack(blob: &[u8]) -> Result<Layer, DecompressError> {
+    let wire = decompress(blob)?;
+    let archive = Archive::from_bytes(&wire).map_err(|_| DecompressError::CorruptPayload)?;
+    Ok(Layer::from_archive(archive))
 }
 
 #[cfg(test)]
@@ -165,6 +184,19 @@ mod tests {
         let back = compressed.to_layer().unwrap();
         assert_eq!(back.diff_id(), layer.diff_id());
         assert_eq!(back.archive(), layer.archive());
+    }
+
+    #[test]
+    fn stored_blob_wraps_without_recompression() {
+        let layer = Layer::from_archive(sample_archive(b"stored"));
+        let pushed = layer.to_compressed(Level::Best);
+        let wrapped =
+            CompressedLayer::from_stored(pushed.digest(), pushed.blob().to_vec()).unwrap();
+        assert_eq!(wrapped, pushed);
+        assert_eq!(wrapped.to_layer().unwrap().archive(), layer.archive());
+        let mut torn = pushed.blob().to_vec();
+        torn.truncate(torn.len() / 2);
+        assert!(CompressedLayer::from_stored(pushed.digest(), torn).is_err());
     }
 
     #[test]

@@ -123,10 +123,7 @@ impl DockerRegistry {
     /// Downloads a compressed layer without decompressing (for relays).
     pub fn compressed_layer(&self, digest: Digest) -> Option<CompressedLayer> {
         let blob = self.blobs.get(&digest)?;
-        let wire = gear_compress::decompress(blob).ok()?;
-        let archive = gear_archive::Archive::from_bytes(&wire).ok()?;
-        let layer = Layer::from_archive(archive);
-        Some(layer.to_compressed(Level::Default))
+        CompressedLayer::from_stored(digest, blob.clone()).ok()
     }
 
     /// Parses a stored config blob.
@@ -299,6 +296,38 @@ mod tests {
         let pulled = reg.image(app.reference()).unwrap();
         assert_eq!(pulled, app);
         assert_eq!(pulled.config().env, vec!["NGINX_VERSION=1.17"]);
+    }
+
+    /// A relay gets the blob the registry holds, under the digest it holds
+    /// it by — also when that blob was not compressed at the level a push
+    /// uses, so that compressing the layer again would give other bytes.
+    #[test]
+    fn compressed_layer_is_the_stored_blob() {
+        let (_, app) = base_and_derived();
+        let mut reg = DockerRegistry::new();
+        reg.push_image(&app);
+        for desc in &reg.manifest(app.reference()).unwrap().layers.clone() {
+            let served = reg.compressed_layer(desc.digest).unwrap();
+            assert_eq!(served.digest(), desc.digest);
+            assert_eq!(served.blob(), reg.blob(desc.digest).unwrap());
+            assert_eq!(Some(served.to_layer().unwrap()), reg.layer(desc.digest));
+        }
+        // The long match lies behind forty short ones: past where the
+        // default level stops looking, within reach of the best.
+        let tail = b"abcd-a tail only a deep search finds again";
+        let mut body = tail.to_vec();
+        for i in 0..40u8 {
+            body.extend_from_slice(&[b'a', b'b', b'c', b'd', i, i ^ 0x55]);
+        }
+        body.extend_from_slice(tail);
+        let layer = Layer::from_archive(layer_with("opt/tool", &body));
+        let best = layer.to_compressed(Level::Best);
+        assert_ne!(best.blob(), layer.to_compressed(Level::Default).blob());
+        assert!(reg.restore_blob(best.digest(), best.blob().to_vec()));
+        assert_eq!(reg.compressed_layer(best.digest()), Some(best));
+        // A blob that is no layer — a config — is no compressed layer.
+        let config = reg.manifest(app.reference()).unwrap().config.digest;
+        assert_eq!(reg.compressed_layer(config), None);
     }
 
     #[test]
