@@ -107,8 +107,8 @@ pub struct Outcome {
     /// acceptable trade for speed.
     pub invariants: Vec<Bound>,
     /// Bounds on `metrics` that `--record-baseline` writes: simulated times
-    /// as ceilings at the measured value, wall-clock and ratio metrics as
-    /// fixed floors.
+    /// as ceilings at the measured value, ratios and `== 1` flags as fixed
+    /// floors.
     pub recorded: Vec<Bound>,
 }
 

@@ -36,44 +36,37 @@ use gear_bench::artifact::{self, Baseline, BenchArtifact};
 use gear_bench::experiments::{self, ExperimentContext, RunCtx};
 use gear_corpus::CorpusConfig;
 
+#[derive(Debug)]
 struct Args {
     config: CorpusConfig,
     experiments: Vec<String>,
     json: bool,
-    quick: bool,
     baseline: Option<PathBuf>,
     record_baseline: Option<PathBuf>,
     trace: Option<PathBuf>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut config = CorpusConfig::paper();
+/// A numeric flag's value, at least `min`.
+fn number(what: &str, value: Option<String>, min: u64) -> Result<u64, String> {
+    let v = value.ok_or(format!("--{what} needs a value"))?;
+    v.parse().ok().filter(|n| *n >= min).ok_or(format!("bad {what} {v:?}"))
+}
+
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut experiments = Vec::new();
     let mut json = false;
     let mut quick = false;
+    let (mut scale, mut seed, mut versions) = (None, None, None);
     let mut baseline = None;
     let mut record_baseline = None;
     let mut trace = None;
-    let mut argv = std::env::args().skip(1);
+    let mut argv = argv.into_iter();
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--scale" => {
-                let v = argv.next().ok_or("--scale needs a value")?;
-                config.scale_denom = v.parse().map_err(|_| format!("bad scale {v:?}"))?;
-            }
-            "--seed" => {
-                let v = argv.next().ok_or("--seed needs a value")?;
-                config.seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
-            }
-            "--versions" => {
-                let v = argv.next().ok_or("--versions needs a value")?;
-                config.max_versions =
-                    Some(v.parse().map_err(|_| format!("bad versions {v:?}"))?);
-            }
-            "--quick" => {
-                config = CorpusConfig::quick();
-                quick = true;
-            }
+            "--scale" => scale = Some(number("scale", argv.next(), 1)?),
+            "--seed" => seed = Some(number("seed", argv.next(), 0)?),
+            "--versions" => versions = Some(number("versions", argv.next(), 1)? as usize),
+            "--quick" => quick = true,
             "--json" => json = true,
             "--baseline" => {
                 let v = argv.next().ok_or("--baseline needs a file")?;
@@ -98,10 +91,16 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
+    // `--quick` picks the corpus the other three flags then adjust, wherever
+    // it stood on the command line.
+    let mut config = if quick { CorpusConfig::quick() } else { CorpusConfig::paper() };
+    config.scale_denom = scale.unwrap_or(config.scale_denom);
+    config.seed = seed.unwrap_or(config.seed);
+    config.max_versions = versions.or(config.max_versions);
     if experiments.is_empty() {
         experiments.push("all".to_owned());
     }
-    Ok(Args { config, experiments, json, quick, baseline, record_baseline, trace })
+    Ok(Args { config, experiments, json, baseline, record_baseline, trace })
 }
 
 fn main() -> ExitCode {
@@ -115,7 +114,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = parse_args()?;
+    let args = parse_args(std::env::args().skip(1))?;
     // Everything that can be rejected without the corpus is rejected here:
     // generating and publishing it takes minutes at paper scale.
     let wanted = experiments::select(&args.experiments)?;
@@ -151,7 +150,6 @@ fn run() -> Result<(), String> {
     let rc = RunCtx {
         ctx: &ctx,
         published: published.as_ref(),
-        quick: args.quick,
         trace: args.trace.as_deref(),
     };
 
@@ -190,4 +188,40 @@ fn run() -> Result<(), String> {
         eprintln!("recorded {} bounds to {}", recorded.bounds.len(), path.display());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_args_table() {
+        let parse = |line: &str| parse_args(line.split_whitespace().map(str::to_owned));
+        // (command line, the one-line error) — rejected before any corpus.
+        for (line, message) in [
+            ("--quick --scale 0 table2", "bad scale \"0\""),
+            ("--versions 0", "bad versions \"0\""),
+            ("--scale banana", "bad scale \"banana\""),
+            ("--seed", "--seed needs a value"),
+            ("--frobnicate", "unknown flag \"--frobnicate\""),
+        ] {
+            assert_eq!(parse(line).expect_err(line), message, "{line}");
+        }
+        // (command line, seed, scale, versions) — `--quick` never discards
+        // a flag given before it.
+        let quick = CorpusConfig::quick();
+        for (line, seed, scale, versions) in [
+            ("--quick", quick.seed, quick.scale_denom, quick.max_versions),
+            ("--seed 3 --quick", 3, quick.scale_denom, quick.max_versions),
+            ("--quick --seed 3", 3, quick.scale_denom, quick.max_versions),
+            ("--scale 4096 --versions 2 --quick", quick.seed, 4096, Some(2)),
+            ("--quick --versions 2 --scale 4096", quick.seed, 4096, Some(2)),
+            ("--seed 3", 3, CorpusConfig::paper().scale_denom, None),
+        ] {
+            let args = parse(line).expect(line);
+            let got = (args.config.seed, args.config.scale_denom, args.config.max_versions);
+            assert_eq!(got, (seed, scale, versions), "{line}");
+            assert_eq!(args.experiments, ["all"], "{line}");
+        }
+    }
 }

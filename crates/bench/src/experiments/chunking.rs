@@ -15,18 +15,16 @@
 //!   so the per-request cost of chunk-granularity fetches stays visible;
 //! * **default-path bit-identity** — converting with the CDC knob present
 //!   but `big_file_threshold` unset must be byte-identical to the plain
-//!   converter (chunking is strictly opt-in);
-//! * **chunker throughput** — a wall-clock tripwire on the word-wise
-//!   rolling-hash kernel.
+//!   converter (chunking is strictly opt-in).
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gear_client::GearClient;
 use gear_core::{publish, Converter, ConverterOptions};
 use gear_corpus::StartupTrace;
-use gear_hash::{chunk_spans, ChunkerConfig};
+use gear_hash::ChunkerConfig;
 use gear_registry::{DockerRegistry, GearFileStore};
 use gear_telemetry::{Collector, QuantileSketch, Telemetry};
 
@@ -72,8 +70,6 @@ pub struct Chunking {
     /// Converting with the CDC knob set but the threshold unset matches
     /// the plain converter exactly.
     pub default_bit_identical: bool,
-    /// Wall-clock throughput of the CDC chunker (machine-dependent).
-    pub chunker_mb_s: f64,
 }
 
 impl Chunking {
@@ -101,7 +97,6 @@ impl Chunking {
             Metric::new("chunking/sparse_paths", self.sparse_paths as f64),
             Metric::flag("chunking/reads_identical", self.reads_identical),
             Metric::flag("chunking/default_bit_identical", self.default_bit_identical),
-            Metric::new("chunking/chunker_mb_s", self.chunker_mb_s),
         ]
     }
 
@@ -117,16 +112,13 @@ impl Chunking {
 /// dedup, sparse cold starts must keep saving at least the 30 % the
 /// comparison claims, ranged reads must agree across granularities, and
 /// the default (chunking-off) conversion must stay bit-identical to the
-/// plain converter. The chunker MB/s floor is a machine-loose tripwire
-/// only: it fails when the word-wise kernel regresses to a byte-at-a-time
-/// loop, not when the runner is merely slow.
+/// plain converter.
 pub fn floors() -> Vec<Bound> {
     vec![
         Bound::floor("chunking/ratio_over_file", 1.0),
         Bound::floor("chunking/coldstart_saved_frac", 0.3),
         Bound::floor("chunking/reads_identical", 1.0),
         Bound::floor("chunking/default_bit_identical", 1.0),
-        Bound::floor("chunking/chunker_mb_s", 20.0),
     ]
 }
 
@@ -290,30 +282,7 @@ pub fn run(ctx: &ExperimentContext) -> Chunking {
         sparse_window_bytes,
         reads_identical,
         default_bit_identical,
-        chunker_mb_s: chunker_throughput(),
     }
-}
-
-/// Wall-clock MB/s of [`chunk_spans`] over a deterministic 8 MiB buffer at
-/// the default (unscaled) bounds — an order-of-magnitude tripwire, not a
-/// benchmark.
-fn chunker_throughput() -> f64 {
-    let mut data = vec![0u8; 8 << 20];
-    let mut state = 0x6745_2301u64;
-    for byte in &mut data {
-        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-        *byte = (state >> 33) as u8;
-    }
-    let config = ChunkerConfig::default();
-    let passes = 3u32;
-    let start = Instant::now();
-    let mut cuts = 0usize;
-    for _ in 0..passes {
-        cuts += chunk_spans(&data, &config).len();
-    }
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    assert!(cuts > 0, "chunker produced no spans");
-    (data.len() * passes as usize) as f64 / elapsed / 1e6
 }
 
 impl fmt::Display for Chunking {
@@ -354,11 +323,10 @@ impl fmt::Display for Chunking {
         write!(
             f,
             "chunk/file dedup {:.2}x; cold-start bytes saved {:.1}%; \
-             default path bit-identical: {}; chunker {:.0} MB/s",
+             default path bit-identical: {}",
             self.ratio_over_file(),
             self.coldstart_saved_frac() * 100.0,
-            if self.default_bit_identical { "yes" } else { "NO" },
-            self.chunker_mb_s
+            if self.default_bit_identical { "yes" } else { "NO" }
         )
     }
 }
@@ -399,22 +367,5 @@ mod tests {
             assert!(side.fetch_p99 > Duration::ZERO, "cold deploys must record fetch tails");
             assert!(side.fetch_p50 <= side.fetch_p99);
         }
-    }
-
-    #[test]
-    fn fixed_seed_output_is_byte_identical() {
-        let ctx = ExperimentContext::quick();
-        let mut first = run(&ctx);
-        let mut second = run(&ctx);
-        // The chunker throughput is wall-clock (machine noise); everything
-        // else must be exactly reproducible.
-        first.chunker_mb_s = 0.0;
-        second.chunker_mb_s = 0.0;
-        assert_eq!(first.to_string(), second.to_string(), "rendered table must not drift");
-        assert_eq!(
-            serde_json::to_string(&first.metrics()).unwrap(),
-            serde_json::to_string(&second.metrics()).unwrap(),
-            "metrics must be byte-identical for a fixed seed"
-        );
     }
 }

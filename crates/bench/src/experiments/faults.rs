@@ -189,15 +189,6 @@ mod tests {
     use crate::experiments::fig8::publish_corpus;
 
     #[test]
-    fn sweep_is_deterministic() {
-        let ctx = ExperimentContext::quick();
-        let published = publish_corpus(&ctx);
-        let once = run_at(&ctx, &published, "20Mbps", Link::mbps(20.0));
-        let again = run_at(&ctx, &published, "20Mbps", Link::mbps(20.0));
-        assert_eq!(once, again, "same corpus + plan seeds → identical sweep");
-    }
-
-    #[test]
     fn degradation_grows_with_fault_rate() {
         let ctx = ExperimentContext::quick();
         let published = publish_corpus(&ctx);

@@ -74,8 +74,6 @@ pub struct RunCtx<'a> {
     /// The corpus published to both registries — present iff a requested
     /// experiment says it [`Experiment::needs_publish`].
     pub published: Option<&'a PublishedCorpus>,
-    /// Whether `--quick` was given (shrinks wall-clock op counts).
-    pub quick: bool,
     /// `--trace DIR`: where `profile` writes and validates its exports.
     pub trace: Option<&'a Path>,
 }
@@ -139,7 +137,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     }),
     deploys("faults", |rc| Ok(Outcome::text(&faults::run(rc.ctx, rc.published()?)))),
     local("crash", |_| Ok(crash::run().outcome())),
-    local("hotpath", |rc| Ok(hotpath::run(rc.ctx, rc.quick).outcome())),
+    local("hotpath", |rc| Ok(hotpath::run(rc.ctx).outcome())),
     deploys("tiering", |rc| Ok(tiering::run(rc.ctx, rc.published()?).outcome())),
     // Builds its own file- and chunk-granularity registries, so it does not
     // use the shared published corpus.
@@ -270,6 +268,91 @@ mod tests {
             let (experiment, key) = bound.key.split_once('/').expect("keys are <experiment>/<key>");
             assert!(EXPERIMENTS.iter().any(|e| e.name == experiment), "{}", bound.key);
             assert!(!key.is_empty() && bound.min.is_some() != bound.max.is_some(), "{bound:?}");
+        }
+    }
+
+    /// `repro` is a pure function of its code and corpus flags: no
+    /// experiment reads a clock, an unseeded RNG or hash-map order.
+    #[test]
+    fn every_experiment_is_a_pure_function_of_the_corpus() {
+        let ctx = ExperimentContext::quick();
+        let published = fig8::publish_corpus(&ctx);
+        let rc = RunCtx { ctx: &ctx, published: Some(&published), trace: None };
+        for experiment in EXPERIMENTS.iter().filter(|e| e.in_all) {
+            let [first, second] = [(); 2].map(|()| (experiment.run)(&rc).expect(experiment.name));
+            assert_eq!(first.text, second.text, "{}: rendered table drifted", experiment.name);
+            assert_eq!(
+                serde_json::to_string(&first.metrics).unwrap(),
+                serde_json::to_string(&second.metrics).unwrap(),
+                "{}: metrics drifted",
+                experiment.name
+            );
+        }
+    }
+
+    /// Walks object fields; a missing one is the test's failure message.
+    fn at<'a>(doc: &'a serde_json::Value, path: &[&str]) -> &'a serde_json::Value {
+        crate::schema::field_path(doc, path).unwrap_or_else(|| panic!("no {path:?}"))
+    }
+
+    /// `bench/history.jsonl` holds one frozen-benchmark run per PR. The
+    /// seed-exact columns may move only under a stated reason, and the
+    /// newest row may not worsen an allocation column beyond the bound
+    /// `BENCHMARK.json` gives it.
+    #[test]
+    fn benchmark_history_moves_only_with_a_reason_and_within_bounds() {
+        use serde_json::Value;
+        const EXACT: [&str; 4] = ["sim_p50_s", "sim_tail_s", "sim_total_s", "net_mb_per_op"];
+        const BOUNDED: [&str; 3] = ["allocs_per_op", "alloc_mb_per_op", "peak_live_mb"];
+
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |file: &str| std::fs::read_to_string(root.join(file)).expect(file);
+        let declared: Value = serde_json::from_str(&read("BENCHMARK.json")).expect("parses");
+        let names = |list: &str| -> Vec<&str> {
+            let entries = at(&declared, &[list]).as_array().expect(list);
+            entries.iter().map(|e| at(e, &["name"]).as_str().expect("name")).collect()
+        };
+        let (workloads, metrics) = (names("workloads"), names("end_to_end"));
+        let history = read("bench/history.jsonl");
+        let rows: Vec<Value> =
+            history.lines().map(|l| serde_json::from_str(l).expect("row parses")).collect();
+        let value = |row: &Value, workload: &str, metric: &str| -> f64 {
+            at(row, &["workloads", workload, metric, "value"]).as_f64().expect("a number")
+        };
+
+        for row in &rows {
+            assert_eq!(at(row, &["seed"]).as_u64(), Some(7), "{row:?}");
+            let table = at(row, &["workloads"]).as_object().expect("workloads");
+            assert_eq!(table.len(), workloads.len(), "{row:?}");
+            for workload in &workloads {
+                let cells = at(row, &["workloads", workload]).as_object().expect("metrics");
+                assert_eq!(cells.len(), metrics.len(), "{workload} of {row:?}");
+                assert!(metrics.iter().all(|metric| value(row, workload, metric).is_finite()));
+            }
+        }
+        for pair in rows.windows(2) {
+            let commit = at(&pair[1], &["commit"]).as_str().expect("commit");
+            let fields = pair[1].as_object().expect("row");
+            if fields.get("moved").and_then(Value::as_str).is_some_and(|why| !why.is_empty()) {
+                continue;
+            }
+            for (workload, metric) in workloads.iter().flat_map(|w| EXACT.map(|m| (w, m))) {
+                let [was, is] = [0, 1].map(|i| value(&pair[i], workload, metric));
+                let same = was.to_bits() == is.to_bits();
+                assert!(same, "{commit}: {workload}/{metric} {was} -> {is} and no \"moved\" note");
+            }
+        }
+        let Some([previous, last]) = rows.last_chunk() else { panic!("under two rows") };
+        let end_to_end = at(&declared, &["end_to_end"]).as_array().expect("end_to_end");
+        for metric in BOUNDED {
+            let entry = end_to_end.iter().find(|e| at(e, &["name"]).as_str() == Some(metric));
+            let entry = entry.expect(metric);
+            assert_eq!(at(entry, &["better"]).as_str(), Some("lower"), "{metric}");
+            let bound = at(entry, &["bound"]).as_f64().expect("bound");
+            for workload in &workloads {
+                let (was, is) = (value(previous, workload, metric), value(last, workload, metric));
+                assert!(is <= was * (1.0 + bound), "{workload}/{metric}: {was} -> {is}");
+            }
         }
     }
 }

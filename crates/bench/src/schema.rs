@@ -26,7 +26,7 @@ fn field<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
 }
 
 /// Walks a path of object fields.
-fn field_path<'a>(value: &'a Value, path: &[&str]) -> Option<&'a Value> {
+pub(crate) fn field_path<'a>(value: &'a Value, path: &[&str]) -> Option<&'a Value> {
     path.iter().try_fold(value, |v, key| field(v, key))
 }
 

@@ -21,7 +21,6 @@ pub fn store_for(config: &ClientConfig) -> Box<dyn BlobStore> {
             config.cache_capacity,
             tier.disk,
             config.byte_scale,
-            tier.promote_on_hit,
         )),
     }
 }

@@ -79,13 +79,11 @@ pub struct TierConfig {
     pub l1_capacity: Option<u64>,
     /// Disk model backing the L2 tier.
     pub disk: DiskModel,
-    /// Whether an L2 hit installs the blob in L1.
-    pub promote_on_hit: bool,
 }
 
 impl Default for TierConfig {
     fn default() -> Self {
-        TierConfig { l1_capacity: None, disk: DiskModel::ssd(), promote_on_hit: true }
+        TierConfig { l1_capacity: None, disk: DiskModel::ssd() }
     }
 }
 

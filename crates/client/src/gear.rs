@@ -1078,7 +1078,6 @@ mod tests {
         let tiered_cfg = ClientConfig::default().with_tier(TierConfig {
             l1_capacity: Some(1),
             disk: gear_simnet::DiskModel::hdd(),
-            promote_on_hit: true,
         });
         let mut tiered = GearClient::new(tiered_cfg);
         let (_, report) = tiered.deploy(&r, &t, &docker, &store).unwrap();
@@ -1116,7 +1115,6 @@ mod tests {
         let config = ClientConfig::default().with_tier(TierConfig {
             l1_capacity: Some(1_500),
             disk: gear_simnet::DiskModel::hdd(),
-            promote_on_hit: true,
         });
         let warm = trace(&paths[..8]);
         let hot = trace(&paths[4..]);

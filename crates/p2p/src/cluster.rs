@@ -1003,7 +1003,6 @@ mod tests {
         let tiered = ClientConfig::default().with_tier(TierConfig {
             l1_capacity: Some(2_000),
             disk: gear_simnet::DiskModel::hdd(),
-            promote_on_hit: true,
         });
         let files: Vec<(String, Vec<u8>)> =
             (0..6).map(|i| (format!("f{i}"), vec![i as u8 + 1; 9_000])).collect();

@@ -1,9 +1,7 @@
 //! Shared virtual clock.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 /// A monotonically advancing simulated clock, cheaply cloneable and shared
 /// between the components that charge time to it.
@@ -28,29 +26,35 @@ impl VirtualClock {
         Self::default()
     }
 
+    /// Every update is one whole-number store, so a poisoned lock still
+    /// guards a valid time.
+    fn nanos(&self) -> MutexGuard<'_, u128> {
+        self.nanos.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Advances simulated time by `d`.
     pub fn advance(&self, d: Duration) {
-        *self.nanos.lock() += d.as_nanos();
+        *self.nanos() += d.as_nanos();
     }
 
     /// Time elapsed since the clock was created (or last [`reset`]).
     ///
     /// [`reset`]: VirtualClock::reset
     pub fn elapsed(&self) -> Duration {
-        nanos_to_duration(*self.nanos.lock())
+        nanos_to_duration(*self.nanos())
     }
 
     /// Resets the clock to zero.
     pub fn reset(&self) {
-        *self.nanos.lock() = 0;
+        *self.nanos() = 0;
     }
 
     /// Runs `f` and returns how much simulated time it consumed along with
     /// its result.
     pub fn measure<T>(&self, f: impl FnOnce() -> T) -> (Duration, T) {
-        let before = *self.nanos.lock();
+        let before = *self.nanos();
         let out = f();
-        let after = *self.nanos.lock();
+        let after = *self.nanos();
         (nanos_to_duration(after - before), out)
     }
 }

@@ -33,11 +33,10 @@
 //! store from it.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bytes::Bytes;
 use gear_hash::Fingerprint;
-use parking_lot::Mutex;
 
 /// One journaled effect. `Commit` terminates a batch; everything between two
 /// commit markers belongs to one atomic store operation.
@@ -161,29 +160,35 @@ impl JournalMedia {
         Self::default()
     }
 
+    /// A torn tail is a state recovery already handles, so a poisoned lock
+    /// still guards valid media.
+    fn bytes(&self) -> MutexGuard<'_, Vec<u8>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Journal size in bytes (including any torn tail).
     pub fn len(&self) -> usize {
-        self.0.lock().len()
+        self.bytes().len()
     }
 
     /// Whether nothing has ever been written.
     pub fn is_empty(&self) -> bool {
-        self.0.lock().is_empty()
+        self.bytes().is_empty()
     }
 
     /// Appends raw bytes (possibly a torn prefix of a cell).
     pub(crate) fn append(&self, bytes: &[u8]) {
-        self.0.lock().extend_from_slice(bytes);
+        self.bytes().extend_from_slice(bytes);
     }
 
     /// Snapshot of the full journal contents.
     pub(crate) fn contents(&self) -> Vec<u8> {
-        self.0.lock().clone()
+        self.bytes().clone()
     }
 
     /// Replaces the journal wholesale (compaction after recovery).
     pub(crate) fn replace(&self, bytes: Vec<u8>) {
-        *self.0.lock() = bytes;
+        *self.bytes() = bytes;
     }
 }
 

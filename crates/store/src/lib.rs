@@ -22,7 +22,7 @@
 //!
 //! The crate is dependency-free in the external sense: it builds from the
 //! workspace (`gear-hash`, `gear-simnet`, `gear-par`) and the vendored
-//! `bytes`/`parking_lot` only.
+//! `bytes` only.
 
 #![forbid(unsafe_code)]
 

@@ -88,8 +88,6 @@ pub struct TieredSnapshot {
     pub l1: MemSnapshot,
     /// The authoritative L2 tier.
     pub l2: DiskSnapshot,
-    /// Whether L2 hits install an L1 copy.
-    pub promote_on_hit: bool,
 }
 
 /// A snapshot of any store shape this crate builds.
@@ -330,7 +328,9 @@ fn encode_snapshot(w: &mut Writer, snapshot: &StoreSnapshot) {
             w.u8(TAG_TIERED);
             encode_mem(w, &t.l1);
             encode_disk(w, &t.l2);
-            w.u8(t.promote_on_hit as u8);
+            // Once a promote-on-hit flag; L2 hits always promote now, and
+            // the byte stays so the layout does not move.
+            w.u8(1);
         }
     }
 }
@@ -342,12 +342,10 @@ fn decode_snapshot(r: &mut Reader) -> Result<StoreSnapshot, SnapshotError> {
         TAG_TIERED => {
             let l1 = decode_mem(r)?;
             let l2 = decode_disk(r)?;
-            let promote_on_hit = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(SnapshotError::Malformed),
-            };
-            StoreSnapshot::Tiered(TieredSnapshot { l1, l2, promote_on_hit })
+            if r.u8()? != 1 {
+                return Err(SnapshotError::Malformed);
+            }
+            StoreSnapshot::Tiered(TieredSnapshot { l1, l2 })
         }
         _ => return Err(SnapshotError::Malformed),
     })
@@ -436,7 +434,7 @@ mod tests {
         disk.pin(fp(1));
         let disk = disk.snapshot();
         let mut tiered =
-            TieredStore::new(EvictionPolicy::Lru, Some(32), Some(100), DiskModel::ssd(), 1, true);
+            TieredStore::new(EvictionPolicy::Lru, Some(32), Some(100), DiskModel::ssd(), 1);
         tiered.put(fp(2), body(2, 16));
         tiered.get(fp(2));
         let tiered = tiered.snapshot();

@@ -13,7 +13,7 @@
 //! * **Write-through** — [`put`](BlobStore::put) lands in L2 first (paying
 //!   the modeled write) and the fresh copy is kept in L1.
 //! * **Promotion on hit** — a lookup that misses L1 but hits L2 pays the
-//!   modeled read and (optionally) installs the blob in L1.
+//!   modeled read and installs the blob in L1.
 //! * **Recency sync** — a lookup answered from L1 still refreshes the
 //!   blob's recency in L2 (a free metadata touch), so L2 makes the same
 //!   replacement decisions a flat store would.
@@ -40,7 +40,6 @@ use crate::{BlobStore, DiskStore, EvictionPolicy, MemStore, StoreStats};
 pub struct TieredStore {
     l1: MemStore,
     l2: DiskStore,
-    promote_on_hit: bool,
     /// Scratch for L2 eviction victims (reused across puts).
     evicted: Vec<Fingerprint>,
 }
@@ -56,12 +55,10 @@ impl TieredStore {
         l2_capacity: Option<u64>,
         model: DiskModel,
         byte_scale: u64,
-        promote_on_hit: bool,
     ) -> Self {
         TieredStore {
             l1: MemStore::with_policy(policy, l1_capacity),
             l2: DiskStore::new(policy, l2_capacity, model, byte_scale),
-            promote_on_hit,
             evicted: Vec::new(),
         }
     }
@@ -70,8 +67,8 @@ impl TieredStore {
     /// journaled/crashing [`DiskStore`] (built via
     /// [`DiskStore::with_journal`]) under an L1, and how snapshots
     /// rehydrate.
-    pub fn from_parts(l1: MemStore, l2: DiskStore, promote_on_hit: bool) -> Self {
-        TieredStore { l1, l2, promote_on_hit, evicted: Vec::new() }
+    pub fn from_parts(l1: MemStore, l2: DiskStore) -> Self {
+        TieredStore { l1, l2, evicted: Vec::new() }
     }
 
     /// Replaces the L2 crash plan (no-op when L2 has no journal).
@@ -87,11 +84,7 @@ impl TieredStore {
     /// Rehydrates a snapshot; the result behaves tick-for-tick identically
     /// (see [`crate::snapshot`]).
     pub fn restore(snapshot: &crate::TieredSnapshot) -> Self {
-        TieredStore::from_parts(
-            MemStore::restore(&snapshot.l1),
-            DiskStore::restore(&snapshot.l2),
-            snapshot.promote_on_hit,
-        )
+        TieredStore::from_parts(MemStore::restore(&snapshot.l1), DiskStore::restore(&snapshot.l2))
     }
 
     /// L1 is volatile: the moment L2's planned power cut fires, the memory
@@ -123,15 +116,9 @@ impl BlobStore for TieredStore {
             self.l2.touch(fingerprint);
             return Some(content);
         }
-        match self.l2.get(fingerprint) {
-            Some(content) => {
-                if self.promote_on_hit {
-                    self.l1.insert(fingerprint, content.clone());
-                }
-                Some(content)
-            }
-            None => None,
-        }
+        let content = self.l2.get(fingerprint)?;
+        self.l1.insert(fingerprint, content.clone());
+        Some(content)
     }
 
     fn put(&mut self, fingerprint: Fingerprint, content: Bytes) -> bool {
@@ -213,7 +200,6 @@ impl BlobStore for TieredStore {
         crate::StoreSnapshot::Tiered(crate::TieredSnapshot {
             l1: self.l1.snapshot_parts(),
             l2: self.l2.snapshot_parts(),
-            promote_on_hit: self.promote_on_hit,
         })
     }
 }
@@ -231,7 +217,7 @@ mod tests {
     }
 
     fn tiered(l1: Option<u64>, l2: Option<u64>) -> TieredStore {
-        TieredStore::new(EvictionPolicy::Lru, l1, l2, DiskModel::ssd(), 1, true)
+        TieredStore::new(EvictionPolicy::Lru, l1, l2, DiskModel::ssd(), 1)
     }
 
     #[test]
@@ -250,22 +236,6 @@ mod tests {
         // Promotion put it back in memory: the next lookup is free again.
         assert!(t.get(fp(1)).is_some());
         assert_eq!(t.drain_cost(), Duration::ZERO);
-    }
-
-    #[test]
-    fn promotion_can_be_disabled() {
-        let mut t =
-            TieredStore::new(EvictionPolicy::Lru, Some(100), None, DiskModel::ssd(), 1, false);
-        t.put(fp(1), body(1, 80));
-        t.put(fp(2), body(2, 80)); // displaces 1 from L1
-        t.drain_cost();
-        assert!(t.get(fp(1)).is_some());
-        t.drain_cost();
-        assert!(t.get(fp(1)).is_some());
-        assert!(
-            t.drain_cost() > Duration::ZERO,
-            "without promotion every repeat hit still reads L2"
-        );
     }
 
     #[test]

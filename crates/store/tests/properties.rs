@@ -84,12 +84,9 @@ proptest! {
         ops in proptest::collection::vec(any_op(), 1..120),
         policy in any_policy(),
         capacity in prop_oneof![Just(None), (200u64..4000).prop_map(Some)],
-        promote in any::<bool>(),
     ) {
         let mut flat = MemStore::with_policy(policy, capacity);
-        let mut tiered = TieredStore::new(
-            policy, None, capacity, DiskModel::ssd(), 1, promote,
-        );
+        let mut tiered = TieredStore::new(policy, None, capacity, DiskModel::ssd(), 1);
         for op in &ops {
             let a = apply(&mut flat, op);
             let b = apply(&mut tiered, op);
@@ -111,9 +108,7 @@ proptest! {
         l1 in 1u64..2000,
     ) {
         let mut flat = MemStore::with_policy(policy, Some(3000));
-        let mut tiered = TieredStore::new(
-            policy, Some(l1), Some(3000), DiskModel::nvme(), 1, true,
-        );
+        let mut tiered = TieredStore::new(policy, Some(l1), Some(3000), DiskModel::nvme(), 1);
         for op in &ops {
             let a = apply(&mut flat, op);
             let b = apply(&mut tiered, op);

@@ -231,7 +231,7 @@ proptest! {
         let model = DiskModel::ssd();
         let l2 = DiskStore::with_journal(policy, l2_capacity, model, 1, media.clone(), plan);
         let mut tiered =
-            TieredStore::from_parts(MemStore::with_policy(policy, l1_capacity), l2, true);
+            TieredStore::from_parts(MemStore::with_policy(policy, l1_capacity), l2);
         for op in &ops {
             apply(&mut tiered, op);
             if tiered.is_crashed() {
@@ -244,7 +244,7 @@ proptest! {
         prop_assert_eq!(tiered.tier_bytes(), (0, 0), "dead machine holds nothing");
         let (l2, _) = DiskStore::recover(policy, l2_capacity, model, 1, media);
         let mut tiered =
-            TieredStore::from_parts(MemStore::with_policy(policy, l1_capacity), l2, true);
+            TieredStore::from_parts(MemStore::with_policy(policy, l1_capacity), l2);
         prop_assert_eq!(tiered.tier_bytes().0, 0, "L1 restarts cold");
         for op in &suffix {
             apply(&mut tiered, op);
@@ -316,7 +316,7 @@ proptest! {
         let mut store: Box<dyn BlobStore> = match shape {
             0 => Box::new(MemStore::with_policy(policy, capacity)),
             1 => Box::new(DiskStore::new(policy, capacity, model, 2)),
-            _ => Box::new(TieredStore::new(policy, Some(400), capacity, model, 2, true)),
+            _ => Box::new(TieredStore::new(policy, Some(400), capacity, model, 2)),
         };
         for op in &ops {
             apply(store.as_mut(), op);
@@ -432,7 +432,9 @@ fn counters_at_the_ceiling_still_drain() {
 }
 
 /// Tag 3 was a wrapper frame holding further snapshots, so nesting it drove
-/// the decoder's recursion as deep as the blob was long.
+/// the decoder's recursion as deep as the blob was long. The tiered shape's
+/// last byte was a promote-on-hit flag, and `0` asked for a store that no
+/// longer exists.
 #[test]
 fn retired_tag_three_is_malformed_at_any_depth() {
     let mut payload = b"GSNP\x01".to_vec();
@@ -440,6 +442,13 @@ fn retired_tag_three_is_malformed_at_any_depth() {
         payload.push(3);
         payload.extend_from_slice(&1u64.to_le_bytes());
     }
+    assert_eq!(StoreSnapshot::from_bytes(&seal(payload)), Err(SnapshotError::Malformed));
+
+    let tiered = TieredStore::new(EvictionPolicy::Lru, Some(32), None, DiskModel::ssd(), 1);
+    let mut payload = tiered.snapshot().to_bytes();
+    payload.truncate(payload.len() - 8);
+    assert_eq!(payload.pop(), Some(1));
+    payload.push(0);
     assert_eq!(StoreSnapshot::from_bytes(&seal(payload)), Err(SnapshotError::Malformed));
 }
 
@@ -464,7 +473,7 @@ fn snapshot_wire_bytes_are_pinned() {
     disk.get(fp(1));
     disk.pin(fp(1));
     let mut tiered =
-        TieredStore::new(EvictionPolicy::Lru, Some(32), Some(100), DiskModel::ssd(), 4, true);
+        TieredStore::new(EvictionPolicy::Lru, Some(32), Some(100), DiskModel::ssd(), 4);
     for n in 0u8..5 {
         tiered.put(fp(n), body(n, 24));
     }

@@ -7,8 +7,9 @@
 //! fold with the exact merge semantics of
 //! [`MetricsRegistry::merge`](crate::MetricsRegistry), which is
 //! associative and commutative, so a hierarchical node → site → cloud
-//! rollup ([`FleetCollector::merged_metrics_grouped`]) produces the same
-//! registry as the flat fold — the property the fleet proptests pin down.
+//! rollup produces the same registry as the flat fold
+//! ([`FleetCollector::merged_metrics`]) — the property
+//! `hierarchical_rollup_equals_flat_merge` pins down.
 //!
 //! The trace export interleaves every shard on its own Chrome-trace `tid`
 //! (`shard + 1`), with flow events stitching cross-shard causality; span
@@ -76,29 +77,6 @@ impl FleetCollector {
             merged.merge(&shard.metrics())?;
         }
         Ok(merged)
-    }
-
-    /// Hierarchical rollup: shards merge into sites of `site_size`, sites
-    /// merge into the cloud view. Associativity of registry merge makes
-    /// this equal to [`FleetCollector::merged_metrics`] for any
-    /// `site_size ≥ 1`.
-    ///
-    /// # Errors
-    ///
-    /// [`SketchMergeError`] on mismatched sketch resolution, as above.
-    pub fn merged_metrics_grouped(
-        &self,
-        site_size: usize,
-    ) -> Result<MetricsRegistry, SketchMergeError> {
-        let mut cloud = MetricsRegistry::new();
-        for site in self.shards.chunks(site_size.max(1)) {
-            let mut rollup = MetricsRegistry::new();
-            for shard in site {
-                rollup.merge(&shard.metrics())?;
-            }
-            cloud.merge(&rollup)?;
-        }
-        Ok(cloud)
     }
 
     /// One Chrome trace for the whole fleet: shard `i`'s spans and
@@ -213,12 +191,18 @@ mod tests {
             }
         }
         let flat = fleet.merged_metrics().expect("merge");
+        let shards: Vec<MetricsRegistry> = (0..8).map(|s| fleet.shard(s).metrics()).collect();
         for site_size in [1, 2, 3, 4, 8, 100] {
-            assert_eq!(
-                fleet.merged_metrics_grouped(site_size).expect("merge"),
-                flat,
-                "site_size {site_size} changed the rollup"
-            );
+            // Node → site → cloud: shards fold into sites, sites into one.
+            let mut cloud = MetricsRegistry::new();
+            for site in shards.chunks(site_size) {
+                let mut rollup = MetricsRegistry::new();
+                for shard in site {
+                    rollup.merge(shard).expect("merge");
+                }
+                cloud.merge(&rollup).expect("merge");
+            }
+            assert_eq!(cloud, flat, "site_size {site_size} changed the rollup");
         }
     }
 

@@ -245,7 +245,6 @@ fn transport_faults_and_store_crash_in_one_deploy_leave_no_partial_state() {
     let tier = TierConfig {
         l1_capacity: Some(16_000),
         disk: DiskModel::ssd(),
-        promote_on_hit: true,
     };
     let config = ClientConfig::default().with_tier(tier);
 
@@ -266,7 +265,6 @@ fn transport_faults_and_store_crash_in_one_deploy_leave_no_partial_state() {
         let cache = TieredStore::from_parts(
             MemStore::with_policy(EvictionPolicy::Lru, tier.l1_capacity),
             l2,
-            tier.promote_on_hit,
         );
         let mut client = GearClient::with_store(Box::new(cache), config);
         client.inject_faults(
