@@ -147,7 +147,6 @@ fn publish_variant(ctx: &ExperimentContext, converter: &Converter) -> Variant {
 fn served_bytes(collector: &Collector) -> u64 {
     let metrics = collector.metrics();
     metrics.counter("registry.download_bytes")
-        + metrics.counter("registry.range_bytes")
         + metrics.counter("registry.chunk_bytes")
 }
 

@@ -2,9 +2,10 @@
 //!
 //! Not a paper figure — the observability companion to the other
 //! experiments. A single [`gear_telemetry::Collector`] is threaded through
-//! publish, cold and warm Gear deployments, a faulty wire protocol session,
-//! and a cooperative P2P cluster; the result is a per-phase breakdown plus
-//! the Chrome/Perfetto `trace.json` and flat `metrics.json` exports.
+//! publish, cold and warm Gear deployments, a deployment under injected
+//! faults, and a cooperative P2P cluster; the result is a per-phase
+//! breakdown plus the Chrome/Perfetto `trace.json` and flat `metrics.json`
+//! exports.
 //!
 //! Everything is stamped in simulated time from the deterministic cost
 //! models, so the same corpus seed yields byte-identical exports.
@@ -13,14 +14,11 @@ use std::fmt;
 use std::path::Path;
 use std::time::Duration;
 
-use bytes::Bytes;
 use gear_client::GearClient;
 use gear_core::{publish, Converter};
-use gear_hash::Fingerprint;
 use gear_p2p::{Cluster, ClusterConfig};
-use gear_proto::{FaultyTransport, Loopback, RegistryClient};
 use gear_registry::{DockerRegistry, GearFileStore};
-use gear_simnet::{FaultKind, FaultPlan, FaultyLink, Link, RetryPolicy, VirtualClock};
+use gear_simnet::{FaultKind, FaultPlan, RetryPolicy};
 use gear_telemetry::Telemetry;
 
 use super::{human_bytes, secs, ExperimentContext};
@@ -174,41 +172,23 @@ pub fn run(ctx: &ExperimentContext) -> Profile {
         }
     }));
 
-    // Phase 4 — wire protocol under faults: a scripted drop window forces
-    // deterministic retries and backoff, all visible as `proto` spans,
-    // `retry` instants, and `simnet` fault instants.
-    rows.push(phase("proto", &["registry.download_bytes"], &mut |t| {
-        let mut loopback = Loopback::default();
-        loopback.service_mut().files_mut().set_recorder(t.clone());
-        let payloads: Vec<Bytes> = (0u8..8)
-            .map(|i| Bytes::from(vec![i; 2048 + 512 * i as usize]))
-            .collect();
-        let fingerprints: Vec<Fingerprint> =
-            payloads.iter().map(|p| Fingerprint::of(p)).collect();
-        for (fp, payload) in fingerprints.iter().zip(&payloads) {
-            loopback
-                .service_mut()
-                .files_mut()
-                .upload(*fp, payload.clone())
-                .expect("seed upload");
-        }
-        let clock = VirtualClock::new();
-        let plan = FaultPlan::new(0x9206)
-            .fail_requests(1, 2, FaultKind::Drop)
-            .with_recorder(t.clone());
-        let link = FaultyLink::new(Link::mbps(100.0), plan)
-            .with_give_up(Duration::from_millis(400));
-        let transport = FaultyTransport::new(loopback, link, clock.clone());
-        let mut client = RegistryClient::with_retry(
-            transport,
+    // Phase 4 — a deployment under faults: a scripted drop window forces
+    // two deterministic retries with backoff through the client's one
+    // request retry loop, visible as `simnet` fault instants,
+    // `simnet.faults` and `client.retries`.
+    rows.push(phase("deploy_faulty", &["client.bytes_pulled"], &mut |t| {
+        let mut client = GearClient::new(ctx.client_config);
+        client.set_recorder(t.clone());
+        client.inject_faults(
+            FaultPlan::new(0x9206).fail_requests(1, 2, FaultKind::Drop),
             RetryPolicy::standard(0x9206),
-            clock,
-        )
-        .with_recorder(t.clone());
-        for (fp, payload) in fingerprints.iter().zip(&payloads) {
-            let body = client.download(*fp).expect("download under retries");
-            assert_eq!(body.len(), payload.len());
-        }
+        );
+        let first = series.first().expect("profiled series");
+        let (cid, report) = client
+            .deploy(first.images[0].reference(), &first.traces[0], &gear_index, &gear_files)
+            .expect("deploy under retries");
+        assert_eq!(report.retries, 2, "both scripted drops are retried");
+        client.destroy(cid);
     }));
 
     // Phase 5 — cooperative P2P: the newest image of the first series is
@@ -293,7 +273,7 @@ mod tests {
         let result = run(&ctx);
         assert!(result.problems.is_empty(), "{:?}", result.problems);
         assert!(result.span_count > result.rows.len());
-        for cat in ["client", "cache", "simnet", "fs", "registry", "proto", "p2p"] {
+        for cat in ["client", "cache", "simnet", "fs", "registry", "p2p"] {
             assert!(
                 result.categories.contains(&cat),
                 "missing category {cat}: {:?}",

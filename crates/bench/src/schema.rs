@@ -8,8 +8,7 @@
 //! schema-driven checks, the validator re-derives every span's nanosecond
 //! interval from its exported `ts`/`dur` and proves each Chrome-trace
 //! track (`pid`/`tid` pair — fleet exports put one shard per `tid`) is
-//! well-nested — no two spans on a track partially overlap — and that
-//! every flow-end event binds to a flow-start somewhere in the export.
+//! well-nested — no two spans on a track partially overlap.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -86,11 +85,9 @@ pub fn validate(trace: &Value, metrics: &Value, schema: &Value) -> Vec<String> {
     // Per-event checks: known phase, required fields for that phase, sane
     // timestamps. Collects span intervals (per Chrome-trace track — fleet
     // exports put each shard on its own `tid`, and spans only nest within
-    // a track), flow-event ids, and categories along the way.
+    // a track) and categories along the way.
     let by_phase = field(schema, "x-event-required-fields");
     let mut tracks = Tracks::new();
-    let mut flow_starts = BTreeSet::new();
-    let mut flow_ends: Vec<(u64, usize)> = Vec::new();
     let mut categories = BTreeSet::new();
     for (index, event) in events.iter().enumerate() {
         let phase = field(event, "ph").and_then(Value::as_str).unwrap_or("");
@@ -112,33 +109,20 @@ pub fn validate(trace: &Value, metrics: &Value, schema: &Value) -> Vec<String> {
             Some(ts) if ts >= 0.0 => {}
             _ => problems.push(format!("event {index}: ts must be a non-negative number")),
         }
-        match phase {
-            "X" => {
-                let dur = field(event, "dur").and_then(Value::as_f64);
-                match (ts, dur) {
-                    (Some(ts), Some(dur)) if dur >= 0.0 => {
-                        // Timestamps are exact decimal microseconds with a
-                        // three-digit fraction; ×1000 recovers integer
-                        // nanos.
-                        let start = (ts * 1000.0).round() as u64;
-                        let end = start + (dur * 1000.0).round() as u64;
-                        let pid = field(event, "pid").and_then(Value::as_u64).unwrap_or(0);
-                        let tid = field(event, "tid").and_then(Value::as_u64).unwrap_or(0);
-                        tracks.entry((pid, tid)).or_default().push((start, end, index));
-                    }
-                    _ => problems
-                        .push(format!("event {index}: dur must be a non-negative number")),
+        if phase == "X" {
+            let dur = field(event, "dur").and_then(Value::as_f64);
+            match (ts, dur) {
+                (Some(ts), Some(dur)) if dur >= 0.0 => {
+                    // Timestamps are exact decimal microseconds with a
+                    // three-digit fraction; ×1000 recovers integer nanos.
+                    let start = (ts * 1000.0).round() as u64;
+                    let end = start + (dur * 1000.0).round() as u64;
+                    let pid = field(event, "pid").and_then(Value::as_u64).unwrap_or(0);
+                    let tid = field(event, "tid").and_then(Value::as_u64).unwrap_or(0);
+                    tracks.entry((pid, tid)).or_default().push((start, end, index));
                 }
+                _ => problems.push(format!("event {index}: dur must be a non-negative number")),
             }
-            "s" | "f" => match field(event, "id").and_then(Value::as_u64) {
-                Some(id) if phase == "s" => {
-                    flow_starts.insert(id);
-                }
-                Some(id) => flow_ends.push((id, index)),
-                None => problems
-                    .push(format!("event {index}: flow id must be a non-negative integer")),
-            },
-            _ => {}
         }
     }
 
@@ -161,14 +145,6 @@ pub fn validate(trace: &Value, metrics: &Value, schema: &Value) -> Vec<String> {
                 }
             }
             open.push((start, end, index));
-        }
-    }
-
-    // Causality: every flow-end must bind to a flow-start somewhere in the
-    // export (possibly on another track — that is the point of flows).
-    for (id, index) in flow_ends {
-        if !flow_starts.contains(&id) {
-            problems.push(format!("event {index}: flow end id {id} has no flow start"));
         }
     }
 
@@ -242,16 +218,13 @@ mod tests {
     }
 
     #[test]
-    fn overlap_across_tracks_is_fine_and_dangling_flows_are_not() {
+    fn overlap_across_tracks_is_fine() {
         // Two shards exporting overlapping intervals on different tids is
-        // the normal fleet shape; a flow-end with no flow-start is not.
+        // the normal fleet shape.
         let trace: Value = serde_json::from_str(
             r#"{"displayTimeUnit":"ms","traceEvents":[
                 {"ph":"X","pid":1,"tid":1,"cat":"client","name":"a","ts":0.000,"dur":10.000},
-                {"ph":"X","pid":1,"tid":2,"cat":"client","name":"b","ts":5.000,"dur":10.000},
-                {"ph":"s","pid":1,"tid":1,"cat":"flow","name":"req","id":7,"ts":0.000},
-                {"ph":"f","bp":"e","pid":1,"tid":2,"cat":"flow","name":"req","id":7,"ts":5.000},
-                {"ph":"f","bp":"e","pid":1,"tid":2,"cat":"flow","name":"req","id":9,"ts":6.000}
+                {"ph":"X","pid":1,"tid":2,"cat":"client","name":"b","ts":5.000,"dur":10.000}
             ]}"#,
         )
         .unwrap();
@@ -263,14 +236,6 @@ mod tests {
         assert!(
             !problems.iter().any(|p| p.contains("not well-nested")),
             "cross-track overlap must pass: {problems:#?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("flow end id 9 has no flow start")),
-            "{problems:#?}"
-        );
-        assert!(
-            !problems.iter().any(|p| p.contains("flow end id 7")),
-            "bound flow must pass: {problems:#?}"
         );
     }
 

@@ -173,17 +173,16 @@ pub fn deploy(
 }
 
 /// Removes an image (original and Gear form) and garbage-collects; returns
-/// bytes freed across both registries. Gear files stay in the pool (they may
-/// be shared by other images).
-pub fn remove(state: &mut State, reference: &ImageRef) -> u64 {
-    let mut freed = 0;
-    if state.docker.delete_image(reference) {
-        freed += state.docker.gc();
+/// bytes freed across both registries, or `None` (state untouched) when
+/// neither held the reference. Gear files stay in the pool (they may be
+/// shared by other images).
+pub fn remove(state: &mut State, reference: &ImageRef) -> Option<u64> {
+    let docker = state.docker.delete_image(reference).then(|| state.docker.gc());
+    let index = state.index.delete_image(reference).then(|| state.index.gc());
+    match (docker, index) {
+        (None, None) => None,
+        (docker, index) => Some(docker.unwrap_or(0) + index.unwrap_or(0)),
     }
-    if state.index.delete_image(reference) {
-        freed += state.index.gc();
-    }
-    freed
 }
 
 /// Integrity scan over all three stores; returns findings (empty = clean).
@@ -307,7 +306,7 @@ mod tests {
         build(&mut state, &dir, &r).unwrap();
         convert(&mut state, &r).unwrap();
         let pool_before = state.files.object_count();
-        let freed = remove(&mut state, &r);
+        let freed = remove(&mut state, &r).expect("image was there");
         assert!(freed > 0);
         assert!(images(&state).is_empty());
         assert_eq!(
@@ -315,7 +314,7 @@ mod tests {
             pool_before,
             "gear files remain shareable after image removal"
         );
-        assert_eq!(remove(&mut state, &r), 0, "second removal frees nothing");
+        assert_eq!(remove(&mut state, &r), None, "second removal finds nothing");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -124,7 +124,9 @@ fn run() -> Result<(), String> {
             };
             let reference: ImageRef = reference.parse().map_err(|e| format!("{e}"))?;
             let mut state = load(&dir)?;
-            let freed = commands::remove(&mut state, &reference);
+            let Some(freed) = commands::remove(&mut state, &reference) else {
+                return Err(format!("no such image {reference}"));
+            };
             // Rebuild the on-disk layout from scratch so deleted blobs go away.
             if dir.exists() {
                 std::fs::remove_dir_all(dir.root()).map_err(|e| e.to_string())?;

@@ -1,7 +1,7 @@
 //! Black-box tests running the actual `gear` binary.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -22,6 +22,25 @@ fn gear(state: &PathBuf, args: &[&str]) -> Output {
 
 fn stdout(output: &Output) -> String {
     String::from_utf8_lossy(&output.stdout).into_owned()
+}
+
+/// Every file under `dir` with its bytes, sorted by path.
+fn snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(dir) = pending.pop() {
+        for entry in fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = fs::read(&path).unwrap();
+                files.push((path, bytes));
+            }
+        }
+    }
+    files.sort();
+    files
 }
 
 #[test]
@@ -108,6 +127,20 @@ fn helpful_errors() {
     let help = gear(&state, &["help"]);
     assert!(help.status.success());
     assert!(stdout(&help).contains("usage"));
+
+    // Removing an image that is not there fails and leaves the state
+    // directory exactly as it was.
+    let app = root.join("app");
+    fs::create_dir_all(&app).unwrap();
+    fs::write(app.join("data"), b"kept").unwrap();
+    assert!(gear(&state, &["build", app.to_str().unwrap(), "app:1"]).status.success());
+    assert!(gear(&state, &["convert", "app:1"]).status.success());
+    let before = snapshot(&state);
+    let ghost = gear(&state, &["rm", "ghost:1"]);
+    assert_eq!(ghost.status.code(), Some(1));
+    assert_eq!(String::from_utf8_lossy(&ghost.stderr), "gear: no such image ghost:1\n");
+    assert!(ghost.stdout.is_empty());
+    assert_eq!(snapshot(&state), before);
 
     fs::remove_dir_all(&root).unwrap();
 }

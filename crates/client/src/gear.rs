@@ -327,12 +327,6 @@ impl GearClient {
         } else {
             StoreStats::default()
         };
-        // Every deployment is one causal trace: proto requests issued on
-        // this client's recorder carry this id (and the issuing span's key)
-        // across node boundaries.
-        self.telemetry
-            .set_trace_id(gear_telemetry::trace_id_for(&reference.to_string(), self.next_id));
-
         let mut chain = RegistryChain {
             config: self.config,
             own: self.cache.as_mut(),

@@ -19,8 +19,8 @@
 //!   Fig. 10: per-container virtual block device, 4 KiB blocks, no
 //!   cross-container sharing.
 //!
-//! All engines charge a shared [`gear_simnet::VirtualClock`] through the
-//! same [`ClientConfig`] cost model, so their reported deployment times are
+//! All engines price their work as simulated `Duration`s through the same
+//! [`ClientConfig`] cost model, so their reported deployment times are
 //! directly comparable, deterministic, and independent of host speed.
 //!
 //! # Examples

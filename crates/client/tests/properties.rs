@@ -5,10 +5,36 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use gear_client::{ClientConfig, DeployError, EvictionPolicy, GearClient};
+use gear_core::{publish, Converter};
+use gear_corpus::{StartupTrace, TaskKind};
+use gear_fs::FsTree;
 use gear_hash::Fingerprint;
+use gear_image::{ImageBuilder, ImageRef};
+use gear_registry::{DockerRegistry, GearFileStore};
 use gear_simnet::{FaultKind, FaultPlan, RetryPolicy};
 use gear_store::MemStore;
 use proptest::prelude::*;
+
+/// Publishes one image holding `files[i]` at `data/f{i}`; returns the
+/// registries, the image's reference, and a trace reading every file in
+/// order.
+fn publish_files(files: &[Bytes]) -> (DockerRegistry, GearFileStore, ImageRef, StartupTrace) {
+    let mut tree = FsTree::new();
+    for (i, content) in files.iter().enumerate() {
+        tree.create_file(&format!("data/f{i}"), content.clone()).unwrap();
+    }
+    let r: ImageRef = "prop:1".parse().unwrap();
+    let image = ImageBuilder::new(r.clone()).layer_from_tree(&tree).build();
+    let conv = Converter::new().convert(&image).unwrap();
+    let mut docker = DockerRegistry::new();
+    let mut store = GearFileStore::new();
+    publish(&conv, &mut docker, &mut store);
+    let trace = StartupTrace {
+        reads: (0..files.len()).map(|i| format!("data/f{i}")).collect(),
+        task: TaskKind::Echo,
+    };
+    (docker, store, r, trace)
+}
 
 /// The serial retry loop, restated independently of the production one in
 /// `gear_simnet::FaultInjector`: what charging one registry request of
@@ -310,31 +336,13 @@ proptest! {
         transient in (0u64..8, prop_oneof![Just(FaultKind::Drop), Just(FaultKind::Corrupt)]),
         sizes in proptest::collection::vec(8u16..2048, 2..6),
     ) {
-        use gear_core::{publish, Converter};
-        use gear_corpus::{StartupTrace, TaskKind};
-        use gear_fs::FsTree;
-        use gear_image::{ImageBuilder, ImageRef};
-        use gear_registry::{DockerRegistry, GearFileStore};
-
-        let mut tree = FsTree::new();
-        let mut contents: Vec<(String, Bytes)> = Vec::new();
-        for (i, len) in sizes.iter().enumerate() {
-            let path = format!("data/f{i}");
-            // Distinct bytes per file so fingerprints never collide.
-            let b = Bytes::from(vec![i as u8 + 1; *len as usize]);
-            tree.create_file(&path, b.clone()).unwrap();
-            contents.push((path, b));
-        }
-        let r: ImageRef = "prop:1".parse().unwrap();
-        let image = ImageBuilder::new(r.clone()).layer_from_tree(&tree).build();
-        let conv = Converter::new().convert(&image).unwrap();
-        let mut docker = DockerRegistry::new();
-        let mut store = GearFileStore::new();
-        publish(&conv, &mut docker, &mut store);
-        let trace = StartupTrace {
-            reads: contents.iter().map(|(p, _)| p.clone()).collect(),
-            task: TaskKind::Echo,
-        };
+        // Distinct bytes per file so fingerprints never collide.
+        let contents: Vec<Bytes> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, len)| Bytes::from(vec![i as u8 + 1; *len as usize]))
+            .collect();
+        let (docker, store, r, trace) = publish_files(&contents);
 
         let config = ClientConfig::default().with_streams(streams);
         let policy = RetryPolicy::standard(0);
@@ -363,7 +371,7 @@ proptest! {
             price(layer.size, config.decompress(layer.size));
         }
         let mut survivors = 0;
-        for (_, content) in &contents {
+        for content in &contents {
             let raw = content.len() as u64;
             let wire = store.transfer_size(Fingerprint::of(content)).unwrap();
             let local = config.decompress(wire)
@@ -392,7 +400,7 @@ proptest! {
         // Whatever happened, the cache holds exactly the files whose
         // requests survived, each complete.
         let mut expected_bytes = 0u64;
-        for (i, (_, content)) in contents.iter().enumerate() {
+        for (i, content) in contents.iter().enumerate() {
             let cached = client.cache_contains(Fingerprint::of(content));
             prop_assert_eq!(cached, i < survivors, "file {} of {} survivors", i, survivors);
             if cached {
@@ -401,6 +409,103 @@ proptest! {
         }
         prop_assert_eq!(client.cache_bytes(), expected_bytes, "cache bytes must be consistent");
         prop_assert_eq!(client.cache_stats().evictions, 0, "unbounded cache never evicts");
+    }
+
+    /// What a faulty registry path owes its caller, on the path deploys
+    /// take. Under a probabilistic drop/corrupt plan a deployment either
+    /// succeeds with exactly the fault-free run's files — every one cached
+    /// and hashing to its fingerprint — or aborts with the typed budget
+    /// error, and which of the two is decided by the plan alone: a request
+    /// is lost exactly when all four of its attempts draw a fault. The same
+    /// seeds give the same outcome. Any scripted burst shorter than the
+    /// budget is invisible but for its retries (an in-budget stall is
+    /// delivered late, with none).
+    #[test]
+    fn faulty_deploys_deliver_the_clean_files_or_a_typed_error(
+        seed in any::<u64>(),
+        drop_p in 0.0f64..0.5,
+        corrupt_p in 0.0f64..0.3,
+        four_streams in any::<bool>(),
+        sizes in proptest::collection::vec(8u16..2048, 2..6),
+        burst in (
+            0u64..4,
+            1u64..=3,
+            prop_oneof![
+                Just(FaultKind::Drop),
+                Just(FaultKind::Corrupt),
+                Just(FaultKind::Truncate),
+                Just(FaultKind::Stall(Duration::from_millis(100))),
+                Just(FaultKind::Stall(Duration::from_secs(3))),
+            ],
+        ),
+    ) {
+        let contents: Vec<Bytes> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, len)| Bytes::from(vec![i as u8 + 1; *len as usize]))
+            .collect();
+        let (docker, store, r, trace) = publish_files(&contents);
+        let config = ClientConfig::default().with_streams(if four_streams { 4 } else { 1 });
+        let policy = RetryPolicy::standard(seed);
+        let deploy = |plan: Option<FaultPlan>| {
+            let mut client = GearClient::new(config);
+            if let Some(plan) = plan {
+                client.inject_faults(plan, policy);
+            }
+            let result = client.deploy(&r, &trace, &docker, &store);
+            (client, result)
+        };
+        // The files a deployment delivered, read back with no registry
+        // behind the cache.
+        let cached_intact = |client: &mut GearClient, id| {
+            client.clear_faults();
+            contents.iter().zip(&trace.reads).all(|(content, path)| {
+                let fingerprint = Fingerprint::of(content);
+                let len = content.len() as u64;
+                client.cache_contains(fingerprint)
+                    && client
+                        .read_range(id, path, 0, len, &GearFileStore::new())
+                        .is_ok_and(|cached| Fingerprint::of(&cached) == fingerprint)
+            })
+        };
+
+        let clean = deploy(None).1.unwrap().1;
+        // Manifest, index layer, then one request per file.
+        prop_assert_eq!(clean.requests, 2 + contents.len() as u64);
+
+        let plan = FaultPlan::new(seed).with_drop(drop_p).with_corrupt(corrupt_p);
+        let mut oracle = plan.clone();
+        let delivered = (0..clean.requests)
+            .all(|_| (0..policy.max_attempts).any(|_| oracle.next_fault().is_none()));
+        let (mut client, outcome) = deploy(Some(plan.clone()));
+        match &outcome {
+            Ok((id, report)) => {
+                prop_assert!(delivered, "a request lost all four attempts, yet the deploy ran");
+                prop_assert_eq!(report.files_fetched, clean.files_fetched);
+                prop_assert_eq!(report.bytes_pulled, clean.bytes_pulled);
+                prop_assert_eq!(report.retries, oracle.injected());
+                prop_assert!(cached_intact(&mut client, *id));
+            }
+            Err(DeployError::FaultBudgetExhausted { attempts: 4 }) => {
+                prop_assert!(!delivered, "every request had a clean attempt, yet it aborted");
+            }
+            Err(other) => prop_assert!(false, "unexpected deploy error: {}", other),
+        }
+        let summary = |outcome: Result<(_, gear_client::DeploymentReport), DeployError>| {
+            outcome.map(|(_, report)| report).map_err(|e| e.to_string())
+        };
+        let again = deploy(Some(plan)).1;
+        prop_assert_eq!(summary(again), summary(outcome), "same seeds, same outcome");
+
+        let (from, len, kind) = burst;
+        let (mut client, outcome) =
+            deploy(Some(FaultPlan::new(seed).fail_requests(from, from + len - 1, kind)));
+        let (id, report) = outcome.unwrap();
+        let in_budget_stall = kind == FaultKind::Stall(Duration::from_millis(100));
+        prop_assert_eq!(report.retries, if in_budget_stall { 0 } else { len });
+        prop_assert_eq!(report.files_fetched, clean.files_fetched);
+        prop_assert_eq!(report.bytes_pulled, clean.bytes_pulled);
+        prop_assert!(cached_intact(&mut client, id));
     }
 
     /// Single-flight dedup: however many concurrent reads miss on the same
@@ -415,12 +520,6 @@ proptest! {
         fault_at in (any::<bool>(), 0u64..6).prop_map(|(on, at)| on.then_some(at)),
         corrupt in any::<bool>(),
     ) {
-        use gear_core::{publish, Converter};
-        use gear_corpus::{StartupTrace, TaskKind};
-        use gear_fs::FsTree;
-        use gear_image::{ImageBuilder, ImageRef};
-        use gear_registry::{DockerRegistry, GearFileStore};
-
         // `readers` distinct paths, one shared content → one fingerprint.
         let shared = Bytes::from(vec![0x5A; len as usize]);
         let mut tree = FsTree::new();
@@ -466,31 +565,19 @@ proptest! {
         streams in 2usize..9,
         window in 1024u64..32_768,
     ) {
-        use gear_core::{publish, Converter};
-        use gear_corpus::{StartupTrace, TaskKind};
-        use gear_fs::FsTree;
-        use gear_image::{ImageBuilder, ImageRef};
-        use gear_registry::{DockerRegistry, GearFileStore};
-
-        let mut tree = FsTree::new();
-        let mut fingerprints = Vec::new();
-        for (i, len) in sizes.iter().enumerate() {
-            // Distinct first byte so every file is a distinct fingerprint.
-            let mut content = vec![0u8; *len as usize];
-            content[0] = i as u8;
-            fingerprints.push(Fingerprint::of(&content));
-            tree.create_file(&format!("data/f{i}"), Bytes::from(content)).unwrap();
-        }
-        let r: ImageRef = "prop:1".parse().unwrap();
-        let image = ImageBuilder::new(r.clone()).layer_from_tree(&tree).build();
-        let conv = Converter::new().convert(&image).unwrap();
-        let mut docker = DockerRegistry::new();
-        let mut store = GearFileStore::new();
-        publish(&conv, &mut docker, &mut store);
-        let trace = StartupTrace {
-            reads: (0..sizes.len()).map(|i| format!("data/f{i}")).collect(),
-            task: TaskKind::Echo,
-        };
+        // Distinct first byte so every file is a distinct fingerprint.
+        let contents: Vec<Bytes> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, len)| {
+                let mut content = vec![0u8; *len as usize];
+                content[0] = i as u8;
+                Bytes::from(content)
+            })
+            .collect();
+        let fingerprints: Vec<Fingerprint> =
+            contents.iter().map(|c| Fingerprint::of(c)).collect();
+        let (docker, store, r, trace) = publish_files(&contents);
 
         let mut config = ClientConfig::default();
         config.fetch.streams = streams;

@@ -158,35 +158,6 @@ impl GearFileStore {
         found
     }
 
-    /// `download_range` verb: serves `offset..offset + len` of the stored
-    /// body, the lazy-pull primitive behind chunk-granularity deployment —
-    /// a client that only needs the head of a big file no longer pays for
-    /// the whole object. The range is clamped to the stored length (a
-    /// request crossing EOF answers the bytes that exist, possibly none),
-    /// and `None` still means the fingerprint is absent. A pure read, like
-    /// [`GearFileStore::download`]. Range traffic is accounted separately
-    /// (`registry.range_*`) so experiments can tell lazy bytes from whole
-    /// -file bytes.
-    pub fn download_range(
-        &self,
-        fingerprint: Fingerprint,
-        offset: u64,
-        len: u64,
-    ) -> Option<Bytes> {
-        let body = self.store.peek(fingerprint)?;
-        let total = body.len() as u64;
-        let start = offset.min(total) as usize;
-        let end = offset.saturating_add(len).min(total) as usize;
-        let slice = body.slice(start..end);
-        if self.telemetry.enabled() {
-            self.telemetry.count("registry.range_requests", 1);
-            self.telemetry.count("registry.range_bytes", slice.len() as u64);
-            self.telemetry.sketch("registry.range_len", slice.len() as u64);
-            self.telemetry.sketch("registry.served_bytes", slice.len() as u64);
-        }
-        Some(slice)
-    }
-
     /// `download_chunk` verb: identical lookup to [`GearFileStore::download`]
     /// (chunks are first-class content-addressed blobs), but accounted under
     /// `registry.chunk_*` so chunk-granularity traffic is separable from
@@ -310,19 +281,11 @@ mod tests {
     }
 
     #[test]
-    fn download_range_slices_and_clamps() {
+    fn chunk_downloads_serve_the_same_objects() {
         let mut store = GearFileStore::new();
         let body = Bytes::from((0u8..=255).collect::<Vec<u8>>());
         let fp = Fingerprint::of(&body);
         store.upload(fp, body.clone()).unwrap();
-        assert_eq!(store.download_range(fp, 0, 16).unwrap(), body.slice(0..16));
-        assert_eq!(store.download_range(fp, 100, 50).unwrap(), body.slice(100..150));
-        // Crossing EOF answers what exists; starting past EOF answers empty.
-        assert_eq!(store.download_range(fp, 250, 100).unwrap(), body.slice(250..256));
-        assert!(store.download_range(fp, 9_999, 4).unwrap().is_empty());
-        // Absent fingerprints are still absent, not empty.
-        assert!(store.download_range(Fingerprint::of(b"ghost"), 0, 4).is_none());
-        // Chunk downloads serve the same objects.
         assert_eq!(store.download_chunk(fp).unwrap(), body);
         assert!(store.download_chunk(Fingerprint::of(b"ghost")).is_none());
     }

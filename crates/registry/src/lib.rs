@@ -17,9 +17,9 @@
 //! For fleet-scale serving, [`ShardedStore`] spreads objects over several
 //! [`GearFileStore`] shards via a seeded consistent-hash [`HashRing`]
 //! (virtual nodes, N-way replication) with bounded per-shard admission
-//! queues: a full queue is a typed [`ShardRejection::Overloaded`] — `503`
-//! on gear-proto's wire, retried with backoff — and a down shard fails
-//! over to its replicas.
+//! queues: a full queue is a typed [`ShardRejection::Overloaded`] — the
+//! fleet simulator backs the request off and retries — and a down shard
+//! fails over to its replicas.
 //!
 //! # Examples
 //!

@@ -7,8 +7,8 @@
 //! carries a bounded admission queue: a driver with concurrent requests in
 //! flight takes a token per request ([`ShardedStore::try_admit`]) and a
 //! full queue yields a typed [`ShardRejection::Overloaded`] — the condition
-//! gear-proto surfaces as `503` and retries with backoff under PR 1's
-//! `RetryPolicy`.
+//! gear-p2p's `FleetSim` answers with a seeded `RetryPolicy` back-off once
+//! every replica has refused.
 //!
 //! The store itself is synchronous and instantaneous; *time* (queueing
 //! delay, service time) is priced by the event-driven fleet simulator in
@@ -34,8 +34,7 @@ pub const DEFAULT_QUEUE_DEPTH: u32 = 64;
 /// Why a shard refused a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardRejection {
-    /// The shard's admission queue is full; retry after backoff (`503` on
-    /// gear-proto's wire).
+    /// The shard's admission queue is full; retry after backoff.
     Overloaded,
     /// The shard is down (outage or upgrade); fail over to a replica.
     Down,

@@ -7,14 +7,11 @@
 //! timings. [`RetryPolicy`] describes how a client spends its retry budget
 //! (attempts, per-attempt timeout, exponential backoff with seeded jitter)
 //! and [`FaultInjector`] prices a request's failed attempts in simulated
-//! time; [`FaultyLink`] pairs a [`Link`] with a plan for the wire-protocol
-//! transport.
+//! time.
 
 use std::time::Duration;
 
 use gear_telemetry::Telemetry;
-
-use crate::link::Link;
 
 /// How one request misbehaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,12 +140,6 @@ impl FaultPlan {
         self.telemetry = telemetry;
     }
 
-    /// Builder form of [`FaultPlan::set_recorder`].
-    pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
     /// Decides the fate of the next request, advancing the request counter.
     pub fn next_fault(&mut self) -> Option<FaultKind> {
         let index = self.requests;
@@ -211,7 +202,7 @@ impl FaultPlan {
 
 /// How a client spends its retry budget: attempt count, per-attempt timeout
 /// (in simulated time), and exponential backoff with seeded jitter. All
-/// waiting is charged to the virtual clock, never to wall time.
+/// waiting is charged as simulated time, never to wall time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (minimum 1).
@@ -383,55 +374,6 @@ impl FaultInjector {
             }
         }
         Err(BudgetExhausted { attempts })
-    }
-}
-
-/// A [`Link`] paired with the [`FaultPlan`] its requests draw from and the
-/// give-up timeout a dropped response costs; the wire-protocol transport
-/// prices each attempt from these parts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultyLink {
-    link: Link,
-    plan: FaultPlan,
-    give_up: Duration,
-}
-
-impl FaultyLink {
-    /// Wraps `link` with `plan`; dropped responses cost the default 1 s
-    /// give-up timeout (see [`FaultyLink::with_give_up`]).
-    pub fn new(link: Link, plan: FaultPlan) -> Self {
-        FaultyLink { link, plan, give_up: Duration::from_secs(1) }
-    }
-
-    /// Sets how long a caller waits before declaring a request lost.
-    pub fn with_give_up(mut self, give_up: Duration) -> Self {
-        self.give_up = give_up;
-        self
-    }
-
-    /// The underlying healthy link.
-    pub fn link(&self) -> &Link {
-        &self.link
-    }
-
-    /// The fault plan (request/injection counters included).
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The give-up timeout charged for dropped responses.
-    pub fn give_up(&self) -> Duration {
-        self.give_up
-    }
-
-    /// Decides the fate of the next request, advancing the plan.
-    pub fn next_fault(&mut self) -> Option<FaultKind> {
-        self.plan.next_fault()
-    }
-
-    /// The healthy price of one request moving `payload_bytes`.
-    pub fn transfer(&self, payload_bytes: u64) -> Duration {
-        self.link.request_time(payload_bytes)
     }
 }
 

@@ -4,13 +4,12 @@
 //! by a 904 Mbps link, repeating the experiments at 100/20/5 Mbps. This crate
 //! replaces the physical testbed with explicit, deterministic models:
 //!
-//! * [`VirtualClock`] — simulated time, advanced by charges.
 //! * [`Link`] — bandwidth + RTT + per-request overhead; computes how long a
 //!   request/response of a given size takes.
 //! * [`DiskModel`] — sequential throughput + per-file overhead for local I/O
 //!   (the paper's HDD vs SSD conversion-time comparison, Fig. 6).
 //! * [`NetMetrics`] — byte/request accounting (bandwidth experiments, Fig. 8).
-//! * [`FaultPlan`] / [`FaultyLink`] — seeded, deterministic fault injection
+//! * [`FaultPlan`] — seeded, deterministic fault injection
 //!   (drops, stalls, corruption, truncation) with failed attempts priced in
 //!   simulated time; [`RetryPolicy`] describes a client's retry budget and
 //!   [`FaultInjector`] is the one place a faulty request is decomposed into
@@ -27,18 +26,16 @@
 //! # Examples
 //!
 //! ```
-//! use gear_simnet::{Link, VirtualClock};
+//! use gear_simnet::Link;
 //!
-//! let clock = VirtualClock::new();
 //! let link = Link::mbps(100.0);
-//! clock.advance(link.request_time(1_000_000)); // download 1 MB
-//! assert!(clock.elapsed().as_millis() >= 80);   // ~80 ms of transfer
+//! let download = link.request_time(1_000_000); // download 1 MB
+//! assert!(download.as_millis() >= 80);         // ~80 ms of transfer
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod clock;
 mod crash;
 mod disk;
 mod event;
@@ -47,13 +44,10 @@ mod link;
 mod metrics;
 mod stream;
 
-pub use clock::VirtualClock;
 pub use crash::{CrashPlan, CrashPoint};
 pub use disk::DiskModel;
 pub use event::{EventQueue, FifoLane, LaneSlot};
-pub use fault::{
-    BudgetExhausted, FaultInjector, FaultKind, FaultPlan, FaultyLink, RequestCharge, RetryPolicy,
-};
+pub use fault::{BudgetExhausted, FaultInjector, FaultKind, FaultPlan, RequestCharge, RetryPolicy};
 pub use link::{Bandwidth, Link};
 pub use metrics::NetMetrics;
 pub use stream::{StreamConfig, StreamSchedule};

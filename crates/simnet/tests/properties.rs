@@ -2,9 +2,7 @@
 
 use std::time::Duration;
 
-use gear_simnet::{
-    Bandwidth, DiskModel, FaultInjector, FaultKind, FaultPlan, Link, RetryPolicy, VirtualClock,
-};
+use gear_simnet::{Bandwidth, DiskModel, FaultInjector, FaultKind, FaultPlan, Link, RetryPolicy};
 use proptest::prelude::*;
 
 proptest! {
@@ -33,19 +31,6 @@ proptest! {
         let parts = disk.io_time(bytes, 0) + disk.io_time(0, files);
         let delta = whole.abs_diff(parts);
         prop_assert!(delta < Duration::from_micros(5), "delta {delta:?}");
-    }
-
-    /// The virtual clock sums an arbitrary advance sequence exactly.
-    #[test]
-    fn clock_sums_exactly(advances in proptest::collection::vec(0u64..10_000_000, 0..64)) {
-        let clock = VirtualClock::new();
-        let mut total = Duration::ZERO;
-        for nanos in advances {
-            let d = Duration::from_nanos(nanos);
-            clock.advance(d);
-            total += d;
-        }
-        prop_assert_eq!(clock.elapsed(), total);
     }
 
     /// A fault plan's decisions are a pure function of (seed, request

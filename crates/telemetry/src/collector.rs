@@ -12,7 +12,6 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::context::{span_key, TraceContext, NO_PARENT_SPAN};
 use crate::handle::SpanId;
 use crate::metrics::MetricsRegistry;
 
@@ -32,15 +31,6 @@ pub struct SpanData {
     pub parent: Option<u32>,
     /// Numeric arguments (`bytes`, `files`, ...), in attach order.
     pub args: Vec<(&'static str, u64)>,
-    /// Fleet-unique global key (`shard << 32 | local id`); doubles as the
-    /// flow id when this span is a flow producer.
-    pub key: u64,
-    /// Whether this span caused an outbound request (emits a Chrome flow
-    /// -start event with `id = key`).
-    pub flow_out: bool,
-    /// Flow id of the remote span that caused this one (emits a flow-end
-    /// event), when a trace context was adopted.
-    pub flow_in: Option<u64>,
 }
 
 /// One recorded instant event.
@@ -69,8 +59,6 @@ struct Inner {
     instants: VecDeque<InstantData>,
     dropped_spans: u64,
     dropped_instants: u64,
-    /// Active trace id (0 = none); stamped onto outbound contexts.
-    trace_id: u64,
     metrics: MetricsRegistry,
 }
 
@@ -106,8 +94,7 @@ pub struct Collector {
     inner: Mutex<Inner>,
     /// Maximum retained spans (and, separately, instants).
     cap: usize,
-    /// Shard id baked into every span's global key; shard `s` exports on
-    /// Chrome-trace tid `s + 1`.
+    /// Fleet shard id; shard `s` exports on Chrome-trace tid `s + 1`.
     shard: u32,
 }
 
@@ -177,18 +164,15 @@ impl Collector {
             end,
             parent: inner.stack.last().copied(),
             args: Vec::new(),
-            key: span_key(self.shard, id),
-            flow_out: false,
-            flow_in: None,
         });
         id
     }
 
-    /// Wipes the recording: spans, instants, drop counters, metrics, the
-    /// open-span stack, and the trace id all return to the freshly
-    /// constructed state. The shard id, capacity, and sim-time cursor
-    /// survive — a reset node keeps its identity and its place on the
-    /// simulated timeline, it just forgets what it recorded.
+    /// Wipes the recording: spans, instants, drop counters, metrics, and
+    /// the open-span stack all return to the freshly constructed state.
+    /// The shard id, capacity, and sim-time cursor survive — a reset node
+    /// keeps its identity and its place on the simulated timeline, it just
+    /// forgets what it recorded.
     ///
     /// This is the node-replacement path: when a cluster resets or
     /// upgrades a node, the node's telemetry shard must not leak
@@ -406,55 +390,6 @@ impl Collector {
     pub fn sketch(&self, key: &str, value: u64) {
         self.lock().metrics.sketch_observe(key, value);
     }
-
-    /// Activates trace `trace_id`: subsequent spans belong to it and
-    /// [`Collector::outbound_context`] stamps it on the wire. Id `0` means
-    /// "no trace".
-    pub fn set_trace_id(&self, trace_id: u64) {
-        self.lock().trace_id = trace_id;
-    }
-
-    /// The context to attach to an outbound request: the active trace id
-    /// plus the global key of the innermost open span, which is marked as a
-    /// flow producer (the exporter emits its flow-start event). `None` when
-    /// no trace is active.
-    pub fn outbound_context(&self) -> Option<TraceContext> {
-        let mut inner = self.lock();
-        if inner.trace_id == 0 {
-            return None;
-        }
-        let trace_id = inner.trace_id;
-        let parent_span = match inner.stack.last().copied() {
-            Some(id) => {
-                // The innermost open span caused this request: mark it as
-                // a flow producer so the exporter emits the flow start.
-                if let Some(data) = inner.span_mut(id) {
-                    data.flow_out = true;
-                    data.key
-                } else {
-                    NO_PARENT_SPAN
-                }
-            }
-            None => NO_PARENT_SPAN,
-        };
-        Some(TraceContext { trace_id, parent_span })
-    }
-
-    /// Adopts a context received off the wire onto `span`: binds the flow
-    /// (the exporter emits a flow-end from the remote parent into `span`)
-    /// and stamps the trace id as a span argument.
-    pub fn adopt_context(&self, span: SpanId, ctx: TraceContext) {
-        if !span.is_some() {
-            return;
-        }
-        let mut inner = self.lock();
-        if let Some(data) = inner.span_mut(span.0) {
-            if ctx.parent_span != NO_PARENT_SPAN {
-                data.flow_in = Some(ctx.parent_span);
-            }
-            data.args.push(("trace_id", ctx.trace_id));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -506,7 +441,6 @@ mod tests {
         c.count("p2p.deploys", 5);
         c.gauge_set("p2p.registry_egress", 100);
         c.sketch("p2p.deploy_nanos", 1_000_000);
-        c.set_trace_id(9);
         assert!(c.dropped_spans() > 0);
 
         c.reset();
@@ -572,26 +506,5 @@ mod tests {
         assert_eq!(c.instants().len(), 4);
         assert_eq!(c.dropped_instants(), 6);
         assert!(c.span_bytes() > 0);
-    }
-
-    #[test]
-    fn outbound_context_marks_the_open_span() {
-        let c = Collector::with_shard_and_capacity(2, usize::MAX);
-        assert_eq!(c.outbound_context(), None, "no trace id yet");
-        c.set_trace_id(0xabc);
-        let span = c.span_start("client", "deploy");
-        let ctx = c.outbound_context().expect("trace active");
-        assert_eq!(ctx.trace_id, 0xabc);
-        assert_eq!(ctx.parent_span, span_key(2, 0));
-        c.span_end(span);
-        let spans = c.spans();
-        assert!(spans[0].flow_out);
-
-        // Consumer side: adopting binds the flow and stamps the trace arg.
-        let server = c.span_at("registry", "serve", ms(0), ms(0));
-        c.adopt_context(server, ctx);
-        let spans = c.spans();
-        assert_eq!(spans[1].flow_in, Some(span_key(2, 0)));
-        assert!(spans[1].args.contains(&(("trace_id"), 0xabc)));
     }
 }

@@ -4,16 +4,9 @@
 //! deterministic: spans and instants are emitted in recording order,
 //! metrics in key order, and timestamps as exact decimal microseconds
 //! (`nanos / 1000` with a fixed three-digit fraction) — so a deterministic
-//! recording serializes to byte-identical files.
-//!
-//! Cross-node causality exports as Chrome **flow events**: a span marked as
-//! a flow producer emits a flow-start (`"ph":"s"`) at its start, and every
-//! span that adopted the matching trace context emits a flow-end
-//! (`"ph":"f","bp":"e"`) carrying the same `id` — the producer's global
-//! span key — which is how Perfetto draws arrows from a deploy span on one
-//! track to the registry/peer spans it caused on other tracks. Each fleet
-//! shard exports on its own `tid` (`shard + 1`), so a single-shard
-//! collector stays byte-compatible with the historical all-`tid:1` format.
+//! recording serializes to byte-identical files. Each fleet shard exports
+//! on its own `tid` (`shard + 1`), so a single-shard collector stays
+//! byte-compatible with the historical all-`tid:1` format.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -48,9 +41,8 @@ fn micros(d: Duration) -> String {
 /// The opening of every trace export.
 pub(crate) const TRACE_PRELUDE: &str = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
 
-/// Appends one shard's events — complete spans (with their flow companions)
-/// then instants — on Chrome-trace thread `tid`. `first` threads the comma
-/// state across shards.
+/// Appends one shard's events — complete spans, then instants — on
+/// Chrome-trace thread `tid`. `first` threads the comma state across shards.
 pub(crate) fn write_events(
     out: &mut String,
     spans: &[SpanData],
@@ -89,25 +81,6 @@ pub(crate) fn write_events(
             out.push('}');
         }
         out.push('}');
-        if span.flow_out {
-            sep(out);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"s\",\"pid\":1,\"tid\":{tid},\"cat\":\"flow\",\"name\":\"req\",\
-                 \"id\":{},\"ts\":{}}}",
-                span.key,
-                micros(span.start),
-            );
-        }
-        if let Some(flow) = span.flow_in {
-            sep(out);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":{tid},\"cat\":\"flow\",\
-                 \"name\":\"req\",\"id\":{flow},\"ts\":{}}}",
-                micros(span.start),
-            );
-        }
     }
     for instant in instants {
         sep(out);
@@ -122,9 +95,8 @@ pub(crate) fn write_events(
 
 impl Collector {
     /// Serializes the recording in the Chrome trace-event format: one
-    /// complete (`"ph":"X"`) event per span, flow-start/flow-end events for
-    /// spans bound by a trace context, and one instant (`"ph":"i"`) event
-    /// per instant — all on `pid` 1, `tid` `shard + 1` (so the default
+    /// complete (`"ph":"X"`) event per span and one instant (`"ph":"i"`)
+    /// event per instant — all on `pid` 1, `tid` `shard + 1` (so the default
     /// shard-0 collector keeps the historical single-track layout, and
     /// Perfetto nests same-track spans by interval containment).
     pub fn trace_json(&self) -> String {
@@ -205,7 +177,6 @@ pub fn metrics_json(metrics: &MetricsRegistry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::TraceContext;
     use crate::handle::Telemetry;
 
     #[test]
@@ -226,47 +197,6 @@ mod tests {
             "{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"s\":\"t\",\"cat\":\"simnet\",\
              \"name\":\"fault.drop\",\"ts\":1500.000}"
         ));
-    }
-
-    #[test]
-    fn flow_events_bind_producer_to_consumer() {
-        let c = Collector::new();
-        c.set_trace_id(0x7);
-        let span = c.span_start("client", "deploy");
-        let ctx = c.outbound_context().expect("trace active");
-        c.advance(Duration::from_micros(10));
-        let server = c.span_at("registry", "serve", c.now(), Duration::ZERO);
-        c.adopt_context(server, ctx);
-        c.span_end(span);
-        let json = c.trace_json();
-        assert!(
-            json.contains(
-                "{\"ph\":\"s\",\"pid\":1,\"tid\":1,\"cat\":\"flow\",\"name\":\"req\",\
-                 \"id\":0,\"ts\":0.000}"
-            ),
-            "{json}"
-        );
-        assert!(
-            json.contains(
-                "{\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":1,\"cat\":\"flow\",\
-                 \"name\":\"req\",\"id\":0,\"ts\":10.000}"
-            ),
-            "{json}"
-        );
-        assert!(json.contains("\"args\":{\"trace_id\":7}"), "{json}");
-    }
-
-    #[test]
-    fn adopting_without_a_producer_emits_no_flow() {
-        let c = Collector::new();
-        let server = c.span_at("registry", "serve", Duration::ZERO, Duration::ZERO);
-        c.adopt_context(
-            server,
-            TraceContext { trace_id: 9, parent_span: crate::context::NO_PARENT_SPAN },
-        );
-        let json = c.trace_json();
-        assert!(!json.contains("\"ph\":\"f\""), "{json}");
-        assert!(json.contains("\"trace_id\":9"), "{json}");
     }
 
     #[test]
@@ -315,16 +245,13 @@ mod tests {
         t.span_end(stale);
         c.reset();
 
-        t.set_trace_id(0x51);
         let outer = t.span_start("client", "deploy");
         t.advance(us(3));
         let inner = t.span_start("client", "pull \"index\"");
-        let ctx = t.outbound_context().expect("trace active");
         t.advance(Duration::from_nanos(1_250));
         t.span_end(inner);
         let served = t.span_at("registry", "serve", us(5), Duration::from_nanos(250));
         t.span_arg(served, "bytes", 4096);
-        t.adopt_context(served, ctx);
         t.instant("simnet", "fault.drop");
         t.count("client.requests", 2);
         t.count("client.requests", 3);
@@ -348,12 +275,8 @@ mod tests {
              \"ts\":2.000,\"dur\":5.250},\
              {\"ph\":\"X\",\"pid\":1,\"tid\":1,\"cat\":\"client\",\
              \"name\":\"pull \\\"index\\\"\",\"ts\":5.000,\"dur\":1.250},\
-             {\"ph\":\"s\",\"pid\":1,\"tid\":1,\"cat\":\"flow\",\"name\":\"req\",\"id\":1,\
-             \"ts\":5.000},\
              {\"ph\":\"X\",\"pid\":1,\"tid\":1,\"cat\":\"registry\",\"name\":\"serve\",\
-             \"ts\":5.000,\"dur\":0.250,\"args\":{\"bytes\":4096,\"trace_id\":81}},\
-             {\"ph\":\"f\",\"bp\":\"e\",\"pid\":1,\"tid\":1,\"cat\":\"flow\",\"name\":\"req\",\
-             \"id\":1,\"ts\":5.000},\
+             \"ts\":5.000,\"dur\":0.250,\"args\":{\"bytes\":4096}},\
              {\"ph\":\"i\",\"pid\":1,\"tid\":1,\"s\":\"t\",\"cat\":\"simnet\",\
              \"name\":\"fault.drop\",\"ts\":6.250}]}\n"
         );

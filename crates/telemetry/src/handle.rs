@@ -6,7 +6,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::collector::Collector;
-use crate::context::TraceContext;
 
 /// Identifies a span inside one collector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -145,29 +144,6 @@ impl Telemetry {
     pub fn sketch(&self, key: &str, value: u64) {
         if let Some(c) = &self.collector {
             c.sketch(key, value);
-        }
-    }
-
-    /// Activates a trace ([`Collector::set_trace_id`]).
-    #[inline]
-    pub fn set_trace_id(&self, trace_id: u64) {
-        if let Some(c) = &self.collector {
-            c.set_trace_id(trace_id);
-        }
-    }
-
-    /// Context for an outbound request ([`Collector::outbound_context`]).
-    #[inline]
-    pub fn outbound_context(&self) -> Option<TraceContext> {
-        self.collector.as_ref()?.outbound_context()
-    }
-
-    /// Adopts a received context onto a span
-    /// ([`Collector::adopt_context`]).
-    #[inline]
-    pub fn adopt_context(&self, span: SpanId, ctx: TraceContext) {
-        if let Some(c) = &self.collector {
-            c.adopt_context(span, ctx);
         }
     }
 

@@ -18,16 +18,13 @@
 //! forwards to the collector, whose whole state — cursor, span ring,
 //! registry — sits behind one mutex.
 //!
-//! Fleet-scale aggregation is built from three pieces:
+//! Fleet-scale aggregation is built from two pieces:
 //!
 //! * [`QuantileSketch`] — DDSketch-style log-linear buckets with a fixed
 //!   relative-error bound and exact (associative, commutative) merge;
 //! * [`FleetCollector`] — one bounded flight-recorder [`Collector`] per
 //!   node shard, merged hierarchically at read time, so nodes share no
-//!   lock on the record path;
-//! * [`TraceContext`] — the causal identity a request carries across node
-//!   boundaries (one extra gear-proto header, [`TRACE_HEADER`]), exported
-//!   as Chrome flow events so cross-node spans stitch into one tree.
+//!   lock on the record path.
 //!
 //! Exports follow the Chrome/Perfetto trace-event format
 //! ([`Collector::trace_json`]) and a flat, sorted `metrics.json`
@@ -35,7 +32,6 @@
 //! crate dependency-free.
 
 mod collector;
-mod context;
 mod export;
 mod fleet;
 mod handle;
@@ -43,7 +39,6 @@ mod metrics;
 mod sketch;
 
 pub use collector::{Collector, InstantData, SpanData};
-pub use context::{span_key, trace_id_for, TraceContext, NO_PARENT_SPAN, TRACE_HEADER};
 pub use export::metrics_json;
 pub use fleet::FleetCollector;
 pub use handle::{SpanId, Telemetry};

@@ -20,9 +20,8 @@
 //! | [`archive`] | `gear-archive` | the `gar` layer-archive format |
 //! | [`compress`] | `gear-compress` | LZSS compression |
 //! | [`hash`] | `gear-hash` | MD5/SHA-256, fingerprints, digests |
-//! | [`simnet`] | `gear-simnet` | virtual clock, link and disk models |
+//! | [`simnet`] | `gear-simnet` | link, disk and fault models, event queue |
 //! | [`p2p`] | `gear-p2p` | cooperative cluster distribution of Gear files |
-//! | [`proto`] | `gear-proto` | HTTP-style registry wire protocol |
 //! | [`corpus`] | `gear-corpus` | synthetic 50-series image corpus |
 //!
 //! # Quickstart
@@ -68,7 +67,6 @@ pub use gear_fs as fs;
 pub use gear_hash as hash;
 pub use gear_image as image;
 pub use gear_p2p as p2p;
-pub use gear_proto as proto;
 pub use gear_registry as registry;
 pub use gear_simnet as simnet;
 pub use gear_store as store;

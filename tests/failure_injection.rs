@@ -154,81 +154,6 @@ fn tampered_store_content_never_reaches_the_container() {
 }
 
 #[test]
-fn truncated_wire_frames_get_typed_error_responses() {
-    use gear::proto::{Request, RegistryService, Response, Status};
-
-    let mut service = RegistryService::default();
-    let frame = Request::Query(Fingerprint::of(b"anything")).to_wire();
-    // Cut the frame anywhere: the service must answer with a parseable
-    // BadRequest, never panic or hang.
-    for keep in 0..frame.len() {
-        let reply = service.handle_wire(&frame[..keep]);
-        let response = Response::parse(&reply).expect("server replies are always well-formed");
-        assert_eq!(response.status, Status::BadRequest, "truncated at {keep}");
-    }
-}
-
-#[test]
-fn bit_flipped_frames_never_panic_the_service() {
-    use gear::proto::{Request, RegistryService, Response};
-
-    let mut service = RegistryService::default();
-    let body = Bytes::from_static(b"payload under test");
-    let frame = Request::Upload(Fingerprint::of(&body), body).to_wire();
-    for i in 0..frame.len() {
-        let mut bad = frame.clone();
-        bad[i] ^= 0x40;
-        let reply = service.handle_wire(&bad);
-        // Whatever the flip hit — verb, fingerprint hex, length, payload —
-        // the reply must still be a well-formed frame.
-        Response::parse(&reply).expect("server replies are always well-formed");
-    }
-}
-
-#[test]
-fn faulty_transport_surfaces_typed_errors_never_wrong_bytes() {
-    use gear::proto::{FaultyTransport, Loopback, ProtoError, RegistryClient, RegistryService};
-    use gear::registry::{DockerRegistry, GearFileStore};
-    use gear::simnet::{FaultKind, FaultPlan, FaultyLink, Link, RetryPolicy, VirtualClock};
-
-    let body = Bytes::from_static(b"bytes that must arrive intact or not at all");
-    let fp = Fingerprint::of(&body);
-    let seeded_service = || {
-        let mut files = GearFileStore::new();
-        files.upload(fp, body.clone()).unwrap();
-        RegistryService::new(DockerRegistry::new(), files)
-    };
-
-    // Without retries, every injected fault is a typed error.
-    let transport = FaultyTransport::new(
-        Loopback::new(seeded_service()),
-        FaultyLink::new(Link::mbps(100.0), FaultPlan::new(5).with_drop(1.0)),
-        VirtualClock::new(),
-    );
-    let mut client = RegistryClient::new(transport);
-    for _ in 0..8 {
-        match client.download(fp) {
-            Err(ProtoError::Malformed(_) | ProtoError::Corrupted(_) | ProtoError::Timeout(_)) => {}
-            other => panic!("expected a typed transport error, got {other:?}"),
-        }
-    }
-
-    // With retries and transient faults, the exact bytes come through.
-    let transport = FaultyTransport::new(
-        Loopback::new(seeded_service()),
-        FaultyLink::new(
-            Link::mbps(100.0),
-            FaultPlan::new(5).fail_requests(0, 1, FaultKind::Corrupt),
-        ),
-        VirtualClock::new(),
-    );
-    let clock = transport.clock();
-    let mut client = RegistryClient::with_retry(transport, RetryPolicy::standard(5), clock);
-    assert_eq!(client.download(fp).unwrap(), body);
-    assert_eq!(client.retries(), 2, "both scripted corruptions were retried");
-}
-
-#[test]
 fn transport_faults_and_store_crash_in_one_deploy_leave_no_partial_state() {
     use gear::client::TierConfig;
     use gear::simnet::{CrashPlan, DiskModel, FaultPlan, RetryPolicy};
