@@ -98,7 +98,7 @@ impl ArchivePath {
 
     /// Final component.
     pub fn file_name(&self) -> &str {
-        self.0.rsplit('/').next().expect("non-empty path")
+        self.0.rsplit_once('/').map_or(&self.0, |(_, name)| name)
     }
 
     /// Everything before the final component, or `None` at the top level.

@@ -76,16 +76,23 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// The next `N` bytes as a fixed-size array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ReadError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     fn u16(&mut self) -> Result<u16, ReadError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, ReadError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, ReadError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn string(&mut self) -> Result<String, ReadError> {

@@ -33,8 +33,8 @@ fn bench_union(c: &mut Criterion) {
     });
 
     // The shape of a cold deploy: a fresh mount over one index tree, the 54
-    // distinct files of a start-up trace read once each — every lookup a
-    // first lookup, where `read_through_lower` above soon runs on its cache.
+    // distinct files of a start-up trace read once each, on a mount that has
+    // touched nothing yet; `read_through_lower` above reuses one warm mount.
     group.bench_function("cold_read_depth5", |b| {
         let paths: Vec<String> = (0..54)
             .map(|i| i * 37 % 2048)

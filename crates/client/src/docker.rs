@@ -51,19 +51,9 @@ impl DockerClient {
         }
     }
 
-    /// Replaces the link.
-    pub fn set_link(&mut self, link: gear_simnet::Link) {
-        self.config.link = link;
-    }
-
     /// Network accounting so far.
     pub fn metrics(&self) -> NetMetrics {
         self.metrics
-    }
-
-    /// Local image store statistics.
-    pub fn store_stats(&self) -> gear_image::StoreStats {
-        self.store.stats()
     }
 
     /// Deploys a container the Docker way: full pull, then run.

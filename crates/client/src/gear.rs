@@ -101,13 +101,6 @@ impl From<BudgetExhausted> for DeployError {
     }
 }
 
-/// A deployed container (level 3): its union mount and home image.
-#[derive(Debug)]
-struct Container {
-    image: ImageRef,
-    mount: UnionFs,
-}
-
 /// The Gear deployment client (paper §III-D): pulls tiny index images,
 /// union-mounts them, and materializes files on demand through the shared
 /// cache, charging every operation to a simulated clock.
@@ -117,7 +110,8 @@ pub struct GearClient {
     cache: Box<dyn BlobStore>,
     /// Level 2: the installed indexes; containers mount their trees.
     indexes: HashMap<ImageRef, Arc<GearIndex>>,
-    containers: HashMap<ContainerId, Container>,
+    /// Level 3: each running container's union mount.
+    containers: HashMap<ContainerId, UnionFs>,
     /// Compressed index-image blobs already local (skip re-downloading).
     blobs: HashSet<Digest>,
     metrics: NetMetrics,
@@ -266,11 +260,6 @@ impl GearClient {
         &self.config
     }
 
-    /// Replaces the link (e.g. to re-run an experiment at lower bandwidth).
-    pub fn set_link(&mut self, link: gear_simnet::Link) {
-        self.config.link = link;
-    }
-
     /// Network accounting so far.
     pub fn metrics(&self) -> NetMetrics {
         self.metrics
@@ -372,12 +361,11 @@ impl GearClient {
         report.run = replayed.run;
         report.peak_buffered_bytes = replayed.peak_buffered_bytes;
         report.retries = self.fault_retries() - retries_before;
-        report.resolve_cache_hits = replayed.mount.stats().resolve_cache_hits;
         report.pinned_bytes = self.cache.stats().pinned_bytes;
 
         let id = ContainerId::from_raw(self.next_id);
         self.next_id += 1;
-        self.containers.insert(id, Container { image: reference.clone(), mount: replayed.mount });
+        self.containers.insert(id, replayed.mount);
         if self.telemetry.enabled() {
             self.record_deploy(&report, base, metrics_before, cache_before);
         }
@@ -454,100 +442,6 @@ impl GearClient {
         // scoped_span dragged it there.
     }
 
-    /// Prefetch deployment: like [`GearClient::deploy`], but all files the
-    /// trace will need are downloaded *in one pipelined batch* before the
-    /// container starts — the optimization a recorded profile
-    /// ([`GearClient::recorded_trace`]) enables. Fixed per-request costs
-    /// overlap `pipeline`-deep, so on high-latency links this beats
-    /// on-demand fetching at the price of delaying the start.
-    ///
-    /// # Errors
-    ///
-    /// As [`GearClient::deploy`].
-    pub fn deploy_prefetch(
-        &mut self,
-        reference: &ImageRef,
-        trace: &StartupTrace,
-        docker: &DockerRegistry,
-        store: &GearFileStore,
-        pipeline: u32,
-    ) -> Result<(ContainerId, DeploymentReport), DeployError> {
-        // Install the index first (charged like a normal pull) by running a
-        // deploy with an empty trace, then discard that container.
-        let retries_before = self.fault_retries();
-        let empty = StartupTrace { reads: Vec::new(), task: trace.task };
-        let (warmup, mut report) = self.deploy(reference, &empty, docker, store)?;
-        self.destroy(warmup);
-        let index =
-            self.index(reference).ok_or_else(|| DeployError::ImageNotFound(reference.clone()))?;
-
-        // Collect the fingerprints the trace needs that are not yet cached.
-        let mut wanted: Vec<Fingerprint> = Vec::new();
-        let mut seen = HashSet::new();
-        for path in &trace.reads {
-            if let Some((fp, _)) = index.file_at(path) {
-                if seen.insert(fp) && !self.cache.contains(fp) {
-                    wanted.push(fp);
-                }
-            }
-        }
-
-        // One pipelined batch over the link (`pipeline` requests deep,
-        // bounded buffer window). Under fault injection each file is still
-        // one request: its drop timeouts and backoffs gate the batch
-        // serially, while wasted (corrupt/truncate) attempts occupy the
-        // *batched* schedule — so fault overhead is charged against the
-        // pipelined cost, not against a hypothetical un-batched request. A
-        // file is committed to the cache only after its request survived
-        // the fault plan.
-        if !wanted.is_empty() {
-            let config = self.config;
-            let mut chain = RegistryChain {
-                config,
-                own: self.cache.as_mut(),
-                registry: store,
-                faults: &mut self.faults,
-                metrics: &mut self.metrics,
-                chunked: false,
-            };
-            let mut charges = Vec::with_capacity(wanted.len());
-            for fp in wanted {
-                let (content, charge) = chain.download(fp)?.ok_or_else(|| {
-                    DeployError::Fs(FsError::Materialize {
-                        path: fp.to_string(),
-                        reason: "not in registry".to_owned(),
-                    })
-                })?;
-                chain.own.put(fp, content);
-                charges.push(charge);
-            }
-            let (wait, peak) =
-                price_batch(&config, pipeline.max(1) as usize, charges.iter(), &self.telemetry);
-            let batch_bytes: u64 = charges.iter().map(|charge| charge.bytes).sum();
-            let files = charges.len() as u64;
-            // Staged tier writes from the batch's cache inserts are part of
-            // the prefetch cost (zero for an untiered cache).
-            let batch_cost = wait
-                + config.decompress(batch_bytes)
-                + config.disk.io_time(batch_bytes, files)
-                + self.cache.drain_cost();
-            report.pull += batch_cost;
-            self.telemetry.advance(batch_cost);
-            report.files_fetched += files;
-            report.requests += files;
-            report.bytes_pulled += batch_bytes;
-            report.peak_buffered_bytes = report.peak_buffered_bytes.max(peak);
-        }
-
-        // Now the actual deployment runs entirely from the warm cache.
-        let (id, run_report) = self.deploy(reference, trace, docker, store)?;
-        report.run = run_report.run;
-        report.cache_hits = run_report.cache_hits;
-        report.timeline = run_report.timeline;
-        report.retries = self.fault_retries() - retries_before;
-        Ok((id, report))
-    }
-
     /// Serves `ops` requests on a running container (the paper's
     /// long-running workloads, Fig. 11a): each op reads `op_reads` paths
     /// (cached after the first touch) and spends `op_compute`.
@@ -596,8 +490,7 @@ impl GearClient {
         chunked: bool,
         read: impl FnOnce(&mut UnionFs, &dyn Materializer) -> Result<T, FsError>,
     ) -> Result<(T, Duration), DeployError> {
-        let container =
-            self.containers.get_mut(&id).ok_or(DeployError::NoSuchContainer(id))?;
+        let mount = self.containers.get_mut(&id).ok_or(DeployError::NoSuchContainer(id))?;
         let mut chain = RegistryChain {
             config: self.config,
             own: self.cache.as_mut(),
@@ -607,7 +500,7 @@ impl GearClient {
             chunked,
         };
         let session = Session::new(&mut chain);
-        let out = session.read::<_, DeployError>(0, |m| read(&mut container.mount, m))?;
+        let out = session.read::<_, DeployError>(0, |m| read(mount, m))?;
         let charges = session.take_charges();
         let (wait, _) = price_batch(
             &self.config,
@@ -659,40 +552,13 @@ impl GearClient {
         path: &str,
         content: Bytes,
     ) -> Result<(), DeployError> {
-        let container =
-            self.containers.get_mut(&id).ok_or(DeployError::NoSuchContainer(id))?;
-        Ok(container.mount.write(path, content)?)
+        let mount = self.containers.get_mut(&id).ok_or(DeployError::NoSuchContainer(id))?;
+        Ok(mount.write(path, content)?)
     }
 
     /// Access to a container's mount (e.g. for committing it).
     pub fn mount(&self, id: ContainerId) -> Option<&UnionFs> {
-        self.containers.get(&id).map(|c| &c.mount)
-    }
-
-    /// The image a container was launched from.
-    pub fn container_image(&self, id: ContainerId) -> Option<&ImageRef> {
-        self.containers.get(&id).map(|c| &c.image)
-    }
-
-    /// Records the files a running container has actually accessed as a
-    /// [`StartupTrace`] — profiling for future deployments (real lazy-pull
-    /// systems ship such recorded profiles alongside images). Only paths
-    /// that resolve to regular files in the image's index are kept.
-    pub fn recorded_trace(
-        &self,
-        id: ContainerId,
-        task: gear_corpus::TaskKind,
-    ) -> Option<StartupTrace> {
-        let container = self.containers.get(&id)?;
-        let index = self.indexes.get(&container.image)?;
-        let reads = container
-            .mount
-            .touched_paths()
-            .iter()
-            .filter(|p| index.file_at(p).is_some())
-            .cloned()
-            .collect();
-        Some(StartupTrace { reads, task })
+        self.containers.get(&id)
     }
 
     /// The installed index of `reference`, if pulled.
@@ -705,9 +571,7 @@ impl GearClient {
     /// Fig. 11b).
     pub fn destroy(&mut self, id: ContainerId) -> Duration {
         match self.containers.remove(&id) {
-            Some(container) => {
-                self.config.costs.inode_teardown * (container.mount.inode_count() as u32)
-            }
+            Some(mount) => self.config.costs.inode_teardown * (mount.inode_count() as u32),
             None => Duration::ZERO,
         }
     }
@@ -878,42 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_beats_on_demand_on_slow_links() {
-        // Many small files over a thin, high-latency link: batching the
-        // fixed per-request costs must win.
-        let files: Vec<(String, Vec<u8>)> =
-            (0..40).map(|i| (format!("data/f{i:02}"), vec![i as u8; 2_000])).collect();
-        let refs: Vec<(&str, &[u8])> =
-            files.iter().map(|(p, c)| (p.as_str(), c.as_slice())).collect();
-        let (docker, store, r) = setup(&refs, "svc:1");
-        let paths: Vec<&str> = files.iter().map(|(p, _)| p.as_str()).collect();
-        let t = trace(&paths);
-        let slow = ClientConfig {
-            link: gear_simnet::Link::mbps(20.0)
-                .with_rtt(Duration::from_millis(20)),
-            request_amplification: 4.0,
-            ..ClientConfig::default()
-        };
-
-        let mut on_demand = GearClient::new(slow);
-        let (_, od) = on_demand.deploy(&r, &t, &docker, &store).unwrap();
-        let mut prefetching = GearClient::new(slow);
-        let (_, pf) = prefetching.deploy_prefetch(&r, &t, &docker, &store, 16).unwrap();
-
-        assert_eq!(pf.files_fetched, od.files_fetched, "same files move");
-        assert!(
-            pf.total() < od.total(),
-            "prefetch {:?} !< on-demand {:?}",
-            pf.total(),
-            od.total()
-        );
-        // Second prefetch deployment: everything cached, batch is a no-op.
-        let (_, again) = prefetching.deploy_prefetch(&r, &t, &docker, &store, 16).unwrap();
-        assert_eq!(again.files_fetched, 0);
-        assert_eq!(again.cache_hits, 40);
-    }
-
-    #[test]
     fn concurrent_streams_speed_up_cold_deploys_with_identical_results() {
         let files: Vec<(String, Vec<u8>)> =
             (0..30).map(|i| (format!("srv/f{i:02}"), vec![i as u8; 3_000])).collect();
@@ -953,25 +781,6 @@ mod tests {
                 .any(|(_, _, e)| matches!(e, TimelineEvent::ParallelFetch { files: 30, .. })),
             "the batch shows up as one parallel-fetch event"
         );
-    }
-
-    #[test]
-    fn recorded_trace_reflects_actual_accesses() {
-        let (docker, store, r) =
-            setup(&[("hot/a", b"1"), ("hot/b", b"2"), ("cold/c", b"3")], "svc:1");
-        let mut client = GearClient::new(ClientConfig::default());
-        let (id, _) = client.deploy(&r, &trace(&["hot/a"]), &docker, &store).unwrap();
-        // The container reads one more file at runtime.
-        client
-            .read_range(id, "hot/b", 0, 10, &store)
-            .expect("runtime read");
-        let recorded = client.recorded_trace(id, TaskKind::WebServe).unwrap();
-        assert_eq!(recorded.reads, vec!["hot/a".to_string(), "hot/b".to_string()]);
-        // Replaying the recorded trace on a fresh client warms exactly those
-        // files.
-        let mut fresh = GearClient::new(ClientConfig::default());
-        let (_, report) = fresh.deploy(&r, &recorded, &docker, &store).unwrap();
-        assert_eq!(report.files_fetched, 2);
     }
 
     #[test]

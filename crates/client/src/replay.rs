@@ -18,7 +18,7 @@
 //! * `streams > 1` — the cache hits, then one `ParallelFetch` window priced
 //!   by [`price_batch`], then each fetched file's local work.
 //!
-//! `serve`, `read_range` and `deploy_prefetch` price one operation's fetches
+//! `serve` and `read_range` price one operation's fetches
 //! through the same chain and [`price_batch`].
 
 use std::cell::RefCell;

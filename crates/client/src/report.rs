@@ -39,9 +39,6 @@ pub struct DeploymentReport {
     /// Bytes the shared cache holds pinned (index-referenced files immune to
     /// eviction) when the deployment finished — a gauge snapshot.
     pub pinned_bytes: u64,
-    /// Symlink resolutions the container's union mount answered from its
-    /// lookup cache during this deployment.
-    pub resolve_cache_hits: u64,
     /// Ordered step-by-step record of the deployment (populated by the Gear
     /// engine; coarse or empty for the baselines).
     pub timeline: Timeline,
@@ -61,7 +58,6 @@ impl DeploymentReport {
             retries: 0,
             peak_buffered_bytes: 0,
             pinned_bytes: 0,
-            resolve_cache_hits: 0,
             timeline: Timeline::new(),
         }
     }

@@ -52,11 +52,6 @@ impl SlackerClient {
         }
     }
 
-    /// Replaces the link.
-    pub fn set_link(&mut self, link: gear_simnet::Link) {
-        self.config.link = link;
-    }
-
     /// Network accounting so far.
     pub fn metrics(&self) -> NetMetrics {
         self.metrics

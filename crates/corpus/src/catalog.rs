@@ -1,7 +1,5 @@
 //! The 50-series catalog (paper Table I) with per-category parameters.
 
-use std::time::Duration;
-
 use crate::trace::TaskKind;
 
 /// Image category, as grouped in the paper's Table I.
@@ -99,13 +97,7 @@ impl Category {
             Category::ApplicationPlatform => TaskKind::PlatformTask,
             Category::Others => TaskKind::Generic,
         }
-    }
-
-    /// Pure compute time of the task, independent of any file fetching.
-    pub fn task_compute(self) -> Duration {
-        self.task().compute_time()
-    }
-}
+    }}
 
 /// Base-image family an application series is built `FROM`. Series in the
 /// same family share base-layer content verbatim, which is what enables

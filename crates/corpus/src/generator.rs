@@ -104,26 +104,10 @@ impl Corpus {
         self.series.iter().map(|s| s.images.len()).sum()
     }
 
-    /// Series grouped by category, in [`Category::ALL`] order.
-    pub fn by_category(&self) -> Vec<(Category, Vec<&ImageSeries>)> {
-        Category::ALL
-            .iter()
-            .map(|&cat| {
-                (cat, self.series.iter().filter(|s| s.spec.category == cat).collect())
-            })
-            .collect()
-    }
-
     /// Looks up a series by name.
     pub fn series_by_name(&self, name: &str) -> Option<&ImageSeries> {
         self.series.iter().find(|s| s.spec.name == name)
-    }
-
-    /// Multiply a simulated byte count back up to paper scale.
-    pub fn to_paper_scale(&self, simulated_bytes: u64) -> u64 {
-        simulated_bytes * self.config.scale_denom
-    }
-}
+    }}
 
 /// One synthetic file: identity, content seeds, size, and temperature.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -18,7 +18,6 @@
 //! "hard-link the Gear file into the index so later requests need not search
 //! the cache again".
 
-use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -74,8 +73,8 @@ pub struct MountStats {
     pub materialized_bytes: u64,
     /// Whiteouts created by unlinks.
     pub whiteouts_created: u64,
-    /// Symlink resolutions answered from the lookup cache (repeated lookups
-    /// of the same path are O(1) between mutations).
+    /// Always 0: the mount keeps no resolve cache (every lookup is one
+    /// `Walk`). The field stays for callers that still report it.
     pub resolve_cache_hits: u64,
 }
 
@@ -89,20 +88,8 @@ pub struct UnionFs {
     opaques: BTreeSet<String>,
     /// Memoized fingerprint resolutions ("hard links into the index").
     resolved: HashMap<Fingerprint, Bytes>,
-    /// Interned path strings: every stored path (touched set, lookup-cache
-    /// keys and values) shares one allocation per distinct path, so a hot
-    /// path is allocated once however many times it is served.
-    interner: HashSet<Arc<str>>,
-    /// Symlink-resolution cache for `follow_final = true` lookups, keyed by
-    /// the raw request path. Cleared on every mutation (write / mkdir /
-    /// symlink / unlink), since any of them can change what a path means.
-    resolve_follow: HashMap<Arc<str>, Arc<str>>,
-    /// Same, for `follow_final = false` lookups.
-    resolve_nofollow: HashMap<Arc<str>, Arc<str>>,
     /// Paths whose inodes have been instantiated (for unmount-cost modelling).
-    touched: HashSet<Arc<str>>,
-    /// Lazily rebuilt sorted view of `touched`; `None` after a new touch.
-    touched_snapshot: RefCell<Option<Arc<[String]>>>,
+    touched: HashSet<String>,
     stats: MountStats,
     telemetry: Telemetry,
 }
@@ -116,11 +103,7 @@ impl UnionFs {
             whiteouts: BTreeSet::new(),
             opaques: BTreeSet::new(),
             resolved: HashMap::new(),
-            interner: HashSet::new(),
-            resolve_follow: HashMap::new(),
-            resolve_nofollow: HashMap::new(),
             touched: HashSet::new(),
-            touched_snapshot: RefCell::new(None),
             stats: MountStats::default(),
             telemetry: Telemetry::noop(),
         }
@@ -143,21 +126,6 @@ impl UnionFs {
     /// proportional to this count.
     pub fn inode_count(&self) -> usize {
         self.touched.len()
-    }
-
-    /// The distinct paths this mount has served, sorted — an access trace
-    /// usable to warm future deployments of the same image.
-    ///
-    /// The snapshot is cached: repeated calls with no intervening touches
-    /// return the same `Arc` without re-sorting or re-cloning, so polling
-    /// the trace (metrics, warm-trace export) costs O(1) between accesses.
-    pub fn touched_paths(&self) -> Arc<[String]> {
-        let mut cache = self.touched_snapshot.borrow_mut();
-        Arc::clone(cache.get_or_insert_with(|| {
-            let mut paths: Vec<String> = self.touched.iter().map(|p| p.to_string()).collect();
-            paths.sort();
-            Arc::from(paths)
-        }))
     }
 
     /// Read-only view of the writable upper tree.
@@ -368,7 +336,6 @@ impl UnionFs {
     /// [`FsError::NotADirectory`] if a non-directory blocks an ancestor;
     /// [`FsError::InvalidPath`] for malformed paths.
     pub fn write(&mut self, path: &str, content: Bytes) -> Result<(), FsError> {
-        self.invalidate_lookups();
         let valid = ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
         let meta = match self.find(valid.as_str()) {
             Some(Node::File(f)) => f.meta,
@@ -388,7 +355,6 @@ impl UnionFs {
     ///
     /// As [`UnionFs::write`].
     pub fn mkdir_p(&mut self, path: &str) -> Result<(), FsError> {
-        self.invalidate_lookups();
         let valid = ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
         // Creating a directory over a visible non-directory is EEXIST; check
         // every prefix so `mkdir -p a/b` cannot tunnel through a lower file.
@@ -418,7 +384,6 @@ impl UnionFs {
     ///
     /// As [`UnionFs::write`].
     pub fn symlink(&mut self, path: &str, target: impl Into<String>) -> Result<(), FsError> {
-        self.invalidate_lookups();
         let valid = ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
         if matches!(self.find(valid.as_str()), Some(Node::Dir { .. })) {
             return Err(FsError::AlreadyExists(path.to_owned()));
@@ -520,7 +485,6 @@ impl UnionFs {
     ///
     /// [`FsError::NotFound`] when nothing is visible at `path`.
     pub fn unlink(&mut self, path: &str) -> Result<(), FsError> {
-        self.invalidate_lookups();
         let valid = ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
         let path = valid.as_str();
         let at = self.walk(path);
@@ -646,31 +610,10 @@ impl UnionFs {
         Ok(())
     }
 
-    /// Returns the interned copy of `path`, allocating only on first sight.
-    fn intern(&mut self, path: &str) -> Arc<str> {
-        if let Some(existing) = self.interner.get(path) {
-            return Arc::clone(existing);
-        }
-        let interned: Arc<str> = Arc::from(path);
-        self.interner.insert(Arc::clone(&interned));
-        interned
-    }
-
     fn touch(&mut self, path: &str) {
-        let interned = self.intern(path);
-        if self.touched.insert(interned) {
-            // A genuinely new path outdates the sorted snapshot.
-            *self.touched_snapshot.get_mut() = None;
+        if !self.touched.contains(path) {
+            self.touched.insert(path.to_owned());
         }
-    }
-
-    /// Drops the symlink-resolution cache. Called by every mutator: writes,
-    /// directory creation, symlinks, and whiteouts can all change what any
-    /// path resolves to. (The interner and touched set survive — they record
-    /// identity and history, not the current merged view.)
-    fn invalidate_lookups(&mut self) {
-        self.resolve_follow.clear();
-        self.resolve_nofollow.clear();
     }
 
     fn load(
@@ -742,40 +685,12 @@ impl UnionFs {
 
     /// Resolves symlinks in `path`; returns the normalized final path.
     ///
-    /// Successful resolutions are cached (keyed by the raw request path), so
-    /// a repeated lookup between mutations is one hash probe plus an `Arc`
-    /// clone — no component splitting, no per-component tree walks, no
-    /// `String` allocation. Mutators clear the cache via
-    /// [`UnionFs::invalidate_lookups`].
-    fn resolve(&mut self, path: &str, follow_final: bool) -> Result<Arc<str>, FsError> {
+    /// One [`Walk`] that steps down for a name, up for `..`, and back to the
+    /// root for an absolute link target. What is still to be walked is a
+    /// stack of component iterators borrowed from the request path and from
+    /// the targets of the links met on the way, the innermost target on top.
+    fn resolve<'a>(&'a self, path: &'a str, follow_final: bool) -> Result<String, FsError> {
         self.telemetry.count("fs.lookups", 1);
-        let cache =
-            if follow_final { &self.resolve_follow } else { &self.resolve_nofollow };
-        if let Some(hit) = cache.get(path) {
-            let hit = Arc::clone(hit);
-            self.stats.resolve_cache_hits += 1;
-            self.telemetry.count("fs.resolve_cache_hits", 1);
-            return Ok(hit);
-        }
-        let resolved = self.resolve_uncached(path, follow_final)?;
-        let key = self.intern(path);
-        let value = self.intern(&resolved);
-        let cache =
-            if follow_final { &mut self.resolve_follow } else { &mut self.resolve_nofollow };
-        cache.insert(key, Arc::clone(&value));
-        Ok(value)
-    }
-
-    /// The uncached resolution behind [`UnionFs::resolve`]: one [`Walk`]
-    /// that steps down for a name, up for `..`, and back to the root for an
-    /// absolute link target. What is still to be walked is a stack of
-    /// component iterators borrowed from the request path and from the
-    /// targets of the links met on the way, the innermost target on top.
-    fn resolve_uncached<'a>(
-        &'a self,
-        path: &'a str,
-        follow_final: bool,
-    ) -> Result<String, FsError> {
         if path.is_empty() {
             return Ok(String::new());
         }
@@ -1172,52 +1087,17 @@ mod tests {
     }
 
     #[test]
-    fn touched_snapshot_cached_until_new_touch() {
-        let lower = lower_with(&[("a", b"1"), ("b", b"2")]);
-        let mut m = UnionFs::new(vec![lower]);
-        m.read("b", &NoFetch).unwrap();
-        m.read("a", &NoFetch).unwrap();
-        let first = m.touched_paths();
-        assert_eq!(&*first, ["a".to_owned(), "b".to_owned()]);
-        // No new touches: the same snapshot is handed back, not re-sorted.
-        let second = m.touched_paths();
-        assert!(Arc::ptr_eq(&first, &second));
-        // Re-reading an already-touched path keeps the snapshot valid.
-        m.read("a", &NoFetch).unwrap();
-        assert!(Arc::ptr_eq(&first, &m.touched_paths()));
-        // A genuinely new touch rebuilds it.
-        m.write("c", Bytes::from_static(b"3")).unwrap();
-        let third = m.touched_paths();
-        assert!(!Arc::ptr_eq(&first, &third));
-        assert_eq!(&*third, ["a".to_owned(), "b".to_owned(), "c".to_owned()]);
-    }
-
-    #[test]
-    fn repeated_lookups_hit_resolve_cache() {
-        let mut t = FsTree::new();
-        t.create_file("usr/lib/real.so", Bytes::from_static(b"ELF")).unwrap();
-        t.insert("ln", Node::symlink(Metadata::file_default(), "usr/lib/real.so")).unwrap();
-        let mut m = UnionFs::new(vec![Arc::new(t)]);
-        for _ in 0..5 {
-            assert_eq!(&m.read("ln", &NoFetch).unwrap()[..], b"ELF");
-        }
-        // First read resolves the long way; the other four are cache hits.
-        assert_eq!(m.stats().resolve_cache_hits, 4);
-    }
-
-    #[test]
-    fn mutations_invalidate_resolve_cache() {
+    fn repointed_symlinks_and_unlinked_targets_are_seen_at_once() {
         let mut t = FsTree::new();
         t.create_file("old", Bytes::from_static(b"old body")).unwrap();
         t.insert("ln", Node::symlink(Metadata::file_default(), "old")).unwrap();
         let mut m = UnionFs::new(vec![Arc::new(t)]);
         assert_eq!(&m.read("ln", &NoFetch).unwrap()[..], b"old body");
-        // Repoint the symlink: the cached ln -> old resolution must die.
+        // Repoint the symlink: the next read follows the new target.
         m.write("new", Bytes::from_static(b"new body")).unwrap();
         m.symlink("ln", "new").unwrap();
         assert_eq!(&m.read("ln", &NoFetch).unwrap()[..], b"new body");
-        // Whiteouts invalidate too: unlink the target and the lookup fails
-        // instead of serving a stale cached resolution.
+        // Unlink the target: the whiteout makes the lookup fail.
         m.unlink("new").unwrap();
         assert!(m.read("ln", &NoFetch).is_err());
     }
@@ -1570,7 +1450,7 @@ mod tests {
                 }
                 for follow_final in [true, false] {
                     prop_assert_eq!(
-                        mount.resolve_uncached(path, follow_final),
+                        mount.resolve(path, follow_final),
                         reference.resolve_uncached(path, follow_final),
                         "resolve {:?} follow_final={}",
                         path,

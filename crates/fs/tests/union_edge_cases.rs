@@ -169,36 +169,3 @@ fn flatten_after_heavy_mutation_matches_replay() {
     assert_eq!(&mount.read("s", &NoFetch).unwrap()[..], b"new");
     assert!(mount.read("b/3", &NoFetch).is_err());
 }
-
-#[test]
-fn every_warm_lookup_is_served_by_the_resolve_cache() {
-    const FILES: usize = 512;
-    const PASSES: usize = 8;
-    let mut lower = FsTree::new();
-    let mut paths = Vec::new();
-    for i in 0..FILES {
-        let path = format!("d{}/s{}/f{i}", i % 16, (i / 16) % 16);
-        lower.create_file(&path, Bytes::from(vec![i as u8; 16])).unwrap();
-        paths.push(path);
-    }
-    let mut mount = UnionFs::new(vec![Arc::new(lower)]);
-    // Symlink aliases: the multi-hop resolutions the cache short-circuits.
-    for i in (0..FILES).step_by(8) {
-        let alias = format!("alias{i}");
-        mount.symlink(&alias, paths[i].clone()).unwrap();
-        paths.push(alias);
-    }
-    assert_eq!(paths.len(), 576);
-
-    fn lookup_all(mount: &mut UnionFs, paths: &[String]) {
-        for path in paths {
-            mount.metadata(path).unwrap();
-        }
-    }
-    lookup_all(&mut mount, &paths);
-    let cold = mount.stats().resolve_cache_hits;
-    for _ in 0..PASSES {
-        lookup_all(&mut mount, &paths);
-    }
-    assert_eq!(mount.stats().resolve_cache_hits - cold, (paths.len() * PASSES) as u64);
-}

@@ -63,11 +63,6 @@ impl Image {
         Ok(tree)
     }
 
-    /// Returns a renamed copy sharing the same layers (`docker tag`).
-    pub fn retagged(&self, reference: ImageRef) -> Image {
-        Image { reference, config: self.config.clone(), layers: self.layers.clone() }
-    }
-
     /// Returns a copy with `layer` stacked on top (`docker commit`).
     pub fn with_layer(&self, layer: Layer, reference: ImageRef) -> Image {
         let mut layers = self.layers.clone();

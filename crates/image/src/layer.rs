@@ -48,11 +48,6 @@ impl Layer {
         &self.archive
     }
 
-    /// Shared handle to the diff entries.
-    pub fn archive_arc(&self) -> Arc<Archive> {
-        Arc::clone(&self.archive)
-    }
-
     /// Serialized (uncompressed) size in bytes.
     pub fn wire_len(&self) -> u64 {
         self.wire_len

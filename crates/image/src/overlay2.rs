@@ -48,12 +48,6 @@ impl Overlay2Store {
         Self::default()
     }
 
-    /// Whether a layer with this diff id is already local. Docker uses this
-    /// to skip downloading layers during `pull`.
-    pub fn has_layer(&self, diff_id: Digest) -> bool {
-        self.layers.contains_key(&diff_id)
-    }
-
     /// Adds a layer (no-op if already present). Returns whether it was new.
     pub fn add_layer(&mut self, layer: Layer) -> bool {
         self.layers.insert(layer.diff_id(), layer).is_none()
@@ -88,11 +82,6 @@ impl Overlay2Store {
             builder = builder.existing_layer(self.layers.get(id)?.clone());
         }
         Some(builder.build())
-    }
-
-    /// Which of `diff_ids` are missing locally (would need downloading).
-    pub fn missing_layers(&self, diff_ids: &[Digest]) -> Vec<Digest> {
-        diff_ids.iter().copied().filter(|d| !self.layers.contains_key(d)).collect()
     }
 
     /// Union-mounts the image for a new container: its flattened read-only
@@ -196,17 +185,6 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.images, 2);
         assert_eq!(stats.unique_layers, 2, "the base layer must be shared");
-    }
-
-    #[test]
-    fn missing_layers_reported() {
-        let (base, app) = two_images();
-        let mut store = Overlay2Store::new();
-        store.add_image(&base);
-        let ids: Vec<Digest> = app.layers().iter().map(Layer::diff_id).collect();
-        let missing = store.missing_layers(&ids);
-        assert_eq!(missing.len(), 1);
-        assert_eq!(missing[0], app.layers()[1].diff_id());
     }
 
     #[test]

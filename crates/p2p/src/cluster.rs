@@ -18,7 +18,7 @@ use gear_image::ImageRef;
 use gear_registry::{DockerRegistry, GearFileStore};
 use gear_simnet::{BudgetExhausted, FaultInjector, FaultPlan, Link, NetMetrics, RetryPolicy};
 use gear_store::{BlobStore, SnapshotError};
-use gear_telemetry::{FleetCollector, Telemetry};
+use gear_telemetry::Telemetry;
 
 use crate::directory::PeerDirectory;
 
@@ -189,11 +189,6 @@ pub struct Cluster {
     peer_traffic: u64,
     faults: FaultInjector,
     telemetry: Telemetry,
-    /// Per-node telemetry shards, when the cluster records into a fleet
-    /// collector: node `n` feeds shard `n`, and node replacement
-    /// ([`Cluster::reset_node`] / [`Cluster::upgrade_node`]) wipes the
-    /// shard so post-upgrade tails never mix pre-upgrade samples.
-    fleet: Option<Arc<FleetCollector>>,
 }
 
 impl Cluster {
@@ -214,7 +209,6 @@ impl Cluster {
             peer_traffic: 0,
             faults: FaultInjector::default(),
             telemetry: Telemetry::noop(),
-            fleet: None,
         }
     }
 
@@ -224,26 +218,6 @@ impl Cluster {
     pub fn set_recorder(&mut self, telemetry: Telemetry) {
         self.faults.set_recorder(telemetry.clone());
         self.telemetry = telemetry;
-    }
-
-    /// Binds the cluster to a fleet collector whose shard `n` is node
-    /// `n`'s flight recorder. Callers still route each deployment's
-    /// recording with [`Cluster::set_recorder`]`(fleet.telemetry(node))`;
-    /// what the binding adds is lifecycle hygiene — resetting or upgrading
-    /// a node also wipes its shard, so post-upgrade tail distributions
-    /// never mix in pre-upgrade samples.
-    pub fn set_fleet(&mut self, fleet: Arc<FleetCollector>) {
-        self.fleet = Some(fleet);
-    }
-
-    /// Wipes `node`'s telemetry shard, when a fleet collector is bound and
-    /// has a shard for the node.
-    fn reset_telemetry_shard(&self, node: NodeId) {
-        if let Some(fleet) = &self.fleet {
-            if (node as u32) < fleet.nodes() {
-                fleet.reset_shard(node as u32);
-            }
-        }
     }
 
     /// Activates fault injection: every network transfer in the cluster
@@ -441,9 +415,6 @@ impl Cluster {
             gear_store::StoreSnapshot::from_bytes(&bytes).map_err(ClusterError::Snapshot)?;
         n.cache = gear_client::restore_store_for(&self.config.client, &snapshot)
             .map_err(ClusterError::Snapshot)?;
-        // The replacement process starts with a clean flight recorder:
-        // pre-upgrade samples must not blur post-upgrade tails.
-        self.reset_telemetry_shard(node);
         if self.telemetry.enabled() {
             self.telemetry.count("p2p.upgrades", 1);
             self.telemetry.instant("p2p", &format!("upgrade node{node}"));
@@ -470,7 +441,6 @@ impl Cluster {
         self.nodes[node].cache.clear();
         self.nodes[node].indexes.clear();
         self.nodes[node].blobs.clear();
-        self.reset_telemetry_shard(node);
     }
 }
 
@@ -707,41 +677,6 @@ mod tests {
         cluster.nodes[0].cache.clear();
         let report = cluster.deploy_on(1, &r, &t, &reg, &store).unwrap();
         assert_eq!(report.registry_files, 1, "stale peer entry must not fail the fetch");
-    }
-
-    #[test]
-    fn node_replacement_resets_its_telemetry_shard() {
-        let (reg, store, r) = published(&[("f", &[5u8; 5_000])]);
-        let t = trace(&["f"]);
-        let fleet = Arc::new(FleetCollector::new(2, 64));
-        let mut cluster = Cluster::new(ClusterConfig::lan(2));
-        cluster.set_fleet(fleet.clone());
-        for node in 0..2 {
-            cluster.set_recorder(fleet.telemetry(node as u32));
-            cluster.deploy_on(node, &r, &t, &reg, &store).unwrap();
-        }
-        let before = fleet.merged_metrics().unwrap();
-        assert_eq!(before.counter("p2p.deploys"), 2);
-
-        // Upgrading node 1 wipes shard 1 (pre-upgrade samples must not
-        // blur post-upgrade tails) but leaves shard 0 untouched.
-        cluster.set_recorder(fleet.telemetry(1));
-        cluster.upgrade_node(1).unwrap();
-        let after = fleet.merged_metrics().unwrap();
-        assert_eq!(after.counter("p2p.deploys"), 1, "shard 1 forgot its deploy");
-        assert_eq!(after.counter("p2p.upgrades"), 1, "the upgrade marker survives");
-        assert!(after.sketch("p2p.deploy_nanos").is_none_or(|s| s.count() == 1));
-
-        // Re-imaging node 0 wipes the remaining shard.
-        cluster.reset_node(0);
-        let wiped = fleet.merged_metrics().unwrap();
-        assert_eq!(wiped.counter("p2p.deploys"), 0);
-        // Post-replacement deploys land in clean shards only.
-        cluster.set_recorder(fleet.telemetry(0));
-        cluster.deploy_on(0, &r, &t, &reg, &store).unwrap();
-        let fresh = fleet.merged_metrics().unwrap();
-        assert_eq!(fresh.counter("p2p.deploys"), 1);
-        assert_eq!(fresh.sketch("p2p.deploy_nanos").unwrap().count(), 1);
     }
 
     #[test]

@@ -34,46 +34,35 @@ use crate::cluster::NodeId;
 use crate::directory::PeerDirectory;
 use crate::topology::Topology;
 
-/// Knobs for a fleet run: registry sharding, admission, retries, and the
-/// per-deployment launch cost.
+/// Per-shard admission queue depth.
+const QUEUE_DEPTH: u32 = 64;
+/// Each shard's egress bandwidth.
+const SHARD_MBPS: f64 = 1_000.0;
+/// Attempts per object fetch before a registry seed fails — a patient
+/// budget, so flash crowds drain through admission control instead of
+/// losing clients. Backoff is [`RetryPolicy::standard`]'s.
+const MAX_ATTEMPTS: u32 = 10;
+/// Local container-launch cost charged per deployment.
+const LAUNCH: Duration = Duration::from_millis(20);
+/// Span retention per node flight recorder.
+const SPAN_CAPACITY: usize = 64;
+
+/// The registry a fleet runs against: how it is sharded, and the seed of
+/// its hash ring and retry jitter.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Registry shards behind the consistent-hash ring.
     pub shards: u32,
     /// Replicas per object (clamped to the shard count).
     pub replication: usize,
-    /// Per-shard admission queue depth.
-    pub queue_depth: u32,
-    /// Each shard's egress link.
-    pub shard_link: Link,
-    /// Retry budget for overloaded/unavailable shards.
-    pub retry: RetryPolicy,
-    /// Local container-launch cost charged per deployment.
-    pub launch: Duration,
-    /// Span retention per node flight recorder.
-    pub span_capacity: usize,
     /// Seed for the hash ring and retry jitter.
     pub seed: u64,
 }
 
 impl FleetConfig {
-    /// A 4-shard, 2-replica registry with gigabit shard egress and a
-    /// patient retry budget (ten attempts, 50 ms base backoff) — flash
-    /// crowds drain through admission control instead of losing clients.
+    /// A 4-shard, 2-replica registry.
     pub fn standard(seed: u64) -> Self {
-        FleetConfig {
-            shards: 4,
-            replication: 2,
-            queue_depth: 64,
-            shard_link: Link::mbps(1_000.0),
-            retry: RetryPolicy {
-                max_attempts: 10,
-                ..RetryPolicy::standard(seed)
-            },
-            launch: Duration::from_millis(20),
-            span_capacity: 64,
-            seed,
-        }
+        FleetConfig { shards: 4, replication: 2, seed }
     }
 }
 
@@ -103,7 +92,7 @@ impl SeedKind {
 
 #[derive(Debug)]
 struct NodeState {
-    /// Set once the image is installed; deployments then cost `launch`.
+    /// Set once the image is installed; deployments then cost [`LAUNCH`].
     ready: Option<Duration>,
     /// The in-flight seed, if any.
     seeding: Option<SeedKind>,
@@ -269,8 +258,8 @@ pub struct FleetSim {
 
 impl FleetSim {
     /// Builds a fleet over `topo` whose image consists of `objects`
-    /// (fingerprint + content), uploaded to every replica of a fresh
-    /// sharded store.
+    /// (fingerprint + content), placed on the replicas of a fresh sharded
+    /// registry. Each object crosses the wire as its content length.
     ///
     /// # Panics
     ///
@@ -279,17 +268,16 @@ impl FleetSim {
     /// scenario, not simulated conditions.
     pub fn new(topo: Topology, config: FleetConfig, objects: &[(Fingerprint, Bytes)]) -> Self {
         assert!(!objects.is_empty(), "a fleet image needs at least one object");
-        let mut store = ShardedStore::new(config.shards, config.replication, config.seed)
-            .with_queue_depth(config.queue_depth);
+        let store = ShardedStore::new(config.shards, config.replication, QUEUE_DEPTH, config.seed);
         let mut manifest = Vec::with_capacity(objects.len());
         let mut image_wire = 0u64;
         for (fp, content) in objects {
-            match store.upload(*fp, content) {
-                Some(Ok(_)) => {}
-                Some(Err(e)) => panic!("fleet image object rejected: {e}"),
-                None => unreachable!("no shard is down at construction"),
-            }
-            let wire = store.transfer_size(*fp).unwrap_or(content.len() as u64);
+            let actual = Fingerprint::of(content);
+            assert!(
+                actual == *fp,
+                "fleet image object rejected: content hashes to {actual}, claimed {fp}"
+            );
+            let wire = content.len() as u64;
             image_wire += wire;
             manifest.push(FleetObject { fingerprint: *fp, wire });
         }
@@ -300,13 +288,13 @@ impl FleetSim {
             (0..sites).map(|s| FifoLane::new(*topo.uplink(s as u32))).collect();
         let backbone = FifoLane::new(*topo.backbone());
         let shard_lanes =
-            (0..config.shards).map(|_| FifoLane::new(config.shard_link)).collect();
+            (0..config.shards).map(|_| FifoLane::new(Link::mbps(SHARD_MBPS))).collect();
         let client = topo.config().client;
         let fixed = |link: &Link| client.with_link(*link).amplified_fixed();
         let lan_fixed = fixed(topo.lan());
         let backbone_fixed = fixed(topo.backbone());
         let uplink_fixed = (0..sites).map(|s| fixed(topo.uplink(s as u32))).collect();
-        let fleet = Arc::new(FleetCollector::new(topo.nodes() as u32, config.span_capacity));
+        let fleet = Arc::new(FleetCollector::new(topo.nodes() as u32, SPAN_CAPACITY));
         let nodes = (0..topo.nodes()).map(|_| NodeState::new()).collect();
         let site_states = (0..sites).map(|_| SiteState::default()).collect();
         FleetSim {
@@ -419,7 +407,7 @@ impl FleetSim {
     fn on_arrive(&mut self, t: Duration, client: u32) {
         let node = self.clients[client as usize].node;
         if self.nodes[node].ready.is_some() {
-            self.complete_client(client, t + self.config.launch);
+            self.complete_client(client, t + LAUNCH);
             return;
         }
         self.nodes[node].queued.push(client);
@@ -505,17 +493,11 @@ impl FleetSim {
         }
         self.overload_rejections += 1;
         let next = attempt + 1;
-        if next < self.config.retry.max_attempts {
+        if next < MAX_ATTEMPTS {
             self.retries += 1;
-            let policy = RetryPolicy {
-                jitter_seed: self
-                    .config
-                    .retry
-                    .jitter_seed
-                    .wrapping_add(((seed as u64) << 20) ^ object as u64),
-                ..self.config.retry
-            };
-            self.queue.push(t + policy.backoff(next), Event::Fetch { seed, object, attempt: next });
+            let jitter = self.config.seed.wrapping_add(((seed as u64) << 20) ^ object as u64);
+            let backoff = RetryPolicy::standard(jitter).backoff(next);
+            self.queue.push(t + backoff, Event::Fetch { seed, object, attempt: next });
         } else {
             self.fail_seed(t, seed);
         }
@@ -577,7 +559,7 @@ impl FleetSim {
         self.directory.announce(self.image_fp, node);
         let queued = std::mem::take(&mut self.nodes[node].queued);
         for client in queued {
-            self.complete_client(client, r + self.config.launch);
+            self.complete_client(client, r + LAUNCH);
         }
         let waiters = std::mem::take(&mut self.sites[site].waiters);
         for w in waiters {
@@ -643,7 +625,7 @@ impl FleetSim {
         };
         let stats = self.store.shard_stats();
         let admitted: Vec<u64> = (0u32..)
-            .zip(&stats)
+            .zip(stats)
             .filter(|(shard, _)| !self.outage_shards.contains(shard))
             .map(|(_, s)| s.admitted)
             .collect();
@@ -698,6 +680,18 @@ mod tests {
             FleetConfig::standard(seed),
             &image(12),
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet image object rejected")]
+    fn objects_that_do_not_hash_to_their_fingerprint_are_rejected() {
+        let mut objects = image(3);
+        objects[1].1 = Bytes::from_static(b"not what the fingerprint names");
+        FleetSim::new(
+            Topology::new(TopologyConfig::edge_fleet(1, 1)),
+            FleetConfig::standard(1),
+            &objects,
+        );
     }
 
     #[test]
@@ -770,7 +764,7 @@ mod tests {
         let report = fleet.run();
         assert_eq!(report.completed, 2);
         let warm = fleet.clients[1].done.expect("completed") - Duration::from_secs(3_600);
-        assert_eq!(warm, fleet.config.launch, "warm deploys cost exactly the launch");
+        assert_eq!(warm, LAUNCH, "warm deploys cost exactly the launch");
     }
 
     #[test]

@@ -81,21 +81,7 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        if self.workers == 1 || items.len() < PARALLEL_THRESHOLD {
-            return items.iter().map(f).collect();
-        }
-        let chunk = items.len().div_ceil(self.workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|slice| scope.spawn(|| slice.iter().map(&f).collect::<Vec<R>>()))
-                .collect();
-            let mut out = Vec::with_capacity(items.len());
-            for handle in handles {
-                out.extend(handle.join().expect("gear-par worker panicked"));
-            }
-            out
-        })
+        self.fork_join(PARALLEL_THRESHOLD, items, f)
     }
 
     /// Like [`Pool::map`] but with no small-input serial threshold: any
@@ -115,7 +101,19 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        if self.workers == 1 || items.len() < 2 {
+        self.fork_join(2, items, f)
+    }
+
+    /// The one fork-join body: serial below `serial_below` items, otherwise
+    /// one contiguous chunk per worker, stitched back in chunk order. A
+    /// worker's panic resumes on the calling thread.
+    fn fork_join<T, R, F>(&self, serial_below: usize, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        if self.workers == 1 || items.len() < serial_below {
             return items.iter().map(f).collect();
         }
         let chunk = items.len().div_ceil(self.workers);
@@ -126,42 +124,10 @@ impl Pool {
                 .collect();
             let mut out = Vec::with_capacity(items.len());
             for handle in handles {
-                out.extend(handle.join().expect("gear-par worker panicked"));
-            }
-            out
-        })
-    }
-
-    /// Like [`Pool::map`] but `f` also receives the item's index in `items`
-    /// (useful when the result must be keyed by position-derived state).
-    pub fn map_indexed<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        if self.workers == 1 || items.len() < PARALLEL_THRESHOLD {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let chunk = items.len().div_ceil(self.workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .enumerate()
-                .map(|(c, slice)| {
-                    let f = &f;
-                    scope.spawn(move || {
-                        slice
-                            .iter()
-                            .enumerate()
-                            .map(|(i, t)| f(c * chunk + i, t))
-                            .collect::<Vec<R>>()
-                    })
-                })
-                .collect();
-            let mut out = Vec::with_capacity(items.len());
-            for handle in handles {
-                out.extend(handle.join().expect("gear-par worker panicked"));
+                match handle.join() {
+                    Ok(part) => out.extend(part),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
             }
             out
         })
@@ -195,17 +161,6 @@ mod tests {
         let empty: Vec<u8> = Vec::new();
         assert!(Pool::new(4).map(&empty, |&x| x).is_empty());
         assert_eq!(Pool::new(4).map(&[9u8], |&x| x * 2), vec![18]);
-    }
-
-    #[test]
-    fn map_indexed_matches_enumerated_serial() {
-        let items: Vec<u64> = (0..500).map(|i| i * 3).collect();
-        let serial: Vec<u64> =
-            items.iter().enumerate().map(|(i, &x)| x + i as u64).collect();
-        for workers in [1, 2, 5, 16] {
-            let par = Pool::new(workers).map_indexed(&items, |i, &x| x + i as u64);
-            assert_eq!(par, serial, "workers={workers}");
-        }
     }
 
     #[test]

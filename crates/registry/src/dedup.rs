@@ -15,7 +15,7 @@
 //! choice of *file* granularity: nearly chunk-level space savings at a
 //! fraction of the object-management cost.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use gear_compress::{compressed_size, Level};
 use gear_hash::{Digest, Fingerprint};
@@ -155,20 +155,6 @@ pub fn analyze(images: &[Image], config: DedupConfig) -> DedupReport {
     report
 }
 
-/// File-level redundancy between two file sets, as a fraction of `b`'s bytes
-/// already present in `a` (used for the paper's Fig. 2 necessary-data study).
-pub fn shared_fraction(
-    a: &HashSet<Fingerprint>,
-    b: &[(Fingerprint, u64)],
-) -> f64 {
-    let total: u64 = b.iter().map(|(_, s)| s).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let shared: u64 = b.iter().filter(|(fp, _)| a.contains(fp)).map(|(_, s)| s).sum();
-    shared as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,18 +241,6 @@ mod tests {
         let file_saving = report.saving_vs_none(report.file_level);
         assert!(layer_saving > 0.0 && layer_saving < 1.0);
         assert!(file_saving > layer_saving);
-    }
-
-    #[test]
-    fn shared_fraction_bounds() {
-        let body_a = Bytes::from_static(b"aaa");
-        let body_b = Bytes::from_static(b"bbb");
-        let fa = Fingerprint::of(&body_a);
-        let fb = Fingerprint::of(&body_b);
-        let have: HashSet<Fingerprint> = [fa].into_iter().collect();
-        assert_eq!(shared_fraction(&have, &[(fa, 3), (fb, 3)]), 0.5);
-        assert_eq!(shared_fraction(&have, &[]), 0.0);
-        assert_eq!(shared_fraction(&have, &[(fa, 10)]), 1.0);
     }
 
     #[test]

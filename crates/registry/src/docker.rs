@@ -102,11 +102,6 @@ impl DockerRegistry {
         self.manifests.get(reference)
     }
 
-    /// Whether a blob with this digest is stored.
-    pub fn has_blob(&self, digest: Digest) -> bool {
-        self.blobs.contains_key(&digest)
-    }
-
     /// Raw (compressed) blob bytes.
     pub fn blob(&self, digest: Digest) -> Option<&[u8]> {
         self.blobs.get(&digest).map(Vec::as_slice)

@@ -14,12 +14,11 @@
 //! given the same image corpus, how much space and how many objects does
 //! dedup at layer, file, or chunk granularity produce?
 //!
-//! For fleet-scale serving, [`ShardedStore`] spreads objects over several
-//! [`GearFileStore`] shards via a seeded consistent-hash [`HashRing`]
-//! (virtual nodes, N-way replication) with bounded per-shard admission
-//! queues: a full queue is a typed [`ShardRejection::Overloaded`] — the
-//! fleet simulator backs the request off and retries — and a down shard
-//! fails over to its replicas.
+//! For fleet-scale serving, [`ShardedStore`] places objects on shards via a
+//! seeded consistent-hash [`HashRing`] (virtual nodes, N-way replication)
+//! with bounded per-shard admission queues: a full queue is a typed
+//! [`ShardRejection::Overloaded`] — the fleet simulator backs the request
+//! off and retries — and a down shard fails over to its replicas.
 //!
 //! # Examples
 //!
@@ -51,6 +50,4 @@ mod sharded;
 pub use docker::{DockerRegistry, PushReport, RegistryStats};
 pub use filestore::{GearFileStore, StoreStats, UploadError, UploadOutcome};
 pub use ring::HashRing;
-pub use sharded::{
-    ShardRejection, ShardStats, ShardedStore, DEFAULT_QUEUE_DEPTH, DEFAULT_VNODES,
-};
+pub use sharded::{ShardRejection, ShardStats, ShardedStore, DEFAULT_VNODES};

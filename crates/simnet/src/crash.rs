@@ -118,12 +118,6 @@ impl CrashPlan {
         self.telemetry = telemetry;
     }
 
-    /// Builder form of [`CrashPlan::set_recorder`].
-    pub fn with_recorder(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
     /// Decides the fate of the next journal write, advancing the write
     /// counter. Returns `None` once the plan has fired: the machine is
     /// already dead, later writes never happen.

@@ -92,11 +92,6 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|Reverse(entry)| (entry.at, entry.payload))
     }
 
-    /// The firing time of the next event, if any.
-    pub fn peek_time(&self) -> Option<Duration> {
-        self.heap.peek().map(|Reverse(entry)| entry.at)
-    }
-
     /// Events currently scheduled.
     pub fn len(&self) -> usize {
         self.heap.len()

@@ -85,12 +85,6 @@ impl Link {
         self
     }
 
-    /// Returns a copy with a different per-request overhead.
-    pub fn with_request_overhead(mut self, overhead: Duration) -> Self {
-        self.request_overhead = overhead;
-        self
-    }
-
     /// Total time for one request transferring `payload_bytes`.
     pub fn request_time(&self, payload_bytes: u64) -> Duration {
         self.rtt + self.request_overhead + self.bandwidth.transfer_time(payload_bytes)

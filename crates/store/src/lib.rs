@@ -18,7 +18,7 @@
 //! Those three are every store shape: what a client configuration builds
 //! and what a [`StoreSnapshot`] carries across a live upgrade. Each cache has
 //! one owner and is reached through `&mut`, so nothing here locks or shards —
-//! spreading blobs over servers is `gear_registry::ShardedStore`'s job.
+//! placing blobs on servers is `gear_registry::ShardedStore`'s job.
 //!
 //! The crate is dependency-free in the external sense: it builds from the
 //! workspace (`gear-hash`, `gear-simnet`, `gear-par`) and the vendored

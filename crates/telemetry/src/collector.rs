@@ -174,9 +174,9 @@ impl Collector {
     /// keeps its identity and its place on the simulated timeline, it just
     /// forgets what it recorded.
     ///
-    /// This is the node-replacement path: when a cluster resets or
-    /// upgrades a node, the node's telemetry shard must not leak
-    /// pre-upgrade samples into post-upgrade tail distributions.
+    /// This is the node-replacement path: when a fleet site reset
+    /// re-images a node, the node's telemetry shard must not leak
+    /// pre-reset samples into post-reset tail distributions.
     pub fn reset(&self) {
         let mut inner = self.lock();
         *inner = Inner { now: inner.now, ..Inner::default() };

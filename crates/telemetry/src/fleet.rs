@@ -39,11 +39,6 @@ impl FleetCollector {
         FleetCollector { shards }
     }
 
-    /// Number of node shards.
-    pub fn nodes(&self) -> u32 {
-        self.shards.len() as u32
-    }
-
     /// The recorder for node `shard`; panics if out of range (a fleet's
     /// size is fixed at construction).
     pub fn shard(&self, shard: u32) -> &Arc<Collector> {
@@ -57,8 +52,8 @@ impl FleetCollector {
 
     /// Wipes node `shard`'s recording (spans, instants, metrics, drop
     /// counters) while keeping its identity, capacity, and sim-time
-    /// cursor. Called when a cluster resets or upgrades the node, so
-    /// post-upgrade tail distributions never mix in pre-upgrade samples.
+    /// cursor. `FleetSim` calls it when a site reset re-images the node, so
+    /// post-reset tail distributions never mix in pre-reset samples.
     pub fn reset_shard(&self, shard: u32) {
         self.shards[shard as usize].reset();
     }
