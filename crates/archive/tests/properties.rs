@@ -1,7 +1,7 @@
 //! Property-based tests: the wire format roundtrips arbitrary archives.
 
 use bytes::Bytes;
-use gear_archive::{Archive, ArchivePath, Entry, EntryKind, Metadata};
+use gear_archive::{Archive, ArchivePath, Entry, EntryKind, EntryStream, Metadata};
 use proptest::prelude::*;
 
 fn any_component() -> impl Strategy<Value = String> {
@@ -37,7 +37,66 @@ fn any_archive() -> impl Strategy<Value = Archive> {
     proptest::collection::vec(any_entry(), 0..32).prop_map(Archive::from_iter)
 }
 
+/// One way to damage an encoded archive; the `u64`s pick where.
+#[derive(Debug, Clone)]
+enum Damage {
+    FlipByte(u64, u8),
+    /// Writes bytes over the encoding from some offset on, clipped at its end.
+    Overwrite(u64, Vec<u8>),
+    /// Inserts a run of one byte — a length or count field grown huge, a
+    /// tag repeated, a string stretched.
+    InsertRun(u64, u8, usize),
+}
+
+fn any_damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        (any::<u64>(), 1..=255u8).prop_map(|(at, mask)| Damage::FlipByte(at, mask)),
+        (any::<u64>(), proptest::collection::vec(any::<u8>(), 1..12))
+            .prop_map(|(at, bytes)| Damage::Overwrite(at, bytes)),
+        (any::<u64>(), any::<u8>(), 1..300usize)
+            .prop_map(|(at, byte, len)| Damage::InsertRun(at, byte, len)),
+    ]
+}
+
+fn damaged(wire: &[u8], damage: &Damage) -> Vec<u8> {
+    let mut out = wire.to_vec();
+    let at = |pick: u64| (pick % wire.len() as u64) as usize;
+    match damage {
+        Damage::FlipByte(pick, mask) => out[at(*pick)] ^= mask,
+        Damage::Overwrite(pick, bytes) => {
+            for (slot, byte) in out[at(*pick)..].iter_mut().zip(bytes) {
+                *slot = *byte;
+            }
+        }
+        Damage::InsertRun(pick, byte, len) => {
+            out.splice(at(*pick)..at(*pick), std::iter::repeat_n(*byte, *len));
+        }
+    }
+    out
+}
+
 proptest! {
+    /// A layer blob is untrusted input: whatever its bytes, both decoders
+    /// return `Ok` or `Err` — never panic — and agree with each other, and
+    /// an archive they accept re-encodes to bytes that decode to it again.
+    /// (8 damaged encodings per case, so 512 in all.)
+    #[test]
+    fn damaged_archive_never_panics(
+        archive in any_archive(),
+        damages in proptest::collection::vec(any_damage(), 8),
+    ) {
+        let wire = archive.to_bytes();
+        for damage in &damages {
+            let bytes = damaged(&wire, damage);
+            let bulk = Archive::from_bytes(&bytes);
+            let streamed: Option<Result<Vec<Entry>, _>> =
+                EntryStream::new(&bytes).ok().map(Iterator::collect);
+            let Ok(accepted) = bulk else { continue };
+            prop_assert_eq!(streamed, Some(Ok(accepted.entries().to_vec())), "{:?}", damage);
+            prop_assert_eq!(Archive::from_bytes(&accepted.to_bytes()), Ok(accepted));
+        }
+    }
+
     /// to_bytes/from_bytes is the identity on arbitrary archives.
     #[test]
     fn wire_roundtrip(archive in any_archive()) {

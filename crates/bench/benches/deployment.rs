@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gear_bench::experiments::{fig8, ExperimentContext};
 use gear_client::{ClientConfig, DockerClient, GearClient, SlackerClient};
-use gear_core::{Converter, GearIndex};
+use gear_core::{Converter, GearImage, GearIndex};
 
 fn bench_deploy(c: &mut Criterion) {
     let ctx = ExperimentContext::quick();
@@ -65,6 +65,13 @@ fn bench_deploy(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(index_json.len() as u64));
     group.bench_function("index_decode", |b| {
         b.iter(|| GearIndex::from_json(std::hint::black_box(&index_json)).unwrap())
+    });
+    // The whole pull a cold deploy makes of its index, from the stored
+    // blob: frame decode with CRC-32, archive parse, JSON decode.
+    let manifest = published.gear_index.manifest(image.reference()).unwrap();
+    group.throughput(Throughput::Bytes(manifest.total_layer_bytes()));
+    group.bench_function("index_pull", |b| {
+        b.iter(|| GearImage::pull(&published.gear_index, image.reference()).unwrap().unwrap())
     });
     group.finish();
 }

@@ -141,10 +141,9 @@ pub fn images(state: &State) -> Vec<(ImageRef, bool)> {
 ///
 /// `NotFound` for a missing image, path, or Gear file.
 pub fn cat(state: &State, reference: &ImageRef, path: &str) -> io::Result<Bytes> {
-    let image = state.index.image(reference).ok_or_else(|| {
+    let gear = GearImage::pull(&state.index, reference).map_err(invalid)?.ok_or_else(|| {
         io::Error::new(io::ErrorKind::NotFound, format!("no converted image {reference}"))
     })?;
-    let gear = GearImage::from_index_image(&image).map_err(invalid)?;
     let (fp, _) = gear.index().file_at(path).ok_or_else(|| {
         io::Error::new(io::ErrorKind::NotFound, format!("no file {path} in {reference}"))
     })?;

@@ -140,14 +140,15 @@ impl RegistryChain<'_> {
     /// absent — one request for the manifest, one per compressed index layer
     /// not among the node's local `blobs` (plus its decompression), each
     /// charged serially under the fault plan and appended to `timeline` from
-    /// offset zero; then decode, pin every referenced file in the own store,
-    /// and insert. `None` when the registry cannot serve the image.
+    /// offset zero; then decode ([`GearImage::pull`]), pin every referenced
+    /// file in the own store, and insert. `None` when the registry cannot
+    /// serve the image.
     ///
     /// # Errors
     ///
     /// [`BudgetExhausted`] when a request ran out of retry attempts,
-    /// [`IndexError`] when the pulled image is not a Gear index; neither
-    /// installs anything.
+    /// [`IndexError`] when the pulled image is not a Gear index or its layer
+    /// does not decode; neither installs anything.
     pub fn pull_index<E: From<BudgetExhausted> + From<IndexError>>(
         &mut self,
         reference: &ImageRef,
@@ -186,10 +187,10 @@ impl RegistryChain<'_> {
             request(bytes, self.config.decompress(bytes), TimelineEvent::Index { bytes })?;
             blobs.insert(desc.digest);
         }
-        let Some(image) = docker.image(reference) else {
+        let Some(gear) = GearImage::pull(docker, reference)? else {
             return Ok(None);
         };
-        let index = Arc::new(GearImage::from_index_image(&image)?.into_index());
+        let index = Arc::new(gear.into_index());
         for (fingerprint, _) in index.referenced_files() {
             self.own.pin(fingerprint);
         }

@@ -5,10 +5,10 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use gear_client::{ClientConfig, DeployError, EvictionPolicy, GearClient};
-use gear_core::{publish, Converter};
+use gear_core::{publish, Converter, IndexError, LayerDecodeError};
 use gear_corpus::{StartupTrace, TaskKind};
 use gear_fs::FsTree;
-use gear_hash::Fingerprint;
+use gear_hash::{Digest, Fingerprint};
 use gear_image::{ImageBuilder, ImageRef};
 use gear_registry::{DockerRegistry, GearFileStore};
 use gear_simnet::{FaultKind, FaultPlan, RetryPolicy};
@@ -602,4 +602,43 @@ proptest! {
             bound
         );
     }
+}
+
+/// An index blob that fails its frame check, stored under its own digest
+/// behind a manifest naming it, is a typed `BadIndex` — not a missing image —
+/// and installs and pins nothing, though the files it names are cached. A
+/// manifest whose blob is gone is still `ImageNotFound`.
+#[test]
+fn damaged_index_blob_is_a_typed_error() {
+    let contents = [Bytes::from_static(b"cached body")];
+    let (mut docker, store, r, trace) = publish_files(&contents);
+    let mut client = GearClient::new(ClientConfig::default());
+    let (id, _) = client.deploy(&r, &trace, &docker, &store).unwrap();
+    client.destroy(id);
+    assert!(client.remove_image(&r));
+    assert_eq!(client.cache_stats().pinned_bytes, 0);
+
+    let mut manifest = docker.manifest(&r).unwrap().clone();
+    let mut bad = docker.blob(manifest.layers[0].digest).unwrap().to_vec();
+    let last = bad.len() - 1;
+    bad[last] ^= 0xff;
+    manifest.layers[0].digest = Digest::of(&bad);
+    assert!(docker.restore_blob(manifest.layers[0].digest, bad));
+    let damaged: ImageRef = "damaged:1".parse().unwrap();
+    docker.restore_manifest(damaged.clone(), manifest.clone());
+
+    let err = client.deploy(&damaged, &trace, &docker, &store).unwrap_err();
+    assert!(
+        matches!(err, DeployError::BadIndex(IndexError::Layer(LayerDecodeError::Frame(_)))),
+        "{err}"
+    );
+    assert!(client.index(&damaged).is_none(), "a damaged index is not installed");
+    assert!(client.cache_contains(Fingerprint::of(&contents[0])));
+    assert_eq!(client.cache_stats().pinned_bytes, 0, "a damaged index pins nothing");
+
+    manifest.layers[0].digest = Digest::of(b"a blob the registry never had");
+    let gone: ImageRef = "gone:1".parse().unwrap();
+    docker.restore_manifest(gone.clone(), manifest);
+    let err = client.deploy(&gone, &trace, &docker, &store).unwrap_err();
+    assert!(matches!(err, DeployError::ImageNotFound(_)), "{err}");
 }

@@ -44,10 +44,10 @@ fn tables() -> &'static [[u32; 256]; 8] {
 pub fn crc32(data: &[u8]) -> u32 {
     let t = tables();
     let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes(chunk[0..4].try_into().expect("4 bytes")) ^ crc;
-        let hi = u32::from_le_bytes(chunk[4..8].try_into().expect("4 bytes"));
+    let (groups, rest) = data.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in groups {
+        let lo = u32::from_le_bytes([b0, b1, b2, b3]) ^ crc;
+        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
         crc = t[7][(lo & 0xFF) as usize]
             ^ t[6][((lo >> 8) & 0xFF) as usize]
             ^ t[5][((lo >> 16) & 0xFF) as usize]
@@ -57,7 +57,7 @@ pub fn crc32(data: &[u8]) -> u32 {
             ^ t[1][((hi >> 16) & 0xFF) as usize]
             ^ t[0][(hi >> 24) as usize];
     }
-    for &b in chunks.remainder() {
+    for &b in rest {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc

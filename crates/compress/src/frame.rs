@@ -256,8 +256,8 @@ pub fn decompress_with(frame: &[u8], pool: &Pool) -> Result<Vec<u8>, DecompressE
         return Err(DecompressError::BadMagic);
     }
     let method = frame[4];
-    let raw_len = u64::from_le_bytes(frame[5..13].try_into().expect("8 bytes")) as usize;
-    let crc = u32::from_le_bytes(frame[13..17].try_into().expect("4 bytes"));
+    let raw_len = u64::from_le_bytes(field(frame, 5)?) as usize;
+    let crc = u32::from_le_bytes(field(frame, 13)?);
     let payload = &frame[FRAME_OVERHEAD..];
     let data = match method {
         METHOD_STORED => {
@@ -277,6 +277,12 @@ pub fn decompress_with(frame: &[u8], pool: &Pool) -> Result<Vec<u8>, DecompressE
     Ok(data)
 }
 
+/// The `N`-byte header field of `frame` at `at`;
+/// [`DecompressError::Truncated`] if the frame ends first.
+fn field<const N: usize>(frame: &[u8], at: usize) -> Result<[u8; N], DecompressError> {
+    frame.get(at..).and_then(<[u8]>::first_chunk).copied().ok_or(DecompressError::Truncated)
+}
+
 /// One parsed `GZc2` table entry plus its payload slice bounds.
 struct BlockPlan<'a> {
     method: u8,
@@ -290,9 +296,9 @@ fn decompress_blocks(frame: &[u8], pool: &Pool) -> Result<Vec<u8>, DecompressErr
     if frame.len() < BLOCK_HEADER {
         return Err(DecompressError::Truncated);
     }
-    let raw_len = u64::from_le_bytes(frame[4..12].try_into().expect("8 bytes"));
-    let block_size = u32::from_le_bytes(frame[12..16].try_into().expect("4 bytes")) as u64;
-    let count = u32::from_le_bytes(frame[16..20].try_into().expect("4 bytes")) as u64;
+    let raw_len = u64::from_le_bytes(field(frame, 4)?);
+    let block_size = u32::from_le_bytes(field(frame, 12)?) as u64;
+    let count = u32::from_le_bytes(field(frame, 16)?) as u64;
     // The block count is fully determined by (rawlen, block_size); a frame
     // that disagrees with its own header is corrupt, not merely unusual.
     let expected_count = if raw_len == 0 {
@@ -318,9 +324,8 @@ fn decompress_blocks(frame: &[u8], pool: &Pool) -> Result<Vec<u8>, DecompressErr
     for i in 0..count {
         let at = BLOCK_HEADER + i as usize * BLOCK_ENTRY;
         let method = frame[at];
-        let comp_len =
-            u32::from_le_bytes(frame[at + 1..at + 5].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(frame[at + 5..at + 9].try_into().expect("4 bytes"));
+        let comp_len = u32::from_le_bytes(field(frame, at + 1)?) as usize;
+        let crc = u32::from_le_bytes(field(frame, at + 5)?);
         let end = offset.checked_add(comp_len).ok_or(DecompressError::Truncated)?;
         if end > frame.len() {
             return Err(DecompressError::Truncated);

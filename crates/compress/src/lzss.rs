@@ -161,7 +161,10 @@ thread_local! {
 /// A zeroed table on the heap (an array literal would pass through the
 /// stack).
 fn zeroed<const N: usize>() -> Box<[u32; N]> {
-    vec![0u32; N].into_boxed_slice().try_into().expect("length is N")
+    let Ok(table) = vec![0u32; N].into_boxed_slice().try_into() else {
+        unreachable!("a slice of N converts to an array of N")
+    };
+    table
 }
 
 impl Tables {
@@ -283,22 +286,17 @@ impl Lzss {
     #[inline]
     pub fn match_len(data: &[u8], a: usize, b: usize) -> usize {
         let max = (data.len() - b).min(MAX_MATCH);
+        // Both fit: a + max < b + max <= data.len().
+        let (earlier, later) = (&data[a..a + max], &data[b..b + max]);
         let mut n = 0;
-        // Word-wise: both slices end at or before data.len() because
-        // a + n + 8 <= b + n + 8 <= data.len() whenever n + 8 <= max.
-        while n + 8 <= max {
-            let x = u64::from_le_bytes(data[a + n..a + n + 8].try_into().expect("8 bytes"));
-            let y = u64::from_le_bytes(data[b + n..b + n + 8].try_into().expect("8 bytes"));
-            let diff = x ^ y;
+        for (x, y) in earlier.as_chunks::<8>().0.iter().zip(later.as_chunks::<8>().0) {
+            let diff = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
             if diff != 0 {
                 return n + (diff.trailing_zeros() / 8) as usize;
             }
             n += 8;
         }
-        while n < max && data[a + n] == data[b + n] {
-            n += 1;
-        }
-        n
+        n + earlier[n..].iter().zip(&later[n..]).take_while(|(x, y)| x == y).count()
     }
 
     /// Decompresses a raw LZSS token stream produced by [`Lzss::compress`].
@@ -364,7 +362,9 @@ impl Lzss {
 /// Chain key of the four bytes at `pos`.
 #[inline]
 fn hash4(data: &[u8], pos: usize) -> usize {
-    let v = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"));
+    // A slice of four always matches; the `else` is never taken.
+    let [a, b, c, d] = data[pos..pos + 4] else { return 0 };
+    let v = u32::from_le_bytes([a, b, c, d]);
     (v.wrapping_mul(0x9E37_79B1) >> (32 - 15)) as usize & (HASH_SIZE - 1)
 }
 

@@ -11,10 +11,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use gear_archive::Metadata;
+use gear_archive::{Archive, Entry, EntryKind, Metadata, ReadError};
+use gear_compress::DecompressError;
 use gear_fs::{ChunkRef, FileData, FileNode, FsTree, Node};
 use gear_hash::Fingerprint;
 use gear_image::{Image, ImageBuilder, ImageConfig, ImageRef};
+use gear_registry::DockerRegistry;
 use serde::de::Error as _;
 use serde_json::Reader;
 
@@ -29,9 +31,20 @@ pub enum IndexError {
     /// A tree passed to [`GearIndex::from_tree`] contained an inline file —
     /// contents must be converted to fingerprints first.
     UnresolvedContent(String),
-    /// The image handed to [`GearImage::from_index_image`] does not carry an
-    /// index at [`INDEX_PATH`].
+    /// The image is not a single layer holding a regular file at
+    /// [`INDEX_PATH`].
     NotAnIndexImage,
+    /// The index image's layer blob does not decode.
+    Layer(LayerDecodeError),
+}
+
+/// Why a pulled index layer blob does not decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LayerDecodeError {
+    /// The compressed frame is malformed or fails its CRC-32.
+    Frame(DecompressError),
+    /// The archive inside the frame is malformed.
+    Archive(ReadError),
 }
 
 impl fmt::Display for IndexError {
@@ -42,6 +55,12 @@ impl fmt::Display for IndexError {
                 write!(f, "file {p} still has inline content; convert it first")
             }
             IndexError::NotAnIndexImage => write!(f, "image does not contain a Gear index"),
+            IndexError::Layer(LayerDecodeError::Frame(e)) => {
+                write!(f, "index layer does not decode: {e}")
+            }
+            IndexError::Layer(LayerDecodeError::Archive(e)) => {
+                write!(f, "index layer does not decode: {e}")
+            }
         }
     }
 }
@@ -50,6 +69,8 @@ impl Error for IndexError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             IndexError::Json(e) => Some(e),
+            IndexError::Layer(LayerDecodeError::Frame(e)) => Some(e),
+            IndexError::Layer(LayerDecodeError::Archive(e)) => Some(e),
             _ => None,
         }
     }
@@ -58,6 +79,18 @@ impl Error for IndexError {
 impl From<serde_json::Error> for IndexError {
     fn from(e: serde_json::Error) -> Self {
         IndexError::Json(e)
+    }
+}
+
+impl From<DecompressError> for IndexError {
+    fn from(e: DecompressError) -> Self {
+        IndexError::Layer(LayerDecodeError::Frame(e))
+    }
+}
+
+impl From<ReadError> for IndexError {
+    fn from(e: ReadError) -> Self {
+        IndexError::Layer(LayerDecodeError::Archive(e))
     }
 }
 
@@ -547,18 +580,59 @@ impl GearImage {
     ///
     /// # Errors
     ///
-    /// [`IndexError::NotAnIndexImage`] if the image has no index file;
-    /// [`IndexError::Json`] if the index payload is malformed.
+    /// [`IndexError::NotAnIndexImage`] if the image is not one layer with a
+    /// regular file at [`INDEX_PATH`]; [`IndexError::Json`] if the index
+    /// payload is malformed.
     pub fn from_index_image(image: &Image) -> Result<Self, IndexError> {
-        let tree = image.root_fs().map_err(|_| IndexError::NotAnIndexImage)?;
-        let Some(Node::File(f)) = tree.get(INDEX_PATH) else {
+        let [layer] = image.layers() else {
             return Err(IndexError::NotAnIndexImage);
         };
-        let FileData::Inline(bytes) = &f.data else {
+        Self::from_layer(image.reference().clone(), layer.archive())
+    }
+
+    /// Pulls `reference`'s Gear image out of the registry that holds its
+    /// index image — what [`GearImage::from_index_image`] of
+    /// [`DockerRegistry::image`] gives, at the cost of one blob decode: the
+    /// manifest, its config parsed, the one layer blob decompressed (the
+    /// frame's CRC-32 checks it), the archive parsed, the index read. No
+    /// [`Image`] is built, no layer replayed into a tree, and no diff id
+    /// hashed, since nothing here would compare it.
+    ///
+    /// `Ok(None)` when the registry lacks the manifest, the config or the
+    /// layer blob, or the config does not parse.
+    ///
+    /// # Errors
+    ///
+    /// [`IndexError::NotAnIndexImage`] for a manifest of other than one
+    /// layer or a layer with no regular file at [`INDEX_PATH`];
+    /// [`IndexError::Layer`] for a blob that does not decode;
+    /// [`IndexError::Json`] for a malformed index.
+    pub fn pull(docker: &DockerRegistry, reference: &ImageRef) -> Result<Option<Self>, IndexError> {
+        let Some(manifest) = docker.manifest(reference) else {
+            return Ok(None);
+        };
+        if docker.config(manifest.config.digest).is_none() {
+            return Ok(None);
+        }
+        let [layer] = manifest.layers.as_slice() else {
             return Err(IndexError::NotAnIndexImage);
         };
-        let index = GearIndex::from_json(bytes)?;
-        Ok(GearImage { reference: image.reference().clone(), index })
+        let Some(blob) = docker.blob(layer.digest) else {
+            return Ok(None);
+        };
+        let archive = Archive::from_bytes(&gear_compress::decompress(blob)?)?;
+        Self::from_layer(reference.clone(), &archive).map(Some)
+    }
+
+    /// The one lookup both entry points share: the index in an index
+    /// image's layer is the last entry at [`INDEX_PATH`], a regular file.
+    fn from_layer(reference: ImageRef, layer: &Archive) -> Result<Self, IndexError> {
+        match layer.iter().rev().find(|entry| entry.path.as_str() == INDEX_PATH) {
+            Some(Entry { kind: EntryKind::File { content, .. }, .. }) => {
+                Ok(GearImage { reference, index: GearIndex::from_json(content)? })
+            }
+            _ => Err(IndexError::NotAnIndexImage),
+        }
     }
 }
 

@@ -56,4 +56,4 @@ pub use convert::{
     publish, CollisionResolver, Conversion, ConversionReport, ConvertError, Converter,
     ConverterOptions, GearFile, PublishReport,
 };
-pub use index::{GearImage, GearIndex, IndexError, INDEX_PATH};
+pub use index::{GearImage, GearIndex, IndexError, LayerDecodeError, INDEX_PATH};

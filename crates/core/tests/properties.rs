@@ -3,9 +3,9 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use gear_core::{publish, CollisionResolver, Converter, GearImage, GearIndex};
+use gear_core::{publish, CollisionResolver, Converter, GearImage, GearIndex, IndexError};
 use gear_fs::{FsTree, UnionFs};
-use gear_hash::Fingerprint;
+use gear_hash::{Digest, Fingerprint};
 use gear_image::{ImageBuilder, ImageConfig, ImageRef};
 use gear_registry::{DockerRegistry, GearFileStore};
 use proptest::prelude::*;
@@ -165,6 +165,64 @@ proptest! {
         }
         // And the index image is pullable.
         prop_assert!(docker.image(image.reference()).is_some());
+    }
+
+    /// The pull path is the Docker pull, short-cut: for any published
+    /// image, [`GearImage::pull`] gives what `from_index_image` of the full
+    /// `DockerRegistry::image` gives, and both give the conversion's own
+    /// Gear image. An image of two layers is no index image to either.
+    #[test]
+    fn pull_agrees_with_the_docker_pull(files in any_files()) {
+        let Some(image) = image_of(&files) else { return Ok(()) };
+        let conv = Converter::new().convert(&image).unwrap();
+        let mut docker = DockerRegistry::new();
+        publish(&conv, &mut docker, &mut GearFileStore::new());
+        let r = image.reference();
+        let pulled = GearImage::pull(&docker, r).unwrap().unwrap();
+        let full = GearImage::from_index_image(&docker.image(r).unwrap()).unwrap();
+        prop_assert_eq!(&pulled, &full);
+        prop_assert_eq!(&pulled, &conv.gear_image);
+
+        let two: ImageRef = "two-layers:1".parse().unwrap();
+        let stacked = ImageBuilder::from_image(two.clone(), &conv.gear_image.to_index_image())
+            .layer_from_tree(&image.root_fs().unwrap())
+            .build();
+        docker.push_image(&stacked);
+        prop_assert!(matches!(GearImage::pull(&docker, &two), Err(IndexError::NotAnIndexImage)));
+        prop_assert!(matches!(
+            GearImage::from_index_image(&docker.image(&two).unwrap()),
+            Err(IndexError::NotAnIndexImage)
+        ));
+    }
+
+    /// A stored index blob is untrusted too: flipped or overwritten bytes,
+    /// stored under their own digest behind a manifest naming them, pull as
+    /// an error or as nothing — never a panic, and never as an index other
+    /// than the one published.
+    #[test]
+    fn damaged_index_blob_never_panics(
+        files in any_files(),
+        damages in proptest::collection::vec((any::<u64>(), 1..=255u8, any::<bool>()), 8),
+    ) {
+        let Some(image) = image_of(&files) else { return Ok(()) };
+        let conv = Converter::new().convert(&image).unwrap();
+        let mut docker = DockerRegistry::new();
+        publish(&conv, &mut docker, &mut GearFileStore::new());
+        let manifest = docker.manifest(image.reference()).unwrap().clone();
+        let blob = docker.blob(manifest.layers[0].digest).unwrap().to_vec();
+        let damaged_ref: ImageRef = "damaged:1".parse().unwrap();
+        for (at, byte, flip) in damages {
+            let mut bad = blob.clone();
+            let at = (at % bad.len() as u64) as usize;
+            if flip { bad[at] ^= byte } else { bad[at] = byte }
+            let mut pointing = manifest.clone();
+            pointing.layers[0].digest = Digest::of(&bad);
+            prop_assert!(docker.restore_blob(pointing.layers[0].digest, bad));
+            docker.restore_manifest(damaged_ref.clone(), pointing);
+            if let Ok(Some(pulled)) = GearImage::pull(&docker, &damaged_ref) {
+                prop_assert_eq!(pulled.index(), conv.gear_image.index());
+            }
+        }
     }
 
     /// Parallel conversion is bit-identical to serial: for arbitrary file

