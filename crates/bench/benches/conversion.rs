@@ -1,8 +1,9 @@
 //! Converter throughput (the work behind paper Fig. 6).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gear_core::{Converter, ConverterOptions};
+use gear_core::{publish, Converter, ConverterOptions};
 use gear_corpus::{Corpus, CorpusConfig};
+use gear_registry::{DockerRegistry, GearFileStore};
 
 fn bench_conversion(c: &mut Criterion) {
     let corpus = Corpus::generate(&CorpusConfig::quick());
@@ -32,6 +33,17 @@ fn bench_conversion(c: &mut Criterion) {
     });
     group.bench_function("rootfs_reconstruction", |b| {
         b.iter(|| std::hint::black_box(&image).root_fs().unwrap())
+    });
+    // The whole write path: replay, fingerprint, upload check and sizing,
+    // index encode and push, into registries as empty as a first publish.
+    group.bench_function("convert_and_publish", |b| {
+        let converter = Converter::new();
+        b.iter(|| {
+            let conversion = converter.convert(std::hint::black_box(&image)).unwrap();
+            let mut docker = DockerRegistry::new();
+            let mut files = GearFileStore::with_compression();
+            publish(&conversion, &mut docker, &mut files)
+        })
     });
     group.finish();
 }

@@ -101,10 +101,10 @@ pub fn commit(
         })
         .collect();
     for (path, content) in inline {
-        let (id, _) = resolver.resolve(Fingerprint::of(&content), &content);
-        if !known.contains(&id) && !new_files.iter().any(|g| g.fingerprint == id) {
+        let (id, new) = resolver.admit(Fingerprint::of(&content), &content);
+        if let Some(file) = new.filter(|_| !known.contains(&id)) {
             new_bytes += content.len() as u64;
-            new_files.push(GearFile { fingerprint: id, content: content.clone() });
+            new_files.push(file);
         }
         if let Some(Node::File(file)) = merged.get_mut(&path) {
             file.data = FileData::Fingerprint { fingerprint: id, size: content.len() as u64 };

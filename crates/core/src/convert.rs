@@ -27,14 +27,9 @@ use gear_simnet::DiskModel;
 
 use crate::index::{visit, GearImage, GearIndex, IndexError};
 
-/// A unique Gear file produced by conversion: content plus its name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GearFile {
-    /// Content fingerprint (or salted unique id after a collision).
-    pub fingerprint: Fingerprint,
-    /// The file content.
-    pub content: Bytes,
-}
+/// A unique Gear file produced by conversion: content plus its name — the
+/// registry's unit of upload.
+pub use gear_registry::GearFile;
 
 /// Error returned by [`Converter::convert`].
 #[derive(Debug)]
@@ -80,8 +75,8 @@ impl From<IndexError> for ConvertError {
 ///
 /// The resolver remembers the first content seen for each fingerprint. A
 /// later file with the same fingerprint but different content gets
-/// `MD5(content ‖ salt)` for increasing salts until an unused id is found,
-/// and is flagged as non-deduplicable.
+/// [`Fingerprint::of_salted`] for increasing salts until an unused id is
+/// found, and is flagged as non-deduplicable.
 #[derive(Debug, Default)]
 pub struct CollisionResolver {
     seen: HashMap<Fingerprint, Bytes>,
@@ -104,26 +99,29 @@ impl CollisionResolver {
         (id, id == fingerprint)
     }
 
-    /// Resolves the id as [`CollisionResolver::resolve`] does; the flag tells
-    /// whether `content` is the first to be given that id — a new Gear file
-    /// rather than a duplicate of one already produced.
-    fn admit(&mut self, fingerprint: Fingerprint, content: &Bytes) -> (Fingerprint, bool) {
+    /// Resolves the id as [`CollisionResolver::resolve`] does, with the new
+    /// Gear file when `content` is the first to be given that id — `None`
+    /// for a duplicate of one already produced.
+    pub(crate) fn admit(
+        &mut self,
+        fingerprint: Fingerprint,
+        content: &Bytes,
+    ) -> (Fingerprint, Option<GearFile>) {
+        let new = |fingerprint, salt| GearFile { fingerprint, content: content.clone(), salt };
         match self.seen.entry(fingerprint) {
             Entry::Vacant(slot) => {
                 slot.insert(content.clone());
-                (fingerprint, true)
+                (fingerprint, Some(new(fingerprint, None)))
             }
-            Entry::Occupied(first) if first.get() == content => (fingerprint, false),
+            Entry::Occupied(first) if first.get() == content => (fingerprint, None),
             Entry::Occupied(_) => {
                 self.collisions += 1;
                 let mut salt: u64 = 0;
                 loop {
-                    let mut salted = content.to_vec();
-                    salted.extend_from_slice(&salt.to_le_bytes());
-                    let id = Fingerprint::of(&salted);
+                    let id = Fingerprint::of_salted(content, salt);
                     if let Entry::Vacant(slot) = self.seen.entry(id) {
                         slot.insert(content.clone());
-                        return (id, true);
+                        return (id, Some(new(id, Some(salt))));
                     }
                     salt += 1;
                 }
@@ -258,10 +256,10 @@ impl Converter {
         // A body not seen before joins the Gear file set.
         let mut produce = |hash: Fingerprint, content: &Bytes, report: &mut ConversionReport| {
             let (id, new) = resolver.admit(hash, content);
-            if new {
+            if let Some(file) = new {
                 report.unique_files += 1;
                 report.unique_bytes += content.len() as u64;
-                files.push(GearFile { fingerprint: id, content: content.clone() });
+                files.push(file);
             } else {
                 report.duplicate_files += 1;
             }
@@ -382,21 +380,22 @@ pub struct PublishReport {
 
 /// Publishes a conversion: the index image goes to the Docker registry, the
 /// Gear files to the Gear file store. Only files whose fingerprints are
-/// absent are uploaded (paper §III-C).
+/// absent are uploaded (paper §III-C), as one batch.
 pub fn publish(
     conversion: &Conversion,
     docker: &mut DockerRegistry,
     store: &mut GearFileStore,
 ) -> PublishReport {
-    let mut report = PublishReport::default();
-    for file in &conversion.files {
-        if store.query(file.fingerprint) {
-            report.files_deduped += 1;
-            continue;
-        }
-        let outcome = store
-            .upload(file.fingerprint, file.content.clone())
-            .unwrap_or_else(|e| panic!("converter produced invalid fingerprint: {e}"));
+    let new: Vec<GearFile> =
+        conversion.files.iter().filter(|file| !store.query(file.fingerprint)).cloned().collect();
+    let mut report = PublishReport {
+        files_deduped: (conversion.files.len() - new.len()) as u64,
+        ..PublishReport::default()
+    };
+    let outcomes = store
+        .upload_all(&new)
+        .unwrap_or_else(|e| panic!("converter produced invalid fingerprint: {e}"));
+    for outcome in outcomes {
         if outcome.stored {
             report.files_uploaded += 1;
             report.file_bytes_stored += outcome.stored_bytes;
@@ -404,8 +403,7 @@ pub fn publish(
             report.files_deduped += 1;
         }
     }
-    let push = docker.push_image(&conversion.gear_image.to_index_image());
-    report.index_bytes_uploaded = push.bytes_uploaded;
+    report.index_bytes_uploaded = conversion.gear_image.push(docker).bytes_uploaded;
     report
 }
 
@@ -633,6 +631,48 @@ mod tests {
         let (id_c, _) = resolver.resolve(fp, &c);
         assert_ne!(id_c, fp);
         assert_ne!(id_c, id_b);
+    }
+
+    /// A real MD5 collision (Wang et al.'s 128-byte pair): the second body
+    /// gets a salted id, the store takes it as such and stays clean, and
+    /// each path's id fetches its own body.
+    #[test]
+    fn a_real_md5_collision_publishes_under_a_salted_id() {
+        let a = gear_hash::hex_decode(
+            "d131dd02c5e6eec4693d9a0698aff95c2fcab58712467eab4004583eb8fb7f89\
+             55ad340609f4b30283e488832571415a085125e8f7cdc99fd91dbdf280373c5b\
+             d8823e3156348f5bae6dacd436c919c6dd53e2b487da03fd02396306d248cda0\
+             e99f33420f577ee8ce54b67080a80d1ec69821bcb6a8839396f9652b6ff72a70",
+        )
+        .unwrap();
+        let b = gear_hash::hex_decode(
+            "d131dd02c5e6eec4693d9a0698aff95c2fcab50712467eab4004583eb8fb7f89\
+             55ad340609f4b30283e4888325f1415a085125e8f7cdc99fd91dbd7280373c5b\
+             d8823e3156348f5bae6dacd436c919c6dd53e23487da03fd02396306d248cda0\
+             e99f33420f577ee8ce54b67080280d1ec69821bcb6a8839396f965ab6ff72a70",
+        )
+        .unwrap();
+        assert_ne!(a, b);
+        for body in [&a, &b] {
+            assert_eq!(Fingerprint::of(body).to_string(), "79054025255fb1a26e4bc422aef54eb4");
+        }
+
+        let image = image_with(&[("pair/a", &a), ("pair/b", &b)]);
+        let conv = Converter::new().convert(&image).unwrap();
+        assert_eq!(conv.report.collisions, 1);
+        let salts: Vec<Option<u64>> = conv.files.iter().map(|f| f.salt).collect();
+        assert_eq!(salts, [None, Some(0)]);
+
+        let mut docker = DockerRegistry::new();
+        let mut store = GearFileStore::with_compression();
+        let report = publish(&conv, &mut docker, &mut store);
+        assert_eq!(report.files_uploaded, 2);
+        assert!(store.verify().is_empty(), "a salted object verifies with its salt");
+        let index = conv.gear_image.index();
+        for (path, body) in [("pair/a", &a), ("pair/b", &b)] {
+            let (id, _) = index.file_at(path).unwrap();
+            assert_eq!(store.download(id).as_deref(), Some(&body[..]), "{path}");
+        }
     }
 
     #[test]

@@ -11,12 +11,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use gear_archive::{Archive, Entry, EntryKind, Metadata, ReadError};
-use gear_compress::DecompressError;
+use gear_archive::{Archive, ArchivePath, Entry, EntryKind, Metadata, ReadError};
+use gear_compress::{DecompressError, Level};
 use gear_fs::{ChunkRef, FileData, FileNode, FsTree, Node};
 use gear_hash::Fingerprint;
 use gear_image::{Image, ImageBuilder, ImageConfig, ImageRef};
-use gear_registry::DockerRegistry;
+use gear_registry::{DockerRegistry, PushReport};
 use serde::de::Error as _;
 use serde_json::Reader;
 
@@ -566,14 +566,37 @@ impl GearImage {
     /// §III-C). The original image's config is carried over so containers
     /// launch with the right environment.
     pub fn to_index_image(&self) -> Image {
-        let mut tree = FsTree::new();
-        // `INDEX_PATH` is a valid path into an empty tree, so this cannot
-        // fail (`index_image_roundtrip` holds it to that).
-        let _ = tree.create_file(INDEX_PATH, Bytes::from(self.index.to_json()));
         ImageBuilder::new(self.reference.clone())
             .config(self.index.config.clone())
-            .layer_from_tree(&tree)
+            .layer(self.index_layer())
             .build()
+    }
+
+    /// Pushes the index image to `docker` — what
+    /// [`DockerRegistry::push_image`] of [`GearImage::to_index_image`] does,
+    /// byte for byte, at the cost of one archive encode and one compression:
+    /// no [`Image`] is built and no diff id hashed, since the manifest names
+    /// the blob by its own digest.
+    pub fn push(&self, docker: &mut DockerRegistry) -> PushReport {
+        let blob = gear_compress::compress(&self.index_layer().to_bytes(), Level::Default);
+        docker.push_layers(&self.reference, &self.index.config, [blob])
+    }
+
+    /// The index image's one layer: a directory entry for each ancestor of
+    /// [`INDEX_PATH`], parents first and with default metadata, then the
+    /// index file — what [`FsTree::to_layer`] gives of a tree holding only
+    /// that file.
+    fn index_layer(&self) -> Archive {
+        // Every prefix of `INDEX_PATH` is a valid path
+        // (`index_layer_is_the_tree_layer` holds it to that).
+        let path = |end: usize| ArchivePath::new(&INDEX_PATH[..end]).ok();
+        let dirs = INDEX_PATH.match_indices('/').filter_map(|(end, _)| path(end));
+        let mut layer: Archive = dirs.map(|dir| Entry::dir(dir, Metadata::dir_default())).collect();
+        if let Some(file) = path(INDEX_PATH.len()) {
+            let index = Bytes::from(self.index.to_json());
+            layer.push(Entry::file(file, Metadata::file_default(), index));
+        }
+        layer
     }
 
     /// Recovers a Gear image from its single-layer index image.
@@ -714,6 +737,18 @@ mod tests {
         assert_eq!(image.config().env, vec!["A=1"]);
         let back = GearImage::from_index_image(&image).unwrap();
         assert_eq!(back, gear);
+    }
+
+    /// The layer built entry by entry is the one a tree holding only the
+    /// index file serializes to, so the index blob's bytes — which price
+    /// every deploy — are those a tree replay gave.
+    #[test]
+    fn index_layer_is_the_tree_layer() {
+        let gear = GearImage::new("app:1".parse().unwrap(), sample_index());
+        let mut tree = FsTree::new();
+        tree.create_file(INDEX_PATH, Bytes::from(gear.index().to_json())).unwrap();
+        assert_eq!(gear.index_layer(), tree.to_layer());
+        assert_eq!(gear.index_layer().len(), 4);
     }
 
     #[test]

@@ -195,6 +195,34 @@ proptest! {
         ));
     }
 
+    /// `GearImage::push` is the Docker push of the index image, short-cut:
+    /// into a fresh registry it reports what `push_image` of
+    /// `to_index_image` reports and stores the same manifest and the same
+    /// blobs under the same digests — and the pull of what it stored is the
+    /// conversion's Gear image.
+    #[test]
+    fn push_agrees_with_the_docker_push(files in any_files()) {
+        let Some(image) = image_of(&files) else { return Ok(()) };
+        let conv = Converter::new().convert(&image).unwrap();
+        let r = image.reference();
+        let mut pushed = DockerRegistry::new();
+        let mut docker = DockerRegistry::new();
+        prop_assert_eq!(
+            conv.gear_image.push(&mut pushed),
+            docker.push_image(&conv.gear_image.to_index_image())
+        );
+        prop_assert_eq!(pushed.manifest(r), docker.manifest(r));
+        let blobs = |registry: &DockerRegistry| {
+            let mut blobs: Vec<(Digest, Vec<u8>)> =
+                registry.blobs().map(|(digest, blob)| (digest, blob.to_vec())).collect();
+            blobs.sort();
+            blobs
+        };
+        prop_assert_eq!(blobs(&pushed), blobs(&docker));
+        prop_assert_eq!(pushed.stats(), docker.stats());
+        prop_assert_eq!(GearImage::pull(&pushed, r).unwrap(), Some(conv.gear_image.clone()));
+    }
+
     /// A stored index blob is untrusted too: flipped or overwritten bytes,
     /// stored under their own digest behind a manifest naming them, pull as
     /// an error or as nothing — never a panic, and never as an index other

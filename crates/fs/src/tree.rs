@@ -120,33 +120,31 @@ impl FsTree {
     /// [`FsError::InvalidPath`] for malformed paths.
     pub fn mkdir_p(&mut self, path: &str) -> Result<(), FsError> {
         let valid = ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
-        self.dir_mut(Some(&valid)).map(|_| ())
+        self.in_dir(valid.as_str(), |_, _| ())
     }
 
-    /// The children of the directory at `path` (`None` is the root), made
-    /// along with any missing ancestor.
-    fn dir_mut(
+    /// Runs `f` on the metadata and children of the directory at `dir` (a
+    /// valid path, or `""` for the root), made along with any missing
+    /// ancestor — see [`descend`].
+    fn in_dir<R>(
         &mut self,
-        path: Option<&ArchivePath>,
-    ) -> Result<&mut BTreeMap<String, Node>, FsError> {
-        let mut node = &mut self.root;
-        let mut walked = String::new();
-        for comp in path.into_iter().flat_map(ArchivePath::components) {
-            if !walked.is_empty() {
-                walked.push('/');
+        dir: &str,
+        f: impl FnOnce(&mut Metadata, &mut BTreeMap<String, Node>) -> R,
+    ) -> Result<R, FsError> {
+        descend(&mut self.root, dir, 0, f)
+    }
+
+    /// Puts `node` at the valid path `path`, replacing what is there and
+    /// making any missing ancestor. A name already present is not allocated
+    /// again.
+    fn put(&mut self, path: &str, node: Node) -> Result<(), FsError> {
+        let (parent, name) = split_last(path);
+        self.in_dir(parent, |_, children| match children.get_mut(name) {
+            Some(slot) => *slot = node,
+            None => {
+                children.insert(name.to_owned(), node);
             }
-            walked.push_str(comp);
-            let Node::Dir { children, .. } = node else {
-                return Err(FsError::NotADirectory(walked));
-            };
-            node = children
-                .entry(comp.to_owned())
-                .or_insert_with(|| Node::empty_dir(Metadata::dir_default()));
-        }
-        match node {
-            Node::Dir { children, .. } => Ok(children),
-            _ => Err(FsError::NotADirectory(walked)),
-        }
+        })
     }
 
     /// Inserts `node` at `path`, creating missing parent directories and
@@ -158,9 +156,7 @@ impl FsTree {
     /// [`FsError::InvalidPath`] for malformed paths.
     pub fn insert(&mut self, path: &str, node: Node) -> Result<(), FsError> {
         let valid = ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
-        let children = self.dir_mut(valid.parent().as_ref())?;
-        children.insert(valid.file_name().to_owned(), node);
-        Ok(())
+        self.put(valid.as_str(), node)
     }
 
     /// Convenience: inserts an inline regular file with default metadata.
@@ -179,16 +175,16 @@ impl FsTree {
     /// [`FsError::NotFound`] if nothing exists at `path`.
     pub fn remove(&mut self, path: &str) -> Result<Node, FsError> {
         let valid = ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
-        let parent_path = valid.parent().map(|p| p.as_str().to_owned()).unwrap_or_default();
-        let parent = self
-            .get_mut(&parent_path)
-            .ok_or_else(|| FsError::NotFound(path.to_owned()))?;
-        let Node::Dir { children, .. } = parent else {
-            return Err(FsError::NotFound(path.to_owned()));
-        };
-        children
-            .remove(valid.file_name())
-            .ok_or_else(|| FsError::NotFound(path.to_owned()))
+        self.take(valid.as_str()).ok_or_else(|| FsError::NotFound(path.to_owned()))
+    }
+
+    /// Removes and returns the node at the valid path `path`, if any.
+    fn take(&mut self, path: &str) -> Option<Node> {
+        let (parent, name) = split_last(path);
+        match self.get_mut(parent)? {
+            Node::Dir { children, .. } => children.remove(name),
+            _ => None,
+        }
     }
 
     /// Child names of the directory at `path` (empty string = root).
@@ -251,38 +247,31 @@ impl FsTree {
         Ok(())
     }
 
+    /// One entry, its path already valid: no path is validated or built
+    /// again, and a directory that exists costs no allocation.
     fn apply_entry(&mut self, entry: &Entry) -> Result<(), FsError> {
         let path = entry.path.as_str();
         match &entry.kind {
-            EntryKind::Dir { meta } => {
-                // Preserve children if the directory already exists.
-                self.mkdir_p(path)?;
-                if let Some(Node::Dir { meta: m, .. }) = self.get_mut(path) {
-                    *m = *meta;
-                }
-                Ok(())
-            }
-            EntryKind::OpaqueDir { meta } => {
-                // Clear everything below, then (re)create.
-                let _ = self.remove(path);
-                self.insert(path, Node::empty_dir(*meta))
-            }
-            EntryKind::File { meta, content } => self.insert(
+            // Preserve children if the directory already exists.
+            EntryKind::Dir { meta } => self.in_dir(path, |m, _| *m = *meta),
+            // Whatever was there, everything below it included, is replaced.
+            EntryKind::OpaqueDir { meta } => self.put(path, Node::empty_dir(*meta)),
+            EntryKind::File { meta, content } => self.put(
                 path,
                 Node::File(FileNode { meta: *meta, data: FileData::Inline(content.clone()) }),
             ),
             EntryKind::Symlink { meta, target } => {
-                self.insert(path, Node::symlink(*meta, target.clone()))
+                self.put(path, Node::symlink(*meta, target.clone()))
             }
             EntryKind::Hardlink { target } => {
                 let node = self
                     .get(target.as_str())
                     .ok_or_else(|| FsError::NotFound(target.as_str().to_owned()))?
                     .clone();
-                self.insert(path, node)
+                self.put(path, node)
             }
             EntryKind::Whiteout => {
-                let _ = self.remove(path);
+                self.take(path);
                 Ok(())
             }
         }
@@ -320,6 +309,42 @@ impl FsTree {
         }
         archive
     }
+}
+
+/// A valid path's parent (`""` at the top level) and final name.
+fn split_last(path: &str) -> (&str, &str) {
+    path.rsplit_once('/').unwrap_or(("", path))
+}
+
+/// Runs `f` on the metadata and children of the directory at `dir` below
+/// `node`, whose own name is the first `walked` bytes of `dir`. A directory
+/// missing on the way is made with default metadata. Each name is looked up
+/// once and allocated only when it has to be added; the error's path — the
+/// prefix of `dir` through the name that could not be entered, or all of
+/// `dir` when its last node is no directory — is built only on failure.
+fn descend<R>(
+    node: &mut Node,
+    dir: &str,
+    walked: usize,
+    f: impl FnOnce(&mut Metadata, &mut BTreeMap<String, Node>) -> R,
+) -> Result<R, FsError> {
+    // The next name is `dir[start..end]`, empty once `dir` is walked.
+    let start = if walked == 0 { 0 } else { (walked + 1).min(dir.len()) };
+    let end = dir[start..].find('/').map_or(dir.len(), |at| start + at);
+    let Node::Dir { meta, children } = node else {
+        return Err(FsError::NotADirectory(dir[..end].to_owned()));
+    };
+    let name = &dir[start..end];
+    if name.is_empty() {
+        return Ok(f(meta, children));
+    }
+    let child = match children.get_mut(name) {
+        Some(child) => child,
+        None => children
+            .entry(name.to_owned())
+            .or_insert_with(|| Node::empty_dir(Metadata::dir_default())),
+    };
+    descend(child, dir, end, f)
 }
 
 /// Iterator returned by [`FsTree::walk`].
@@ -482,5 +507,188 @@ mod tests {
         let mut rebuilt = FsTree::new();
         rebuilt.apply_layer(&layer).unwrap();
         assert_eq!(rebuilt, t);
+    }
+
+    #[test]
+    fn errors_name_the_prefix_that_could_not_be_entered() {
+        let mut t = FsTree::new();
+        t.create_file("a/f", Bytes::from_static(b"x")).unwrap();
+        let blocked = |r: Result<(), FsError>| match r {
+            Err(FsError::NotADirectory(p)) => p,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(blocked(t.mkdir_p("a/f")), "a/f");
+        assert_eq!(blocked(t.mkdir_p("a/f/g/h")), "a/f/g");
+        assert_eq!(blocked(t.create_file("a/f/g", Bytes::new())), "a/f");
+        assert_eq!(blocked(t.create_file("a/f/g/h", Bytes::new())), "a/f/g");
+    }
+
+    // ---- the replay against what it replaced -----------------------------
+
+    mod replay_matches_reference {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `apply_layer` as it stood before [`descend`], word for word: each
+        /// entry through the string-taking `insert`, `mkdir_p` and `remove`,
+        /// its path validated again and every ancestor entered by an owned
+        /// name. Lookups go through the unchanged `get` and `get_mut`.
+        struct Reference<'a>(&'a mut FsTree);
+
+        impl Reference<'_> {
+            fn mkdir_p(&mut self, path: &str) -> Result<(), FsError> {
+                let valid =
+                    ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
+                self.dir_mut(Some(&valid)).map(|_| ())
+            }
+
+            fn dir_mut(
+                &mut self,
+                path: Option<&ArchivePath>,
+            ) -> Result<&mut BTreeMap<String, Node>, FsError> {
+                let mut node = &mut self.0.root;
+                let mut walked = String::new();
+                for comp in path.into_iter().flat_map(ArchivePath::components) {
+                    if !walked.is_empty() {
+                        walked.push('/');
+                    }
+                    walked.push_str(comp);
+                    let Node::Dir { children, .. } = node else {
+                        return Err(FsError::NotADirectory(walked));
+                    };
+                    node = children
+                        .entry(comp.to_owned())
+                        .or_insert_with(|| Node::empty_dir(Metadata::dir_default()));
+                }
+                match node {
+                    Node::Dir { children, .. } => Ok(children),
+                    _ => Err(FsError::NotADirectory(walked)),
+                }
+            }
+
+            fn insert(&mut self, path: &str, node: Node) -> Result<(), FsError> {
+                let valid =
+                    ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
+                let children = self.dir_mut(valid.parent().as_ref())?;
+                children.insert(valid.file_name().to_owned(), node);
+                Ok(())
+            }
+
+            fn remove(&mut self, path: &str) -> Result<Node, FsError> {
+                let valid =
+                    ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
+                let parent_path =
+                    valid.parent().map(|p| p.as_str().to_owned()).unwrap_or_default();
+                let parent = self
+                    .0
+                    .get_mut(&parent_path)
+                    .ok_or_else(|| FsError::NotFound(path.to_owned()))?;
+                let Node::Dir { children, .. } = parent else {
+                    return Err(FsError::NotFound(path.to_owned()));
+                };
+                children
+                    .remove(valid.file_name())
+                    .ok_or_else(|| FsError::NotFound(path.to_owned()))
+            }
+
+            fn apply_layer(&mut self, layer: &Archive) -> Result<(), FsError> {
+                for entry in layer {
+                    self.apply_entry(entry)?;
+                }
+                Ok(())
+            }
+
+            fn apply_entry(&mut self, entry: &Entry) -> Result<(), FsError> {
+                let path = entry.path.as_str();
+                match &entry.kind {
+                    EntryKind::Dir { meta } => {
+                        self.mkdir_p(path)?;
+                        if let Some(Node::Dir { meta: m, .. }) = self.0.get_mut(path) {
+                            *m = *meta;
+                        }
+                        Ok(())
+                    }
+                    EntryKind::OpaqueDir { meta } => {
+                        let _ = self.remove(path);
+                        self.insert(path, Node::empty_dir(*meta))
+                    }
+                    EntryKind::File { meta, content } => self.insert(
+                        path,
+                        Node::File(FileNode {
+                            meta: *meta,
+                            data: FileData::Inline(content.clone()),
+                        }),
+                    ),
+                    EntryKind::Symlink { meta, target } => {
+                        self.insert(path, Node::symlink(*meta, target.clone()))
+                    }
+                    EntryKind::Hardlink { target } => {
+                        let node = self
+                            .0
+                            .get(target.as_str())
+                            .ok_or_else(|| FsError::NotFound(target.as_str().to_owned()))?
+                            .clone();
+                        self.insert(path, node)
+                    }
+                    EntryKind::Whiteout => {
+                        let _ = self.remove(path);
+                        Ok(())
+                    }
+                }
+            }
+        }
+
+        /// Three names, so paths collide: entries land on what is there,
+        /// go through files, and link to what a whiteout took away.
+        fn any_path() -> impl Strategy<Value = ArchivePath> {
+            proptest::collection::vec(0..3usize, 1..5).prop_map(|names| {
+                let names: Vec<&str> = names.into_iter().map(|i| ["a", "b", "c"][i]).collect();
+                ArchivePath::new(names.join("/")).unwrap()
+            })
+        }
+
+        fn any_meta() -> impl Strategy<Value = Metadata> {
+            (0..3u32).prop_map(|m| Metadata { mode: 0o700 + m, uid: m, gid: 0, mtime: 0 })
+        }
+
+        fn any_entry() -> impl Strategy<Value = Entry> {
+            prop_oneof![
+                (any_path(), any_meta()).prop_map(|(p, m)| Entry::dir(p, m)),
+                (any_path(), any_meta(), any::<u8>())
+                    .prop_map(|(p, m, b)| Entry::file(p, m, Bytes::from(vec![b]))),
+                (any_path(), any_meta(), any_path())
+                    .prop_map(|(p, m, t)| Entry::symlink(p, m, t.as_str())),
+                (any_path(), any_path()).prop_map(|(p, t)| Entry::hardlink(p, t)),
+                any_path().prop_map(Entry::whiteout),
+                (any_path(), any_meta()).prop_map(|(p, m)| Entry::opaque_dir(p, m)),
+            ]
+        }
+
+        fn any_layer() -> impl Strategy<Value = Archive> {
+            proptest::collection::vec(any_entry(), 0..14).prop_map(Archive::from_iter)
+        }
+
+        proptest! {
+            /// Over any stack of layers — dirs, files, symlinks, hardlinks
+            /// (to missing targets too), whiteouts and opaque dirs, paths
+            /// through files — `apply_layer` leaves the tree the old replay
+            /// left and fails, where it fails, with the same error, message
+            /// included. Checked after every layer, a failed one too.
+            #[test]
+            fn after_every_layer(layers in proptest::collection::vec(any_layer(), 1..4)) {
+                let mut tree = FsTree::new();
+                let mut reference = FsTree::new();
+                for layer in &layers {
+                    let got = tree.apply_layer(layer);
+                    let want = Reference(&mut reference).apply_layer(layer);
+                    prop_assert_eq!(
+                        got.as_ref().map_err(ToString::to_string),
+                        want.as_ref().map_err(ToString::to_string)
+                    );
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(&tree, &reference);
+                }
+            }
+        }
     }
 }

@@ -136,6 +136,23 @@ content_id!(
 );
 
 impl Fingerprint {
+    /// `MD5(data ‖ salt as 8 little-endian bytes)`: the id the converter
+    /// gives a body whose plain fingerprint another body already holds
+    /// (paper §III-B), and how the registry checks such an id.
+    ///
+    /// ```
+    /// use gear_hash::Fingerprint;
+    /// let salted = Fingerprint::of_salted(b"body", 1);
+    /// assert_eq!(salted, Fingerprint::of(b"body\x01\0\0\0\0\0\0\0"));
+    /// assert_ne!(salted, Fingerprint::of(b"body"));
+    /// ```
+    pub fn of_salted(data: &[u8], salt: u64) -> Self {
+        let mut hasher = md5::Md5::new();
+        hasher.update(data);
+        hasher.update(&salt.to_le_bytes());
+        Fingerprint(hasher.finalize())
+    }
+
     /// Upper bound on the probability that one or more collisions occur among
     /// `n` distinct files, by the birthday bound `n(n-1)/2 * 2^-128`
     /// (Gear paper Eq. 1).

@@ -31,7 +31,98 @@ fn any_layer() -> impl Strategy<Value = Archive> {
     })
 }
 
+fn any_manifest() -> impl Strategy<Value = Manifest> {
+    let descriptor = |media_type: &'static str| {
+        (any::<u64>(), any::<u64>()).prop_map(move |(seed, size)| Descriptor {
+            media_type: media_type.to_owned(),
+            digest: Digest::of(&seed.to_le_bytes()),
+            size,
+        })
+    };
+    (descriptor(MEDIA_TYPE_CONFIG), proptest::collection::vec(descriptor(MEDIA_TYPE_LAYER), 0..6))
+        .prop_map(|(config, layers)| Manifest { schema_version: 2, config, layers })
+}
+
+fn any_config() -> impl Strategy<Value = ImageConfig> {
+    let words = || proptest::collection::vec("[a-zA-Z0-9_=/:. -]{0,12}", 0..4);
+    let labels = proptest::collection::vec(("[a-z.]{1,8}", "[a-z ]{0,8}"), 0..3);
+    (words(), words(), words(), "[a-z/]{0,12}", labels)
+        .prop_map(|(mut env, entrypoint, cmd, working_dir, labels)| {
+            // One value that needs escaping: a quote, a backslash, a
+            // control character and a character beyond ASCII.
+            env.push("Q=\"\\\u{1}é".to_owned());
+            ImageConfig { env, entrypoint, cmd, working_dir, labels }
+        })
+}
+
+/// One way to damage a JSON document; the `u64`s pick where.
+#[derive(Debug, Clone)]
+enum Damage {
+    Truncate(u64),
+    FlipByte(u64, u8),
+    /// Opens a run of arrays or objects at some byte, far more of them than
+    /// a decoder could recurse through.
+    InsertRun(u64, bool, usize),
+}
+
+fn any_damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        any::<u64>().prop_map(Damage::Truncate),
+        (any::<u64>(), 1..=255u8).prop_map(|(at, mask)| Damage::FlipByte(at, mask)),
+        (any::<u64>(), any::<bool>(), 1..60_000usize)
+            .prop_map(|(at, array, len)| Damage::InsertRun(at, array, len)),
+    ]
+}
+
+fn damaged(json: &[u8], damage: &Damage) -> Vec<u8> {
+    let mut doc = json.to_vec();
+    let at = |at: u64| (at % json.len() as u64) as usize;
+    match *damage {
+        Damage::Truncate(cut) => doc.truncate(at(cut)),
+        Damage::FlipByte(flip, mask) => doc[at(flip)] ^= mask,
+        Damage::InsertRun(run, array, len) => {
+            let open = if array { "[" } else { "{\"a\":" };
+            doc.splice(at(run)..at(run), open.repeat(len).bytes());
+        }
+    }
+    doc
+}
+
 proptest! {
+    /// A manifest is the first untrusted document of every pull: damaged
+    /// by truncation, flipped bytes or a deep run of brackets, it decodes
+    /// to `Ok` or `Err` — never a panic — and whatever it decodes to
+    /// round-trips. (8 damaged documents per case.)
+    #[test]
+    fn damaged_manifest_never_panics(
+        manifest in any_manifest(),
+        damages in proptest::collection::vec(any_damage(), 8),
+    ) {
+        let json = manifest.to_json();
+        prop_assert_eq!(Manifest::from_json(&json).unwrap(), manifest);
+        for damage in &damages {
+            if let Ok(decoded) = Manifest::from_json(&damaged(&json, damage)) {
+                prop_assert_eq!(Manifest::from_json(&decoded.to_json()).unwrap(), decoded);
+            }
+        }
+    }
+
+    /// The config blob, read on every pull before the index: the same
+    /// damage, the same guarantee.
+    #[test]
+    fn damaged_config_never_panics(
+        config in any_config(),
+        damages in proptest::collection::vec(any_damage(), 8),
+    ) {
+        let json = config.to_json();
+        prop_assert_eq!(ImageConfig::from_json(&json).unwrap(), config);
+        for damage in &damages {
+            if let Ok(decoded) = ImageConfig::from_json(&damaged(&json, damage)) {
+                prop_assert_eq!(ImageConfig::from_json(&decoded.to_json()).unwrap(), decoded);
+            }
+        }
+    }
+
     /// Layer compression roundtrips at every level and preserves the diff id.
     #[test]
     fn layer_compression_roundtrip(archive in any_layer(), fast in any::<bool>()) {

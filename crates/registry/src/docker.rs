@@ -55,17 +55,33 @@ impl DockerRegistry {
         Self::default()
     }
 
-    /// Pushes an image: compresses each layer, uploads blobs whose digests
-    /// are not yet stored (layer-level dedup), stores config and manifest.
+    /// Pushes an image: compresses each layer at [`Level::Default`], then
+    /// [`DockerRegistry::push_layers`].
     pub fn push_image(&mut self, image: &Image) -> PushReport {
+        let blobs = image
+            .layers()
+            .iter()
+            .map(|layer| gear_compress::compress(&layer.archive().to_bytes(), Level::Default));
+        self.push_layers(image.reference(), image.config(), blobs)
+    }
+
+    /// Pushes an image as its compressed layer blobs, bottom first: uploads
+    /// the blobs whose digests are not yet stored (layer-level dedup),
+    /// stores config and manifest.
+    pub fn push_layers(
+        &mut self,
+        reference: &ImageRef,
+        config: &ImageConfig,
+        blobs: impl IntoIterator<Item = Vec<u8>>,
+    ) -> PushReport {
         let mut report = PushReport::default();
-        let mut layer_descs = Vec::with_capacity(image.layers().len());
-        for layer in image.layers() {
-            let compressed = layer.to_compressed(Level::Default);
-            let digest = compressed.digest();
-            let size = compressed.size();
+        let blobs = blobs.into_iter();
+        let mut layer_descs = Vec::with_capacity(blobs.size_hint().0);
+        for blob in blobs {
+            let digest = Digest::of(&blob);
+            let size = blob.len() as u64;
             if let std::collections::hash_map::Entry::Vacant(slot) = self.blobs.entry(digest) {
-                slot.insert(compressed.blob().to_vec());
+                slot.insert(blob);
                 report.layers_uploaded += 1;
                 report.bytes_uploaded += size;
             } else {
@@ -77,7 +93,7 @@ impl DockerRegistry {
                 size,
             });
         }
-        let config_json = image.config().to_json();
+        let config_json = config.to_json();
         let config_digest = Digest::of(&config_json);
         let config_size = config_json.len() as u64;
         if self.blobs.insert(config_digest, config_json).is_none() {
@@ -93,7 +109,7 @@ impl DockerRegistry {
             layers: layer_descs,
         };
         report.bytes_uploaded += manifest.to_json().len() as u64;
-        self.manifests.insert(image.reference().clone(), manifest);
+        self.manifests.insert(reference.clone(), manifest);
         report
     }
 

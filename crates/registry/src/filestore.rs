@@ -20,12 +20,34 @@ use std::fmt;
 
 use bytes::Bytes;
 use gear_compress::{compressed_size_with, Level};
-use gear_hash::Fingerprint;
+use gear_hash::{fingerprint_all, Fingerprint};
 use gear_par::Pool;
 use gear_store::MemStore;
 use gear_telemetry::Telemetry;
 
 pub use gear_store::StoreStats;
+
+/// A Gear file: a body and the id it is stored and fetched under.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GearFile {
+    /// The body's fingerprint, or its salted id after a collision.
+    pub fingerprint: Fingerprint,
+    /// The file content.
+    pub content: Bytes,
+    /// The salt of a salted id — `fingerprint` is
+    /// [`Fingerprint::of_salted`]`(content, salt)` — given to a body whose
+    /// plain fingerprint another body already held. `None` for every file
+    /// that did not collide.
+    pub salt: Option<u64>,
+}
+
+/// A Gear file's bytes are its content, so a batch of files hashes as it is
+/// ([`fingerprint_all`]).
+impl AsRef<[u8]> for GearFile {
+    fn as_ref(&self) -> &[u8] {
+        &self.content
+    }
+}
 
 /// Outcome of an upload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +82,21 @@ impl fmt::Display for UploadError {
 
 impl Error for UploadError {}
 
+/// Checks every file's id against its content — one two-lane MD5 pass over
+/// all the bodies, then the salted ones hashed again with their salt.
+fn check(files: &[GearFile]) -> Result<(), UploadError> {
+    for (file, plain) in files.iter().zip(fingerprint_all(files, &Pool::serial())) {
+        let actual = match file.salt {
+            Some(salt) => Fingerprint::of_salted(&file.content, salt),
+            None => plain,
+        };
+        if actual != file.fingerprint {
+            return Err(UploadError::FingerprintMismatch { claimed: file.fingerprint, actual });
+        }
+    }
+    Ok(())
+}
+
 /// A content-addressed Gear-file pool.
 #[derive(Debug, Default)]
 pub struct GearFileStore {
@@ -70,6 +107,9 @@ pub struct GearFileStore {
     /// Per-object size as kept on disk and sent on the wire (compressed if
     /// compression is enabled).
     wire: HashMap<Fingerprint, u64>,
+    /// The salt of each object stored under a salted id, so that an
+    /// integrity scan checks it the way the id was made.
+    salts: HashMap<Fingerprint, u64>,
     /// Whether objects are sized as compressed at [`Level::Default`].
     compressed: bool,
     dedup_hits: u64,
@@ -104,7 +144,8 @@ impl GearFileStore {
         self.store.contains(fingerprint)
     }
 
-    /// `upload` verb: stores `content` under `fingerprint`, deduplicating.
+    /// `upload` verb: stores `content` under `fingerprint`, deduplicating —
+    /// [`GearFileStore::upload_all`] of one unsalted file.
     ///
     /// # Errors
     ///
@@ -115,15 +156,33 @@ impl GearFileStore {
         fingerprint: Fingerprint,
         content: Bytes,
     ) -> Result<UploadOutcome, UploadError> {
-        let actual = Fingerprint::of(&content);
-        if actual != fingerprint {
-            return Err(UploadError::FingerprintMismatch { claimed: fingerprint, actual });
-        }
+        let file = GearFile { fingerprint, content, salt: None };
+        check(std::slice::from_ref(&file))?;
+        Ok(self.admit(file))
+    }
+
+    /// [`GearFileStore::upload`] of every file in order, with the ids all
+    /// checked first, in one two-lane MD5 pass over the bodies. A salted id
+    /// is checked the way it was made. Nothing is stored unless every id
+    /// holds.
+    ///
+    /// # Errors
+    ///
+    /// [`UploadError::FingerprintMismatch`] for the first file whose id its
+    /// content does not make; the store is left as it was.
+    pub fn upload_all(&mut self, files: &[GearFile]) -> Result<Vec<UploadOutcome>, UploadError> {
+        check(files)?;
+        Ok(files.iter().map(|file| self.admit(file.clone())).collect())
+    }
+
+    /// Stores a file whose id has been checked, deduplicating.
+    fn admit(&mut self, file: GearFile) -> UploadOutcome {
+        let GearFile { fingerprint, content, salt } = file;
         self.telemetry.count("registry.uploads", 1);
         if self.store.contains(fingerprint) {
             self.dedup_hits += 1;
             self.telemetry.count("registry.dedup_hits", 1);
-            return Ok(UploadOutcome { stored: false, stored_bytes: 0 });
+            return UploadOutcome { stored: false, stored_bytes: 0 };
         }
         // Count-only sizing: the registry keeps raw bodies and only accounts
         // the compressed wire size, so no token stream is ever materialized.
@@ -138,9 +197,12 @@ impl GearFileStore {
             self.telemetry.sketch("registry.object_bytes", content.len() as u64);
             self.telemetry.instant("registry", "store");
         }
+        if let Some(salt) = salt {
+            self.salts.insert(fingerprint, salt);
+        }
         self.wire.insert(fingerprint, stored_len);
         self.store.insert(fingerprint, content);
-        Ok(UploadOutcome { stored: true, stored_bytes: stored_len })
+        UploadOutcome { stored: true, stored_bytes: stored_len }
     }
 
     /// `download` verb: retrieves the content for `fingerprint`. A pure
@@ -208,14 +270,25 @@ impl GearFileStore {
     /// Objects are verified against the *raw* stored body — the store keeps
     /// content uncompressed and only accounts compressed wire sizes, so a
     /// scan never decompresses anything, and re-hashing is the entire cost.
+    /// An object under a salted id is checked with its salt.
     pub fn verify(&self) -> Vec<Fingerprint> {
-        self.store.verify()
+        self.unflag_salted(self.store.verify())
     }
 
     /// [`GearFileStore::verify`] fanned out across `pool`. Output is sorted,
     /// so it is identical for any worker count (and to the serial scan).
     pub fn verify_with(&self, pool: &gear_par::Pool) -> Vec<Fingerprint> {
-        self.store.verify_with(pool)
+        self.unflag_salted(self.store.verify_with(pool))
+    }
+
+    /// `flagged` — the ids whose body does not hash to them — less those a
+    /// salted body makes with its salt.
+    fn unflag_salted(&self, mut flagged: Vec<Fingerprint>) -> Vec<Fingerprint> {
+        flagged.retain(|fp| match (self.salts.get(fp), self.store.peek(*fp)) {
+            (Some(&salt), Some(body)) => Fingerprint::of_salted(&body, salt) != *fp,
+            _ => true,
+        });
+        flagged
     }
 
     /// Removes objects not in `live`, returning bytes freed. Models cache
@@ -227,6 +300,7 @@ impl GearFileStore {
         let mut freed = 0;
         for fp in dead {
             self.store.remove(fp);
+            self.salts.remove(&fp);
             freed += self.wire.remove(&fp).unwrap_or(0);
         }
         self.stored_bytes -= freed;
@@ -372,6 +446,134 @@ mod tests {
             store.stats().logical_bytes,
             recount_logical + bodies[1].len() as u64
         );
+    }
+
+    #[test]
+    fn a_salted_object_is_checked_and_verified_with_its_salt() {
+        let body = Bytes::from_static(b"second body of a colliding pair");
+        let salted = GearFile {
+            fingerprint: Fingerprint::of_salted(&body, 3),
+            content: body.clone(),
+            salt: Some(3),
+        };
+        let mut store = GearFileStore::new();
+        // Unsalted, the id is not what the body hashes to.
+        let err = store.upload(salted.fingerprint, body.clone()).unwrap_err();
+        assert_eq!(
+            err,
+            UploadError::FingerprintMismatch {
+                claimed: salted.fingerprint,
+                actual: Fingerprint::of(&body)
+            }
+        );
+        let wrong_salt = GearFile { salt: Some(4), ..salted.clone() };
+        assert!(store.upload_all(&[wrong_salt]).is_err());
+        assert_eq!(store.object_count(), 0);
+
+        store.upload_all(std::slice::from_ref(&salted)).unwrap();
+        assert!(store.verify().is_empty());
+        assert_eq!(store.download(salted.fingerprint), Some(body));
+        store.corrupt_for_test(salted.fingerprint, Bytes::from_static(b"bit rot"));
+        assert_eq!(store.verify(), [salted.fingerprint]);
+        assert_eq!(store.verify_with(&Pool::new(2)), [salted.fingerprint]);
+        let freed = store.retain_only(&std::collections::HashSet::new());
+        assert!(freed > 0 && store.salts.is_empty());
+    }
+
+    mod upload_all_matches_upload {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Few distinct bodies, so a batch repeats bodies — within itself
+        /// and against what the store already holds.
+        fn any_body() -> impl Strategy<Value = Bytes> {
+            (0..5u8, 0..4usize).prop_map(|(byte, len)| Bytes::from(vec![byte; len * 40]))
+        }
+
+        fn unsalted(content: Bytes) -> GearFile {
+            GearFile { fingerprint: Fingerprint::of(&content), content, salt: None }
+        }
+
+        /// Everything an upload can change: accounting, every object with
+        /// its wire size, and the salts.
+        type Contents =
+            (StoreStats, Vec<(Fingerprint, Bytes, Option<u64>)>, Vec<(Fingerprint, u64)>);
+
+        fn contents(store: &GearFileStore) -> Contents {
+            let mut objects: Vec<_> = store
+                .iter()
+                .map(|(fp, body)| (fp, body.clone(), store.transfer_size(fp)))
+                .collect();
+            objects.sort_by_key(|(fp, ..)| *fp);
+            let mut salts: Vec<_> = store.salts.iter().map(|(fp, salt)| (*fp, *salt)).collect();
+            salts.sort();
+            (store.stats(), objects, salts)
+        }
+
+        fn store_holding(compressed: bool, bodies: &[Bytes]) -> GearFileStore {
+            let mut store =
+                if compressed { GearFileStore::with_compression() } else { GearFileStore::new() };
+            for body in bodies {
+                store.upload(Fingerprint::of(body), body.clone()).unwrap();
+            }
+            store
+        }
+
+        proptest! {
+            /// One batch gives what `upload` of each file in turn gives:
+            /// the outcomes, `stats()`, and every transfer size.
+            #[test]
+            fn outcome_by_outcome(
+                compressed in any::<bool>(),
+                held in proptest::collection::vec(any_body(), 0..6),
+                batch in proptest::collection::vec(any_body(), 0..12),
+            ) {
+                let files: Vec<GearFile> = batch.into_iter().map(unsalted).collect();
+                let mut one_by_one = store_holding(compressed, &held);
+                let outcomes: Vec<UploadOutcome> = files
+                    .iter()
+                    .map(|f| one_by_one.upload(f.fingerprint, f.content.clone()).unwrap())
+                    .collect();
+                let mut batched = store_holding(compressed, &held);
+                prop_assert_eq!(batched.upload_all(&files).unwrap(), outcomes);
+                prop_assert_eq!(contents(&batched), contents(&one_by_one));
+            }
+
+            /// One file anywhere in the batch whose id its content does not
+            /// make — a wrong plain id, or a salt that was not used —
+            /// fails the batch with that file's mismatch and stores nothing.
+            #[test]
+            fn one_mismatch_stores_nothing(
+                compressed in any::<bool>(),
+                held in proptest::collection::vec(any_body(), 0..6),
+                batch in proptest::collection::vec(any_body(), 1..12),
+                at in any::<usize>(),
+                salt in (any::<bool>(), 0..4u64).prop_map(|(on, salt)| on.then_some(salt)),
+            ) {
+                let mut files: Vec<GearFile> = batch.into_iter().map(unsalted).collect();
+                let at = at % files.len();
+                let bad = &mut files[at];
+                let actual = match salt {
+                    Some(salt) => {
+                        bad.salt = Some(salt);
+                        Fingerprint::of_salted(&bad.content, salt)
+                    }
+                    None => {
+                        let actual = bad.fingerprint;
+                        bad.fingerprint = Fingerprint::of(b"another body");
+                        actual
+                    }
+                };
+                let claimed = bad.fingerprint;
+                let mut store = store_holding(compressed, &held);
+                let before = contents(&store);
+                prop_assert_eq!(
+                    store.upload_all(&files),
+                    Err(UploadError::FingerprintMismatch { claimed, actual })
+                );
+                prop_assert_eq!(contents(&store), before);
+            }
+        }
     }
 
     #[test]

@@ -48,6 +48,6 @@ mod ring;
 mod sharded;
 
 pub use docker::{DockerRegistry, PushReport, RegistryStats};
-pub use filestore::{GearFileStore, StoreStats, UploadError, UploadOutcome};
+pub use filestore::{GearFile, GearFileStore, StoreStats, UploadError, UploadOutcome};
 pub use ring::HashRing;
 pub use sharded::{ShardRejection, ShardStats, ShardedStore, DEFAULT_VNODES};
