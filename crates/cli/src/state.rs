@@ -11,7 +11,12 @@
 //!   index/manifests/<repo>@<tag>.json      Gear index images
 //!   index/blobs/<sha256>
 //!   files/<md5>                            Gear file pool
+//!   files/<id>.salt                        salt of a salted id, in decimal
 //! ```
+//!
+//! A salted id names the second body of a real MD5 collision: it is
+//! `Fingerprint::of_salted(body, salt)`, so its salt is kept beside the
+//! body and the body is re-admitted with it.
 //!
 //! Everything is verified on load: blobs must hash to their file names and
 //! Gear files to their fingerprints, so a tampered state directory is
@@ -24,7 +29,10 @@ use std::path::{Path, PathBuf};
 use bytes::Bytes;
 use gear_hash::{Digest, Fingerprint};
 use gear_image::{ImageRef, Manifest};
-use gear_registry::{DockerRegistry, GearFileStore};
+use gear_registry::{DockerRegistry, GearFile, GearFileStore};
+
+/// File-name suffix of a salt sidecar in `files/`.
+const SALT_SUFFIX: &str = ".salt";
 
 /// The in-memory image stores the CLI operates on.
 #[derive(Debug, Default)]
@@ -85,17 +93,24 @@ impl StateDir {
         load_registry(&self.root.join("index"), &mut state.index)?;
         let files_dir = self.root.join("files");
         if files_dir.is_dir() {
+            let mut files = Vec::new();
             for entry in fs::read_dir(&files_dir)? {
                 let entry = entry?;
                 let name = entry.file_name().to_string_lossy().into_owned();
-                let fp: Fingerprint = name.parse().map_err(|_| {
+                if name.ends_with(SALT_SUFFIX) {
+                    continue;
+                }
+                let fingerprint: Fingerprint = name.parse().map_err(|_| {
                     io::Error::new(io::ErrorKind::InvalidData, format!("bad file name {name}"))
                 })?;
                 let content = Bytes::from(fs::read(entry.path())?);
-                state.files.upload(fp, content).map_err(|e| {
-                    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-                })?;
+                let salt = read_salt(&files_dir.join(format!("{name}{SALT_SUFFIX}")))?;
+                files.push(GearFile { fingerprint, content, salt });
             }
+            state
+                .files
+                .upload_all(&files)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         }
         Ok(state)
     }
@@ -115,9 +130,24 @@ impl StateDir {
             if !path.exists() {
                 fs::write(path, content)?;
             }
+            if let Some(salt) = state.files.salt(fp) {
+                fs::write(files_dir.join(format!("{fp}{SALT_SUFFIX}")), salt.to_string())?;
+            }
         }
         Ok(())
     }
+}
+
+/// The salt in the sidecar at `path`, or `None` when there is none.
+fn read_salt(path: &Path) -> io::Result<Option<u64>> {
+    let text = match fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    text.trim().parse().map(Some).map_err(|_| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("bad salt in {}", path.display()))
+    })
 }
 
 fn manifest_file_name(reference: &ImageRef) -> String {
@@ -250,6 +280,48 @@ mod tests {
         fs::write(&victim, b"swapped content").unwrap();
         let err = dir.load().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        fs::remove_dir_all(dir.root()).unwrap();
+    }
+
+    #[test]
+    fn a_salted_object_survives_save_and_load() {
+        // Wang et al.'s colliding pair: one MD5, so the second body is
+        // published under a salted id.
+        let a = gear_hash::hex_decode(
+            "d131dd02c5e6eec4693d9a0698aff95c2fcab58712467eab4004583eb8fb7f89\
+             55ad340609f4b30283e488832571415a085125e8f7cdc99fd91dbdf280373c5b\
+             d8823e3156348f5bae6dacd436c919c6dd53e2b487da03fd02396306d248cda0\
+             e99f33420f577ee8ce54b67080a80d1ec69821bcb6a8839396f9652b6ff72a70",
+        )
+        .unwrap();
+        let b = gear_hash::hex_decode(
+            "d131dd02c5e6eec4693d9a0698aff95c2fcab50712467eab4004583eb8fb7f89\
+             55ad340609f4b30283e4888325f1415a085125e8f7cdc99fd91dbd7280373c5b\
+             d8823e3156348f5bae6dacd436c919c6dd53e23487da03fd02396306d248cda0\
+             e99f33420f577ee8ce54b67080280d1ec69821bcb6a8839396f965ab6ff72a70",
+        )
+        .unwrap();
+        let mut tree = FsTree::new();
+        tree.create_file("pair/a", Bytes::from(a.clone())).unwrap();
+        tree.create_file("pair/b", Bytes::from(b.clone())).unwrap();
+        let image = ImageBuilder::new("pair:1".parse::<ImageRef>().unwrap())
+            .layer_from_tree(&tree)
+            .build();
+        let mut state = State::default();
+        let conv = Converter::new().convert(&image).unwrap();
+        assert_eq!(conv.report.collisions, 1);
+        publish(&conv, &mut state.index, &mut state.files);
+
+        let dir = StateDir::new(temp_dir("salted"));
+        dir.save(&state).unwrap();
+        let loaded = dir.load().unwrap();
+        assert!(loaded.files.verify().is_empty(), "the salted body verifies with its salt");
+        assert_eq!(loaded.files.object_count(), 2);
+        let index = conv.gear_image.index();
+        for (path, body) in [("pair/a", &a), ("pair/b", &b)] {
+            let (id, _) = index.file_at(path).unwrap();
+            assert_eq!(loaded.files.download(id).as_deref(), Some(&body[..]), "{path}");
+        }
         fs::remove_dir_all(dir.root()).unwrap();
     }
 

@@ -21,6 +21,7 @@
 //! Everything is deterministic: same topology, same schedule, same seed →
 //! bit-identical report.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -134,11 +135,12 @@ struct RegistrySeed {
     failed: bool,
 }
 
+/// One scheduled client. A million of these are held at once, so a node
+/// is a `u32` and nothing is kept about the finish but the makespan.
 #[derive(Debug)]
 struct FleetClient {
-    node: NodeId,
+    node: u32,
     arrive: Duration,
-    done: Option<Duration>,
 }
 
 #[derive(Debug)]
@@ -147,6 +149,9 @@ struct FleetObject {
     wire: u64,
 }
 
+/// A queued event. Indices are `u32` — `new`, `schedule_client` and
+/// `start_seed` check they fit — so an entry of the queue, which holds a
+/// whole pre-scheduled crowd, is 40 bytes rather than 48.
 #[derive(Debug)]
 enum Event {
     /// Client `idx` arrives at its node.
@@ -154,11 +159,11 @@ enum Event {
     /// A shard finished serving one object: return the admission token.
     Release { shard: u32 },
     /// One object of registry seed `seed` fully delivered.
-    ObjectDone { seed: usize },
+    ObjectDone { seed: u32 },
     /// Retry one object of registry seed `seed`.
-    Fetch { seed: usize, object: usize, attempt: u32 },
+    Fetch { seed: u32, object: u32, attempt: u32 },
     /// A LAN/backbone seed finished installing on `node`.
-    SeedDone { node: NodeId, generation: u32 },
+    SeedDone { node: u32, generation: u32 },
     /// Scripted: wipe a site (rolling update / re-image).
     ResetSite(u32),
     /// Scripted: take a registry shard down or bring it back.
@@ -247,6 +252,8 @@ pub struct FleetSim {
     seeds: Vec<RegistrySeed>,
     clients: Vec<FleetClient>,
     completed: u32,
+    /// Finish of the latest deployment so far.
+    makespan: Duration,
     lost: u32,
     retries: u64,
     overload_rejections: u64,
@@ -265,9 +272,14 @@ impl FleetSim {
     ///
     /// Panics when `objects` is empty or an object's content does not
     /// match its fingerprint — both are programming errors in the
-    /// scenario, not simulated conditions.
+    /// scenario, not simulated conditions — or when the objects or the
+    /// topology's nodes are too many for a `u32` to index.
     pub fn new(topo: Topology, config: FleetConfig, objects: &[(Fingerprint, Bytes)]) -> Self {
         assert!(!objects.is_empty(), "a fleet image needs at least one object");
+        assert!(
+            u32::try_from(objects.len()).is_ok() && u32::try_from(topo.nodes()).is_ok(),
+            "fleet events index objects and nodes as u32"
+        );
         let store = ShardedStore::new(config.shards, config.replication, QUEUE_DEPTH, config.seed);
         let mut manifest = Vec::with_capacity(objects.len());
         let mut image_wire = 0u64;
@@ -319,6 +331,7 @@ impl FleetSim {
             seeds: Vec::new(),
             clients: Vec::new(),
             completed: 0,
+            makespan: Duration::ZERO,
             lost: 0,
             retries: 0,
             overload_rejections: 0,
@@ -347,22 +360,48 @@ impl FleetSim {
     ///
     /// # Panics
     ///
-    /// Panics when `node` is outside the topology.
+    /// Panics when `node` is outside the topology, or when `u32::MAX`
+    /// clients are already scheduled.
     pub fn schedule_client(&mut self, node: NodeId, at: Duration) {
         assert!(node < self.topo.nodes(), "client scheduled on unknown node {node}");
-        let idx = self.clients.len() as u32;
-        self.clients.push(FleetClient { node, arrive: at, done: None });
+        let idx = self.client_indices(1).start;
+        self.clients.push(FleetClient { node: node as u32, arrive: at });
         self.queue.push(at, Event::Arrive(idx));
     }
 
     /// Schedules `count` clients round-robin across every node, the first
     /// at `start` and each subsequent one `spacing` later — the flash-crowd
-    /// arrival pattern.
+    /// arrival pattern. The same as `count` calls of
+    /// [`FleetSim::schedule_client`], but the arrivals reach the queue as
+    /// one batch in time order, which it pops without a heap.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the crowd takes the client count past `u32::MAX`.
     pub fn schedule_flash_crowd(&mut self, count: u32, start: Duration, spacing: Duration) {
         let nodes = self.topo.nodes();
+        let indices = self.client_indices(count);
+        // Pushed one by one, so `clients` grows by doubling and still has
+        // room for a few stragglers; an exact reservation would double a
+        // full million-row vector on the next push.
         for i in 0..count {
-            self.schedule_client((i as usize) % nodes, start + spacing * i);
+            self.clients.push(FleetClient {
+                node: ((i as usize) % nodes) as u32,
+                arrive: start + spacing * i,
+            });
         }
+        let crowd = &self.clients[indices.start as usize..];
+        self.queue.extend(indices.zip(crowd).map(|(idx, c)| (c.arrive, Event::Arrive(idx))));
+    }
+
+    /// The indices the next `count` clients get.
+    fn client_indices(&self, count: u32) -> Range<u32> {
+        // Every client so far got its index here, so the count fits.
+        let first = self.clients.len() as u32;
+        let Some(end) = first.checked_add(count) else {
+            panic!("fleet events index clients as u32");
+        };
+        first..end
     }
 
     /// Schedules a scripted wipe of `site` at `at`: every node loses its
@@ -393,8 +432,8 @@ impl FleetSim {
                     self.fetch_object(t, seed, object, attempt);
                 }
                 Event::SeedDone { node, generation } => {
-                    if self.nodes[node].generation == generation {
-                        self.node_ready(t, node);
+                    if self.nodes[node as usize].generation == generation {
+                        self.node_ready(t, node as usize);
                     }
                 }
                 Event::ResetSite(site) => self.on_reset_site(t, site),
@@ -405,7 +444,7 @@ impl FleetSim {
     }
 
     fn on_arrive(&mut self, t: Duration, client: u32) {
-        let node = self.clients[client as usize].node;
+        let node = self.clients[client as usize].node as usize;
         if self.nodes[node].ready.is_some() {
             self.complete_client(client, t + LAUNCH);
             return;
@@ -429,7 +468,7 @@ impl FleetSim {
             self.nodes[node].seeding = Some(SeedKind::Lan);
             self.queue.push(
                 slot.done,
-                Event::SeedDone { node, generation: self.nodes[node].generation },
+                Event::SeedDone { node: node as u32, generation: self.nodes[node].generation },
             );
         } else if self.sites[site].wan_seeds > 0 {
             self.nodes[node].seeding = Some(SeedKind::Waiter);
@@ -441,10 +480,12 @@ impl FleetSim {
             self.sites[site].wan_seeds += 1;
             self.queue.push(
                 slot.done,
-                Event::SeedDone { node, generation: self.nodes[node].generation },
+                Event::SeedDone { node: node as u32, generation: self.nodes[node].generation },
             );
         } else {
-            let seed = self.seeds.len();
+            let Ok(seed) = u32::try_from(self.seeds.len()) else {
+                panic!("fleet events index registry seeds as u32");
+            };
             self.seeds.push(RegistrySeed {
                 node,
                 generation: self.nodes[node].generation,
@@ -453,7 +494,7 @@ impl FleetSim {
             });
             self.nodes[node].seeding = Some(SeedKind::Registry);
             self.sites[site].wan_seeds += 1;
-            for object in 0..self.objects.len() {
+            for object in 0..self.objects.len() as u32 {
                 self.fetch_object(t, seed, object, 0);
             }
         }
@@ -462,16 +503,13 @@ impl FleetSim {
     /// One admission attempt for one object of a registry seed: replicas
     /// in ring order, skipping down shards and full queues. When every
     /// replica refuses, the whole wave backs off and retries.
-    fn fetch_object(&mut self, t: Duration, seed: usize, object: usize, attempt: u32) {
-        {
-            let s = &self.seeds[seed];
-            if s.failed || self.nodes[s.node].generation != s.generation {
-                return;
-            }
+    fn fetch_object(&mut self, t: Duration, seed: u32, object: u32, attempt: u32) {
+        let s = &self.seeds[seed as usize];
+        if s.failed || self.nodes[s.node].generation != s.generation {
+            return;
         }
-        let node = self.seeds[seed].node;
-        let site = self.topo.site_of(node) as usize;
-        let obj = &self.objects[object];
+        let site = self.topo.site_of(s.node) as usize;
+        let obj = &self.objects[object as usize];
         let (fingerprint, wire) = (obj.fingerprint, obj.wire);
         for shard in self.store.replicas_for(fingerprint) {
             match self.store.try_admit(shard) {
@@ -495,7 +533,7 @@ impl FleetSim {
         let next = attempt + 1;
         if next < MAX_ATTEMPTS {
             self.retries += 1;
-            let jitter = self.config.seed.wrapping_add(((seed as u64) << 20) ^ object as u64);
+            let jitter = self.config.seed.wrapping_add((u64::from(seed) << 20) ^ u64::from(object));
             let backoff = RetryPolicy::standard(jitter).backoff(next);
             self.queue.push(t + backoff, Event::Fetch { seed, object, attempt: next });
         } else {
@@ -503,21 +541,23 @@ impl FleetSim {
         }
     }
 
-    fn on_object_done(&mut self, t: Duration, seed: usize) {
-        self.seeds[seed].remaining -= 1;
-        let s = &self.seeds[seed];
-        if s.failed || s.remaining > 0 || self.nodes[s.node].generation != s.generation {
+    fn on_object_done(&mut self, t: Duration, seed: u32) {
+        let s = &mut self.seeds[seed as usize];
+        s.remaining -= 1;
+        let node = s.node;
+        if s.failed || s.remaining > 0 || self.nodes[node].generation != s.generation {
             return;
         }
-        self.node_ready(t, self.seeds[seed].node);
+        self.node_ready(t, node);
     }
 
     /// A registry seed ran out of retry budget: its node's queued clients
     /// are lost and the site's waiters re-plan.
-    fn fail_seed(&mut self, t: Duration, seed: usize) {
-        self.seeds[seed].failed = true;
-        let node = self.seeds[seed].node;
-        if self.nodes[node].generation != self.seeds[seed].generation {
+    fn fail_seed(&mut self, t: Duration, seed: u32) {
+        let s = &mut self.seeds[seed as usize];
+        s.failed = true;
+        let node = s.node;
+        if self.nodes[node].generation != s.generation {
             return;
         }
         let site = self.topo.site_of(node) as usize;
@@ -565,18 +605,19 @@ impl FleetSim {
         for w in waiters {
             let slot = self.lan[site].transfer_with_fixed(r, self.lan_fixed, self.image_wire);
             self.nodes[w].seeding = Some(SeedKind::Lan);
-            self.queue
-                .push(slot.done, Event::SeedDone { node: w, generation: self.nodes[w].generation });
+            self.queue.push(
+                slot.done,
+                Event::SeedDone { node: w as u32, generation: self.nodes[w].generation },
+            );
         }
     }
 
     fn complete_client(&mut self, client: u32, finish: Duration) {
-        let c = &mut self.clients[client as usize];
-        c.done = Some(finish);
+        let c = &self.clients[client as usize];
         self.completed += 1;
+        self.makespan = self.makespan.max(finish);
         let latency = finish.saturating_sub(c.arrive);
-        let node = c.node;
-        let telemetry = self.fleet.telemetry(node as u32);
+        let telemetry = self.fleet.telemetry(c.node);
         telemetry.count("fleet.deploys", 1);
         telemetry.sketch("fleet.deploy_nanos", latency.as_nanos() as u64);
     }
@@ -605,12 +646,6 @@ impl FleetSim {
     }
 
     fn report(&self) -> FleetReport {
-        let makespan = self
-            .clients
-            .iter()
-            .filter_map(|c| c.done)
-            .max()
-            .unwrap_or(Duration::ZERO);
         let merged = self.fleet.merged_metrics().unwrap_or_default();
         let nanos = |v: Option<u64>| Duration::from_nanos(v.unwrap_or(0));
         let (p50, p99, p999, max, samples) = match merged.sketch("fleet.deploy_nanos") {
@@ -638,7 +673,7 @@ impl FleetSim {
             clients: self.clients.len() as u32,
             completed: self.completed,
             lost: self.lost,
-            makespan,
+            makespan: self.makespan,
             p50,
             p99,
             p999,
@@ -723,6 +758,90 @@ mod tests {
         assert_eq!(a.registry_bytes, b.registry_bytes);
     }
 
+    /// Every field of a report, `shard_balance` by its bits.
+    fn fields(report: &FleetReport) -> Vec<u64> {
+        let FleetReport {
+            clients,
+            completed,
+            lost,
+            makespan,
+            p50,
+            p99,
+            p999,
+            max,
+            deploy_samples,
+            retries,
+            overload_rejections,
+            shard_rejections,
+            shard_down_refusals,
+            shard_balance,
+            registry_bytes,
+            lan_bytes,
+            backbone_bytes,
+            events,
+            dropped_spans,
+            validation_problems,
+            collector_bytes,
+        } = *report;
+        let nanos = |d: Duration| d.as_nanos() as u64;
+        vec![
+            u64::from(clients),
+            u64::from(completed),
+            u64::from(lost),
+            nanos(makespan),
+            nanos(p50),
+            nanos(p99),
+            nanos(p999),
+            nanos(max),
+            deploy_samples,
+            retries,
+            overload_rejections,
+            shard_rejections,
+            shard_down_refusals,
+            shard_balance.to_bits(),
+            registry_bytes,
+            lan_bytes,
+            backbone_bytes,
+            events,
+            dropped_spans,
+            validation_problems as u64,
+            collector_bytes,
+        ]
+    }
+
+    #[test]
+    fn per_client_rows_stay_compact() {
+        // A million of each are held at once: the queue's entry is the
+        // event plus 24 bytes of key.
+        assert_eq!(std::mem::size_of::<Event>(), 16);
+        assert_eq!(std::mem::size_of::<FleetClient>(), 24);
+    }
+
+    #[test]
+    fn a_flash_crowd_is_its_clients_scheduled_one_by_one() {
+        let spacing = Duration::from_micros(20);
+        let run = |batched: bool| {
+            let mut fleet = sim(3, 5, 17);
+            // The rolling update's order: the outage, and so an event later
+            // than every arrival, is queued before the crowd.
+            fleet.schedule_shard_outage(0, Duration::ZERO, Duration::from_secs(120));
+            if batched {
+                fleet.schedule_flash_crowd(600, Duration::ZERO, spacing);
+            } else {
+                let nodes = fleet.topology().nodes();
+                for i in 0..600u32 {
+                    fleet.schedule_client(i as usize % nodes, spacing * i);
+                }
+            }
+            fleet.schedule_site_reset(1, Duration::from_secs(300));
+            fleet.schedule_client(5, Duration::from_secs(301));
+            fleet.run()
+        };
+        let (batched, one_by_one) = (run(true), run(false));
+        assert_eq!(batched.completed, 601);
+        assert_eq!(fields(&batched), fields(&one_by_one));
+    }
+
     #[test]
     fn site_locality_keeps_registry_traffic_per_site_not_per_node() {
         let mut fleet = sim(2, 8, 9);
@@ -763,7 +882,7 @@ mod tests {
         fleet.schedule_client(0, Duration::from_secs(3_600));
         let report = fleet.run();
         assert_eq!(report.completed, 2);
-        let warm = fleet.clients[1].done.expect("completed") - Duration::from_secs(3_600);
+        let warm = report.makespan - Duration::from_secs(3_600);
         assert_eq!(warm, LAUNCH, "warm deploys cost exactly the launch");
     }
 

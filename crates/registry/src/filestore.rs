@@ -258,6 +258,12 @@ impl GearFileStore {
         }
     }
 
+    /// The salt `fingerprint` was made with, when it is a salted id — what
+    /// a persistence layer keeps beside the body to upload it again.
+    pub fn salt(&self, fingerprint: Fingerprint) -> Option<u64> {
+        self.salts.get(&fingerprint).copied()
+    }
+
     /// Iterates over stored files as `(fingerprint, content)` (for
     /// persistence layers).
     pub fn iter(&self) -> impl Iterator<Item = (Fingerprint, &Bytes)> {
@@ -471,6 +477,7 @@ mod tests {
         assert_eq!(store.object_count(), 0);
 
         store.upload_all(std::slice::from_ref(&salted)).unwrap();
+        assert_eq!(store.salt(salted.fingerprint), Some(3));
         assert!(store.verify().is_empty());
         assert_eq!(store.download(salted.fingerprint), Some(body));
         store.corrupt_for_test(salted.fingerprint, Bytes::from_static(b"bit rot"));

@@ -7,10 +7,12 @@
 //! interleave them. This module supplies the two primitives that make the
 //! cost O(events) instead:
 //!
-//! * [`EventQueue`] — a binary-heap priority queue keyed on simulated time
-//!   with a monotonically increasing sequence number breaking ties in push
-//!   order, so the processing order is a pure function of the pushes (no
-//!   dependence on heap internals or iteration order).
+//! * [`EventQueue`] — a priority queue keyed on simulated time with a
+//!   monotonically increasing sequence number breaking ties in push order,
+//!   so the processing order is a pure function of the pushes (no
+//!   dependence on heap internals or iteration order). Events pushed in
+//!   time order — a pre-scheduled crowd — wait in a sorted run and pop in
+//!   O(1); only the rest pay for the binary heap beside it.
 //! * [`FifoLane`] — a shared link serving transfers strictly in arrival
 //!   order. Each transfer starts at `max(now, lane.busy_until)` and runs
 //!   for `fixed + bandwidth.transfer_time(bytes)` of exact integer
@@ -24,7 +26,7 @@
 //! point anywhere on this path.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::time::Duration;
 
 use crate::link::Link;
@@ -34,9 +36,18 @@ use crate::link::Link;
 /// Events pop in ascending time order; events scheduled for the same
 /// instant pop in the order they were pushed. Determinism is structural:
 /// the key is `(time, push sequence)`, so two runs that push the same
-/// events observe the same ordering regardless of heap layout.
+/// events observe the same ordering regardless of where each entry waits.
+///
+/// Entries wait in one of two places. A push no earlier than the newest
+/// entry of the *run* appends to it; its sequence number is the largest
+/// yet, so the run stays sorted by key and its front pops in O(1). Every
+/// other push goes to a binary heap, and a pop takes the smaller of the
+/// run's front and the heap's top. A million arrivals scheduled in time
+/// order before the run starts thus never touch the heap, which holds only
+/// the events the simulation books as it goes.
 #[derive(Debug)]
 pub struct EventQueue<T> {
+    run: VecDeque<Entry<T>>,
     heap: BinaryHeap<Reverse<Entry<T>>>,
     seq: u64,
 }
@@ -77,34 +88,68 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), seq: 0 }
+        EventQueue { run: VecDeque::new(), heap: BinaryHeap::new(), seq: 0 }
     }
 
     /// Schedules `payload` to fire at simulated time `at`.
     pub fn push(&mut self, at: Duration, payload: T) {
-        let seq = self.seq;
+        let entry = Entry { at, seq: self.seq, payload };
         self.seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, payload }));
+        if self.appends(at) {
+            self.run.push_back(entry);
+        } else {
+            self.heap.push(Reverse(entry));
+        }
+    }
+
+    /// Whether an entry at `at` pushed now keeps the run sorted.
+    fn appends(&self, at: Duration) -> bool {
+        self.run.back().is_none_or(|last| at >= last.at)
     }
 
     /// Removes and returns the earliest event, ties broken by push order.
     pub fn pop(&mut self) -> Option<(Duration, T)> {
-        self.heap.pop().map(|Reverse(entry)| (entry.at, entry.payload))
+        let from_run = match (self.run.front(), self.heap.peek()) {
+            (Some(front), Some(Reverse(top))) => front < top,
+            (front, _) => front.is_some(),
+        };
+        let entry =
+            if from_run { self.run.pop_front() } else { self.heap.pop().map(|Reverse(e)| e) };
+        entry.map(|entry| (entry.at, entry.payload))
     }
 
     /// Events currently scheduled.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// Whether no events are scheduled.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 
     /// Total events ever pushed (the event-count cost of the run so far).
     pub fn pushed(&self) -> u64 {
         self.seq
+    }
+}
+
+/// Pushes a batch in order, as that many [`EventQueue::push`]es would —
+/// same sequence numbers, same pop order — but a batch in time order lands
+/// in the run even when the run holds a later event. Before a batch whose
+/// first event would not append, the run spills into the heap, so the
+/// batch starts a fresh one. An entry spills at most once and then stays
+/// in the heap, so spilling never costs more than pushing each entry to
+/// the heap in the first place would have.
+impl<T> Extend<(Duration, T)> for EventQueue<T> {
+    fn extend<I: IntoIterator<Item = (Duration, T)>>(&mut self, batch: I) {
+        let mut batch = batch.into_iter().peekable();
+        if batch.peek().is_some_and(|&(at, _)| !self.appends(at)) {
+            self.heap.extend(self.run.drain(..).map(Reverse));
+        }
+        for (at, payload) in batch {
+            self.push(at, payload);
+        }
     }
 }
 
@@ -247,6 +292,114 @@ mod tests {
         assert_eq!(queue.pop().map(|(_, p)| p), Some(1));
         assert_eq!(queue.pop().map(|(_, p)| p), Some(2));
         assert_eq!(queue.pushed(), 4);
+    }
+
+    #[test]
+    fn an_earlier_batch_spills_the_run_and_keeps_key_order() {
+        // The rolling-update shape: an outage's "up" event is scheduled
+        // before the crowd it outlasts.
+        let mut queue = EventQueue::new();
+        queue.push(Duration::from_secs(120), "up");
+        queue.extend([
+            (Duration::ZERO, "a"),
+            (Duration::from_secs(1), "b"),
+            (Duration::from_secs(120), "c"),
+        ]);
+        assert_eq!(queue.heap.len(), 1, "only the spilled event waits in the heap");
+        assert_eq!(queue.run.len(), 3, "the batch is a run of its own");
+        let order: Vec<&str> = std::iter::from_fn(|| queue.pop().map(|(_, p)| p)).collect();
+        assert_eq!(order, ["a", "b", "up", "c"], "a tie pops in push order across the two");
+        assert_eq!(queue.pushed(), 4);
+    }
+
+    mod matches_reference {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `EventQueue` as it stood before the run, word for word: every
+        /// entry in one binary heap keyed `(at, seq)`.
+        struct Reference<T> {
+            heap: BinaryHeap<Reverse<Entry<T>>>,
+            seq: u64,
+        }
+
+        impl<T> Reference<T> {
+            fn push(&mut self, at: Duration, payload: T) {
+                let seq = self.seq;
+                self.seq += 1;
+                self.heap.push(Reverse(Entry { at, seq, payload }));
+            }
+
+            fn pop(&mut self) -> Option<(Duration, T)> {
+                self.heap.pop().map(|Reverse(entry)| (entry.at, entry.payload))
+            }
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Push(u64),
+            Extend(Vec<u64>),
+            Pop,
+        }
+
+        /// Times from a handful of milliseconds, so ties are common and
+        /// pushes land before the last pop; batches in time order or not.
+        fn any_op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (0..6u64).prop_map(Op::Push),
+                (proptest::collection::vec(0..6u64, 0..10), any::<bool>()).prop_map(
+                    |(mut times, sorted)| {
+                        if sorted {
+                            times.sort_unstable();
+                        }
+                        Op::Extend(times)
+                    }
+                ),
+                Just(Op::Pop),
+            ]
+        }
+
+        proptest! {
+            /// Any program of pushes, batches and pops gives the same pop
+            /// sequence as the all-heap queue, with the same `len`,
+            /// `is_empty` and `pushed` after every step and when drained.
+            #[test]
+            fn after_every_step(program in proptest::collection::vec(any_op(), 0..60)) {
+                let mut queue = EventQueue::new();
+                let mut reference = Reference { heap: BinaryHeap::new(), seq: 0 };
+                let mut label = 0u32;
+                for op in program {
+                    match op {
+                        Op::Push(ms) => {
+                            queue.push(Duration::from_millis(ms), label);
+                            reference.push(Duration::from_millis(ms), label);
+                            label += 1;
+                        }
+                        Op::Extend(times) => {
+                            let batch: Vec<(Duration, u32)> = times
+                                .into_iter()
+                                .map(|ms| {
+                                    label += 1;
+                                    (Duration::from_millis(ms), label)
+                                })
+                                .collect();
+                            queue.extend(batch.iter().copied());
+                            for (at, payload) in batch {
+                                reference.push(at, payload);
+                            }
+                        }
+                        Op::Pop => prop_assert_eq!(queue.pop(), reference.pop()),
+                    }
+                    prop_assert_eq!(queue.len(), reference.heap.len());
+                    prop_assert_eq!(queue.is_empty(), reference.heap.is_empty());
+                    prop_assert_eq!(queue.pushed(), reference.seq);
+                }
+                while !reference.heap.is_empty() {
+                    prop_assert_eq!(queue.pop(), reference.pop());
+                }
+                prop_assert_eq!(queue.pop(), None);
+            }
+        }
     }
 
     #[test]

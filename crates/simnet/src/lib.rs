@@ -15,9 +15,10 @@
 //!   [`FaultInjector`] is the one place a faulty request is decomposed into
 //!   blocking delay and wire transfers.
 //! * [`EventQueue`] / [`FifoLane`] — the event-driven core for fleet-scale
-//!   runs: a deterministic binary-heap event queue keyed on sim-time plus
-//!   per-link FIFO lanes, replacing eager whole-transfer pricing so that
-//!   simulating N concurrent clients costs O(events), not O(N × polling).
+//!   runs: a deterministic event queue (a sorted run beside a binary heap)
+//!   keyed on sim-time plus per-link FIFO lanes, replacing eager
+//!   whole-transfer pricing so that simulating N concurrent clients costs
+//!   O(events), not O(N × polling).
 //!
 //! Every deployment result in `gear-client` and `gear-bench` is a pure
 //! function of these models plus the workload, so runs are reproducible

@@ -124,8 +124,11 @@ impl JournalRecord {
     /// malformed — i.e. a torn tail.
     fn decode(bytes: &[u8]) -> Option<(JournalRecord, usize)> {
         let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
-        let body = bytes.get(4..4 + len)?;
-        let check = u64::from_le_bytes(bytes.get(4 + len..4 + len + 8)?.try_into().ok()?);
+        // Checked: a hostile length must not wrap a 32-bit `usize`.
+        let body_end = len.checked_add(4)?;
+        let cell_end = body_end.checked_add(8)?;
+        let body = bytes.get(4..body_end)?;
+        let check = u64::from_le_bytes(bytes.get(body_end..cell_end)?.try_into().ok()?);
         if checksum64(body) != check {
             return None;
         }
@@ -144,7 +147,7 @@ impl JournalRecord {
             TAG_COMMIT if body.len() == 1 => JournalRecord::Commit,
             _ => return None,
         };
-        Some((record, 4 + len + 8))
+        Some((record, cell_end))
     }
 }
 
@@ -455,5 +458,118 @@ mod tests {
         assert_eq!(after.entries, state.entries);
         assert!(!report.torn_tail);
         assert_eq!(report.discarded_records, 0);
+    }
+
+    mod damaged_streams {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Four blobs, so records land on what earlier ones put, pinned or
+        /// evicted; commits often enough that most streams hold batches.
+        fn any_record() -> impl Strategy<Value = JournalRecord> {
+            prop_oneof![
+                (0..4u8, 0..40usize).prop_map(|(n, len)| JournalRecord::Put {
+                    fingerprint: fp(n),
+                    content: body(n, len)
+                }),
+                (0..4u8).prop_map(|n| JournalRecord::Evict { fingerprint: fp(n) }),
+                (0..4u8).prop_map(|n| JournalRecord::Pin { fingerprint: fp(n) }),
+                (0..4u8).prop_map(|n| JournalRecord::Unpin { fingerprint: fp(n) }),
+                Just(JournalRecord::Clear),
+                Just(JournalRecord::Commit),
+                Just(JournalRecord::Commit),
+            ]
+        }
+
+        /// One way to damage a record stream; the `u64`s pick where.
+        #[derive(Debug, Clone)]
+        enum Damage {
+            Truncate(u64),
+            FlipByte(u64, u8),
+            Overwrite(u64, Vec<u8>),
+            /// Inserts bytes, led by a `u32::MAX` length prefix when set.
+            InsertRun(u64, bool, Vec<u8>),
+        }
+
+        fn any_damage() -> impl Strategy<Value = Damage> {
+            let bytes = || proptest::collection::vec(any::<u8>(), 1..16);
+            prop_oneof![
+                any::<u64>().prop_map(Damage::Truncate),
+                (any::<u64>(), 1..=255u8).prop_map(|(at, mask)| Damage::FlipByte(at, mask)),
+                (any::<u64>(), bytes()).prop_map(|(at, run)| Damage::Overwrite(at, run)),
+                (any::<u64>(), any::<bool>(), bytes())
+                    .prop_map(|(at, huge, run)| Damage::InsertRun(at, huge, run)),
+            ]
+        }
+
+        fn damaged(log: &[u8], damage: &Damage) -> Vec<u8> {
+            let mut bytes = log.to_vec();
+            let within = |at: u64| (at % log.len() as u64) as usize;
+            let up_to_end = |at: u64| (at % (log.len() as u64 + 1)) as usize;
+            match damage {
+                Damage::Truncate(cut) => bytes.truncate(up_to_end(*cut)),
+                Damage::FlipByte(at, mask) => bytes[within(*at)] ^= mask,
+                Damage::Overwrite(at, run) => {
+                    for (byte, new) in bytes[within(*at)..].iter_mut().zip(run) {
+                        *byte = *new;
+                    }
+                }
+                Damage::InsertRun(at, huge, run) => {
+                    let prefix = if *huge { u32::MAX.to_le_bytes().to_vec() } else { Vec::new() };
+                    let at = up_to_end(*at);
+                    bytes.splice(at..at, prefix.into_iter().chain(run.iter().copied()));
+                }
+            }
+            bytes
+        }
+
+        fn replay_bytes(bytes: &[u8]) -> (ReplayedState, RecoveryReport) {
+            let media = JournalMedia::new();
+            media.append(bytes);
+            replay(&media)
+        }
+
+        proptest! {
+            /// A record stream damaged by truncation, a flipped byte, an
+            /// overwritten run or an inserted one (a `u32::MAX` length
+            /// among them) replays without a panic, and applies what the
+            /// clean stream's cells before the first damaged byte apply:
+            /// their committed prefix, nothing after. (8 damaged streams
+            /// per case.)
+            #[test]
+            fn replay_applies_a_committed_prefix_of_the_clean_stream(
+                records in proptest::collection::vec(any_record(), 1..24),
+                damages in proptest::collection::vec(any_damage(), 8),
+            ) {
+                let cells: Vec<Vec<u8>> = records.iter().map(JournalRecord::encode).collect();
+                let clean = cells.concat();
+                for damage in &damages {
+                    let bytes = damaged(&clean, damage);
+                    let (state, report) = replay_bytes(&bytes);
+                    let first_bad = clean
+                        .iter()
+                        .zip(&bytes)
+                        .position(|(a, b)| a != b)
+                        .unwrap_or(clean.len().min(bytes.len()));
+                    let mut intact = 0;
+                    let mut end = 0;
+                    while intact < cells.len() && end + cells[intact].len() <= first_bad {
+                        end += cells[intact].len();
+                        intact += 1;
+                    }
+                    // The intact cells' committed prefix ends at their last
+                    // commit; a stream of just those cells ends clean.
+                    let committed = records[..intact]
+                        .iter()
+                        .rposition(|r| *r == JournalRecord::Commit)
+                        .map_or(0, |last| last + 1);
+                    let (want, _) = replay_bytes(&cells[..committed].concat());
+                    prop_assert_eq!(&state.entries, &want.entries, "{:?}", damage);
+                    prop_assert_eq!(report.replayed_records, committed as u64);
+                    prop_assert_eq!(report.discarded_records, (intact - committed) as u64);
+                    prop_assert_eq!(report.torn_tail, bytes.len() > end, "{:?}", damage);
+                }
+            }
+        }
     }
 }
