@@ -34,7 +34,7 @@ mod sha256;
 pub use chunker::{chunk_fingerprints, chunk_spans, chunk_spans_all, ChunkerConfig};
 pub use fingerprint::{Digest, Fingerprint, ParseDigestError, ParseFingerprintError};
 pub use hex::{decode as hex_decode, encode as hex_encode, FromHexError};
-pub use md5::Md5;
+pub use md5::{md5_lanes, Md5};
 pub use sha256::Sha256;
 
 /// Convenience one-shot MD5 over a byte slice.
@@ -79,13 +79,20 @@ fn md_padding(buffered: usize, bit_length: [u8; 8]) -> ([u8; 72], usize) {
 
 /// Batches of fewer bytes than this are fingerprinted on the calling thread
 /// whatever the pool's width: handing work to scoped threads costs a fixed
-/// ~0.4 ms when the other cores have gone idle, as they have between the
-/// images of a conversion run. Measured on the 2-core runner over the
-/// benchmark corpus (199 images, mean 362 KiB of file bodies, a conversion
-/// between any two timed calls), inline against two workers: 362 KiB
-/// 0.50 / 0.64 ms (0.79×), 720 KiB 1.01 / 1.00 ms (1.01×), 1.05 MiB
-/// 1.55 / 1.33 ms (1.16×), 2.1 MiB 2.92 / 1.90 ms (1.54×), 5.4 MiB
-/// 7.47 / 4.25 ms (1.76×).
+/// ~0.13 ms when the other core has gone idle, as it has between the images
+/// of a conversion run, and buys nothing when the core is busy elsewhere.
+/// Measured on the 2-core runner over the benchmark corpus (199 images,
+/// mean 362 KiB of file bodies, k consecutive images a batch, a conversion
+/// between any two timed calls), inline against two workers, best of 8, in
+/// three runs with the second core free: 362 KiB 0.23 / 0.24–0.25 ms
+/// (0.91–0.95×), 720 KiB 0.41–0.43 / 0.36 ms (1.13–1.19×), 1.05 MiB
+/// 0.60–0.69 / 0.47–0.59 ms (1.18–1.33×), 2.1 MiB 1.21–1.29 / 0.77–0.85 ms
+/// (1.44–1.58×), 5.0 MiB 2.93–3.05 / 1.68–1.79 ms (1.70–1.78×). In runs
+/// minutes later with that core taken, two workers lost up to 2.1 MiB
+/// (0.86–0.97×) and tied at 5.0 MiB. Hashing twice as fast as the two-lane
+/// kernel this was first measured with moved the free-core crossover from
+/// ~720 KiB to between 362 and 720 KiB; 1 MiB stays the limit, where two
+/// workers gain 1.2–1.3× on a free core and lose at most 7 % on a busy one.
 const INLINE_BELOW_BYTES: usize = 1 << 20;
 
 /// Fingerprints every item of `items` across `pool`'s workers, preserving
@@ -96,8 +103,9 @@ const INLINE_BELOW_BYTES: usize = 1 << 20;
 /// Fig. 6 hot path: MD5 throughput scales with cores (the paper notes
 /// conversion "can be shorter … using multiple threads", §V-B). Each worker
 /// — the caller alone, for a batch under 1 MiB — takes a contiguous share
-/// of the items and hashes it two messages at a time, which on one core is
-/// already ~1.8× the rate of [`Fingerprint::of`] item by item.
+/// of the items and hashes it sixteen messages at a time, longest first
+/// ([`md5_lanes`]), which on one core is ~3.7× the rate of
+/// [`Fingerprint::of`] item by item.
 ///
 /// ```
 /// use gear_par::Pool;

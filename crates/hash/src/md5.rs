@@ -106,11 +106,13 @@ fn digest(state: &[u32; 4]) -> [u8; 16] {
 /// messages into their states, all `L` in step.
 ///
 /// MD5 is one dependency chain: every step needs the one before, so a
-/// single message leaves most of a superscalar core idle. The steps of a
-/// second message fit in those gaps, which is why the round function is
-/// written once over lanes and [`md5_all`] runs it two wide.
+/// single message leaves most of a vector unit idle. Each register and each
+/// message word is held word-major, one `[u32; L]` across the lanes, so
+/// every step is the same operation over a contiguous array, which LLVM
+/// turns into vector instructions on the baseline x86-64 target (SSE2).
+/// [`md5_all`] runs it [`LANES`] wide; the streaming [`Md5`] one wide.
 ///
-/// Inlined into its three callers: each knows how `blocks` relates to the
+/// Inlined into its callers: each knows how `blocks` relates to the
 /// slices' lengths, which is worth 15 % on 2 KB messages.
 #[inline(always)]
 fn compress<const L: usize>(states: &mut [[u32; 4]; L], data: [&[u8]; L], blocks: usize) {
@@ -119,11 +121,11 @@ fn compress<const L: usize>(states: &mut [[u32; 4]; L], data: [&[u8]; L], blocks
         [a[l], b[l], c[l], d[l]] = states[l];
     }
     for block in 0..blocks {
-        let mut m = [[0u32; 16]; L];
+        let mut m = [[0u32; L]; 16];
         for l in 0..L {
             let bytes = &data[l][block * 64..block * 64 + 64];
-            for (word, chunk) in m[l].iter_mut().zip(bytes.chunks_exact(4)) {
-                *word = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+            for (word, chunk) in m.iter_mut().zip(bytes.chunks_exact(4)) {
+                word[l] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
             }
         }
         let (a0, b0, c0, d0) = (a, b, c, d);
@@ -134,7 +136,7 @@ fn compress<const L: usize>(states: &mut [[u32; 4]; L], data: [&[u8]; L], blocks
             ($f:expr, $a:ident $b:ident $c:ident $d:ident, $g:expr, $s:expr, $i:expr) => {
                 for l in 0..L {
                     let mixed: u32 = $f($b[l], $c[l], $d[l]);
-                    let sum = $a[l].wrapping_add(mixed).wrapping_add(m[l][$g]).wrapping_add(K[$i]);
+                    let sum = $a[l].wrapping_add(mixed).wrapping_add(m[$g][l]).wrapping_add(K[$i]);
                     $a[l] = $b[l].wrapping_add(sum.rotate_left($s));
                 }
             };
@@ -187,92 +189,123 @@ fn compress<const L: usize>(states: &mut [[u32; 4]; L], data: [&[u8]; L], blocks
     }
 }
 
-/// One message on its way through [`md5_all`].
+/// One message on its way through [`md5_lanes`].
 struct Lane<'a> {
     /// The message's index among the items, where its digest goes.
     slot: usize,
     state: [u32; 4],
-    /// The whole blocks of the message not yet compressed.
-    body: &'a [u8],
-    /// Its last partial block and the padding — one or two blocks, due
-    /// after `body` — and how far into them compression has come.
-    tail: [u8; 128],
-    tail_at: usize,
-    tail_end: usize,
+    message: &'a [u8],
+    /// How many bytes of the padded message are compressed.
+    done: usize,
 }
 
 impl<'a> Lane<'a> {
     fn new(slot: usize, message: &'a [u8]) -> Self {
-        let (body, rest) = message.split_at(message.len() / 64 * 64);
-        let (pad, pad_len) = padding(rest.len(), message.len() as u64);
-        let tail_end = rest.len() + pad_len;
-        let mut tail = [0u8; 128];
+        Lane { slot, state: INIT_STATE, message, done: 0 }
+    }
+
+    /// The blocks due next, contiguous: what is left of the message's
+    /// whole blocks, else what is left of its tail — the last partial block
+    /// and the padding, one or two blocks, written into `tail`. Empty once
+    /// the message is finished.
+    fn due<'t>(&'t self, tail: &'t mut [u8; 128]) -> &'t [u8] {
+        let whole = self.message.len() / 64 * 64;
+        if self.done < whole {
+            return &self.message[self.done..whole];
+        }
+        let rest = &self.message[whole..];
+        let (pad, pad_len) = padding(rest.len(), self.message.len() as u64);
         tail[..rest.len()].copy_from_slice(rest);
-        tail[rest.len()..tail_end].copy_from_slice(&pad[..pad_len]);
-        Lane { slot, state: INIT_STATE, body, tail, tail_at: 0, tail_end }
+        tail[rest.len()..rest.len() + pad_len].copy_from_slice(&pad[..pad_len]);
+        &tail[self.done - whole..rest.len() + pad_len]
     }
 
-    /// The blocks due next, contiguous: the body's, then the tail's. Empty
-    /// once the message is finished.
-    fn due(&self) -> &[u8] {
-        if self.body.is_empty() {
-            &self.tail[self.tail_at..self.tail_end]
-        } else {
-            self.body
-        }
-    }
-
-    fn advance(&mut self, bytes: usize) {
-        if self.body.is_empty() {
-            self.tail_at += bytes;
-        } else {
-            self.body = &self.body[bytes..];
-        }
+    /// Whether the whole padded message is compressed: RFC 1321 pads to
+    /// the first multiple of 64 bytes with room for the 8-byte length.
+    fn finished(&self) -> bool {
+        self.done >= (self.message.len() + 8) / 64 * 64 + 64
     }
 }
 
+/// How many messages [`md5_all`] hashes in step, chosen by measurement
+/// (DESIGN §8): over the benchmark corpus's 199 per-image batches the
+/// kernel alone takes 40–41 ms at 16 lanes, 59 at 4, 66–68 at 8, 50 at 20
+/// and 58–59 at 32, against 88–89 for the two lanes it replaced.
+const LANES: usize = 16;
+
 /// MD5 of every item, in item order: what `md5` gives for each, computed
-/// two messages at a time (see [`compress`]). A lane whose message ends
-/// takes the next item, so uneven lengths cost nothing but the last
-/// message's solo finish.
+/// [`LANES`] messages at a time.
 pub(crate) fn md5_all<T: AsRef<[u8]>>(items: &[T]) -> Vec<[u8; 16]> {
+    md5_lanes::<LANES, T>(items)
+}
+
+/// MD5 of every item, in item order, computed `L` messages at a time (see
+/// [`compress`]): the kernel of [`crate::fingerprint_all`] at a width of
+/// the caller's choosing, for comparing widths.
+///
+/// Items are fed longest first, and a lane whose message ends takes the
+/// next one. When the items run out, the lanes still mid-message finish
+/// two wide and then one wide, so only the batch's shortest messages run
+/// narrow.
+///
+/// ```
+/// let items = [&b"abc"[..], b"", b"message digest"];
+/// let want: Vec<[u8; 16]> = items.iter().map(|item| gear_hash::md5(item)).collect();
+/// assert_eq!(gear_hash::md5_lanes::<4, _>(&items), want);
+/// ```
+pub fn md5_lanes<const L: usize, T: AsRef<[u8]>>(items: &[T]) -> Vec<[u8; 16]> {
+    const { assert!(L > 0, "a batch needs at least one lane") };
     let mut out = vec![[0u8; 16]; items.len()];
-    let mut waiting = items.iter().enumerate().map(|(slot, item)| Lane::new(slot, item.as_ref()));
-    let (mut x, mut y) = (waiting.next(), waiting.next());
-    while let (Some(p), Some(q)) = (&mut x, &mut y) {
-        let blocks = p.due().len().min(q.due().len()) / 64;
-        let mut states = [p.state, q.state];
-        compress(&mut states, [p.due(), q.due()], blocks);
-        [p.state, q.state] = states;
-        p.advance(blocks * 64);
-        q.advance(blocks * 64);
-        if p.due().is_empty() {
-            out[p.slot] = digest(&p.state);
-            x = waiting.next();
-        }
-        if q.due().is_empty() {
-            out[q.slot] = digest(&q.state);
-            y = waiting.next();
-        }
-    }
-    // Items ran out under one lane: its message finishes alone.
-    if let Some(mut last) = x.or(y) {
-        while !last.due().is_empty() {
-            let blocks = last.due().len() / 64;
-            let mut state = [last.state];
-            compress(&mut state, [last.due()], blocks);
-            [last.state] = state;
-            last.advance(blocks * 64);
-        }
-        out[last.slot] = digest(&last.state);
-    }
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_unstable_by_key(|&slot| std::cmp::Reverse(items[slot].as_ref().len()));
+    let mut waiting = order.into_iter().map(|slot| Lane::new(slot, items[slot].as_ref()));
+    let wide = run::<L>(&mut waiting, &mut out);
+    let pair = run::<2>(&mut wide.into_iter().flatten(), &mut out);
+    run::<1>(&mut pair.into_iter().flatten(), &mut out);
     out
+}
+
+/// Hashes `waiting` `L` messages at a time, each digest into its slot of
+/// `out`, until a lane finishes with nothing left to take. Returns the
+/// lanes still mid-message.
+///
+/// A lane's padded tail is written into `tails` only when it is due, so a
+/// `Lane` is a few words: taking the next item and handing survivors to
+/// the next, narrower run move no block-sized buffers.
+fn run<'a, const L: usize>(
+    waiting: &mut impl Iterator<Item = Lane<'a>>,
+    out: &mut [[u8; 16]],
+) -> [Option<Lane<'a>>; L] {
+    let mut lanes: [Option<Lane<'a>>; L] = std::array::from_fn(|_| waiting.next());
+    let mut tails = [[0u8; 128]; L];
+    loop {
+        let mut states = [[0u32; 4]; L];
+        let mut due: [&[u8]; L] = [&[]; L];
+        for (l, tail) in tails.iter_mut().enumerate() {
+            let Some(lane) = &lanes[l] else { return lanes };
+            states[l] = lane.state;
+            due[l] = lane.due(tail);
+        }
+        let blocks = due.iter().map(|d| d.len()).min().unwrap_or(0) / 64;
+        debug_assert!(blocks > 0, "a lane in flight has a block due");
+        compress(&mut states, due, blocks);
+        for (slot, state) in lanes.iter_mut().zip(states) {
+            let Some(lane) = slot else { continue };
+            lane.state = state;
+            lane.done += blocks * 64;
+            if lane.finished() {
+                out[lane.slot] = digest(&lane.state);
+                *slot = waiting.next();
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hex_encode;
+    use crate::{hex_encode, Fingerprint};
+    use proptest::prelude::*;
 
     fn md5_hex(data: &[u8]) -> String {
         let mut h = Md5::new();
@@ -400,8 +433,8 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// A lane whose message ends takes the next item while the other lane
-    /// is mid-message, so digests must land in item order however uneven
+    /// A lane whose message ends takes the next item while the other lanes
+    /// are mid-message, so digests must land in item order however uneven
     /// the lengths.
     #[test]
     fn uneven_neighbours_and_odd_or_empty_batches() {
@@ -415,6 +448,84 @@ mod tests {
         assert_eq!(md5_all::<&[u8]>(&[]), Vec::<[u8; 16]>::new());
         let empty = reference(b"");
         assert_eq!(md5_all(&[b"", b"", b""]), [empty; 3]);
+
+        // One huge body among more tiny ones than there are lanes, first
+        // and last: it holds one lane while the others cycle through the
+        // rest, and finishes in the narrow tail.
+        let mut batch = vec![&tiny; 2 * LANES + 3];
+        let mut want = vec![t; batch.len()];
+        batch[0] = &huge;
+        want[0] = h;
+        assert_eq!(md5_all(&batch), want);
+        batch.rotate_left(1);
+        want.rotate_left(1);
+        assert_eq!(md5_all(&batch), want);
+        assert_eq!(md5_all(&vec![b""; 2 * LANES + 3]), vec![empty; 2 * LANES + 3]);
+    }
+
+    /// Equal lengths tie in the longest-first order; every digest still
+    /// lands in its own item's slot.
+    #[test]
+    fn equal_lengths_keep_their_slots() {
+        for len in [0, 55, 64, 1000] {
+            let messages: Vec<Vec<u8>> = (0..LANES * 3 + 1).map(|i| message(len, i)).collect();
+            let want: Vec<[u8; 16]> = messages.iter().map(|m| reference(m)).collect();
+            assert_eq!(md5_all(&messages), want, "length {len}");
+        }
+    }
+
+    /// Every length across the block and padding boundaries, hashed in a
+    /// full-width batch beside `LANES - 1` others whose lengths run through
+    /// every phase relative to it, at every position in the batch.
+    #[test]
+    fn every_length_beside_a_full_batch_of_every_phase() {
+        let messages: Vec<Vec<u8>> = (0..=130).map(|len| message(len, len)).collect();
+        let want: Vec<[u8; 16]> = messages.iter().map(|m| reference(m)).collect();
+        for len in 0..messages.len() {
+            for phase in 0..messages.len() {
+                let mut lens: Vec<usize> =
+                    (0..LANES).map(|j| (phase + 9 * j) % messages.len()).collect();
+                lens[phase % LANES] = len;
+                let batch: Vec<&Vec<u8>> = lens.iter().map(|&l| &messages[l]).collect();
+                let expect: Vec<[u8; 16]> = lens.iter().map(|&l| want[l]).collect();
+                assert_eq!(md5_all(&batch), expect, "length {len}, phase {phase}");
+            }
+        }
+    }
+
+    /// Batches that run only the narrow tail (fewer items than lanes), fill
+    /// the lanes exactly, or refill once, at every width.
+    #[test]
+    fn batches_around_the_lane_count() {
+        fn check<const L: usize>() {
+            for count in [0, 1, L.saturating_sub(1), L, L + 1, 2 * L + 1] {
+                let messages: Vec<Vec<u8>> = (0..count).map(|i| message(i * 53 % 300, i)).collect();
+                let want: Vec<[u8; 16]> = messages.iter().map(|m| reference(m)).collect();
+                assert_eq!(md5_lanes::<L, _>(&messages), want, "{L} lanes, {count} items");
+            }
+        }
+        check::<1>();
+        check::<2>();
+        check::<4>();
+        check::<8>();
+        check::<LANES>();
+    }
+
+    proptest! {
+        /// Random batches of uneven bodies, now and then a 64 KiB one among
+        /// them, fingerprint to what each item does alone, in item order.
+        #[test]
+        fn random_batches_match_item_by_item(
+            items in proptest::collection::vec((0usize..=4096, 0u8..32, any::<u8>()), 0..41),
+        ) {
+            let bodies: Vec<Vec<u8>> = items
+                .iter()
+                .map(|&(len, big, seed)| message(if big == 0 { 64 << 10 } else { len }, seed.into()))
+                .collect();
+            let want: Vec<[u8; 16]> =
+                bodies.iter().map(|b| *Fingerprint::of(b).as_bytes()).collect();
+            prop_assert_eq!(md5_all(&bodies), want);
+        }
     }
 
     /// Streaming in arbitrary chunk sizes must equal one-shot hashing.

@@ -39,7 +39,7 @@ proptest! {
     }
 
     /// A batch fingerprints to what its items fingerprint to one by one,
-    /// whatever lengths meet in the two lanes.
+    /// whatever lengths meet in the lanes.
     #[test]
     fn fingerprint_all_matches_item_by_item(
         items in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..400), 0..12),

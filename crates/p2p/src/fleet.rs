@@ -26,7 +26,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use gear_hash::Fingerprint;
+use gear_hash::{fingerprint_all, Fingerprint};
+use gear_par::Pool;
 use gear_registry::{ShardRejection, ShardedStore};
 use gear_simnet::{EventQueue, FifoLane, Link, RetryPolicy};
 use gear_telemetry::FleetCollector;
@@ -283,8 +284,9 @@ impl FleetSim {
         let store = ShardedStore::new(config.shards, config.replication, QUEUE_DEPTH, config.seed);
         let mut manifest = Vec::with_capacity(objects.len());
         let mut image_wire = 0u64;
-        for (fp, content) in objects {
-            let actual = Fingerprint::of(content);
+        let bodies: Vec<&Bytes> = objects.iter().map(|(_, content)| content).collect();
+        let hashed = fingerprint_all(&bodies, &Pool::serial());
+        for ((fp, content), actual) in objects.iter().zip(hashed) {
             assert!(
                 actual == *fp,
                 "fleet image object rejected: content hashes to {actual}, claimed {fp}"
@@ -717,11 +719,15 @@ mod tests {
         )
     }
 
+    /// The first mismatch in object order is the one named.
     #[test]
-    #[should_panic(expected = "fleet image object rejected")]
+    #[should_panic(
+        expected = "fleet image object rejected: content hashes to 7b7cb40dad90108744b0a50a2a7035bb"
+    )]
     fn objects_that_do_not_hash_to_their_fingerprint_are_rejected() {
         let mut objects = image(3);
         objects[1].1 = Bytes::from_static(b"not what the fingerprint names");
+        objects[2].1 = Bytes::from_static(b"nor is this");
         FleetSim::new(
             Topology::new(TopologyConfig::edge_fleet(1, 1)),
             FleetConfig::standard(1),

@@ -82,8 +82,9 @@ impl fmt::Display for UploadError {
 
 impl Error for UploadError {}
 
-/// Checks every file's id against its content — one two-lane MD5 pass over
-/// all the bodies, then the salted ones hashed again with their salt.
+/// Checks every file's id against its content — one [`fingerprint_all`]
+/// batch over all the bodies, then the salted ones hashed again with their
+/// salt.
 fn check(files: &[GearFile]) -> Result<(), UploadError> {
     for (file, plain) in files.iter().zip(fingerprint_all(files, &Pool::serial())) {
         let actual = match file.salt {
@@ -162,9 +163,9 @@ impl GearFileStore {
     }
 
     /// [`GearFileStore::upload`] of every file in order, with the ids all
-    /// checked first, in one two-lane MD5 pass over the bodies. A salted id
-    /// is checked the way it was made. Nothing is stored unless every id
-    /// holds.
+    /// checked first, in one [`fingerprint_all`] batch over the bodies. A
+    /// salted id is checked the way it was made. Nothing is stored unless
+    /// every id holds.
     ///
     /// # Errors
     ///

@@ -296,14 +296,15 @@ impl MemStore {
         self.verify_with(&gear_par::Pool::serial())
     }
 
-    /// [`MemStore::verify`] fanned out across `pool`. Output is sorted, so
-    /// it is identical for any worker count (and to the serial scan).
+    /// [`MemStore::verify`] fanned out across `pool`: every blob in one
+    /// [`gear_hash::fingerprint_all`] batch. Output is sorted, so it is
+    /// identical for any worker count (and to the serial scan).
     pub fn verify_with(&self, pool: &gear_par::Pool) -> Vec<Fingerprint> {
-        let entries: Vec<(Fingerprint, &Bytes)> = self.iter().collect();
-        let mut bad: Vec<Fingerprint> = pool
-            .map(&entries, |(fp, raw)| (Fingerprint::of(raw) != *fp).then_some(*fp))
+        let (ids, bodies): (Vec<Fingerprint>, Vec<&Bytes>) = self.iter().unzip();
+        let mut bad: Vec<Fingerprint> = ids
             .into_iter()
-            .flatten()
+            .zip(gear_hash::fingerprint_all(&bodies, pool))
+            .filter_map(|(id, actual)| (actual != id).then_some(id))
             .collect();
         bad.sort();
         bad
@@ -674,10 +675,11 @@ mod tests {
         assert_eq!(c.bytes(), 0);
     }
 
+    /// 1.25 MiB of blobs: enough that the scan leaves the calling thread.
     #[test]
     fn verify_flags_corruption_and_matches_parallel() {
         let mut c = MemStore::new();
-        let bodies: Vec<Bytes> = (0u8..40).map(|i| Bytes::from(vec![i; 50])).collect();
+        let bodies: Vec<Bytes> = (0u8..40).map(|i| Bytes::from(vec![i; 32 << 10])).collect();
         for b in &bodies {
             c.insert(Fingerprint::of(b), b.clone());
         }
