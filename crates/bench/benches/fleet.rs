@@ -1,5 +1,6 @@
 //! Fleet event core: the bare `EventQueue` under three schedule shapes, and
-//! a whole `FleetSim` flash crowd on `repro fleet`'s standard topology.
+//! whole `FleetSim` runs of `repro fleet`'s flash crowd and rolling update
+//! on its standard topology.
 //!
 //! * `event_queue/ascending` — 100 k events pushed in time order, then
 //!   drained: a pre-scheduled crowd.
@@ -84,13 +85,33 @@ fn bench_flash_crowd(c: &mut Criterion) {
         conversion.files.into_iter().map(|f| (f.fingerprint, f.content)).collect();
     let seed = ctx.corpus.config.seed;
 
+    let sim = || {
+        let topo = Topology::new(TopologyConfig::edge_fleet(SITES, NODES_PER_SITE));
+        FleetSim::new(topo, FleetConfig::standard(seed), &objects)
+    };
+
     let mut group = c.benchmark_group("fleet");
     group.sample_size(10);
     group.bench_function("flash_crowd_10k", |b| {
         b.iter(|| {
-            let topo = Topology::new(TopologyConfig::edge_fleet(SITES, NODES_PER_SITE));
-            let mut sim = FleetSim::new(topo, FleetConfig::standard(seed), &objects);
+            let mut sim = sim();
             sim.schedule_flash_crowd(FLEET_CLIENTS, Duration::ZERO, Duration::from_micros(200));
+            sim.run().makespan
+        })
+    });
+    // `repro fleet`'s rolling update: the crowd lands through a shard
+    // outage, then every site is reset in turn and re-seeds for one
+    // straggler — the path that wipes a node's tally beside its collector.
+    group.bench_function("rolling_update_10k", |b| {
+        b.iter(|| {
+            let mut sim = sim();
+            sim.schedule_shard_outage(0, Duration::ZERO, Duration::from_secs(120));
+            sim.schedule_flash_crowd(FLEET_CLIENTS, Duration::ZERO, Duration::from_micros(500));
+            for site in 0..SITES as u32 {
+                sim.schedule_site_reset(site, Duration::from_secs(300 + 30 * u64::from(site)));
+                let node = sim.topology().site_nodes(site).start;
+                sim.schedule_client(node, Duration::from_secs(301 + 30 * u64::from(site)));
+            }
             sim.run().makespan
         })
     });

@@ -14,6 +14,7 @@ use std::time::Duration;
 
 use crate::handle::SpanId;
 use crate::metrics::MetricsRegistry;
+use crate::sketch::SketchMergeError;
 
 /// One recorded span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -390,11 +391,25 @@ impl Collector {
     pub fn sketch(&self, key: &str, value: u64) {
         self.lock().metrics.sketch_observe(key, value);
     }
+
+    /// Merges `metrics` into the registry under the one lock, with
+    /// [`MetricsRegistry::merge`]'s semantics. Keys and sketches the
+    /// collector lacks move in rather than being cloned, so metrics tallied
+    /// elsewhere and handed over cost what recording them here would have.
+    ///
+    /// # Errors
+    ///
+    /// [`SketchMergeError`] when a shared sketch key has different
+    /// resolution; the collector is untouched in that case.
+    pub fn merge_metrics(&self, metrics: MetricsRegistry) -> Result<(), SketchMergeError> {
+        self.lock().metrics.merge_owned(metrics)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QuantileSketch;
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
@@ -486,6 +501,46 @@ mod tests {
         c.span_end(parent);
         assert!(c.validate().is_empty(), "{:?}", c.validate());
         assert_eq!(c.spans()[1].parent, Some(0));
+    }
+
+    #[test]
+    fn merged_metrics_equal_the_same_samples_recorded_here() {
+        let direct = Collector::new();
+        let handed = Collector::new();
+        let mut elsewhere = MetricsRegistry::new();
+        for (i, v) in [0u64, 7, 129, 4_096, 70_001, 1 << 40].into_iter().enumerate() {
+            direct.count("n", 1);
+            direct.sketch("lat", v);
+            direct.sketch("size", v / 3);
+            direct.gauge_max("peak", v);
+            // Half of `n` and `lat` is recorded here first, so the merge
+            // meets existing keys; `size` and `peak` only exist elsewhere
+            // and move in.
+            if i % 2 == 0 {
+                handed.count("n", 1);
+                handed.sketch("lat", v);
+            } else {
+                elsewhere.add("n", 1);
+                elsewhere.sketch_observe("lat", v);
+            }
+            elsewhere.sketch_observe("size", v / 3);
+            elsewhere.gauge_max("peak", v);
+        }
+        handed.merge_metrics(elsewhere).unwrap();
+        assert_eq!(handed.metrics(), direct.metrics());
+    }
+
+    #[test]
+    fn a_mismatched_sketch_is_an_error_and_merges_nothing() {
+        let c = Collector::new();
+        c.sketch("lat", 100);
+        let before = c.metrics();
+        let mut coarse = MetricsRegistry::new();
+        coarse.add("n", 3);
+        coarse.set_sketch("lat", QuantileSketch::with_sub_bucket_bits(2));
+        let err = c.merge_metrics(coarse).unwrap_err();
+        assert_eq!((err.ours, err.theirs), (6, 2));
+        assert_eq!(c.metrics(), before);
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl FleetCollector {
     pub fn merged_metrics(&self) -> Result<MetricsRegistry, SketchMergeError> {
         let mut merged = MetricsRegistry::new();
         for shard in &self.shards {
-            merged.merge(&shard.metrics())?;
+            merged.merge_owned(shard.metrics())?;
         }
         Ok(merged)
     }

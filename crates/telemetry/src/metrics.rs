@@ -1,6 +1,7 @@
 //! The unified metrics registry: counters, gauges, and quantile sketches
 //! with exact merge semantics.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use crate::sketch::{QuantileSketch, SketchMergeError};
@@ -61,6 +62,12 @@ impl MetricsRegistry {
         }
     }
 
+    /// Sets sketch `key` to `sketch`, replacing any sketch recorded under
+    /// it — the way to hand a registry a distribution observed elsewhere.
+    pub fn set_sketch(&mut self, key: &str, sketch: QuantileSketch) {
+        self.sketches.insert(key.to_owned(), sketch);
+    }
+
     /// Current value of counter `key` (zero if absent).
     pub fn counter(&self, key: &str) -> u64 {
         self.counters.get(key).copied().unwrap_or(0)
@@ -105,19 +112,32 @@ impl MetricsRegistry {
     /// # Errors
     ///
     /// [`SketchMergeError`] when a shared sketch key has different
-    /// resolution; `self` keeps everything merged before the mismatch.
+    /// resolution; `self` is untouched in that case.
     pub fn merge(&mut self, other: &MetricsRegistry) -> Result<(), SketchMergeError> {
-        for (key, &delta) in &other.counters {
-            self.add(key, delta);
-        }
-        for (key, &value) in &other.gauges {
-            self.gauge_max(key, value);
-        }
+        self.merge_owned(other.clone())
+    }
+
+    /// [`MetricsRegistry::merge`] of a registry the caller gives up: keys
+    /// and sketches `self` lacks move in instead of being cloned.
+    pub(crate) fn merge_owned(&mut self, other: MetricsRegistry) -> Result<(), SketchMergeError> {
         for (key, theirs) in &other.sketches {
-            if let Some(ours) = self.sketches.get_mut(key) {
-                ours.merge(theirs)?;
-            } else {
-                self.sketches.insert(key.clone(), theirs.clone());
+            if let Some(ours) = self.sketches.get(key) {
+                ours.can_merge(theirs)?;
+            }
+        }
+        for (key, delta) in other.counters {
+            *self.counters.entry(key).or_insert(0) += delta;
+        }
+        for (key, value) in other.gauges {
+            let ours = self.gauges.entry(key).or_insert(value);
+            *ours = (*ours).max(value);
+        }
+        for (key, theirs) in other.sketches {
+            match self.sketches.entry(key) {
+                Entry::Occupied(mut ours) => ours.get_mut().merge(&theirs)?,
+                Entry::Vacant(slot) => {
+                    slot.insert(theirs);
+                }
             }
         }
         Ok(())
@@ -170,13 +190,26 @@ mod tests {
     }
 
     #[test]
+    fn set_sketch_replaces() {
+        let mut r = MetricsRegistry::new();
+        r.sketch_observe("lat", 100);
+        r.set_sketch("lat", QuantileSketch::with_sub_bucket_bits(2));
+        assert_eq!(r.sketch("lat"), Some(&QuantileSketch::with_sub_bucket_bits(2)));
+    }
+
+    #[test]
     fn registry_merge_rejects_mismatched_sketch_resolution() {
         let mut a = MetricsRegistry::new();
         a.sketch_observe("lat", 100);
+        let before = a.clone();
         let mut b = MetricsRegistry::new();
+        b.add("n", 3);
+        b.gauge_set("g", 4);
+        b.sketch_observe("only_b", 1);
         let mut coarse = QuantileSketch::with_sub_bucket_bits(2);
         coarse.observe(100);
         b.sketches.insert("lat".to_owned(), coarse);
         assert!(a.merge(&b).is_err());
+        assert_eq!(a, before, "a refused merge changes nothing");
     }
 }

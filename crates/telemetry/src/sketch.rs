@@ -161,9 +161,7 @@ impl QuantileSketch {
     /// [`SketchMergeError`] when the resolutions differ; `self` is
     /// untouched in that case.
     pub fn merge(&mut self, other: &QuantileSketch) -> Result<(), SketchMergeError> {
-        if self.k != other.k {
-            return Err(SketchMergeError { ours: self.k, theirs: other.k });
-        }
+        self.can_merge(other)?;
         for (&index, &n) in &other.buckets {
             *self.buckets.entry(index).or_insert(0) += n;
         }
@@ -172,6 +170,15 @@ impl QuantileSketch {
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+        Ok(())
+    }
+
+    /// The check [`QuantileSketch::merge`] makes before it touches
+    /// anything: the two resolutions must match.
+    pub(crate) fn can_merge(&self, other: &QuantileSketch) -> Result<(), SketchMergeError> {
+        if self.k != other.k {
+            return Err(SketchMergeError { ours: self.k, theirs: other.k });
+        }
         Ok(())
     }
 

@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use gear_par::Pool;
-use gear_telemetry::{FleetCollector, QuantileSketch, Telemetry};
+use gear_telemetry::{Collector, FleetCollector, MetricsRegistry, QuantileSketch, Telemetry};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random stream (splitmix64) for the fixed-seed
@@ -192,6 +192,28 @@ proptest! {
             gear_telemetry::metrics_json(&flat),
             gear_telemetry::metrics_json(&merged),
         );
+    }
+
+    /// Samples tallied in a registry and handed to a collector in random
+    /// batches leave it holding what recording each sample there built:
+    /// the hand-over a fleet simulator makes when its run ends.
+    #[test]
+    fn handed_over_tallies_equal_direct_recording(seed in any::<u64>()) {
+        let mut rng = Rng(seed);
+        let (direct, handed) = (Collector::new(), Collector::new());
+        let mut tally = MetricsRegistry::new();
+        for _ in 0..64 {
+            let nanos = rng.next() % 1_000_000_000;
+            direct.count("deploys", 1);
+            direct.sketch("deploy_nanos", nanos);
+            tally.add("deploys", 1);
+            tally.sketch_observe("deploy_nanos", nanos);
+            if rng.next().is_multiple_of(8) {
+                handed.merge_metrics(std::mem::take(&mut tally)).unwrap();
+            }
+        }
+        handed.merge_metrics(tally).unwrap();
+        prop_assert_eq!(direct.metrics(), handed.metrics());
     }
 
     /// The same seed drives byte-identical trace and metrics exports.
