@@ -4,10 +4,12 @@
 //! rendered table plus flat `key → value` metrics — so the perf trajectory
 //! is tracked across commits. Every gate the harness enforces is a
 //! [`Bound`] on one of those metrics: an experiment's [`Outcome`] carries
-//! the invariants that must hold on every run and the bounds
+//! the invariants that must hold on every run and the pins
 //! `--record-baseline` writes for it, a recorded [`Baseline`]
-//! (`ci/bench-baseline-quick.json`) is nothing but such bounds keyed
-//! `<experiment>/<metric key>`, and [`check`] is the only comparison.
+//! (`ci/bench-baseline-quick.json`) is nothing but such pins keyed
+//! `<experiment>/<metric key>`, and [`check`] is the only comparison. No
+//! bound has a tolerance: `repro` is a pure function of its seed, so a
+//! recorded value that moves at all, either way, is a changed behaviour.
 
 use std::fmt;
 use std::fs;
@@ -15,11 +17,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
-
-/// Fractional slack a ceiling allows before [`check`] reports it — the only
-/// tolerance in the harness. Floors get none: they are hand-set loose
-/// constants or exact `== 1` flags, not recordings of a measured value.
-pub const BASELINE_TOLERANCE: f64 = 0.01;
 
 /// One named scalar measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -43,6 +40,7 @@ impl Metric {
 }
 
 /// A floor and/or ceiling on one metric — the one shape every gate takes.
+/// A pin is both at one value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Bound {
     /// Metric key: as the experiment emits it inside an [`Outcome`],
@@ -51,7 +49,7 @@ pub struct Bound {
     /// The value must not fall below this.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub min: Option<f64>,
-    /// The value must not exceed this by more than [`BASELINE_TOLERANCE`].
+    /// The value must not exceed this.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub max: Option<f64>,
 }
@@ -67,9 +65,14 @@ impl Bound {
         Bound { key: key.into(), min: None, max: Some(max) }
     }
 
+    /// An exact value: a floor and a ceiling at `value`.
+    pub fn pin(key: impl Into<String>, value: f64) -> Self {
+        Bound { key: key.into(), min: Some(value), max: Some(value) }
+    }
+
     /// How `experiment`'s `metrics` break this bound, if they do: the metric
     /// named `key` is missing, below the floor, or above the ceiling.
-    /// Better-than-recorded values pass.
+    /// Values print in full, so one ulp off a pin reads as such.
     fn violation(&self, experiment: &str, key: &str, metrics: &[Metric]) -> Option<String> {
         let Some(metric) = metrics.iter().find(|m| m.key == key) else {
             return Some(format!("{experiment}/{key}: missing from the run"));
@@ -77,22 +80,25 @@ impl Bound {
         let value = metric.value;
         match (self.min, self.max) {
             (Some(min), _) if value < min => {
-                Some(format!("{experiment}/{key}: {value:.6} below floor {min:.6}"))
+                Some(format!("{experiment}/{key}: {value} below floor {min}"))
             }
-            (_, Some(max)) if value > max * (1.0 + BASELINE_TOLERANCE) => Some(format!(
-                "{experiment}/{key}: {value:.6} above ceiling {max:.6} ({:.1}% tolerance)",
-                BASELINE_TOLERANCE * 100.0,
-            )),
+            (_, Some(max)) if value > max => {
+                Some(format!("{experiment}/{key}: {value} above ceiling {max}"))
+            }
             _ => None,
         }
     }
 }
 
-/// One ceiling per metric for which `max` returns a value — `Some(m.value)`
-/// records a simulated measurement, `Some(0.0)` states a must-be-zero
-/// invariant.
+/// One ceiling per metric for which `max` returns a value, e.g. `Some(0.0)`
+/// for a must-be-zero invariant.
 pub fn ceilings(metrics: &[Metric], max: impl Fn(&Metric) -> Option<f64>) -> Vec<Bound> {
     metrics.iter().filter_map(|m| max(m).map(|max| Bound::ceiling(m.key.as_str(), max))).collect()
+}
+
+/// One pin at the measured value per metric `keep` selects.
+pub fn pins(metrics: &[Metric], keep: impl Fn(&Metric) -> bool) -> Vec<Bound> {
+    metrics.iter().filter(|m| keep(m)).map(|m| Bound::pin(m.key.as_str(), m.value)).collect()
 }
 
 /// What one experiment run hands the harness.
@@ -106,9 +112,8 @@ pub struct Outcome {
     /// losing a blob or drifting between fixed-seed runs is never an
     /// acceptable trade for speed.
     pub invariants: Vec<Bound>,
-    /// Bounds on `metrics` that `--record-baseline` writes: simulated times
-    /// as ceilings at the measured value, ratios and `== 1` flags as fixed
-    /// floors.
+    /// Pins on `metrics` that `--record-baseline` writes, each at the
+    /// measured value: simulated times, collector footprints and the like.
     pub recorded: Vec<Bound>,
 }
 
@@ -168,19 +173,19 @@ impl BenchArtifact {
     }
 }
 
-/// The recorded bounds the CI smoke job compares a fresh run against.
+/// The recorded pins the CI smoke job compares a fresh run against.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Baseline {
     /// Corpus scale the baseline was recorded at.
     pub scale_denom: u64,
     /// Corpus seed the baseline was recorded at.
     pub seed: u64,
-    /// Every recorded bound, keyed `<experiment>/<metric key>`.
+    /// Every recorded pin, keyed `<experiment>/<metric key>`.
     pub bounds: Vec<Bound>,
 }
 
 impl Baseline {
-    /// Records every run's [`Outcome::recorded`] bounds.
+    /// Records every run's [`Outcome::recorded`] pins.
     pub fn record(scale_denom: u64, seed: u64, runs: &[Run]) -> Self {
         let bounds = runs
             .iter()
@@ -259,46 +264,53 @@ mod tests {
     }
 
     #[test]
-    fn ceilings_take_the_tolerance_and_floors_take_none() {
-        let recorded =
-            baseline(vec![Bound::ceiling("exp/a/secs", 2.0), Bound::floor("exp/ratio", 1.5)]);
+    fn a_pin_reports_any_other_value() {
+        let pinned = baseline(vec![Bound::pin("exp/a/secs", 2.0)]);
+        let [above, below] = [2.0f64.to_bits() + 1, 2.0f64.to_bits() - 1].map(f64::from_bits);
         for (case, metrics, violations) in [
-            ("at the bounds", &[("a/secs", 2.0), ("ratio", 1.5)][..], 0),
-            ("improvements pass", &[("a/secs", 1.0), ("ratio", 9.0)], 0),
-            ("ceiling within tolerance", &[("a/secs", 2.019), ("ratio", 1.5)], 0),
-            ("ceiling beyond tolerance", &[("a/secs", 2.021), ("ratio", 1.5)], 1),
-            ("floor has no tolerance", &[("a/secs", 2.0), ("ratio", 1.499)], 1),
-            ("both broken", &[("a/secs", 3.0), ("ratio", 0.0)], 2),
-            ("missing key", &[("a/secs", 2.0)], 1),
-            ("nothing measured", &[], 2),
+            ("equal", &[("a/secs", 2.0)][..], 0),
+            ("one ulp above", &[("a/secs", above)], 1),
+            ("one ulp below", &[("a/secs", below)], 1),
+            ("missing key", &[("b/secs", 2.0)], 1),
         ] {
-            let problems = check(&[run_of("exp", metrics)], Some(&recorded));
+            let problems = check(&[run_of("exp", metrics)], Some(&pinned));
             assert_eq!(problems.len(), violations, "{case}: {problems:?}");
-            assert!(problems.iter().all(|p| p.starts_with("exp/")), "{case}: {problems:?}");
+            assert!(problems.iter().all(|p| p.starts_with("exp/a/secs: ")), "{case}: {problems:?}");
         }
+        let problems = check(&[run_of("exp", &[("a/secs", above)])], Some(&pinned));
+        assert_eq!(problems, ["exp/a/secs: 2.0000000000000004 above ceiling 2"]);
     }
 
+    /// Invariant floors and ceilings keep their meaning: anything between
+    /// them passes, a baseline or not.
     #[test]
     fn invariants_fire_without_a_baseline_and_against_an_empty_one() {
-        let guarded = |lost: f64, deterministic: f64| {
-            let (name, mut outcome) =
-                run_of("crash", &[("hdd/torn/lost_acked", lost), ("deterministic", deterministic)]);
-            outcome.invariants =
-                ceilings(&outcome.metrics, |m| m.key.ends_with("lost_acked").then_some(0.0));
-            outcome.invariants.push(Bound::floor("deterministic", 1.0));
+        let guarded = |metrics: &[(&str, f64)]| {
+            let (name, mut outcome) = run_of("exp", metrics);
+            outcome.invariants = vec![Bound::ceiling("a/secs", 2.0), Bound::floor("ratio", 1.5)];
             [(name, outcome)]
         };
-        assert_eq!(check(&guarded(2.0, 0.0), None).len(), 2);
-        assert_eq!(check(&guarded(2.0, 0.0), Some(&baseline(Vec::new()))).len(), 2);
-        assert!(check(&guarded(0.0, 1.0), None).is_empty());
+        for (case, metrics, violations) in [
+            ("at the bounds", &[("a/secs", 2.0), ("ratio", 1.5)][..], 0),
+            ("inside the bounds", &[("a/secs", 1.0), ("ratio", 9.0)], 0),
+            ("above the ceiling", &[("a/secs", 2.001), ("ratio", 1.5)], 1),
+            ("below the floor", &[("a/secs", 2.0), ("ratio", 1.499)], 1),
+            ("both broken", &[("a/secs", 3.0), ("ratio", 0.0)], 2),
+            ("nothing measured", &[], 2),
+        ] {
+            for recorded in [None, Some(&baseline(Vec::new()))] {
+                let problems = check(&guarded(metrics), recorded);
+                assert_eq!(problems.len(), violations, "{case}: {problems:?}");
+            }
+        }
     }
 
     #[test]
     fn an_experiment_absent_from_the_run_yields_one_message() {
         let recorded = baseline(vec![
-            Bound::ceiling("tiering/flat/cold_secs", 3.0),
-            Bound::ceiling("tiering/flat/warm_secs", 2.0),
-            Bound::ceiling("exp/secs", 2.0),
+            Bound::pin("tiering/flat/cold_secs", 3.0),
+            Bound::pin("tiering/flat/warm_secs", 2.0),
+            Bound::pin("exp/secs", 1.0),
         ]);
         let problems = check(&[run_of("exp", &[("secs", 1.0)])], Some(&recorded));
         assert_eq!(problems, ["baseline has bounds for tiering; add `tiering` to the run"]);
@@ -308,14 +320,12 @@ mod tests {
     fn record_prefixes_keys_and_roundtrips_without_nulls() {
         let (name, mut outcome) =
             run_of("exp", &[("a/warm_secs", 2.0), ("a/fill", 0.1), ("ratio", 3.0)]);
-        outcome.recorded =
-            ceilings(&outcome.metrics, |m| m.key.ends_with("_secs").then_some(m.value));
-        outcome.recorded.push(Bound::floor("ratio", 1.5));
+        outcome.recorded = pins(&outcome.metrics, |m| m.key.ends_with("_secs"));
         let runs = [(name, outcome)];
         let recorded = Baseline::record(64, 7, &runs);
         assert_eq!(
             recorded.bounds,
-            [Bound::ceiling("exp/a/warm_secs", 2.0), Bound::floor("exp/ratio", 1.5)],
+            [Bound::pin("exp/a/warm_secs", 2.0)],
             "only the selected metrics are recorded",
         );
         let json = serde_json::to_string(&recorded).unwrap();

@@ -100,26 +100,20 @@ impl Chunking {
         ]
     }
 
-    /// The comparison's outcome; a baseline records [`floors`].
+    /// The comparison's outcome. Its claims are invariants, held at every
+    /// scale: chunk-granularity dedup never falls below file-granularity
+    /// dedup, sparse cold starts save at least 30 %, ranged reads agree
+    /// across granularities, and the default (chunking-off) conversion is
+    /// bit-identical to the plain converter.
     pub fn outcome(&self) -> Outcome {
-        Outcome { metrics: self.metrics(), recorded: floors(), ..Outcome::text(self) }
+        let invariants = vec![
+            Bound::floor("chunking/ratio_over_file", 1.0),
+            Bound::floor("chunking/coldstart_saved_frac", 0.3),
+            Bound::floor("chunking/reads_identical", 1.0),
+            Bound::floor("chunking/default_bit_identical", 1.0),
+        ];
+        Outcome { metrics: self.metrics(), invariants, ..Outcome::text(self) }
     }
-}
-
-/// The chunking floors a recorded baseline enforces. The dedup-ratio and
-/// cold-start gates are deterministic results of the simulation, so they
-/// are hard: chunk-granularity dedup must never fall below file-granularity
-/// dedup, sparse cold starts must keep saving at least the 30 % the
-/// comparison claims, ranged reads must agree across granularities, and
-/// the default (chunking-off) conversion must stay bit-identical to the
-/// plain converter.
-pub fn floors() -> Vec<Bound> {
-    vec![
-        Bound::floor("chunking/ratio_over_file", 1.0),
-        Bound::floor("chunking/coldstart_saved_frac", 0.3),
-        Bound::floor("chunking/reads_identical", 1.0),
-        Bound::floor("chunking/default_bit_identical", 1.0),
-    ]
 }
 
 /// A published corpus at one granularity, with a readable byte meter.
@@ -340,24 +334,10 @@ mod tests {
         let result = run(&ctx);
 
         assert!(result.sparse_paths > 0, "the corpus must contain big files to probe");
-        assert!(result.reads_identical, "ranged reads must agree across granularities");
-        assert!(result.default_bit_identical, "chunking must be strictly opt-in");
-
-        // The tentpole claims: strictly better dedup, ≥ 30 % fewer
-        // cold-start bytes on the sparse-access trace.
-        assert!(
-            result.chunk.dedup_ratio >= result.file.dedup_ratio,
-            "chunk dedup {:.3} < file dedup {:.3}",
-            result.chunk.dedup_ratio,
-            result.file.dedup_ratio
-        );
-        assert!(
-            result.coldstart_saved_frac() >= 0.3,
-            "cold-start saving {:.3} below 0.3 (file {} vs chunk {})",
-            result.coldstart_saved_frac(),
-            result.file.coldstart_bytes,
-            result.chunk.coldstart_bytes
-        );
+        // The claims (dedup at least file granularity's, ≥ 30 % fewer
+        // cold-start bytes, identical ranged reads, opt-in chunking) are the
+        // outcome's invariants.
+        assert_eq!(crate::artifact::check(&[("chunking", result.outcome())], None), [""; 0]);
         // Chunks outnumber whole files, and the store stays smaller.
         assert!(result.chunk.objects > result.file.objects);
         assert!(result.chunk.stored_bytes <= result.file.stored_bytes);

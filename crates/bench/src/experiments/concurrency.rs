@@ -15,7 +15,7 @@ use gear_simnet::Link;
 use super::fig8::PublishedCorpus;
 use super::fig9::{self, PhaseAverage};
 use super::{secs, ExperimentContext};
-use crate::artifact::{ceilings, Metric, Outcome};
+use crate::artifact::{pins, Metric, Outcome};
 
 /// Stream counts swept per bandwidth preset (1 = the Fig. 9 baseline).
 pub const STREAM_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -68,11 +68,11 @@ impl Concurrency {
         metrics
     }
 
-    /// The sweep's outcome. A baseline records the `streams = 1` times only:
+    /// The sweep's outcome. A baseline pins the `streams = 1` times only:
     /// they are the Fig. 9 serial numbers, which must not drift.
     pub fn outcome(&self) -> Outcome {
         let metrics = self.metrics();
-        let recorded = ceilings(&metrics, |m| m.key.contains("/streams1/").then_some(m.value));
+        let recorded = pins(&metrics, |m| m.key.contains("/streams1/"));
         Outcome { metrics, recorded, ..Outcome::text(self) }
     }
 }

@@ -21,20 +21,11 @@ use gear_hash::Fingerprint;
 use gear_simnet::{CrashPlan, CrashPoint, DiskModel};
 use gear_store::{BlobStore, DiskStore, EvictionPolicy, JournalMedia};
 
-use crate::artifact::{ceilings, Metric, Outcome};
+use super::disk_models;
+use crate::artifact::{ceilings, pins, Metric, Outcome};
 
 /// Seeds swept per (disk model, crash point) cell.
 pub const CRASH_SEEDS: u64 = 16;
-
-/// The disk models swept (the Fig. 9 storage presets).
-pub fn disk_models() -> Vec<(&'static str, DiskModel)> {
-    vec![
-        ("ram", DiskModel::ram()),
-        ("nvme", DiskModel::nvme()),
-        ("ssd", DiskModel::ssd()),
-        ("hdd", DiskModel::hdd()),
-    ]
-}
 
 /// Aggregated results for one (disk model, crash point) cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -206,12 +197,12 @@ impl Crash {
 
     /// The sweep's outcome. Every cell's `lost_acked` is invariantly zero —
     /// losing an acknowledged blob is never an acceptable trade for speed.
-    /// A baseline records the recovery times (the `*_secs` metrics; record
+    /// A baseline pins the recovery times (the `*_secs` metrics; record
     /// counts are diagnostics).
     pub fn outcome(&self) -> Outcome {
         let metrics = self.metrics();
         let invariants = ceilings(&metrics, |m| m.key.ends_with("lost_acked").then_some(0.0));
-        let recorded = ceilings(&metrics, |m| m.key.ends_with("_secs").then_some(m.value));
+        let recorded = pins(&metrics, |m| m.key.ends_with("_secs"));
         Outcome { metrics, invariants, recorded, ..Outcome::text(self) }
     }
 }
@@ -261,16 +252,5 @@ mod tests {
             assert_eq!(u64::from(row.crashes), sweep.seeds, "{}/{} never crashed", row.disk, row.point);
             assert!(row.mean_replayed > 0.0, "{}/{} replayed nothing", row.disk, row.point);
         }
-    }
-
-    #[test]
-    fn recovery_cost_follows_the_disk_model() {
-        let sweep = run_with_seeds(4);
-        let mean = |disk: &str| {
-            let rows: Vec<_> = sweep.rows.iter().filter(|r| r.disk == disk).collect();
-            rows.iter().map(|r| r.mean_recovery).sum::<Duration>() / rows.len() as u32
-        };
-        assert!(mean("hdd") > mean("ssd"), "slower disks pay more to replay");
-        assert!(mean("ssd") > mean("ram"));
     }
 }

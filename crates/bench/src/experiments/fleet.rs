@@ -19,7 +19,7 @@
 //! Makespan and p50/p99/p999 come from the fleet's merged
 //! [`QuantileSketch`]es: each node records into its own bounded
 //! flight-recorder shard, so collector memory stays capped however many
-//! clients arrive (its footprint is a recorded ceiling), and a fixed seed
+//! clients arrive (its footprint is a recorded pin), and a fixed seed
 //! makes every report bit-identical and every merged trace/metrics export
 //! byte-identical across runs.
 
@@ -32,7 +32,7 @@ use gear_simnet::Link;
 use gear_telemetry::SketchMergeError;
 
 use super::{human_bytes, secs, ExperimentContext};
-use crate::artifact::{ceilings, Bound, Metric, Outcome};
+use crate::artifact::{ceilings, pins, Bound, Metric, Outcome};
 
 /// Simulated clients per scenario.
 pub const FLEET_CLIENTS: u32 = 10_000;
@@ -121,7 +121,7 @@ impl Fleet {
     /// The suite's outcome. Invariants: zero lost deployments (replicas and
     /// retries must absorb every outage), zero span-tree violations in the
     /// fleet telemetry, and a fixed seed reproducing the report and the
-    /// exports. A baseline records every scenario's makespan, p999 and
+    /// exports. A baseline pins every scenario's makespan, p999 and
     /// collector footprint, plus the flash crowd's shard balance (the
     /// outage and rolling-update scenarios skew balance by design, so only
     /// the clean crowd gates it).
@@ -132,12 +132,11 @@ impl Fleet {
         });
         invariants.push(Bound::floor("fleet/deterministic", 1.0));
         invariants.push(Bound::floor("fleet/exports_identical", 1.0));
-        let recorded = ceilings(&metrics, |m| {
-            (m.key.ends_with("/makespan_secs")
+        let recorded = pins(&metrics, |m| {
+            m.key.ends_with("/makespan_secs")
                 || m.key.ends_with("/p999_secs")
                 || m.key.ends_with("/collector_bytes")
-                || m.key == "fleet/flash_crowd/shard_balance")
-                .then_some(m.value)
+                || m.key == "fleet/flash_crowd/shard_balance"
         });
         Outcome { metrics, invariants, recorded, ..Outcome::text(self) }
     }
@@ -357,11 +356,14 @@ mod tests {
             assert!(s.report.p50 <= s.report.p999, "{}", s.name);
         }
         // The harness sees the same verdict: every invariant holds, and a
-        // baseline would record 3 makespans + 3 p999s + 3 collector
-        // footprints + the flash crowd's balance.
+        // baseline pins 3 makespans + 3 p999s + 3 collector footprints +
+        // the flash crowd's balance, which the run then matches exactly.
         let outcome = fleet.outcome();
         assert_eq!(outcome.recorded.len(), 10, "{:?}", outcome.recorded);
-        assert_eq!(crate::artifact::check(&[("fleet", outcome)], None), [""; 0]);
+        assert!(outcome.recorded.iter().all(|b| b.min.is_some() && b.min == b.max));
+        let runs = [("fleet", outcome)];
+        let baseline = crate::artifact::Baseline::record(64, 7, &runs);
+        assert_eq!(crate::artifact::check(&runs, Some(&baseline)), [""; 0]);
         // The outage scenario actually consulted the down shard.
         let rolling = &fleet.scenarios[1].report;
         assert!(rolling.shard_down_refusals > 0, "outage never exercised failover");

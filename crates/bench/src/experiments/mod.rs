@@ -14,7 +14,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod fleet;
-pub mod hotpath;
 pub mod profile;
 pub mod table2;
 pub mod tiering;
@@ -23,6 +22,7 @@ use std::path::Path;
 
 use gear_client::ClientConfig;
 use gear_corpus::{Corpus, CorpusConfig};
+use gear_simnet::DiskModel;
 
 use self::fig8::PublishedCorpus;
 use crate::artifact::Outcome;
@@ -137,7 +137,6 @@ pub static EXPERIMENTS: &[Experiment] = &[
     }),
     deploys("faults", |rc| Ok(Outcome::text(&faults::run(rc.ctx, rc.published()?)))),
     local("crash", |_| Ok(crash::run().outcome())),
-    local("hotpath", |rc| Ok(hotpath::run(rc.ctx).outcome())),
     deploys("tiering", |rc| Ok(tiering::run(rc.ctx, rc.published()?).outcome())),
     // Builds its own file- and chunk-granularity registries, so it does not
     // use the shared published corpus.
@@ -210,6 +209,16 @@ pub fn secs(d: std::time::Duration) -> String {
     format!("{:.2}s", d.as_secs_f64())
 }
 
+/// The disk models the `tiering` and `crash` sweeps price, fastest first.
+pub fn disk_models() -> [(&'static str, DiskModel); 4] {
+    [
+        ("ram", DiskModel::ram()),
+        ("nvme", DiskModel::nvme()),
+        ("ssd", DiskModel::ssd()),
+        ("hdd", DiskModel::hdd()),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,7 +276,8 @@ mod tests {
         for bound in &baseline.bounds {
             let (experiment, key) = bound.key.split_once('/').expect("keys are <experiment>/<key>");
             assert!(EXPERIMENTS.iter().any(|e| e.name == experiment), "{}", bound.key);
-            assert!(!key.is_empty() && bound.min.is_some() != bound.max.is_some(), "{bound:?}");
+            // Every recorded bound is a pin: a floor and a ceiling at one value.
+            assert!(!key.is_empty() && bound.min.is_some() && bound.min == bound.max, "{bound:?}");
         }
     }
 

@@ -14,21 +14,10 @@ use std::fmt;
 use std::time::Duration;
 
 use gear_client::{GearClient, TierConfig};
-use gear_simnet::DiskModel;
 
 use super::fig8::PublishedCorpus;
-use super::{human_bytes, secs, ExperimentContext};
-use crate::artifact::{ceilings, Metric, Outcome};
-
-/// The disk models priced as the L2 tier, fastest first.
-pub fn disk_models() -> [(&'static str, DiskModel); 4] {
-    [
-        ("ram", DiskModel::ram()),
-        ("nvme", DiskModel::nvme()),
-        ("ssd", DiskModel::ssd()),
-        ("hdd", DiskModel::hdd()),
-    ]
-}
+use super::{disk_models, human_bytes, secs, ExperimentContext};
+use crate::artifact::{pins, Metric, Outcome};
 
 /// L1 budgets as `(label, working-set divisor)`; `None` = unbounded.
 pub const L1_BUDGETS: [(&str, Option<u64>); 4] =
@@ -179,11 +168,11 @@ impl Tiering {
         metrics
     }
 
-    /// The sweep's outcome. A baseline records the deployment times (the
+    /// The sweep's outcome. A baseline pins the deployment times (the
     /// `*_secs` metrics; residency gauges are diagnostics, not gates).
     pub fn outcome(&self) -> Outcome {
         let metrics = self.metrics();
-        let recorded = ceilings(&metrics, |m| m.key.ends_with("_secs").then_some(m.value));
+        let recorded = pins(&metrics, |m| m.key.ends_with("_secs"));
         Outcome { metrics, recorded, ..Outcome::text(self) }
     }
 }

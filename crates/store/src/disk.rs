@@ -507,6 +507,25 @@ mod tests {
     }
 
     #[test]
+    fn a_journaled_put_prices_its_data_and_each_journal_cell_once() {
+        let (model, media) = (DiskModel::hdd(), JournalMedia::new());
+        let mut store = DiskStore::with_journal(
+            EvictionPolicy::Lru,
+            None,
+            model,
+            1,
+            media.clone(),
+            CrashPlan::never(),
+        );
+        let put = JournalRecord::Put { fingerprint: fp(1), content: body(1, 4096) };
+        let cells = [put.encode(), JournalRecord::Commit.encode()];
+        assert!(store.insert(fp(1), body(1, 4096)));
+        assert_eq!(media.len(), cells.iter().map(Vec::len).sum::<usize>());
+        let journal = cells.iter().map(|cell| model.io_time(cell.len() as u64, 1));
+        assert_eq!(store.drain_cost(), model.io_time(4096, 1) + journal.sum::<Duration>());
+    }
+
+    #[test]
     fn crash_before_commit_discards_the_put() {
         for point in [CrashPoint::BeforeWrite, CrashPoint::TornWrite] {
             let media = JournalMedia::new();
