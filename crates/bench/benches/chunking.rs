@@ -1,13 +1,12 @@
 //! CDC chunker micro-benchmarks: GB/s at several (min, avg, max) bound
-//! configurations, plus the parallel multi-file path across worker counts.
+//! configurations.
 //! The chunker sits on the publish hot path (every big file is scanned
 //! once), so its throughput needs the same visibility as the hash and
 //! compression kernels.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gear_corpus::{make_content, new_file_seeds};
-use gear_hash::{chunk_spans, chunk_spans_all, ChunkerConfig};
-use gear_par::Pool;
+use gear_hash::{chunk_spans, ChunkerConfig};
 
 fn corpus_like(len: usize, seed: u64) -> Vec<u8> {
     make_content(&new_file_seeds(seed, len as u64), len as u64).to_vec()
@@ -34,22 +33,5 @@ fn bench_chunker(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_files(c: &mut Criterion) {
-    // Many mid-size files, the converter's actual workload shape.
-    let files: Vec<Vec<u8>> = (0..64).map(|i| corpus_like(256 * 1024, 100 + i)).collect();
-    let total: u64 = files.iter().map(|f| f.len() as u64).sum();
-    let config = ChunkerConfig { min_size: 8 * 1024, avg_size: 32 * 1024, max_size: 128 * 1024 };
-    let mut group = c.benchmark_group("cdc_chunker_files");
-    group.sample_size(10);
-    group.throughput(Throughput::Bytes(total));
-    for workers in [1usize, 2, 8] {
-        let pool = Pool::new(workers);
-        group.bench_with_input(BenchmarkId::new("chunk_all", workers), &files, |b, fs| {
-            b.iter(|| chunk_spans_all(std::hint::black_box(fs), &config, &pool))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_chunker, bench_parallel_files);
+criterion_group!(benches, bench_chunker);
 criterion_main!(benches);

@@ -1,15 +1,13 @@
 //! Compression micro-benchmarks: codec throughput, the granularity ablation
 //! (per-layer vs per-file compression ratios on corpus content), sizing a
-//! thousand small files as a publish pass does, the block-parallel engine
-//! across worker counts, and the word-wise kernels
+//! thousand small files as a publish pass does, and the word-wise kernels
 //! (match_len, crc32, md5/sha256 block processing) so a kernel regression
 //! is visible outside the modeled suite.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gear_compress::{compress, compress_with, compressed_size, crc32, decompress, Level, Lzss};
+use gear_compress::{compress, compressed_size, crc32, decompress, Level, Lzss};
 use gear_corpus::{make_content, new_file_seeds};
 use gear_hash::{Md5, Sha256};
-use gear_par::Pool;
 
 fn corpus_like(len: usize, seed: u64) -> Vec<u8> {
     make_content(&new_file_seeds(seed, len as u64), len as u64).to_vec()
@@ -71,26 +69,6 @@ fn bench_small_file_sizing(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_block_parallel(c: &mut Criterion) {
-    // The block-parallel engine on a multi-block input. On a single-core
-    // runner every worker count measures the same serial work; on real
-    // hardware the 8-worker row shows the wall-clock win at bit-identical
-    // output.
-    let data = corpus_like(2 * 1024 * 1024, 7);
-    let mut group = c.benchmark_group("block_parallel");
-    group.sample_size(10);
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    for workers in [1usize, 2, 8] {
-        let pool = Pool::new(workers);
-        group.bench_with_input(
-            BenchmarkId::new("compress_default", workers),
-            &data,
-            |b, d| b.iter(|| compress_with(std::hint::black_box(d), Level::Default, &pool)),
-        );
-    }
-    group.finish();
-}
-
 fn bench_kernels(c: &mut Criterion) {
     let data = corpus_like(1024 * 1024, 99);
 
@@ -146,7 +124,6 @@ criterion_group!(
     bench_codec,
     bench_granularity,
     bench_small_file_sizing,
-    bench_block_parallel,
     bench_kernels
 );
 criterion_main!(benches);

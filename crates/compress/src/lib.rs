@@ -31,8 +31,7 @@ mod lzss;
 
 pub use crc32::crc32;
 pub use frame::{
-    compress, compress_blocks, compress_with, compressed_size, compressed_size_with, decompress,
-    decompress_with, DecompressError, BLOCK_SIZE, FRAME_OVERHEAD,
+    compress, compressed_size, compressed_size_with, decompress, DecompressError, FRAME_OVERHEAD,
 };
 pub use lzss::{Level, Lzss};
 

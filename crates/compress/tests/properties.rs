@@ -1,10 +1,8 @@
 //! Property-based tests: compression must be lossless for arbitrary inputs.
 
 use gear_compress::{
-    compress, compress_blocks, compress_with, compressed_size, decompress, decompress_with,
-    Level, FRAME_OVERHEAD,
+    compress, compressed_size, decompress, DecompressError, Level, FRAME_OVERHEAD,
 };
-use gear_par::Pool;
 use proptest::prelude::*;
 
 fn any_level() -> impl Strategy<Value = Level> {
@@ -80,15 +78,16 @@ proptest! {
     }
 
     /// The decoder never panics on fully arbitrary bytes — truncated,
-    /// garbage, or adversarial headers all come back as `Err`, and bytes
-    /// that happen to start with a valid magic still decode safely.
+    /// garbage, or adversarial headers all come back as `Err`, bytes that
+    /// happen to start with the frame magic still decode safely, and a
+    /// `GZc2` magic is refused as a bad magic.
     #[test]
     fn decoder_never_panics_on_arbitrary_bytes(
         mut frame in proptest::collection::vec(any::<u8>(), 0..512),
         magic in 0u8..3,
     ) {
-        // Bias a third of the cases toward each frame magic so header
-        // parsing (not just magic rejection) is exercised.
+        // Bias a third of the cases toward each magic so header parsing
+        // (not just magic rejection) is exercised.
         if frame.len() >= 4 {
             match magic {
                 1 => frame[..4].copy_from_slice(b"GZc1"),
@@ -96,57 +95,14 @@ proptest! {
                 _ => {}
             }
         }
-        let _ = decompress(&frame);
-        let _ = decompress_with(&frame, &Pool::new(4));
-    }
-
-    /// Corrupting any single byte of a multi-block frame — header, table,
-    /// or payload — never panics and never silently decodes to the input.
-    #[test]
-    fn block_frame_corruption_never_panics(
-        data in proptest::collection::vec(any::<u8>(), 256..2048),
-        idx in any::<prop::sample::Index>(),
-        flip in 1u8..=255,
-    ) {
-        // Small block size forces the multi-block format on modest input.
-        let mut framed = compress_blocks(&data, Level::Fast, 128, &Pool::serial());
-        let i = idx.index(framed.len());
-        framed[i] ^= flip;
-        match decompress(&framed) {
-            Err(_) => {}
-            Ok(decoded) => prop_assert_ne!(decoded, data, "corruption silently produced original"),
+        let decoded = decompress(&frame);
+        if frame.len() >= 4 && magic == 2 {
+            let want = if frame.len() < FRAME_OVERHEAD {
+                DecompressError::Truncated
+            } else {
+                DecompressError::BadMagic
+            };
+            prop_assert_eq!(decoded, Err(want));
         }
-    }
-
-    /// 1, 2, and 8 workers produce byte-identical frames, and a frame
-    /// compressed at any worker count decodes at any other.
-    #[test]
-    fn cross_worker_bit_identity(
-        data in proptest::collection::vec(any::<u8>(), 0..2048),
-        level in any_level(),
-    ) {
-        let serial = compress_with(&data, level, &Pool::serial());
-        for workers in [2usize, 8] {
-            let pool = Pool::new(workers);
-            prop_assert_eq!(&compress_with(&data, level, &pool), &serial);
-            prop_assert_eq!(decompress_with(&serial, &pool).unwrap(), data.clone());
-        }
-        prop_assert_eq!(decompress(&serial).unwrap(), data);
-    }
-
-    /// Same property through the explicit block entry point: a block size
-    /// small enough to split these inputs, swept across worker counts.
-    #[test]
-    fn cross_worker_bit_identity_blocks(
-        data in proptest::collection::vec(any::<u8>(), 0..2048),
-        block_size in 64usize..512,
-    ) {
-        let serial = compress_blocks(&data, Level::Fast, block_size, &Pool::serial());
-        for workers in [2usize, 8] {
-            let pool = Pool::new(workers);
-            prop_assert_eq!(&compress_blocks(&data, Level::Fast, block_size, &pool), &serial);
-            prop_assert_eq!(decompress_with(&serial, &pool).unwrap(), data.clone());
-        }
-        prop_assert_eq!(decompress(&serial).unwrap(), data);
     }
 }

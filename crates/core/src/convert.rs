@@ -159,10 +159,6 @@ pub struct ConverterOptions {
     /// (gzip-class, single-threaded) — the dominant CPU cost of a real
     /// conversion.
     pub compress_bytes_per_sec: f64,
-    /// Worker threads for fingerprinting file contents. The paper notes
-    /// conversion "can be shorter … using multiple threads" (§V-B); hashing
-    /// is the parallelizable part.
-    pub threads: usize,
     /// Multiplier mapping scaled-down corpus bytes to paper-scale bytes in
     /// the time estimate (set to the corpus `scale_denom`).
     pub byte_scale: u64,
@@ -180,7 +176,6 @@ impl Default for ConverterOptions {
             disk: DiskModel::hdd(),
             hash_bytes_per_sec: 450.0e6, // MD5 on one 2.3 GHz Xeon core
             compress_bytes_per_sec: 45.0e6, // gzip -6 on one core
-            threads: 1,
             byte_scale: 1,
             count_scale: 1.0,
         }
@@ -275,8 +270,8 @@ impl Converter {
                 bodies.push(content);
             }
         });
-        let pool = gear_par::Pool::new(self.options.threads);
-        let mut fingerprints = gear_hash::fingerprint_all(&bodies, &pool).into_iter();
+        let mut fingerprints =
+            gear_hash::fingerprint_all(&bodies, &gear_par::Pool::serial()).into_iter();
         let mut place = |file: &mut FileNode| {
             let FileData::Inline(content) = &file.data else { return };
             let Some(whole) = fingerprints.next() else { return };
@@ -335,15 +330,11 @@ impl Converter {
         let files = |n: u64| (n as f64 * self.options.count_scale).round() as u64;
         let unpack = disk.io_time(bytes(report.scanned_bytes), files(report.scanned_files));
         let traverse = disk.traverse_time(files(report.scanned_files));
-        let threads = self.options.threads.max(1) as f64;
         let hash = Duration::from_secs_f64(
-            bytes(report.scanned_bytes) as f64 / (self.options.hash_bytes_per_sec * threads),
+            bytes(report.scanned_bytes) as f64 / self.options.hash_bytes_per_sec,
         );
-        // Recompression parallelizes per-file (pigz-style): each unique Gear
-        // file is an independent gzip stream, so extra workers get full
-        // credit, exactly like hashing.
         let recompress = Duration::from_secs_f64(
-            bytes(report.unique_bytes) as f64 / (self.options.compress_bytes_per_sec * threads),
+            bytes(report.unique_bytes) as f64 / self.options.compress_bytes_per_sec,
         );
         let write_files = disk.io_time(bytes(report.unique_bytes), files(report.unique_files));
         let build_index = disk.io_time(bytes(report.index_bytes), 1);
@@ -696,28 +687,6 @@ mod tests {
         let t_large_ssd = ssd.convert(&large).unwrap().report.duration;
         assert!(t_large > t_small);
         assert!(t_large_ssd < t_large, "SSD conversion must be faster (paper §V-B)");
-    }
-
-    #[test]
-    fn parallel_conversion_matches_serial() {
-        let files: Vec<(String, Vec<u8>)> =
-            (0..200).map(|i| (format!("data/f{i:03}"), vec![i as u8; 700])).collect();
-        let mut tree = FsTree::new();
-        for (p, c) in &files {
-            tree.create_file(p, Bytes::from(c.clone())).unwrap();
-        }
-        let image = ImageBuilder::new(r("par:1")).layer_from_tree(&tree).build();
-        let serial = Converter::new().convert(&image).unwrap();
-        let parallel = Converter::with_options(ConverterOptions {
-            threads: 4,
-            ..Default::default()
-        })
-        .convert(&image)
-        .unwrap();
-        assert_eq!(parallel.gear_image.index(), serial.gear_image.index());
-        assert_eq!(parallel.files.len(), serial.files.len());
-        // The time model credits the extra threads for hashing.
-        assert!(parallel.report.duration <= serial.report.duration);
     }
 
     #[test]

@@ -253,39 +253,6 @@ proptest! {
         }
     }
 
-    /// Parallel conversion is bit-identical to serial: for arbitrary file
-    /// sets (large enough that the pool genuinely fans out), every worker
-    /// count yields byte-identical serialized index, identical file pool
-    /// (same order, same fingerprints, same bytes), and the same report —
-    /// modulo the duration, which deliberately models the thread credit.
-    #[test]
-    fn parallel_conversion_bit_identical(
-        files in proptest::collection::vec(
-            (any_path(), proptest::collection::vec(any::<u8>(), 0..64)),
-            1..72,
-        ),
-    ) {
-        let Some(image) = image_of(&files) else { return Ok(()) };
-        let serial = Converter::new().convert(&image).unwrap();
-        for threads in [2usize, 4, 8] {
-            let options = gear_core::ConverterOptions { threads, ..Default::default() };
-            let par = Converter::with_options(options).convert(&image).unwrap();
-            prop_assert_eq!(
-                par.gear_image.index().to_json(),
-                serial.gear_image.index().to_json(),
-                "index bytes diverged at {} threads", threads
-            );
-            prop_assert_eq!(par.files.len(), serial.files.len());
-            for (a, b) in par.files.iter().zip(&serial.files) {
-                prop_assert_eq!(a.fingerprint, b.fingerprint);
-                prop_assert_eq!(&a.content, &b.content);
-            }
-            prop_assert_eq!(par.report.unique_files, serial.report.unique_files);
-            prop_assert_eq!(par.report.duplicate_files, serial.report.duplicate_files);
-            prop_assert_eq!(par.report.index_bytes, serial.report.index_bytes);
-        }
-    }
-
     /// The collision resolver never hands out the same id for different
     /// contents, and always dedups identical contents.
     #[test]

@@ -28,8 +28,7 @@
 //! 8-byte words.
 //!
 //! Everything is deterministic: boundaries are a pure function of
-//! `(data, config)`, so chunking is bit-identical across
-//! [`gear_par::Pool`] worker counts.
+//! `(data, config)`.
 
 use std::ops::Range;
 
@@ -184,18 +183,6 @@ pub fn chunk_spans(data: &[u8], config: &ChunkerConfig) -> Vec<Range<usize>> {
     spans
 }
 
-/// Chunks every item of `items` across `pool`'s workers, preserving input
-/// order — the multi-file analogue of [`chunk_spans`], and bit-identical to
-/// the serial loop for any worker count (chunking one buffer is a pure
-/// function; only the schedule changes).
-pub fn chunk_spans_all<T: AsRef<[u8]> + Sync>(
-    items: &[T],
-    config: &ChunkerConfig,
-    pool: &gear_par::Pool,
-) -> Vec<Vec<Range<usize>>> {
-    pool.map(items, |item| chunk_spans(item.as_ref(), config))
-}
-
 /// Splits `data` and fingerprints each chunk: `(span, Fingerprint)` pairs in
 /// file order — the unit the converter stores and the registry dedups on.
 pub fn chunk_fingerprints(
@@ -303,16 +290,6 @@ mod tests {
             assert!(c.avg_size < c.max_size, "{c:?}");
         }
         assert_eq!(ChunkerConfig::scaled(1).avg_size, 128 * 1024);
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let config = ChunkerConfig { min_size: 32, avg_size: 128, max_size: 512 };
-        let items: Vec<Vec<u8>> = (0..40).map(|i| noise(i, 3_000 + i as usize * 97)).collect();
-        let serial = chunk_spans_all(&items, &config, &gear_par::Pool::serial());
-        let par = chunk_spans_all(&items, &config, &gear_par::Pool::new(4));
-        assert_eq!(serial, par);
-        assert_eq!(serial[7], chunk_spans(&items[7], &config));
     }
 
     #[test]

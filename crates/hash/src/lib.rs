@@ -31,7 +31,7 @@ mod hex;
 mod md5;
 mod sha256;
 
-pub use chunker::{chunk_fingerprints, chunk_spans, chunk_spans_all, ChunkerConfig};
+pub use chunker::{chunk_fingerprints, chunk_spans, ChunkerConfig};
 pub use fingerprint::{Digest, Fingerprint, ParseDigestError, ParseFingerprintError};
 pub use hex::{decode as hex_decode, encode as hex_encode, FromHexError};
 pub use md5::{md5_lanes, Md5};

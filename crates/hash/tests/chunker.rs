@@ -1,11 +1,10 @@
 //! Property-based tests for the CDC chunker: shift-resistance (a small
 //! early edit re-chunks only the O(1) chunks near the edit, never the tail)
-//! and bit-identical determinism across gear-par worker counts.
+//! and spans that tile the buffer within the size bounds.
 
 use std::ops::Range;
 
-use gear_hash::{chunk_spans, chunk_spans_all, ChunkerConfig};
-use gear_par::Pool;
+use gear_hash::{chunk_spans, ChunkerConfig};
 use proptest::prelude::*;
 
 const CONFIG: ChunkerConfig = ChunkerConfig { min_size: 32, avg_size: 128, max_size: 512 };
@@ -108,22 +107,5 @@ proptest! {
             expect = span.end;
         }
         prop_assert_eq!(expect, data.len());
-    }
-
-    /// Chunking a batch of files is bit-identical across worker counts —
-    /// the converter's parallel chunking must not depend on scheduling.
-    #[test]
-    fn worker_count_invariance(seed in any::<u64>(), count in 1usize..24) {
-        let items: Vec<Vec<u8>> = (0..count as u64)
-            .map(|i| noise(seed ^ i, 500 + (i as usize * 619) % 4_000))
-            .collect();
-        let serial = chunk_spans_all(&items, &CONFIG, &Pool::serial());
-        for workers in [2, 4, 8] {
-            prop_assert_eq!(
-                &serial,
-                &chunk_spans_all(&items, &CONFIG, &Pool::new(workers)),
-                "workers={}", workers
-            );
-        }
     }
 }

@@ -3,9 +3,8 @@
 use std::sync::Arc;
 
 use gear_archive::Archive;
-use gear_compress::{compress, compress_with, decompress, DecompressError, Level};
+use gear_compress::{compress, decompress, DecompressError, Level};
 use gear_hash::Digest;
-use gear_par::Pool;
 
 /// A read-only image layer.
 ///
@@ -61,16 +60,6 @@ impl Layer {
     /// Compresses the layer into its distribution blob.
     pub fn to_compressed(&self, level: Level) -> CompressedLayer {
         let blob = compress(&self.archive.to_bytes(), level);
-        CompressedLayer { digest: Digest::of(&blob), diff_id: self.diff_id, blob }
-    }
-
-    /// [`Layer::to_compressed`] with block compression fanned out across
-    /// `pool` for layers larger than [`gear_compress::BLOCK_SIZE`]. The
-    /// blob — and therefore the distribution digest — is a pure function of
-    /// the layer content and level, never of the worker count; small layers
-    /// produce byte-identical blobs to [`Layer::to_compressed`].
-    pub fn to_compressed_with(&self, level: Level, pool: &Pool) -> CompressedLayer {
-        let blob = compress_with(&self.archive.to_bytes(), level, pool);
         CompressedLayer { digest: Digest::of(&blob), diff_id: self.diff_id, blob }
     }
 }
@@ -201,17 +190,6 @@ mod tests {
         let n = compressed.blob.len();
         compressed.blob[n - 1] ^= 0xff;
         assert!(compressed.to_layer().is_err());
-    }
-
-    #[test]
-    fn pooled_compression_matches_serial_digest() {
-        let layer = Layer::from_archive(sample_archive(b"pooled layer body"));
-        let serial = layer.to_compressed(Level::Default);
-        for workers in [1, 2, 8] {
-            let pooled = layer.to_compressed_with(Level::Default, &Pool::new(workers));
-            assert_eq!(pooled.digest(), serial.digest(), "workers={workers}");
-            assert_eq!(pooled.blob(), serial.blob());
-        }
     }
 
     #[test]

@@ -286,7 +286,8 @@ impl FleetSim {
     ///
     /// Panics when `objects` is empty or an object's content does not
     /// match its fingerprint — both are programming errors in the
-    /// scenario, not simulated conditions — or when the objects or the
+    /// scenario, not simulated conditions — when `config.shards` is zero
+    /// ("a ring needs at least one shard"), or when the objects or the
     /// topology's nodes are too many for a `u32` to index.
     pub fn new(topo: Topology, config: FleetConfig, objects: &[(Fingerprint, Bytes)]) -> Self {
         assert!(!objects.is_empty(), "a fleet image needs at least one object");
@@ -427,13 +428,23 @@ impl FleetSim {
     /// Schedules a scripted wipe of `site` at `at`: every node loses its
     /// image, its directory announcements, and its telemetry shard, then
     /// re-seeds for any still-queued clients. Models a rolling update.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `site` is outside the topology.
     pub fn schedule_site_reset(&mut self, site: u32, at: Duration) {
+        assert!((site as usize) < self.topo.sites(), "site reset scheduled on unknown site {site}");
         self.queue.push(at, Event::ResetSite(site));
     }
 
     /// Schedules a registry shard outage over `[from, to)`: the shard
     /// refuses admission (typed `Down`) and replicas carry its keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard` is not one of the registry's `config.shards`.
     pub fn schedule_shard_outage(&mut self, shard: u32, from: Duration, to: Duration) {
+        assert!(shard < self.config.shards, "outage scheduled on unknown shard {shard}");
         self.outage_shards.push(shard);
         self.queue.push(from, Event::SetShardDown { shard, down: true });
         self.queue.push(to, Event::SetShardDown { shard, down: false });
@@ -776,6 +787,28 @@ mod tests {
             Topology::new(TopologyConfig::edge_fleet(1, 1)),
             FleetConfig::standard(1),
             &objects,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outage scheduled on unknown shard 4")]
+    fn an_outage_on_an_unknown_shard_is_rejected_when_scheduled() {
+        sim(2, 2, 7).schedule_shard_outage(4, Duration::ZERO, Duration::from_secs(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "site reset scheduled on unknown site 2")]
+    fn a_reset_of_an_unknown_site_is_rejected_when_scheduled() {
+        sim(2, 2, 7).schedule_site_reset(2, Duration::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "a ring needs at least one shard")]
+    fn a_fleet_without_shards_is_rejected() {
+        FleetSim::new(
+            Topology::new(TopologyConfig::edge_fleet(1, 1)),
+            FleetConfig { shards: 0, ..FleetConfig::standard(1) },
+            &image(3),
         );
     }
 

@@ -19,7 +19,7 @@ use std::error::Error;
 use std::fmt;
 
 use bytes::Bytes;
-use gear_compress::{compressed_size_with, Level};
+use gear_compress::{compressed_size, Level};
 use gear_hash::{fingerprint_all, Fingerprint};
 use gear_par::Pool;
 use gear_store::MemStore;
@@ -188,7 +188,7 @@ impl GearFileStore {
         // Count-only sizing: the registry keeps raw bodies and only accounts
         // the compressed wire size, so no token stream is ever materialized.
         let stored_len = if self.compressed {
-            compressed_size_with(&content, Level::Default, &Pool::serial()) as u64
+            compressed_size(&content, Level::Default) as u64
         } else {
             content.len() as u64
         };
@@ -280,12 +280,6 @@ impl GearFileStore {
     /// An object under a salted id is checked with its salt.
     pub fn verify(&self) -> Vec<Fingerprint> {
         self.unflag_salted(self.store.verify())
-    }
-
-    /// [`GearFileStore::verify`] fanned out across `pool`. Output is sorted,
-    /// so it is identical for any worker count (and to the serial scan).
-    pub fn verify_with(&self, pool: &gear_par::Pool) -> Vec<Fingerprint> {
-        self.unflag_salted(self.store.verify_with(pool))
     }
 
     /// `flagged` — the ids whose body does not hash to them — less those a
@@ -398,26 +392,22 @@ mod tests {
     }
 
     #[test]
-    fn verify_flags_corruption_and_matches_parallel() {
+    fn verify_flags_corruption() {
         let mut store = GearFileStore::new();
         let bodies: Vec<Bytes> = (0u8..40).map(|i| Bytes::from(vec![i; 50])).collect();
         for body in &bodies {
             store.upload(Fingerprint::of(body), body.clone()).unwrap();
         }
         assert!(store.verify().is_empty(), "fresh store is clean");
-        // Corrupt two objects in place; both scans must flag exactly those,
-        // in the same (sorted) order regardless of worker count.
+        // Corrupt two objects in place; the scan must flag exactly those,
+        // sorted.
         let bad_a = Fingerprint::of(&bodies[3]);
         let bad_b = Fingerprint::of(&bodies[17]);
         store.corrupt_for_test(bad_a, Bytes::from_static(b"bit rot"));
         store.corrupt_for_test(bad_b, Bytes::from_static(b"more rot"));
-        let serial = store.verify();
         let mut expected = vec![bad_a, bad_b];
         expected.sort();
-        assert_eq!(serial, expected);
-        for workers in [2, 4, 8] {
-            assert_eq!(store.verify_with(&gear_par::Pool::new(workers)), serial);
-        }
+        assert_eq!(store.verify(), expected);
     }
 
     #[test]
@@ -483,7 +473,6 @@ mod tests {
         assert_eq!(store.download(salted.fingerprint), Some(body));
         store.corrupt_for_test(salted.fingerprint, Bytes::from_static(b"bit rot"));
         assert_eq!(store.verify(), [salted.fingerprint]);
-        assert_eq!(store.verify_with(&Pool::new(2)), [salted.fingerprint]);
         let freed = store.retain_only(&std::collections::HashSet::new());
         assert!(freed > 0 && store.salts.is_empty());
     }

@@ -1,10 +1,8 @@
-//! Property tests for the telemetry core: exact sketch merges,
-//! worker-count-independent span recording, and bit-identical exports for a
-//! fixed seed.
+//! Property tests for the telemetry core: exact sketch merges and
+//! bit-identical exports for a fixed seed.
 
 use std::time::Duration;
 
-use gear_par::Pool;
 use gear_telemetry::{Collector, FleetCollector, MetricsRegistry, QuantileSketch, Telemetry};
 use proptest::prelude::*;
 
@@ -31,48 +29,6 @@ fn sketch_of(values: &[u64]) -> QuantileSketch {
 }
 
 proptest! {
-    /// Parallel sections record complete spans in submission order, so the
-    /// span tree is well-nested and identical at every worker count.
-    #[test]
-    fn span_tree_is_worker_count_independent(
-        durs in prop::collection::vec(1u64..10_000, 1..24),
-        workers in 1usize..8,
-    ) {
-        let record = |pool: &Pool| {
-            let (telemetry, collector) = Telemetry::collector();
-            let parent = telemetry.span_start("test", "batch");
-            // Compute in parallel (any worker count, any interleaving)...
-            let spans: Vec<(Duration, Duration)> = {
-                let mut start = telemetry.now();
-                let offsets: Vec<(Duration, Duration)> = durs
-                    .iter()
-                    .map(|&d| {
-                        let s = start;
-                        start += Duration::from_nanos(d);
-                        (s, Duration::from_nanos(d))
-                    })
-                    .collect();
-                pool.map(&offsets, |&(s, d)| (s, d))
-            };
-            // ...then record complete spans afterward in submission order.
-            let mut end = telemetry.now();
-            for (i, &(start, dur)) in spans.iter().enumerate() {
-                let span = telemetry.span_at("test", &format!("task{i}"), start, dur);
-                telemetry.span_arg(span, "nanos", dur.as_nanos() as u64);
-                end = end.max(start + dur);
-            }
-            telemetry.set_now(end);
-            telemetry.span_end(parent);
-            (collector.validate(), collector.trace_json())
-        };
-
-        let (problems, serial) = record(&Pool::serial());
-        prop_assert!(problems.is_empty(), "{problems:?}");
-        let (problems, parallel) = record(&Pool::new(workers));
-        prop_assert!(problems.is_empty(), "{problems:?}");
-        prop_assert_eq!(serial, parallel, "trace depends on worker count");
-    }
-
     /// Sketch merging is commutative: `a ∪ b == b ∪ a` bucket-for-bucket.
     #[test]
     fn sketch_merge_is_commutative(
