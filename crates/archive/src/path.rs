@@ -62,14 +62,23 @@ impl ArchivePath {
     /// Returns [`PathError`] for empty, absolute, traversal (`..`), or
     /// NUL-containing input.
     pub fn new(path: impl AsRef<str>) -> Result<Self, PathError> {
-        let raw = path.as_ref();
-        if raw.contains('\0') {
+        Self::check(path.as_ref()).map(|trimmed| ArchivePath(trimmed.to_owned()))
+    }
+
+    /// Validates `path` as [`ArchivePath::new`] does, without building
+    /// anything; returns it normalized (trailing slashes stripped).
+    ///
+    /// # Errors
+    ///
+    /// As [`ArchivePath::new`].
+    pub fn check(path: &str) -> Result<&str, PathError> {
+        if path.contains('\0') {
             return Err(PathError::Nul);
         }
-        if raw.starts_with('/') {
+        if path.starts_with('/') {
             return Err(PathError::Absolute);
         }
-        let trimmed = raw.trim_end_matches('/');
+        let trimmed = path.trim_end_matches('/');
         if trimmed.is_empty() {
             return Err(PathError::Empty);
         }
@@ -78,7 +87,7 @@ impl ArchivePath {
                 return Err(PathError::BadComponent { component: component.to_owned() });
             }
         }
-        Ok(ArchivePath(trimmed.to_owned()))
+        Ok(trimmed)
     }
 
     /// The normalized path string.

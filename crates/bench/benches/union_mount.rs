@@ -4,7 +4,20 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
-use gear_fs::{FsTree, NoFetch, UnionFs};
+use gear_bench::experiments::ExperimentContext;
+use gear_core::{Converter, GearIndex};
+use gear_fs::{FrozenTree, FsTree, Materializer, NoFetch, UnionFs};
+use gear_hash::Fingerprint;
+
+/// Serves every placeholder as an empty body, so a read costs its lookup
+/// and the mount's own bookkeeping only.
+struct Free;
+
+impl Materializer for Free {
+    fn fetch(&self, _fingerprint: Fingerprint, _size: u64) -> Result<Bytes, String> {
+        Ok(Bytes::new())
+    }
+}
 
 fn deep_tree(files: usize) -> FsTree {
     let mut tree = FsTree::new();
@@ -20,10 +33,13 @@ fn deep_tree(files: usize) -> FsTree {
 
 fn bench_union(c: &mut Criterion) {
     let lower = Arc::new(deep_tree(2048));
+    // The table every mount of the image shares, frozen once as an
+    // installed index is.
+    let frozen = Arc::new(FrozenTree::from_tree(&lower));
     let mut group = c.benchmark_group("union_mount");
 
     group.bench_function("read_through_lower", |b| {
-        let mut mount = UnionFs::new(vec![Arc::clone(&lower)]);
+        let mut mount = UnionFs::over(vec![Arc::clone(&frozen)]);
         let mut i = 0usize;
         b.iter(|| {
             let path = format!("usr/lib/d{}/sub{}/file{:04}", i % 8, i % 32, i % 2048);
@@ -41,10 +57,31 @@ fn bench_union(c: &mut Criterion) {
             .map(|i| format!("usr/lib/d{}/sub{}/file{:04}", i % 8, i % 32, i))
             .collect();
         b.iter_batched(
-            || UnionFs::new(vec![Arc::clone(&lower)]),
+            || UnionFs::over(vec![Arc::clone(&frozen)]),
             |mut mount| {
                 for path in &paths {
                     std::hint::black_box(mount.read(path, &NoFetch).unwrap());
+                }
+                mount
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
+
+    // What a cold deploy's reads cost the host: one corpus image's index,
+    // decoded from its JSON and mounted as the client installs it, its
+    // start-up trace read once through a fresh mount.
+    group.bench_function("trace_reads_over_index", |b| {
+        let ctx = ExperimentContext::quick();
+        let series = ctx.corpus.series_by_name("tomcat").expect("quick corpus has tomcat");
+        let (image, trace) = (series.images.last().unwrap(), series.traces.last().unwrap());
+        let json = Converter::new().convert(image).unwrap().gear_image.index().to_json();
+        let index = GearIndex::from_json(&json).unwrap();
+        b.iter_batched(
+            || UnionFs::over(vec![Arc::clone(index.tree())]),
+            |mut mount| {
+                for path in &trace.reads {
+                    std::hint::black_box(mount.read(path, &Free).unwrap());
                 }
                 mount
             },

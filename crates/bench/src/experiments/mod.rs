@@ -305,6 +305,49 @@ mod tests {
         crate::schema::field_path(doc, path).unwrap_or_else(|| panic!("no {path:?}"))
     }
 
+    /// The seed-exact columns of a frozen-benchmark run: they move only
+    /// with a change to what the code computes.
+    const EXACT: [&str; 4] = ["sim_p50_s", "sim_tail_s", "sim_total_s", "net_mb_per_op"];
+
+    /// A file at the repository root.
+    fn read_root(file: &str) -> String {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        std::fs::read_to_string(root.join(file)).expect(file)
+    }
+
+    /// `BENCHMARK.json`, and the names of its workloads and end-to-end
+    /// metrics.
+    fn declared() -> (serde_json::Value, Vec<String>, Vec<String>) {
+        let declared: serde_json::Value =
+            serde_json::from_str(&read_root("BENCHMARK.json")).expect("parses");
+        let names = |list: &str| -> Vec<String> {
+            let entries = at(&declared, &[list]).as_array().expect(list);
+            entries.iter().map(|e| at(e, &["name"]).as_str().expect("name").to_owned()).collect()
+        };
+        let (workloads, metrics) = (names("workloads"), names("end_to_end"));
+        (declared, workloads, metrics)
+    }
+
+    /// The bound `BENCHMARK.json` gives a lower-is-better end-to-end metric.
+    fn bound(declared: &serde_json::Value, metric: &str) -> f64 {
+        let end_to_end = at(declared, &["end_to_end"]).as_array().expect("end_to_end");
+        let entry = end_to_end.iter().find(|e| at(e, &["name"]).as_str() == Some(metric));
+        let entry = entry.expect(metric);
+        assert_eq!(at(entry, &["better"]).as_str(), Some("lower"), "{metric}");
+        at(entry, &["bound"]).as_f64().expect("bound")
+    }
+
+    /// Every row of `bench/history.jsonl`, oldest first.
+    fn history() -> Vec<serde_json::Value> {
+        let history = read_root("bench/history.jsonl");
+        history.lines().map(|l| serde_json::from_str(l).expect("row parses")).collect()
+    }
+
+    /// A history row's value of `metric` on `workload`.
+    fn row_value(row: &serde_json::Value, workload: &str, metric: &str) -> f64 {
+        at(row, &["workloads", workload, metric, "value"]).as_f64().expect("a number")
+    }
+
     /// `bench/history.jsonl` holds one frozen-benchmark run per PR. The
     /// seed-exact columns may move only under a stated reason, and the
     /// newest row may not worsen an allocation column beyond the bound
@@ -312,23 +355,11 @@ mod tests {
     #[test]
     fn benchmark_history_moves_only_with_a_reason_and_within_bounds() {
         use serde_json::Value;
-        const EXACT: [&str; 4] = ["sim_p50_s", "sim_tail_s", "sim_total_s", "net_mb_per_op"];
         const BOUNDED: [&str; 3] = ["allocs_per_op", "alloc_mb_per_op", "peak_live_mb"];
 
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let read = |file: &str| std::fs::read_to_string(root.join(file)).expect(file);
-        let declared: Value = serde_json::from_str(&read("BENCHMARK.json")).expect("parses");
-        let names = |list: &str| -> Vec<&str> {
-            let entries = at(&declared, &[list]).as_array().expect(list);
-            entries.iter().map(|e| at(e, &["name"]).as_str().expect("name")).collect()
-        };
-        let (workloads, metrics) = (names("workloads"), names("end_to_end"));
-        let history = read("bench/history.jsonl");
-        let rows: Vec<Value> =
-            history.lines().map(|l| serde_json::from_str(l).expect("row parses")).collect();
-        let value = |row: &Value, workload: &str, metric: &str| -> f64 {
-            at(row, &["workloads", workload, metric, "value"]).as_f64().expect("a number")
-        };
+        let (declared, workloads, metrics) = declared();
+        let rows = history();
+        let value = row_value;
 
         for row in &rows {
             assert_eq!(at(row, &["seed"]).as_u64(), Some(7), "{row:?}");
@@ -353,16 +384,113 @@ mod tests {
             }
         }
         let Some([previous, last]) = rows.last_chunk() else { panic!("under two rows") };
-        let end_to_end = at(&declared, &["end_to_end"]).as_array().expect("end_to_end");
         for metric in BOUNDED {
-            let entry = end_to_end.iter().find(|e| at(e, &["name"]).as_str() == Some(metric));
-            let entry = entry.expect(metric);
-            assert_eq!(at(entry, &["better"]).as_str(), Some("lower"), "{metric}");
-            let bound = at(entry, &["bound"]).as_f64().expect("bound");
+            let bound = bound(&declared, metric);
             for workload in &workloads {
                 let (was, is) = (value(previous, workload, metric), value(last, workload, metric));
                 assert!(is <= was * (1.0 + bound), "{workload}/{metric}: {was} -> {is}");
             }
         }
+    }
+
+    /// What a frozen-benchmark run reports: `metric`'s value on `workload`,
+    /// if it has one.
+    type Run<'a> = dyn Fn(&str, &str) -> Option<f64> + 'a;
+
+    /// What a `benchmark --workload all --seed 7` run breaks of the history
+    /// row `row`: an exact column that differs by any bit, or an allocation
+    /// column above the row by more than its bound (a column the run lacks
+    /// breaks either). Host rates and peak memory come back as notes, not
+    /// gated: they vary with the machine.
+    fn gate(
+        run: &Run<'_>,
+        row: &serde_json::Value,
+        declared: &serde_json::Value,
+        workloads: &[String],
+    ) -> (Vec<String>, Vec<String>) {
+        let (mut broken, mut notes) = (Vec::new(), Vec::new());
+        for workload in workloads {
+            for metric in EXACT {
+                let (got, want) = (run(workload, metric), row_value(row, workload, metric));
+                if got.map(f64::to_bits) != Some(want.to_bits()) {
+                    broken.push(format!("{workload}/{metric}: {got:?}, the row has {want}"));
+                }
+            }
+            for metric in ["allocs_per_op", "alloc_mb_per_op"] {
+                let got = run(workload, metric);
+                let ceiling = row_value(row, workload, metric) * (1.0 + bound(declared, metric));
+                if !got.is_some_and(|is| is <= ceiling) {
+                    broken.push(format!("{workload}/{metric}: {got:?} above {ceiling}"));
+                }
+            }
+            for metric in ["ops_per_s", "peak_live_mb"] {
+                let (got, was) = (run(workload, metric), row_value(row, workload, metric));
+                notes.push(format!("{workload}/{metric}: {got:?} (the row: {was})"));
+            }
+        }
+        (broken, notes)
+    }
+
+    /// The CI gate on the benchmark's exact columns: the run the
+    /// `benchmark` job makes (`--workload all --seconds 1 --seed 7 --out
+    /// bench.json`), its file named by `GEAR_BENCH_RESULT`, keeps every
+    /// `sim_*` and `net_mb_per_op` value of the last `bench/history.jsonl`
+    /// row to the bit, and each allocation column within `BENCHMARK.json`'s
+    /// bound of it. A change that means to move one appends a row first
+    /// (with a `"moved"` note for an exact column). Allocation counts do not
+    /// depend on the core count — runs pinned to one core (`taskset -c 0`)
+    /// and to two (`taskset -c 0,1`) agree on every allocation column to the
+    /// digit at seed 7 — so the gate holds on any runner. Without the
+    /// variable there is no run to check, and the gate is applied to the
+    /// last row itself.
+    #[test]
+    fn benchmark_run_keeps_the_last_rows_exact_columns() {
+        let (declared, workloads, _) = declared();
+        let rows = history();
+        let last = rows.last().expect("a history row");
+        let file: Option<serde_json::Value> = std::env::var_os("GEAR_BENCH_RESULT").map(|path| {
+            let text = std::fs::read_to_string(path).expect("the run's --out file");
+            serde_json::from_str(&text).expect("the run parses")
+        });
+        let run = |workload: &str, metric: &str| match &file {
+            Some(results) => {
+                let results = results.as_array().unwrap_or_default();
+                let result =
+                    results.iter().find(|r| at(r, &["workload"]).as_str() == Some(workload))?;
+                crate::schema::field_path(result, &["metrics", metric, "value"])?.as_f64()
+            }
+            None => Some(row_value(last, workload, metric)),
+        };
+        let (broken, notes) = gate(&run, last, &declared, &workloads);
+        for note in &notes {
+            println!("{note}");
+        }
+        assert!(broken.is_empty(), "against the last history row:\n{}", broken.join("\n"));
+    }
+
+    /// The gate fails a run whose exact column moved by one ulp, whose
+    /// allocations grew past the bound, or that lacks a workload, and lets
+    /// a faster run with fewer allocations through.
+    #[test]
+    fn benchmark_gate_catches_each_kind_of_drift() {
+        let (declared, workloads, _) = declared();
+        let row = history().pop().expect("a history row");
+        let nudged = |at_workload: &str, at_metric: &str, to: &dyn Fn(f64) -> f64| {
+            let run = |workload: &str, metric: &str| {
+                let value = row_value(&row, workload, metric);
+                Some(if (workload, metric) == (at_workload, at_metric) { to(value) } else { value })
+            };
+            gate(&run, &row, &declared, &workloads).0
+        };
+        let ulp = |v: f64| f64::from_bits(v.to_bits() + 1);
+        assert_eq!(nudged("deploy_cold", "sim_total_s", &ulp).len(), 1);
+        assert_eq!(nudged("fleet", "net_mb_per_op", &ulp).len(), 1);
+        assert_eq!(nudged("publish", "allocs_per_op", &|v| v * 1.05).len(), 1);
+        assert_eq!(nudged("rollout", "alloc_mb_per_op", &|v| v * 1.05).len(), 1);
+        assert!(nudged("deploy_cold", "allocs_per_op", &|v| v * 0.5).is_empty());
+        assert!(nudged("deploy_cold", "ops_per_s", &|v| v * 2.0).is_empty());
+        assert!(nudged("fleet", "peak_live_mb", &|v| v * 2.0).is_empty());
+        let (broken, _) = gate(&|_: &str, _: &str| None, &row, &declared, &workloads);
+        assert_eq!(broken.len(), workloads.len() * 6);
     }
 }

@@ -581,9 +581,7 @@ impl GearClient {
     /// cycle the paper's three-level structure provides.
     pub fn remove_image(&mut self, reference: &ImageRef) -> bool {
         if let Some(index) = self.indexes.remove(reference) {
-            for (fp, _) in index.referenced_files() {
-                self.cache.unpin(fp);
-            }
+            index.visit_files(|fingerprint, _| self.cache.unpin(fingerprint));
             true
         } else {
             false

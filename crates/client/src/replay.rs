@@ -29,7 +29,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use gear_core::{GearImage, GearIndex, IndexError};
 use gear_corpus::StartupTrace;
-use gear_fs::{FsError, FsTree, Materializer, UnionFs};
+use gear_fs::{FrozenTree, FsError, Materializer, UnionFs};
 use gear_hash::{Digest, Fingerprint};
 use gear_image::ImageRef;
 use gear_registry::{DockerRegistry, GearFileStore};
@@ -191,9 +191,7 @@ impl RegistryChain<'_> {
             return Ok(None);
         };
         let index = Arc::new(gear.into_index());
-        for (fingerprint, _) in index.referenced_files() {
-            self.own.pin(fingerprint);
-        }
+        index.visit_files(|fingerprint, _| self.own.pin(fingerprint));
         indexes.insert(reference.clone(), Arc::clone(&index));
         Ok(Some(Pulled { index, took, bytes: pulled, requests }))
     }
@@ -403,14 +401,14 @@ pub struct Replayed {
 /// committed.
 pub fn replay<S: Sources, E: From<FsError> + From<BudgetExhausted>>(
     config: &ClientConfig,
-    tree: Arc<FsTree>,
+    tree: Arc<FrozenTree>,
     trace: &StartupTrace,
     sources: &mut S,
     telemetry: &Telemetry,
     timeline: &mut Timeline,
     start: Duration,
 ) -> Result<Replayed, E> {
-    let mut mount = UnionFs::new(vec![tree]);
+    let mut mount = UnionFs::over(vec![tree]);
     mount.set_recorder(telemetry.clone());
     let mut steps = Steps { timeline, at: start };
     steps.push(config.costs.container_start + config.costs.mount_setup, TimelineEvent::Launch);

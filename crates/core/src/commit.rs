@@ -144,7 +144,7 @@ mod tests {
     }
 
     fn mounted(base: &GearIndex) -> UnionFs {
-        UnionFs::new(vec![Arc::clone(base.tree())])
+        UnionFs::over(vec![Arc::clone(base.tree())])
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The Gear index: an image's directory tree with fingerprint leaves.
 //!
-//! The index *is* the placeholder [`FsTree`] the Gear File Viewer mounts
-//! (paper §III-B/III-D): one tree from the wire to the mount. Its JSON form
-//! (grammar in DESIGN.md §2) prices the index blob every deployment pulls,
-//! so the hand-written codec below keeps it byte-stable.
+//! The index *is* the placeholder tree the Gear File Viewer mounts (paper
+//! §III-B/III-D), held as one [`FrozenTree`] table from the wire to the
+//! mount: the decoder fills the table, and every container of the image
+//! walks it in place. Its JSON form (grammar in DESIGN.md §2) prices the
+//! index blob every deployment pulls, so the hand-written codec below keeps
+//! it byte-stable.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -13,7 +14,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use gear_archive::{Archive, ArchivePath, Entry, EntryKind, Metadata, ReadError};
 use gear_compress::{DecompressError, Level};
-use gear_fs::{ChunkRef, FileData, FileNode, FsTree, Node};
+use gear_fs::{ChunkRef, DataRef, FrozenTree, FsTree, Node, NodeRef, TreeBuilder};
 use gear_hash::Fingerprint;
 use gear_image::{Image, ImageBuilder, ImageConfig, ImageRef};
 use gear_registry::{DockerRegistry, PushReport};
@@ -97,12 +98,12 @@ impl From<ReadError> for IndexError {
 /// The Gear index: directory structure + file fingerprints + the runtime
 /// config copied from the original image (paper §III-B/III-C).
 ///
-/// The tree holds no inline file body: every regular file is a
-/// [`FileData::Fingerprint`] placeholder or a [`FileData::Chunked`] big file
-/// (paper §VII), and irregular files are served straight from it (§III-D2).
+/// The tree holds no inline file body: every regular file is a fingerprint
+/// placeholder or a chunked big file (paper §VII), and irregular files are
+/// served straight from it (§III-D2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GearIndex {
-    tree: Arc<FsTree>,
+    tree: Arc<FrozenTree>,
     /// Runtime configuration copied from the source Docker image.
     pub config: ImageConfig,
 }
@@ -120,13 +121,17 @@ pub(crate) fn visit<'a>(node: &'a Node, f: &mut impl FnMut(&'a Node)) {
 }
 
 impl GearIndex {
-    /// Wraps a fully *converted* [`FsTree`] — one whose file bodies are all
-    /// [`FileData::Fingerprint`] or [`FileData::Chunked`] — as an index.
+    /// Freezes a fully *converted* [`FsTree`] — one whose file bodies are
+    /// all [`gear_fs::FileData::Fingerprint`] or
+    /// [`gear_fs::FileData::Chunked`] — as an index.
     ///
     /// # Errors
     ///
     /// [`IndexError::UnresolvedContent`] if any file still holds inline
     /// bytes. (Use [`crate::Converter`] to convert contents first.)
+    // The tree is handed over, as every caller builds it for the index
+    // alone; the table copies out what it needs and the tree is dropped.
+    #[allow(clippy::needless_pass_by_value)]
     pub fn from_tree(tree: FsTree, config: ImageConfig) -> Result<Self, IndexError> {
         /// The path, below `node`, of the first file with an inline body —
         /// put together only once there is one to report.
@@ -139,26 +144,31 @@ impl GearIndex {
         }
         match first_inline(tree.root()) {
             Some(path) => Err(IndexError::UnresolvedContent(path)),
-            None => Ok(GearIndex { tree: Arc::new(tree), config }),
+            None => Ok(GearIndex { tree: Arc::new(FrozenTree::from_tree(&tree)), config }),
         }
     }
 
-    /// The tree of fingerprint placeholders — the read-only lower layer the
+    /// The table of fingerprint placeholders — the read-only lower layer the
     /// Gear File Viewer mounts. Every container of the image shares it.
-    pub fn tree(&self) -> &Arc<FsTree> {
+    pub fn tree(&self) -> &Arc<FrozenTree> {
         &self.tree
     }
 
-    /// An owned copy of the placeholder tree, for callers that go on to
-    /// modify it (committing a container merges its diff over one).
+    /// The placeholder tree as an owned [`FsTree`], for callers that go on
+    /// to modify it (committing a container merges its diff over one).
     pub fn to_tree(&self) -> FsTree {
-        FsTree::clone(&self.tree)
+        self.tree.to_tree()
     }
 
     /// Serializes to JSON.
     pub fn to_json(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write(&mut out);
+        // Sized by a counting pass first: the buffer is allocated once, at
+        // its final length.
+        let config = self.config.to_json();
+        let mut len = Count(0);
+        self.write(&mut len, &config);
+        let mut out = Vec::with_capacity(len.0 as usize);
+        self.write(&mut out, &config);
         out
     }
 
@@ -176,7 +186,7 @@ impl GearIndex {
     /// before its container can start (paper: ~0.53 MB on average).
     pub fn serialized_len(&self) -> u64 {
         let mut len = Count(0);
-        self.write(&mut len);
+        self.write(&mut len, &self.config.to_json());
         len.0
     }
 
@@ -184,24 +194,28 @@ impl GearIndex {
     /// in walk order, duplicates included.
     pub fn referenced_files(&self) -> Vec<(Fingerprint, u64)> {
         let mut out = Vec::new();
-        visit(self.tree.root(), &mut |node| match node {
-            Node::File(FileNode { data: FileData::Fingerprint { fingerprint, size }, .. }) => {
-                out.push((*fingerprint, *size));
-            }
-            Node::File(FileNode { data: FileData::Chunked { chunks, .. }, .. }) => {
-                out.extend(chunks.iter().map(|c| (c.fingerprint, c.size)));
-            }
-            _ => {}
-        });
+        self.visit_files(|fingerprint, size| out.push((fingerprint, size)));
         out
+    }
+
+    /// Calls `f` on every `(fingerprint, size)` [`GearIndex::referenced_files`]
+    /// lists, in its order, reading the table in place.
+    pub fn visit_files(&self, mut f: impl FnMut(Fingerprint, u64)) {
+        self.tree.visit(|node| match node.data() {
+            Some(DataRef::Fingerprint { fingerprint, size }) => f(fingerprint, size),
+            Some(DataRef::Chunked { chunks, .. }) => {
+                for chunk in chunks {
+                    f(chunk.fingerprint, chunk.size);
+                }
+            }
+            Some(DataRef::Inline(_)) | None => {}
+        });
     }
 
     /// Looks up the `(fingerprint, size)` of the regular file at `path`.
     pub fn file_at(&self, path: &str) -> Option<(Fingerprint, u64)> {
-        match self.tree.get(path)? {
-            Node::File(FileNode { data: FileData::Fingerprint { fingerprint, size }, .. }) => {
-                Some((*fingerprint, *size))
-            }
+        match self.tree.get(path)?.data()? {
+            DataRef::Fingerprint { fingerprint, size } => Some((fingerprint, size)),
             _ => None,
         }
     }
@@ -211,8 +225,8 @@ impl GearIndex {
     /// behind chunk-granularity fetching: a deployer pulls exactly these
     /// blobs instead of one monolithic object.
     pub fn chunks_at(&self, path: &str) -> Option<&[ChunkRef]> {
-        match self.tree.get(path)? {
-            Node::File(FileNode { data: FileData::Chunked { chunks, .. }, .. }) => Some(chunks),
+        match self.tree.get(path)?.data()? {
+            DataRef::Chunked { chunks, .. } => Some(chunks),
             _ => None,
         }
     }
@@ -220,11 +234,11 @@ impl GearIndex {
     /// Counts of each node kind: `(dirs, files, big_files, symlinks)`.
     pub fn node_counts(&self) -> (u64, u64, u64, u64) {
         let mut c = (0, 0, 0, 0);
-        visit(self.tree.root(), &mut |node| match node {
-            Node::Dir { .. } => c.0 += 1,
-            Node::File(FileNode { data: FileData::Chunked { .. }, .. }) => c.2 += 1,
-            Node::File(_) => c.1 += 1,
-            Node::Symlink(_) => c.3 += 1,
+        self.tree.visit(|node| match node.data() {
+            _ if node.is_dir() => c.0 += 1,
+            Some(DataRef::Chunked { .. }) => c.2 += 1,
+            Some(_) => c.1 += 1,
+            None => c.3 += 1,
         });
         c
     }
@@ -340,65 +354,67 @@ fn put_head(out: &mut impl Sink, kind: &str, meta: &Metadata) {
     out.put(b"},");
 }
 
-fn put_node(out: &mut impl Sink, node: &Node) {
-    match node {
-        Node::Dir { meta, children } => {
-            put_head(out, "dir", meta);
+fn put_node(out: &mut impl Sink, node: NodeRef<'_>) {
+    let meta = node.meta();
+    if let Some(target) = node.target() {
+        put_head(out, "symlink", &meta);
+        out.put(b"\"target\":");
+        put_str(out, target);
+        out.put(b"}");
+        return;
+    }
+    match node.data() {
+        None => {
+            put_head(out, "dir", &meta);
             out.put(b"\"children\":{");
-            for (nth, (name, child)) in children.iter().enumerate() {
+            for (nth, child) in node.children().enumerate() {
                 if nth > 0 {
                     out.put(b",");
                 }
-                put_str(out, name);
+                put_str(out, child.name());
                 out.put(b":");
                 put_node(out, child);
             }
             out.put(b"}}");
         }
-        Node::File(FileNode { meta, data }) => match data {
-            FileData::Fingerprint { fingerprint, size } => {
-                put_head(out, "file", meta);
-                put_content(out, fingerprint, *size);
-                out.put(b"}");
-            }
-            FileData::Chunked { chunks, size } => {
-                put_head(out, "big_file", meta);
-                out.put(b"\"chunks\":[");
-                for (nth, chunk) in chunks.iter().enumerate() {
-                    out.put(if nth > 0 { b",{" } else { b"{" });
-                    put_content(out, &chunk.fingerprint, chunk.size);
-                    out.put(b"}");
-                }
-                out.put(b"],\"size\":");
-                put_u64(out, *size);
-                out.put(b"}");
-            }
-            FileData::Inline(_) => unreachable!("`GearIndex::from_tree` admits no inline body"),
-        },
-        Node::Symlink(link) => {
-            put_head(out, "symlink", &link.meta);
-            out.put(b"\"target\":");
-            put_str(out, &link.target);
+        Some(DataRef::Fingerprint { fingerprint, size }) => {
+            put_head(out, "file", &meta);
+            put_content(out, &fingerprint, size);
             out.put(b"}");
         }
+        Some(DataRef::Chunked { chunks, size }) => {
+            put_head(out, "big_file", &meta);
+            out.put(b"\"chunks\":[");
+            for (nth, chunk) in chunks.iter().enumerate() {
+                out.put(if nth > 0 { b",{" } else { b"{" });
+                put_content(out, &chunk.fingerprint, chunk.size);
+                out.put(b"}");
+            }
+            out.put(b"],\"size\":");
+            put_u64(out, size);
+            out.put(b"}");
+        }
+        Some(DataRef::Inline(_)) => unreachable!("`GearIndex::from_tree` admits no inline body"),
     }
 }
 
 impl GearIndex {
-    fn write(&self, out: &mut impl Sink) {
+    /// The document, its config already encoded as `config`.
+    fn write(&self, out: &mut impl Sink, config: &[u8]) {
         out.put(b"{\"root\":");
         put_node(out, self.tree.root());
         out.put(b",\"config\":");
-        out.put(&self.config.to_json());
+        out.put(config);
         out.put(b"}");
     }
 }
 
-// The reader: one pass over the document with `serde_json::Reader`, nodes
-// built as their closing brace is reached. A node's fields are collected as
-// options because they may come in any order; a key the grammar does not name
-// is skipped, a key met twice keeps its last value, and a known key holding
-// the wrong type is an error wherever it stands.
+// The reader: one pass over the document with `serde_json::Reader`, each node
+// handed to a `TreeBuilder` as its closing brace is reached, its children
+// before it. A node's fields are collected as options because they may come
+// in any order; a key the grammar does not name is skipped, a key met twice
+// keeps its last value, and a known key holding the wrong type is an error
+// wherever it stands.
 
 type Json<T> = Result<T, serde_json::Error>;
 
@@ -455,20 +471,20 @@ fn read_chunk(reader: &mut Reader<'_>) -> Json<ChunkRef> {
     })
 }
 
-/// A directory's `children`. Collected into a `Vec` and handed to the map
-/// whole: `BTreeMap`'s bulk build sorts once, keeps the last of equal names
-/// and packs its leaves full, where inserting one name at a time in the
-/// ascending order an index arrives in leaves every leaf half empty.
-fn read_children(reader: &mut Reader<'_>) -> Json<BTreeMap<String, Node>> {
-    let mut children = Vec::new();
+/// A directory's `children`, each pushed as its node closes.
+fn read_children(reader: &mut Reader<'_>, tree: &mut TreeBuilder) -> Json<()> {
     reader.begin_object()?;
     while let Some(name) = reader.next_key()? {
-        children.push((name.into_owned(), read_node(reader)?));
+        read_node(reader, tree, &name)?;
     }
-    Ok(children.into_iter().collect())
+    Ok(())
 }
 
-fn read_node(reader: &mut Reader<'_>) -> Json<Node> {
+/// One node, named `name`, pushed once it closes — a directory after its
+/// children, which are pushed as they are read and dropped again should the
+/// node turn out to be something else or its `children` come again.
+fn read_node(reader: &mut Reader<'_>, tree: &mut TreeBuilder, name: &str) -> Json<()> {
+    let start = tree.dir_start();
     let (mut kind, mut meta, mut children, mut target) = (None, None, None, None);
     let (mut fingerprint, mut size, mut chunks) = (None, None, None);
     reader.begin_object()?;
@@ -476,58 +492,78 @@ fn read_node(reader: &mut Reader<'_>) -> Json<Node> {
         match &*key {
             "kind" => kind = Some(reader.str()?),
             "meta" => meta = Some(read_meta(reader)?),
-            "children" => children = Some(read_children(reader)?),
+            "children" => {
+                tree.discard(start);
+                read_children(reader, tree)?;
+                children = Some(());
+            }
             "fingerprint" => fingerprint = Some(read_fingerprint(reader)?),
             "size" => size = Some(reader.u64()?),
             "chunks" => {
-                let mut list = Vec::new();
+                let run = tree.begin_chunks();
                 reader.begin_array()?;
                 while reader.next_item()? {
-                    list.push(read_chunk(reader)?);
+                    tree.chunk(read_chunk(reader)?);
                 }
-                chunks = Some(list);
+                chunks = Some(tree.end_chunks(run));
             }
-            "target" => target = Some(reader.str()?.into_owned()),
+            "target" => target = Some(reader.str()?),
             _ => reader.skip()?,
         }
     }
     let meta = need(reader, "meta", meta)?;
-    match &*need(reader, "kind", kind)? {
-        "dir" => Ok(Node::Dir { meta, children: need(reader, "children", children)? }),
-        "file" => Ok(Node::fingerprint_file(
+    let kind = need(reader, "kind", kind)?;
+    if kind != "dir" {
+        tree.discard(start);
+    }
+    match &*kind {
+        "dir" => {
+            need(reader, "children", children)?;
+            tree.dir(start, name, meta);
+        }
+        "file" => tree.file(
+            name,
             meta,
             need(reader, "fingerprint", fingerprint)?,
             need(reader, "size", size)?,
-        )),
+        ),
         "big_file" => {
             let chunks = need(reader, "chunks", chunks)?;
-            let data = FileData::Chunked { chunks, size: need(reader, "size", size)? };
-            Ok(Node::File(FileNode { meta, data }))
+            tree.big_file(name, meta, chunks, need(reader, "size", size)?);
         }
-        "symlink" => Ok(Node::symlink(meta, need(reader, "target", target)?)),
-        _ => Err(reader.error("unknown index node kind")),
+        "symlink" => tree.symlink(name, meta, &need(reader, "target", target)?),
+        _ => return Err(reader.error("unknown index node kind")),
     }
+    Ok(())
 }
 
-/// Builds the tree's nodes straight from the document — no inline body among
-/// them, by construction. The index is untrusted input: the reader caps how
-/// deep it nests, and [`FsTree::from_root`] rejects entry names no path can
-/// reach, which would otherwise sit in the mount as unreachable nodes.
+/// Builds the table straight from the document — no inline body in it, by
+/// construction. The index is untrusted input: the reader caps how deep it
+/// nests, the table's `u32` offsets bound it below 4 GiB, and
+/// [`TreeBuilder::finish`] rejects entry names no path can reach, which
+/// would otherwise sit in the mount as unreachable nodes.
 fn read_index(bytes: &[u8]) -> Json<GearIndex> {
     let mut reader = Reader::from_slice(bytes)?;
+    if u32::try_from(bytes.len()).is_err() {
+        return Err(reader.error("index larger than 4 GiB"));
+    }
+    // Room for a node per 96 bytes and a name byte per 16: an index written
+    // by `to_json` spends about 128 bytes on a node and 10 on its name, so
+    // the buffers are not grown along the way.
+    let mut tree = TreeBuilder::with_capacity(bytes.len() / 96 + 1, bytes.len() / 16);
     let (mut root, mut config) = (None, None);
     reader.begin_object()?;
     while let Some(key) = reader.next_key()? {
         match &*key {
-            "root" => root = Some(read_node(&mut reader)?),
+            "root" => root = Some(read_node(&mut reader, &mut tree, "")?),
             "config" => config = Some(reader.value()?),
             _ => reader.skip()?,
         }
     }
     reader.end()?;
-    let root = need(&reader, "root", root)?;
+    need(&reader, "root", root)?;
     let config = need(&reader, "config", config)?;
-    let tree = FsTree::from_root(root).map_err(serde_json::Error::custom)?;
+    let tree = tree.finish().map_err(serde_json::Error::custom)?;
     let config = serde::from_value(&config).map_err(serde_json::Error::custom)?;
     Ok(GearIndex { tree: Arc::new(tree), config })
 }
@@ -662,6 +698,7 @@ impl GearImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gear_fs::{FileData, FileNode};
 
     fn sample_index() -> GearIndex {
         let mut tree = FsTree::new();
@@ -691,7 +728,7 @@ mod tests {
     fn tree_roundtrip() {
         let index = sample_index();
         let tree = index.to_tree();
-        assert_eq!(&tree, index.tree().as_ref());
+        assert_eq!(&FrozenTree::from_tree(&tree), index.tree().as_ref());
         let back = GearIndex::from_tree(tree, index.config.clone()).unwrap();
         assert_eq!(back, index);
     }

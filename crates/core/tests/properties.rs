@@ -3,8 +3,10 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use gear_core::{publish, CollisionResolver, Converter, GearImage, GearIndex, IndexError};
-use gear_fs::{FsTree, UnionFs};
+use gear_core::{
+    publish, CollisionResolver, Converter, ConverterOptions, GearImage, GearIndex, IndexError,
+};
+use gear_fs::{FrozenTree, FsTree, UnionFs};
 use gear_hash::{Digest, Fingerprint};
 use gear_image::{ImageBuilder, ImageConfig, ImageRef};
 use gear_registry::{DockerRegistry, GearFileStore};
@@ -100,12 +102,15 @@ proptest! {
         let json = Converter::new().convert(&image).unwrap().gear_image.index().to_json();
         for damage in &damages {
             let Ok(index) = GearIndex::from_json(&damaged(&json, damage)) else { continue };
-            let mut mount = UnionFs::new(vec![Arc::clone(index.tree())]);
+            let mut mount = UnionFs::over(vec![Arc::clone(index.tree())]);
             for (path, node) in index.tree().walk() {
                 prop_assert!(mount.contains(&path), "{:?}: {} unreachable", damage, path);
-                prop_assert_eq!(index.tree().get(&path), Some(node));
+                prop_assert_eq!(index.tree().get(&path).map(|n| n.id()), Some(node.id()));
             }
-            prop_assert_eq!(&mount.flatten(), index.tree().as_ref());
+            let tree = index.to_tree();
+            prop_assert_eq!(&mount.flatten(), &tree);
+            // However the document came, the table is the canonical one.
+            prop_assert_eq!(&FrozenTree::from_tree(&tree), index.tree().as_ref());
         }
     }
 
@@ -147,6 +152,35 @@ proptest! {
         // Tree roundtrip.
         let rebuilt = GearIndex::from_tree(index.to_tree(), ImageConfig::default()).unwrap();
         prop_assert_eq!(rebuilt.referenced_files(), index.referenced_files());
+    }
+
+    /// The table is the tree: the index of any converted image — big files
+    /// chunked or not — reads back from its JSON as the same table, that
+    /// table is the one its tree freezes to, and the tree thaws out of it
+    /// unchanged.
+    #[test]
+    fn the_table_is_the_tree(files in any_files(), chunked in any::<bool>()) {
+        let Some(image) = image_of(&files) else { return Ok(()) };
+        let converter = if chunked {
+            Converter::with_options(ConverterOptions {
+                big_file_threshold: Some(64),
+                chunk_size: 24,
+                ..Default::default()
+            })
+        } else {
+            Converter::new()
+        };
+        let conv = converter.convert(&image).unwrap();
+        let index = conv.gear_image.index();
+        prop_assert_eq!(&GearIndex::from_json(&index.to_json()).unwrap(), index);
+        let tree = index.to_tree();
+        prop_assert_eq!(&FrozenTree::from_tree(&tree), index.tree().as_ref());
+        prop_assert_eq!(&GearIndex::from_tree(tree.clone(), index.config.clone()).unwrap(), index);
+        prop_assert_eq!(&index.tree().to_tree(), &tree);
+        for (path, node) in tree.walk() {
+            let frozen = index.tree().get(&path).map(|n| n.to_node());
+            prop_assert_eq!(frozen.as_ref(), Some(node), "{}", path);
+        }
     }
 
     /// Publishing then downloading every referenced fingerprint reproduces

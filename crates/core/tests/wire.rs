@@ -116,8 +116,8 @@ fn node_value(node: &Node) -> Value {
 }
 
 fn reference_json(index: &GearIndex) -> Vec<u8> {
-    let doc =
-        object([("root", node_value(index.tree().root())), ("config", to_value(&index.config))]);
+    let tree = index.to_tree();
+    let doc = object([("root", node_value(tree.root())), ("config", to_value(&index.config))]);
     serde_json::to_vec(&doc).unwrap()
 }
 

@@ -6,9 +6,13 @@
 //! * [`FsTree`] — a mutable directory tree of files, directories, and
 //!   symlinks, with layer replay ([`FsTree::apply_layer`]) following the
 //!   OCI/Docker whiteout semantics.
+//! * [`FrozenTree`] — the same tree laid out flat and read-only: fixed-width
+//!   node records and each directory's children as one sorted run, built
+//!   from an [`FsTree`] or filled by a decoder through a [`TreeBuilder`].
 //! * [`UnionFs`] — an Overlay2-style union mount: any number of read-only
-//!   lower trees plus one writable upper, with copy-up on write, whiteouts on
-//!   unlink, opaque directories, and merged `readdir`.
+//!   lower trees, walked as [`FrozenTree`]s, plus one writable upper, with
+//!   copy-up on write, whiteouts on unlink, opaque directories, and merged
+//!   `readdir`.
 //! * [`FileData`] — file bodies that are either inline bytes, a *fingerprint
 //!   placeholder* (the Gear index representation; resolved on demand through
 //!   a [`Materializer`], mirroring the paper's modified
@@ -39,11 +43,13 @@
 #![warn(missing_docs)]
 
 mod error;
+mod frozen;
 mod node;
 mod tree;
 mod union;
 
 pub use error::FsError;
+pub use frozen::{ChunkRun, DataRef, DirStart, FrozenTree, NodeRef, TreeBuilder};
 pub use node::{ChunkRef, FileData, FileNode, Node, SymlinkNode};
 pub use tree::{FsTree, TreeStats};
 pub use union::{Materializer, MountStats, NoFetch, UnionFs};

@@ -72,6 +72,11 @@ impl FsTree {
         Ok(FsTree { root })
     }
 
+    /// Wraps a directory node whose names came from another tree.
+    pub(crate) fn wrap(root: Node) -> Self {
+        FsTree { root }
+    }
+
     /// The root directory node.
     pub fn root(&self) -> &Node {
         &self.root

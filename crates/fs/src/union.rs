@@ -11,6 +11,8 @@
 //!   *whiteouts*; deleting and recreating a directory marks it *opaque*;
 //! * `readdir` merges child names across layers minus whiteouts.
 //!
+//! The lowers are [`FrozenTree`]s, walked in place by node id.
+//!
 //! Reading a file whose body is a fingerprint placeholder consults the
 //! mount's [`Materializer`] — the analogue of the Gear paper's modified
 //! `ovl_lookup_single()` pausing to ask a user-mode helper for the file. The
@@ -18,6 +20,7 @@
 //! "hard-link the Gear file into the index so later requests need not search
 //! the cache again".
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -27,6 +30,7 @@ use gear_hash::Fingerprint;
 use gear_telemetry::Telemetry;
 
 use crate::error::FsError;
+use crate::frozen::{DataRef, FrozenTree, NodeRef};
 use crate::node::{FileData, Node};
 use crate::tree::FsTree;
 
@@ -81,29 +85,66 @@ pub struct MountStats {
 /// An Overlay2-style union mount (read-write view over read-only layers).
 #[derive(Debug, Clone)]
 pub struct UnionFs {
-    /// Lower trees, bottom-most first (index 0 is the deepest layer).
-    lowers: Vec<Arc<FsTree>>,
-    upper: FsTree,
-    whiteouts: BTreeSet<String>,
-    opaques: BTreeSet<String>,
-    /// Memoized fingerprint resolutions ("hard links into the index").
-    resolved: HashMap<Fingerprint, Bytes>,
-    /// Paths whose inodes have been instantiated (for unmount-cost modelling).
-    touched: HashSet<String>,
+    layers: Layers,
+    fetched: Fetched,
+    touched: Touched,
     stats: MountStats,
     telemetry: Telemetry,
 }
 
+/// What the merged view is made of — all a [`Walk`] borrows, so a read can
+/// walk it while it fills the mount's other parts.
+#[derive(Debug, Clone)]
+struct Layers {
+    /// Lower trees, bottom-most first (index 0 is the deepest layer).
+    lowers: Vec<Arc<FrozenTree>>,
+    upper: FsTree,
+    whiteouts: BTreeSet<String>,
+    opaques: BTreeSet<String>,
+}
+
+/// Bodies fetched through the materializer, memoized by fingerprint ("hard
+/// links into the index"), and what fetching them took.
+#[derive(Debug, Clone, Default)]
+struct Fetched {
+    bodies: HashMap<Fingerprint, Bytes>,
+    count: u64,
+    bytes: u64,
+}
+
+/// The inodes a mount has instantiated, one per path (for unmount-cost
+/// modelling). A path the lower stack shows a node at is keyed by that node,
+/// one bit per lower node; any other path by its text. The lower stack never
+/// changes, so a path keeps its key, and touching what the lowers hold
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct Touched {
+    /// One bit per node of each lower, the lowers' ids laid end to end.
+    lower: Vec<u64>,
+    /// How many bits of `lower` are set.
+    lower_count: usize,
+    paths: HashSet<String>,
+}
+
 impl UnionFs {
-    /// Creates a mount over `lowers` (bottom-most first) with an empty upper.
+    /// Creates a mount over `lowers` (bottom-most first) with an empty upper,
+    /// freezing each tree once — see [`UnionFs::over`].
     pub fn new(lowers: Vec<Arc<FsTree>>) -> Self {
+        Self::over(lowers.into_iter().map(|tree| Arc::new(FrozenTree::from_tree(&tree))).collect())
+    }
+
+    /// Creates a mount over already frozen `lowers` (bottom-most first) with
+    /// an empty upper. Every container of an image can share its tables.
+    pub fn over(lowers: Vec<Arc<FrozenTree>>) -> Self {
         UnionFs {
-            lowers,
-            upper: FsTree::new(),
-            whiteouts: BTreeSet::new(),
-            opaques: BTreeSet::new(),
-            resolved: HashMap::new(),
-            touched: HashSet::new(),
+            layers: Layers {
+                lowers,
+                upper: FsTree::new(),
+                whiteouts: BTreeSet::new(),
+                opaques: BTreeSet::new(),
+            },
+            fetched: Fetched::default(),
+            touched: Touched::default(),
             stats: MountStats::default(),
             telemetry: Telemetry::noop(),
         }
@@ -118,25 +159,29 @@ impl UnionFs {
 
     /// Mount statistics so far.
     pub fn stats(&self) -> MountStats {
-        self.stats
+        MountStats {
+            materializations: self.fetched.count,
+            materialized_bytes: self.fetched.bytes,
+            ..self.stats
+        }
     }
 
     /// Number of distinct inodes (paths) instantiated by this mount. The
     /// short-running experiment (paper Fig. 11b) models unmount cost as
     /// proportional to this count.
     pub fn inode_count(&self) -> usize {
-        self.touched.len()
+        self.touched.lower_count + self.touched.paths.len()
     }
 
     /// Read-only view of the writable upper tree.
     pub fn upper(&self) -> &FsTree {
-        &self.upper
+        &self.layers.upper
     }
 
     /// Whether `path` is visible in the merged view (symlinks not followed).
     pub fn contains(&mut self, path: &str) -> bool {
         self.stats.lookups += 1;
-        self.find(path).is_some()
+        self.layers.find(path).is_some()
     }
 
     /// Metadata of the node at `path` after following symlinks.
@@ -145,10 +190,11 @@ impl UnionFs {
     ///
     /// [`FsError::NotFound`] or [`FsError::SymlinkLoop`].
     pub fn metadata(&mut self, path: &str) -> Result<Metadata, FsError> {
-        let resolved = self.resolve(path, true)?;
-        self.touch(&resolved);
-        let node = self.find(&resolved).ok_or_else(|| FsError::NotFound(path.to_owned()))?;
-        Ok(node.meta())
+        self.telemetry.count("fs.lookups", 1);
+        let walk = self.layers.resolve(path, true)?;
+        let found = walk.node().ok_or_else(|| FsError::NotFound(path.to_owned()))?;
+        self.touched.touch(&walk);
+        Ok(found.meta())
     }
 
     /// Logical size of the file at `path` after following symlinks, without
@@ -158,10 +204,10 @@ impl UnionFs {
     ///
     /// [`FsError::NotFound`], [`FsError::NotAFile`], [`FsError::SymlinkLoop`].
     pub fn file_size(&mut self, path: &str) -> Result<u64, FsError> {
-        let resolved = self.resolve(path, true)?;
-        match self.find(&resolved) {
-            Some(Node::File(f)) => Ok(f.data.size()),
-            Some(_) => Err(FsError::NotAFile(path.to_owned())),
+        self.telemetry.count("fs.lookups", 1);
+        let walk = self.layers.resolve(path, true)?;
+        match walk.node() {
+            Some(found) => found.data().map(|data| data.size()).ok_or_else(|| not_a_file(path)),
             None => Err(FsError::NotFound(path.to_owned())),
         }
     }
@@ -173,11 +219,11 @@ impl UnionFs {
     /// [`FsError::NotFound`] if nothing is there, [`FsError::NotAFile`] if
     /// the entry is not a symlink.
     pub fn symlink_target(&mut self, path: &str) -> Result<String, FsError> {
-        let resolved = self.resolve(path, false)?;
+        self.telemetry.count("fs.lookups", 1);
+        let walk = self.layers.resolve(path, false)?;
         self.stats.lookups += 1;
-        match self.find(&resolved) {
-            Some(Node::Symlink(s)) => Ok(s.target.clone()),
-            Some(_) => Err(FsError::NotAFile(path.to_owned())),
+        match walk.node() {
+            Some(found) => found.target().map(str::to_owned).ok_or_else(|| not_a_file(path)),
             None => Err(FsError::NotFound(path.to_owned())),
         }
     }
@@ -185,27 +231,25 @@ impl UnionFs {
     /// Reads the whole file at `path`, following symlinks and materializing
     /// fingerprint/chunked bodies through `mat`.
     ///
+    /// One [`Walk`] finds the node and is kept for what follows; a file the
+    /// lowers hold is read in place. Nothing is allocated for the lookup.
+    ///
     /// # Errors
     ///
     /// [`FsError::NotFound`], [`FsError::NotAFile`], [`FsError::SymlinkLoop`],
     /// or [`FsError::Materialize`] when `mat` cannot provide the content.
     pub fn read(&mut self, path: &str, mat: &dyn Materializer) -> Result<Bytes, FsError> {
-        let resolved = self.resolve(path, true)?;
-        self.touch(&resolved);
+        self.telemetry.count("fs.lookups", 1);
+        let walk = self.layers.resolve(path, true)?;
         self.stats.lookups += 1;
-        let data = match self.find(&resolved) {
-            Some(Node::File(f)) => f.data.clone(),
-            Some(_) => return Err(FsError::NotAFile(path.to_owned())),
-            None => return Err(FsError::NotFound(path.to_owned())),
-        };
-        let content = self.load(&resolved, &data, mat)?;
-        self.stats.reads += 1;
-        self.stats.bytes_read += content.len() as u64;
-        if self.telemetry.enabled() {
-            self.telemetry.count("fs.reads", 1);
-            self.telemetry.count("fs.bytes_read", content.len() as u64);
-            self.telemetry.sketch("fs.read_bytes", content.len() as u64);
-        }
+        let found = walk.node().ok_or_else(|| FsError::NotFound(path.to_owned()))?;
+        self.touched.touch(&walk);
+        let data = found.data().ok_or_else(|| not_a_file(path))?;
+        let content = self
+            .fetched
+            .load(data, mat, &self.telemetry)
+            .map_err(|reason| FsError::Materialize { path: walk.path(), reason })?;
+        self.count_read(content.len());
         Ok(content)
     }
 
@@ -223,17 +267,16 @@ impl UnionFs {
         len: u64,
         mat: &dyn Materializer,
     ) -> Result<Bytes, FsError> {
-        let resolved = self.resolve(path, true)?;
-        self.touch(&resolved);
+        self.telemetry.count("fs.lookups", 1);
+        let walk = self.layers.resolve(path, true)?;
         self.stats.lookups += 1;
-        let data = match self.find(&resolved) {
-            Some(Node::File(f)) => f.data.clone(),
-            Some(_) => return Err(FsError::NotAFile(path.to_owned())),
-            None => return Err(FsError::NotFound(path.to_owned())),
-        };
-        let content = match &data {
-            FileData::Chunked { chunks, size } => {
-                let end = (offset + len).min(*size);
+        let found = walk.node().ok_or_else(|| FsError::NotFound(path.to_owned()))?;
+        self.touched.touch(&walk);
+        let data = found.data().ok_or_else(|| not_a_file(path))?;
+        let failed = |reason| FsError::Materialize { path: walk.path(), reason };
+        let content = match data {
+            DataRef::Chunked { chunks, size } => {
+                let end = (offset + len).min(size);
                 if offset >= end {
                     Bytes::new()
                 } else {
@@ -242,8 +285,10 @@ impl UnionFs {
                     for chunk in chunks {
                         let chunk_end = chunk_start + chunk.size;
                         if chunk_end > offset && chunk_start < end {
-                            let bytes =
-                                self.materialize(&resolved, chunk.fingerprint, chunk.size, mat)?;
+                            let bytes = self
+                                .fetched
+                                .fetch(chunk.fingerprint, chunk.size, mat, &self.telemetry)
+                                .map_err(failed)?;
                             let from = offset.saturating_sub(chunk_start) as usize;
                             let to = (end.min(chunk_end) - chunk_start) as usize;
                             out.extend_from_slice(&bytes[from..to]);
@@ -257,19 +302,13 @@ impl UnionFs {
                 }
             }
             other => {
-                let whole = self.load(&resolved, other, mat)?;
+                let whole = self.fetched.load(other, mat, &self.telemetry).map_err(failed)?;
                 let start = (offset as usize).min(whole.len());
                 let stop = ((offset + len) as usize).min(whole.len());
                 whole.slice(start..stop)
             }
         };
-        self.stats.reads += 1;
-        self.stats.bytes_read += content.len() as u64;
-        if self.telemetry.enabled() {
-            self.telemetry.count("fs.reads", 1);
-            self.telemetry.count("fs.bytes_read", content.len() as u64);
-            self.telemetry.sketch("fs.read_bytes", content.len() as u64);
-        }
+        self.count_read(content.len());
         Ok(content)
     }
 
@@ -280,52 +319,34 @@ impl UnionFs {
     /// [`FsError::NotFound`] / [`FsError::NotADirectory`] /
     /// [`FsError::SymlinkLoop`].
     pub fn readdir(&mut self, path: &str) -> Result<Vec<String>, FsError> {
-        let resolved = self.resolve(path, true)?;
-        self.touch(&resolved);
+        self.telemetry.count("fs.lookups", 1);
+        let walk = self.layers.resolve(path, true)?;
         self.stats.lookups += 1;
+        let found = walk.node().ok_or_else(|| FsError::NotFound(path.to_owned()))?;
+        self.touched.touch(&walk);
+        if !found.is_dir() {
+            return Err(FsError::NotADirectory(path.to_owned()));
+        }
         let mut names = BTreeSet::new();
-        let mut found_dir = false;
-        let mut found_any = false;
-        if let Some(node) = self.upper.get(&resolved) {
-            found_any = true;
-            match node {
-                Node::Dir { children, .. } => {
-                    found_dir = true;
-                    names.extend(children.keys().cloned());
-                }
-                _ => return Err(FsError::NotADirectory(path.to_owned())),
-            }
+        if let Some(Node::Dir { children, .. }) = walk.upper() {
+            names.extend(children.keys().map(String::as_str));
         }
-        if !self.walk(&resolved).hides_below() {
-            for tree in self.visible_lowers(&resolved) {
-                if let Some(Node::Dir { children, .. }) = tree.get(&resolved) {
-                    found_any = true;
-                    found_dir = true;
-                    for name in children.keys() {
-                        let child_path = join(&resolved, name);
-                        if !self.whiteouts.contains(&child_path) || self.upper.contains(&child_path)
-                        {
-                            names.insert(name.clone());
-                        }
-                    }
-                } else if tree.get(&resolved).is_some() && !found_any {
-                    return Err(FsError::NotADirectory(path.to_owned()));
-                }
+        if !walk.hides_below() {
+            for dir in walk.lowers_here() {
+                names.extend(dir.children().map(|child| child.name()));
             }
-        }
-        if !found_dir {
-            return if found_any {
-                Err(FsError::NotADirectory(path.to_owned()))
-            } else {
-                Err(FsError::NotFound(path.to_owned()))
-            };
         }
         // Drop children whited-out and not recreated.
-        names.retain(|name| {
-            let p = join(&resolved, name);
-            self.upper.contains(&p) || !self.whiteouts.contains(&p)
-        });
-        Ok(names.into_iter().collect())
+        let layers = &self.layers;
+        let dir = walk.path();
+        Ok(names
+            .into_iter()
+            .filter(|name| {
+                let child = join(&dir, name);
+                layers.upper.contains(&child) || !layers.whiteouts.contains(&child)
+            })
+            .map(str::to_owned)
+            .collect())
     }
 
     /// Writes `content` to `path` in the upper layer, creating parents
@@ -337,15 +358,17 @@ impl UnionFs {
     /// [`FsError::InvalidPath`] for malformed paths.
     pub fn write(&mut self, path: &str, content: Bytes) -> Result<(), FsError> {
         let valid = ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
-        let meta = match self.find(valid.as_str()) {
-            Some(Node::File(f)) => f.meta,
-            Some(Node::Dir { .. }) => return Err(FsError::NotAFile(path.to_owned())),
+        let at = self.layers.walk(valid.as_str());
+        let meta = match at.node() {
+            Some(found) if found.is_dir() => return Err(not_a_file(path)),
+            Some(found) if found.data().is_some() => found.meta(),
             _ => Metadata::file_default(),
         };
+        let shown = at.lower();
         self.copy_up_parents(&valid)?;
-        self.upper.insert(valid.as_str(), Node::inline_file(meta, content))?;
-        self.whiteouts.remove(valid.as_str());
-        self.touch(valid.as_str());
+        self.layers.upper.insert(valid.as_str(), Node::inline_file(meta, content))?;
+        self.layers.whiteouts.remove(valid.as_str());
+        self.touched.touch_at(&self.layers.lowers, shown, valid.as_str());
         Ok(())
     }
 
@@ -364,16 +387,16 @@ impl UnionFs {
                 prefix.push('/');
             }
             prefix.push_str(comp);
-            match self.find(&prefix) {
-                Some(n) if !n.is_dir() => return Err(FsError::NotADirectory(prefix)),
+            match self.layers.find(&prefix) {
+                Some(found) if !found.is_dir() => return Err(FsError::NotADirectory(prefix)),
                 _ => {}
             }
         }
         self.copy_up_parents(&valid)?;
-        self.upper.mkdir_p(valid.as_str())?;
+        self.layers.upper.mkdir_p(valid.as_str())?;
         // Deleting a lower dir and re-creating it makes the new one opaque.
-        if self.whiteouts.remove(valid.as_str()) {
-            self.opaques.insert(valid.as_str().to_owned());
+        if self.layers.whiteouts.remove(valid.as_str()) {
+            self.layers.opaques.insert(valid.as_str().to_owned());
         }
         Ok(())
     }
@@ -385,12 +408,13 @@ impl UnionFs {
     /// As [`UnionFs::write`].
     pub fn symlink(&mut self, path: &str, target: impl Into<String>) -> Result<(), FsError> {
         let valid = ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
-        if matches!(self.find(valid.as_str()), Some(Node::Dir { .. })) {
+        if self.layers.find(valid.as_str()).is_some_and(Found::is_dir) {
             return Err(FsError::AlreadyExists(path.to_owned()));
         }
         self.copy_up_parents(&valid)?;
-        self.upper.insert(valid.as_str(), Node::symlink(Metadata::file_default(), target))?;
-        self.whiteouts.remove(valid.as_str());
+        let link = Node::symlink(Metadata::file_default(), target);
+        self.layers.upper.insert(valid.as_str(), link)?;
+        self.layers.whiteouts.remove(valid.as_str());
         Ok(())
     }
 
@@ -408,9 +432,9 @@ impl UnionFs {
         data: &[u8],
         mat: &dyn Materializer,
     ) -> Result<(), FsError> {
-        let existing = match self.find(path) {
-            Some(Node::File(_)) => self.read(path, mat)?,
-            Some(_) => return Err(FsError::NotAFile(path.to_owned())),
+        let existing = match self.layers.find(path) {
+            Some(found) if found.data().is_some() => self.read(path, mat)?,
+            Some(_) => return Err(not_a_file(path)),
             None => Bytes::new(),
         };
         let mut combined = Vec::with_capacity(existing.len() + data.len());
@@ -431,9 +455,9 @@ impl UnionFs {
         len: u64,
         mat: &dyn Materializer,
     ) -> Result<(), FsError> {
-        match self.find(path) {
-            Some(Node::File(_)) => {}
-            Some(_) => return Err(FsError::NotAFile(path.to_owned())),
+        match self.layers.find(path) {
+            Some(found) if found.data().is_some() => {}
+            Some(_) => return Err(not_a_file(path)),
             None => return Err(FsError::NotFound(path.to_owned())),
         }
         let existing = self.read(path, mat)?;
@@ -457,25 +481,25 @@ impl UnionFs {
         to: &str,
         mat: &dyn Materializer,
     ) -> Result<(), FsError> {
-        match self.find(from) {
-            Some(Node::Dir { .. }) => Err(FsError::NotAFile(from.to_owned())),
-            Some(Node::Symlink(link)) => {
-                let target = link.target.clone();
-                self.symlink(to, target)?;
-                self.unlink(from)
-            }
-            Some(Node::File(_)) => {
-                let content = self.read(from, mat)?;
-                let meta = self.metadata(from)?;
-                self.write(to, content)?;
-                // Preserve the original metadata on the new upper entry.
-                if let Some(Node::File(f)) = self.upper.get_mut(to) {
-                    f.meta = meta;
-                }
-                self.unlink(from)
-            }
-            None => Err(FsError::NotFound(from.to_owned())),
+        let Some(found) = self.layers.find(from) else {
+            return Err(FsError::NotFound(from.to_owned()));
+        };
+        if found.is_dir() {
+            return Err(not_a_file(from));
         }
+        if let Some(target) = found.target() {
+            let target = target.to_owned();
+            self.symlink(to, target)?;
+            return self.unlink(from);
+        }
+        let content = self.read(from, mat)?;
+        let meta = self.metadata(from)?;
+        self.write(to, content)?;
+        // Preserve the original metadata on the new upper entry.
+        if let Some(Node::File(f)) = self.layers.upper.get_mut(to) {
+            f.meta = meta;
+        }
+        self.unlink(from)
     }
 
     /// Removes the entry at `path`: drops it from the upper layer and/or
@@ -487,20 +511,20 @@ impl UnionFs {
     pub fn unlink(&mut self, path: &str) -> Result<(), FsError> {
         let valid = ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
         let path = valid.as_str();
-        let at = self.walk(path);
+        let at = self.layers.walk(path);
         let (in_upper, in_lower, hidden) =
             (at.upper().is_some(), at.lower().is_some(), at.hidden());
         if !in_upper && (!in_lower || hidden) {
             return Err(FsError::NotFound(path.to_owned()));
         }
         if in_upper {
-            let _ = self.upper.remove(path);
+            let _ = self.layers.upper.remove(path);
         }
         if in_lower {
-            self.whiteouts.insert(path.to_owned());
+            self.layers.whiteouts.insert(path.to_owned());
             self.stats.whiteouts_created += 1;
         }
-        self.opaques.remove(path);
+        self.layers.opaques.remove(path);
         Ok(())
     }
 
@@ -509,22 +533,23 @@ impl UnionFs {
     /// [`FsTree::apply_layer`] on the merged lower state reproduces this
     /// mount's merged view — this is exactly `docker commit`.
     pub fn diff(&self) -> Archive {
+        let Layers { upper, whiteouts, opaques, .. } = &self.layers;
         let mut archive = Archive::new();
-        for path in &self.whiteouts {
-            if !self.upper.contains(path) {
+        for path in whiteouts {
+            if !upper.contains(path) {
                 // Every stored path went through `ArchivePath::new` in `unlink`.
                 if let Ok(p) = ArchivePath::new(path) {
                     archive.push(Entry::whiteout(p));
                 }
             }
         }
-        for (path, node) in self.upper.walk() {
+        for (path, node) in upper.walk() {
             // The upper only ever grows by validated paths; an entry no path
             // reaches has no archive form.
             let Ok(apath) = ArchivePath::new(&path) else { continue };
             match node {
                 Node::Dir { meta, .. } => {
-                    if self.opaques.contains(&path) {
+                    if opaques.contains(&path) {
                         archive.push(Entry::opaque_dir(apath, *meta));
                     } else {
                         archive.push(Entry::dir(apath, *meta));
@@ -556,23 +581,24 @@ impl UnionFs {
     /// Flattens the merged view into a plain [`FsTree`] (fingerprint bodies
     /// preserved, not materialized).
     pub fn flatten(&self) -> FsTree {
+        let layers = &self.layers;
         let mut out = FsTree::new();
         // Bottom-up: lowers then upper, honouring whiteouts/opaques.
-        for tree in &self.lowers {
+        for tree in &layers.lowers {
             for (path, node) in tree.walk() {
                 // Skip paths masked by whiteouts/opaque ancestors.
-                if self.walk(&path).hidden() {
+                if layers.walk(&path).hidden() {
                     continue;
                 }
-                let _ = out.insert(&path, node.clone());
+                let _ = out.insert(&path, node.to_node());
             }
         }
-        for path in &self.whiteouts {
+        for path in &layers.whiteouts {
             let _ = out.remove(path);
         }
-        for (path, node) in self.upper.walk() {
+        for (path, node) in layers.upper.walk() {
             if node.is_dir() {
-                if self.opaques.contains(&path) {
+                if layers.opaques.contains(&path) {
                     let _ = out.remove(&path);
                 }
                 let _ = out.mkdir_p(&path);
@@ -596,41 +622,52 @@ impl UnionFs {
                 prefix.push('/');
             }
             prefix.push_str(comp);
-            if self.upper.contains(&prefix) {
+            if self.layers.upper.contains(&prefix) {
                 continue;
             }
-            let meta = match self.find(&prefix) {
-                Some(Node::Dir { meta, .. }) => *meta,
+            let meta = match self.layers.find(&prefix) {
+                Some(found) if found.is_dir() => found.meta(),
                 Some(_) => return Err(FsError::NotADirectory(prefix)),
                 None => Metadata::dir_default(),
             };
-            self.upper.insert(&prefix, Node::empty_dir(meta))?;
+            self.layers.upper.insert(&prefix, Node::empty_dir(meta))?;
             self.telemetry.count("fs.copy_up_dirs", 1);
         }
         Ok(())
     }
 
-    fn touch(&mut self, path: &str) {
-        if !self.touched.contains(path) {
-            self.touched.insert(path.to_owned());
+    fn count_read(&mut self, len: usize) {
+        self.stats.reads += 1;
+        self.stats.bytes_read += len as u64;
+        if self.telemetry.enabled() {
+            self.telemetry.count("fs.reads", 1);
+            self.telemetry.count("fs.bytes_read", len as u64);
+            self.telemetry.sketch("fs.read_bytes", len as u64);
         }
     }
+}
 
+fn not_a_file(path: &str) -> FsError {
+    FsError::NotAFile(path.to_owned())
+}
+
+impl Fetched {
+    /// A file's whole content: inline, or fetched chunk by chunk.
     fn load(
         &mut self,
-        path: &str,
-        data: &FileData,
+        data: DataRef<'_>,
         mat: &dyn Materializer,
-    ) -> Result<Bytes, FsError> {
+        telemetry: &Telemetry,
+    ) -> Result<Bytes, String> {
         match data {
-            FileData::Inline(b) => Ok(b.clone()),
-            FileData::Fingerprint { fingerprint, size } => {
-                self.materialize(path, *fingerprint, *size, mat)
+            DataRef::Inline(b) => Ok(b.clone()),
+            DataRef::Fingerprint { fingerprint, size } => {
+                self.fetch(fingerprint, size, mat, telemetry)
             }
-            FileData::Chunked { chunks, size } => {
-                let mut out = Vec::with_capacity(*size as usize);
-                for chunk in chunks.clone() {
-                    let bytes = self.materialize(path, chunk.fingerprint, chunk.size, mat)?;
+            DataRef::Chunked { chunks, size } => {
+                let mut out = Vec::with_capacity(size as usize);
+                for chunk in chunks {
+                    let bytes = self.fetch(chunk.fingerprint, chunk.size, mat, telemetry)?;
                     out.extend_from_slice(&bytes);
                 }
                 Ok(Bytes::from(out))
@@ -638,38 +675,78 @@ impl UnionFs {
         }
     }
 
-    fn materialize(
+    /// One body, memoized.
+    fn fetch(
         &mut self,
-        path: &str,
         fingerprint: Fingerprint,
         size: u64,
         mat: &dyn Materializer,
-    ) -> Result<Bytes, FsError> {
-        if let Some(bytes) = self.resolved.get(&fingerprint) {
+        telemetry: &Telemetry,
+    ) -> Result<Bytes, String> {
+        if let Some(bytes) = self.bodies.get(&fingerprint) {
             return Ok(bytes.clone());
         }
-        let bytes = mat
-            .fetch(fingerprint, size)
-            .map_err(|reason| FsError::Materialize { path: path.to_owned(), reason })?;
-        self.stats.materializations += 1;
-        self.stats.materialized_bytes += bytes.len() as u64;
-        if self.telemetry.enabled() {
-            self.telemetry.count("fs.materializations", 1);
-            self.telemetry.count("fs.materialized_bytes", bytes.len() as u64);
-            self.telemetry.instant("fs", "materialize");
+        let bytes = mat.fetch(fingerprint, size)?;
+        self.count += 1;
+        self.bytes += bytes.len() as u64;
+        if telemetry.enabled() {
+            telemetry.count("fs.materializations", 1);
+            telemetry.count("fs.materialized_bytes", bytes.len() as u64);
+            telemetry.instant("fs", "materialize");
         }
-        self.resolved.insert(fingerprint, bytes.clone());
+        self.bodies.insert(fingerprint, bytes.clone());
         Ok(bytes)
     }
+}
 
-    /// Lower trees in precedence order (topmost lower first).
-    fn visible_lowers(&self, _path: &str) -> impl Iterator<Item = &Arc<FsTree>> {
-        self.lowers.iter().rev()
+impl Touched {
+    /// Instantiates the inode of the path `walk` stands at.
+    fn touch(&mut self, walk: &Walk<'_, '_>) {
+        match walk.lower() {
+            Some(at) => self.touch_lower(&walk.layers.lowers, at),
+            None => self.touch_path(Cow::Owned(walk.path())),
+        }
+    }
+
+    /// Instantiates the inode of `path`, where the lower stack shows `shown`.
+    fn touch_at(&mut self, lowers: &[Arc<FrozenTree>], shown: Option<LowerAt>, path: &str) {
+        match shown {
+            Some(at) => self.touch_lower(lowers, at),
+            None => self.touch_path(Cow::Borrowed(path)),
+        }
+    }
+
+    fn touch_lower(&mut self, lowers: &[Arc<FrozenTree>], at: LowerAt) {
+        if self.lower.is_empty() {
+            let nodes: usize = lowers.iter().map(|tree| tree.node_count()).sum();
+            self.lower = vec![0; nodes.div_ceil(64)];
+        }
+        let below: usize = lowers.iter().take(at.layer as usize).map(|t| t.node_count()).sum();
+        let bit = below + at.node as usize;
+        let Some(word) = self.lower.get_mut(bit / 64) else { return };
+        let mask = 1u64 << (bit % 64);
+        if *word & mask == 0 {
+            *word |= mask;
+            self.lower_count += 1;
+        }
+    }
+
+    fn touch_path(&mut self, path: Cow<'_, str>) {
+        if !self.paths.contains(path.as_ref()) {
+            self.paths.insert(path.into_owned());
+        }
+    }
+}
+
+impl Layers {
+    /// The node `node` of lower `layer`.
+    fn lower(&self, at: LowerAt) -> Option<NodeRef<'_>> {
+        self.lowers.get(at.layer as usize)?.node(at.node)
     }
 
     /// A [`Walk`] taken down `path`, one level per component.
-    fn walk(&self, path: &str) -> Walk<'_> {
-        let mut walk = Walk::new(self, path.len());
+    fn walk<'a, 'p>(&'a self, path: &'p str) -> Walk<'a, 'p> {
+        let mut walk = Walk::new(self);
         if !path.is_empty() {
             for comp in path.split('/') {
                 walk.push(comp);
@@ -679,30 +756,40 @@ impl UnionFs {
     }
 
     /// Finds the node at `path` in the merged view, no symlink following.
-    fn find(&self, path: &str) -> Option<&Node> {
+    fn find(&self, path: &str) -> Option<Found<'_>> {
         self.walk(path).node()
     }
 
-    /// Resolves symlinks in `path`; returns the normalized final path.
+    /// Resolves symlinks in `path`: the [`Walk`] that ends at the normalized
+    /// final path.
     ///
-    /// One [`Walk`] that steps down for a name, up for `..`, and back to the
-    /// root for an absolute link target. What is still to be walked is a
-    /// stack of component iterators borrowed from the request path and from
-    /// the targets of the links met on the way, the innermost target on top.
-    fn resolve<'a>(&'a self, path: &'a str, follow_final: bool) -> Result<String, FsError> {
-        self.telemetry.count("fs.lookups", 1);
+    /// One walk that steps down for a name, up for `..`, and back to the
+    /// root for an absolute link target. What is still to be walked is the
+    /// rest of the request path and of the targets of the links met on the
+    /// way, the innermost target on top — at most [`SYMLINK_MAX`] of them,
+    /// so the stack needs no heap.
+    fn resolve<'a: 'p, 'p>(
+        &'a self,
+        path: &'p str,
+        follow_final: bool,
+    ) -> Result<Walk<'a, 'p>, FsError> {
+        let mut walk = Walk::new(self);
         if path.is_empty() {
-            return Ok(String::new());
+            return Ok(walk);
         }
-        ArchivePath::new(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
-        let mut walk = Walk::new(self, path.len());
-        let mut pending = vec![path.split('/')];
+        ArchivePath::check(path).map_err(|e| FsError::InvalidPath(e.to_string()))?;
+        let mut pending = [""; SYMLINK_MAX + 1];
+        pending[0] = path;
+        let mut depth = 1;
         let mut hops = 0usize;
-        while let Some(rest) = pending.last_mut() {
-            let Some(comp) = rest.next() else {
-                pending.pop();
+        while depth > 0 {
+            let rest = pending[depth - 1];
+            if rest.is_empty() {
+                depth -= 1;
                 continue;
-            };
+            }
+            let (comp, tail) = rest.split_once('/').unwrap_or((rest, ""));
+            pending[depth - 1] = tail;
             match comp {
                 "" | "." => continue,
                 ".." => {
@@ -712,29 +799,83 @@ impl UnionFs {
                 _ => {}
             }
             walk.push(comp);
-            let is_final = || pending.iter().all(|rest| rest.clone().all(|c| matches!(c, "" | ".")));
+            let is_final = || {
+                pending[..depth].iter().all(|rest| rest.split('/').all(|c| matches!(c, "" | ".")))
+            };
             if !follow_final && is_final() {
                 continue;
             }
-            if let Some(Node::Symlink(link)) = walk.node() {
+            if let Some(target) = walk.node().and_then(Found::target) {
                 hops += 1;
-                if hops > SYMLINK_MAX {
+                // `depth` is at most `hops`, so the slot is there.
+                let (true, Some(slot)) = (hops <= SYMLINK_MAX, pending.get_mut(depth)) else {
                     return Err(FsError::SymlinkLoop(path.to_owned()));
-                }
+                };
                 walk.pop(); // the link component itself
-                if link.target.starts_with('/') {
+                if target.starts_with('/') {
                     walk.clear();
                 }
-                pending.push(link.target.trim_start_matches('/').split('/'));
+                *slot = target.trim_start_matches('/');
+                depth += 1;
             }
         }
-        Ok(walk.path)
+        Ok(walk)
     }
 }
 
+/// What the merged view shows at a path: an upper node, or a lower one.
+#[derive(Debug, Clone, Copy)]
+enum Found<'a> {
+    Upper(&'a Node),
+    Lower(NodeRef<'a>),
+}
+
+impl<'a> Found<'a> {
+    fn meta(self) -> Metadata {
+        match self {
+            Found::Upper(node) => node.meta(),
+            Found::Lower(node) => node.meta(),
+        }
+    }
+
+    fn is_dir(self) -> bool {
+        match self {
+            Found::Upper(node) => node.is_dir(),
+            Found::Lower(node) => node.is_dir(),
+        }
+    }
+
+    /// A symlink's target.
+    fn target(self) -> Option<&'a str> {
+        match self {
+            Found::Upper(Node::Symlink(link)) => Some(&link.target),
+            Found::Upper(_) => None,
+            Found::Lower(node) => node.target(),
+        }
+    }
+
+    /// A regular file's body.
+    fn data(self) -> Option<DataRef<'a>> {
+        match self {
+            Found::Upper(Node::File(file)) => Some(DataRef::from(&file.data)),
+            Found::Upper(_) => None,
+            Found::Lower(node) => node.data(),
+        }
+    }
+}
+
+/// A node of one lower: its layer (index into [`Layers::lowers`]) and id.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct LowerAt {
+    layer: u32,
+    node: u32,
+}
+
 /// What one prefix of a walked path holds in each part of the mount.
-#[derive(Debug)]
-struct Level<'a> {
+#[derive(Debug, Clone, Copy, Default)]
+struct Level<'a, 'p> {
+    /// This level's component.
+    comp: &'p str,
     /// The upper tree's node here.
     upper: Option<&'a Node>,
     /// Where this level's nodes start in [`Walk::lowers`]; they run to the
@@ -746,103 +887,179 @@ struct Level<'a> {
     /// Lower content *below* this prefix is hidden: `hidden`, or this prefix
     /// is opaque, or the upper holds a non-directory here.
     hides_below: bool,
-    /// Length of [`Walk::path`] without this level's component.
+    /// Length of [`Walk::marked`] without this level's component.
     parent_len: usize,
 }
 
-/// A position in the merged view, moved one component at a time — the one
-/// place overlay masking is worked out. Stepping down costs one map lookup in
-/// the upper and one in each lower directory still merged in; nothing is
-/// allocated per step.
+/// A stack that keeps its first `N` items in place and spills only past
+/// them to the heap, so that a walk of ordinary depth allocates nothing.
 #[derive(Debug)]
-struct Walk<'a> {
-    fs: &'a UnionFs,
+struct Stack<T, const N: usize> {
+    inline: [T; N],
+    len: usize,
+    spill: Vec<T>,
+}
+
+impl<T: Copy + Default, const N: usize> Stack<T, N> {
+    fn new() -> Self {
+        Stack { inline: [T::default(); N], len: 0, spill: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn get(&self, at: usize) -> Option<&T> {
+        if at >= self.len {
+            None
+        } else if at < N {
+            self.inline.get(at)
+        } else {
+            self.spill.get(at - N)
+        }
+    }
+
+    fn last(&self) -> Option<&T> {
+        self.get(self.len.checked_sub(1)?)
+    }
+
+    fn push(&mut self, item: T) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => *slot = item,
+            None => self.spill.push(item),
+        }
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        let top = *self.last()?;
+        self.truncate(self.len - 1);
+        Some(top)
+    }
+
+    fn truncate(&mut self, len: usize) {
+        if len < self.len {
+            self.spill.truncate(len.saturating_sub(N));
+            self.len = len;
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.inline.iter().take(self.len).chain(&self.spill)
+    }
+}
+
+/// A position in the merged view, moved one component at a time — the one
+/// place overlay masking is worked out. Stepping down costs one lookup in
+/// the upper and one binary search in each lower directory still merged in;
+/// a walk of up to 16 levels allocates nothing.
+#[derive(Debug)]
+struct Walk<'a, 'p> {
+    layers: &'a Layers,
     /// Where the walk starts, and stands while `levels` is empty.
-    root: Level<'a>,
+    root: Level<'a, 'p>,
     /// One level per component walked.
-    levels: Vec<Level<'a>>,
+    levels: Stack<Level<'a, 'p>, 16>,
     /// Every level's lower nodes, the root's first, then level after level.
     /// A level's are what the lower stack alone shows at its prefix, topmost
     /// lower first: either the directories merged there, or the one
     /// non-directory that masks the rest. Whether the upper lets any of it
     /// through is the level's `hidden`.
-    lowers: Vec<&'a Node>,
-    /// The walked prefix, as whiteouts and opaque markers are keyed.
-    path: String,
+    lowers: Stack<LowerAt, 16>,
+    /// The walked prefix, as whiteouts and opaque markers are keyed — kept
+    /// only while the mount has any.
+    marked: Option<String>,
 }
 
-impl<'a> Walk<'a> {
-    /// A walk standing at the root, with room for a path of `path_len` bytes.
-    fn new(fs: &'a UnionFs, path_len: usize) -> Self {
-        let root = Level {
-            upper: Some(fs.upper.root()),
-            lowers_start: 0,
-            hidden: false,
-            hides_below: false,
-            parent_len: 0,
-        };
-        let mut lowers = Vec::with_capacity(8 * fs.lowers.len().max(1));
-        lowers.extend(fs.lowers.iter().rev().map(|tree| tree.root()));
-        Walk {
-            fs,
-            root,
-            levels: Vec::with_capacity(8),
-            lowers,
-            path: String::with_capacity(path_len),
+impl<'a, 'p> Walk<'a, 'p> {
+    /// A walk standing at the root.
+    fn new(layers: &'a Layers) -> Self {
+        let root = Level { upper: Some(layers.upper.root()), ..Level::default() };
+        let mut lowers = Stack::new();
+        for layer in (0..layers.lowers.len()).rev() {
+            lowers.push(LowerAt { layer: layer as u32, node: 0 });
         }
+        let marked = (!layers.whiteouts.is_empty() || !layers.opaques.is_empty()).then(String::new);
+        Walk { layers, root, levels: Stack::new(), lowers, marked }
     }
 
-    fn top(&self) -> &Level<'a> {
+    fn top(&self) -> &Level<'a, 'p> {
         self.levels.last().unwrap_or(&self.root)
     }
 
     /// Steps down into `comp`, whether or not anything is there.
-    fn push(&mut self, comp: &str) {
-        let top = self.top();
+    fn push(&mut self, comp: &'p str) {
+        let top = *self.top();
         let upper = match top.upper {
             Some(Node::Dir { children, .. }) => children.get(comp),
             _ => None,
         };
-        let (above, hidden_above) = (top.lowers_start, top.hides_below);
         let start = self.lowers.len();
-        for at in above..start {
-            let Node::Dir { children, .. } = self.lowers[at] else { continue };
-            let Some(child) = children.get(comp) else { continue };
+        for at in top.lowers_start..start {
+            let Some(&dir) = self.lowers.get(at) else { break };
+            let Some(child) = self.layers.lower(dir).and_then(|dir| dir.child(comp)) else {
+                continue;
+            };
+            let child_at = LowerAt { layer: dir.layer, node: child.id() };
             if self.lowers.len() == start {
-                self.lowers.push(child);
+                self.lowers.push(child_at);
                 if !child.is_dir() {
                     break; // masks deeper layers
                 }
             } else if child.is_dir() {
-                self.lowers.push(child); // merged dir
+                self.lowers.push(child_at); // merged dir
             }
             // deeper non-dir under a dir: hidden
         }
-        let parent_len = self.path.len();
-        if parent_len > 0 {
-            self.path.push('/');
+        let mut level = Level {
+            comp,
+            upper,
+            lowers_start: start,
+            hidden: top.hides_below,
+            hides_below: top.hides_below || upper.is_some_and(|node| !node.is_dir()),
+            parent_len: 0,
+        };
+        if let Some(path) = &mut self.marked {
+            level.parent_len = path.len();
+            if !path.is_empty() {
+                path.push('/');
+            }
+            path.push_str(comp);
+            level.hidden |= self.layers.whiteouts.contains(path.as_str());
+            level.hides_below |= level.hidden || self.layers.opaques.contains(path.as_str());
         }
-        self.path.push_str(comp);
-        let hidden = hidden_above || self.fs.whiteouts.contains(&self.path);
-        let hides_below = hidden
-            || self.fs.opaques.contains(&self.path)
-            || upper.is_some_and(|node| !node.is_dir());
-        self.levels.push(Level { upper, lowers_start: start, hidden, hides_below, parent_len });
+        self.levels.push(level);
     }
 
     /// Steps back up one component; at the root, stays there.
     fn pop(&mut self) {
         if let Some(top) = self.levels.pop() {
             self.lowers.truncate(top.lowers_start);
-            self.path.truncate(top.parent_len);
+            if let Some(path) = &mut self.marked {
+                path.truncate(top.parent_len);
+            }
         }
     }
 
     /// Back to the root.
     fn clear(&mut self) {
-        self.levels.clear();
-        self.lowers.truncate(self.fs.lowers.len());
-        self.path.clear();
+        self.levels.truncate(0);
+        self.lowers.truncate(self.layers.lowers.len());
+        if let Some(path) = &mut self.marked {
+            path.clear();
+        }
+    }
+
+    /// The walked path, normalized.
+    fn path(&self) -> String {
+        let mut path = String::new();
+        for level in self.levels.iter() {
+            if !path.is_empty() {
+                path.push('/');
+            }
+            path.push_str(level.comp);
+        }
+        path
     }
 
     /// The upper tree's node here.
@@ -851,8 +1068,17 @@ impl<'a> Walk<'a> {
     }
 
     /// What the lower stack alone shows here, masking between lowers applied.
-    fn lower(&self) -> Option<&'a Node> {
+    fn lower(&self) -> Option<LowerAt> {
         self.lowers.get(self.top().lowers_start).copied()
+    }
+
+    /// The lower directories merged here, topmost first.
+    fn lowers_here(&self) -> impl Iterator<Item = NodeRef<'a>> + '_ {
+        let layers = self.layers;
+        (self.top().lowers_start..self.lowers.len())
+            .filter_map(|at| self.lowers.get(at))
+            .filter_map(move |&at| layers.lower(at))
+            .filter(NodeRef::is_dir)
     }
 
     /// Whether the upper hides lower content here.
@@ -866,8 +1092,12 @@ impl<'a> Walk<'a> {
     }
 
     /// The node the merged view shows here.
-    fn node(&self) -> Option<&'a Node> {
-        self.upper().or_else(|| if self.hidden() { None } else { self.lower() })
+    fn node(&self) -> Option<Found<'a>> {
+        match self.upper() {
+            Some(node) => Some(Found::Upper(node)),
+            None if self.hidden() => None,
+            None => self.lower().and_then(|at| self.layers.lower(at)).map(Found::Lower),
+        }
     }
 }
 
@@ -1086,6 +1316,61 @@ mod tests {
         assert_eq!(m.inode_count(), 2);
     }
 
+    /// A walk deeper than the levels it holds in place spills to the heap
+    /// and steps back up across the boundary: a read, a `readdir` and a
+    /// relative link climbing out of 40 directories.
+    #[test]
+    fn deep_walks_spill_and_come_back() {
+        let deep: Vec<String> = (0..40).map(|i| format!("d{i}")).collect();
+        let dir = deep.join("/");
+        let mut t = FsTree::new();
+        t.create_file(&format!("{dir}/f"), Bytes::from_static(b"deep")).unwrap();
+        t.create_file("d0/top", Bytes::from_static(b"top")).unwrap();
+        let up = vec![".."; 39].join("/");
+        t.insert(&format!("{dir}/up"), Node::symlink(Metadata::file_default(), format!("{up}/top")))
+            .unwrap();
+        let mut m = UnionFs::new(vec![Arc::new(t)]);
+        assert_eq!(&m.read(&format!("{dir}/f"), &NoFetch).unwrap()[..], b"deep");
+        assert_eq!(&m.read(&format!("{dir}/up"), &NoFetch).unwrap()[..], b"top");
+        assert_eq!(m.readdir(&dir).unwrap(), vec!["f", "up"]);
+        assert!(m.read(&format!("{dir}/missing"), &NoFetch).is_err());
+        assert_eq!(m.inode_count(), 3);
+    }
+
+    /// Only a lookup that finds a node instantiates its inode — a read whose
+    /// fetch then fails included — and a path keeps one inode whichever
+    /// layer serves it.
+    #[test]
+    fn a_failed_lookup_instantiates_no_inode() {
+        let mut t = FsTree::new();
+        t.create_file("a", Bytes::from_static(b"1")).unwrap();
+        t.insert(
+            "remote",
+            Node::fingerprint_file(Metadata::file_default(), Fingerprint::of(b"?"), 1),
+        )
+        .unwrap();
+        let mut m = UnionFs::new(vec![Arc::new(t)]);
+        assert!(matches!(m.read("missing", &NoFetch), Err(FsError::NotFound(_))));
+        assert!(matches!(m.metadata("nope/deeper"), Err(FsError::NotFound(_))));
+        assert!(matches!(m.readdir("gone"), Err(FsError::NotFound(_))));
+        assert!(matches!(m.read_range("a/b", 0, 1, &NoFetch), Err(FsError::NotFound(_))));
+        assert_eq!(m.inode_count(), 0);
+
+        assert!(matches!(m.read("remote", &NoFetch), Err(FsError::Materialize { .. })));
+        assert_eq!(m.inode_count(), 1);
+        assert!(matches!(m.readdir("a"), Err(FsError::NotADirectory(_))));
+        assert_eq!(m.inode_count(), 2);
+
+        // Copied up, then read again: still the one inode of `a`.
+        m.write("a", Bytes::from_static(b"2")).unwrap();
+        assert_eq!(&m.read("a", &NoFetch).unwrap()[..], b"2");
+        assert_eq!(m.inode_count(), 2);
+        // A path only the upper holds counts once too.
+        m.write("fresh", Bytes::from_static(b"3")).unwrap();
+        m.read("fresh", &NoFetch).unwrap();
+        assert_eq!(m.inode_count(), 3);
+    }
+
     #[test]
     fn repointed_symlinks_and_unlinked_targets_are_seen_at_once() {
         let mut t = FsTree::new();
@@ -1161,18 +1446,27 @@ mod tests {
 
     /// `find`, `find_lower`, `lower_hidden`, `resolve_uncached` and `flatten`
     /// as they stood before [`Walk`], word for word: every call walks its
-    /// path from the root again, `resolve_uncached` once per prefix. Fields
-    /// and `visible_lowers` are reached through the `Deref`.
-    struct Reference<'a>(&'a UnionFs);
+    /// path from the root again, `resolve_uncached` once per prefix. It reads
+    /// the mount's upper, whiteouts and opaque markers through the `Deref`,
+    /// and the lowers as the [`FsTree`]s the mount froze.
+    struct Reference<'a> {
+        fs: &'a Layers,
+        lowers: &'a [Arc<FsTree>],
+    }
 
     impl std::ops::Deref for Reference<'_> {
-        type Target = UnionFs;
-        fn deref(&self) -> &UnionFs {
-            self.0
+        type Target = Layers;
+        fn deref(&self) -> &Layers {
+            self.fs
         }
     }
 
     impl Reference<'_> {
+        /// Lower trees in precedence order (topmost lower first).
+        fn visible_lowers(&self, _path: &str) -> impl Iterator<Item = &Arc<FsTree>> {
+            self.lowers.iter().rev()
+        }
+
         /// Whether lower content at `path` is hidden by a whiteout/opaque marker
         /// at the path itself or any ancestor, or by a non-directory in the upper
         /// at an ancestor.
@@ -1306,7 +1600,7 @@ mod tests {
         fn flatten(&self) -> FsTree {
             let mut out = FsTree::new();
             // Bottom-up: lowers then upper, honouring whiteouts/opaques.
-            for tree in &self.lowers {
+            for tree in self.lowers {
                 for (path, node) in tree.walk() {
                     // Skip paths masked by whiteouts/opaque ancestors.
                     if self.lower_hidden(&path) {
@@ -1415,42 +1709,65 @@ mod tests {
             ]
         }
 
-        fn same_node(walked: Option<&Node>, reference: Option<&Node>) -> bool {
-            match (walked, reference) {
-                (Some(a), Some(b)) => std::ptr::eq(a, b),
+        /// Whether the walk and the reference found the same node: the same
+        /// upper node, or the node at `path` of the same lower, which holds
+        /// what the tree it was frozen from holds there.
+        fn same_node(
+            reference: &Reference<'_>,
+            path: &str,
+            walked: Option<Found<'_>>,
+            found: Option<&Node>,
+        ) -> bool {
+            match (walked, found) {
+                (Some(Found::Upper(a)), Some(b)) => std::ptr::eq(a, b),
+                (Some(Found::Lower(a)), Some(b)) => {
+                    let same_layer =
+                        reference.fs.lowers.iter().zip(reference.lowers).any(|(frozen, tree)| {
+                            std::ptr::eq(a.tree(), &**frozen)
+                                && frozen.get(path).is_some_and(|n| n.id() == a.id())
+                                && tree.get(path).is_some_and(|n| std::ptr::eq(n, b))
+                        });
+                    same_layer && a.to_node() == *b
+                }
                 (None, None) => true,
                 _ => false,
             }
         }
 
-        fn check(mount: &UnionFs, probes: &[String]) -> Result<(), String> {
-            let reference = Reference(mount);
+        fn check(mount: &UnionFs, lowers: &[Arc<FsTree>], probes: &[String]) -> Result<(), String> {
+            let layers = &mount.layers;
+            let reference = Reference { fs: layers, lowers };
             // Everything either side can name, and then the crooked probes.
-            let mut paths: Vec<String> = mount.upper.walk().map(|(path, _)| path).collect();
-            for tree in &mount.lowers {
+            let mut paths: Vec<String> = layers.upper.walk().map(|(path, _)| path).collect();
+            for tree in lowers {
                 paths.extend(tree.walk().map(|(path, _)| path));
             }
-            paths.extend(mount.whiteouts.iter().cloned());
+            paths.extend(layers.whiteouts.iter().cloned());
             paths.extend(probes.iter().cloned());
             paths.push(String::new());
             for path in &paths {
-                prop_assert!(same_node(mount.find(path), reference.find(path)), "find {:?}", path);
-                let walk = mount.walk(path);
+                prop_assert!(
+                    same_node(&reference, path, layers.find(path), reference.find(path)),
+                    "find {:?}",
+                    path
+                );
+                let walk = layers.walk(path);
                 // Hidden-ness is asked of paths the mount made itself. (An
                 // empty component the old prefix string swallowed at its
                 // front and kept elsewhere; the walk looks it up as a name.
                 // Nothing is found through one either way.)
                 if !path.split('/').any(str::is_empty) {
                     prop_assert_eq!(walk.hidden(), reference.lower_hidden(path), "{:?}", path);
+                    let lower = walk.lower().and_then(|at| layers.lower(at)).map(Found::Lower);
                     prop_assert!(
-                        same_node(walk.lower(), reference.find_lower(path)),
+                        same_node(&reference, path, lower, reference.find_lower(path)),
                         "find_lower {:?}",
                         path
                     );
                 }
                 for follow_final in [true, false] {
                     prop_assert_eq!(
-                        mount.resolve(path, follow_final),
+                        layers.resolve(path, follow_final).map(|walk| walk.path()),
                         reference.resolve_uncached(path, follow_final),
                         "resolve {:?} follow_final={}",
                         path,
@@ -1464,9 +1781,10 @@ mod tests {
 
         proptest! {
             /// Over one to three lowers and any run of mutations, `Walk`
-            /// finds the node, the lower node and the hidden-ness the old
-            /// trio found, `resolve` lands where it landed, and `flatten` is
-            /// the tree it was — checked before the first mutation and after
+            /// over the frozen lowers finds the node, the lower node and the
+            /// hidden-ness the old trio found over the trees they were frozen
+            /// from, `resolve` lands where it landed, and `flatten` is the
+            /// tree it was — checked before the first mutation and after
             /// every one.
             #[test]
             fn on_every_path_after_every_mutation(
@@ -1474,8 +1792,9 @@ mod tests {
                 ops in proptest::collection::vec(any_op(), 0..16),
                 probes in proptest::collection::vec(any_crooked_path(), 12),
             ) {
-                let mut mount = UnionFs::new(lowers.into_iter().map(Arc::new).collect());
-                check(&mount, &probes)?;
+                let lowers: Vec<Arc<FsTree>> = lowers.into_iter().map(Arc::new).collect();
+                let mut mount = UnionFs::new(lowers.clone());
+                check(&mount, &lowers, &probes)?;
                 for op in ops {
                     let _ = match &op {
                         Op::Write(path, byte) => mount.write(path, Bytes::from(vec![*byte])),
@@ -1484,7 +1803,7 @@ mod tests {
                         Op::Unlink(path) => mount.unlink(path),
                         Op::Rename(from, to) => mount.rename(from, to, &NoFetch),
                     };
-                    if let Err(why) = check(&mount, &probes) {
+                    if let Err(why) = check(&mount, &lowers, &probes) {
                         return Err(format!("after {op:?}: {why}"));
                     }
                 }

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gear_fs::{FsError, FsTree, UnionFs};
+use gear_fs::{FrozenTree, FsError, UnionFs};
 use gear_hash::Digest;
 
 use crate::image::Image;
@@ -39,7 +39,7 @@ pub struct Overlay2Store {
     layers: HashMap<Digest, Layer>,
     images: HashMap<ImageRef, ImageRecord>,
     /// Flattened root trees, memoized per image (Overlay2 keeps merged dirs).
-    flattened: HashMap<ImageRef, Arc<FsTree>>,
+    flattened: HashMap<ImageRef, Arc<FrozenTree>>,
 }
 
 impl Overlay2Store {
@@ -87,8 +87,8 @@ impl Overlay2Store {
     /// Union-mounts the image for a new container: its flattened read-only
     /// root as the lower, a fresh writable upper on top.
     ///
-    /// The flattened tree is memoized, so concurrent containers from the same
-    /// image share it (Docker's layer sharing at runtime).
+    /// The flattened tree is memoized, frozen once, so concurrent containers
+    /// from the same image share it (Docker's layer sharing at runtime).
     ///
     /// # Errors
     ///
@@ -96,14 +96,14 @@ impl Overlay2Store {
     /// errors from corrupt diffs.
     pub fn mount(&mut self, reference: &ImageRef) -> Result<UnionFs, FsError> {
         if let Some(tree) = self.flattened.get(reference) {
-            return Ok(UnionFs::new(vec![Arc::clone(tree)]));
+            return Ok(UnionFs::over(vec![Arc::clone(tree)]));
         }
         let image = self
             .image(reference)
             .ok_or_else(|| FsError::NotFound(reference.to_string()))?;
-        let tree = Arc::new(image.root_fs()?);
+        let tree = Arc::new(FrozenTree::from_tree(&image.root_fs()?));
         self.flattened.insert(reference.clone(), Arc::clone(&tree));
-        Ok(UnionFs::new(vec![tree]))
+        Ok(UnionFs::over(vec![tree]))
     }
 
     /// Deregisters an image. Layers remain until [`Overlay2Store::gc`].
