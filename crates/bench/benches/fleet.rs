@@ -5,7 +5,8 @@
 //! * `event_queue/ascending` — 100 k events pushed in time order, then
 //!   drained: a pre-scheduled crowd.
 //! * `event_queue/outage_first` — one late event (an outage's end) queued
-//!   before the same 100 k, which arrive as one batch: the rolling update.
+//!   before the same 100 k, which arrive as one spaced batch: the rolling
+//!   update.
 //! * `event_queue/interleaved` — 1 000 pending events, then pop one and
 //!   push one a pseudo-random gap later until 100 k were pushed: events a
 //!   simulation books as it goes.
@@ -57,7 +58,7 @@ fn bench_event_queue(c: &mut Criterion) {
         b.iter(|| {
             let mut queue = EventQueue::new();
             queue.push(Duration::from_secs(120), u64::MAX);
-            queue.extend(ascending());
+            queue.push_spaced(Duration::ZERO, STEP, 0..EVENTS as u32, u64::from);
             drain(queue)
         })
     });

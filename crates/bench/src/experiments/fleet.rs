@@ -17,11 +17,11 @@
 //!   20 Mbps; the tails show how the slowest uplink dominates p999.
 //!
 //! Makespan and p50/p99/p999 come from the fleet's merged
-//! [`QuantileSketch`]es: each node records into its own bounded
-//! flight-recorder shard, so collector memory stays capped however many
-//! clients arrive (its footprint is a recorded pin), and a fixed seed
-//! makes every report bit-identical and every merged trace/metrics export
-//! byte-identical across runs.
+//! [`QuantileSketch`](gear_telemetry::QuantileSketch)s: each node records
+//! into its own bounded flight-recorder shard, so collector memory stays
+//! capped however many clients arrive (its footprint is a recorded pin),
+//! and a fixed seed makes every report bit-identical and every merged
+//! trace/metrics export byte-identical across runs.
 
 use std::fmt;
 use std::time::Duration;

@@ -91,7 +91,7 @@ impl Profile {
     }
 }
 
-/// Profiles the full deployment path on the first [`PROFILE_SERIES`] series.
+/// Profiles the full deployment path on the first `PROFILE_SERIES` series.
 pub fn run(ctx: &ExperimentContext) -> Profile {
     let (telemetry, collector) = Telemetry::collector();
     let series: Vec<_> = ctx.corpus.series.iter().take(PROFILE_SERIES).collect();

@@ -276,7 +276,7 @@ impl Lzss {
     }
 
     /// Length of the common prefix of `data[a..]` and `data[b..]`, capped at
-    /// [`MAX_MATCH`] and the end of `data` (`a < b`).
+    /// `MAX_MATCH` and the end of `data` (`a < b`).
     ///
     /// Compares 8 bytes at a time via `u64` XOR + `trailing_zeros`, falling
     /// back to byte-wise for the tail. Returns the index of the first

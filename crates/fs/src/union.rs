@@ -231,7 +231,7 @@ impl UnionFs {
     /// Reads the whole file at `path`, following symlinks and materializing
     /// fingerprint/chunked bodies through `mat`.
     ///
-    /// One [`Walk`] finds the node and is kept for what follows; a file the
+    /// One `Walk` finds the node and is kept for what follows; a file the
     /// lowers hold is read in place. Nothing is allocated for the lookup.
     ///
     /// # Errors

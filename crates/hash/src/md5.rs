@@ -240,7 +240,7 @@ pub(crate) fn md5_all<T: AsRef<[u8]>>(items: &[T]) -> Vec<[u8; 16]> {
 }
 
 /// MD5 of every item, in item order, computed `L` messages at a time (see
-/// [`compress`]): the kernel of [`crate::fingerprint_all`] at a width of
+/// `compress`): the kernel of [`crate::fingerprint_all`] at a width of
 /// the caller's choosing, for comparing widths.
 ///
 /// Items are fed longest first, and a lane whose message ends takes the

@@ -1,4 +1,4 @@
-//! Event-driven fleet deployment: tens of thousands of clients over a
+//! Event-driven fleet deployment: up to a million clients over a
 //! hierarchical topology against a sharded registry.
 //!
 //! [`FleetSim`] is the driver the event core in `gear-simnet` was built
@@ -144,12 +144,16 @@ struct RegistrySeed {
     failed: bool,
 }
 
-/// One scheduled client. A million of these are held at once, so a node
-/// is a `u32` and nothing is kept about the finish but the makespan.
+/// The clients of one schedule call, held as the call gave them: client
+/// `first + k` arrives at node `(first_node + k) % nodes` at `start +
+/// spacing * k`. A flash crowd of a million is one row; a lone client is a
+/// crowd of one.
 #[derive(Debug)]
-struct FleetClient {
-    node: u32,
-    arrive: Duration,
+struct Crowd {
+    first: u32,
+    first_node: u32,
+    start: Duration,
+    spacing: Duration,
 }
 
 #[derive(Debug)]
@@ -161,8 +165,8 @@ struct FleetObject {
 }
 
 /// A queued event. Indices are `u32` — `new`, `schedule_client` and
-/// `start_seed` check they fit — so an entry of the queue, which holds a
-/// whole pre-scheduled crowd, is 40 bytes rather than 48.
+/// `start_seed` check they fit — so an entry of the queue is 40 bytes
+/// rather than 48.
 #[derive(Debug)]
 enum Event {
     /// Client `idx` arrives at its node.
@@ -261,7 +265,10 @@ pub struct FleetSim {
     nodes: Vec<NodeState>,
     sites: Vec<SiteState>,
     seeds: Vec<RegistrySeed>,
-    clients: Vec<FleetClient>,
+    /// One row per schedule call, in client-index order.
+    crowds: Vec<Crowd>,
+    /// Clients scheduled so far.
+    clients: u32,
     completed: u32,
     /// Finish of the latest deployment so far.
     makespan: Duration,
@@ -345,7 +352,8 @@ impl FleetSim {
             nodes,
             sites: site_states,
             seeds: Vec::new(),
-            clients: Vec::new(),
+            crowds: Vec::new(),
+            clients: 0,
             completed: 0,
             makespan: Duration::ZERO,
             lost: 0,
@@ -385,44 +393,57 @@ impl FleetSim {
     /// clients are already scheduled.
     pub fn schedule_client(&mut self, node: NodeId, at: Duration) {
         assert!(node < self.topo.nodes(), "client scheduled on unknown node {node}");
-        let idx = self.client_indices(1).start;
-        self.clients.push(FleetClient { node: node as u32, arrive: at });
-        self.queue.push(at, Event::Arrive(idx));
+        let ids = self.client_indices(1);
+        self.queue.push(at, Event::Arrive(ids.start));
+        self.add_crowd(ids, node as u32, at, Duration::ZERO);
     }
 
     /// Schedules `count` clients round-robin across every node, the first
     /// at `start` and each subsequent one `spacing` later — the flash-crowd
     /// arrival pattern. The same as `count` calls of
-    /// [`FleetSim::schedule_client`], but the arrivals reach the queue as
-    /// one batch in time order, which it pops without a heap.
+    /// [`FleetSim::schedule_client`], but held as one row and one queue
+    /// item, which makes each arrival as it pops.
     ///
     /// # Panics
     ///
-    /// Panics when the crowd takes the client count past `u32::MAX`.
+    /// Panics when the crowd takes the client count past `u32::MAX`, or
+    /// when its last arrival, `start + spacing × (count − 1)`, overflows
+    /// `Duration` ("a spaced batch's last event overflows Duration").
     pub fn schedule_flash_crowd(&mut self, count: u32, start: Duration, spacing: Duration) {
-        let nodes = self.topo.nodes();
-        let indices = self.client_indices(count);
-        // Pushed one by one, so `clients` grows by doubling and still has
-        // room for a few stragglers; an exact reservation would double a
-        // full million-row vector on the next push.
-        for i in 0..count {
-            self.clients.push(FleetClient {
-                node: ((i as usize) % nodes) as u32,
-                arrive: start + spacing * i,
-            });
-        }
-        let crowd = &self.clients[indices.start as usize..];
-        self.queue.extend(indices.zip(crowd).map(|(idx, c)| (c.arrive, Event::Arrive(idx))));
+        let ids = self.client_indices(count);
+        self.queue.push_spaced(start, spacing, ids.clone(), Event::Arrive);
+        self.add_crowd(ids, 0, start, spacing);
     }
 
     /// The indices the next `count` clients get.
     fn client_indices(&self, count: u32) -> Range<u32> {
-        // Every client so far got its index here, so the count fits.
-        let first = self.clients.len() as u32;
-        let Some(end) = first.checked_add(count) else {
+        let Some(end) = self.clients.checked_add(count) else {
             panic!("fleet events index clients as u32");
         };
-        first..end
+        self.clients..end
+    }
+
+    /// Records clients `ids`, the `k`-th at node `(first_node + k) % nodes`
+    /// at `start + spacing × k`, as one row.
+    fn add_crowd(&mut self, ids: Range<u32>, first_node: u32, start: Duration, spacing: Duration) {
+        if !ids.is_empty() {
+            self.crowds.push(Crowd { first: ids.start, first_node, start, spacing });
+        }
+        self.clients = ids.end;
+    }
+
+    /// The row that scheduled `client`, and the client's place in it.
+    fn crowd_of(&self, client: u32) -> (&Crowd, u32) {
+        // Most clients belong to the first row (a crowd scheduled before
+        // any straggler), which needs no search.
+        let row = match self.crowds.get(1) {
+            Some(second) if client >= second.first => {
+                self.crowds.partition_point(|c| c.first <= client) - 1
+            }
+            _ => 0,
+        };
+        let crowd = &self.crowds[row];
+        (crowd, client - crowd.first)
     }
 
     /// Schedules a scripted wipe of `site` at `at`: every node loses its
@@ -495,9 +516,11 @@ impl FleetSim {
     }
 
     fn on_arrive(&mut self, t: Duration, client: u32) {
-        let node = self.clients[client as usize].node as usize;
+        let (crowd, k) = self.crowd_of(client);
+        let node = (crowd.first_node as usize + k as usize) % self.nodes.len();
         if self.nodes[node].ready.is_some() {
-            self.complete_client(client, t + LAUNCH);
+            // The event fires at the client's arrival.
+            self.complete_client(node, t, t + LAUNCH);
             return;
         }
         self.nodes[node].queued.push(client);
@@ -650,7 +673,8 @@ impl FleetSim {
         self.directory.announce(self.image_fp, node);
         let queued = std::mem::take(&mut self.nodes[node].queued);
         for client in queued {
-            self.complete_client(client, r + LAUNCH);
+            let (crowd, k) = self.crowd_of(client);
+            self.complete_client(node, crowd.start + crowd.spacing * k, r + LAUNCH);
         }
         let waiters = std::mem::take(&mut self.sites[site].waiters);
         for w in waiters {
@@ -663,12 +687,11 @@ impl FleetSim {
         }
     }
 
-    fn complete_client(&mut self, client: u32, finish: Duration) {
-        let c = &self.clients[client as usize];
+    fn complete_client(&mut self, node: NodeId, arrive: Duration, finish: Duration) {
         self.completed += 1;
         self.makespan = self.makespan.max(finish);
-        let latency = finish.saturating_sub(c.arrive);
-        self.nodes[c.node as usize].tally.observe(latency.as_nanos() as u64);
+        let latency = finish.saturating_sub(arrive);
+        self.nodes[node].tally.observe(latency.as_nanos() as u64);
     }
 
     /// Rolling-update semantics: every node in the site goes cold, its
@@ -724,7 +747,7 @@ impl FleetSim {
             _ => 1.0,
         };
         FleetReport {
-            clients: self.clients.len() as u32,
+            clients: self.clients,
             completed: self.completed,
             lost: self.lost,
             makespan: self.makespan,
@@ -1004,36 +1027,76 @@ mod tests {
     }
 
     #[test]
-    fn per_client_rows_stay_compact() {
-        // A million of each are held at once: the queue's entry is the
-        // event plus 24 bytes of key.
+    fn a_crowd_is_one_row_and_one_queue_item() {
+        let mut fleet = sim(2, 3, 7);
+        fleet.schedule_client(4, Duration::from_secs(1));
+        fleet.schedule_flash_crowd(1_000_000, Duration::ZERO, Duration::from_micros(2));
+        assert_eq!(fleet.crowds.len(), 2, "the million clients added one row");
+        assert_eq!((fleet.queue.len(), fleet.queue.pushed()), (1_000_001, 1_000_001));
+        assert_eq!(fleet.clients, 1_000_001);
+        // The booked events a run queues beside the crowd stay compact.
         assert_eq!(std::mem::size_of::<Event>(), 16);
-        assert_eq!(std::mem::size_of::<FleetClient>(), 24);
+    }
+
+    #[test]
+    fn a_crowd_of_none_schedules_nothing() {
+        let mut fleet = sim(2, 3, 7);
+        fleet.schedule_flash_crowd(0, Duration::MAX, Duration::MAX);
+        assert!(fleet.crowds.is_empty());
+        assert_eq!((fleet.queue.len(), fleet.queue.pushed()), (0, 0), "no sequence numbers taken");
+        let report = fleet.run();
+        assert_eq!((report.clients, report.completed, report.events), (0, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "a spaced batch's last event overflows Duration")]
+    fn a_crowd_whose_last_arrival_overflows_is_rejected_when_scheduled() {
+        let mut fleet = sim(2, 3, 7);
+        fleet.schedule_flash_crowd(
+            3,
+            Duration::MAX - Duration::from_secs(1),
+            Duration::from_secs(1),
+        );
     }
 
     #[test]
     fn a_flash_crowd_is_its_clients_scheduled_one_by_one() {
-        let spacing = Duration::from_micros(20);
-        let run = |batched: bool| {
-            let mut fleet = sim(3, 5, 17);
-            // The rolling update's order: the outage, and so an event later
-            // than every arrival, is queued before the crowd.
-            fleet.schedule_shard_outage(0, Duration::ZERO, Duration::from_secs(120));
-            if batched {
-                fleet.schedule_flash_crowd(600, Duration::ZERO, spacing);
-            } else {
-                let nodes = fleet.topology().nodes();
-                for i in 0..600u32 {
-                    fleet.schedule_client(i as usize % nodes, spacing * i);
+        /// Two crowds with different spacings and stragglers between them,
+        /// the outage (an event later than every arrival) queued first; then
+        /// a third crowd and a straggler after the first run.
+        fn scenario(fleet: &mut FleetSim, batched: bool) -> [FleetReport; 2] {
+            let crowd = |fleet: &mut FleetSim, count: u32, start: Duration, spacing: Duration| {
+                if batched {
+                    fleet.schedule_flash_crowd(count, start, spacing);
+                } else {
+                    let nodes = fleet.topology().nodes();
+                    for i in 0..count {
+                        fleet.schedule_client(i as usize % nodes, start + spacing * i);
+                    }
                 }
-            }
+            };
+            fleet.schedule_shard_outage(0, Duration::ZERO, Duration::from_secs(120));
+            crowd(fleet, 600, Duration::ZERO, Duration::from_micros(20));
+            fleet.schedule_client(7, Duration::from_millis(3));
+            fleet.schedule_client(2, Duration::from_secs(200));
+            crowd(fleet, 250, Duration::from_millis(5), Duration::from_micros(130));
             fleet.schedule_site_reset(1, Duration::from_secs(300));
             fleet.schedule_client(5, Duration::from_secs(301));
-            fleet.run()
+            let first = fleet.run();
+            crowd(fleet, 40, Duration::from_secs(400), Duration::from_millis(3));
+            fleet.schedule_client(11, Duration::from_secs(400));
+            [first, fleet.run()]
+        }
+        let run = |batched| {
+            let mut fleet = sim(3, 5, 17);
+            let reports = scenario(&mut fleet, batched);
+            let merged = fleet.fleet().merged_metrics().expect("default resolution");
+            (reports.map(|r| fields(&r)), merged)
         };
         let (batched, one_by_one) = (run(true), run(false));
-        assert_eq!(batched.completed, 601);
-        assert_eq!(fields(&batched), fields(&one_by_one));
+        assert_eq!(batched.0[0][1], 853, "the first run completes every client");
+        assert_eq!(batched.0[1][1], 894);
+        assert_eq!(batched, one_by_one);
     }
 
     #[test]

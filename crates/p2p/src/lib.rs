@@ -3,7 +3,7 @@
 //! The Gear paper's related-work section (§VI-B) observes that decentralized
 //! image distribution — CoMICon/Wharf-style cooperative caches and
 //! Dragonfly/FID/DADI-style P2P — is *orthogonal* to the Gear format and
-//! "also help[s] speed up the distribution of Gear files". This crate
+//! "also help\[s\] speed up the distribution of Gear files". This crate
 //! implements that combination: a [`Cluster`] of nodes, each with its own
 //! level-1 shared cache and installed indexes, where a fingerprint miss is
 //! served **by a peer over the LAN** whenever any node already holds the

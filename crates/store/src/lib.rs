@@ -9,9 +9,9 @@
 //!   BTreeSet-indexed eviction (FIFO/LRU) and pinning — the client's
 //!   level-1 shared cache;
 //! * [`DiskStore`] — a [`MemStore`] whose reads and writes accrue simulated
-//!   I/O time from a deterministic [`DiskModel`], so tier placement has
-//!   priced latency ([`BlobStore::drain_cost`] hands the accrued time to the
-//!   caller's clock);
+//!   I/O time from a deterministic [`DiskModel`](gear_simnet::DiskModel),
+//!   so tier placement has priced latency ([`BlobStore::drain_cost`] hands
+//!   the accrued time to the caller's clock);
 //! * [`TieredStore`] — L1 memory over L2 modeled disk with write-through and
 //!   promotion-on-hit policies.
 //!

@@ -313,8 +313,8 @@ impl MemStore {
         self.pinned_bytes = 0;
     }
 
-    /// The store's complete state as a [`MemSnapshot`] (entries in
-    /// fingerprint order, so equal states snapshot identically).
+    /// The store's complete state as a [`MemSnapshot`](crate::MemSnapshot)
+    /// (entries in fingerprint order, so equal states snapshot identically).
     pub fn snapshot_parts(&self) -> crate::MemSnapshot {
         let mut entries: Vec<crate::EntrySnapshot> = self
             .entries

@@ -24,7 +24,7 @@
 //! further snapshots, is retired and decodes to
 //! [`SnapshotError::Malformed`].
 //!
-//! A journaled [`DiskStore`](crate::DiskStore) snapshots its *logical* state
+//! A journaled [`DiskStore`] snapshots its *logical* state
 //! only: the journal media handle and crash plan are harness-owned wiring,
 //! re-attached explicitly on the new instance if desired.
 
