@@ -42,6 +42,40 @@ fn bench_telemetry(c: &mut Criterion) {
             live.sketch("client.fetch_nanos", std::hint::black_box(i % 1_000_000));
         })
     });
+    // One `repro fleet` flash crowd's latencies as runs (first, step,
+    // count): 10 000 clients 200 µs apart round-robin over 64 nodes, node
+    // `n` ready at 0.4 s + 25 ms · n. Its queued clients form one run
+    // falling by 200 µs · 64 a client; the rest deploy in the 20 ms launch.
+    let runs: Vec<(u64, u64, u64)> = (0..64u64)
+        .flat_map(|node| {
+            let (spacing, launch) = (200_000, 20_000_000);
+            let clients = (10_000 - node).div_ceil(64);
+            let ready = 400_000_000 + 25_000_000 * node;
+            let queued = ((ready - spacing * node) / (spacing * 64) + 1).min(clients);
+            let first = ready + launch - spacing * node;
+            [(first, spacing * 64, queued), (launch, 0, clients - queued)]
+        })
+        .collect();
+    group.bench_function("sketch_observe_descending_10k/looped", |b| {
+        b.iter(|| {
+            let mut sketch = QuantileSketch::new();
+            for &(first, step, count) in std::hint::black_box(&runs) {
+                for i in 0..count {
+                    sketch.observe(first - i * step);
+                }
+            }
+            sketch
+        })
+    });
+    group.bench_function("sketch_observe_descending_10k/batched", |b| {
+        b.iter(|| {
+            let mut sketch = QuantileSketch::new();
+            for &(first, step, count) in std::hint::black_box(&runs) {
+                sketch.observe_descending(first, step, count);
+            }
+            sketch
+        })
+    });
     group.bench_function("span_at", |b| {
         let mut i = 0u64;
         b.iter(|| {

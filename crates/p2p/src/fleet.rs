@@ -18,6 +18,18 @@
 //! replica failover, and seeded retry-with-backoff. Once a node is ready
 //! every queued and future client deploys at LAN-local cost.
 //!
+//! Clients are held as the formulas they were scheduled by. One row per
+//! schedule call gives client `first + k` its node and arrival, and a
+//! node's waiting clients are runs of those rows: a crowd's clients at one
+//! node are `k, k + nodes, k + 2·nodes, …`, so a run is (row, `k`, count)
+//! and an arrival extends it in O(1). When the node becomes ready each run
+//! completes in one step: its latencies fall by `spacing × nodes` from one
+//! client to the next, and [`QuantileSketch::observe_descending`] records
+//! them with one step per sketch bucket. A client that finds its node
+//! ready deploys in exactly the launch cost, so such clients are only
+//! counted, and join the node's tally as one run when [`FleetSim::run`]
+//! returns.
+//!
 //! Everything is deterministic: same topology, same schedule, same seed →
 //! bit-identical report.
 
@@ -103,7 +115,7 @@ struct NodeState {
     /// Bumped by a site reset; stale completion events check it.
     generation: u32,
     /// Clients waiting for the node to become ready.
-    queued: Vec<u32>,
+    queued: Queued,
     /// Deploy latencies of the node's clients completed since the last
     /// hand-over, tallied where the simulator reaches them without a lock
     /// or a key lookup. [`FleetSim::run`] hands the tally to the node's
@@ -111,6 +123,9 @@ struct NodeState {
     /// counters add and sketches merge by exact bucket addition, so the
     /// collector ends up holding what recording each client there built.
     tally: QuantileSketch,
+    /// Clients that found the node ready since the last hand-over. Each
+    /// deployed in exactly [`LAUNCH`]; they join `tally` at hand-over.
+    launched: u64,
 }
 
 impl NodeState {
@@ -120,9 +135,59 @@ impl NodeState {
             seeding: None,
             seed_started: Duration::ZERO,
             generation: 0,
-            queued: Vec::new(),
+            queued: Queued::default(),
             tally: QuantileSketch::new(),
+            launched: 0,
         }
+    }
+}
+
+/// Clients `k`, `k + nodes`, `k + 2·nodes`, … of crowd row `row`, `count`
+/// of them: how a node's clients from one crowd arrive.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    row: u32,
+    k: u32,
+    count: u32,
+}
+
+/// A node's waiting clients as runs of their crowds. The run still
+/// growing is kept inline, so a node that queues from one crowd allocates
+/// nothing.
+#[derive(Debug, Default)]
+struct Queued {
+    closed: Vec<Run>,
+    open: Option<Run>,
+}
+
+impl Queued {
+    /// Queues client `k` of row `row` on a fleet of `nodes` nodes:
+    /// extends the open run when the client is from its row, else closes
+    /// it and opens another. A node's clients from one row arrive in index
+    /// order, `nodes` apart, and only draining the queue ends a run early,
+    /// so a client from the open run's row is always its next.
+    fn push(&mut self, row: u32, k: u32, nodes: u32) {
+        if let Some(run) = &mut self.open {
+            if run.row == row {
+                debug_assert_eq!(
+                    u64::from(run.k) + u64::from(run.count) * u64::from(nodes),
+                    u64::from(k)
+                );
+                run.count += 1;
+                return;
+            }
+            self.closed.push(*run);
+        }
+        self.open = Some(Run { row, k, count: 1 });
+    }
+
+    fn is_empty(&self) -> bool {
+        self.closed.is_empty() && self.open.is_none()
+    }
+
+    /// Every run, closed ones first.
+    fn into_runs(self) -> impl Iterator<Item = Run> {
+        self.closed.into_iter().chain(self.open)
     }
 }
 
@@ -432,18 +497,16 @@ impl FleetSim {
         self.clients = ids.end;
     }
 
-    /// The row that scheduled `client`, and the client's place in it.
-    fn crowd_of(&self, client: u32) -> (&Crowd, u32) {
+    /// The index of the row that scheduled `client`.
+    fn row_of(&self, client: u32) -> usize {
         // Most clients belong to the first row (a crowd scheduled before
         // any straggler), which needs no search.
-        let row = match self.crowds.get(1) {
+        match self.crowds.get(1) {
             Some(second) if client >= second.first => {
                 self.crowds.partition_point(|c| c.first <= client) - 1
             }
             _ => 0,
-        };
-        let crowd = &self.crowds[row];
-        (crowd, client - crowd.first)
+        }
     }
 
     /// Schedules a scripted wipe of `site` at `at`: every node loses its
@@ -498,10 +561,13 @@ impl FleetSim {
         self.report()
     }
 
-    /// Moves every non-empty tally into its node's collector, leaving the
-    /// tally empty so a later run hands over only what came after.
+    /// Moves every non-empty tally, with the node's launch-cost deploys,
+    /// into its node's collector, leaving the tally empty so a later run
+    /// hands over only what came after.
     fn hand_over_tallies(&mut self) {
+        let launch = LAUNCH.as_nanos() as u64;
         for (node, state) in (0u32..).zip(&mut self.nodes) {
+            state.tally.observe_descending(launch, 0, std::mem::take(&mut state.launched));
             if state.tally.count() == 0 {
                 continue;
             }
@@ -516,15 +582,22 @@ impl FleetSim {
     }
 
     fn on_arrive(&mut self, t: Duration, client: u32) {
-        let (crowd, k) = self.crowd_of(client);
-        let node = (crowd.first_node as usize + k as usize) % self.nodes.len();
-        if self.nodes[node].ready.is_some() {
-            // The event fires at the client's arrival.
-            self.complete_client(node, t, t + LAUNCH);
+        let row = self.row_of(client);
+        let crowd = &self.crowds[row];
+        let k = client - crowd.first;
+        let nodes = self.nodes.len();
+        let node = (crowd.first_node as usize + k as usize) % nodes;
+        let state = &mut self.nodes[node];
+        if state.ready.is_some() {
+            // The event fires at the client's arrival, so the client
+            // deploys in exactly the launch cost.
+            state.launched += 1;
+            self.completed += 1;
+            self.makespan = self.makespan.max(t + LAUNCH);
             return;
         }
-        self.nodes[node].queued.push(client);
-        if self.nodes[node].seeding.is_none() {
+        state.queued.push(row as u32, k, nodes as u32);
+        if state.seeding.is_none() {
             self.start_seed(t, node);
         }
     }
@@ -636,9 +709,10 @@ impl FleetSim {
         }
         let site = self.topo.site_of(node) as usize;
         self.sites[site].wan_seeds = self.sites[site].wan_seeds.saturating_sub(1);
-        let abandoned = std::mem::take(&mut self.nodes[node].queued);
-        self.lost += abandoned.len() as u32;
-        self.fleet.telemetry(node as u32).count("fleet.lost", abandoned.len() as u64);
+        let queued = std::mem::take(&mut self.nodes[node].queued);
+        let abandoned: u32 = queued.into_runs().map(|run| run.count).sum();
+        self.lost += abandoned;
+        self.fleet.telemetry(node as u32).count("fleet.lost", u64::from(abandoned));
         self.nodes[node].seeding = None;
         if self.sites[site].wan_seeds == 0 {
             let waiters = std::mem::take(&mut self.sites[site].waiters);
@@ -671,10 +745,9 @@ impl FleetSim {
         telemetry.count("fleet.seeds", 1);
         telemetry.count(kind.counter(), 1);
         self.directory.announce(self.image_fp, node);
-        let queued = std::mem::take(&mut self.nodes[node].queued);
-        for client in queued {
-            let (crowd, k) = self.crowd_of(client);
-            self.complete_client(node, crowd.start + crowd.spacing * k, r + LAUNCH);
+        let finish = r + LAUNCH;
+        for run in std::mem::take(&mut self.nodes[node].queued).into_runs() {
+            self.complete_run(node, finish, run);
         }
         let waiters = std::mem::take(&mut self.sites[site].waiters);
         for w in waiters {
@@ -687,11 +760,36 @@ impl FleetSim {
         }
     }
 
-    fn complete_client(&mut self, node: NodeId, arrive: Duration, finish: Duration) {
-        self.completed += 1;
+    /// Completes the queued clients of `run` at `finish`, in one step.
+    /// Their latencies `finish − arrival` fall by `spacing × nodes` from
+    /// one client to the next.
+    fn complete_run(&mut self, node: NodeId, finish: Duration, run: Run) {
+        self.completed += run.count;
         self.makespan = self.makespan.max(finish);
-        let latency = finish.saturating_sub(arrive);
-        self.nodes[node].tally.observe(latency.as_nanos() as u64);
+        let crowd = &self.crowds[run.row as usize];
+        let nodes = self.nodes.len() as u32;
+        let arrival = |j: u32| crowd.start + crowd.spacing * (run.k + j * nodes);
+        let latency = |j: u32| finish.saturating_sub(arrival(j));
+        let tally = &mut self.nodes[node].tally;
+        match u64::try_from(latency(0).as_nanos()) {
+            Ok(first) => {
+                // A run of two or more clients was scheduled, so its last
+                // arrival bounds the step; a lone client takes none.
+                let step = if run.count > 1 {
+                    (crowd.spacing * nodes).as_nanos() as u64
+                } else {
+                    0
+                };
+                tally.observe_descending(first, step, u64::from(run.count));
+            }
+            // Too long for `u64` nanoseconds: each latency is truncated on
+            // its own, as one `observe` per client does.
+            Err(_) => {
+                for j in 0..run.count {
+                    tally.observe(latency(j).as_nanos() as u64);
+                }
+            }
+        }
     }
 
     /// Rolling-update semantics: every node in the site goes cold, its
@@ -707,6 +805,7 @@ impl FleetSim {
             ns.ready = None;
             ns.seeding = None;
             ns.tally = QuantileSketch::new();
+            ns.launched = 0;
             self.fleet.reset_shard(node as u32);
         }
         self.sites[site as usize].wan_seeds = 0;
@@ -779,6 +878,7 @@ mod tests {
     use super::*;
     use crate::topology::TopologyConfig;
     use gear_hash::Digest;
+    use proptest::prelude::*;
 
     fn image(objects: usize) -> Vec<(Fingerprint, Bytes)> {
         (0..objects)
@@ -1059,44 +1159,167 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_flash_crowd_is_its_clients_scheduled_one_by_one() {
-        /// Two crowds with different spacings and stragglers between them,
-        /// the outage (an event later than every arrival) queued first; then
-        /// a third crowd and a straggler after the first run.
-        fn scenario(fleet: &mut FleetSim, batched: bool) -> [FleetReport; 2] {
-            let crowd = |fleet: &mut FleetSim, count: u32, start: Duration, spacing: Duration| {
-                if batched {
+    /// One schedule call of a scenario.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// `count` clients round-robin from node 0, `spacing` apart.
+        Crowd { count: u32, start: Duration, spacing: Duration },
+        Client { node: usize, at: Duration },
+        Reset { site: u32, at: Duration },
+        Outage { shards: Range<u32>, from: Duration, to: Duration },
+        /// Drain the queue and keep the report.
+        Run,
+    }
+
+    /// Plays `steps` on `fleet`, each crowd as one `schedule_flash_crowd`
+    /// call (`batched`) or as its clients scheduled one by one, which makes
+    /// every client a row of one and every node queue runs of one. Returns
+    /// each run's report fields and the merged metrics.
+    fn play(
+        mut fleet: FleetSim,
+        steps: &[Step],
+        batched: bool,
+    ) -> (Vec<Vec<u64>>, MetricsRegistry) {
+        let nodes = fleet.topology().nodes();
+        let mut reports = Vec::new();
+        for step in steps {
+            match *step {
+                Step::Crowd { count, start, spacing } if batched => {
                     fleet.schedule_flash_crowd(count, start, spacing);
-                } else {
-                    let nodes = fleet.topology().nodes();
+                }
+                Step::Crowd { count, start, spacing } => {
                     for i in 0..count {
                         fleet.schedule_client(i as usize % nodes, start + spacing * i);
                     }
                 }
-            };
-            fleet.schedule_shard_outage(0, Duration::ZERO, Duration::from_secs(120));
-            crowd(fleet, 600, Duration::ZERO, Duration::from_micros(20));
-            fleet.schedule_client(7, Duration::from_millis(3));
-            fleet.schedule_client(2, Duration::from_secs(200));
-            crowd(fleet, 250, Duration::from_millis(5), Duration::from_micros(130));
-            fleet.schedule_site_reset(1, Duration::from_secs(300));
-            fleet.schedule_client(5, Duration::from_secs(301));
-            let first = fleet.run();
-            crowd(fleet, 40, Duration::from_secs(400), Duration::from_millis(3));
-            fleet.schedule_client(11, Duration::from_secs(400));
-            [first, fleet.run()]
+                Step::Client { node, at } => fleet.schedule_client(node, at),
+                Step::Reset { site, at } => fleet.schedule_site_reset(site, at),
+                Step::Outage { ref shards, from, to } => {
+                    for shard in shards.clone() {
+                        fleet.schedule_shard_outage(shard, from, to);
+                    }
+                }
+                Step::Run => reports.push(fields(&fleet.run())),
+            }
         }
-        let run = |batched| {
-            let mut fleet = sim(3, 5, 17);
-            let reports = scenario(&mut fleet, batched);
-            let merged = fleet.fleet().merged_metrics().expect("default resolution");
-            (reports.map(|r| fields(&r)), merged)
-        };
-        let (batched, one_by_one) = (run(true), run(false));
+        (reports, fleet.fleet().merged_metrics().expect("default resolution"))
+    }
+
+    /// Two crowds with different spacings and stragglers between them, the
+    /// outage (an event later than every arrival) queued first; then a
+    /// third crowd and a straggler after the first run.
+    #[test]
+    fn a_flash_crowd_is_its_clients_scheduled_one_by_one() {
+        let (ms, secs) = (Duration::from_millis, Duration::from_secs);
+        let steps = [
+            Step::Outage { shards: 0..1, from: Duration::ZERO, to: secs(120) },
+            Step::Crowd { count: 600, start: Duration::ZERO, spacing: Duration::from_micros(20) },
+            Step::Client { node: 7, at: ms(3) },
+            Step::Client { node: 2, at: secs(200) },
+            Step::Crowd { count: 250, start: ms(5), spacing: Duration::from_micros(130) },
+            Step::Reset { site: 1, at: secs(300) },
+            Step::Client { node: 5, at: secs(301) },
+            Step::Run,
+            Step::Crowd { count: 40, start: secs(400), spacing: ms(3) },
+            Step::Client { node: 11, at: secs(400) },
+            Step::Run,
+        ];
+        let batched = play(sim(3, 5, 17), &steps, true);
         assert_eq!(batched.0[0][1], 853, "the first run completes every client");
         assert_eq!(batched.0[1][1], 894);
-        assert_eq!(batched, one_by_one);
+        assert_eq!(batched, play(sim(3, 5, 17), &steps, false));
+    }
+
+    proptest! {
+        /// Any mix of crowds (spacing 0 included), stragglers, site resets,
+        /// an outage of every shard long enough to lose clients, and a
+        /// second schedule and run: the batched fleet reports and records
+        /// what its clients scheduled one by one do.
+        #[test]
+        fn any_flash_crowd_is_its_clients_scheduled_one_by_one(
+            (wide, seed) in (any::<bool>(), 0u64..1_000),
+            crowds in prop::collection::vec(
+                (0u32..300, 0u64..20_000, prop_oneof![Just(0u64), 1u64..400]),
+                1..4,
+            ),
+            stragglers in prop::collection::vec((0usize..15, 0u64..150_000), 0..6),
+            resets in prop::collection::vec(
+                (0u32..3, prop_oneof![0u64..500, 0u64..300_000]),
+                0..3,
+            ),
+            lossy in any::<bool>(),
+            second in prop::collection::vec((0u32..100, 0u64..400), 0..2),
+        ) {
+            let (sites, per_site) = if wide { (3, 5) } else { (2, 3) };
+            let us = Duration::from_micros;
+            let mut steps = Vec::new();
+            if lossy {
+                let to = Duration::from_secs(60);
+                steps.push(Step::Outage { shards: 0..4, from: Duration::ZERO, to });
+            }
+            for (i, &(count, start, spacing)) in crowds.iter().enumerate() {
+                steps.push(Step::Crowd { count, start: us(start), spacing: us(spacing) });
+                if i == 0 {
+                    for &(node, at) in &stragglers {
+                        steps.push(Step::Client { node: node % (sites * per_site), at: us(at) });
+                    }
+                }
+            }
+            for &(site, at) in &resets {
+                let at = Duration::from_millis(at);
+                steps.push(Step::Reset { site: site % sites as u32, at });
+            }
+            steps.push(Step::Run);
+            if !second.is_empty() {
+                for &(count, spacing) in &second {
+                    steps.push(Step::Crowd {
+                        count,
+                        start: Duration::from_secs(1_000),
+                        spacing: us(spacing),
+                    });
+                }
+                steps.push(Step::Client { node: 1, at: Duration::from_secs(1_000) });
+                steps.push(Step::Run);
+            }
+            let batched = play(sim(sites, per_site, seed), &steps, true);
+            prop_assert_eq!(batched, play(sim(sites, per_site, seed), &steps, false));
+        }
+    }
+
+    /// A short crowd spaced so far apart that `spacing × nodes` overflows
+    /// `Duration` runs like its clients one by one: each node queues a run
+    /// of one, which takes no step.
+    #[test]
+    fn a_short_crowd_with_a_huge_spacing_runs() {
+        let spacing = Duration::from_secs(u64::MAX / 4);
+        assert!(spacing.checked_mul(512).is_none());
+        let steps = [Step::Crowd { count: 3, start: Duration::ZERO, spacing }, Step::Run];
+        let batched = play(sim(32, 16, 3), &steps, true);
+        assert_eq!(batched.0[0][1], 3, "every client completes");
+        assert_eq!(batched, play(sim(32, 16, 3), &steps, false));
+    }
+
+    /// Behind an uplink whose round trip is 2^36 s, queued clients wait
+    /// longer than `u64` nanoseconds hold: their runs are recorded client
+    /// by client, each latency truncated as the same clients scheduled one
+    /// by one record it.
+    #[test]
+    fn latencies_past_u64_nanoseconds_truncate_client_by_client() {
+        let slow = || {
+            let mut config = TopologyConfig::edge_fleet(1, 2);
+            config.sites[0].uplink.rtt = Duration::from_secs(1 << 36);
+            FleetSim::new(Topology::new(config), FleetConfig::standard(5), &image(3))
+        };
+        let steps = [
+            Step::Crowd { count: 6, start: Duration::ZERO, spacing: Duration::from_millis(1) },
+            Step::Run,
+        ];
+        let mut fleet = slow();
+        fleet.schedule_flash_crowd(6, Duration::ZERO, Duration::from_millis(1));
+        let report = fleet.run();
+        assert_eq!(report.completed, 6, "every client completes");
+        assert!(report.makespan.as_nanos() > u128::from(u64::MAX), "{:?}", report.makespan);
+        assert_eq!(play(slow(), &steps, true), play(slow(), &steps, false));
     }
 
     #[test]
@@ -1158,6 +1381,26 @@ mod tests {
             "the reset site's pre-reset samples are gone"
         );
         assert_eq!(report.validation_problems, 0);
+    }
+
+    /// A reset wipes the deploys of clients that found a node ready beside
+    /// the node's tally, though those join the tally only at hand-over.
+    #[test]
+    fn a_site_reset_drops_launch_cost_deploys_too() {
+        let mut fleet = sim(1, 2, 3);
+        fleet.schedule_client(0, Duration::ZERO);
+        fleet.schedule_client(0, Duration::from_secs(3_600));
+        fleet.schedule_site_reset(0, Duration::from_secs(7_200));
+        let report = fleet.run();
+        assert_eq!((report.completed, report.deploy_samples), (2, 0));
+        fleet.schedule_client(0, Duration::from_secs(7_300));
+        fleet.schedule_client(0, Duration::from_secs(9_000));
+        let report = fleet.run();
+        assert_eq!((report.completed, report.deploy_samples), (4, 2));
+        let merged = fleet.fleet().merged_metrics().expect("default resolution");
+        let fastest = merged.sketch("fleet.deploy_nanos").and_then(QuantileSketch::min);
+        let launch = Some(LAUNCH.as_nanos() as u64);
+        assert_eq!(fastest, launch, "the second client found the node ready");
     }
 
     #[test]

@@ -131,13 +131,19 @@ impl QuantileSketch {
     /// value for small octaves, the bucket midpoint above them.
     fn representative(&self, index: u32) -> u64 {
         let e = index >> self.k;
+        let half_width = if e <= self.k { 0 } else { 1u64 << (e - self.k - 1) };
+        self.floor(index) + half_width
+    }
+
+    /// The smallest value bucket `index` holds.
+    fn floor(&self, index: u32) -> u64 {
+        let e = index >> self.k;
         let m = u64::from(index & ((1 << self.k) - 1));
         let base = 1u64 << e;
         if e <= self.k {
             base + (m >> (self.k - e))
         } else {
-            let step = 1u64 << (e - self.k);
-            base + (m << (e - self.k)) + (step >> 1)
+            base + (m << (e - self.k))
         }
     }
 
@@ -152,6 +158,48 @@ impl QuantileSketch {
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
+    }
+
+    /// Records the `count` observations `first`, `first − step`, `first −
+    /// 2·step`, … in one step per bucket the run crosses, leaving the
+    /// sketch equal to `count` calls of [`QuantileSketch::observe`] on
+    /// those values. The bucket index is monotone in the value, so a
+    /// descending run fills each bucket with one contiguous stretch, whose
+    /// length is one division.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the run goes below zero: `step × (count − 1) > first`.
+    pub fn observe_descending(&mut self, first: u64, step: u64, count: u64) {
+        if count == 0 {
+            return;
+        }
+        let span = u128::from(step) * u128::from(count - 1);
+        assert!(span <= u128::from(first), "a descending run must not go below zero");
+        let last = first - span as u64;
+        // The values are non-negative, so a saturating running sum is the
+        // exact total clamped once.
+        let total = u128::from(first) * u128::from(count) - span * u128::from(count) / 2;
+        self.sum = (u128::from(self.sum) + total).min(u128::from(u64::MAX)) as u64;
+        self.count += count;
+        self.min = self.min.min(last);
+        self.max = self.max.max(first);
+        let (mut value, mut left) = (first, count);
+        while value > 0 {
+            let index = self.index(value);
+            let stretch = match (value - self.floor(index)).checked_div(step) {
+                Some(below) => (below + 1).min(left),
+                None => left,
+            };
+            *self.buckets.entry(index).or_insert(0) += stretch;
+            left -= stretch;
+            if left == 0 {
+                break;
+            }
+            value -= stretch * step;
+        }
+        // Only a run that reaches zero is left with values here.
+        self.zero += left;
     }
 
     /// Merges `other` into `self` by exact bucket-count addition.
@@ -325,6 +373,12 @@ mod tests {
         }
         a.merge(&b).expect("same resolution");
         assert_eq!(a, all);
+    }
+
+    #[test]
+    #[should_panic(expected = "a descending run must not go below zero")]
+    fn a_descending_run_below_zero_is_rejected() {
+        QuantileSketch::new().observe_descending(10, 4, 4);
     }
 
     #[test]

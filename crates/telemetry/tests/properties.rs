@@ -20,6 +20,64 @@ impl Rng {
     }
 }
 
+/// The run `first`, `first − step`, … (`count` values) recorded after
+/// `prior` into a sketch of `k` sub-bucket bits, once by one `observe` per
+/// value and once by `observe_descending`.
+fn descending_both_ways(
+    k: u32,
+    prior: &[u64],
+    first: u64,
+    step: u64,
+    count: u64,
+) -> (QuantileSketch, QuantileSketch) {
+    let mut looped = QuantileSketch::with_sub_bucket_bits(k);
+    for &v in prior {
+        looped.observe(v);
+    }
+    let mut batched = looped.clone();
+    for i in 0..count {
+        looped.observe(first - i * step);
+    }
+    batched.observe_descending(first, step, count);
+    (looped, batched)
+}
+
+/// Every resolution over the run shapes the fleet and the edges produce:
+/// empty and lone runs, one bucket (`step` 0), runs through the zero slot,
+/// across `2^(k+1)` and saturating the sum.
+#[test]
+fn descending_runs_at_the_edges_equal_one_observe_per_value() {
+    for k in 1..=16u32 {
+        let edge = 1u64 << (k + 1);
+        let runs = [
+            (0, 0, 0u64),
+            (5, 0, 0),
+            (7, 3, 1),
+            (0, 0, 5),
+            (40, 0, 9),
+            (9, 3, 4),
+            (edge + 10, 3, 20),
+            (edge + 1_000, 1, 2_000),
+            (edge * 3, edge / 2 + 1, 5),
+            (20_000_000, 12_800_000, 2),
+            (u64::MAX, 0, 3),
+            (u64::MAX, u64::MAX, 2),
+            (u64::MAX, 1 << 60, 16),
+        ];
+        for (first, step, count) in runs {
+            // At small `k` a run that crosses the edge would go below zero.
+            let first = first.max(step * count.saturating_sub(1));
+            for prior in [&[][..], &[0, 3, u64::MAX - 1][..]] {
+                let (looped, batched) = descending_both_ways(k, prior, first, step, count);
+                assert_eq!(looped.bucket_count(), batched.bucket_count());
+                assert_eq!(looped.memory_bytes(), batched.memory_bytes());
+                let run = (first, step, count);
+                assert_eq!(looped, batched, "k {k}, run {run:?} after {prior:?}");
+            }
+        }
+    }
+}
+
 fn sketch_of(values: &[u64]) -> QuantileSketch {
     let mut s = QuantileSketch::new();
     for &v in values {
@@ -170,6 +228,34 @@ proptest! {
         }
         handed.merge_metrics(tally).unwrap();
         prop_assert_eq!(direct.metrics(), handed.metrics());
+    }
+
+    /// A descending run recorded in one call leaves the sketch equal to one
+    /// `observe` per value: random resolutions, prior samples, and runs
+    /// from anywhere, from across the exact octaves' edge `2^(k+1)`, down
+    /// to zero, and from near `u64::MAX`, where the sum saturates.
+    #[test]
+    fn a_descending_run_equals_one_observe_per_value(
+        k in 1u32..=16,
+        prior in prop::collection::vec(any::<u64>(), 0..4),
+        count in prop_oneof![Just(0u64), Just(1u64), 2u64..400],
+        step in prop_oneof![Just(0u64), 1u64..8, 1u64..5_000, any::<u64>()],
+        shape in 0u8..4,
+        offset in any::<u64>(),
+    ) {
+        let step = step.min(u64::MAX / count.saturating_sub(1).max(1));
+        let span = step * count.saturating_sub(1);
+        let from = match shape {
+            0 => offset,
+            1 => 0,
+            2 => (1u64 << (k + 1)).saturating_add(offset % (span + 1)),
+            _ => u64::MAX - offset % (1 << 20),
+        };
+        let first = from.max(span);
+        let (looped, batched) = descending_both_ways(k, &prior, first, step, count);
+        prop_assert_eq!(looped.bucket_count(), batched.bucket_count());
+        prop_assert_eq!(looped.memory_bytes(), batched.memory_bytes());
+        prop_assert_eq!(looped, batched);
     }
 
     /// The same seed drives byte-identical trace and metrics exports.
