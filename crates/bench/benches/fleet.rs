@@ -10,7 +10,13 @@
 //! * `event_queue/interleaved` — 1 000 pending events, then pop one and
 //!   push one a pseudo-random gap later until 100 k were pushed: events a
 //!   simulation books as it goes.
+//! * `event_queue/spaced_1m_by_pop` / `spaced_1m_by_range` — one spaced
+//!   batch of a million events, drained by one `pop` each, then as the
+//!   ranges `leading_spaced` names and `skip_spaced` removes: what a crowd's
+//!   arrivals cost the queue before and after `FleetSim::run` took them as
+//!   ranges.
 
+use std::hint::black_box;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -18,12 +24,14 @@ use gear_bench::experiments::fleet::{FLEET_CLIENTS, NODES_PER_SITE, SITES};
 use gear_bench::experiments::ExperimentContext;
 use gear_core::Converter;
 use gear_p2p::{FleetConfig, FleetSim, Topology, TopologyConfig};
-use gear_simnet::EventQueue;
+use gear_simnet::{EventQueue, LeadingSpaced};
 
 /// Events pushed per queue case.
 const EVENTS: u64 = 100_000;
 /// Gap between ascending events.
 const STEP: Duration = Duration::from_micros(2);
+/// Events in the `spaced_1m` batch.
+const SPACED: u32 = 1_000_000;
 
 /// A pseudo-random gap under a millisecond.
 fn gap(i: u64) -> Duration {
@@ -60,6 +68,30 @@ fn bench_event_queue(c: &mut Criterion) {
             queue.push(Duration::from_secs(120), u64::MAX);
             queue.push_spaced(Duration::ZERO, STEP, 0..EVENTS as u32, u64::from);
             drain(queue)
+        })
+    });
+    // Both drains see each event's time and id.
+    group.bench_function("spaced_1m_by_pop", |b| {
+        b.iter(|| {
+            let mut queue = EventQueue::new();
+            queue.push_spaced(Duration::ZERO, STEP, 0..SPACED, |id| id);
+            while let Some(event) = queue.pop() {
+                black_box(event);
+            }
+        })
+    });
+    group.bench_function("spaced_1m_by_range", |b| {
+        b.iter(|| {
+            let mut queue = EventQueue::<u32>::new();
+            queue.push_spaced(Duration::ZERO, STEP, 0..SPACED, |id| id);
+            while let Some(LeadingSpaced { mut at, spacing, ids }) = queue.leading_spaced() {
+                let count = ids.len() as u32;
+                for id in ids {
+                    black_box((at, id));
+                    at += spacing;
+                }
+                queue.skip_spaced(count);
+            }
         })
     });
     group.bench_function("interleaved", |b| {

@@ -30,6 +30,15 @@
 //! counted, and join the node's tally as one run when [`FleetSim::run`]
 //! returns.
 //!
+//! A crowd's arrivals are consumed as ranges between queue events, not one
+//! pop each. When the queue's next events are the crowd batch's,
+//! [`FleetSim::run`] takes every one of them that pops before the next
+//! other event and walks them in one loop: the row is looked up once, and
+//! each next client arrives one spacing later at the next node. A range is
+//! cut right after an arrival that pushes an event (one that starts a
+//! seed), since that event may pop before the rest of the range; the
+//! remainder is taken again once it leads.
+//!
 //! Everything is deterministic: same topology, same schedule, same seed →
 //! bit-identical report.
 
@@ -41,7 +50,7 @@ use bytes::Bytes;
 use gear_hash::{fingerprint_all, Fingerprint};
 use gear_par::Pool;
 use gear_registry::{ShardRejection, ShardedStore};
-use gear_simnet::{EventQueue, FifoLane, Link, RetryPolicy};
+use gear_simnet::{EventQueue, FifoLane, LeadingSpaced, Link, RetryPolicy};
 use gear_telemetry::{FleetCollector, MetricsRegistry, QuantileSketch};
 
 use crate::cluster::NodeId;
@@ -467,7 +476,7 @@ impl FleetSim {
     /// at `start` and each subsequent one `spacing` later — the flash-crowd
     /// arrival pattern. The same as `count` calls of
     /// [`FleetSim::schedule_client`], but held as one row and one queue
-    /// item, which makes each arrival as it pops.
+    /// item, whose arrivals [`FleetSim::run`] takes as ranges.
     ///
     /// # Panics
     ///
@@ -539,10 +548,21 @@ impl FleetSim {
     /// with no new schedule is a no-op over the same report and the same
     /// collectors.
     pub fn run(&mut self) -> FleetReport {
-        while let Some((t, event)) = self.queue.pop() {
+        loop {
+            if let Some(range) = self.queue.leading_spaced() {
+                self.arrive_range(range);
+                continue;
+            }
+            let Some((t, event)) = self.queue.pop() else { break };
             self.processed += 1;
             match event {
-                Event::Arrive(client) => self.on_arrive(t, client),
+                Event::Arrive(client) => {
+                    let row = self.row_of(client);
+                    let crowd = &self.crowds[row];
+                    let k = client - crowd.first;
+                    let node = (crowd.first_node as usize + k as usize) % self.nodes.len();
+                    self.arrive(t, row as u32, k, node);
+                }
                 Event::Release { shard } => self.store.release(shard),
                 Event::ObjectDone { seed } => self.on_object_done(t, seed),
                 Event::Fetch { seed, object, attempt } => {
@@ -581,12 +601,41 @@ impl FleetSim {
         }
     }
 
-    fn on_arrive(&mut self, t: Duration, client: u32) {
-        let row = self.row_of(client);
+    /// Takes the leading arrivals of the queue's front crowd batch in one
+    /// loop instead of one pop each: the batch is one crowd row, and each
+    /// next client arrives `spacing` later at the next node. The range is
+    /// cut right after an arrival that pushes an event (it starts a seed),
+    /// since that event may come before the rest of the range.
+    fn arrive_range(&mut self, range: LeadingSpaced) {
+        let LeadingSpaced { mut at, spacing, ids } = range;
+        let row = self.row_of(ids.start);
         let crowd = &self.crowds[row];
-        let k = client - crowd.first;
+        let mut k = ids.start - crowd.first;
         let nodes = self.nodes.len();
-        let node = (crowd.first_node as usize + k as usize) % nodes;
+        let mut node = (crowd.first_node as usize + k as usize) % nodes;
+        let pushed = self.queue.pushed();
+        let mut taken = 0;
+        loop {
+            self.arrive(at, row as u32, k, node);
+            taken += 1;
+            if taken == ids.len() as u32 || self.queue.pushed() != pushed {
+                break;
+            }
+            at += spacing;
+            k += 1;
+            node += 1;
+            if node == nodes {
+                node = 0;
+            }
+        }
+        self.queue.skip_spaced(taken);
+        self.processed += u64::from(taken);
+    }
+
+    /// Client `k` of crowd row `row` arrives at `node` at `t`.
+    #[inline]
+    fn arrive(&mut self, t: Duration, row: u32, k: u32, node: NodeId) {
+        let nodes = self.nodes.len() as u32;
         let state = &mut self.nodes[node];
         if state.ready.is_some() {
             // The event fires at the client's arrival, so the client
@@ -596,7 +645,7 @@ impl FleetSim {
             self.makespan = self.makespan.max(t + LAUNCH);
             return;
         }
-        state.queued.push(row as u32, k, nodes as u32);
+        state.queued.push(row, k, nodes);
         if state.seeding.is_none() {
             self.start_seed(t, node);
         }
@@ -1228,6 +1277,67 @@ mod tests {
         assert_eq!(batched.0[0][1], 853, "the first run completes every client");
         assert_eq!(batched.0[1][1], 894);
         assert_eq!(batched, play(sim(3, 5, 17), &steps, false));
+    }
+
+    /// A node that is ready before a crowd starts makes the crowd's first
+    /// client at each cold node of its site start a LAN seed (and of the
+    /// other sites, a backbone seed), each cutting the range of arrivals it
+    /// falls in. The seeds finish milliseconds later, inside the crowd's
+    /// window.
+    #[test]
+    fn a_lan_seed_that_lands_inside_a_crowds_window_cuts_the_range() {
+        let us = Duration::from_micros;
+        let steps = [
+            Step::Client { node: 0, at: Duration::ZERO },
+            Step::Crowd { count: 600, start: Duration::from_secs(10), spacing: us(100) },
+            Step::Run,
+        ];
+        let batched = play(sim(2, 3, 23), &steps, true);
+        let [completed, makespan, lan, backbone] = [1, 3, 15, 16].map(|i| batched.0[0][i]);
+        assert_eq!(completed, 601);
+        // The crowd spans 60 ms, and its last client deploys at launch
+        // cost: every seed ended inside the window.
+        let last_arrival = Duration::from_secs(10) + us(100) * 599;
+        assert_eq!(makespan, (last_arrival + LAUNCH).as_nanos() as u64);
+        assert!(lan > 0 && backbone > 0, "lan {lan}, backbone {backbone}");
+        assert_eq!(batched, play(sim(2, 3, 23), &steps, false));
+    }
+
+    /// Every shard goes down at the instant a spacing-0 crowd arrives, the
+    /// outage pushed first, so the outage wins the tie and every seed meets
+    /// it. A second outage pushed after the crowd at the same instant loses
+    /// the tie to every arrival.
+    #[test]
+    fn an_outage_pushed_before_a_spacing_0_crowd_at_its_instant_goes_first() {
+        let secs = Duration::from_secs;
+        let steps = [
+            Step::Outage { shards: 0..3, from: secs(5), to: secs(90) },
+            Step::Crowd { count: 200, start: secs(5), spacing: Duration::ZERO },
+            Step::Outage { shards: 3..4, from: secs(5), to: secs(90) },
+            Step::Run,
+        ];
+        let batched = play(sim(3, 5, 29), &steps, true);
+        let (retries, down_refusals) = (batched.0[0][9], batched.0[0][12]);
+        assert!(retries > 0 && down_refusals > 0, "the seeds met the outage");
+        assert_eq!(batched, play(sim(3, 5, 29), &steps, false));
+    }
+
+    /// Stragglers scheduled inside a crowd's window: one between two of its
+    /// arrivals, one at an arrival's instant (pushed after it, so it loses
+    /// the tie), one before its first arrival.
+    #[test]
+    fn a_straggler_inside_a_crowds_window_cuts_the_range() {
+        let us = Duration::from_micros;
+        let steps = [
+            Step::Crowd { count: 500, start: us(1_000), spacing: us(100) },
+            Step::Client { node: 4, at: us(11_050) },
+            Step::Client { node: 2, at: us(21_000) },
+            Step::Client { node: 13, at: us(500) },
+            Step::Run,
+        ];
+        let batched = play(sim(3, 5, 31), &steps, true);
+        assert_eq!(batched.0[0][1], 503, "every client completes");
+        assert_eq!(batched, play(sim(3, 5, 31), &steps, false));
     }
 
     proptest! {

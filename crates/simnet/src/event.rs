@@ -14,6 +14,10 @@
 //!   time order wait in a sorted run and pop in O(1); only the rest pay
 //!   for the binary heap beside it. A pre-scheduled crowd is one run item,
 //!   a start, a spacing and an id range, that makes each event as it pops.
+//!   The events of the front batch that pop before every other queued
+//!   event can also be taken as a range
+//!   ([`EventQueue::leading_spaced`], [`EventQueue::skip_spaced`]), so a
+//!   simulation walks them in its own loop instead of popping each one.
 //! * [`FifoLane`] — a shared link serving transfers strictly in arrival
 //!   order. Each transfer starts at `max(now, lane.busy_until)` and runs
 //!   for `fixed + bandwidth.transfer_time(bytes)` of exact integer
@@ -102,6 +106,19 @@ struct Spaced<T> {
     make: fn(u32) -> T,
     /// The last event's time.
     last: Duration,
+}
+
+/// The leading events of an [`EventQueue`]'s front spaced batch, as
+/// [`EventQueue::leading_spaced`] gives them: one per id of `ids`, the
+/// first at `at` and each next one `spacing` later.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LeadingSpaced {
+    /// The first event's time.
+    pub at: Duration,
+    /// The gap between consecutive events.
+    pub spacing: Duration,
+    /// The ids the events are made from, in pop order.
+    pub ids: Range<u32>,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -212,6 +229,72 @@ impl<T> EventQueue<T> {
         let entry =
             if from_run { self.run.pop_front() } else { self.heap.pop().map(|Reverse(e)| e) };
         entry.map(|entry| (entry.at, entry.payload))
+    }
+
+    /// The front spaced batch's leading events, those that pop before every
+    /// other queued event, or `None` when the next event is not a batch's.
+    /// Event `k` of the batch is `make(ids.start + k)` at `at + spacing ×
+    /// k`. The count is found in O(1): the gap to the heap's top divided by
+    /// the spacing, with a tie at the top's instant broken by sequence
+    /// number.
+    #[inline]
+    pub fn leading_spaced(&self) -> Option<LeadingSpaced> {
+        let batch = self.spaced.front()?;
+        // A batch holds at most `u32::MAX` events.
+        let len = batch.ids.len() as u64;
+        let count = match self.heap.peek() {
+            None => len,
+            Some(Reverse(top)) => {
+                // The batch's sequence numbers are consecutive, so the top
+                // was pushed before all of its events or after all of them,
+                // and wins a tie with any of them when pushed before.
+                let after = top.seq > batch.seq;
+                if (top.at, after) < (batch.at, true) {
+                    return None;
+                }
+                let gap = (top.at - batch.at).as_nanos();
+                match batch.spacing.as_nanos() {
+                    0 => len,
+                    // Events `0..whole` land before the top, and event
+                    // `whole` leads when it lands earlier or wins the tie.
+                    spacing => match u64::try_from(gap / spacing) {
+                        Ok(whole) => whole.saturating_add(u64::from(gap % spacing > 0 || after)),
+                        Err(_) => len,
+                    },
+                }
+            }
+        };
+        let start = batch.ids.start;
+        let end = start + count.min(len) as u32;
+        Some(LeadingSpaced { at: batch.at, spacing: batch.spacing, ids: start..end })
+    }
+
+    /// Removes the first `n` events of the front spaced batch without
+    /// making them, as `n` calls of [`EventQueue::pop`] would remove them
+    /// when they lead: `len`, `is_empty` and `pushed` read the same
+    /// afterwards. Only the events [`EventQueue::leading_spaced`] names may
+    /// be skipped this way; skipping more breaks the pop order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the front batch holds fewer than `n` events, or there
+    /// is none and `n > 0`.
+    pub fn skip_spaced(&mut self, n: u32) {
+        if n == 0 {
+            return;
+        }
+        let Some(batch) = self.spaced.front_mut() else {
+            panic!("no spaced batch to skip events of");
+        };
+        assert!(n as usize <= batch.ids.len(), "skipped past the end of a spaced batch");
+        batch.ids.start += n;
+        if batch.ids.is_empty() {
+            self.spaced.pop_front();
+        } else {
+            batch.at += batch.spacing * n;
+            batch.seq += u64::from(n);
+        }
+        self.batched -= n as usize;
     }
 
     /// Makes the next event of the front spaced batch. Out of line, so that
@@ -442,6 +525,106 @@ mod tests {
         EventQueue::new().push_spaced(Duration::MAX, Duration::from_nanos(1), 0..2, |id| id);
     }
 
+    /// Pushes `payload` at `ms` milliseconds.
+    fn push_ms(queue: &mut EventQueue<u32>, ms: u64, payload: u32) {
+        queue.push(Duration::from_millis(ms), payload);
+    }
+
+    /// The leading ids of the front batch, if it leads.
+    fn leading_ids(queue: &EventQueue<u32>) -> Option<Range<u32>> {
+        queue.leading_spaced().map(|leading| leading.ids)
+    }
+
+    #[test]
+    fn a_lone_batch_leads_with_every_event() {
+        let mut queue = EventQueue::new();
+        queue.push_spaced(Duration::from_secs(1), Duration::from_secs(2), 5..9, |id| id);
+        let leading = queue.leading_spaced();
+        let (at, spacing) = (Duration::from_secs(1), Duration::from_secs(2));
+        assert_eq!(leading, Some(LeadingSpaced { at, spacing, ids: 5..9 }));
+    }
+
+    #[test]
+    fn a_batch_behind_the_heaps_top_does_not_lead() {
+        let mut queue = EventQueue::new();
+        push_ms(&mut queue, 1_000, 100);
+        queue.push_spaced(Duration::from_secs(2), Duration::from_secs(1), 0..3, |id| id);
+        assert_eq!(queue.heap.len(), 1, "the single event spilled");
+        assert_eq!(leading_ids(&queue), None);
+        assert_eq!(queue.pop(), Some((Duration::from_secs(1), 100)));
+        assert_eq!(leading_ids(&queue), Some(0..3));
+    }
+
+    /// With spacing 0 every event of the batch ties with a top at its
+    /// instant: the top pushed before the batch pops first, the top pushed
+    /// after it pops last.
+    #[test]
+    fn a_spacing_0_batch_at_the_tops_instant_leads_by_sequence_number() {
+        let mut queue = EventQueue::new();
+        push_ms(&mut queue, 5, 100);
+        queue.push_spaced(Duration::from_millis(5), Duration::ZERO, 0..4, |id| id);
+        assert_eq!(leading_ids(&queue), None, "the top's seq is below the batch's");
+        assert_eq!(queue.pop(), Some((Duration::from_millis(5), 100)));
+        assert_eq!(leading_ids(&queue), Some(0..4));
+
+        let mut queue = EventQueue::new();
+        queue.push_spaced(Duration::from_millis(5), Duration::ZERO, 0..4, |id| id);
+        push_ms(&mut queue, 10, 100);
+        push_ms(&mut queue, 5, 101);
+        assert_eq!(queue.heap.len(), 1, "the tie sits in the heap");
+        assert_eq!(leading_ids(&queue), Some(0..4), "the top's seq is above the batch's");
+        queue.skip_spaced(4);
+        assert_eq!(queue.pop(), Some((Duration::from_millis(5), 101)));
+    }
+
+    /// A top exactly 3 spacings after the batch's first event ties with
+    /// event 3, which leads only when it was pushed first.
+    #[test]
+    fn a_gap_of_whole_spacings_breaks_the_tie_by_sequence_number() {
+        let secs = Duration::from_secs;
+        let mut queue = EventQueue::new();
+        push_ms(&mut queue, 3_000, 100);
+        queue.push_spaced(Duration::ZERO, secs(1), 0..10, |id| id);
+        assert_eq!(leading_ids(&queue), Some(0..3), "the top pushed first pops before event 3");
+
+        let mut queue = EventQueue::new();
+        queue.push_spaced(Duration::ZERO, secs(1), 0..10, |id| id);
+        push_ms(&mut queue, 3_000, 100);
+        assert_eq!(leading_ids(&queue), Some(0..4), "event 3 pushed first pops before the top");
+
+        // Half a spacing later, event 3 is earlier whatever the order.
+        let mut queue = EventQueue::new();
+        push_ms(&mut queue, 3_500, 100);
+        queue.push_spaced(Duration::ZERO, secs(1), 0..10, |id| id);
+        assert_eq!(leading_ids(&queue), Some(0..4));
+    }
+
+    #[test]
+    fn skipping_a_whole_batch_removes_it() {
+        let mut queue = EventQueue::new();
+        push_ms(&mut queue, 60_000, 100);
+        queue.push_spaced(Duration::ZERO, Duration::from_secs(1), 0..5, |id| id);
+        assert_eq!(queue.pop(), Some((Duration::ZERO, 0)));
+        assert_eq!(leading_ids(&queue), Some(1..5));
+        queue.skip_spaced(2);
+        assert_eq!(leading_ids(&queue), Some(3..5), "the skip moved the batch's key");
+        assert_eq!((queue.len(), queue.pushed()), (3, 6));
+        queue.skip_spaced(2);
+        assert!(queue.spaced.is_empty(), "the exhausted batch is gone");
+        assert_eq!((queue.len(), queue.is_empty(), queue.pushed()), (1, false, 6));
+        assert_eq!(leading_ids(&queue), None);
+        assert_eq!(queue.pop(), Some((Duration::from_secs(60), 100)));
+        assert!(queue.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "skipped past the end of a spaced batch")]
+    fn skipping_past_a_batchs_end_is_rejected() {
+        let mut queue = EventQueue::new();
+        queue.push_spaced(Duration::ZERO, Duration::from_secs(1), 0..2, |id| id);
+        queue.skip_spaced(3);
+    }
+
     mod matches_reference {
         use super::*;
         use proptest::prelude::*;
@@ -471,6 +654,8 @@ mod tests {
             /// Start and spacing in milliseconds, and the event count.
             Spaced(u64, u64, u32),
             Pop,
+            /// Skip this many of the front batch's leading events, at most.
+            Skip(u32),
         }
 
         /// Times from a handful of milliseconds, so ties are common, and
@@ -482,14 +667,25 @@ mod tests {
                 (0..6u64, 0..3u64, 0..10u32)
                     .prop_map(|(start, spacing, count)| Op::Spaced(start, spacing, count)),
                 Just(Op::Pop),
+                (0..12u32).prop_map(Op::Skip),
             ]
         }
 
+        /// The reference's events in pop order, as `(at, seq, payload)`.
+        fn sorted(reference: &Reference<u32>) -> Vec<(Duration, u64, u32)> {
+            let mut events: Vec<_> =
+                reference.heap.iter().map(|Reverse(e)| (e.at, e.seq, e.payload)).collect();
+            events.sort_unstable();
+            events
+        }
+
         proptest! {
-            /// Any program of pushes, spaced batches and pops gives the
-            /// same pop sequence as the all-heap queue, with the same
-            /// `len`, `is_empty` and `pushed` after every step and when
-            /// drained.
+            /// Any program of pushes, spaced batches, pops and skips of
+            /// the front batch's leading events gives the same pop sequence
+            /// as the all-heap queue, with the same `len`, `is_empty` and
+            /// `pushed` after every step and when drained. The leading
+            /// events are exactly the reference's next ones from the batch,
+            /// and a skip removes what the reference pops.
             #[test]
             fn after_every_step(program in proptest::collection::vec(any_op(), 0..60)) {
                 let mut queue = EventQueue::new();
@@ -512,6 +708,39 @@ mod tests {
                             label += count;
                         }
                         Op::Pop => prop_assert_eq!(queue.pop(), reference.pop()),
+                        Op::Skip(at_most) => {
+                            // The front batch's event `j` as the reference
+                            // holds it: `(at, seq, payload)`.
+                            let front = queue.spaced.front();
+                            let key = front.map(|b| (b.at, b.seq, b.spacing, b.ids.clone()));
+                            let event = |j: u32| {
+                                let (at, seq, spacing, ids) = key.clone()?;
+                                let id = ids.start.checked_add(j).filter(|id| ids.contains(id))?;
+                                Some((at + spacing * j, seq + u64::from(j), id))
+                            };
+                            // The leading events are exactly the
+                            // reference's next ones that are the batch's.
+                            let events = sorted(&reference);
+                            let leads = (0u32..)
+                                .take_while(|&j| {
+                                    event(j).is_some_and(|e| events.get(j as usize) == Some(&e))
+                                })
+                                .count();
+                            let leading = queue.leading_spaced();
+                            let ids = leading.as_ref().map_or(0..0, |l| l.ids.clone());
+                            prop_assert_eq!(leading.is_some(), leads > 0);
+                            prop_assert_eq!(ids.len(), leads);
+                            if let (Some(leading), Some((at, _, first))) = (&leading, event(0)) {
+                                prop_assert_eq!((leading.at, ids.start), (at, first));
+                                prop_assert_eq!(Some(leading.spacing), key.as_ref().map(|k| k.2));
+                            }
+                            let n = at_most.min(leads as u32);
+                            queue.skip_spaced(n);
+                            for j in 0..n {
+                                let popped = reference.pop();
+                                prop_assert_eq!(popped, event(j).map(|(at, _, id)| (at, id)));
+                            }
+                        }
                     }
                     prop_assert_eq!(queue.len(), reference.heap.len());
                     prop_assert_eq!(queue.is_empty(), reference.heap.is_empty());

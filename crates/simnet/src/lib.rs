@@ -47,7 +47,7 @@ mod stream;
 
 pub use crash::{CrashPlan, CrashPoint};
 pub use disk::DiskModel;
-pub use event::{EventQueue, FifoLane, LaneSlot};
+pub use event::{EventQueue, FifoLane, LaneSlot, LeadingSpaced};
 pub use fault::{BudgetExhausted, FaultInjector, FaultKind, FaultPlan, RequestCharge, RetryPolicy};
 pub use link::{Bandwidth, Link};
 pub use metrics::NetMetrics;
