@@ -222,10 +222,7 @@ mod tests {
         let second: Vec<_> = (0..256).map(|i| plan.decision_at(i)).collect();
         assert_eq!(first, second);
         for point in CrashPoint::ALL {
-            assert!(
-                first.contains(&Some(point)),
-                "p=0.5 over 256 draws must hit {point:?}"
-            );
+            assert!(first.contains(&Some(point)), "p=0.5 over 256 draws must hit {point:?}");
         }
     }
 

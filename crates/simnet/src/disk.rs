@@ -48,8 +48,7 @@ impl DiskModel {
 
     /// Time to read or write `bytes` spread over `files` files.
     pub fn io_time(&self, bytes: u64, files: u64) -> Duration {
-        self.per_file * (files as u32)
-            + Duration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
+        self.per_file * (files as u32) + Duration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
     }
 
     /// Time to stat/traverse `files` directory entries without reading data.

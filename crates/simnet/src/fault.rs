@@ -333,9 +333,7 @@ impl FaultInjector {
         let lost = match plan.next_fault() {
             None => return Ok(Duration::ZERO),
             // Late but within the per-attempt budget: delivered.
-            Some(FaultKind::Stall(extra)) if nominal + extra <= policy.timeout => {
-                return Ok(extra)
-            }
+            Some(FaultKind::Stall(extra)) if nominal + extra <= policy.timeout => return Ok(extra),
             Some(FaultKind::Drop | FaultKind::Stall(_)) => {
                 RequestCharge { delay: policy.timeout, transfers: 0 }
             }
@@ -480,10 +478,7 @@ mod tests {
         faults.inject(FaultPlan::new(1).with_drop(1.0), RetryPolicy::standard(1));
         let timeout = RequestCharge { delay: Duration::from_secs(2), transfers: 0 };
         assert_eq!(faults.attempt(Duration::from_millis(1)), Err(timeout), "no retry");
-        assert_eq!(
-            faults.request(Duration::from_millis(1)),
-            Err(BudgetExhausted { attempts: 4 })
-        );
+        assert_eq!(faults.request(Duration::from_millis(1)), Err(BudgetExhausted { attempts: 4 }));
         assert_eq!(faults.retries(), 5);
         faults.clear();
         assert_eq!(faults.retries(), 0);

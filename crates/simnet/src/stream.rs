@@ -287,11 +287,8 @@ mod tests {
 
     #[test]
     fn empty_batch_costs_nothing() {
-        let schedule = link().stream_schedule(
-            Duration::from_millis(5),
-            &[],
-            StreamConfig::concurrent(4),
-        );
+        let schedule =
+            link().stream_schedule(Duration::from_millis(5), &[], StreamConfig::concurrent(4));
         assert_eq!(schedule.duration, Duration::ZERO);
         assert!(schedule.completions.is_empty());
     }
@@ -301,8 +298,7 @@ mod tests {
         let link = link();
         let fixed = link.rtt + link.request_overhead;
         let payloads = [10_000u64, 250_000, 999, 0, 1_000_000];
-        let schedule =
-            link.stream_schedule(fixed, &payloads, StreamConfig::sequential());
+        let schedule = link.stream_schedule(fixed, &payloads, StreamConfig::sequential());
         let mut expected = Duration::ZERO;
         for &bytes in &payloads {
             expected += link.request_time(bytes);
@@ -318,13 +314,11 @@ mod tests {
         let link = link();
         let fixed = Duration::from_millis(8);
         let payloads: Vec<u64> = (0..40).map(|i| 20_000 + i * 1_000).collect();
-        let mut previous = link
-            .stream_schedule(fixed, &payloads, StreamConfig::sequential())
-            .duration;
+        let mut previous =
+            link.stream_schedule(fixed, &payloads, StreamConfig::sequential()).duration;
         for streams in [2usize, 4, 8, 16] {
-            let t = link
-                .stream_schedule(fixed, &payloads, StreamConfig::concurrent(streams))
-                .duration;
+            let t =
+                link.stream_schedule(fixed, &payloads, StreamConfig::concurrent(streams)).duration;
             assert!(
                 t <= previous,
                 "{streams} streams took {t:?}, slower than fewer streams ({previous:?})"
@@ -383,11 +377,8 @@ mod tests {
         );
         assert!(schedule.window_stalls > 0, "a tight window must throttle admission");
         // The same batch with an unbounded window buffers more and is no slower.
-        let open = link.stream_schedule(
-            Duration::from_millis(2),
-            &payloads,
-            StreamConfig::concurrent(8),
-        );
+        let open =
+            link.stream_schedule(Duration::from_millis(2), &payloads, StreamConfig::concurrent(8));
         assert!(open.peak_buffered_bytes > schedule.peak_buffered_bytes);
         assert!(open.duration <= schedule.duration);
     }
@@ -407,11 +398,8 @@ mod tests {
     fn completion_offsets_are_consistent() {
         let link = link();
         let payloads = [40_000u64, 10_000, 25_000, 5_000];
-        let schedule = link.stream_schedule(
-            Duration::from_millis(3),
-            &payloads,
-            StreamConfig::concurrent(2),
-        );
+        let schedule =
+            link.stream_schedule(Duration::from_millis(3), &payloads, StreamConfig::concurrent(2));
         let max = schedule.completions.iter().max().copied().unwrap();
         assert_eq!(schedule.duration, max, "charge = max completion, not sum");
         assert!(schedule.peak_in_flight <= 2);

@@ -119,11 +119,7 @@ impl Collector {
 
     /// A bounded collector recording as fleet shard `shard`.
     pub fn with_shard_and_capacity(shard: u32, cap: usize) -> Self {
-        Collector {
-            inner: Mutex::new(Inner::default()),
-            cap: cap.max(1),
-            shard,
-        }
+        Collector { inner: Mutex::new(Inner::default()), cap: cap.max(1), shard }
     }
 
     /// This collector's fleet shard id.
@@ -216,8 +212,11 @@ impl Collector {
         let spans: u64 = inner
             .spans
             .iter()
-            .map(|s| std::mem::size_of::<SpanData>() as u64 + s.name.len() as u64
-                + 16 * s.args.len() as u64)
+            .map(|s| {
+                std::mem::size_of::<SpanData>() as u64
+                    + s.name.len() as u64
+                    + 16 * s.args.len() as u64
+            })
             .sum();
         let instants: u64 = inner
             .instants
@@ -339,13 +338,7 @@ impl Collector {
     /// Records a complete span at an explicit start and duration (used for
     /// pre-priced work whose cost was computed before recording); the
     /// cursor does not move.
-    pub fn span_at(
-        &self,
-        cat: &'static str,
-        name: &str,
-        start: Duration,
-        dur: Duration,
-    ) -> SpanId {
+    pub fn span_at(&self, cat: &'static str, name: &str, start: Duration, dur: Duration) -> SpanId {
         SpanId(self.push_span(&mut self.lock(), cat, name, start, Some(start + dur)))
     }
 

@@ -220,10 +220,7 @@ mod tests {
             c.sketch("lat", v);
         }
         let json = c.metrics_json();
-        assert!(
-            json.contains("\"lat\":{\"count\":4,\"sum\":910,\"min\":0,\"max\":900,"),
-            "{json}"
-        );
+        assert!(json.contains("\"lat\":{\"count\":4,\"sum\":910,\"min\":0,\"max\":900,"), "{json}");
         assert!(json.contains("\"err\":0.0078125"), "{json}");
         assert!(json.contains("\"zero\":1"), "{json}");
         assert!(json.contains("\"p999\":"), "{json}");
