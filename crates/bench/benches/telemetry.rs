@@ -100,6 +100,26 @@ fn bench_telemetry(c: &mut Criterion) {
             cloud
         })
     });
+    // The fleet report's fold: 512 node tallies of about 370 buckets each,
+    // latencies from 3.6 s down to 66 ms plus a 20 ms launch run, merged
+    // into one.
+    let nodes: Vec<QuantileSketch> = (0..512u64)
+        .map(|node| {
+            let mut tally = QuantileSketch::new();
+            tally.observe_descending(3_600_000_000 - 1_000 * node, 100_000, 35_340);
+            tally.observe_descending(20_000_000, 0, 1 + node % 16);
+            tally
+        })
+        .collect();
+    group.bench_function("sketch_merge_512_nodes", |b| {
+        b.iter(|| {
+            let mut fleet = QuantileSketch::new();
+            for tally in std::hint::black_box(&nodes) {
+                fleet.merge(tally).unwrap();
+            }
+            fleet
+        })
+    });
 
     group.finish();
 }

@@ -27,12 +27,15 @@
 //!   midpoint, so the error is at most half a bucket width:
 //!   `|rep − v| ≤ 2^(e-k-1) ≤ v / 2^(k+1)`.
 //!
-//! Zero has a dedicated slot. With the default `k = 6` the guaranteed
-//! relative error is `1/128 < 0.8 %` and a sketch never exceeds
-//! `64 · 2^k + 1` buckets regardless of stream length — the bounded-memory
-//! property the fleet collector's peak-memory gate relies on.
+//! Zero has a dedicated slot. The other counts are dense, one `u64` per
+//! index from the lowest occupied bucket to the highest, allocated exactly.
+//! Every index lies below `64 · 2^k`, so whatever the stream a sketch holds
+//! at most `64 · 2^k` counts: with the default `k = 6` that is 32 KiB and the
+//! relative error is `1/128 < 0.8 %`. Each bit of `k` halves the error and
+//! doubles the bound, to 32 MiB at the largest `k = 16` for values from 1 to
+//! `u64::MAX`. [`QuantileSketch::memory_bytes`] reports this resident size;
+//! the fleet collector's peak-memory gate relies on the bound.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -66,8 +69,11 @@ impl Error for SketchMergeError {}
 pub struct QuantileSketch {
     /// Sub-bucket bits `k`: each octave splits into `2^k` buckets.
     k: u32,
-    /// Sparse bucket counts keyed by log-linear index, in index order.
-    buckets: BTreeMap<u32, u64>,
+    /// Log-linear index of `counts[0]`; 0 while `counts` is empty.
+    lo: u32,
+    /// Counts of the indices `lo..lo + counts.len()`, empty or nonzero at
+    /// both ends, so equal streams make equal fields.
+    counts: Vec<u64>,
     /// Observations of exactly zero (no logarithmic bucket exists for 0).
     zero: u64,
     count: u64,
@@ -96,15 +102,7 @@ impl QuantileSketch {
     /// `1..=16` (beyond 16 the index would not fit the packed `u32`).
     pub fn with_sub_bucket_bits(k: u32) -> Self {
         let k = k.clamp(1, 16);
-        QuantileSketch {
-            k,
-            buckets: BTreeMap::new(),
-            zero: 0,
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
+        Self { k, lo: 0, counts: Vec::new(), zero: 0, count: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 
     /// The guaranteed bound on `|answer − true value| / true value` for
@@ -117,14 +115,10 @@ impl QuantileSketch {
     fn index(&self, v: u64) -> u32 {
         debug_assert!(v >= 1);
         let e = v.ilog2();
-        let base = 1u64 << e;
-        let m = if e <= self.k {
-            // Small octaves are exact: every integer has its own bucket.
-            ((v - base) << (self.k - e)) as u32
-        } else {
-            ((v - base) >> (e - self.k)) as u32
-        };
-        (e << self.k) | m
+        let offset = v - (1u64 << e);
+        // Small octaves are exact: every integer has its own bucket.
+        let m = if e <= self.k { offset << (self.k - e) } else { offset >> (e - self.k) };
+        (e << self.k) | m as u32
     }
 
     /// The deterministic representative value of bucket `index`: the exact
@@ -137,13 +131,19 @@ impl QuantileSketch {
 
     /// The smallest value bucket `index` holds.
     fn floor(&self, index: u32) -> u64 {
-        let e = index >> self.k;
-        let m = u64::from(index & ((1 << self.k) - 1));
-        let base = 1u64 << e;
-        if e <= self.k {
-            base + (m >> (self.k - e))
-        } else {
-            base + (m << (e - self.k))
+        let (e, m) = (index >> self.k, u64::from(index & ((1 << self.k) - 1)));
+        (1u64 << e) + if e <= self.k { m >> (self.k - e) } else { m << (e - self.k) }
+    }
+
+    /// Grows the span, in one exact allocation, to hold the indices `lo..=hi`.
+    fn cover(&mut self, lo: u32, hi: u32) {
+        let n = self.counts.len() as u32;
+        let (lo, hi) = if n == 0 { (lo, hi) } else { (lo.min(self.lo), hi.max(self.lo + n - 1)) };
+        if hi - lo + 1 > n {
+            let mut counts = vec![0; (hi - lo + 1) as usize];
+            let at = (self.lo.max(lo) - lo) as usize;
+            counts[at..at + n as usize].copy_from_slice(&self.counts);
+            (self.lo, self.counts) = (lo, counts);
         }
     }
 
@@ -152,7 +152,9 @@ impl QuantileSketch {
         if value == 0 {
             self.zero += 1;
         } else {
-            *self.buckets.entry(self.index(value)).or_insert(0) += 1;
+            let index = self.index(value);
+            self.cover(index, index);
+            self.counts[(index - self.lo) as usize] += 1;
         }
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
@@ -184,6 +186,11 @@ impl QuantileSketch {
         self.count += count;
         self.min = self.min.min(last);
         self.max = self.max.max(first);
+        if first > 0 {
+            // Down to the smallest positive value, so the span stays trimmed.
+            let low = if last > 0 { last } else { step };
+            self.cover(self.index(low), self.index(first));
+        }
         let (mut value, mut left) = (first, count);
         while value > 0 {
             let index = self.index(value);
@@ -191,7 +198,7 @@ impl QuantileSketch {
                 Some(below) => (below + 1).min(left),
                 None => left,
             };
-            *self.buckets.entry(index).or_insert(0) += stretch;
+            self.counts[(index - self.lo) as usize] += stretch;
             left -= stretch;
             if left == 0 {
                 break;
@@ -210,8 +217,10 @@ impl QuantileSketch {
     /// untouched in that case.
     pub fn merge(&mut self, other: &QuantileSketch) -> Result<(), SketchMergeError> {
         self.can_merge(other)?;
-        for (&index, &n) in &other.buckets {
-            *self.buckets.entry(index).or_insert(0) += n;
+        if let Some(last) = other.counts.len().checked_sub(1) {
+            self.cover(other.lo, other.lo + last as u32);
+            let at = (other.lo - self.lo) as usize;
+            self.counts[at..].iter_mut().zip(&other.counts).for_each(|(ours, n)| *ours += n);
         }
         self.zero += other.zero;
         self.count += other.count;
@@ -224,10 +233,7 @@ impl QuantileSketch {
     /// The check [`QuantileSketch::merge`] makes before it touches
     /// anything: the two resolutions must match.
     pub(crate) fn can_merge(&self, other: &QuantileSketch) -> Result<(), SketchMergeError> {
-        if self.k != other.k {
-            return Err(SketchMergeError { ours: self.k, theirs: other.k });
-        }
-        Ok(())
+        (self.k == other.k).then_some(()).ok_or(SketchMergeError { ours: self.k, theirs: other.k })
     }
 
     /// The value at quantile `q ∈ [0, 1]`, within the relative-error
@@ -235,10 +241,7 @@ impl QuantileSketch {
     /// at rank `count`; the mapping is pure IEEE arithmetic (no libm), so
     /// it is deterministic across platforms.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count.max(1));
         self.value_at_rank(rank)
     }
 
@@ -252,7 +255,7 @@ impl QuantileSketch {
         if rank <= seen {
             return Some(0);
         }
-        for (&index, &n) in &self.buckets {
+        for (index, n) in self.buckets() {
             seen += n;
             if rank <= seen {
                 return Some(self.representative(index));
@@ -283,23 +286,20 @@ impl QuantileSketch {
 
     /// Number of occupied buckets (including the zero slot when used).
     pub fn bucket_count(&self) -> usize {
-        self.buckets.len() + usize::from(self.zero > 0)
+        self.counts.iter().filter(|&&n| n > 0).count() + usize::from(self.zero > 0)
     }
 
-    /// Approximate resident size: the fixed header plus one
-    /// `(index, count)` node per occupied bucket. The log-linear layout
-    /// caps this at `64 · 2^k + 1` buckets no matter how long the stream.
+    /// Resident size: the header plus 8 bytes per allocated count, at most
+    /// `64 · 2^k` counts no matter how long the stream.
     pub fn memory_bytes(&self) -> u64 {
-        // BTreeMap node payload: u32 key padded + u64 count.
-        64 + 16 * self.bucket_count() as u64
+        (std::mem::size_of::<Self>() + 8 * self.counts.capacity()) as u64
     }
 
     /// Occupied log-linear buckets as `(index, count)`, in index (= value)
-    /// order. The zero slot is not included — read it via
-    /// [`QuantileSketch::zero_count`]; callers that need representative
-    /// values should use [`QuantileSketch::value_at_rank`].
+    /// order, without the zero slot ([`QuantileSketch::zero_count`]);
+    /// [`QuantileSketch::value_at_rank`] answers with representative values.
     pub fn buckets(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.buckets.iter().map(|(&i, &n)| (i, n))
+        (self.lo..).zip(&self.counts).filter(|&(_, &n)| n > 0).map(|(i, &n)| (i, n))
     }
 
     /// Observations of exactly zero.
@@ -396,9 +396,10 @@ mod tests {
             x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
             s.observe(x);
         }
-        let cap = 64 * (1 << DEFAULT_SUB_BUCKET_BITS) + 1;
-        assert!(s.bucket_count() <= cap, "{} buckets > cap {cap}", s.bucket_count());
-        assert!(s.memory_bytes() <= 64 + 16 * cap as u64);
+        let cap = 64 * (1 << DEFAULT_SUB_BUCKET_BITS);
+        assert!(s.bucket_count() <= cap + 1, "{} buckets > cap {cap} + zero", s.bucket_count());
+        let header = std::mem::size_of::<QuantileSketch>() as u64;
+        assert!(s.memory_bytes() <= header + 8 * cap as u64, "{} bytes", s.memory_bytes());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests for the telemetry core: exact sketch merges and
 //! bit-identical exports for a fixed seed.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use gear_telemetry::{Collector, FleetCollector, MetricsRegistry, QuantileSketch, Telemetry};
@@ -278,5 +279,217 @@ proptest! {
             (collector.trace_json(), collector.metrics_json())
         };
         prop_assert_eq!(record(seed), record(seed));
+    }
+}
+
+/// The sparse layout the sketch's counts had before they went dense: one
+/// `BTreeMap` entry per occupied log-linear bucket, with the index and
+/// representative arithmetic written out again. It is the reference model
+/// the dense sketch is held to.
+#[derive(Debug, Clone)]
+struct SparseSketch {
+    k: u32,
+    buckets: BTreeMap<u32, u64>,
+    zero: u64,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl SparseSketch {
+    fn new(k: u32) -> Self {
+        SparseSketch {
+            k,
+            buckets: BTreeMap::new(),
+            zero: 0,
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+
+    fn index(&self, v: u64) -> u32 {
+        let (e, k) = (v.ilog2(), self.k);
+        let m = if e <= k { (v - (1 << e)) << (k - e) } else { (v - (1 << e)) >> (e - k) };
+        (e << k) | m as u32
+    }
+
+    fn representative(&self, index: u32) -> u64 {
+        let (e, k) = (index >> self.k, self.k);
+        let m = u64::from(index & ((1 << k) - 1));
+        if e <= k {
+            (1 << e) + (m >> (k - e))
+        } else {
+            (1 << e) + (m << (e - k)) + (1 << (e - k - 1))
+        }
+    }
+
+    fn observe(&mut self, v: u64) {
+        match v {
+            0 => self.zero += 1,
+            _ => *self.buckets.entry(self.index(v)).or_insert(0) += 1,
+        }
+        self.count += 1;
+        self.sum = self.sum.saturating_add(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    fn merge(&mut self, other: &SparseSketch) {
+        for (&index, &n) in &other.buckets {
+            *self.buckets.entry(index).or_insert(0) += n;
+        }
+        self.zero += other.zero;
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    /// The answer at every rank `0..=count + 1`, out-of-range ranks
+    /// included.
+    fn ranked(&self) -> Vec<Option<u64>> {
+        let mut ranked = vec![None];
+        ranked.extend(std::iter::repeat_n(Some(0), self.zero as usize));
+        for (&index, &n) in &self.buckets {
+            ranked.extend(std::iter::repeat_n(Some(self.representative(index)), n as usize));
+        }
+        ranked.push(None);
+        ranked
+    }
+}
+
+/// Holds `dense` to the reference `model` in every answer, and by `==` to
+/// `flat`, the sketch of one `observe` per value of the same stream. Its
+/// resident size is the header plus one count per index from the model's
+/// lowest occupied bucket to its highest: trimmed and allocated exactly.
+fn agrees(
+    dense: &QuantileSketch,
+    flat: &QuantileSketch,
+    model: &SparseSketch,
+) -> Result<(), String> {
+    prop_assert_eq!(dense, flat);
+    let (lo, hi) = (model.buckets.keys().next(), model.buckets.keys().next_back());
+    let span = lo.zip(hi).map_or(0, |(lo, hi)| u64::from(hi - lo + 1));
+    let header = std::mem::size_of::<QuantileSketch>() as u64;
+    prop_assert_eq!(dense.memory_bytes(), header + 8 * span);
+    let buckets: Vec<(u32, u64)> = model.buckets.iter().map(|(&i, &n)| (i, n)).collect();
+    prop_assert_eq!(dense.buckets().collect::<Vec<_>>(), buckets);
+    let ranked: Vec<Option<u64>> =
+        (0..=dense.count() + 1).map(|r| dense.value_at_rank(r)).collect();
+    prop_assert_eq!(ranked, model.ranked());
+    let present = model.count > 0;
+    prop_assert_eq!(
+        (dense.count(), dense.sum(), dense.min(), dense.max(), dense.zero_count()),
+        (
+            model.count,
+            model.sum,
+            present.then_some(model.min),
+            present.then_some(model.max),
+            model.zero
+        ),
+    );
+    prop_assert_eq!(dense.bucket_count(), model.buckets.len() + usize::from(model.zero > 0));
+    Ok(())
+}
+
+proptest! {
+    /// Random interleavings of `observe`, `observe_descending` and `merge`
+    /// leave the dense sketch answering as the sparse reference does, and
+    /// equal to one `observe` per value, after every step. Runs cover step
+    /// 0, runs that reach zero and runs near `u64::MAX`; merges cover spans
+    /// wholly below and wholly above the receiver's and merging into an
+    /// empty sketch.
+    #[test]
+    fn dense_sketch_matches_the_sparse_reference(
+        k in 1u32..=6,
+        ops in prop::collection::vec((0u8..9, any::<u64>(), any::<u64>(), 0u64..16), 1..10),
+    ) {
+        let mut dense = QuantileSketch::with_sub_bucket_bits(k);
+        let mut flat = dense.clone();
+        let mut model = SparseSketch::new(k);
+        for (kind, a, b, n) in ops {
+            // Any magnitude: a value shifted right by a random amount.
+            let (a_any, b_any) = (a >> (b % 64), b >> (a % 64));
+            match kind {
+                0 => {
+                    dense.observe(a_any);
+                    flat.observe(a_any);
+                    model.observe(a_any);
+                }
+                1..=4 => {
+                    let (first, step) = match kind {
+                        1 => (a_any, 0),
+                        // Ends on zero: `first` is a whole number of steps.
+                        2 => {
+                            let step = b_any.clamp(1, u64::MAX / n.max(1));
+                            (step * n.saturating_sub(1), step)
+                        }
+                        3 => (u64::MAX - a % (1 << 20), b_any),
+                        _ => (a_any, b_any),
+                    };
+                    let step = step.min(first / n.saturating_sub(1).max(1));
+                    dense.observe_descending(first, step, n);
+                    for v in (0..n).map(|i| first - i * step) {
+                        flat.observe(v);
+                        model.observe(v);
+                    }
+                }
+                5..=7 => {
+                    // Values wholly below the receiver's, wholly above, or
+                    // anywhere.
+                    let (lo, hi) = match kind {
+                        5 => (0, model.min / 2),
+                        6 => (model.max.saturating_mul(2), u64::MAX),
+                        _ => (0, u64::MAX),
+                    };
+                    let mut rng = Rng(a);
+                    let mut other = QuantileSketch::with_sub_bucket_bits(k);
+                    let mut other_model = SparseSketch::new(k);
+                    for _ in 0..n {
+                        let x = rng.next();
+                        let v = lo + (x >> (x % 64)) % (hi - lo).saturating_add(1);
+                        other.observe(v);
+                        other_model.observe(v);
+                        flat.observe(v);
+                    }
+                    dense.merge(&other).unwrap();
+                    model.merge(&other_model);
+                }
+                _ => {
+                    let mut empty = QuantileSketch::with_sub_bucket_bits(k);
+                    empty.merge(&dense).unwrap();
+                    dense = empty;
+                }
+            }
+            agrees(&dense, &flat, &model)?;
+        }
+    }
+}
+
+/// Runs that reach zero end on the zero slot, not in a bucket, so the
+/// buckets they cover stop at their smallest positive value. The same values
+/// recorded as one run, as two merged runs, and one at a time in either
+/// order make equal sketches.
+#[test]
+fn the_same_values_grouped_differently_are_equal() {
+    for (first, step, count) in [(6u64, 2u64, 4u64), (300, 100, 4), (3_000, 1_000, 4), (90, 1, 91)]
+    {
+        let mut one_run = QuantileSketch::new();
+        one_run.observe_descending(first, step, count);
+        let mut split = QuantileSketch::new();
+        split.observe_descending(first, step, count / 2);
+        let mut rest = QuantileSketch::new();
+        rest.observe_descending(first - step * (count / 2), step, count - count / 2);
+        split.merge(&rest).unwrap();
+        let values: Vec<u64> = (0..count).map(|i| first - i * step).collect();
+        let descending = sketch_of(&values);
+        let ascending = sketch_of(&values.iter().rev().copied().collect::<Vec<_>>());
+        let run = (first, step, count);
+        assert_eq!(one_run, split, "run {run:?}");
+        assert_eq!(one_run, descending, "run {run:?}");
+        assert_eq!(one_run, ascending, "run {run:?}");
     }
 }

@@ -4,16 +4,19 @@
 //! those items with the signatures the benchmark calls them by, as typed
 //! bindings, so a break fails this build and not only the benchmark's.
 //!
-//! It covers the event core (`gear-simnet`'s `EventQueue` and `FifoLane`)
-//! and the fleet simulator (`gear-p2p`'s `FleetSim`, `FleetConfig` and
-//! `FleetReport`). The other crates' entries are still to be added.
+//! It covers the event core (`gear-simnet`'s `EventQueue` and `FifoLane`),
+//! the fleet simulator (`gear-p2p`'s `FleetSim`, `FleetConfig` and
+//! `FleetReport`) and telemetry (`gear-telemetry`'s `QuantileSketch` and
+//! `Telemetry::collector`). The other crates' entries are still to be added.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use gear_hash::Fingerprint;
 use gear_p2p::{FleetConfig, FleetReport, FleetSim, NodeId, Topology};
 use gear_simnet::{EventQueue, FifoLane, LaneSlot, Link};
+use gear_telemetry::{Collector, QuantileSketch, Telemetry};
 
 #[test]
 fn event_queue_keeps_its_signatures() {
@@ -67,4 +70,20 @@ fn fleet_report_keeps_its_fields() {
         ];
         let _: (f64, usize) = (r.shard_balance, r.validation_problems);
     };
+}
+
+/// The sketch the fleet workload's telemetry replay fills, one observation
+/// per simulated client.
+#[test]
+fn quantile_sketch_keeps_its_signatures() {
+    let _: fn() -> QuantileSketch = QuantileSketch::new;
+    let _: fn(&mut QuantileSketch, u64) = QuantileSketch::observe;
+    let _: fn(&QuantileSketch) -> u64 = QuantileSketch::count;
+}
+
+/// The recorder the publish and deploy workloads' telemetry passes run
+/// with.
+#[test]
+fn telemetry_collector_keeps_its_signature() {
+    let _: fn() -> (Telemetry, Arc<Collector>) = Telemetry::collector;
 }
