@@ -327,7 +327,13 @@ impl Cluster {
         // counters describe no container anyone keeps.
         let quiet = Telemetry::noop();
         let replayed = replay::<_, ClusterError>(
-            &uplink, tree, trace, &mut chain, &quiet, &mut timeline, pull,
+            &uplink,
+            tree,
+            trace,
+            &mut chain,
+            &quiet,
+            &mut timeline,
+            pull,
         )?;
 
         let mut report = NodeDeployment {
@@ -369,10 +375,7 @@ impl Cluster {
             &format!("deploy node{} {}", report.node, reference),
             base,
             report.total,
-            &[
-                ("peer_files", report.peer_files),
-                ("registry_files", report.registry_files),
-            ],
+            &[("peer_files", report.peer_files), ("registry_files", report.registry_files)],
         );
         report.timeline.record_spans(t, base, Some("p2p"));
 
@@ -560,10 +563,7 @@ mod tests {
     }
 
     fn trace(paths: &[&str]) -> StartupTrace {
-        StartupTrace {
-            reads: paths.iter().map(|s| s.to_string()).collect(),
-            task: TaskKind::Echo,
-        }
+        StartupTrace { reads: paths.iter().map(|s| s.to_string()).collect(), task: TaskKind::Echo }
     }
 
     #[test]
@@ -587,7 +587,8 @@ mod tests {
         use gear_core::ConverterOptions;
 
         // A big file that the CDC converter splits into several chunks.
-        let body: Vec<u8> = (0..60_000u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
+        let body: Vec<u8> =
+            (0..60_000u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
         let mut tree = FsTree::new();
         tree.create_file("models/weights.bin", Bytes::from(body)).unwrap();
         tree.create_file("bin/app", Bytes::from_static(b"tiny launcher")).unwrap();
@@ -719,8 +720,8 @@ mod tests {
         let t = trace(&["f"]);
         cluster.deploy_on(0, &r, &t, &reg, &store).unwrap(); // registry
         cluster.deploy_on(1, &r, &t, &reg, &store).unwrap(); // peer 0
-        // Node 2: draws 0 and 1 are its index pull (manifest, index layer),
-        // draw 2 the first peer attempt.
+                                                             // Node 2: draws 0 and 1 are its index pull (manifest, index layer),
+                                                             // draw 2 the first peer attempt.
         cluster.inject_faults(
             FaultPlan::new(9).fail_requests(2, 2, FaultKind::Drop),
             RetryPolicy::standard(9),
@@ -786,10 +787,7 @@ mod tests {
         let deploy_once = || {
             let mut cluster = Cluster::new(ClusterConfig::edge(2));
             cluster.deploy_on(0, &r, &t, &reg, &store).unwrap();
-            cluster.inject_faults(
-                FaultPlan::new(77).with_drop(0.4),
-                RetryPolicy::standard(77),
-            );
+            cluster.inject_faults(FaultPlan::new(77).with_drop(0.4), RetryPolicy::standard(77));
             cluster.deploy_on(1, &r, &t, &reg, &store).unwrap()
         };
         assert_eq!(deploy_once(), deploy_once(), "same seeds → identical deployment");

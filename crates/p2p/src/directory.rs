@@ -52,8 +52,7 @@ impl PeerDirectory {
         let Some(set) = self.holders.get(&fingerprint) else {
             return Vec::new();
         };
-        let mut candidates: Vec<RawNode> =
-            set.iter().copied().filter(|n| *n != asker).collect();
+        let mut candidates: Vec<RawNode> = set.iter().copied().filter(|n| *n != asker).collect();
         if candidates.is_empty() {
             return candidates;
         }
@@ -82,8 +81,7 @@ impl PeerDirectory {
             return Vec::new();
         };
         let my_site = site_of.get(asker).copied();
-        let mut candidates: Vec<RawNode> =
-            set.iter().copied().filter(|n| *n != asker).collect();
+        let mut candidates: Vec<RawNode> = set.iter().copied().filter(|n| *n != asker).collect();
         candidates.sort_unstable();
         candidates.sort_by_key(|n| site_of.get(*n).copied() != my_site);
         candidates

@@ -393,8 +393,7 @@ impl FleetSim {
         let image_fp = objects[0].0;
         let sites = topo.sites();
         let lan = (0..sites).map(|_| FifoLane::new(*topo.lan())).collect();
-        let uplinks =
-            (0..sites).map(|s| FifoLane::new(*topo.uplink(s as u32))).collect();
+        let uplinks = (0..sites).map(|s| FifoLane::new(*topo.uplink(s as u32))).collect();
         let backbone = FifoLane::new(*topo.backbone());
         let shard_lanes =
             (0..config.shards).map(|_| FifoLane::new(Link::mbps(SHARD_MBPS))).collect();
@@ -670,8 +669,7 @@ impl FleetSim {
             self.nodes[node].seeding = Some(SeedKind::Waiter);
             self.sites[site].waiters.push(node);
         } else if !holders.is_empty() {
-            let slot =
-                self.backbone.transfer_with_fixed(t, self.backbone_fixed, self.image_wire);
+            let slot = self.backbone.transfer_with_fixed(t, self.backbone_fixed, self.image_wire);
             self.nodes[node].seeding = Some(SeedKind::Backbone);
             self.sites[site].wan_seeds += 1;
             self.queue.push(
@@ -824,11 +822,8 @@ impl FleetSim {
             Ok(first) => {
                 // A run of two or more clients was scheduled, so its last
                 // arrival bounds the step; a lone client takes none.
-                let step = if run.count > 1 {
-                    (crowd.spacing * nodes).as_nanos() as u64
-                } else {
-                    0
-                };
+                let step =
+                    if run.count > 1 { (crowd.spacing * nodes).as_nanos() as u64 } else { 0 };
                 tally.observe_descending(first, step, u64::from(run.count));
             }
             // Too long for `u64` nanoseconds: each latency is truncated on
@@ -1212,10 +1207,24 @@ mod tests {
     #[derive(Debug, Clone)]
     enum Step {
         /// `count` clients round-robin from node 0, `spacing` apart.
-        Crowd { count: u32, start: Duration, spacing: Duration },
-        Client { node: usize, at: Duration },
-        Reset { site: u32, at: Duration },
-        Outage { shards: Range<u32>, from: Duration, to: Duration },
+        Crowd {
+            count: u32,
+            start: Duration,
+            spacing: Duration,
+        },
+        Client {
+            node: usize,
+            at: Duration,
+        },
+        Reset {
+            site: u32,
+            at: Duration,
+        },
+        Outage {
+            shards: Range<u32>,
+            from: Duration,
+            to: Duration,
+        },
         /// Drain the queue and keep the report.
         Run,
     }
@@ -1520,10 +1529,6 @@ mod tests {
         let report = fleet.run();
         assert_eq!(report.lost, 0);
         // Arrivals dominate: everything else is per-seed, not per-client.
-        assert!(
-            report.events < 1_000 + 16 * 12 * 40,
-            "event count blew up: {}",
-            report.events
-        );
+        assert!(report.events < 1_000 + 16 * 12 * 40, "event count blew up: {}", report.events);
     }
 }
