@@ -10,12 +10,11 @@
 //! * [`EventQueue`] — a priority queue keyed on simulated time with a
 //!   monotonically increasing sequence number breaking ties in push order,
 //!   so the processing order is a pure function of the pushes (no
-//!   dependence on heap internals or iteration order). Events pushed in
-//!   time order wait in a sorted run and pop in O(1); only the rest pay
-//!   for the binary heap beside it. A pre-scheduled crowd is one run item,
-//!   a start, a spacing and an id range, that makes each event as it pops.
-//!   The events of the front batch that pop before every other queued
-//!   event can also be taken as a range
+//!   dependence on heap internals or iteration order). A pre-scheduled
+//!   crowd is one spaced batch, a start, a spacing and an id range, that
+//!   makes each event as it pops; every other event waits in a binary
+//!   heap. The events of the front batch that pop before every other
+//!   queued event can also be taken as a range
 //!   ([`EventQueue::leading_spaced`], [`EventQueue::skip_spaced`]), so a
 //!   simulation walks them in its own loop instead of popping each one.
 //! * [`FifoLane`] — a shared link serving transfers strictly in arrival
@@ -44,23 +43,17 @@ use crate::link::Link;
 /// the key is `(time, push sequence)`, so two runs that push the same
 /// events observe the same ordering regardless of where each entry waits.
 ///
-/// Entries wait in one of two places. A push no earlier than the newest
-/// event of the *run* appends to it; its sequence number is the largest
-/// yet, so the run stays sorted by key and its front pops in O(1). Every
-/// other push goes to a binary heap, and a pop takes the smaller of the
-/// run's front and the heap's top. A run item is one event, or a whole
-/// [`EventQueue::push_spaced`] batch that makes each event as it pops, so
-/// a million arrivals scheduled before the run starts are one item that
-/// never touches the heap, which holds only the events the simulation
-/// books as it goes. A batch sends the run's single events to the heap,
-/// so the run is its batches followed by the single events pushed after
-/// them, and its front is the first batch's next event when there is one.
+/// Entries wait in one of two places. A [`EventQueue::push_spaced`] batch
+/// is held as its start, spacing and id range, and makes each event as it
+/// pops, so a million arrivals scheduled at once are one item that never
+/// touches the heap. Every [`EventQueue::push`] goes to a binary heap,
+/// which holds the events the simulation books as it goes. The batches
+/// wait in key order, and a pop takes the smaller of the front batch's
+/// next event and the heap's top.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    /// The run's single events, all after every event of `spaced`.
-    run: VecDeque<Entry<T>>,
-    /// The run's spaced batches, in key order. Kept apart from `run` so
-    /// that a single event's entry holds no batch fields.
+    /// The spaced batches, in key order: each one starts no earlier than
+    /// the one before ends.
     spaced: VecDeque<Spaced<T>>,
     heap: BinaryHeap<Reverse<Entry<T>>>,
     seq: u64,
@@ -130,13 +123,7 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            run: VecDeque::new(),
-            spaced: VecDeque::new(),
-            heap: BinaryHeap::new(),
-            seq: 0,
-            batched: 0,
-        }
+        EventQueue { spaced: VecDeque::new(), heap: BinaryHeap::new(), seq: 0, batched: 0 }
     }
 
     /// Schedules `payload` to fire at simulated time `at`.
@@ -144,24 +131,18 @@ impl<T> EventQueue<T> {
     // the criterion `ascending` case ran about 40 % slower.
     #[inline]
     pub fn push(&mut self, at: Duration, payload: T) {
-        let entry = Entry { at, seq: self.seq, payload };
+        self.heap.push(Reverse(Entry { at, seq: self.seq, payload }));
         self.seq += 1;
-        if self.appends(at) {
-            self.run.push_back(entry);
-        } else {
-            self.heap.push(Reverse(entry));
-        }
     }
 
     /// Schedules `make(id)` for each of `ids`, the first at `start` and
     /// each next one `spacing` later: the same sequence numbers and pop
-    /// order as that many [`EventQueue::push`]es, held as one run item
-    /// that makes each event as it pops. The run's single events spill
-    /// into the heap first, and its batches do too when `start` is earlier
-    /// than their last event, so the batch starts a fresh run even behind a
-    /// later event. An event spills at most once and then stays
-    /// in the heap, so spilling never costs more than pushing each event to
-    /// the heap in the first place.
+    /// order as that many [`EventQueue::push`]es, held as one item that
+    /// makes each event as it pops. When `start` is earlier than the last
+    /// event of the batches already held, their events spill into the heap
+    /// first, so the batches stay in key order. An event spills at most once
+    /// and then stays in the heap, so spilling never costs more than pushing
+    /// each event to the heap in the first place.
     ///
     /// # Panics
     ///
@@ -180,9 +161,6 @@ impl<T> EventQueue<T> {
         else {
             panic!("a spaced batch's last event overflows Duration");
         };
-        // The run's single events wait after all of its batches, so they
-        // leave; its batches do too when this one starts earlier.
-        self.heap.extend(self.run.drain(..).map(Reverse));
         if self.spaced.back().is_some_and(|batch| start < batch.last) {
             self.spill_batches();
         }
@@ -191,16 +169,7 @@ impl<T> EventQueue<T> {
         self.seq += 1 + rest as u64;
     }
 
-    /// Whether an event at `at` pushed now keeps the run sorted.
-    fn appends(&self, at: Duration) -> bool {
-        // The run's last single event, if any, is its last event.
-        match self.run.back() {
-            Some(last) => at >= last.at,
-            None => self.spaced.back().is_none_or(|batch| at >= batch.last),
-        }
-    }
-
-    /// Moves every event of the run's batches into the heap.
+    /// Moves every event of the batches into the heap.
     fn spill_batches(&mut self) {
         for Spaced { at, seq, spacing, ids, make, .. } in self.spaced.drain(..) {
             self.heap.extend((0u32..).zip(ids).map(|(k, id)| {
@@ -213,22 +182,13 @@ impl<T> EventQueue<T> {
     /// Removes and returns the earliest event, ties broken by push order.
     #[inline]
     pub fn pop(&mut self) -> Option<(Duration, T)> {
-        // A batch's next event is the run's front: every single event of
-        // the run comes after it.
         if let Some(batch) = self.spaced.front() {
             if self.heap.peek().is_none_or(|Reverse(top)| (batch.at, batch.seq) < (top.at, top.seq))
             {
                 return self.pop_spaced();
             }
-            return self.heap.pop().map(|Reverse(entry)| (entry.at, entry.payload));
         }
-        let from_run = match (self.run.front(), self.heap.peek()) {
-            (Some(front), Some(Reverse(top))) => front < top,
-            (front, _) => front.is_some(),
-        };
-        let entry =
-            if from_run { self.run.pop_front() } else { self.heap.pop().map(|Reverse(e)| e) };
-        entry.map(|entry| (entry.at, entry.payload))
+        self.heap.pop().map(|Reverse(entry)| (entry.at, entry.payload))
     }
 
     /// The front spaced batch's leading events, those that pop before every
@@ -317,12 +277,12 @@ impl<T> EventQueue<T> {
 
     /// Events currently scheduled.
     pub fn len(&self) -> usize {
-        self.run.len() + self.batched + self.heap.len()
+        self.batched + self.heap.len()
     }
 
     /// Whether no events are scheduled.
     pub fn is_empty(&self) -> bool {
-        self.run.is_empty() && self.spaced.is_empty() && self.heap.is_empty()
+        self.spaced.is_empty() && self.heap.is_empty()
     }
 
     /// Total events ever pushed (the event-count cost of the run so far).
@@ -473,14 +433,14 @@ mod tests {
     }
 
     #[test]
-    fn an_earlier_batch_spills_the_run_and_keeps_key_order() {
+    fn an_earlier_batch_keeps_key_order_with_a_later_event() {
         // The rolling-update shape: an outage's "up" event is scheduled
         // before the crowd it outlasts.
         let mut queue = EventQueue::new();
         queue.push(Duration::from_secs(120), 100);
         queue.push_spaced(Duration::ZERO, Duration::from_secs(60), 0..3, |id| id);
-        assert_eq!(queue.heap.len(), 1, "only the spilled event waits in the heap");
-        assert_eq!((queue.run.len(), queue.spaced.len()), (0, 1), "the batch is a run of its own");
+        assert_eq!(queue.heap.len(), 1, "only the single event waits in the heap");
+        assert_eq!(queue.spaced.len(), 1, "the batch is one item");
         assert_eq!(queue.len(), 4);
         let order: Vec<u32> = std::iter::from_fn(|| queue.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, [0, 1, 100, 2], "a tie pops in push order across the two");
@@ -500,10 +460,10 @@ mod tests {
     }
 
     #[test]
-    fn a_million_event_batch_is_one_run_item() {
+    fn a_million_event_batch_is_one_item() {
         let mut queue = EventQueue::new();
         queue.push_spaced(Duration::ZERO, Duration::from_micros(2), 0..1_000_000, |id| id);
-        assert_eq!((queue.run.len(), queue.spaced.len(), queue.heap.len()), (0, 1, 0));
+        assert_eq!((queue.spaced.len(), queue.heap.len()), (1, 0));
         assert_eq!(queue.len(), 1_000_000);
         assert_eq!(queue.pushed(), 1_000_000);
         assert_eq!(queue.pop(), Some((Duration::ZERO, 0)));
@@ -514,9 +474,11 @@ mod tests {
     fn an_empty_batch_pushes_nothing() {
         let mut queue = EventQueue::new();
         queue.push(Duration::from_secs(5), 7);
+        queue.push_spaced(Duration::from_secs(1), Duration::from_secs(1), 0..3, |id| id);
+        // It starts before the held batch ends, yet spills nothing.
         queue.push_spaced(Duration::ZERO, Duration::MAX, 3..3, |id| id);
-        assert_eq!((queue.len(), queue.pushed(), queue.run.len()), (1, 1, 1), "and spills nothing");
-        assert!(queue.spaced.is_empty());
+        assert_eq!((queue.len(), queue.pushed()), (4, 4));
+        assert_eq!((queue.spaced.len(), queue.heap.len()), (1, 1));
     }
 
     #[test]
@@ -549,7 +511,7 @@ mod tests {
         let mut queue = EventQueue::new();
         push_ms(&mut queue, 1_000, 100);
         queue.push_spaced(Duration::from_secs(2), Duration::from_secs(1), 0..3, |id| id);
-        assert_eq!(queue.heap.len(), 1, "the single event spilled");
+        assert_eq!(queue.heap.len(), 1, "the single event waits in the heap");
         assert_eq!(leading_ids(&queue), None);
         assert_eq!(queue.pop(), Some((Duration::from_secs(1), 100)));
         assert_eq!(leading_ids(&queue), Some(0..3));
@@ -571,7 +533,7 @@ mod tests {
         queue.push_spaced(Duration::from_millis(5), Duration::ZERO, 0..4, |id| id);
         push_ms(&mut queue, 10, 100);
         push_ms(&mut queue, 5, 101);
-        assert_eq!(queue.heap.len(), 1, "the tie sits in the heap");
+        assert_eq!(queue.heap.len(), 2, "both single events wait in the heap");
         assert_eq!(leading_ids(&queue), Some(0..4), "the top's seq is above the batch's");
         queue.skip_spaced(4);
         assert_eq!(queue.pop(), Some((Duration::from_millis(5), 101)));
@@ -659,8 +621,8 @@ mod tests {
         }
 
         /// Times from a handful of milliseconds, so ties are common, and
-        /// pushes and batches land before the run's last event and before
-        /// the last pop.
+        /// pushes and batches land before the held batches' last event and
+        /// before the last pop.
         fn any_op() -> impl Strategy<Value = Op> {
             prop_oneof![
                 (0..6u64).prop_map(Op::Push),
