@@ -505,16 +505,10 @@ impl FleetSim {
         self.clients = ids.end;
     }
 
-    /// The index of the row that scheduled `client`.
+    /// The index of the row that scheduled `client`: a binary search of
+    /// the rows, which are in client-index order.
     fn row_of(&self, client: u32) -> usize {
-        // Most clients belong to the first row (a crowd scheduled before
-        // any straggler), which needs no search.
-        match self.crowds.get(1) {
-            Some(second) if client >= second.first => {
-                self.crowds.partition_point(|c| c.first <= client) - 1
-            }
-            _ => 0,
-        }
+        self.crowds.partition_point(|c| c.first <= client) - 1
     }
 
     /// Schedules a scripted wipe of `site` at `at`: every node loses its
