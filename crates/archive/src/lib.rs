@@ -36,8 +36,3 @@ mod wire;
 pub use entry::{Archive, Entry, EntryKind, Metadata};
 pub use path::{ArchivePath, PathError};
 pub use wire::{EntryStream, ReadError};
-
-/// The `.wh.` filename prefix Docker/OCI uses to encode whiteouts in tars.
-pub const WHITEOUT_PREFIX: &str = ".wh.";
-/// The special whiteout that marks a directory opaque (masks all lower content).
-pub const OPAQUE_WHITEOUT: &str = ".wh..wh..opq";

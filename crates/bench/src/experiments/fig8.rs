@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use gear_client::{ClientConfig, DockerClient, GearClient};
+use gear_client::{DockerClient, GearClient};
 use gear_core::{publish, Converter};
 use gear_corpus::Category;
 use gear_registry::{DockerRegistry, GearFileStore};
@@ -172,12 +172,6 @@ impl fmt::Display for Fig8 {
             PAPER_CACHE_FRACTION * 100.0
         )
     }
-}
-
-/// Convenience: a default-config client pair for one-off tests.
-pub fn default_clients(scale: u64) -> (GearClient, DockerClient) {
-    let config = ClientConfig::paper_testbed(scale);
-    (GearClient::new(config), DockerClient::new(config))
 }
 
 #[cfg(test)]
