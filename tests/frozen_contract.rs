@@ -4,17 +4,21 @@
 //! those items with the signatures the benchmark calls them by, as typed
 //! bindings, so a break fails this build and not only the benchmark's.
 //!
-//! It covers the event core (`gear-simnet`'s `EventQueue` and `FifoLane`),
-//! the fleet simulator (`gear-p2p`'s `FleetSim`, `FleetConfig` and
-//! `FleetReport`) and telemetry (`gear-telemetry`'s `QuantileSketch` and
-//! `Telemetry::collector`). The other crates' entries are still to be added.
+//! It covers the event core (`gear-simnet`'s `EventQueue`, `FifoLane` and
+//! `Link::mbps`), the fleet simulator (`gear-p2p`'s `FleetSim`,
+//! `FleetConfig`, `FleetReport` and `Topology`), the registry's hash ring
+//! (`gear-registry`'s `HashRing` and `DEFAULT_VNODES`) and telemetry
+//! (`gear-telemetry`'s `QuantileSketch` and `Telemetry::collector`): every
+//! item the fleet workload imports. The other crates' entries are still to
+//! be added.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use gear_hash::Fingerprint;
-use gear_p2p::{FleetConfig, FleetReport, FleetSim, NodeId, Topology};
+use gear_p2p::{FleetConfig, FleetReport, FleetSim, NodeId, Topology, TopologyConfig};
+use gear_registry::{HashRing, DEFAULT_VNODES};
 use gear_simnet::{EventQueue, FifoLane, LaneSlot, Link};
 use gear_telemetry::{Collector, QuantileSketch, Telemetry};
 
@@ -32,6 +36,21 @@ fn event_queue_keeps_its_signatures() {
 fn fifo_lane_keeps_its_signatures() {
     let _: fn(Link) -> FifoLane = FifoLane::new;
     let _: fn(&mut FifoLane, Duration, u64) -> LaneSlot = FifoLane::transfer;
+    let _: fn(f64) -> Link = Link::mbps;
+}
+
+#[test]
+fn topology_keeps_its_signatures() {
+    let _: fn(usize, usize) -> TopologyConfig = TopologyConfig::edge_fleet;
+    let _: fn(TopologyConfig) -> Topology = Topology::new;
+}
+
+/// The ring the fleet workload's replica-walk replay builds and walks.
+#[test]
+fn hash_ring_keeps_its_signatures() {
+    let _: fn(u32, u32, u64) -> HashRing = HashRing::new;
+    let _: fn(&HashRing, Fingerprint, usize) -> Vec<u32> = HashRing::replicas;
+    let _: u32 = DEFAULT_VNODES;
 }
 
 #[test]
