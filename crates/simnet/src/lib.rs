@@ -15,8 +15,8 @@
 //!   [`FaultInjector`] is the one place a faulty request is decomposed into
 //!   blocking delay and wire transfers.
 //! * [`EventQueue`] / [`FifoLane`] — the event-driven core for fleet-scale
-//!   runs: a deterministic event queue (a sorted run beside a binary heap)
-//!   keyed on sim-time plus per-link FIFO lanes, replacing eager
+//!   runs: a deterministic event queue (spaced batches beside a binary
+//!   heap) keyed on sim-time plus per-link FIFO lanes, replacing eager
 //!   whole-transfer pricing so that simulating N concurrent clients costs
 //!   O(events), not O(N × polling).
 //!
