@@ -3,10 +3,9 @@
 //! on its standard topology.
 //!
 //! * `event_queue/ascending` — 100 k single events pushed in time order,
-//!   then drained. Each one waits in the binary heap, whose sift-up stops
-//!   at once for a push in time order, so this is the heap's cheapest
-//!   order, not a crowd: a scheduled crowd is one spaced batch
-//!   (`outage_first`).
+//!   then drained. Each one waits in the binary heap: a push in time order
+//!   stops at its leaf, and every pop sifts through the heap. This is not
+//!   a crowd, which is one spaced batch (`outage_first`).
 //! * `event_queue/outage_first` — one late event (an outage's end) queued
 //!   before the same 100 k, which arrive as one spaced batch: the rolling
 //!   update.
