@@ -78,12 +78,15 @@ pub enum EntryKind {
     },
 }
 
+/// The wire format's tag of a regular file.
+pub(crate) const FILE_TAG: u8 = 1;
+
 impl EntryKind {
     /// Numeric tag used by the wire format.
     pub(crate) fn tag(&self) -> u8 {
         match self {
             EntryKind::Dir { .. } => 0,
-            EntryKind::File { .. } => 1,
+            EntryKind::File { .. } => FILE_TAG,
             EntryKind::Symlink { .. } => 2,
             EntryKind::Hardlink { .. } => 3,
             EntryKind::Whiteout => 4,

@@ -19,7 +19,7 @@ use std::fmt;
 
 use bytes::Bytes;
 
-use crate::entry::{Archive, Entry, EntryKind, Metadata};
+use crate::entry::{Archive, Entry, EntryKind, Metadata, FILE_TAG};
 use crate::path::ArchivePath;
 
 const MAGIC: [u8; 4] = *b"GAR1";
@@ -111,6 +111,28 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Bytes before the first entry: magic and entry count.
+const HEADER_LEN: usize = 4 + 4;
+/// Bytes of a [`Metadata`] on the wire.
+const META_LEN: usize = 4 + 4 + 4 + 8;
+
+/// Wire length of a string: its `u16` length, then its bytes.
+fn string_len(s: &str) -> usize {
+    2 + s.len()
+}
+
+/// Wire length of one entry.
+fn entry_len(entry: &Entry) -> usize {
+    let body = match &entry.kind {
+        EntryKind::Dir { .. } | EntryKind::OpaqueDir { .. } => META_LEN,
+        EntryKind::File { content, .. } => META_LEN + 8 + content.len(),
+        EntryKind::Symlink { target, .. } => META_LEN + string_len(target),
+        EntryKind::Hardlink { target } => string_len(target.as_str()),
+        EntryKind::Whiteout => 0,
+    };
+    1 + string_len(entry.path.as_str()) + body
+}
+
 fn write_string(out: &mut Vec<u8>, s: &str) {
     debug_assert!(s.len() <= u16::MAX as usize, "string too long for wire format");
     out.extend_from_slice(&(s.len() as u16).to_le_bytes());
@@ -124,35 +146,75 @@ fn write_meta(out: &mut Vec<u8>, m: &Metadata) {
     out.extend_from_slice(&m.mtime.to_le_bytes());
 }
 
-impl Archive {
-    /// Serializes the archive to its binary wire format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.content_bytes() as usize);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        for entry in self.iter() {
-            out.push(entry.kind.tag());
-            write_string(&mut out, entry.path.as_str());
-            match &entry.kind {
-                EntryKind::Dir { meta } | EntryKind::OpaqueDir { meta } => {
-                    write_meta(&mut out, meta);
-                }
-                EntryKind::File { meta, content } => {
-                    write_meta(&mut out, meta);
-                    out.extend_from_slice(&(content.len() as u64).to_le_bytes());
-                    out.extend_from_slice(content);
-                }
-                EntryKind::Symlink { meta, target } => {
-                    write_meta(&mut out, meta);
-                    write_string(&mut out, target);
-                }
-                EntryKind::Hardlink { target } => {
-                    write_string(&mut out, target.as_str());
-                }
-                EntryKind::Whiteout => {}
-            }
+fn write_entry(out: &mut Vec<u8>, entry: &Entry) {
+    out.push(entry.kind.tag());
+    write_string(out, entry.path.as_str());
+    match &entry.kind {
+        EntryKind::Dir { meta } | EntryKind::OpaqueDir { meta } => write_meta(out, meta),
+        EntryKind::File { meta, content } => {
+            write_meta(out, meta);
+            out.extend_from_slice(&(content.len() as u64).to_le_bytes());
+            out.extend_from_slice(content);
         }
+        EntryKind::Symlink { meta, target } => {
+            write_meta(out, meta);
+            write_string(out, target);
+        }
+        EntryKind::Hardlink { target } => write_string(out, target.as_str()),
+        EntryKind::Whiteout => {}
+    }
+}
+
+impl Archive {
+    /// Exact length of [`Archive::to_bytes`], without writing it.
+    fn wire_len(&self) -> usize {
+        HEADER_LEN + self.iter().map(entry_len).sum::<usize>()
+    }
+
+    /// Serializes the archive to its binary wire format, in one buffer
+    /// allocated at its exact length.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_entries(&mut out, self.len());
         out
+    }
+
+    /// The wire form of this archive with one more entry at its end: a
+    /// regular file at `path` whose `len` bytes of content `write` appends.
+    /// A body made on the spot (an index document) is written straight
+    /// into the wire instead of into a buffer of its own first; the one
+    /// buffer is allocated at its exact length.
+    ///
+    /// # Panics
+    ///
+    /// If `write` appends other than `len` bytes.
+    pub fn to_bytes_with_file(
+        &self,
+        path: &ArchivePath,
+        meta: Metadata,
+        len: usize,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Vec<u8> {
+        let file = 1 + string_len(path.as_str()) + META_LEN + 8 + len;
+        let mut out = Vec::with_capacity(self.wire_len() + file);
+        self.write_entries(&mut out, self.len() + 1);
+        out.push(FILE_TAG);
+        write_string(&mut out, path.as_str());
+        write_meta(&mut out, &meta);
+        out.extend_from_slice(&(len as u64).to_le_bytes());
+        let start = out.len();
+        write(&mut out);
+        assert_eq!(out.len() - start, len, "file body is not the length it was declared");
+        out
+    }
+
+    /// The header, declaring `count` entries, then this archive's entries.
+    fn write_entries(&self, out: &mut Vec<u8>, count: usize) {
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&(count as u32).to_le_bytes());
+        for entry in self.iter() {
+            write_entry(out, entry);
+        }
     }
 
     /// Parses an archive from its binary wire format.
@@ -313,6 +375,52 @@ mod tests {
         let a = sample();
         let bytes = a.to_bytes();
         assert_eq!(Archive::from_bytes(&bytes).unwrap(), a);
+    }
+
+    /// The wire is allocated once, at its length: a 100-entry layer of
+    /// every kind, whose headers alone are far past any fixed slack.
+    #[test]
+    fn wire_is_allocated_at_its_exact_length() {
+        let mut a = sample();
+        for i in 0..94 {
+            let path = p(&format!("usr/share/doc/package-{i:03}/copyright"));
+            a.push(match i % 3 {
+                0 => Entry::dir(path, Metadata::dir_default()),
+                1 => Entry::file(path, Metadata::file_default(), Bytes::from(vec![i as u8; i])),
+                _ => Entry::symlink(path, Metadata::file_default(), "../common-licenses/GPL"),
+            });
+        }
+        assert_eq!(a.len(), 100);
+        for archive in [Archive::new(), sample(), a] {
+            let bytes = archive.to_bytes();
+            assert_eq!(bytes.capacity(), bytes.len());
+            assert_eq!(archive.wire_len(), bytes.len());
+            assert_eq!(Archive::from_bytes(&bytes).unwrap(), archive);
+        }
+    }
+
+    /// A file written into the wire is the entry pushed with that body.
+    #[test]
+    fn a_file_written_in_place_is_the_pushed_entry() {
+        let body = b"{\"root\":{}}";
+        let meta = Metadata { mode: 0o600, uid: 1, gid: 2, mtime: 3 };
+        let path = p("var/lib/gear/index.json");
+        let base = sample();
+        let wire = base.to_bytes_with_file(&path, meta, body.len(), |out| {
+            out.extend_from_slice(body);
+        });
+        let mut whole = base;
+        whole.push(Entry::file(path, meta, Bytes::from_static(body)));
+        assert_eq!(wire, whole.to_bytes());
+        assert_eq!(wire.capacity(), wire.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "not the length it was declared")]
+    fn a_file_body_of_another_length_panics() {
+        Archive::new().to_bytes_with_file(&p("f"), Metadata::file_default(), 3, |out| {
+            out.extend_from_slice(b"four");
+        });
     }
 
     #[test]
