@@ -65,9 +65,11 @@ impl Error for DecompressError {}
 /// Compresses `data` into a `GZc1` frame.
 ///
 /// Falls back to a stored payload when LZSS does not help, so the result is at
-/// most `data.len() + FRAME_OVERHEAD` bytes. The stored fallback writes the
-/// header first and then the input directly — the input is never cloned
-/// into a temporary payload buffer.
+/// most `data.len() + FRAME_OVERHEAD` bytes. The frame is one buffer: the
+/// LZSS stream is written straight after the header, and the stored
+/// fallback overwrites it with the input. Either way the frame ends at its
+/// exact length (`capacity() == len()`), so a registry that keeps it holds
+/// no slack.
 ///
 /// ```
 /// use gear_compress::{compress, Level, FRAME_OVERHEAD};
@@ -75,22 +77,19 @@ impl Error for DecompressError {}
 /// assert!(framed.len() <= 3 + FRAME_OVERHEAD);
 /// ```
 pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
-    let tokens = Lzss::compress(data, level);
-    let (method, payload_len) = if tokens.len() < data.len() {
-        (METHOD_LZSS, tokens.len())
-    } else {
-        (METHOD_STORED, data.len())
-    };
-    let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload_len);
+    let mut out = Vec::with_capacity(FRAME_OVERHEAD + Lzss::stream_capacity(data.len()));
     out.extend_from_slice(&MAGIC);
-    out.push(method);
+    out.push(METHOD_LZSS);
     out.extend_from_slice(&(data.len() as u64).to_le_bytes());
     out.extend_from_slice(&crc32(data).to_le_bytes());
-    if method == METHOD_LZSS {
-        out.extend_from_slice(&tokens);
-    } else {
+    let mut out = Lzss::compress_onto(data, level, out);
+    if out.len() - FRAME_OVERHEAD >= data.len() {
+        // No room is needed: the stream was at least as long as the input.
+        out[4] = METHOD_STORED;
+        out.truncate(FRAME_OVERHEAD);
         out.extend_from_slice(data);
     }
+    out.shrink_to_fit();
     out
 }
 
@@ -186,6 +185,30 @@ mod tests {
         let framed = compress(&data, Level::Best);
         assert!(framed.len() <= data.len() + FRAME_OVERHEAD);
         assert_eq!(decompress(&framed).unwrap(), data);
+    }
+
+    /// A frame is allocated to its length, LZSS or stored, small or past
+    /// the stream's first reservation.
+    #[test]
+    fn frames_end_at_their_exact_length() {
+        let mut x = 0xdeadbeefu32;
+        let noise: Vec<u8> = (0..3000)
+            .map(|_| {
+                x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+                (x >> 24) as u8
+            })
+            .collect();
+        let text = b"gear gear gear files files".repeat(200);
+        for (data, method) in
+            [(&b""[..], METHOD_STORED), (b"xyz", METHOD_STORED), (&noise, METHOD_STORED), (&text, METHOD_LZSS)]
+        {
+            for level in [Level::Fast, Level::Default, Level::Best] {
+                let framed = compress(data, level);
+                assert_eq!(framed[4], method, "len {}", data.len());
+                assert_eq!(framed.capacity(), framed.len(), "len {} {level:?}", data.len());
+                assert_eq!(decompress(&framed).unwrap(), data);
+            }
+        }
     }
 
     #[test]

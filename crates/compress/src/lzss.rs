@@ -68,7 +68,8 @@ trait Emit {
     fn back_ref(&mut self, offset: usize, len: usize);
 }
 
-/// The real encoder: flag bytes allocated lazily, payloads following them.
+/// The real encoder: flag bytes allocated lazily, payloads following them,
+/// appended to whatever `out` already holds (a frame header, say).
 struct StreamEmit {
     out: Vec<u8>,
     flags_at: usize,
@@ -76,9 +77,9 @@ struct StreamEmit {
 }
 
 impl StreamEmit {
-    fn new(capacity: usize) -> Self {
+    fn onto(out: Vec<u8>) -> Self {
         // flag_bit = 8 forces allocation of the first flag byte.
-        StreamEmit { out: Vec::with_capacity(capacity), flags_at: 0, flag_bit: 8 }
+        StreamEmit { out, flags_at: 0, flag_bit: 8 }
     }
 
     /// A flag byte is allocated lazily, right before the first token of each
@@ -175,6 +176,16 @@ impl Tables {
     /// Runs the match finder over one span of at most [`MAX_SPAN`] bytes.
     /// Every token decision lives here, so the byte-stream and count-only
     /// encoders are bit-for-bit in agreement.
+    ///
+    /// The search takes, among at most `depth` chain candidates walked from
+    /// the newest, the first that matches longest — and spends no work on a
+    /// candidate that cannot change that answer: one whose byte at
+    /// `best_len` differs from the current position's matches at most
+    /// `best_len` bytes, so it is passed over after a one-byte compare (it
+    /// still counts towards the depth), and the walk stops as soon as
+    /// `best_len` is the longest match the input still allows. The tokens
+    /// are those of the plain walk that compares every candidate in full
+    /// (`Tables::reference_scan` in the tests holds the two together).
     fn scan<E: Emit>(&mut self, data: &[u8], level: Level, emit: &mut E) {
         if self.base + data.len() as u64 > 1 << 32 {
             self.head.fill(0);
@@ -192,6 +203,8 @@ impl Tables {
 
         while pos < keyed {
             let h = hash4(data, pos);
+            // No candidate matches more than this; reaching it ends the walk.
+            let longest = (data.len() - pos).min(MAX_MATCH);
             let (mut best_len, mut best_off) = (0usize, 0usize);
             let mut candidate = head[h];
             // Stamps below this are out of the window or another call's.
@@ -199,12 +212,15 @@ impl Tables {
             let mut steps = 0;
             while candidate >= floor && steps < depth {
                 let at = (candidate - base) as usize;
-                let len = Lzss::match_len(data, at, pos);
-                if len > best_len {
-                    best_len = len;
-                    best_off = pos - at;
-                    if len >= MAX_MATCH {
-                        break;
+                // In bounds: best_len < longest <= data.len() - pos, at < pos.
+                if data[at + best_len] == data[pos + best_len] {
+                    let len = Lzss::match_len(data, at, pos);
+                    if len > best_len {
+                        best_len = len;
+                        best_off = pos - at;
+                        if len >= longest {
+                            break;
+                        }
                     }
                 }
                 candidate = prev[at % WINDOW];
@@ -216,9 +232,25 @@ impl Tables {
             if best_len >= MIN_MATCH {
                 emit.back_ref(best_off, best_len);
                 // Insert every covered position into the chains so later
-                // matches can start inside this one.
+                // matches can start inside this one: four keys from each
+                // eight-byte load while one fits, then one key at a time.
                 let end = pos + best_len;
-                for covered in pos + 1..end.min(keyed) {
+                let stop = end.min(keyed);
+                let mut covered = pos + 1;
+                while covered + 4 <= stop {
+                    let Some(word) = data.get(covered..).and_then(<[u8]>::first_chunk::<8>)
+                    else {
+                        break;
+                    };
+                    let word = u64::from_le_bytes(*word);
+                    for k in 0..4 {
+                        let h = hash_key((word >> (8 * k)) as u32);
+                        prev[(covered + k) % WINDOW] = head[h];
+                        head[h] = base + (covered + k) as u32;
+                    }
+                    covered += 4;
+                }
+                for covered in covered..stop {
                     let h = hash4(data, covered);
                     prev[covered % WINDOW] = head[h];
                     head[h] = base + covered as u32;
@@ -260,9 +292,21 @@ impl Lzss {
     /// per literal); callers that must bound size use the frame layer, which
     /// falls back to stored blocks.
     pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
-        let mut emit = StreamEmit::new(data.len() / 2 + 16);
+        Self::compress_onto(data, level, Vec::with_capacity(Self::stream_capacity(data.len())))
+    }
+
+    /// [`Lzss::compress`], the stream appended to `out`: the frame layer
+    /// writes it straight after its header.
+    pub(crate) fn compress_onto(data: &[u8], level: Level, out: Vec<u8>) -> Vec<u8> {
+        let mut emit = StreamEmit::onto(out);
         scan(data, level, &mut emit);
         emit.out
+    }
+
+    /// Room to reserve for the stream of `len` input bytes: enough for
+    /// anything that compresses to half its size or better.
+    pub(crate) fn stream_capacity(len: usize) -> usize {
+        len / 2 + 16
     }
 
     /// Returns exactly `Lzss::compress(data, level).len()` without building
@@ -364,7 +408,12 @@ impl Lzss {
 fn hash4(data: &[u8], pos: usize) -> usize {
     // A slice of four always matches; the `else` is never taken.
     let [a, b, c, d] = data[pos..pos + 4] else { return 0 };
-    let v = u32::from_le_bytes([a, b, c, d]);
+    hash_key(u32::from_le_bytes([a, b, c, d]))
+}
+
+/// Chain key of four bytes read as a little-endian `u32`.
+#[inline]
+fn hash_key(v: u32) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - 15)) as usize & (HASH_SIZE - 1)
 }
 
@@ -480,6 +529,147 @@ mod tests {
         assert_eq!(Lzss::compress(b"", Level::Best), b"");
         assert_eq!(Lzss::compress(&data, Level::Best), fresh);
         assert_eq!(base(), 1 + data.len() as u64);
+    }
+
+    /// The match finder as it was before the screen, the early stop and the
+    /// word-load insert: every candidate compared in full, a walk stopped
+    /// only at [`MAX_MATCH`], covered positions keyed one at a time. The
+    /// oracle the kernel's tokens are held to.
+    impl Tables {
+        fn reference_scan<E: Emit>(&mut self, data: &[u8], level: Level, emit: &mut E) {
+            if self.base + data.len() as u64 > 1 << 32 {
+                self.head.fill(0);
+                self.base = 1;
+            }
+            let base = self.base as u32;
+            self.base += data.len() as u64;
+            let (head, prev) = (&mut *self.head, &mut *self.prev);
+            let depth = level.chain_depth();
+            let keyed = data.len().saturating_sub(MIN_MATCH - 1);
+            let mut pos = 0usize;
+
+            while pos < keyed {
+                let h = hash4(data, pos);
+                let (mut best_len, mut best_off) = (0usize, 0usize);
+                let mut candidate = head[h];
+                let floor = base + pos.saturating_sub(WINDOW - 1) as u32;
+                let mut steps = 0;
+                while candidate >= floor && steps < depth {
+                    let at = (candidate - base) as usize;
+                    let len = Lzss::match_len(data, at, pos);
+                    if len > best_len {
+                        best_len = len;
+                        best_off = pos - at;
+                        if len >= MAX_MATCH {
+                            break;
+                        }
+                    }
+                    candidate = prev[at % WINDOW];
+                    steps += 1;
+                }
+                prev[pos % WINDOW] = head[h];
+                head[h] = base + pos as u32;
+
+                if best_len >= MIN_MATCH {
+                    emit.back_ref(best_off, best_len);
+                    let end = pos + best_len;
+                    for covered in pos + 1..end.min(keyed) {
+                        let h = hash4(data, covered);
+                        prev[covered % WINDOW] = head[h];
+                        head[h] = base + covered as u32;
+                    }
+                    pos = end;
+                } else {
+                    emit.literal(data[pos]);
+                    pos += 1;
+                }
+            }
+            for &byte in &data[pos..] {
+                emit.literal(byte);
+            }
+        }
+    }
+
+    /// The reference's token stream, from tables no call has used.
+    fn reference_stream(data: &[u8], level: Level) -> Vec<u8> {
+        let mut emit = StreamEmit::onto(Vec::new());
+        Tables::new().reference_scan(data, level, &mut emit);
+        emit.out
+    }
+
+    mod kernel_matches_reference {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn any_level() -> impl Strategy<Value = Level> {
+            prop_oneof![Just(Level::Fast), Just(Level::Default), Just(Level::Best)]
+        }
+
+        /// A four-letter alphabet: short matches everywhere, and most
+        /// inputs end inside one.
+        fn few_letters() -> impl Strategy<Value = Vec<u8>> {
+            proptest::collection::vec(0u8..4, 0..3000)
+        }
+
+        /// A short pattern repeated past the 32 KiB window, a few bytes
+        /// flipped: long matches, chains that run out of the window, and
+        /// matches that reach [`MAX_MATCH`].
+        fn past_the_window() -> impl Strategy<Value = Vec<u8>> {
+            (
+                proptest::collection::vec(0u8..8, 1..300),
+                WINDOW + 1..2 * WINDOW + 5000,
+                proptest::collection::vec((any::<u64>(), any::<u8>()), 0..64),
+            )
+                .prop_map(|(pattern, len, flips)| {
+                    let mut data: Vec<u8> = pattern.iter().copied().cycle().take(len).collect();
+                    for (at, byte) in flips {
+                        data[(at % len as u64) as usize] = byte;
+                    }
+                    data
+                })
+        }
+
+        /// Runs of one byte, short and long, back to back.
+        fn runs() -> impl Strategy<Value = Vec<u8>> {
+            proptest::collection::vec((0u8..3, 1usize..600), 1..40).prop_map(|runs| {
+                runs.into_iter().flat_map(|(byte, n)| std::iter::repeat_n(byte, n)).collect()
+            })
+        }
+
+        /// The kernel, on this thread's tables as earlier cases left them,
+        /// against the reference on fresh ones: the stream byte for byte and
+        /// the count-only length.
+        fn holds(data: &[u8], level: Level) -> Result<(), String> {
+            let want = reference_stream(data, level);
+            prop_assert_eq!(&Lzss::compress(data, level), &want);
+            prop_assert_eq!(Lzss::compressed_len(data, level), want.len());
+            Ok(())
+        }
+
+        proptest! {
+            #[test]
+            fn on_few_letters(data in few_letters(), level in any_level()) {
+                holds(&data, level)?;
+            }
+
+            #[test]
+            fn past_the_32_kib_window(data in past_the_window(), level in any_level()) {
+                holds(&data, level)?;
+            }
+
+            #[test]
+            fn on_runs(data in runs(), level in any_level()) {
+                holds(&data, level)?;
+            }
+
+            /// The call starts `slack` stamps before the end of `u32`: the
+            /// heads are refilled first whenever the input does not fit.
+            #[test]
+            fn across_a_stamp_refill(data in few_letters(), level in any_level(), slack in 0u64..4) {
+                set_base((1 << 32) - (data.len() as u64).saturating_sub(2) - slack);
+                holds(&data, level)?;
+            }
+        }
     }
 
     #[test]
