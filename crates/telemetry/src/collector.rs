@@ -9,6 +9,7 @@
 //! clone on another thread loses nothing — not for throughput.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -90,13 +91,35 @@ impl Inner {
 /// what it sheds ([`Collector::dropped_spans`]) — per-node recorders in a
 /// fleet are bounded this way so collector memory never scales with
 /// deployment count.
-#[derive(Debug)]
+///
+/// A collector built with [`Collector::with_clock`] times host work: the
+/// cursor follows the clock it was handed, so spans opened and closed
+/// around code measure how long that code ran. This crate reads no clock
+/// itself; a collector without one stamps simulated time only, and its
+/// exports stay a pure function of the seed.
 pub struct Collector {
     inner: Mutex<Inner>,
     /// Maximum retained spans (and, separately, instants).
     cap: usize,
     /// Fleet shard id; shard `s` exports on Chrome-trace tid `s + 1`.
     shard: u32,
+    /// The injected clock, if any.
+    clock: Option<Clock>,
+}
+
+/// A clock a collector can be handed: the time elapsed since some fixed
+/// start.
+type Clock = Box<dyn Fn() -> Duration + Send + Sync>;
+
+impl fmt::Debug for Collector {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Collector")
+            .field("inner", &self.inner)
+            .field("cap", &self.cap)
+            .field("shard", &self.shard)
+            .field("clock", &self.clock.is_some())
+            .finish()
+    }
 }
 
 impl Default for Collector {
@@ -119,7 +142,25 @@ impl Collector {
 
     /// A bounded collector recording as fleet shard `shard`.
     pub fn with_shard_and_capacity(shard: u32, cap: usize) -> Self {
-        Collector { inner: Mutex::new(Inner::default()), cap: cap.max(1), shard }
+        Collector { inner: Mutex::new(Inner::default()), cap: cap.max(1), shard, clock: None }
+    }
+
+    /// An unbounded collector whose cursor follows `clock`: every stamp
+    /// taken at the cursor — span starts and ends, instants, [`now`] —
+    /// first moves it up to the clock's reading (never back), so the spans
+    /// opened around host code time it.
+    ///
+    /// [`now`]: Collector::now
+    pub fn with_clock(clock: impl Fn() -> Duration + Send + Sync + 'static) -> Self {
+        Collector { clock: Some(Box::new(clock)), ..Self::new() }
+    }
+
+    /// The cursor, moved up to the clock's reading first when there is one.
+    fn stamp(&self, inner: &mut Inner) -> Duration {
+        if let Some(clock) = &self.clock {
+            inner.now = inner.now.max(clock());
+        }
+        inner.now
     }
 
     /// This collector's fleet shard id.
@@ -291,9 +332,9 @@ impl Collector {
         problems
     }
 
-    /// The sim-time cursor.
+    /// The sim-time cursor (with a clock, its reading).
     pub fn now(&self) -> Duration {
-        self.lock().now
+        self.stamp(&mut self.lock())
     }
 
     /// Moves the sim-time cursor to `now` (a sync point after a pre-priced
@@ -312,7 +353,7 @@ impl Collector {
     /// [`Collector::span_end`].
     pub fn span_start(&self, cat: &'static str, name: &str) -> SpanId {
         let mut inner = self.lock();
-        let start = inner.now;
+        let start = self.stamp(&mut inner);
         let id = self.push_span(&mut inner, cat, name, start, None);
         inner.stack.push(id);
         SpanId(id)
@@ -324,7 +365,7 @@ impl Collector {
             return;
         }
         let mut inner = self.lock();
-        let now = inner.now;
+        let now = self.stamp(&mut inner);
         if let Some(data) = inner.span_mut(span.0) {
             if data.end.is_none() {
                 data.end = Some(now.max(data.start));
@@ -356,7 +397,7 @@ impl Collector {
     /// Records an instant event at the cursor.
     pub fn instant(&self, cat: &'static str, name: &str) {
         let mut inner = self.lock();
-        let at = inner.now;
+        let at = self.stamp(&mut inner);
         if inner.instants.len() == self.cap {
             inner.instants.pop_front();
             inner.dropped_instants += 1;
@@ -426,6 +467,29 @@ mod tests {
         assert_eq!(spans[1].parent, Some(0));
         assert_eq!(spans[1].start, ms(1));
         assert_eq!(spans[1].end, Some(ms(3)));
+        assert!(c.validate().is_empty(), "{:?}", c.validate());
+    }
+
+    /// With a clock, spans are stamped at its readings, and the cursor
+    /// never goes back when the clock does.
+    #[test]
+    fn a_clock_stamps_the_spans() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let millis = Arc::new(AtomicU64::new(5));
+        let reading = Arc::clone(&millis);
+        let c = Collector::with_clock(move || ms(reading.load(Ordering::Relaxed)));
+        let outer = c.span_start("core", "publish");
+        millis.store(7, Ordering::Relaxed);
+        let inner = c.span_start("core", "push");
+        millis.store(4, Ordering::Relaxed);
+        c.span_end(inner);
+        millis.store(12, Ordering::Relaxed);
+        c.span_end(outer);
+        let spans = c.spans();
+        assert_eq!((spans[0].start, spans[0].end), (ms(5), Some(ms(12))));
+        assert_eq!((spans[1].start, spans[1].end), (ms(7), Some(ms(7))));
+        assert_eq!(c.now(), ms(12));
         assert!(c.validate().is_empty(), "{:?}", c.validate());
     }
 

@@ -85,6 +85,14 @@ impl Telemetry {
         self.collector.as_ref().map_or(SpanId::NONE, |c| c.span_start(cat, name))
     }
 
+    /// Opens a span at the cursor that closes, at the cursor, when the
+    /// returned guard drops. Disabled, it records nothing and the guard's
+    /// drop does nothing: no allocation, no lock.
+    #[inline]
+    pub fn enter(&self, cat: &'static str, name: &str) -> SpanGuard {
+        SpanGuard { span: self.span_start(cat, name), telemetry: self.clone() }
+    }
+
     /// Closes a span at the cursor ([`Collector::span_end`]).
     #[inline]
     pub fn span_end(&self, span: SpanId) {
@@ -170,6 +178,21 @@ impl Telemetry {
     }
 }
 
+/// A span opened by [`Telemetry::enter`], closed when this drops.
+#[must_use = "the span closes as soon as the guard drops"]
+#[derive(Debug)]
+pub struct SpanGuard {
+    telemetry: Telemetry,
+    span: SpanId,
+}
+
+impl Drop for SpanGuard {
+    #[inline]
+    fn drop(&mut self) {
+        self.telemetry.span_end(self.span);
+    }
+}
+
 impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Telemetry").field("enabled", &self.enabled()).finish()
@@ -189,6 +212,29 @@ mod tests {
         t.count("k", 1);
         t.advance(Duration::from_secs(1));
         assert_eq!(t.now(), Duration::ZERO);
+    }
+
+    #[test]
+    fn an_entered_span_closes_when_its_guard_drops() {
+        let (t, collector) = Telemetry::collector();
+        {
+            let _outer = t.enter("core", "publish");
+            t.advance(Duration::from_millis(2));
+            let inner = t.enter("registry", "upload_all");
+            t.advance(Duration::from_millis(3));
+            drop(inner);
+            t.advance(Duration::from_millis(1));
+        }
+        let spans = collector.spans();
+        assert_eq!(spans.len(), 2);
+        assert_eq!(spans[0].end, Some(Duration::from_millis(6)));
+        assert_eq!(
+            (spans[1].start, spans[1].end),
+            (Duration::from_millis(2), Some(Duration::from_millis(5)))
+        );
+        assert!(collector.validate().is_empty());
+        let off = Telemetry::noop().enter("core", "publish");
+        drop(off);
     }
 
     #[test]

@@ -10,13 +10,18 @@
 //! byte sizes alike — with exact merge semantics. Because every stamp
 //! derives from the deterministic cost models, the exported trace is a pure
 //! function of the experiment seed — same seed, byte-identical `trace.json`.
+//! The one exception is opt-in: a collector built with
+//! [`Collector::with_clock`] follows a host clock its caller hands it, so a
+//! bench can time real work through the same spans; this crate reads no
+//! clock itself.
 //!
 //! Instrumented crates hold a cheap [`Telemetry`] handle: a shared
 //! [`Collector`] or nothing. The default handle is disabled, so hot paths
 //! (union-mount lookups, cache probes) pay one predictable branch when
 //! telemetry is off — no call, no allocation, no lock. An enabled handle
 //! forwards to the collector, whose whole state — cursor, span ring,
-//! registry — sits behind one mutex.
+//! registry — sits behind one mutex. [`Telemetry::enter`] opens a span that
+//! closes when its [`SpanGuard`] drops.
 //!
 //! Fleet-scale aggregation is built from two pieces:
 //!
@@ -41,6 +46,6 @@ mod sketch;
 pub use collector::{Collector, InstantData, SpanData};
 pub use export::metrics_json;
 pub use fleet::FleetCollector;
-pub use handle::{SpanId, Telemetry};
+pub use handle::{SpanGuard, SpanId, Telemetry};
 pub use metrics::MetricsRegistry;
 pub use sketch::{QuantileSketch, SketchMergeError, DEFAULT_SUB_BUCKET_BITS};
