@@ -124,13 +124,19 @@ pub fn run(ctx: &ExperimentContext) -> Profile {
     };
 
     // Phase 1 — publish: convert the series and push them to fresh
-    // registries with the store recording (`registry.*` counters, one
-    // `store` instant per new object).
+    // registries, converter and both registries recording: `core` spans
+    // for conversion, publish and the index push, `registry` and
+    // `compress` spans inside them, `registry.*` counters, one `store`
+    // instant per new object. Nothing advances the cursor, so every span
+    // is stamped at the phase's start and the phase takes no simulated
+    // time.
     let mut gear_index = DockerRegistry::new();
     let mut gear_files = GearFileStore::with_compression();
+    gear_index.set_recorder(telemetry.clone());
     gear_files.set_recorder(telemetry.clone());
-    rows.push(phase("publish", &["registry.upload_bytes"], &mut |_| {
-        let converter = Converter::new();
+    rows.push(phase("publish", &["registry.upload_bytes"], &mut |t| {
+        let mut converter = Converter::new();
+        converter.set_recorder(t.clone());
         for series in &series {
             for image in &series.images {
                 let conv = converter.convert(image).expect("corpus images convert");
@@ -273,13 +279,15 @@ mod tests {
         let result = run(&ctx);
         assert!(result.problems.is_empty(), "{:?}", result.problems);
         assert!(result.span_count > result.rows.len());
-        for cat in ["client", "cache", "simnet", "fs", "registry", "p2p"] {
+        for cat in ["client", "cache", "simnet", "fs", "registry", "p2p", "core", "compress"] {
             assert!(
                 result.categories.contains(&cat),
                 "missing category {cat}: {:?}",
                 result.categories
             );
         }
+        let publish = result.rows.iter().find(|r| r.name == "publish").unwrap();
+        assert!(publish.spans > 0, "the write path records spans");
         let cold = result.rows.iter().find(|r| r.name == "deploy_cold").unwrap();
         let warm = result.rows.iter().find(|r| r.name == "deploy_warm").unwrap();
         assert!(warm.bytes < cold.bytes, "warm {} vs cold {}", warm.bytes, cold.bytes);

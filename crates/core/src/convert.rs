@@ -24,6 +24,7 @@ use gear_hash::Fingerprint;
 use gear_image::Image;
 use gear_registry::{DockerRegistry, GearFileStore};
 use gear_simnet::DiskModel;
+use gear_telemetry::Telemetry;
 
 use crate::index::{visit, GearImage, GearIndex, IndexError};
 
@@ -215,9 +216,10 @@ pub struct Conversion {
 }
 
 /// The Gear Converter.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Converter {
     options: ConverterOptions,
+    telemetry: Telemetry,
 }
 
 impl Converter {
@@ -228,7 +230,13 @@ impl Converter {
 
     /// A converter with explicit options.
     pub fn with_options(options: ConverterOptions) -> Self {
-        Converter { options }
+        Converter { options, telemetry: Telemetry::noop() }
+    }
+
+    /// Attaches a telemetry recorder: each conversion is spanned on it,
+    /// `convert` around `replay`, `fingerprint`, `place` and `freeze`.
+    pub fn set_recorder(&mut self, telemetry: Telemetry) {
+        self.telemetry = telemetry;
     }
 
     /// Converts `image` into a Gear image plus its unique Gear files.
@@ -240,11 +248,16 @@ impl Converter {
     ///
     /// [`ConvertError`] if the image's layers cannot be replayed or indexed.
     pub fn convert(&self, image: &Image) -> Result<Conversion, ConvertError> {
+        let telemetry = &self.telemetry;
+        let _span = telemetry.enter("core", "convert");
         // The replayed root fs becomes the index tree: each inline body is
         // swapped for its placeholder in place. Directories, symlinks and
         // already-converted bodies (possible when re-converting a committed
         // image) stay as they are.
-        let mut converted = image.root_fs()?;
+        let mut converted = {
+            let _span = telemetry.enter("core", "replay");
+            image.root_fs()?
+        };
         let mut resolver = CollisionResolver::new();
         let mut report = ConversionReport::default();
         let mut files = Vec::new();
@@ -264,14 +277,16 @@ impl Converter {
         // Two visits in one order, nodes sorted by name and parents first:
         // the first gathers every inline body for one hashing batch, the
         // second meets the same files again with the batch's fingerprints.
-        let mut bodies: Vec<&Bytes> = Vec::new();
-        visit(converted.root(), &mut |node| {
-            if let Node::File(FileNode { data: FileData::Inline(content), .. }) = node {
-                bodies.push(content);
-            }
-        });
-        let mut fingerprints =
-            gear_hash::fingerprint_all(&bodies, &gear_par::Pool::serial()).into_iter();
+        let mut fingerprints = {
+            let _span = telemetry.enter("core", "fingerprint");
+            let mut bodies: Vec<&Bytes> = Vec::new();
+            visit(converted.root(), &mut |node| {
+                if let Node::File(FileNode { data: FileData::Inline(content), .. }) = node {
+                    bodies.push(content);
+                }
+            });
+            gear_hash::fingerprint_all(&bodies, &gear_par::Pool::serial()).into_iter()
+        };
         let mut place = |file: &mut FileNode| {
             let FileData::Inline(content) = &file.data else { return };
             let Some(whole) = fingerprints.next() else { return };
@@ -305,19 +320,23 @@ impl Converter {
         };
         // The empty path is the root.
         if let Some(root) = converted.get_mut("") {
+            let _span = telemetry.enter("core", "place");
             visit_files_mut(root, &mut place);
         }
 
         report.collisions = resolver.collisions();
-        let index = GearIndex::from_tree(converted, image.config().clone())?;
-        report.index_bytes = index.serialized_len();
+        // The index is frozen and sized; sizing encodes the config once, for
+        // the push to use again.
+        let gear_image = {
+            let _span = telemetry.enter("core", "freeze");
+            let index = GearIndex::from_tree(converted, image.config().clone())?;
+            let gear_image = GearImage::new(image.reference().clone(), index);
+            report.index_bytes = gear_image.index_len();
+            gear_image
+        };
         report.duration = self.estimate_duration(&report);
 
-        Ok(Conversion {
-            gear_image: GearImage::new(image.reference().clone(), index),
-            files,
-            report,
-        })
+        Ok(Conversion { gear_image, files, report })
     }
 
     /// Models conversion time: decompress + write the layers, traverse the
@@ -372,11 +391,17 @@ pub struct PublishReport {
 /// Publishes a conversion: the index image goes to the Docker registry, the
 /// Gear files to the Gear file store. Only files whose fingerprints are
 /// absent are uploaded (paper §III-C), as one batch.
+///
+/// Spanned as `publish` on the store's recorder, around the store's
+/// `upload_all` and the index's `push` (which record on their own
+/// recorders).
 pub fn publish(
     conversion: &Conversion,
     docker: &mut DockerRegistry,
     store: &mut GearFileStore,
 ) -> PublishReport {
+    let telemetry = store.recorder().clone();
+    let _span = telemetry.enter("core", "publish");
     let new: Vec<GearFile> =
         conversion.files.iter().filter(|file| !store.query(file.fingerprint)).cloned().collect();
     let mut report = PublishReport {

@@ -9,7 +9,7 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock, OnceLock};
 
 use bytes::Bytes;
 use gear_archive::{Archive, ArchivePath, Entry, EntryKind, Metadata, ReadError};
@@ -18,6 +18,7 @@ use gear_fs::{ChunkRef, DataRef, FrozenTree, FsTree, Node, NodeRef, TreeBuilder}
 use gear_hash::Fingerprint;
 use gear_image::{Image, ImageBuilder, ImageConfig, ImageRef};
 use gear_registry::{DockerRegistry, PushReport};
+use gear_telemetry::Telemetry;
 use serde::de::Error as _;
 use serde_json::Reader;
 
@@ -570,16 +571,57 @@ fn read_index(bytes: &[u8]) -> Json<GearIndex> {
 
 /// A Gear image: a named [`GearIndex`]. The corresponding Gear files live in
 /// a [`gear_registry::GearFileStore`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct GearImage {
     reference: ImageRef,
     index: GearIndex,
+    /// What a push writes besides the tree, encoded on first need: the
+    /// converter's sizing of the index fills it, the push reads it, and an
+    /// image pulled from a registry never pays for it. The index cannot
+    /// change under it — this type hands out no `&mut GearIndex`.
+    encoded: OnceLock<Encoded>,
 }
+
+/// The index's config as JSON, and the length of the whole index document
+/// around it.
+#[derive(Debug, Clone)]
+struct Encoded {
+    config: Vec<u8>,
+    len: u64,
+}
+
+/// Two images are equal when their names and indexes are; what has been
+/// encoded of them so far does not matter.
+impl PartialEq for GearImage {
+    fn eq(&self, other: &Self) -> bool {
+        self.reference == other.reference && self.index == other.index
+    }
+}
+
+impl fmt::Debug for GearImage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GearImage")
+            .field("reference", &self.reference)
+            .field("index", &self.index)
+            .finish()
+    }
+}
+
+/// The index image's layer, all but the index file: a directory entry for
+/// each ancestor of [`INDEX_PATH`], parents first and with default
+/// metadata. Then the path of the index file. The same for every index, so
+/// built once. Every prefix of `INDEX_PATH` is a valid path
+/// (`index_layer_is_the_tree_layer` holds it to that).
+static INDEX_LAYER: LazyLock<(Archive, Option<ArchivePath>)> = LazyLock::new(|| {
+    let path = |end: usize| ArchivePath::new(&INDEX_PATH[..end]).ok();
+    let dirs = INDEX_PATH.match_indices('/').filter_map(|(end, _)| path(end));
+    (dirs.map(|dir| Entry::dir(dir, Metadata::dir_default())).collect(), path(INDEX_PATH.len()))
+});
 
 impl GearImage {
     /// Pairs an index with a name.
     pub fn new(reference: ImageRef, index: GearIndex) -> Self {
-        GearImage { reference, index }
+        GearImage { reference, index, encoded: OnceLock::new() }
     }
 
     /// The image name.
@@ -597,6 +639,21 @@ impl GearImage {
         self.index
     }
 
+    /// [`GearIndex::serialized_len`] of the index, its config encoded once
+    /// for this and the push to come.
+    pub(crate) fn index_len(&self) -> u64 {
+        self.encoded().len
+    }
+
+    fn encoded(&self) -> &Encoded {
+        self.encoded.get_or_init(|| {
+            let config = self.index.config.to_json();
+            let mut len = Count(0);
+            self.index.write(&mut len, &config);
+            Encoded { config, len: len.0 }
+        })
+    }
+
     /// Packages the index as a **single-layer Docker image** so the existing
     /// Docker registry and CLI can store and distribute it unchanged (paper
     /// §III-C). The original image's config is carried over so containers
@@ -610,27 +667,49 @@ impl GearImage {
 
     /// Pushes the index image to `docker` — what
     /// [`DockerRegistry::push_image`] of [`GearImage::to_index_image`] does,
-    /// byte for byte, at the cost of one archive encode and one compression:
+    /// byte for byte, at the cost of one archive write and one compression:
     /// no [`Image`] is built and no diff id hashed, since the manifest names
-    /// the blob by its own digest.
+    /// the blob by its own digest. The index document is written straight
+    /// into the layer's wire, and the config is encoded once per image.
+    ///
+    /// Spanned on the registry's recorder ([`DockerRegistry::recorder`]):
+    /// `push`, around `archive` (the wire, with the document's `json`
+    /// inside), `compress` and the registry's `push_layers`.
     pub fn push(&self, docker: &mut DockerRegistry) -> PushReport {
-        let blob = gear_compress::compress(&self.index_layer().to_bytes(), Level::Default);
-        docker.push_layers(&self.reference, &self.index.config, [blob])
+        let telemetry = docker.recorder().clone();
+        let _span = telemetry.enter("core", "push");
+        let blob = {
+            let wire = {
+                let _span = telemetry.enter("core", "archive");
+                self.index_wire(&telemetry)
+            };
+            let _span = telemetry.enter("compress", "compress");
+            gear_compress::compress(&wire, Level::Default)
+        };
+        docker.push_layers(&self.reference, &self.encoded().config, [blob])
     }
 
-    /// The index image's one layer: a directory entry for each ancestor of
-    /// [`INDEX_PATH`], parents first and with default metadata, then the
+    /// `index_layer().to_bytes()`, in one buffer of its exact length with the
+    /// document written into it.
+    fn index_wire(&self, telemetry: &Telemetry) -> Vec<u8> {
+        let (dirs, file) = &*INDEX_LAYER;
+        let Some(file) = file else { return dirs.to_bytes() };
+        let encoded = self.encoded();
+        dirs.to_bytes_with_file(file, Metadata::file_default(), encoded.len as usize, |out| {
+            let _span = telemetry.enter("core", "json");
+            self.index.write(out, &encoded.config);
+        })
+    }
+
+    /// The index image's one layer: [`INDEX_LAYER`]'s directories, then the
     /// index file — what [`FsTree::to_layer`] gives of a tree holding only
     /// that file.
     fn index_layer(&self) -> Archive {
-        // Every prefix of `INDEX_PATH` is a valid path
-        // (`index_layer_is_the_tree_layer` holds it to that).
-        let path = |end: usize| ArchivePath::new(&INDEX_PATH[..end]).ok();
-        let dirs = INDEX_PATH.match_indices('/').filter_map(|(end, _)| path(end));
-        let mut layer: Archive = dirs.map(|dir| Entry::dir(dir, Metadata::dir_default())).collect();
-        if let Some(file) = path(INDEX_PATH.len()) {
+        let (dirs, file) = &*INDEX_LAYER;
+        let mut layer = dirs.clone();
+        if let Some(file) = file {
             let index = Bytes::from(self.index.to_json());
-            layer.push(Entry::file(file, Metadata::file_default(), index));
+            layer.push(Entry::file(file.clone(), Metadata::file_default(), index));
         }
         layer
     }
@@ -688,7 +767,7 @@ impl GearImage {
     fn from_layer(reference: ImageRef, layer: &Archive) -> Result<Self, IndexError> {
         match layer.iter().rev().find(|entry| entry.path.as_str() == INDEX_PATH) {
             Some(Entry { kind: EntryKind::File { content, .. }, .. }) => {
-                Ok(GearImage { reference, index: GearIndex::from_json(content)? })
+                Ok(GearImage::new(reference, GearIndex::from_json(content)?))
             }
             _ => Err(IndexError::NotAnIndexImage),
         }
@@ -786,6 +865,19 @@ mod tests {
         tree.create_file(INDEX_PATH, Bytes::from(gear.index().to_json())).unwrap();
         assert_eq!(gear.index_layer(), tree.to_layer());
         assert_eq!(gear.index_layer().len(), 4);
+    }
+
+    /// The pushed wire is the index layer's, written in one buffer of its
+    /// exact length — before the config is encoded and after.
+    #[test]
+    fn index_wire_is_the_layer_at_its_exact_length() {
+        let gear = GearImage::new("app:1".parse().unwrap(), sample_index());
+        for _ in 0..2 {
+            let wire = gear.index_wire(&Telemetry::noop());
+            assert_eq!(wire, gear.index_layer().to_bytes());
+            assert_eq!(wire.capacity(), wire.len());
+        }
+        assert_eq!(gear.index_len(), gear.index().serialized_len());
     }
 
     #[test]

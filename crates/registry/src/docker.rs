@@ -8,6 +8,7 @@ use gear_image::{
     CompressedLayer, Descriptor, Image, ImageConfig, ImageRef, Layer, Manifest,
     MEDIA_TYPE_CONFIG, MEDIA_TYPE_LAYER,
 };
+use gear_telemetry::Telemetry;
 
 /// Result of pushing an image (what actually crossed the wire).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -47,12 +48,25 @@ impl RegistryStats {
 pub struct DockerRegistry {
     manifests: HashMap<ImageRef, Manifest>,
     blobs: HashMap<Digest, Vec<u8>>,
+    telemetry: Telemetry,
 }
 
 impl DockerRegistry {
     /// Creates an empty registry compressing at the default level.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Attaches a telemetry recorder: pushes to this registry are spanned
+    /// on it, those of a Gear index image ([`Self::recorder`]) included.
+    pub fn set_recorder(&mut self, telemetry: Telemetry) {
+        self.telemetry = telemetry;
+    }
+
+    /// The recorder pushes to this registry record on (disabled unless
+    /// [`DockerRegistry::set_recorder`] was called).
+    pub fn recorder(&self) -> &Telemetry {
+        &self.telemetry
     }
 
     /// Pushes an image: compresses each layer at [`Level::Default`], then
@@ -62,18 +76,21 @@ impl DockerRegistry {
             .layers()
             .iter()
             .map(|layer| gear_compress::compress(&layer.archive().to_bytes(), Level::Default));
-        self.push_layers(image.reference(), image.config(), blobs)
+        self.push_layers(image.reference(), &image.config().to_json(), blobs)
     }
 
     /// Pushes an image as its compressed layer blobs, bottom first: uploads
     /// the blobs whose digests are not yet stored (layer-level dedup),
-    /// stores config and manifest.
+    /// stores config and manifest. `config_json` is the image's config as
+    /// [`ImageConfig::to_json`] encodes it, and is copied only when the
+    /// registry does not hold it yet.
     pub fn push_layers(
         &mut self,
         reference: &ImageRef,
-        config: &ImageConfig,
+        config_json: &[u8],
         blobs: impl IntoIterator<Item = Vec<u8>>,
     ) -> PushReport {
+        let _span = self.telemetry.enter("registry", "push_layers");
         let mut report = PushReport::default();
         let blobs = blobs.into_iter();
         let mut layer_descs = Vec::with_capacity(blobs.size_hint().0);
@@ -93,10 +110,10 @@ impl DockerRegistry {
                 size,
             });
         }
-        let config_json = config.to_json();
-        let config_digest = Digest::of(&config_json);
+        let config_digest = Digest::of(config_json);
         let config_size = config_json.len() as u64;
-        if self.blobs.insert(config_digest, config_json).is_none() {
+        if let std::collections::hash_map::Entry::Vacant(slot) = self.blobs.entry(config_digest) {
+            slot.insert(config_json.to_vec());
             report.bytes_uploaded += config_size;
         }
         let manifest = Manifest {

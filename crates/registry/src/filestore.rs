@@ -145,6 +145,12 @@ impl GearFileStore {
         self.store.contains(fingerprint)
     }
 
+    /// The recorder this store's verbs record on (disabled unless
+    /// [`GearFileStore::set_recorder`] was called).
+    pub fn recorder(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
     /// `upload` verb: stores `content` under `fingerprint`, deduplicating —
     /// [`GearFileStore::upload_all`] of one unsalted file.
     ///
@@ -159,7 +165,7 @@ impl GearFileStore {
     ) -> Result<UploadOutcome, UploadError> {
         let file = GearFile { fingerprint, content, salt: None };
         check(std::slice::from_ref(&file))?;
-        Ok(self.admit(file))
+        Ok(self.admit(&file, self.stored_len(&file)))
     }
 
     /// [`GearFileStore::upload`] of every file in order, with the ids all
@@ -167,31 +173,61 @@ impl GearFileStore {
     /// salted id is checked the way it was made. Nothing is stored unless
     /// every id holds.
     ///
+    /// Three steps, each spanned on the recorder: `check` the ids, `size`
+    /// each file the store lacks ([`compressed_size`] when compressing),
+    /// then `admit` them in order. A file that repeats an earlier one of
+    /// the batch is sized but deduplicated.
+    ///
     /// # Errors
     ///
     /// [`UploadError::FingerprintMismatch`] for the first file whose id its
     /// content does not make; the store is left as it was.
     pub fn upload_all(&mut self, files: &[GearFile]) -> Result<Vec<UploadOutcome>, UploadError> {
-        check(files)?;
-        Ok(files.iter().map(|file| self.admit(file.clone())).collect())
+        let telemetry = self.telemetry.clone();
+        let _span = telemetry.enter("registry", "upload_all");
+        {
+            let _span = telemetry.enter("registry", "check");
+            check(files)?;
+        }
+        let mut outcomes: Vec<UploadOutcome> = {
+            let _span = telemetry.enter("compress", "compressed_size");
+            files
+                .iter()
+                .map(|file| match self.store.contains(file.fingerprint) {
+                    true => UploadOutcome { stored: false, stored_bytes: 0 },
+                    false => UploadOutcome { stored: true, stored_bytes: self.stored_len(file) },
+                })
+                .collect()
+        };
+        let _span = telemetry.enter("registry", "admit");
+        for (file, outcome) in files.iter().zip(&mut outcomes) {
+            *outcome = self.admit(file, outcome.stored_bytes);
+        }
+        Ok(outcomes)
     }
 
-    /// Stores a file whose id has been checked, deduplicating.
-    fn admit(&mut self, file: GearFile) -> UploadOutcome {
-        let GearFile { fingerprint, content, salt } = file;
+    /// The bytes `file` occupies in the store and on the wire. Count-only
+    /// sizing when compressing: the registry keeps raw bodies and only
+    /// accounts the compressed wire size, so no token stream is ever
+    /// materialized.
+    fn stored_len(&self, file: &GearFile) -> u64 {
+        if self.compressed {
+            compressed_size(&file.content, Level::Default) as u64
+        } else {
+            file.content.len() as u64
+        }
+    }
+
+    /// Stores a file whose id has been checked, `stored_len` bytes on the
+    /// wire, deduplicating.
+    fn admit(&mut self, file: &GearFile, stored_len: u64) -> UploadOutcome {
+        let GearFile { fingerprint, ref content, salt } = *file;
         self.telemetry.count("registry.uploads", 1);
         if self.store.contains(fingerprint) {
             self.dedup_hits += 1;
             self.telemetry.count("registry.dedup_hits", 1);
             return UploadOutcome { stored: false, stored_bytes: 0 };
         }
-        // Count-only sizing: the registry keeps raw bodies and only accounts
-        // the compressed wire size, so no token stream is ever materialized.
-        let stored_len = if self.compressed {
-            compressed_size(&content, Level::Default) as u64
-        } else {
-            content.len() as u64
-        };
         self.stored_bytes += stored_len;
         if self.telemetry.enabled() {
             self.telemetry.count("registry.upload_bytes", content.len() as u64);
@@ -202,7 +238,7 @@ impl GearFileStore {
             self.salts.insert(fingerprint, salt);
         }
         self.wire.insert(fingerprint, stored_len);
-        self.store.insert(fingerprint, content);
+        self.store.insert(fingerprint, content.clone());
         UploadOutcome { stored: true, stored_bytes: stored_len }
     }
 

@@ -9,17 +9,32 @@
 //! `FleetConfig`, `FleetReport` and `Topology`), the registry's hash ring
 //! (`gear-registry`'s `HashRing` and `DEFAULT_VNODES`) and telemetry
 //! (`gear-telemetry`'s `QuantileSketch` and `Telemetry::collector`): every
-//! item the fleet workload imports. The other crates' entries are still to
-//! be added.
+//! item the fleet workload imports. For the publish path it covers
+//! `gear-core`'s converter, `publish` and Gear image, `gear-compress`'s
+//! sizing, and `gear-registry`'s two registries as the set-up and the
+//! publish and deploy workloads call them. `gear-archive` has no entry: the
+//! benchmark imports nothing from it. The other crates' entries are still
+//! to be added.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use gear_hash::Fingerprint;
+use gear_compress::{compressed_size_with, Level};
+use gear_core::{
+    publish, Conversion, ConversionReport, ConvertError, Converter, ConverterOptions, GearFile,
+    GearImage, GearIndex, IndexError, PublishReport,
+};
+use gear_fs::FsTree;
+use gear_hash::{Digest, Fingerprint};
+use gear_image::{CompressedLayer, Image, ImageRef, Manifest};
 use gear_p2p::{FleetConfig, FleetReport, FleetSim, NodeId, Topology, TopologyConfig};
-use gear_registry::{HashRing, DEFAULT_VNODES};
-use gear_simnet::{EventQueue, FifoLane, LaneSlot, Link};
+use gear_par::Pool;
+use gear_registry::{
+    DockerRegistry, GearFileStore, HashRing, PushReport, RegistryStats, StoreStats,
+    UploadError, UploadOutcome, DEFAULT_VNODES,
+};
+use gear_simnet::{DiskModel, EventQueue, FifoLane, LaneSlot, Link};
 use gear_telemetry::{Collector, QuantileSketch, Telemetry};
 
 #[test]
@@ -105,4 +120,87 @@ fn quantile_sketch_keeps_its_signatures() {
 #[test]
 fn telemetry_collector_keeps_its_signature() {
     let _: fn() -> (Telemetry, Arc<Collector>) = Telemetry::collector;
+}
+
+/// The converter as set-up and the publish workload build and run it.
+#[test]
+fn converter_keeps_its_signatures() {
+    let _: fn() -> Converter = Converter::new;
+    let _: fn(ConverterOptions) -> Converter = Converter::with_options;
+    let _: fn(&Converter, &Image) -> Result<Conversion, ConvertError> = Converter::convert;
+    let _ = |disk: DiskModel| ConverterOptions {
+        disk,
+        byte_scale: 1024,
+        count_scale: 22.0,
+        ..ConverterOptions::default()
+    };
+    let _ = |c: &Conversion| {
+        let _: (&GearImage, &[GearFile], &ConversionReport) = (&c.gear_image, &c.files, &c.report);
+        let r = &c.report;
+        let _: Duration = r.duration;
+        let _: [u64; 4] = [r.scanned_files, r.scanned_bytes, r.unique_files, r.unique_bytes];
+        let _: (Fingerprint, &Bytes) = (c.files[0].fingerprint, &c.files[0].content);
+    };
+}
+
+/// `publish` and the two report fields the publish workload sums.
+#[test]
+fn publish_keeps_its_signature() {
+    let _: fn(&Conversion, &mut DockerRegistry, &mut GearFileStore) -> PublishReport = publish;
+    let _ = |r: &PublishReport| {
+        let _: [u64; 2] = [r.file_bytes_stored, r.index_bytes_uploaded];
+    };
+}
+
+/// The Gear image and index as the publish and deploy workloads read them.
+#[test]
+fn gear_image_keeps_its_signatures() {
+    let _: fn(&GearImage) -> &GearIndex = GearImage::index;
+    let _: fn(GearImage) -> GearIndex = GearImage::into_index;
+    let _: fn(&Image) -> Result<GearImage, IndexError> = GearImage::from_index_image;
+    let _: fn(&GearImage) -> Image = GearImage::to_index_image;
+    let _: fn(&GearIndex) -> FsTree = GearIndex::to_tree;
+    let _: fn(&GearIndex) -> Vec<(Fingerprint, u64)> = GearIndex::referenced_files;
+    let _: fn(&GearIndex, &str) -> Option<(Fingerprint, u64)> = GearIndex::file_at;
+}
+
+/// The sizing the publish workload's traced pass times.
+#[test]
+fn compressed_size_keeps_its_signature() {
+    let _: fn(&[u8], Level, &Pool) -> usize = compressed_size_with;
+    let _: [Level; 3] = [Level::Fast, Level::Default, Level::Best];
+}
+
+/// The Gear file store as set-up and every workload use it.
+#[test]
+fn gear_file_store_keeps_its_signatures() {
+    let _: fn() -> GearFileStore = GearFileStore::with_compression;
+    let _: fn(&mut GearFileStore, Telemetry) = GearFileStore::set_recorder;
+    let _: fn(&GearFileStore, Fingerprint) -> bool = GearFileStore::query;
+    let _: fn(&mut GearFileStore, Fingerprint, Bytes) -> Result<UploadOutcome, UploadError> =
+        GearFileStore::upload;
+    let _: fn(&GearFileStore, Fingerprint) -> Option<Bytes> = GearFileStore::download;
+    let _: fn(&GearFileStore, Fingerprint) -> Option<u64> = GearFileStore::transfer_size;
+    let _: fn(&GearFileStore) -> Vec<Fingerprint> = GearFileStore::verify;
+    let _: fn(&GearFileStore) -> StoreStats = GearFileStore::stats;
+    let _: fn(&GearFileStore) -> usize = GearFileStore::object_count;
+    let _ = |s: &StoreStats| {
+        let _: u64 = s.stored_bytes;
+    };
+}
+
+/// The Docker registry as set-up fills it and the deploy workloads read it.
+#[test]
+fn docker_registry_keeps_its_signatures() {
+    let _: fn() -> DockerRegistry = DockerRegistry::new;
+    let _: fn(&mut DockerRegistry, &Image) -> PushReport = DockerRegistry::push_image;
+    let _: for<'a> fn(&'a DockerRegistry, &ImageRef) -> Option<&'a Manifest> =
+        DockerRegistry::manifest;
+    let _: fn(&DockerRegistry, &ImageRef) -> Option<Image> = DockerRegistry::image;
+    let _: fn(&DockerRegistry, Digest) -> Option<CompressedLayer> =
+        DockerRegistry::compressed_layer;
+    let _: fn(&DockerRegistry) -> RegistryStats = DockerRegistry::stats;
+    let _ = |s: &RegistryStats| {
+        let _: usize = s.blobs;
+    };
 }
