@@ -192,10 +192,7 @@ impl Archive {
 
     /// Number of regular-file entries.
     pub fn file_count(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| matches!(e.kind, EntryKind::File { .. }))
-            .count()
+        self.entries.iter().filter(|e| matches!(e.kind, EntryKind::File { .. })).count()
     }
 
     /// Sorts entries so parents precede children (stable, path-lexicographic).

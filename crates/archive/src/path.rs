@@ -122,10 +122,7 @@ impl ArchivePath {
     /// Returns [`PathError::BadComponent`] if `component` is empty, `.`,
     /// `..`, or contains `/` or NUL.
     pub fn join(&self, component: &str) -> Result<ArchivePath, PathError> {
-        if component.is_empty()
-            || component == "."
-            || component == ".."
-            || component.contains('/')
+        if component.is_empty() || component == "." || component == ".." || component.contains('/')
         {
             return Err(PathError::BadComponent { component: component.to_owned() });
         }
