@@ -136,9 +136,7 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>, DecompressError> {
             }
             payload.to_vec()
         }
-        METHOD_LZSS => {
-            Lzss::decompress(payload, raw_len).ok_or(DecompressError::CorruptPayload)?
-        }
+        METHOD_LZSS => Lzss::decompress(payload, raw_len).ok_or(DecompressError::CorruptPayload)?,
         m => return Err(DecompressError::UnknownMethod(m)),
     };
     if crc32(&data) != crc {
@@ -199,9 +197,12 @@ mod tests {
             })
             .collect();
         let text = b"gear gear gear files files".repeat(200);
-        for (data, method) in
-            [(&b""[..], METHOD_STORED), (b"xyz", METHOD_STORED), (&noise, METHOD_STORED), (&text, METHOD_LZSS)]
-        {
+        for (data, method) in [
+            (&b""[..], METHOD_STORED),
+            (b"xyz", METHOD_STORED),
+            (&noise, METHOD_STORED),
+            (&text, METHOD_LZSS),
+        ] {
             for level in [Level::Fast, Level::Default, Level::Best] {
                 let framed = compress(data, level);
                 assert_eq!(framed[4], method, "len {}", data.len());
@@ -214,10 +215,7 @@ mod tests {
     #[test]
     fn compressed_size_matches_compress() {
         let data = b"aaaabbbbccccaaaabbbbcccc".repeat(64);
-        assert_eq!(
-            compressed_size(&data, Level::Default),
-            compress(&data, Level::Default).len()
-        );
+        assert_eq!(compressed_size(&data, Level::Default), compress(&data, Level::Default).len());
     }
 
     #[test]

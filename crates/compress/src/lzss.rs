@@ -238,8 +238,7 @@ impl Tables {
                 let stop = end.min(keyed);
                 let mut covered = pos + 1;
                 while covered + 4 <= stop {
-                    let Some(word) = data.get(covered..).and_then(<[u8]>::first_chunk::<8>)
-                    else {
+                    let Some(word) = data.get(covered..).and_then(<[u8]>::first_chunk::<8>) else {
                         break;
                     };
                     let word = u64::from_le_bytes(*word);
