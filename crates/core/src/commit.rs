@@ -112,11 +112,7 @@ pub fn commit(
     }
 
     let index = GearIndex::from_tree(merged, base.config.clone())?;
-    Ok(CommitOutput {
-        gear_image: GearImage::new(new_reference, index),
-        new_files,
-        new_bytes,
-    })
+    Ok(CommitOutput { gear_image: GearImage::new(new_reference, index), new_files, new_bytes })
 }
 
 #[cfg(test)]
@@ -196,7 +192,10 @@ mod tests {
         mount.write("app/copy", Bytes::from_static(b"binary")).unwrap();
         let out = commit(&mount, &base, "app:2".parse().unwrap()).unwrap();
         assert!(out.new_files.is_empty(), "existing content must not be re-pushed");
-        assert_eq!(out.gear_image.index().file_at("app/copy").unwrap().0, Fingerprint::of(b"binary"));
+        assert_eq!(
+            out.gear_image.index().file_at("app/copy").unwrap().0,
+            Fingerprint::of(b"binary")
+        );
     }
 
     #[test]

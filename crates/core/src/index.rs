@@ -887,10 +887,7 @@ mod tests {
         let image = ImageBuilder::new("plain:1".parse::<ImageRef>().unwrap())
             .layer_from_tree(&tree)
             .build();
-        assert!(matches!(
-            GearImage::from_index_image(&image),
-            Err(IndexError::NotAnIndexImage)
-        ));
+        assert!(matches!(GearImage::from_index_image(&image), Err(IndexError::NotAnIndexImage)));
     }
 
     #[test]

@@ -27,9 +27,7 @@ fn object(fields: &[(&str, String)]) -> String {
 
 /// A document whose root holds `node` under the name `n`.
 fn doc_with(node: &str) -> String {
-    format!(
-        r#"{{"root":{{"kind":"dir","meta":{META},"children":{{"n":{node}}}}},"config":{{}}}}"#
-    )
+    format!(r#"{{"root":{{"kind":"dir","meta":{META},"children":{{"n":{node}}}}},"config":{{}}}}"#)
 }
 
 /// The index [`doc_with`] decodes to when `node` decodes to `want`.
@@ -64,9 +62,8 @@ fn file_fields() -> Fields {
 }
 
 fn big_file_fields() -> Fields {
-    let chunks = format!(
-        r#"[{{"fingerprint":"{FP}","size":4}},{{"fingerprint":"{FP2}","size":3}}]"#
-    );
+    let chunks =
+        format!(r#"[{{"fingerprint":"{FP}","size":4}},{{"fingerprint":"{FP2}","size":3}}]"#);
     vec![
         ("kind", "\"big_file\"".into()),
         ("meta", META.into()),
@@ -137,9 +134,8 @@ fn keys_come_in_any_order() {
     }
     // A chunk's two keys, and the four of `meta`.
     let want = index_with(big_file_node());
-    let swapped = format!(
-        r#"[{{"size":4,"fingerprint":"{FP}"}},{{"size":3,"fingerprint":"{FP2}"}}]"#
-    );
+    let swapped =
+        format!(r#"[{{"size":4,"fingerprint":"{FP}"}},{{"size":3,"fingerprint":"{FP2}"}}]"#);
     let mut fields = big_file_fields();
     fields[2].1 = swapped;
     accepts(&doc_with(&object(&fields)), &want);
@@ -196,8 +192,7 @@ fn unknown_keys_are_skipped_at_every_level() {
                 vec![("fingerprint", format!("\"{FP}\"")), ("size", "4".into())];
             chunk.insert(at, extra.clone());
             let mut fields = big_file_fields();
-            fields[2].1 =
-                format!(r#"[{},{{"fingerprint":"{FP2}","size":3}}]"#, object(&chunk));
+            fields[2].1 = format!(r#"[{},{{"fingerprint":"{FP2}","size":3}}]"#, object(&chunk));
             accepts(&doc_with(&object(&fields)), &want);
             // Root level.
             let node = object(&big_file_fields());

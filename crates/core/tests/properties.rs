@@ -21,10 +21,7 @@ fn any_path() -> impl Strategy<Value = String> {
 }
 
 fn any_files() -> impl Strategy<Value = Vec<(String, Vec<u8>)>> {
-    proptest::collection::vec(
-        (any_path(), proptest::collection::vec(any::<u8>(), 0..128)),
-        1..24,
-    )
+    proptest::collection::vec((any_path(), proptest::collection::vec(any::<u8>(), 0..128)), 1..24)
 }
 
 fn image_of(files: &[(String, Vec<u8>)]) -> Option<gear_image::Image> {
@@ -33,11 +30,7 @@ fn image_of(files: &[(String, Vec<u8>)]) -> Option<gear_image::Image> {
         // Paths may conflict (file under file); skip such samples.
         tree.create_file(p, Bytes::from(c.clone())).ok()?;
     }
-    Some(
-        ImageBuilder::new("prop:1".parse::<ImageRef>().unwrap())
-            .layer_from_tree(&tree)
-            .build(),
-    )
+    Some(ImageBuilder::new("prop:1".parse::<ImageRef>().unwrap()).layer_from_tree(&tree).build())
 }
 
 /// `len` letters and digits from a xorshift stream: text with next to no

@@ -125,8 +125,26 @@ fn reference_json(index: &GearIndex) -> Vec<u8> {
 /// writer (quote, backslash, the three short escapes, other controls), the
 /// last unescaped ASCII neighbours of each, and two- to four-byte UTF-8.
 const ALPHABET: [char; 20] = [
-    'a', 'Z', '0', '.', ' ', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{8}', '\u{c}', '\u{1f}',
-    '\u{7f}', '\u{e9}', '\u{3b1}', '\u{65e5}', '\u{1f600}', '/',
+    'a',
+    'Z',
+    '0',
+    '.',
+    ' ',
+    '"',
+    '\\',
+    '\n',
+    '\r',
+    '\t',
+    '\u{1}',
+    '\u{8}',
+    '\u{c}',
+    '\u{1f}',
+    '\u{7f}',
+    '\u{e9}',
+    '\u{3b1}',
+    '\u{65e5}',
+    '\u{1f600}',
+    '/',
 ];
 
 /// A string over [`ALPHABET`]; `names` leaves out `/`, which no entry name
@@ -164,8 +182,7 @@ fn any_node() -> impl Strategy<Value = Node> {
 
 fn any_config() -> impl Strategy<Value = ImageConfig> {
     let texts = || proptest::collection::vec(any_text(false, 0..8), 0..3);
-    let labels =
-        proptest::collection::vec((any_text(false, 0..8), any_text(false, 0..8)), 0..3);
+    let labels = proptest::collection::vec((any_text(false, 0..8), any_text(false, 0..8)), 0..3);
     (texts(), texts(), texts(), any_text(false, 0..8), labels).prop_map(
         |(env, entrypoint, cmd, working_dir, labels)| ImageConfig {
             env,
