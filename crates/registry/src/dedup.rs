@@ -138,9 +138,7 @@ pub fn analyze(images: &[Image], config: DedupConfig) -> DedupReport {
                     if !content.is_empty() {
                         for chunk in content.chunks(config.chunk_size.max(1)) {
                             let cfp = Fingerprint::of(chunk);
-                            chunk_sizes
-                                .entry(cfp)
-                                .or_insert_with(|| config.object_size(chunk));
+                            chunk_sizes.entry(cfp).or_insert_with(|| config.object_size(chunk));
                         }
                     }
                 }
@@ -216,7 +214,10 @@ mod tests {
 
     #[test]
     fn granularities_are_ordered() {
-        let report = analyze(&corpus(), DedupConfig { chunk_size: 256, level: Level::Fast, ..Default::default() });
+        let report = analyze(
+            &corpus(),
+            DedupConfig { chunk_size: 256, level: Level::Fast, ..Default::default() },
+        );
         assert!(report.layer_level.storage_bytes < report.none.storage_bytes);
         assert!(report.file_level.storage_bytes < report.layer_level.storage_bytes);
         assert!(report.chunk_level.storage_bytes <= report.file_level.storage_bytes);

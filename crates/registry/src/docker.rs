@@ -5,8 +5,8 @@ use std::collections::HashMap;
 use gear_compress::Level;
 use gear_hash::Digest;
 use gear_image::{
-    CompressedLayer, Descriptor, Image, ImageConfig, ImageRef, Layer, Manifest,
-    MEDIA_TYPE_CONFIG, MEDIA_TYPE_LAYER,
+    CompressedLayer, Descriptor, Image, ImageConfig, ImageRef, Layer, Manifest, MEDIA_TYPE_CONFIG,
+    MEDIA_TYPE_LAYER,
 };
 use gear_telemetry::Telemetry;
 
@@ -104,11 +104,7 @@ impl DockerRegistry {
             } else {
                 report.layers_deduped += 1;
             }
-            layer_descs.push(Descriptor {
-                media_type: MEDIA_TYPE_LAYER.to_owned(),
-                digest,
-                size,
-            });
+            layer_descs.push(Descriptor { media_type: MEDIA_TYPE_LAYER.to_owned(), digest, size });
         }
         let config_digest = Digest::of(config_json);
         let config_size = config_json.len() as u64;
@@ -164,8 +160,7 @@ impl DockerRegistry {
     pub fn image(&self, reference: &ImageRef) -> Option<Image> {
         let manifest = self.manifests.get(reference)?;
         let config = self.config(manifest.config.digest)?;
-        let mut builder =
-            gear_image::ImageBuilder::new(reference.clone()).config(config);
+        let mut builder = gear_image::ImageBuilder::new(reference.clone()).config(config);
         for desc in &manifest.layers {
             builder = builder.existing_layer(self.layer(desc.digest)?);
         }
@@ -182,9 +177,7 @@ impl DockerRegistry {
         let live: std::collections::HashSet<Digest> = self
             .manifests
             .values()
-            .flat_map(|m| {
-                m.layers.iter().map(|d| d.digest).chain(std::iter::once(m.config.digest))
-            })
+            .flat_map(|m| m.layers.iter().map(|d| d.digest).chain(std::iter::once(m.config.digest)))
             .collect();
         let mut freed = 0;
         self.blobs.retain(|digest, blob| {
@@ -243,8 +236,7 @@ impl DockerRegistry {
         for (reference, manifest) in &self.manifests {
             for desc in manifest.layers.iter().chain(std::iter::once(&manifest.config)) {
                 match self.blobs.get(&desc.digest) {
-                    None => findings
-                        .push(format!("{reference}: missing blob {}", desc.digest)),
+                    None => findings.push(format!("{reference}: missing blob {}", desc.digest)),
                     Some(blob) if blob.len() as u64 != desc.size => findings.push(format!(
                         "{reference}: blob {} size {} != descriptor {}",
                         desc.digest,

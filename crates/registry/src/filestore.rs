@@ -449,25 +449,22 @@ mod tests {
     #[test]
     fn retain_only_keeps_stats_consistent() {
         let mut store = GearFileStore::with_compression();
-        let bodies: Vec<Bytes> = (0u8..12)
-            .map(|i| Bytes::from(vec![i; 64 + i as usize * 16]))
-            .collect();
+        let bodies: Vec<Bytes> =
+            (0u8..12).map(|i| Bytes::from(vec![i; 64 + i as usize * 16])).collect();
         let fps: Vec<Fingerprint> = bodies.iter().map(|b| Fingerprint::of(b)).collect();
         for (fp, body) in fps.iter().zip(&bodies) {
             store.upload(*fp, body.clone()).unwrap();
         }
         // Duplicate upload so dedup accounting is in play too.
         store.upload(fps[0], bodies[0].clone()).unwrap();
-        let live: std::collections::HashSet<Fingerprint> =
-            fps.iter().copied().step_by(2).collect();
+        let live: std::collections::HashSet<Fingerprint> = fps.iter().copied().step_by(2).collect();
         let freed = store.retain_only(&live);
         assert!(freed > 0);
         // The incremental totals must equal a from-scratch recount.
         let stats = store.stats();
         assert_eq!(stats.objects, live.len() as u64);
         let recount_logical: u64 = store.iter().map(|(_, raw)| raw.len() as u64).sum();
-        let recount_stored: u64 =
-            fps.iter().filter_map(|fp| store.transfer_size(*fp)).sum();
+        let recount_stored: u64 = fps.iter().filter_map(|fp| store.transfer_size(*fp)).sum();
         assert_eq!(stats.logical_bytes, recount_logical);
         assert_eq!(stats.stored_bytes, recount_stored);
         assert_eq!(stats.dedup_hits, 1, "GC must not erase dedup history");
@@ -475,10 +472,7 @@ mod tests {
         // keeps following.
         store.upload(fps[1], bodies[1].clone()).unwrap();
         assert_eq!(store.stats().objects, live.len() as u64 + 1);
-        assert_eq!(
-            store.stats().logical_bytes,
-            recount_logical + bodies[1].len() as u64
-        );
+        assert_eq!(store.stats().logical_bytes, recount_logical + bodies[1].len() as u64);
     }
 
     #[test]

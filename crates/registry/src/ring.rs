@@ -47,8 +47,7 @@ impl HashRing {
         let mut points = Vec::with_capacity(shards as usize * vnodes as usize);
         for shard in 0..shards {
             for vnode in 0..vnodes {
-                let point =
-                    splitmix64(seed ^ splitmix64(((shard as u64) << 32) | vnode as u64));
+                let point = splitmix64(seed ^ splitmix64(((shard as u64) << 32) | vnode as u64));
                 points.push((point, shard));
             }
         }
@@ -171,10 +170,7 @@ mod tests {
         let keys = 2_000;
         let moved = (0..keys).filter(|&i| four.primary(fp(i)) != five.primary(fp(i))).count();
         let fraction = moved as f64 / keys as f64;
-        assert!(
-            fraction < 0.35,
-            "adding one shard moved {moved}/{keys} keys ({fraction:.2})"
-        );
+        assert!(fraction < 0.35, "adding one shard moved {moved}/{keys} keys ({fraction:.2})");
         assert!(moved > 0, "some keys must move to the new shard");
     }
 }
