@@ -166,9 +166,7 @@ impl GearIndex {
         // Sized by a counting pass first: the buffer is allocated once, at
         // its final length.
         let config = self.config.to_json();
-        let mut len = Count(0);
-        self.write(&mut len, &config);
-        let mut out = Vec::with_capacity(len.0 as usize);
+        let mut out = Vec::with_capacity(self.document_len(&config) as usize);
         self.write(&mut out, &config);
         out
     }
@@ -186,9 +184,7 @@ impl GearIndex {
     /// Size of the serialized index in bytes — the amount a client must pull
     /// before its container can start (paper: ~0.53 MB on average).
     pub fn serialized_len(&self) -> u64 {
-        let mut len = Count(0);
-        self.write(&mut len, &self.config.to_json());
-        len.0
+        self.document_len(&self.config.to_json())
     }
 
     /// Every `(fingerprint, size)` the index references (files and chunks),
@@ -400,6 +396,13 @@ fn put_node(out: &mut impl Sink, node: NodeRef<'_>) {
 }
 
 impl GearIndex {
+    /// Length of the document, its config already encoded as `config`.
+    fn document_len(&self, config: &[u8]) -> u64 {
+        let mut len = Count(0);
+        self.write(&mut len, config);
+        len.0
+    }
+
     /// The document, its config already encoded as `config`.
     fn write(&self, out: &mut impl Sink, config: &[u8]) {
         out.put(b"{\"root\":");
@@ -648,9 +651,7 @@ impl GearImage {
     fn encoded(&self) -> &Encoded {
         self.encoded.get_or_init(|| {
             let config = self.index.config.to_json();
-            let mut len = Count(0);
-            self.index.write(&mut len, &config);
-            Encoded { config, len: len.0 }
+            Encoded { len: self.index.document_len(&config), config }
         })
     }
 

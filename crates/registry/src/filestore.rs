@@ -173,9 +173,9 @@ impl GearFileStore {
     /// salted id is checked the way it was made. Nothing is stored unless
     /// every id holds.
     ///
-    /// Three steps, each spanned on the recorder: `check` the ids, `size`
-    /// each file the store lacks ([`compressed_size`] when compressing),
-    /// then `admit` them in order. A file that repeats an earlier one of
+    /// Three steps, each spanned on the recorder: `check` the ids, size
+    /// each file the store lacks (`compressed_size`, the LZSS count when
+    /// compressing), then `admit` them in order. A file that repeats an earlier one of
     /// the batch is sized but deduplicated.
     ///
     /// # Errors
@@ -193,9 +193,12 @@ impl GearFileStore {
             let _span = telemetry.enter("compress", "compressed_size");
             files
                 .iter()
-                .map(|file| match self.store.contains(file.fingerprint) {
-                    true => UploadOutcome { stored: false, stored_bytes: 0 },
-                    false => UploadOutcome { stored: true, stored_bytes: self.stored_len(file) },
+                .map(|file| {
+                    if self.store.contains(file.fingerprint) {
+                        UploadOutcome { stored: false, stored_bytes: 0 }
+                    } else {
+                        UploadOutcome { stored: true, stored_bytes: self.stored_len(file) }
+                    }
                 })
                 .collect()
         };
